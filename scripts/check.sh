@@ -16,14 +16,10 @@
 #                               # zero-spurious property battery, the DST
 #                               # inconsistent-commit scenarios, and a
 #                               # throughput run
-#   scripts/check.sh --vm       # bytecode-VM smoke only: the opcode/cache
-#                               # unit battery, the 1k-program differential
-#                               # fuzz battery (plain + ASan/UBSan), and a
-#                               # cache-ablation throughput run
 #   scripts/check.sh --differential
-#                               # every two-implementation differential suite
-#                               # (gatekeeper, semdiff, VM-vs-interpreter,
-#                               # calendar-queue-vs-heap scheduler)
+#                               # every implementation-vs-oracle suite
+#                               # (gatekeeper, semdiff, cached-vs-fresh CSL
+#                               # compiles, calendar-queue-vs-heap scheduler)
 #   scripts/check.sh --scale    # scale lane only: the 1k/10k-server
 #                               # determinism-at-scale sweeps plus a 10k-server
 #                               # Fig 14 propagation smoke
@@ -35,7 +31,6 @@ CHAOS_ONLY=0
 TSAN_ONLY=0
 SEMDIFF_ONLY=0
 INVARIANTS_ONLY=0
-VM_ONLY=0
 DIFFERENTIAL_ONLY=0
 SCALE_ONLY=0
 if [[ "${1:-}" == "--fast" ]]; then
@@ -48,8 +43,6 @@ elif [[ "${1:-}" == "--semdiff" ]]; then
   SEMDIFF_ONLY=1
 elif [[ "${1:-}" == "--invariants" ]]; then
   INVARIANTS_ONLY=1
-elif [[ "${1:-}" == "--vm" ]]; then
-  VM_ONLY=1
 elif [[ "${1:-}" == "--differential" ]]; then
   DIFFERENTIAL_ONLY=1
 elif [[ "${1:-}" == "--scale" ]]; then
@@ -101,24 +94,8 @@ if [[ "$INVARIANTS_ONLY" == "1" ]]; then
   exit 0
 fi
 
-if [[ "$VM_ONLY" == "1" ]]; then
-  echo "==> vm: opcode/cache unit battery + 1k-program differential fuzz"
-  ctest --test-dir build --output-on-failure -R \
-    '^(vm_test|vm_differential_test)$'
-  echo "==> vm: sanitized build (address;undefined)"
-  cmake -B build-asan -S . -DCONFIGERATOR_SANITIZE="address;undefined" >/dev/null
-  cmake --build build-asan -j "$JOBS" --target vm_test vm_differential_test
-  echo "==> vm: differential fuzz + bit-flip mutation corpus under ASan/UBSan"
-  ctest --test-dir build-asan --output-on-failure -R \
-    '^(vm_test|vm_differential_test)$'
-  echo "==> vm: cache-ablation throughput (writes BENCH_csl_vm.json)"
-  (cd build/bench && ./csl_vm)
-  echo "==> done (vm mode: full tier-1, chaos, other sanitizers and clang-tidy skipped)"
-  exit 0
-fi
-
 if [[ "$DIFFERENTIAL_ONLY" == "1" ]]; then
-  echo "==> differential: gatekeeper + semdiff + VM + scheduler batteries"
+  echo "==> differential: gatekeeper + semdiff + CSL cache + scheduler batteries"
   ctest --test-dir build --output-on-failure -L differential
   echo "==> done (differential mode: full tier-1, chaos, sanitizers and clang-tidy skipped)"
   exit 0

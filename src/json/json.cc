@@ -295,9 +295,16 @@ class Parser {
     char c = Peek();
     switch (c) {
       case '{':
-        return ParseObject();
-      case '[':
-        return ParseArray();
+      case '[': {
+        if (depth_ == Json::kMaxParseDepth) {
+          return Error(StrFormat("nesting deeper than %d levels",
+                                 Json::kMaxParseDepth));
+        }
+        ++depth_;
+        auto nested = c == '{' ? ParseObject() : ParseArray();
+        --depth_;
+        return nested;
+      }
       case '"': {
         ASSIGN_OR_RETURN(std::string s, ParseString());
         return Json(std::move(s));
@@ -527,6 +534,7 @@ class Parser {
 
   std::string_view text_;
   size_t pos_ = 0;
+  int depth_ = 0;  // Arrays/objects currently open.
 };
 
 }  // namespace

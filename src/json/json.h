@@ -82,7 +82,10 @@ class Json {
   // Pretty-printed with 2-space indentation (the on-disk config format).
   std::string DumpPretty() const;
 
-  // Parses a JSON document; rejects trailing garbage.
+  // Parses a JSON document; rejects trailing garbage and arrays/objects
+  // nested deeper than kMaxParseDepth, so hostile input cannot exhaust the
+  // stack of the parser or of any later recursive walk.
+  static constexpr int kMaxParseDepth = 512;
   static Result<Json> Parse(std::string_view text);
 
   bool operator==(const Json& other) const;

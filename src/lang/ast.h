@@ -3,6 +3,7 @@
 #ifndef SRC_LANG_AST_H_
 #define SRC_LANG_AST_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <utility>
@@ -18,8 +19,18 @@ struct Stmt;
 using ExprPtr = std::unique_ptr<Expr>;
 using StmtPtr = std::unique_ptr<Stmt>;
 
+// Deepest AST the parser accepts, counted from the module root (statements
+// nest through blocks, expressions through operands — a left-associative
+// chain `1+1+...` is as deep as it is long). Every later tree walk — the
+// interpreter, lint, absint, semdiff, the closure digest and the node
+// destructors — recurses over this tree, so bounding it at parse time
+// bounds their stack use. Sized so that the parser and every walker stay
+// within an 8 MB stack even in an ASan build, whose frames are several
+// times larger.
+inline constexpr int kMaxCslAstDepth = 256;
+
 struct Expr {
-  enum class Kind {
+  enum class Kind : uint8_t {
     kLiteral,  // literal (int/float/string/bool/None)
     kName,     // identifier
     kList,     // [a, b, c]
@@ -33,6 +44,7 @@ struct Expr {
   };
 
   Kind kind;
+  uint16_t height = 1;  // Of this subtree; maintained by the parser.
   int line = 0;
 
   Value literal;                 // kLiteral

@@ -5,8 +5,23 @@ namespace configerator {
 Result<std::shared_ptr<Module>> AstCache::GetOrParse(
     const std::string& path, const std::string& content,
     std::vector<LintDiagnostic>* lint_diags) {
+  return Lookup(path, content, nullptr, lint_diags);
+}
+
+Result<std::shared_ptr<Module>> AstCache::GetOrParse(
+    const std::string& path, std::shared_ptr<const std::string> content,
+    std::vector<LintDiagnostic>* lint_diags) {
+  const std::string& bytes = *content;
+  return Lookup(path, bytes, std::move(content), lint_diags);
+}
+
+Result<std::shared_ptr<Module>> AstCache::Lookup(
+    const std::string& path, const std::string& content,
+    std::shared_ptr<const std::string> shared,
+    std::vector<LintDiagnostic>* lint_diags) {
   auto it = entries_.find(path);
-  if (it != entries_.end() && it->second.content == content) {
+  if (it != entries_.end() &&
+      (it->second.content == shared || *it->second.content == content)) {
     ++hits_;
     const Entry& entry = it->second;
     if (lint_diags != nullptr) {
@@ -21,7 +36,9 @@ Result<std::shared_ptr<Module>> AstCache::GetOrParse(
 
   ++misses_;
   Entry entry;
-  entry.content = content;
+  entry.content = shared != nullptr
+                      ? std::move(shared)
+                      : std::make_shared<const std::string>(content);
   auto parsed = ParseCsl(content, path, &entry.parse_diags);
   if (parsed.ok()) {
     entry.module = *parsed;

@@ -32,12 +32,24 @@ class AstCache {
       const std::string& path, const std::string& content,
       std::vector<LintDiagnostic>* lint_diags = nullptr);
 
+  // Same, for a caller that keeps its own shared copy of the source (the
+  // compiler's CompiledUnitCache): the entry holds that copy instead of
+  // making another, and recognizes it by pointer before comparing bytes.
+  Result<std::shared_ptr<Module>> GetOrParse(
+      const std::string& path, std::shared_ptr<const std::string> content,
+      std::vector<LintDiagnostic>* lint_diags = nullptr);
+
   size_t hits() const { return hits_; }
   size_t misses() const { return misses_; }
 
  private:
+  Result<std::shared_ptr<Module>> Lookup(
+      const std::string& path, const std::string& content,
+      std::shared_ptr<const std::string> shared,
+      std::vector<LintDiagnostic>* lint_diags);
+
   struct Entry {
-    std::string content;
+    std::shared_ptr<const std::string> content;
     std::shared_ptr<Module> module;  // Null when the parse failed.
     Status error = OkStatus();
     std::vector<LintDiagnostic> parse_diags;

@@ -15,11 +15,11 @@ namespace configerator {
 void RegisterCslBuiltins(Environment* env);
 
 // Process-wide environment holding exactly the RegisterCslBuiltins bindings,
-// built once and shared read-only by every engine session as the root of its
-// scope chain. Safe to share because every binding is an immutable native
-// function and name assignment always defines in the innermost scope — user
-// code can shadow a builtin in its own session but never write through to
-// this environment.
+// built once and shared read-only by every interpreter session as the root
+// of its scope chain. Safe to share because every binding is an immutable
+// native function and name assignment always defines in the innermost scope
+// — user code can shadow a builtin in its own session but never write
+// through to this environment.
 const std::shared_ptr<Environment>& SharedBuiltinsEnvironment();
 
 // For every struct in `registry`, installs a constructor `StructName(...)`

@@ -6,7 +6,6 @@
 
 #include "src/lang/builtins.h"
 #include "src/lang/unit_cache.h"
-#include "src/lang/vm.h"
 #include "src/obs/metrics.h"
 #include "src/schema/typecheck.h"
 #include "src/util/logging.h"
@@ -24,33 +23,27 @@ namespace {
     }                                        \
   } while (false)
 
+// Adds the parse-cache traffic since a (hits, misses) snapshot to the
+// csl.unit_cache counters.
+void CountParses(MetricsRegistry* metrics, const CompiledUnitCache& cache,
+                 size_t hits_before, size_t misses_before) {
+  if (metrics != nullptr) {
+    metrics->GetCounter("csl.unit_cache.hits")->Inc(cache.hits() - hits_before);
+    metrics->GetCounter("csl.unit_cache.misses")
+        ->Inc(cache.misses() - misses_before);
+  }
+}
+
 }  // namespace
 
 // One hermetic compilation of one entry file.
 class ConfigCompiler::Session {
  public:
-  Session(FileReader reader, std::string entry_path, CompilerOptions options,
-          CompiledUnitCache* unit_cache)
+  Session(FileReader reader, std::string entry_path, CompilerOptions options)
       : reader_(std::move(reader)),
         entry_path_(std::move(entry_path)),
         options_(options),
-        unit_cache_(unit_cache) {
-    Interp::Hooks hooks;
-    hooks.import_module = [this](const std::string& path) {
-      return ImportModule(path);
-    };
-    hooks.import_schema = [this](const std::string& path) {
-      return ImportSchema(path);
-    };
-    hooks.export_config = [this](const std::string& name, const Value& value) {
-      return ExportConfig(name, value);
-    };
-    if (options_.engine == CompilerOptions::Engine::kInterpreter) {
-      interp_ = std::make_unique<Interp>(&registry_, std::move(hooks));
-    } else {
-      vm_ = std::make_unique<Vm>(&registry_, std::move(hooks));
-    }
-  }
+        interp_(&registry_, MakeHooks()) {}
 
   Result<CompileOutput> Run() {
     ASSIGN_OR_RETURN(std::string source, ReadDep(entry_path_));
@@ -91,65 +84,56 @@ class ConfigCompiler::Session {
     return reader_(path);
   }
 
-  std::shared_ptr<Environment> NewGlobals() {
-    if (interp_ != nullptr) {
-      return interp_->NewEnvironment(interp_->MakeBaseEnvironment());
-    }
-    return vm_->NewEnvironment(vm_->MakeBaseEnvironment());
+  Interp::Hooks MakeHooks() {
+    Interp::Hooks hooks;
+    hooks.import_module = [this](const std::string& path) {
+      return ImportModule(path);
+    };
+    hooks.import_schema = [this](const std::string& path) {
+      return ImportSchema(path);
+    };
+    hooks.export_config = [this](const std::string& name, const Value& value) {
+      return ExportConfig(name, value);
+    };
+    return hooks;
   }
 
-  // Evaluates one module source with the session's engine. For the VM this
-  // is where the content-hash cache and the compile/execute split are
-  // observable; the tree-walking interpreter parses and walks in one go.
+  std::shared_ptr<Environment> NewGlobals() {
+    return interp_.NewEnvironment(interp_.MakeBaseEnvironment());
+  }
+
+  // Evaluates one module source: a parse-cache lookup (the compile half of
+  // the csl.{compile,execute}_micros split), then the tree walk.
   Status EvalSource(const std::string& path, const std::string& source,
                     const std::shared_ptr<Environment>& globals,
                     bool exports_enabled) {
-    if (interp_ != nullptr) {
-      auto module = ParseCsl(source, path);
-      if (!module.ok()) {
-        return module.status();
-      }
-      modules_alive_.push_back(*module);
-      return interp_->EvalModule(**module, globals, exports_enabled);
-    }
-
+    CompiledUnitCache* cache = options_.unit_cache;
     MetricsRegistry* metrics = options_.metrics;
-    size_t hits_before = unit_cache_->hits();
-    size_t misses_before = unit_cache_->misses();
-    auto compile_start = std::chrono::steady_clock::now();
-    auto unit = unit_cache_->GetOrCompile(path, source);
-    auto compile_end = std::chrono::steady_clock::now();
+    size_t hits_before = cache->hits();
+    size_t misses_before = cache->misses();
+    auto parse_start = std::chrono::steady_clock::now();
+    auto module = cache->GetOrParse(path, source);
+    auto parse_end = std::chrono::steady_clock::now();
+    CountParses(metrics, *cache, hits_before, misses_before);
     if (metrics != nullptr) {
-      metrics->GetCounter("csl.unit_cache.hits")
-          ->Inc(unit_cache_->hits() - hits_before);
-      metrics->GetCounter("csl.unit_cache.misses")
-          ->Inc(unit_cache_->misses() - misses_before);
       metrics->GetHistogram("csl.compile_micros")
-          ->Record(std::chrono::duration<double, std::micro>(compile_end -
-                                                             compile_start)
+          ->Record(std::chrono::duration<double, std::micro>(parse_end -
+                                                             parse_start)
                        .count());
     }
-    if (!unit.ok()) {
-      return unit.status();
+    if (!module.ok()) {
+      return module.status();
     }
-    // Closures point into the unit's chunks; keep it alive past the cache.
-    units_alive_.push_back(*unit);
-    Status status = vm_->EvalUnit(**unit, globals, exports_enabled);
+    // Closures point into the module; keep it alive past the cache.
+    modules_alive_.push_back(*module);
+    Status status = interp_.EvalModule(**module, globals, exports_enabled);
     if (metrics != nullptr) {
       metrics->GetHistogram("csl.execute_micros")
           ->Record(std::chrono::duration<double, std::micro>(
-                       std::chrono::steady_clock::now() - compile_end)
+                       std::chrono::steady_clock::now() - parse_end)
                        .count());
     }
     return status;
-  }
-
-  Result<Value> CallFn(const Value& fn, std::vector<Value> args,
-                       std::map<std::string, Value> kwargs) {
-    if (interp_ != nullptr) {
-      return interp_->CallValue(fn, std::move(args), std::move(kwargs));
-    }
-    return vm_->CallValue(fn, std::move(args), std::move(kwargs));
   }
 
   Result<std::shared_ptr<Environment>> ImportModule(const std::string& path) {
@@ -211,7 +195,6 @@ class ConfigCompiler::Session {
       return InvalidConfigError("config '" + path + "' exported twice");
     }
     exports_.emplace(path, value);
-    export_order_.push_back(path);
     return OkStatus();
   }
 
@@ -223,7 +206,7 @@ class ConfigCompiler::Session {
     Value cfg = Value::FromJson(json);
     cfg.set_type_name(type_name);
     for (const Value& validator : it->second) {
-      auto result = CallFn(validator, {cfg}, {});
+      auto result = interp_.CallValue(validator, {cfg}, {});
       if (!result.ok()) {
         return InvalidConfigError(
             StrFormat("validator for %s rejected config: %s", type_name.c_str(),
@@ -241,19 +224,14 @@ class ConfigCompiler::Session {
   FileReader reader_;
   std::string entry_path_;
   CompilerOptions options_;
-  CompiledUnitCache* unit_cache_;
   SchemaRegistry registry_;
-  // Exactly one engine is live per session, chosen by options_.engine.
-  std::unique_ptr<Interp> interp_;
-  std::unique_ptr<Vm> vm_;
-  std::vector<std::shared_ptr<const CompiledUnit>> units_alive_;
+  Interp interp_;
   std::map<std::string, std::shared_ptr<Environment>> module_envs_;
   std::set<std::string> loaded_schemas_;
   std::set<std::string> dependencies_;
   std::map<std::string, Value> exports_;
-  std::vector<std::string> export_order_;
   std::map<std::string, std::vector<Value>> validators_;
-  std::vector<std::shared_ptr<Module>> modules_alive_;
+  std::vector<std::shared_ptr<const Module>> modules_alive_;
 };
 
 ConfigCompiler::ConfigCompiler(FileReader reader)
@@ -261,8 +239,7 @@ ConfigCompiler::ConfigCompiler(FileReader reader)
 
 ConfigCompiler::ConfigCompiler(FileReader reader, CompilerOptions options)
     : reader_(std::move(reader)), options_(options) {
-  if (options_.engine == CompilerOptions::Engine::kBytecodeVm &&
-      options_.unit_cache == nullptr) {
+  if (options_.unit_cache == nullptr) {
     owned_unit_cache_ = std::make_unique<CompiledUnitCache>();
     options_.unit_cache = owned_unit_cache_.get();
   }
@@ -271,54 +248,43 @@ ConfigCompiler::ConfigCompiler(FileReader reader, CompilerOptions options)
 ConfigCompiler::~ConfigCompiler() = default;
 
 Result<CompileOutput> ConfigCompiler::Compile(const std::string& entry_path) {
+  // Digest-first: walk the entry's static import closure (re-reading every
+  // source, so edits always take effect) and replay the memoized output if
+  // this exact closure has compiled before.
   CompiledUnitCache* cache = options_.unit_cache;
-  if (options_.engine == CompilerOptions::Engine::kBytecodeVm &&
-      options_.memoize_outputs && cache != nullptr) {
-    // Digest-first: walk the entry's static import closure (re-reading every
-    // source, so edits always take effect) and replay the memoized output if
-    // this exact closure has compiled before. CSL is hermetic, so the output
-    // is a pure function of the closure's bytes.
-    MetricsRegistry* metrics = options_.metrics;
-    size_t hits_before = cache->hits();
-    size_t misses_before = cache->misses();
-    auto digest = ClosureDigest(entry_path, reader_, cache);
-    if (metrics != nullptr) {
-      metrics->GetCounter("csl.unit_cache.hits")
-          ->Inc(cache->hits() - hits_before);
-      metrics->GetCounter("csl.unit_cache.misses")
-          ->Inc(cache->misses() - misses_before);
-    }
-    if (digest.ok()) {
-      if (const CompiledUnitCache::MemoizedOutput* memo =
-              cache->FindOutput(*digest)) {
-        if (metrics != nullptr) {
-          metrics->GetCounter("csl.output_cache.hits")->Inc();
-        }
-        if (!memo->status.ok()) {
-          return memo->status;
-        }
-        return memo->output;
-      }
-      if (metrics != nullptr) {
-        metrics->GetCounter("csl.output_cache.misses")->Inc();
-      }
-      Session session(reader_, entry_path, options_, cache);
-      auto output = session.Run();
-      CompiledUnitCache::MemoizedOutput memo;
-      if (output.ok()) {
-        memo.output = *output;
-      } else {
-        memo.status = output.status();
-      }
-      cache->StoreOutput(*digest, std::move(memo));
-      return output;
-    }
-    // The closure is not statically digestible (a computed import path) or a
-    // file in it is unreadable: fall through to a full evaluation, which
-    // produces the right output or error. Such entries are never memoized.
+  MetricsRegistry* metrics = options_.metrics;
+  size_t hits_before = cache->hits();
+  size_t misses_before = cache->misses();
+  auto digest = ClosureDigest(entry_path, reader_, cache);
+  CountParses(metrics, *cache, hits_before, misses_before);
+  if (!digest.ok()) {
+    // The closure is not statically digestible (a computed import path), or
+    // a file in it is unreadable or unparsable: a full evaluation produces
+    // the right output or error. Such entries are never memoized.
+    return Session(reader_, entry_path, options_).Run();
   }
-  Session session(reader_, entry_path, options_, options_.unit_cache);
-  return session.Run();
+  if (const CompiledUnitCache::MemoizedOutput* memo =
+          cache->FindOutput(*digest)) {
+    if (metrics != nullptr) {
+      metrics->GetCounter("csl.output_cache.hits")->Inc();
+    }
+    if (!memo->status.ok()) {
+      return memo->status;
+    }
+    return memo->output;
+  }
+  if (metrics != nullptr) {
+    metrics->GetCounter("csl.output_cache.misses")->Inc();
+  }
+  auto output = Session(reader_, entry_path, options_).Run();
+  CompiledUnitCache::MemoizedOutput memo;
+  if (output.ok()) {
+    memo.output = *output;
+  } else {
+    memo.status = output.status();
+  }
+  cache->StoreOutput(*digest, std::move(memo));
+  return output;
 }
 
 std::string ConfigCompiler::OutputPathFor(const std::string& source_path) {

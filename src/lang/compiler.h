@@ -34,36 +34,17 @@ class MetricsRegistry;
 // VCS working tree in the pipeline.
 using FileReader = std::function<Result<std::string>(const std::string&)>;
 
-// Engine/caching knobs for the compiler. Both engines implement identical
-// observable semantics — the differential battery in
-// tests/vm_differential_test.cc holds them to bit-identical artifacts and
-// byte-identical error messages — so callers pick purely on mechanics.
+// Caching and observability knobs for the compiler.
 struct CompilerOptions {
-  enum class Engine {
-    // Compile each module to bytecode (content-hash cached) and run it on
-    // the stack VM. The fast path, and the default.
-    kBytecodeVm,
-    // Tree-walking reference interpreter. The executable specification; kept
-    // selectable for differential testing and for bisecting VM bugs.
-    kInterpreter,
-  };
-
-  Engine engine = Engine::kBytecodeVm;
-  // Bytecode cache shared across Compile() calls (e.g. one per Sandcastle
-  // run). Null = the compiler keeps a private cache, which still dedups
-  // recompiles of shared .cinc modules across entries. Hermeticity is
-  // preserved either way: sources are re-read every call and units re-keyed
-  // by content hash, so edits always take effect.
+  // Parse cache and output memo shared across Compile() calls (e.g. one per
+  // Sandcastle run). Null = the compiler keeps a private cache, which still
+  // dedups re-parses of shared .cinc modules across entries. Hermeticity is
+  // preserved either way: sources are re-read every call and re-keyed by
+  // content, so edits always take effect.
   CompiledUnitCache* unit_cache = nullptr;
-  // Memoize each entry's whole validated output under its import-closure
-  // digest (CSL is hermetic, so equal closures compile to byte-identical
-  // artifacts). Steady-state recompiles of an unchanged entry then cost one
-  // digest walk instead of an evaluation. Off = always evaluate — the
-  // benchmark ablation, and an escape hatch for debugging.
-  bool memoize_outputs = true;
-  // Optional observability sink. The VM engine records
-  // csl.unit_cache.{hits,misses} and csl.output_cache.{hits,misses}
-  // counters and csl.{compile,execute}_micros histograms.
+  // Optional observability sink: csl.unit_cache.{hits,misses} and
+  // csl.output_cache.{hits,misses} counters and csl.{compile,execute}_micros
+  // histograms.
   MetricsRegistry* metrics = nullptr;
 };
 
@@ -89,7 +70,11 @@ class ConfigCompiler {
   ~ConfigCompiler();
 
   // Compiles one ".cconf" entry file. Each call is hermetic: schemas and
-  // modules are re-read so source changes always take effect.
+  // modules are re-read so source changes always take effect. When the
+  // entry's import closure is statically known, its output (or its
+  // deterministic error) is memoized under the closure digest, and an
+  // unchanged closure replays it without evaluating (CSL is hermetic, so
+  // equal closures compile to byte-identical artifacts).
   Result<CompileOutput> Compile(const std::string& entry_path);
 
   // Derives the default output path for a source path:
@@ -101,7 +86,7 @@ class ConfigCompiler {
 
   FileReader reader_;
   CompilerOptions options_;
-  // Backing cache when the caller didn't provide one (VM engine only).
+  // Backing cache when the caller didn't provide one.
   std::unique_ptr<CompiledUnitCache> owned_unit_cache_;
 };
 

@@ -22,6 +22,39 @@ namespace {
 
 constexpr int kMaxCallDepth = 200;
 
+// Stack the interpreter may use below its outermost entry point. The
+// parser caps each module's tree at kMaxCslAstDepth, but calls and imports
+// stack one evaluation on another; this bounds the total. It is a byte
+// budget rather than a level count because frame sizes differ several-fold
+// between builds (sanitizers inflate them), and the point is that no build
+// overflows its stack.
+constexpr uintptr_t kMaxEvalStackBytes = uintptr_t{4} << 20;
+
+uintptr_t StackPosition() {
+  return reinterpret_cast<uintptr_t>(__builtin_frame_address(0));
+}
+
+// Sets `*base` to the current stack position for its scope, unless an
+// enclosing entry point already has.
+class StackBase {
+ public:
+  explicit StackBase(uintptr_t* base) : base_(*base == 0 ? base : nullptr) {
+    if (base_ != nullptr) {
+      *base_ = StackPosition();
+    }
+  }
+  ~StackBase() {
+    if (base_ != nullptr) {
+      *base_ = 0;
+    }
+  }
+  StackBase(const StackBase&) = delete;
+  StackBase& operator=(const StackBase&) = delete;
+
+ private:
+  uintptr_t* base_;
+};
+
 }  // namespace
 
 Value* Environment::Find(const std::string& name) {
@@ -73,6 +106,12 @@ Status Interp::Tick(int line) {
   if (++steps_ > step_limit_) {
     return EvalError(line, "evaluation step limit exceeded (runaway config code?)");
   }
+  // The stack grows down from stack_base_.
+  if (stack_base_ - StackPosition() > kMaxEvalStackBytes) {
+    return EvalError(line,
+                     "evaluation nested too deeply (recursion or expression "
+                     "depth exceeds the interpreter's stack budget)");
+  }
   return OkStatus();
 }
 
@@ -96,6 +135,7 @@ std::shared_ptr<Environment> Interp::MakeBaseEnvironment() {
 Status Interp::EvalModule(const Module& module,
                           const std::shared_ptr<Environment>& globals,
                           bool exports_enabled) {
+  StackBase stack_base(&stack_base_);
   std::string saved_origin = current_origin_;
   bool saved_exports = exports_enabled_;
   current_origin_ = module.path;
@@ -517,16 +557,13 @@ Result<Value> Interp::CallValue(const Value& fn, std::vector<Value> args,
   if (fn.kind() != Value::Kind::kClosure) {
     return InvalidArgumentError("value is not callable");
   }
+  StackBase stack_base(&stack_base_);
   if (++call_depth_ > kMaxCallDepth) {
     --call_depth_;
     return InvalidConfigError("recursion limit exceeded");
   }
 
   const Closure& closure = fn.as_closure();
-  if (closure.def == nullptr) {
-    --call_depth_;
-    return InternalError("closure was compiled for the bytecode VM");
-  }
   const FunctionDefStmt& def = *closure.def;
   auto locals = NewEnvironment(closure.env);
 

@@ -4,11 +4,13 @@
 // clock — config programs are pure functions from source (plus imported
 // modules) to exported JSON, which is what makes compiled configs
 // reproducible and reviewable. Imports and exports are delegated to hooks
-// supplied by the compiler, and a step limit bounds runaway config code.
+// supplied by the compiler. A step limit bounds runaway config code; a
+// call-depth limit and a stack budget bound the interpreter's recursion.
 
 #ifndef SRC_LANG_INTERP_H_
 #define SRC_LANG_INTERP_H_
 
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
@@ -137,6 +139,9 @@ class Interp {
   uint64_t step_limit_ = 20'000'000;
   uint64_t steps_ = 0;
   int call_depth_ = 0;
+  // Stack position of the outermost EvalModule/CallValue in progress; 0
+  // when none is. Tick() measures the interpreter's stack use from here.
+  uintptr_t stack_base_ = 0;
 };
 
 }  // namespace configerator

@@ -1,11 +1,7 @@
-// Shared runtime semantics for the config source language.
-//
-// Both CSL engines — the tree-walking interpreter (the executable reference
-// semantics) and the bytecode VM (the fast path) — must agree bit-for-bit on
-// every operator result and byte-for-byte on every error message, because
-// the differential fuzz battery compares them verbatim. These helpers are
-// the single implementation both engines call; errors carry the bare message
-// (no "origin:line:" prefix) and each engine prefixes its own position.
+// Runtime semantics of the config source language's operators, attribute
+// and index access, iteration and call binding, kept apart from the
+// interpreter's tree walk. Errors carry the bare message (no "origin:line:"
+// prefix); the interpreter prefixes the position.
 
 #ifndef SRC_LANG_OPS_H_
 #define SRC_LANG_OPS_H_
@@ -22,7 +18,7 @@
 
 namespace configerator {
 
-// Non-short-circuit binary operators ("and"/"or" stay engine-specific
+// Non-short-circuit binary operators ("and"/"or" stay in the interpreter
 // because their operand evaluation is conditional).
 enum class BinOp {
   kAdd,

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cstdlib>
 
 #include "src/lang/ast.h"
@@ -74,6 +75,57 @@ class CslParser {
     return OkStatus();
   }
 
+  // Rejects nesting that would put an AST node deeper than kMaxCslAstDepth
+  // when `height` more levels hang below the current parse position.
+  Status CheckDepth(int height) const {
+    if (depth_ + height > kMaxCslAstDepth) {
+      return Error(StrFormat("nesting deeper than %d levels", kMaxCslAstDepth));
+    }
+    return OkStatus();
+  }
+
+  // One level of recursive descent (a statement, an expression, a nested
+  // unary operator or elif). Bounds the parser's own stack.
+  class Nested {
+   public:
+    explicit Nested(CslParser* parser) : parser_(parser) { ++parser_->depth_; }
+    ~Nested() { --parser_->depth_; }
+    Nested(const Nested&) = delete;
+    Nested& operator=(const Nested&) = delete;
+
+   private:
+    CslParser* parser_;
+  };
+
+  // Sets `e.height` from its children, which are complete, and rejects the
+  // node if its subtree would reach past kMaxCslAstDepth. Called as each
+  // node is finished, so a too-deep tree is refused before it exists —
+  // including left-associative and postfix chains, which the parser builds
+  // by iteration rather than recursion.
+  Status Seal(Expr& e) const {
+    int below = 0;
+    auto see = [&below](const ExprPtr& child) {
+      if (child != nullptr) {
+        below = std::max(below, static_cast<int>(child->height));
+      }
+    };
+    for (const ExprPtr& item : e.items) {
+      see(item);
+    }
+    for (const auto& [key, value] : e.pairs) {
+      see(key);
+      see(value);
+    }
+    for (const auto& [name, value] : e.kwargs) {
+      see(value);
+    }
+    see(e.lhs);
+    see(e.rhs);
+    see(e.third);
+    e.height = static_cast<uint16_t>(below + 1);
+    return CheckDepth(e.height);
+  }
+
   Status ExpectNewline() {
     if (!At(CslToken::Kind::kNewline)) {
       return Error("expected end of statement");
@@ -119,6 +171,8 @@ class CslParser {
   }
 
   Result<StmtPtr> ParseStatement() {
+    Nested nested(this);
+    RETURN_IF_ERROR_R(CheckDepth(0));
     if (At(CslToken::Kind::kName)) {
       const std::string& word = Cur().text;
       if (word == "def") {
@@ -242,6 +296,8 @@ class CslParser {
   }
 
   Result<StmtPtr> ParseIf() {
+    Nested nested(this);  // An elif nests one level deeper.
+    RETURN_IF_ERROR_R(CheckDepth(0));
     auto stmt = NewStmt(Stmt::Kind::kIf);
     Advance();  // if / elif
     ASSIGN_OR_RETURN(stmt->target, ParseExpression());
@@ -290,6 +346,8 @@ class CslParser {
 
   // expression: or_expr ['if' or_expr 'else' expression]
   Result<ExprPtr> ParseExpression() {
+    Nested nested(this);
+    RETURN_IF_ERROR_R(CheckDepth(0));
     ASSIGN_OR_RETURN(ExprPtr value, ParseOr());
     if (AtName("if")) {
       auto ternary = NewExpr(Expr::Kind::kTernary);
@@ -301,6 +359,7 @@ class CslParser {
       Advance();
       ASSIGN_OR_RETURN(ternary->third, ParseExpression());
       ternary->lhs = std::move(value);
+      RETURN_IF_ERROR_R(Seal(*ternary));
       return ternary;
     }
     return value;
@@ -314,6 +373,7 @@ class CslParser {
       Advance();
       ASSIGN_OR_RETURN(bin->rhs, ParseAnd());
       bin->lhs = std::move(lhs);
+      RETURN_IF_ERROR_R(Seal(*bin));
       lhs = std::move(bin);
     }
     return lhs;
@@ -327,6 +387,7 @@ class CslParser {
       Advance();
       ASSIGN_OR_RETURN(bin->rhs, ParseNot());
       bin->lhs = std::move(lhs);
+      RETURN_IF_ERROR_R(Seal(*bin));
       lhs = std::move(bin);
     }
     return lhs;
@@ -334,10 +395,13 @@ class CslParser {
 
   Result<ExprPtr> ParseNot() {
     if (AtName("not")) {
+      Nested nested(this);
+      RETURN_IF_ERROR_R(CheckDepth(0));
       auto unary = NewExpr(Expr::Kind::kUnary);
       unary->name = "not";
       Advance();
       ASSIGN_OR_RETURN(unary->lhs, ParseNot());
+      RETURN_IF_ERROR_R(Seal(*unary));
       return unary;
     }
     return ParseComparison();
@@ -369,6 +433,7 @@ class CslParser {
       bin->name = op;
       ASSIGN_OR_RETURN(bin->rhs, ParseAdditive());
       bin->lhs = std::move(lhs);
+      RETURN_IF_ERROR_R(Seal(*bin));
       lhs = std::move(bin);
     }
     return lhs;
@@ -382,6 +447,7 @@ class CslParser {
       Advance();
       ASSIGN_OR_RETURN(bin->rhs, ParseMultiplicative());
       bin->lhs = std::move(lhs);
+      RETURN_IF_ERROR_R(Seal(*bin));
       lhs = std::move(bin);
     }
     return lhs;
@@ -395,6 +461,7 @@ class CslParser {
       Advance();
       ASSIGN_OR_RETURN(bin->rhs, ParseUnary());
       bin->lhs = std::move(lhs);
+      RETURN_IF_ERROR_R(Seal(*bin));
       lhs = std::move(bin);
     }
     return lhs;
@@ -402,10 +469,13 @@ class CslParser {
 
   Result<ExprPtr> ParseUnary() {
     if (AtOp("-")) {
+      Nested nested(this);
+      RETURN_IF_ERROR_R(CheckDepth(0));
       auto unary = NewExpr(Expr::Kind::kUnary);
       unary->name = "-";
       Advance();
       ASSIGN_OR_RETURN(unary->lhs, ParseUnary());
+      RETURN_IF_ERROR_R(Seal(*unary));
       return unary;
     }
     return ParsePostfix();
@@ -425,6 +495,7 @@ class CslParser {
         attr->name = Cur().text;
         attr->lhs = std::move(base);
         Advance();
+        RETURN_IF_ERROR_R(Seal(*attr));
         base = std::move(attr);
       } else if (AtOp("[")) {
         Advance();
@@ -432,6 +503,7 @@ class CslParser {
         ASSIGN_OR_RETURN(index->rhs, ParseExpression());
         RETURN_IF_ERROR_R(ExpectOp("]"));
         index->lhs = std::move(base);
+        RETURN_IF_ERROR_R(Seal(*index));
         base = std::move(index);
       } else {
         break;
@@ -474,6 +546,7 @@ class CslParser {
       }
     }
     Advance();  // ')'
+    RETURN_IF_ERROR_R(Seal(*call));
     return call;
   }
 
@@ -539,6 +612,7 @@ class CslParser {
             }
           }
           Advance();
+          RETURN_IF_ERROR_R(Seal(*list));
           return list;
         }
         if (AtOp("{")) {
@@ -557,6 +631,7 @@ class CslParser {
             }
           }
           Advance();
+          RETURN_IF_ERROR_R(Seal(*dict));
           return dict;
         }
         return Error("unexpected token");
@@ -597,6 +672,7 @@ class CslParser {
   std::string origin_;
   std::vector<LintDiagnostic>* lint_diags_;
   size_t pos_ = 0;
+  int depth_ = 0;  // Levels of recursive descent currently open.
 };
 
 #undef RETURN_IF_ERROR_R

@@ -1,59 +1,29 @@
 #include "src/lang/unit_cache.h"
 
+#include <algorithm>
 #include <set>
 #include <vector>
 
-#include "src/lang/ast.h"
-#include "src/lang/codegen.h"
+#include "src/lang/import_resolver.h"
 
 namespace configerator {
 
-Result<std::shared_ptr<const CompiledUnit>> CompiledUnitCache::GetOrCompile(
+const CompiledUnitCache::Source& CompiledUnitCache::Intern(
     const std::string& path, const std::string& content) {
   // Byte comparison against the last seen source is strictly more precise
   // than comparing hashes, and skips the SHA-256 on the (overwhelmingly
   // common in steady state) unchanged path.
-  auto it = entries_.find(path);
-  if (it != entries_.end() && it->second.source == content) {
-    ++hits_;
-    if (it->second.unit == nullptr) {
-      return it->second.error;
-    }
-    return it->second.unit;
+  Source& slot = sources_[path];
+  if (slot.content == nullptr || *slot.content != content) {
+    slot.content = std::make_shared<const std::string>(content);
+    slot.hash = Sha256::Hash(content);
   }
-  ++misses_;
-
-  Entry entry;
-  entry.source = content;
-  entry.source_hash = Sha256::Hash(content);
-  auto parsed = ParseCsl(content, path);
-  if (!parsed.ok()) {
-    entry.error = parsed.status();
-    entries_[path] = std::move(entry);
-    return entries_[path].error;
-  }
-  auto compiled = CompileToBytecode(**parsed);
-  if (!compiled.ok()) {
-    entry.error = compiled.status();
-    entries_[path] = std::move(entry);
-    return entries_[path].error;
-  }
-  (*compiled)->source_hash = entry.source_hash;
-  entry.unit = *compiled;
-  entries_[path] = std::move(entry);
-  return entries_[path].unit;
+  return slot;
 }
 
-const Sha256Digest& CompiledUnitCache::HashSource(const std::string& path,
-                                                 const std::string& content) {
-  auto it = source_hashes_.find(path);
-  if (it != source_hashes_.end() && it->second.source == content) {
-    return it->second.hash;
-  }
-  HashedSource& slot = source_hashes_[path];
-  slot.source = content;
-  slot.hash = Sha256::Hash(content);
-  return slot.hash;
+Result<std::shared_ptr<Module>> CompiledUnitCache::GetOrParse(
+    const std::string& path, const std::string& content) {
+  return parses_.GetOrParse(path, Intern(path, content).content);
 }
 
 const CompiledUnitCache::MemoizedOutput* CompiledUnitCache::FindOutput(
@@ -144,42 +114,48 @@ class ClosureHasher {
   }
 
   Result<Sha256Digest> ModuleDigestInner(const std::string& path) {
-    ASSIGN_OR_RETURN(std::string source, reader_(path));
+    ASSIGN_OR_RETURN(std::string content, reader_(path));
+    const CompiledUnitCache::Source& source = cache_->Intern(path, content);
     auto& memos = cache_->digest_nodes();
     auto memo = memos.find("m:" + path);
-    if (memo != memos.end() && memo->second.source == source) {
+    if (memo != memos.end() && memo->second.source == source.content) {
       ASSIGN_OR_RETURN(bool unchanged, ChildrenUnchanged(memo->second));
       if (unchanged) {
         return memo->second.digest;
       }
     }
-    // Something changed (or first walk): compile to discover import edges,
+    // Something changed (or first walk): parse to discover import edges,
     // recompute the subtree digest, and re-memoize.
-    ASSIGN_OR_RETURN(std::shared_ptr<const CompiledUnit> unit,
-                     cache_->GetOrCompile(path, source));
-    if (unit->has_dynamic_import) {
-      return InvalidConfigError(
-          path + ": computed import path defeats static closure hashing");
-    }
+    ASSIGN_OR_RETURN(std::shared_ptr<const Module> module,
+                     cache_->GetOrParse(path, content));
     DigestNode node;
-    node.source = source;
+    node.source = source.content;
+    for (const ImportTarget& edge : CollectImports(*module)) {
+      if (edge.kind == ImportTarget::Kind::kDynamic) {
+        return InvalidConfigError(
+            path + ": computed import path defeats static closure hashing");
+      }
+      bool is_schema = edge.kind == ImportTarget::Kind::kSchema;
+      auto same = [&](const DigestNode::Child& prior) {
+        return prior.path == edge.path && prior.is_schema == is_schema;
+      };
+      if (std::none_of(node.children.begin(), node.children.end(), same)) {
+        node.children.push_back({edge.path, is_schema, {}});
+      }
+    }
     Sha256 hasher;
     hasher.Update("csl-module\n");
     hasher.Update(path);
     hasher.Update("\n");
-    hasher.Update(unit->source_hash.ToHex());
+    hasher.Update(source.hash.ToHex());
     hasher.Update("\n");
-    for (const StaticImport& edge : unit->static_imports) {
-      DigestNode::Child child;
-      child.path = edge.path;
-      child.is_schema = edge.is_schema;
+    for (DigestNode::Child& child : node.children) {
       ASSIGN_OR_RETURN(child.digest, ChildDigest(child));
-      hasher.Update(edge.is_schema ? "schema " : "module ");
-      hasher.Update(edge.path);
+      hasher.Update(child.is_schema ? "schema " : "module ");
+      hasher.Update(child.path);
       hasher.Update("\n");
       hasher.Update(child.digest.ToHex());
       hasher.Update("\n");
-      node.children.push_back(std::move(child));
     }
     node.digest = hasher.Finish();
     DigestNode& slot = memos["m:" + path];
@@ -197,7 +173,8 @@ class ClosureHasher {
   }
 
   Result<Sha256Digest> SchemaDigestInner(const std::string& path) {
-    ASSIGN_OR_RETURN(std::string source, reader_(path));
+    ASSIGN_OR_RETURN(std::string content, reader_(path));
+    const CompiledUnitCache::Source& source = cache_->Intern(path, content);
     // The validator companion is part of the schema's behavior, and it can
     // appear or vanish without the schema's own source changing — probe its
     // existence on every walk, memo or not.
@@ -210,7 +187,7 @@ class ClosureHasher {
     }
     auto& memos = cache_->digest_nodes();
     auto memo = memos.find("s:" + path);
-    if (memo != memos.end() && memo->second.source == source &&
+    if (memo != memos.end() && memo->second.source == source.content &&
         memo->second.has_validator == has_validator) {
       ASSIGN_OR_RETURN(bool unchanged, ChildrenUnchanged(memo->second));
       if (unchanged) {
@@ -218,15 +195,15 @@ class ClosureHasher {
       }
     }
     DigestNode node;
-    node.source = source;
+    node.source = source.content;
     node.has_validator = has_validator;
     Sha256 hasher;
     hasher.Update("thrift-schema\n");
     hasher.Update(path);
     hasher.Update("\n");
-    hasher.Update(cache_->HashSource(path, source).ToHex());
+    hasher.Update(source.hash.ToHex());
     hasher.Update("\n");
-    for (const std::string& inc : ScanSchemaIncludes(source)) {
+    for (const std::string& inc : ScanSchemaIncludes(content)) {
       DigestNode::Child child;
       child.path = inc;
       child.is_schema = true;

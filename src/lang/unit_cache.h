@@ -1,23 +1,25 @@
-// Content-hash cache for compiled CSL bytecode units and whole-entry
-// compile outputs.
+// Content-keyed cache for parsed CSL modules and whole-entry compile
+// outputs.
 //
-// Compilation (src/lang/codegen.h) is purely syntactic, so a CompiledUnit is
-// a function of its source bytes alone: units are keyed by path and
-// invalidated when the content changes (detected by byte comparison against
-// the previously seen source; the stored SHA-256 — the same digest the VCS
-// substrate uses as the blob object id — is recomputed only then). One cache
-// can back many compile sessions (e.g. every entry a Sandcastle run
-// recompiles); shared .cinc modules compile once per content version instead
-// of once per session. Failed parses/compiles are cached too, like AstCache.
+// Parsing is purely syntactic, so a parsed Module is a function of its
+// source bytes alone: modules are keyed by path and invalidated when the
+// content changes (detected by byte comparison against the previously seen
+// source; the SHA-256 — the same digest the VCS substrate uses as the blob
+// object id — is recomputed only then). The parse cache is an AstCache, so
+// compile sessions and the analysis passes share one definition of a cache
+// hit. One cache can back many compile sessions (e.g. every entry a
+// Sandcastle run recompiles); shared .cinc modules parse once per content
+// version instead of once per session. Failed parses are cached too.
 //
 // ClosureDigest() extends the per-file key to the whole import closure: a
-// digest over the unit's source hash plus, recursively, every statically
+// digest over the module's source hash plus, recursively, every statically
 // known import edge (CSL modules, Thrift schemas with their `include`s and
-// "-cvalidator" companions). Two entry files with equal closure digests
-// compile to byte-identical artifacts — CSL is hermetic (no filesystem,
-// clock, or randomness; every read goes through the session's reader and
-// appears in the closure) — which is what lets incremental pipelines skip
-// recompiles when nothing in the closure changed.
+// "-cvalidator" companions), found by walking the parsed module. Two entry
+// files with equal closure digests compile to byte-identical artifacts —
+// CSL is hermetic (no filesystem, clock, or randomness; every read goes
+// through the session's reader and appears in the closure) — which is what
+// lets incremental pipelines skip recompiles when nothing in the closure
+// changed.
 //
 // FindOutput/StoreOutput realize that skip: the compiler memoizes each
 // entry's full validated CompileOutput (or its deterministic failure) under
@@ -28,6 +30,9 @@
 // source in a subtree byte-matches the previous walk, the stored digest is
 // returned without recomputing any SHA-256 — steady state reads and
 // compares bytes, nothing more.
+//
+// The cache keeps one copy of each path's source. Its parse entry and
+// digest node share that copy and recognize it by pointer.
 //
 // Not thread-safe; scope one cache per run, like AstCache.
 
@@ -40,7 +45,7 @@
 #include <string>
 #include <vector>
 
-#include "src/lang/bytecode.h"
+#include "src/lang/ast_cache.h"
 #include "src/lang/compiler.h"
 #include "src/util/sha256.h"
 #include "src/util/status.h"
@@ -56,19 +61,22 @@ class CompiledUnitCache {
     CompileOutput output;  // Meaningful only when status.ok().
   };
 
-  // Parses and compiles (path, content), reusing the previous unit when the
-  // content is byte-identical. The returned unit has `source_hash` filled
-  // in. Units are immutable and shared: callers that execute one must keep
-  // the shared_ptr alive as long as any value produced from it (closures
-  // point into the unit's chunks).
-  Result<std::shared_ptr<const CompiledUnit>> GetOrCompile(
-      const std::string& path, const std::string& content);
+  // One path's source as last seen, with its SHA-256.
+  struct Source {
+    std::shared_ptr<const std::string> content;
+    Sha256Digest hash;
+  };
 
-  // SHA-256 of (path, content), re-hashed only when `content` differs from
-  // the last call for this path. Non-CSL closure members (Thrift schemas)
-  // are keyed through here so repeated digest walks don't re-hash them.
-  const Sha256Digest& HashSource(const std::string& path,
-                                 const std::string& content);
+  // The cache's copy of `path`'s source: the stored one when `content` is
+  // byte-identical to it, else a fresh copy (hashed once) that replaces it.
+  const Source& Intern(const std::string& path, const std::string& content);
+
+  // Parses (path, content), reusing the previous Module when the content is
+  // byte-identical. Modules are immutable and shared: callers that evaluate
+  // one must keep the shared_ptr alive as long as any value produced from
+  // it (closures point into the module's function definitions).
+  Result<std::shared_ptr<Module>> GetOrParse(const std::string& path,
+                                             const std::string& content);
 
   // The whole-entry memo, keyed by ClosureDigest(). FindOutput counts an
   // output hit or miss; the returned pointer is owned by the cache and
@@ -77,16 +85,16 @@ class CompiledUnitCache {
   void StoreOutput(const Sha256Digest& closure_digest, MemoizedOutput result);
 
   // One memoized node of the closure-digest tree, internal to
-  // ClosureDigest(). Holds the exact source bytes and child digests that
-  // produced `digest`, so a steady-state walk re-reads and byte-compares
-  // every file in the closure but hashes nothing.
+  // ClosureDigest(). Holds the exact source and child digests that produced
+  // `digest`, so a steady-state walk re-reads and byte-compares every file
+  // in the closure but hashes nothing.
   struct DigestNode {
     struct Child {
       std::string path;
       bool is_schema = false;
       Sha256Digest digest;
     };
-    std::string source;          // Byte-compared on every walk.
+    std::shared_ptr<const std::string> source;  // The interned copy.
     bool has_validator = false;  // Schema nodes: companion file existed.
     std::vector<Child> children;
     Sha256Digest digest;
@@ -96,29 +104,17 @@ class CompiledUnitCache {
   // "s:" schema). Internal to ClosureDigest().
   std::map<std::string, DigestNode>& digest_nodes() { return digest_nodes_; }
 
-  size_t hits() const { return hits_; }
-  size_t misses() const { return misses_; }
+  // Parse-cache hits and misses.
+  size_t hits() const { return parses_.hits(); }
+  size_t misses() const { return parses_.misses(); }
   size_t output_hits() const { return output_hits_; }
   size_t output_misses() const { return output_misses_; }
 
  private:
-  struct Entry {
-    std::string source;  // Byte-compared on lookup before any hashing.
-    Sha256Digest source_hash;
-    std::shared_ptr<const CompiledUnit> unit;  // Null when compile failed.
-    Status error = OkStatus();
-  };
-  struct HashedSource {
-    std::string source;
-    Sha256Digest hash;
-  };
-
-  std::map<std::string, Entry> entries_;
-  std::map<std::string, HashedSource> source_hashes_;
+  std::map<std::string, Source> sources_;
+  AstCache parses_;
   std::map<Sha256Digest, MemoizedOutput> outputs_;
   std::map<std::string, DigestNode> digest_nodes_;
-  size_t hits_ = 0;
-  size_t misses_ = 0;
   size_t output_hits_ = 0;
   size_t output_misses_ = 0;
 };
@@ -130,8 +126,9 @@ using SourceReader = std::function<Result<std::string>(const std::string&)>;
 // recursively, the digest of every module it imports, every schema it loads
 // (including the schema's `include "..."` files and its "-cvalidator"
 // companion module, when present). Cycles contribute a marker instead of
-// recursing. Fails if any module in the closure has a computed import path
-// or filter — such a closure is only knowable by evaluating.
+// recursing. Fails if any module in the closure fails to parse or has a
+// computed import path or filter — such a closure is only knowable by
+// evaluating.
 Result<Sha256Digest> ClosureDigest(const std::string& path,
                                    const SourceReader& reader,
                                    CompiledUnitCache* cache);

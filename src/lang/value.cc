@@ -313,9 +313,9 @@ ContainerCycleBreaker::ContainerCycleBreaker() : prev_(Current()) {
 ContainerCycleBreaker::~ContainerCycleBreaker() {
   BreakCycles();
   // Splice this breaker out of the installation chain wherever it sits.
-  // Destruction is usually LIFO, but `engine = std::make_unique<Engine>(...)`
+  // Destruction is usually LIFO, but `interp = std::make_unique<Interp>(...)`
   // constructs the replacement (installing its breaker) before destroying
-  // the old engine, so the chain can lose a middle link first.
+  // the old interpreter, so the chain can lose a middle link first.
   if (Current() == this) {
     Current() = prev_;
     return;
@@ -331,7 +331,7 @@ ContainerCycleBreaker::~ContainerCycleBreaker() {
 namespace {
 
 // True when any container reachable from `v` through list/dict edges is
-// `target`. By the time this runs the engine has already cleared its
+// `target`. By the time this runs the interpreter has already cleared its
 // environments, so closure→scope edges lead nowhere and container edges
 // are the only way a cycle can persist.
 bool ReachesCell(const Value& v, const void* target,

@@ -24,15 +24,12 @@ namespace configerator {
 class Value;
 class Environment;
 class ContainerCycleBreaker;
-struct FunctionDefStmt;    // AST node, defined in ast.h.
-struct CompiledFunction;   // Bytecode form, defined in bytecode.h.
+struct FunctionDefStmt;  // AST node, defined in ast.h.
 
-// A user-defined function plus the environment it closed over. Exactly one
-// of `def` (tree-walking interpreter) or `compiled` (bytecode VM) is set,
-// depending on which engine created the closure.
+// A user-defined function plus the environment it closed over. `def` points
+// into a parsed Module, which the compile session keeps alive.
 struct Closure {
   const FunctionDefStmt* def = nullptr;
-  const CompiledFunction* compiled = nullptr;
   std::shared_ptr<Environment> env;
 };
 
@@ -147,18 +144,19 @@ class Value {
 // Breaks shared_ptr cycles through mutable containers. The language permits
 // self-referential structures (`d["self"] = d`) whose cells keep each other
 // alive after the last outside reference drops; clearing environments at
-// engine teardown cannot reach a cycle that no longer hangs off any scope.
+// interpreter teardown cannot reach a cycle that no longer hangs off any
+// scope.
 // While a breaker is installed, every list/dict cell Value creates on this
 // thread is tracked weakly; BreakCycles() empties exactly the surviving
 // cells that can reach themselves through container edges — cyclic
 // structures are dismantled, while acyclic values that legitimately
-// outlive the engine (a caller holding an evaluation result) are left
-// intact. The engines install one for their lifetime (so every cell an
-// evaluation can create is covered) and break cycles on destruction,
-// right after clearing their environments — which is what guarantees the
+// outlive the interpreter (a caller holding an evaluation result) are
+// left intact. The interpreter installs one for its lifetime (so every cell
+// an evaluation can create is covered) and breaks cycles on destruction,
+// right after clearing its environments — which is what guarantees the
 // remaining cycles run purely through containers. Installations form a
 // per-thread chain; a breaker destroyed out of order (e.g. replacing an
-// engine via `ptr = std::make_unique<Engine>(...)`, which constructs the
+// interpreter via `ptr = std::make_unique<Interp>(...)`, which constructs the
 // new breaker before destroying the old) splices itself out safely.
 class ContainerCycleBreaker {
  public:

@@ -1,16 +1,15 @@
 // Pending-event queues for the discrete-event simulator.
 //
-// The ordering contract both implementations honor exactly: events pop in
+// The ordering contract every EventQueue honors exactly: events pop in
 // ascending (time, seq) order — seq is the scheduling sequence number, so
 // same-instant events run FIFO in the order they were scheduled.
 //
-// `HeapEventQueue` is the original binary heap, retained as the reference
-// implementation for the differential scheduler battery
-// (tests/sim_differential_test.cc). `CalendarEventQueue` is the default at
-// scale: a bucketed calendar queue (R. Brown, CACM '88) whose push/pop are
-// amortized O(1) when event times are spread across the horizon, instead of
-// the heap's O(log n) — with millions of in-flight events at 100k servers
-// that difference dominates the scheduler.
+// `CalendarEventQueue` is the simulator's scheduler: a bucketed calendar
+// queue (R. Brown, CACM '88) whose push/pop are amortized O(1) when event
+// times are spread across the horizon, instead of a binary heap's O(log n) —
+// with millions of in-flight events at 100k servers that difference
+// dominates the scheduler. A plain binary heap is kept as the ordering
+// oracle in tests/sim_differential_test.cc.
 
 #ifndef SRC_SIM_EVENT_QUEUE_H_
 #define SRC_SIM_EVENT_QUEUE_H_
@@ -42,22 +41,6 @@ class EventQueue {
   virtual SimTime MinTime() = 0;
   virtual size_t size() const = 0;
   bool empty() const { return size() == 0; }
-};
-
-// The original std::priority_queue scheduler, kept as the differential
-// reference. Behavior is the specification; the calendar queue must match it
-// event-for-event.
-class HeapEventQueue : public EventQueue {
- public:
-  void Push(SimEvent event) override;
-  SimEvent PopMin() override;
-  SimTime MinTime() override { return heap_.front().time; }
-  size_t size() const override { return heap_.size(); }
-
- private:
-  // Binary min-heap over (time, seq), stored flat and driven with the
-  // std::*_heap algorithms so PopMin can move the payload out.
-  std::vector<SimEvent> heap_;
 };
 
 // Bucketed calendar queue with three tiers:

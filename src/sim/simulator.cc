@@ -4,13 +4,10 @@
 
 namespace configerator {
 
-Simulator::Simulator(QueueKind kind) {
-  if (kind == QueueKind::kHeap) {
-    queue_ = std::make_unique<HeapEventQueue>();
-  } else {
-    queue_ = std::make_unique<CalendarEventQueue>();
-  }
-}
+Simulator::Simulator() : queue_(std::make_unique<CalendarEventQueue>()) {}
+
+Simulator::Simulator(std::unique_ptr<EventQueue> queue)
+    : queue_(std::move(queue)) {}
 
 void Simulator::Schedule(SimTime delay, std::function<void()> fn) {
   if (delay < 0) {

@@ -17,12 +17,11 @@ namespace configerator {
 
 class Simulator {
  public:
-  // kCalendar is the default scheduler (amortized O(1) push/pop). kHeap is
-  // the original binary heap, retained as the reference for the differential
-  // battery; both honor the identical (time, seq) FIFO ordering contract.
-  enum class QueueKind { kCalendar, kHeap };
-
-  explicit Simulator(QueueKind kind = QueueKind::kCalendar);
+  // Schedules on a CalendarEventQueue.
+  Simulator();
+  // Schedules on `queue` instead: the seam through which the scheduler
+  // differential battery plugs in its reference binary heap.
+  explicit Simulator(std::unique_ptr<EventQueue> queue);
 
   SimTime now() const { return now_; }
 

@@ -1,6 +1,8 @@
 // End-to-end tests of the Configerator compiler: the paper's Figure 2
-// workflow (schema + reusable module + entry config + validator) and the
-// §3.1 dependency example (app.cconf / firewall.cconf sharing app_port.cinc).
+// workflow (schema + reusable module + entry config + validator), the §3.1
+// dependency example (app.cconf / firewall.cconf sharing app_port.cinc),
+// and the compiler's caches — the parse cache, the closure digest and the
+// whole-entry output memo.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +13,8 @@
 #endif
 
 #include "src/lang/compiler.h"
+#include "src/lang/unit_cache.h"
+#include "src/obs/metrics.h"
 
 namespace configerator {
 namespace {
@@ -306,6 +310,327 @@ TEST_F(CompilerTest, ControlFlowInConfigGeneration) {
   EXPECT_EQ(tiers.size(), 4u);
   EXPECT_EQ(tiers.Get("tier2")->Get("weight")->as_int(), 20);
   EXPECT_TRUE(tiers.Get("tier0")->Get("hot")->as_bool());
+}
+
+// Runtime errors inside a cross-module function are reported against the
+// module that defines it, with the chain of call sites wrapped around it.
+TEST_F(CompilerTest, CrossModuleErrorsBlameTheDefiningModule) {
+  sources_.Put("lib.cinc",
+               "def inner(v):\n"
+               "    return v + \"s\"\n"       // Fails here: lib.cinc:2.
+               "def outer(v):\n"
+               "    return inner(v)\n");      // Call site: lib.cinc:4.
+  sources_.Put("entry.cconf",
+               "import_python(\"lib.cinc\", \"*\")\n"
+               "x = outer(3)\n"               // Call site: entry.cconf:2.
+               "export_if_last({\"x\": x})\n");
+  auto output = Compile("entry.cconf");
+  ASSERT_FALSE(output.ok());
+  EXPECT_EQ(std::string(output.status().message()),
+            "entry.cconf:2: in call: lib.cinc:4: in call: "
+            "lib.cinc:2: cannot add int and string");
+}
+
+// --- Parse cache ------------------------------------------------------------
+
+TEST(UnitCacheTest, HitsOnSameContentMissesOnChange) {
+  CompiledUnitCache cache;
+  auto a1 = cache.GetOrParse("m.cinc", "A = 1\n");
+  ASSERT_TRUE(a1.ok());
+  EXPECT_EQ(cache.misses(), 1u);
+  EXPECT_EQ(cache.hits(), 0u);
+
+  auto a2 = cache.GetOrParse("m.cinc", "A = 1\n");
+  ASSERT_TRUE(a2.ok());
+  EXPECT_EQ(cache.hits(), 1u);
+  EXPECT_EQ(a1->get(), a2->get()) << "hit must reuse the same module";
+
+  auto b = cache.GetOrParse("m.cinc", "A = 2\n");
+  ASSERT_TRUE(b.ok());
+  EXPECT_EQ(cache.misses(), 2u);
+  EXPECT_NE(a1->get(), b->get());
+
+  // Failed parses are cached too, and replayed identically.
+  auto bad1 = cache.GetOrParse("bad.cinc", "def :\n");
+  auto bad2 = cache.GetOrParse("bad.cinc", "def :\n");
+  EXPECT_FALSE(bad1.ok());
+  EXPECT_EQ(bad1.status(), bad2.status());
+}
+
+TEST(UnitCacheTest, KeepsOneSourceCopyPerPath) {
+  CompiledUnitCache cache;
+  const std::string source = "A = 1\n";
+  auto interned = cache.Intern("m.cinc", source).content;
+  EXPECT_EQ(cache.Intern("m.cinc", std::string(source)).content, interned)
+      << "byte-identical content reuses the stored copy";
+  ASSERT_TRUE(cache.GetOrParse("m.cinc", source).ok());
+  EXPECT_EQ(cache.Intern("m.cinc", source).content, interned);
+  EXPECT_NE(cache.Intern("m.cinc", "A = 2\n").content, interned);
+}
+
+// --- Closure digest ---------------------------------------------------------
+
+TEST(ClosureDigestTest, SeesTransitiveImportChanges) {
+  InMemorySources sources;
+  sources.Put("entry.cconf",
+              "import_python(\"lib.cinc\", \"*\")\n"
+              "export_if_last({\"a\": A})\n");
+  sources.Put("lib.cinc",
+              "import_python(\"util.cinc\", \"*\")\n"
+              "A = BASE + 1\n");
+  sources.Put("util.cinc", "BASE = 41\n");
+
+  CompiledUnitCache cache;
+  auto d1 = ClosureDigest("entry.cconf", sources.AsReader(), &cache);
+  ASSERT_TRUE(d1.ok());
+  auto d1_again = ClosureDigest("entry.cconf", sources.AsReader(), &cache);
+  ASSERT_TRUE(d1_again.ok());
+  EXPECT_EQ(*d1, *d1_again);
+
+  // A change two imports deep must change the entry's closure digest even
+  // though entry.cconf and lib.cinc are byte-identical.
+  sources.Put("util.cinc", "BASE = 42\n");
+  auto d2 = ClosureDigest("entry.cconf", sources.AsReader(), &cache);
+  ASSERT_TRUE(d2.ok());
+  EXPECT_NE(*d1, *d2);
+
+  // Unrelated files don't affect it.
+  sources.Put("other.cinc", "Z = 1\n");
+  auto d3 = ClosureDigest("entry.cconf", sources.AsReader(), &cache);
+  ASSERT_TRUE(d3.ok());
+  EXPECT_EQ(*d2, *d3);
+}
+
+TEST(ClosureDigestTest, CoversSchemasAndValidators) {
+  InMemorySources sources;
+  sources.Put("entry.cconf",
+              "import_thrift(\"job.thrift\")\n"
+              "export_if_last(Job(name=\"x\"))\n");
+  sources.Put("job.thrift",
+              "struct Job {\n  1: string name;\n}\n");
+
+  CompiledUnitCache cache;
+  auto d1 = ClosureDigest("entry.cconf", sources.AsReader(), &cache);
+  ASSERT_TRUE(d1.ok());
+
+  // Adding a validator companion changes the closure.
+  sources.Put("job.thrift-cvalidator",
+              "def validate_Job(job):\n    return True\n");
+  auto d2 = ClosureDigest("entry.cconf", sources.AsReader(), &cache);
+  ASSERT_TRUE(d2.ok());
+  EXPECT_NE(*d1, *d2);
+
+  // Editing the schema itself changes it too.
+  sources.Put("job.thrift",
+              "struct Job {\n  1: string name;\n  2: i32 mem;\n}\n");
+  auto d3 = ClosureDigest("entry.cconf", sources.AsReader(), &cache);
+  ASSERT_TRUE(d3.ok());
+  EXPECT_NE(*d2, *d3);
+}
+
+// Imports that only run when a function is called, or when a default is
+// evaluated, are edges of the closure all the same: changing what they
+// import must change the digest, or the memo would replay a stale output.
+TEST(ClosureDigestTest, FollowsImportsInsideFunctionBodiesAndDefaults) {
+  struct Case {
+    const char* name;
+    const char* entry;
+  };
+  const Case cases[] = {
+      {"function body",
+       "def load():\n"
+       "    import_python(\"dep.cinc\", \"*\")\n"
+       "    return V\n"
+       "export_if_last({\"v\": load()})\n"},
+      {"default argument",
+       "def pick(v=import_python(\"dep.cinc\", \"V\")):\n"
+       "    return V\n"
+       "export_if_last({\"v\": pick()})\n"},
+      {"ternary inside a dict inside a call argument",
+       "def id(x):\n"
+       "    return x\n"
+       "id({\"k\": None if False else import_python(\"dep.cinc\")})\n"
+       "export_if_last({\"v\": V})\n"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    InMemorySources sources;
+    sources.Put("entry.cconf", c.entry);
+    sources.Put("dep.cinc", "V = 1\n");
+    CompiledUnitCache cache;
+    auto before = ClosureDigest("entry.cconf", sources.AsReader(), &cache);
+    ASSERT_TRUE(before.ok()) << before.status();
+    sources.Put("dep.cinc", "V = 2\n");
+    auto after = ClosureDigest("entry.cconf", sources.AsReader(), &cache);
+    ASSERT_TRUE(after.ok()) << after.status();
+    EXPECT_NE(*before, *after);
+
+    // And end to end: a compiler with a warm memo sees the edit.
+    CompilerOptions options;
+    options.unit_cache = &cache;
+    ConfigCompiler compiler(sources.AsReader(), options);
+    auto v2 = compiler.Compile("entry.cconf");
+    ASSERT_TRUE(v2.ok()) << v2.status();
+    EXPECT_EQ(v2->configs[0].content.Get("v")->as_int(), 2);
+    sources.Put("dep.cinc", "V = 3\n");
+    auto v3 = compiler.Compile("entry.cconf");
+    ASSERT_TRUE(v3.ok()) << v3.status();
+    EXPECT_EQ(v3->configs[0].content.Get("v")->as_int(), 3);
+  }
+}
+
+TEST(ClosureDigestTest, RejectsDynamicImports) {
+  InMemorySources sources;
+  sources.Put("entry.cconf",
+              "p = \"lib\" + \".cinc\"\n"
+              "import_python(p)\n"
+              "export_if_last({})\n");
+  CompiledUnitCache cache;
+  auto digest = ClosureDigest("entry.cconf", sources.AsReader(), &cache);
+  EXPECT_FALSE(digest.ok());
+  EXPECT_TRUE(std::string(digest.status().message())
+                  .find("computed import path") != std::string::npos);
+}
+
+TEST(UnitCacheTest, SharedCacheHitsAcrossCompilesAndInvalidatesOnEdit) {
+  InMemorySources sources;
+  sources.Put("lib.cinc", "A = 1\n");
+  sources.Put("e1.cconf",
+              "import_python(\"lib.cinc\", \"*\")\n"
+              "export_if_last({\"a\": A})\n");
+  sources.Put("e2.cconf",
+              "import_python(\"lib.cinc\", \"*\")\n"
+              "export_if_last({\"a\": A + 1})\n");
+
+  CompiledUnitCache cache;
+  MetricsRegistry metrics;
+  CompilerOptions options;
+  options.unit_cache = &cache;
+  options.metrics = &metrics;
+  auto counter = [&](const char* name) {
+    return metrics.GetCounter(name)->value();
+  };
+
+  // The digest walk misses both modules, then the session hits them.
+  ASSERT_TRUE(
+      ConfigCompiler(sources.AsReader(), options).Compile("e1.cconf").ok());
+  uint64_t misses_after_first = counter("csl.unit_cache.misses");
+  EXPECT_EQ(misses_after_first, 2u);
+  EXPECT_EQ(counter("csl.unit_cache.hits"), 2u);
+
+  // Second entry shares lib.cinc: only its own body misses (in the digest
+  // walk); lib.cinc's subtree digest replays from the node memo without
+  // touching the parse cache, then both modules hit during evaluation.
+  ASSERT_TRUE(
+      ConfigCompiler(sources.AsReader(), options).Compile("e2.cconf").ok());
+  EXPECT_EQ(counter("csl.unit_cache.misses"), 3u);
+  EXPECT_EQ(counter("csl.unit_cache.hits"), 4u);
+
+  // Editing the shared module invalidates: re-parse, results track the edit.
+  sources.Put("lib.cinc", "A = 100\n");
+  auto r3 = ConfigCompiler(sources.AsReader(), options).Compile("e1.cconf");
+  ASSERT_TRUE(r3.ok()) << r3.status();
+  EXPECT_GT(counter("csl.unit_cache.misses"), misses_after_first);
+  EXPECT_EQ(r3->configs[0].content.Get("a")->as_int(), 100);
+}
+
+// --- Whole-entry output memo ------------------------------------------------
+
+TEST(OutputMemoTest, ReplaysWholeEntryOnUnchangedClosure) {
+  InMemorySources sources;
+  sources.Put("job.thrift",
+              "struct Job {\n  1: string name;\n  2: i32 mem = 64;\n}\n");
+  sources.Put("lib.cinc",
+              "import_thrift(\"job.thrift\")\n"
+              "def mk(name):\n"
+              "    return Job(name=name)\n");
+  sources.Put("entry.cconf",
+              "import_python(\"lib.cinc\", \"*\")\n"
+              "export_if_last(mk(\"a\"))\n");
+
+  CompiledUnitCache cache;
+  CompilerOptions options;
+  options.unit_cache = &cache;
+  ConfigCompiler compiler(sources.AsReader(), options);
+
+  auto o1 = compiler.Compile("entry.cconf");
+  ASSERT_TRUE(o1.ok()) << o1.status();
+  EXPECT_EQ(cache.output_hits(), 0u);
+  EXPECT_EQ(cache.output_misses(), 1u);
+
+  // Unchanged closure: the memoized output replays, bit-identically.
+  auto o2 = compiler.Compile("entry.cconf");
+  ASSERT_TRUE(o2.ok()) << o2.status();
+  EXPECT_EQ(cache.output_hits(), 1u);
+  ASSERT_EQ(o1->configs.size(), o2->configs.size());
+  EXPECT_EQ(o1->configs[0].path, o2->configs[0].path);
+  EXPECT_EQ(o1->configs[0].content.DumpPretty(),
+            o2->configs[0].content.DumpPretty());
+  EXPECT_EQ(o1->dependencies, o2->dependencies);
+
+  // An edit two hops from the entry (the schema's default) changes the
+  // closure digest: the memo misses and the fresh output tracks the edit.
+  sources.Put("job.thrift",
+              "struct Job {\n  1: string name;\n  2: i32 mem = 256;\n}\n");
+  auto o3 = compiler.Compile("entry.cconf");
+  ASSERT_TRUE(o3.ok()) << o3.status();
+  EXPECT_EQ(cache.output_misses(), 2u);
+  EXPECT_EQ(o3->configs[0].content.Get("mem")->as_int(), 256);
+}
+
+TEST(OutputMemoTest, CachesDeterministicFailures) {
+  InMemorySources sources;
+  sources.Put("job.thrift", "struct Job {\n  1: string name;\n}\n");
+  sources.Put("job.thrift-cvalidator",
+              "def validate_Job(job):\n"
+              "    return job.name != \"bad\"\n");
+  sources.Put("entry.cconf",
+              "import_thrift(\"job.thrift\")\n"
+              "export_if_last(Job(name=\"bad\"))\n");
+
+  CompiledUnitCache cache;
+  CompilerOptions options;
+  options.unit_cache = &cache;
+  ConfigCompiler compiler(sources.AsReader(), options);
+
+  auto e1 = compiler.Compile("entry.cconf");
+  ASSERT_FALSE(e1.ok());
+  auto e2 = compiler.Compile("entry.cconf");
+  ASSERT_FALSE(e2.ok());
+  EXPECT_EQ(e1.status(), e2.status());
+  EXPECT_EQ(cache.output_hits(), 1u) << "failures replay from the memo too";
+
+  // Fixing the validator's input un-caches: new digest, new (passing) run.
+  sources.Put("entry.cconf",
+              "import_thrift(\"job.thrift\")\n"
+              "export_if_last(Job(name=\"good\"))\n");
+  auto ok = compiler.Compile("entry.cconf");
+  EXPECT_TRUE(ok.ok()) << ok.status();
+}
+
+TEST(OutputMemoTest, DynamicImportClosureIsNeverMemoized) {
+  InMemorySources sources;
+  sources.Put("lib.cinc", "A = 7\n");
+  sources.Put("entry.cconf",
+              "p = \"lib\" + \".cinc\"\n"
+              "import_python(p, \"*\")\n"
+              "export_if_last({\"a\": A})\n");
+
+  CompiledUnitCache cache;
+  CompilerOptions options;
+  options.unit_cache = &cache;
+  ConfigCompiler compiler(sources.AsReader(), options);
+
+  // The closure is only knowable by evaluating, so both compiles take the
+  // full path and the output memo is never consulted.
+  auto o1 = compiler.Compile("entry.cconf");
+  ASSERT_TRUE(o1.ok()) << o1.status();
+  auto o2 = compiler.Compile("entry.cconf");
+  ASSERT_TRUE(o2.ok()) << o2.status();
+  EXPECT_EQ(cache.output_hits(), 0u);
+  EXPECT_EQ(cache.output_misses(), 0u);
+  EXPECT_EQ(o1->configs[0].content.DumpPretty(),
+            o2->configs[0].content.DumpPretty());
 }
 
 }  // namespace

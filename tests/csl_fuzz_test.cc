@@ -1,5 +1,5 @@
-// Differential fuzz battery: the bytecode VM against the tree-walking
-// interpreter, which is the executable specification of CSL semantics.
+// Generative fuzz battery for the CSL compiler's caches: the parse cache,
+// the closure digest and the whole-entry output memo.
 //
 // A seeded generator produces random CSL programs exercising every AST node
 // — literals, names, list/dict construction, unary/binary/ternary
@@ -7,30 +7,36 @@
 // get/set, augmented assignment, if/elif/else, for (with unpacking),
 // while, break/continue (inside and outside loops), def with defaults and
 // kwargs, nested closures, assert, builtin calls, import special forms and
-// exports. Each program compiles through the same ConfigCompiler facade
-// twice, once per engine, and the outcomes must match exactly:
+// exports. Every program compiles twice through one long-lived compiler
+// whose cache has seen every earlier program at the same paths (the second
+// compile replays from the output memo), and once through a fresh compiler
+// built for that program alone — the oracle. The outcomes must match
+// exactly:
 //
 //   * success/failure must agree,
 //   * on success, exported JSON artifacts must be bit-identical,
 //   * on failure, the full error (class, origin path, line, message chain)
 //     must be byte-identical.
 //
-// A divergence is ddmin-shrunk over the entry module's statement list
-// before being reported, so the failure message carries a minimal
-// reproducer, not a 30-statement wall of noise.
+// A divergence means a cache served a stale parse or replayed a stale
+// output. It is ddmin-shrunk over the entry module's statement list before
+// being reported, so the failure message carries a minimal reproducer, not
+// a 30-statement wall of noise.
 //
-// The mutation lane bit-flips valid programs and requires the two engines
-// to keep agreeing (typically on a parse diagnostic) without crashing —
-// that is the case the sanitizer lane (scripts/check.sh --vm) hammers.
+// The mutation lane bit-flips valid programs and requires the cached and
+// fresh compilers to keep agreeing (typically on a parse diagnostic)
+// without crashing — the case the ASan/UBSan build hammers.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "src/lang/compiler.h"
+#include "src/lang/unit_cache.h"
 #include "src/util/ddmin.h"
 #include "src/util/rng.h"
 #include "src/util/strings.h"
@@ -38,7 +44,7 @@
 namespace configerator {
 namespace {
 
-constexpr int kPrograms = 1100;   // ISSUE floor: >= 1k per ctest invocation.
+constexpr int kPrograms = 1100;
 constexpr int kMutations = 256;
 
 // --- Random program generator ----------------------------------------------
@@ -113,7 +119,7 @@ class ProgGen {
           fns_ = lib_fns_;
           break;
         default:
-          // Import of a missing module: error in both engines.
+          // Import of a missing module: a compile error.
           if (rng_.NextBool(0.1)) {
             program.entry_stmts.push_back(
                 "import_python(\"missing.cinc\")\n");
@@ -166,7 +172,7 @@ class ProgGen {
   }
 
   std::string Name() {
-    // Rarely an undefined name: both engines must report the same error.
+    // Rarely an undefined name, so error messages are compared too.
     if (vars_.empty() || rng_.NextBool(0.03)) {
       return "undefined_name";
     }
@@ -380,8 +386,8 @@ class ProgGen {
         }
         return Indent(indent) + "assert " + Expr(1) + ", " + Expr(1) + "\n";
       }
-      case 14: {  // break/continue — valid in loops; tests flow escape
-                  // semantics (ReturnNull/Halt) elsewhere.
+      case 14: {  // break/continue — valid in loops; rarely outside one,
+                  // where the flow escapes the function or module.
         const char* kw = rng_.NextBool(0.5) ? "break" : "continue";
         if (loop_depth > 0 || rng_.NextBool(0.1)) {
           return Indent(indent) + kw + "\n";
@@ -414,7 +420,7 @@ class ProgGen {
     }
     // Names defined inside a conditional block may be undefined at runtime
     // on the other branch; keeping a few of them in scope for later reads
-    // exercises exactly that (both engines must agree on the error).
+    // exercises exactly that (the error must match the oracle's).
     while (vars_.size() > vars_before && rng_.NextBool(0.5)) {
       vars_.pop_back();
     }
@@ -478,24 +484,17 @@ class ProgGen {
   std::vector<Fn> lib_fns_;
 };
 
-// --- Differential harness ---------------------------------------------------
+// --- Harness ----------------------------------------------------------------
+
+using Files = std::map<std::string, std::string>;
 
 struct Outcome {
   Status status = OkStatus();
   std::vector<std::string> artifacts;
 };
 
-Outcome RunEngine(const std::map<std::string, std::string>& files,
-                  CompilerOptions::Engine engine) {
-  InMemorySources sources;
-  for (const auto& [path, content] : files) {
-    sources.Put(path, content);
-  }
-  CompilerOptions options;
-  options.engine = engine;
-  ConfigCompiler compiler(sources.AsReader(), options);
+Outcome Collect(const Result<CompileOutput>& output) {
   Outcome outcome;
-  auto output = compiler.Compile("entry.cconf");
   if (!output.ok()) {
     outcome.status = output.status();
     return outcome;
@@ -507,25 +506,57 @@ Outcome RunEngine(const std::map<std::string, std::string>& files,
   return outcome;
 }
 
-// Empty when the engines agree; otherwise a human-readable description.
-std::optional<std::string> Divergence(
-    const std::map<std::string, std::string>& files) {
-  Outcome vm = RunEngine(files, CompilerOptions::Engine::kBytecodeVm);
-  Outcome interp = RunEngine(files, CompilerOptions::Engine::kInterpreter);
-  if (!(vm.status == interp.status)) {
-    return "status diverged:\n  vm:     " + vm.status.ToString() +
-           "\n  interp: " + interp.status.ToString();
+// The oracle: a compiler, and so a cache, built for one program alone.
+Outcome CompileFresh(const Files& files) {
+  InMemorySources sources;
+  for (const auto& [path, content] : files) {
+    sources.Put(path, content);
   }
-  if (vm.artifacts != interp.artifacts) {
-    std::string diff = "artifacts diverged:\n";
-    for (size_t i = 0; i < std::max(vm.artifacts.size(),
-                                    interp.artifacts.size());
-         ++i) {
-      std::string v = i < vm.artifacts.size() ? vm.artifacts[i] : "<none>";
-      std::string t =
-          i < interp.artifacts.size() ? interp.artifacts[i] : "<none>";
-      if (v != t) {
-        diff += "--- vm ---\n" + v + "\n--- interp ---\n" + t + "\n";
+  ConfigCompiler compiler(sources.AsReader());
+  return Collect(compiler.Compile("entry.cconf"));
+}
+
+// One compiler over one shared cache, kept across programs: each program's
+// files replace the previous program's under the same paths, so the cache
+// must notice every edit, addition and removal.
+class SharedCompiler {
+ public:
+  SharedCompiler()
+      : compiler_(
+            [this](const std::string& path) -> Result<std::string> {
+              auto it = files_.find(path);
+              if (it == files_.end()) {
+                return NotFoundError("no such source file: " + path);
+              }
+              return it->second;
+            },
+            CompilerOptions{&cache_, nullptr}) {}
+
+  Outcome Compile(const Files& files) {
+    files_ = files;
+    return Collect(compiler_.Compile("entry.cconf"));
+  }
+
+ private:
+  Files files_;
+  CompiledUnitCache cache_;
+  ConfigCompiler compiler_;
+};
+
+std::optional<std::string> Compare(const char* label, const Outcome& got,
+                                   const Outcome& want) {
+  if (!(got.status == want.status)) {
+    return std::string(label) + " status diverged:\n  cached: " +
+           got.status.ToString() + "\n  fresh:  " + want.status.ToString();
+  }
+  if (got.artifacts != want.artifacts) {
+    std::string diff = std::string(label) + " artifacts diverged:\n";
+    for (size_t i = 0;
+         i < std::max(got.artifacts.size(), want.artifacts.size()); ++i) {
+      std::string g = i < got.artifacts.size() ? got.artifacts[i] : "<none>";
+      std::string w = i < want.artifacts.size() ? want.artifacts[i] : "<none>";
+      if (g != w) {
+        diff += "--- cached ---\n" + g + "\n--- fresh ---\n" + w + "\n";
       }
     }
     return diff;
@@ -533,7 +564,20 @@ std::optional<std::string> Divergence(
   return std::nullopt;
 }
 
-std::string DescribeFiles(const std::map<std::string, std::string>& files) {
+// Empty when `shared` (first compile, then the memo replay) agrees with a
+// fresh compiler on `files`; otherwise a human-readable description.
+std::optional<std::string> Divergence(SharedCompiler& shared,
+                                      const Files& files) {
+  Outcome fresh = CompileFresh(files);
+  Outcome first = shared.Compile(files);
+  Outcome replay = shared.Compile(files);
+  if (auto diff = Compare("first compile", first, fresh)) {
+    return diff;
+  }
+  return Compare("memo replay", replay, fresh);
+}
+
+std::string DescribeFiles(const Files& files) {
   std::string out;
   for (const auto& [path, content] : files) {
     out += "==== " + path + " ====\n" + content;
@@ -541,46 +585,60 @@ std::string DescribeFiles(const std::map<std::string, std::string>& files) {
   return out;
 }
 
-TEST(VmDifferential, SeededProgramsAgreeOnArtifactsAndErrors) {
+TEST(CslFuzz, SharedCacheMatchesFreshCompilerOnSeededPrograms) {
+  SharedCompiler shared;
+  Files previous;
   int failing_programs = 0;  // Programs whose (matching) outcome is an error.
   for (uint64_t seed = 1; seed <= kPrograms; ++seed) {
     ProgGen gen(seed);
     GenProgram program = gen.Generate();
-    auto files = program.Files();
-    auto divergence = Divergence(files);
+    Files files = program.Files();
+    auto divergence = Divergence(shared, files);
     if (!divergence.has_value()) {
-      if (!RunEngine(files, CompilerOptions::Engine::kBytecodeVm)
-               .status.ok()) {
+      Status status = CompileFresh(files).status;
+      // The generator stays well inside the parser's depth cap.
+      EXPECT_EQ(status.message().find("nesting deeper than"),
+                std::string::npos)
+          << "seed " << seed;
+      if (!status.ok()) {
         ++failing_programs;
       }
+      previous = std::move(files);
       continue;
     }
 
     // Diverged: ddmin-shrink the entry statement list to a minimal
-    // reproducer before failing.
-    auto reproduces = [&](const std::vector<size_t>& keep) {
+    // reproducer. Each probe replays the cache history that matters — the
+    // previous program, then the candidate — on a new shared compiler.
+    auto diverges = [&](const GenProgram& candidate) {
+      SharedCompiler probe;
+      probe.Compile(previous);
+      return Divergence(probe, candidate.Files());
+    };
+    auto subset = [&](const std::vector<size_t>& keep) {
       GenProgram candidate;
       candidate.modules = program.modules;
       for (size_t index : keep) {
         candidate.entry_stmts.push_back(program.entry_stmts[index]);
       }
-      return Divergence(candidate.Files()).has_value();
+      return candidate;
     };
     int probes = 0;
-    std::vector<size_t> kept =
-        DdminSubset(program.entry_stmts.size(), reproduces, 400, &probes);
-    GenProgram shrunk;
-    shrunk.modules = program.modules;
-    for (size_t index : kept) {
-      shrunk.entry_stmts.push_back(program.entry_stmts[index]);
-    }
-    auto shrunk_divergence = Divergence(shrunk.Files());
-    FAIL() << "engines diverged on seed " << seed << " (ddmin: "
-           << program.entry_stmts.size() << " -> " << kept.size()
-           << " stmts, " << probes << " probes)\n"
+    std::vector<size_t> kept = DdminSubset(
+        program.entry_stmts.size(),
+        [&](const std::vector<size_t>& keep) {
+          return diverges(subset(keep)).has_value();
+        },
+        400, &probes);
+    GenProgram shrunk = subset(kept);
+    auto shrunk_divergence = diverges(shrunk);
+    FAIL() << "cached compile diverged from a fresh one on seed " << seed
+           << " (ddmin: " << program.entry_stmts.size() << " -> "
+           << kept.size() << " stmts, " << probes << " probes)\n"
            << (shrunk_divergence.has_value() ? *shrunk_divergence
                                              : *divergence)
-           << "\nshrunk program:\n"
+           << "\nprevious program:\n"
+           << DescribeFiles(previous) << "\nshrunk program:\n"
            << DescribeFiles(shrunk.Files());
   }
   // The generator must produce a healthy mix: mostly valid programs, but
@@ -589,11 +647,12 @@ TEST(VmDifferential, SeededProgramsAgreeOnArtifactsAndErrors) {
   EXPECT_LT(failing_programs, kPrograms * 9 / 10);
 }
 
-TEST(VmDifferential, MutatedSourcesNeverCrashAndStayInAgreement) {
+TEST(CslFuzz, MutatedSourcesNeverCrashAndMatchFreshCompiler) {
+  SharedCompiler shared;
   for (uint64_t seed = 1; seed <= kMutations; ++seed) {
     ProgGen gen(seed);
     GenProgram program = gen.Generate();
-    auto files = program.Files();
+    Files files = program.Files();
     std::string& entry = files["entry.cconf"];
     if (entry.empty()) {
       continue;
@@ -605,7 +664,7 @@ TEST(VmDifferential, MutatedSourcesNeverCrashAndStayInAgreement) {
       entry[at] = static_cast<char>(entry[at] ^
                                     (1 << mut.NextBounded(7)));
     }
-    auto divergence = Divergence(files);
+    auto divergence = Divergence(shared, files);
     EXPECT_FALSE(divergence.has_value())
         << "mutated seed " << seed << ": " << *divergence << "\n"
         << DescribeFiles(files);

@@ -120,6 +120,34 @@ TEST(JsonParseTest, RejectsMalformed) {
   EXPECT_FALSE(Json::Parse("{\"a\":1,}").ok());
 }
 
+// Hostile nesting is an error status, not a stack overflow.
+TEST(JsonParseTest, RejectsNestingBeyondTheCap) {
+  auto nested = [](const std::string& open, const std::string& close,
+                   int depth) {
+    std::string text;
+    for (int i = 0; i < depth; ++i) {
+      text += open;
+    }
+    text += "1";
+    for (int i = 0; i < depth; ++i) {
+      text += close;
+    }
+    return text;
+  };
+  const int cap = Json::kMaxParseDepth;
+  EXPECT_TRUE(Json::Parse(nested("[", "]", cap)).ok());
+  EXPECT_TRUE(Json::Parse(nested("{\"k\":", "}", cap)).ok());
+  for (const std::string& text :
+       {nested("[", "]", cap + 1), nested("{\"k\":", "}", cap + 1),
+        nested("[{\"k\":", "}]", cap), std::string(10'000, '[')}) {
+    auto parsed = Json::Parse(text);
+    ASSERT_FALSE(parsed.ok());
+    EXPECT_NE(parsed.status().message().find("nesting deeper than"),
+              std::string::npos)
+        << parsed.status();
+  }
+}
+
 TEST(JsonParseTest, BigIntegerFallsBackToDouble) {
   auto parsed = Json::Parse("123456789012345678901234567890");
   ASSERT_TRUE(parsed.ok());

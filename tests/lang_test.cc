@@ -245,6 +245,17 @@ TEST_F(LangTest, UndefinedNameFails) {
   EXPECT_NE(s.message().find("nosuchname"), std::string::npos);
 }
 
+TEST_F(LangTest, RuntimeErrorsCarryOriginAndLine) {
+  EXPECT_EQ(Run("x = 1\ny = x + \"s\"\n").message(),
+            "test.cconf:2: cannot add int and string");
+  EXPECT_EQ(Run("v = [1, 2]\nz = v[5]\n").message(),
+            "test.cconf:2: list index out of range");
+  EXPECT_EQ(Run("assert 1 == 2, \"boom\"\n").message(), "test.cconf:1: boom");
+  EXPECT_EQ(Run("nope()\n").message(), "test.cconf:1: undefined name 'nope'");
+  EXPECT_EQ(Run("x = 3\nx(1)\n").message(),
+            "test.cconf:2: value of type int is not callable");
+}
+
 // ---- Statements -------------------------------------------------------------
 
 TEST_F(LangTest, IfElifElse) {
@@ -622,6 +633,76 @@ TEST_P(LangFuzzTest, RandomTokenSoupNeverCrashes) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LangFuzzTest, ::testing::Values(1, 2, 3, 4, 5));
+
+// ---- Robustness: nesting depth is capped ------------------------------------
+
+std::string Repeat(const std::string& s, int n) {
+  std::string out;
+  for (int i = 0; i < n; ++i) {
+    out += s;
+  }
+  return out;
+}
+
+TEST(LangDepthTest, DeepNestingIsAParseErrorNotACrash) {
+  std::string nested_blocks;
+  for (int i = 0; i < kMaxCslAstDepth + 10; ++i) {
+    nested_blocks += std::string(i, ' ') + "if 1:\n";
+  }
+  nested_blocks += std::string(kMaxCslAstDepth + 10, ' ') + "pass\n";
+  const std::string cases[] = {
+      "x = " + Repeat("[", 10'000) + "\n",
+      "x = " + Repeat("(", 10'000) + "1" + Repeat(")", 10'000) + "\n",
+      "x = 1" + Repeat("+1", 20'000) + "\n",
+      "x = 1" + Repeat("+1", 100'000) + "\n",
+      "x = 1" + Repeat(" * 2 - 1", 5'000) + "\n",
+      "x = 1" + Repeat(" and 1", 5'000) + "\n",
+      "x = " + Repeat("-", 10'000) + "1\n",
+      "x = " + Repeat("not ", 10'000) + "1\n",
+      "x = y" + Repeat(".a", 10'000) + "\n",
+      "x = y" + Repeat("[0]", 10'000) + "\n",
+      "x = f" + Repeat("()", 10'000) + "\n",
+      "x = " + Repeat("1 if 1 else ", 10'000) + "1\n",
+      "x = " + Repeat("{\"k\": ", 10'000) + "1" + Repeat("}", 10'000) + "\n",
+      "x = " + Repeat("f(", 10'000) + "1" + Repeat(")", 10'000) + "\n",
+      "if 0:\n    pass\n" + Repeat("elif 0:\n    pass\n", 10'000),
+      nested_blocks,
+  };
+  for (const std::string& source : cases) {
+    auto module = ParseCsl(source, "deep.cconf");
+    ASSERT_FALSE(module.ok()) << source.substr(0, 40);
+    EXPECT_NE(module.status().message().find("nesting deeper than"),
+              std::string::npos)
+        << module.status();
+  }
+}
+
+TEST(LangDepthTest, ProgramsUnderTheCapParseAndRun) {
+  const int depth = kMaxCslAstDepth - 10;
+  ASSERT_TRUE(ParseCsl("x = " + Repeat("[", depth) + Repeat("]", depth) +
+                           "\n",
+                       "ok.cconf")
+                  .ok());
+  auto module = ParseCsl("x = 0" + Repeat(" + 1", depth) + "\n", "ok.cconf");
+  ASSERT_TRUE(module.ok()) << module.status();
+  Interp interp(nullptr, Interp::Hooks{});
+  auto globals = interp.NewEnvironment(interp.MakeBaseEnvironment());
+  ASSERT_TRUE(interp.EvalModule(**module, globals, false).ok());
+  EXPECT_EQ(globals->Find("x")->as_int(), depth);
+}
+
+// Each tree is under the cap, but recursion stacks one evaluation on
+// another: the interpreter bounds that nesting itself.
+TEST_F(LangTest, RecursionThroughDeepExpressionsIsAnErrorNotACrash) {
+  Status s = Run("def f(n):\n"
+                 "    if n == 0:\n"
+                 "        return 0\n"
+                 "    return f(n - 1)" + Repeat(" + 1", 240) + "\n"
+                 "r = f(190)\n");
+  ASSERT_FALSE(s.ok());
+  EXPECT_NE(s.message().find("evaluation nested too deeply"),
+            std::string::npos);
+}
 
 // ---- Value model ------------------------------------------------------------
 

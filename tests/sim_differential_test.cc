@@ -1,9 +1,10 @@
-// Differential battery for the calendar-queue scheduler: the retained
-// heap-based Simulator (QueueKind::kHeap) is the executable specification of
-// the (time, seq) FIFO ordering contract; the calendar queue
-// (QueueKind::kCalendar, the default) must execute every seeded random
-// schedule identically — same event order, same clock at every event, same
-// pending/processed counts at every RunUntil / RunUntilIdle boundary.
+// Differential battery for the calendar-queue scheduler: a plain binary
+// heap (HeapEventQueue below, plugged into the Simulator through its
+// EventQueue seam) is the executable specification of the (time, seq) FIFO
+// ordering contract; the calendar queue (the Simulator's own scheduler)
+// must execute every seeded random schedule identically — same event order,
+// same clock at every event, same pending/processed counts at every
+// RunUntil / RunUntilIdle boundary.
 //
 // Each schedule is a deterministic function of its seed alone: every event's
 // behavior (how many children it schedules, with what delays) derives from
@@ -17,7 +18,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -28,6 +31,41 @@
 
 namespace configerator {
 namespace {
+
+// The ordering oracle: a binary min-heap over (time, seq), driven with the
+// std::*_heap algorithms so PopMin can move the payload out.
+class HeapEventQueue : public EventQueue {
+ public:
+  void Push(SimEvent event) override {
+    heap_.push_back(std::move(event));
+    std::push_heap(heap_.begin(), heap_.end(), Later);
+  }
+  SimEvent PopMin() override {
+    std::pop_heap(heap_.begin(), heap_.end(), Later);
+    SimEvent event = std::move(heap_.back());
+    heap_.pop_back();
+    return event;
+  }
+  SimTime MinTime() override { return heap_.front().time; }
+  size_t size() const override { return heap_.size(); }
+
+ private:
+  // "a pops later than b": the heap's top is the (time, seq) minimum.
+  static bool Later(const SimEvent& a, const SimEvent& b) {
+    return a.time != b.time ? a.time > b.time : a.seq > b.seq;
+  }
+
+  std::vector<SimEvent> heap_;
+};
+
+enum class Scheduler { kCalendar, kHeap };
+
+std::unique_ptr<EventQueue> MakeQueue(Scheduler scheduler) {
+  if (scheduler == Scheduler::kHeap) {
+    return std::make_unique<HeapEventQueue>();
+  }
+  return std::make_unique<CalendarEventQueue>();
+}
 
 // Deterministic per-(seed, event, salt) hash for schedule decisions.
 uint64_t Mix(uint64_t seed, uint64_t event_id, uint64_t salt) {
@@ -40,8 +78,8 @@ uint64_t Mix(uint64_t seed, uint64_t event_id, uint64_t salt) {
 // log. The log captures everything the ordering contract promises.
 class ScheduleDriver {
  public:
-  ScheduleDriver(Simulator::QueueKind kind, uint64_t seed)
-      : sim_(kind), seed_(seed) {}
+  ScheduleDriver(Scheduler scheduler, uint64_t seed)
+      : sim_(MakeQueue(scheduler)), seed_(seed) {}
 
   std::vector<std::string> Run() {
     const int roots = 3 + static_cast<int>(Mix(seed_, 0, 0) % 6);
@@ -132,9 +170,9 @@ class ScheduleDriver {
 TEST(SchedulerDifferentialTest, ThousandSeededSchedulesIdentical) {
   for (uint64_t seed = 1; seed <= 1000; ++seed) {
     std::vector<std::string> heap_log =
-        ScheduleDriver(Simulator::QueueKind::kHeap, seed).Run();
+        ScheduleDriver(Scheduler::kHeap, seed).Run();
     std::vector<std::string> calendar_log =
-        ScheduleDriver(Simulator::QueueKind::kCalendar, seed).Run();
+        ScheduleDriver(Scheduler::kCalendar, seed).Run();
     ASSERT_EQ(heap_log.size(), calendar_log.size()) << "seed " << seed;
     for (size_t i = 0; i < heap_log.size(); ++i) {
       ASSERT_EQ(heap_log[i], calendar_log[i])
@@ -146,9 +184,8 @@ TEST(SchedulerDifferentialTest, ThousandSeededSchedulesIdentical) {
 // A same-instant burst wide enough to stress one bucket's heap: FIFO order
 // must survive both schedulers.
 TEST(SchedulerDifferentialTest, WideSameInstantBurstStaysFifo) {
-  for (Simulator::QueueKind kind :
-       {Simulator::QueueKind::kHeap, Simulator::QueueKind::kCalendar}) {
-    Simulator sim(kind);
+  for (Scheduler scheduler : {Scheduler::kHeap, Scheduler::kCalendar}) {
+    Simulator sim(MakeQueue(scheduler));
     std::vector<int> order;
     for (int i = 0; i < 5000; ++i) {
       sim.Schedule(kSimSecond, [&order, i] { order.push_back(i); });
@@ -156,7 +193,7 @@ TEST(SchedulerDifferentialTest, WideSameInstantBurstStaysFifo) {
     sim.RunUntilIdle();
     ASSERT_EQ(order.size(), 5000u);
     for (int i = 0; i < 5000; ++i) {
-      ASSERT_EQ(order[i], i) << "queue kind broke FIFO at " << i;
+      ASSERT_EQ(order[i], i) << "scheduler broke FIFO at " << i;
     }
   }
 }
@@ -164,9 +201,8 @@ TEST(SchedulerDifferentialTest, WideSameInstantBurstStaysFifo) {
 // RunUntil peeks ahead of the clock; a later Schedule at a nearer time must
 // still run first (the calendar queue's rewind/near-heap path).
 TEST(SchedulerDifferentialTest, LateArrivalBeforeAdvancedCursor) {
-  for (Simulator::QueueKind kind :
-       {Simulator::QueueKind::kHeap, Simulator::QueueKind::kCalendar}) {
-    Simulator sim(kind);
+  for (Scheduler scheduler : {Scheduler::kHeap, Scheduler::kCalendar}) {
+    Simulator sim(MakeQueue(scheduler));
     std::vector<int> order;
     sim.Schedule(300 * kSimDay, [&order] { order.push_back(99); });
     sim.RunUntil(kSimSecond);  // Advances cursor toward the far event.
