@@ -17,8 +17,8 @@
 //     vs pull freshness, and bandwidth estimated from a sampled fleet
 //     running the real sync protocol.
 //
-// --smoke runs only the 10k push leg and writes nothing (scripts/check.sh
-// --scale uses it as a fast end-to-end probe).
+// --smoke runs only the 10k push leg and writes nothing (the scale lane
+// uses it as a fast end-to-end probe).
 
 #include <chrono>
 #include <cstdio>

@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "src/analysis/absint.h"
-#include "src/analysis/provenance.h"
 #include "src/gatekeeper/compile.h"
 #include "src/util/ddmin.h"
 #include "src/util/strings.h"
@@ -1495,7 +1494,8 @@ InvariantReport InvariantChecker::Check(const InvariantRegistry& registry,
               }
               ++outcome.cases_checked;
               for (const std::string& field :
-                   ContextFieldsForRestraint(type->as_string())) {
+                   RestraintRegistry::Builtin().ContextFields(
+                       type->as_string())) {
                 if (allowed.count(field) == 0) {
                   offending.emplace_back(type->as_string(), field);
                 }

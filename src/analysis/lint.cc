@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/analysis/rules.h"
+#include "src/gatekeeper/compile.h"
 #include "src/json/json.h"
 
 namespace configerator {
@@ -15,7 +16,7 @@ std::vector<LintDiagnostic> ConfigLint::LintFile(
   if (path.ends_with(".cconf") || path.ends_with(".cinc")) {
     return LintSource(path, content);
   }
-  if (path.starts_with("gatekeeper/") && path.ends_with(".json")) {
+  if (GatekeeperProjectAt(path).has_value()) {
     return LintGatekeeper(path, content);
   }
   return {};

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <deque>
 
+#include "src/gatekeeper/compile.h"
 #include "src/json/json.h"
 #include "src/lang/ast.h"
 #include "src/lang/import_resolver.h"
@@ -13,10 +14,6 @@ namespace {
 
 bool IsCslPath(const std::string& path) {
   return path.ends_with(".cconf") || path.ends_with(".cinc");
-}
-
-bool IsGatekeeperPath(const std::string& path) {
-  return path.starts_with("gatekeeper/") && path.ends_with(".json");
 }
 
 LintDiagnostic MakeFinding(const char* rule_id, LintSeverity severity,
@@ -33,52 +30,6 @@ LintDiagnostic MakeFinding(const char* rule_id, LintSeverity severity,
 }
 
 }  // namespace
-
-std::vector<std::string> ContextFieldsForRestraint(const std::string& type) {
-  // Mirrors the field reads of the builtin restraint implementations
-  // (src/gatekeeper/restraint.cc). A new builtin that consults a new field
-  // must be added here for control-shift detection to see it.
-  if (type == "always") {
-    return {};
-  }
-  if (type == "employee") {
-    return {"is_employee"};
-  }
-  if (type == "country") {
-    return {"country"};
-  }
-  if (type == "locale") {
-    return {"locale"};
-  }
-  if (type == "app") {
-    return {"app"};
-  }
-  if (type == "device") {
-    return {"device"};
-  }
-  if (type == "platform") {
-    return {"platform"};
-  }
-  if (type == "min_friend_count" || type == "max_friend_count") {
-    return {"friend_count"};
-  }
-  if (type == "min_account_age" || type == "new_user") {
-    return {"account_age_days"};
-  }
-  if (type == "min_app_version") {
-    return {"app_version"};
-  }
-  if (type == "id_in" || type == "id_mod" || type == "hash_range") {
-    return {"user_id"};
-  }
-  if (type == "string_attr_equals" || type == "has_attr") {
-    return {"string_attrs"};
-  }
-  if (type == "numeric_attr_gt" || type == "numeric_attr_lt") {
-    return {"numeric_attrs"};
-  }
-  return {};
-}
 
 ProvenanceGraph ProvenanceGraph::Build(const FileReader& reader,
                                        const std::vector<std::string>& paths,
@@ -105,7 +56,7 @@ ProvenanceGraph ProvenanceGraph::Build(const FileReader& reader,
   for (const std::string& path : paths) {
     if (IsCslPath(path) && csl_files.insert(path).second) {
       pending.push_back(path);
-    } else if (IsGatekeeperPath(path)) {
+    } else if (GatekeeperProjectAt(path).has_value()) {
       gk_files.insert(path);
     }
   }
@@ -235,7 +186,7 @@ ProvenanceGraph ProvenanceGraph::Build(const FileReader& reader,
           }
           const std::string& type_name = type->as_string();
           node.deps["restraints"].insert(type_name);
-          for (const std::string& field : ContextFieldsForRestraint(type_name)) {
+          for (const std::string& field : registry.ContextFields(type_name)) {
             node.deps["context"].insert(field);
           }
           if (type_name == "laser") {

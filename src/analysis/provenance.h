@@ -49,10 +49,6 @@ struct ProvenanceNode {
   bool is_gatekeeper = false;  // Gatekeeper project node.
 };
 
-// The UserContext fields a builtin restraint type consults (pseudo-module
-// "context:" edges). Unknown types yield an empty list.
-std::vector<std::string> ContextFieldsForRestraint(const std::string& type);
-
 class ProvenanceGraph {
  public:
   // Builds the graph rooted at `paths` (entry configs, modules, Gatekeeper

@@ -5,6 +5,7 @@
 #include <set>
 #include <tuple>
 
+#include "src/gatekeeper/compile.h"
 #include "src/json/json.h"
 #include "src/util/strings.h"
 
@@ -123,10 +124,6 @@ bool IsCslPath(const std::string& path) {
   return path.ends_with(".cconf") || path.ends_with(".cinc");
 }
 
-bool IsGatekeeperPath(const std::string& path) {
-  return path.starts_with("gatekeeper/") && path.ends_with(".json");
-}
-
 // One version of one file, analyzed.
 struct SideFacts {
   bool present = false;
@@ -169,7 +166,8 @@ struct GateSurface {
   }
 };
 
-GateSurface ExtractGateSurface(const Json& spec) {
+GateSurface ExtractGateSurface(const Json& spec,
+                               const RestraintRegistry& registry) {
   GateSurface surface;
   const Json* rules = spec.Get("rules");
   if (rules == nullptr || !rules->is_array()) {
@@ -186,8 +184,7 @@ GateSurface ExtractGateSurface(const Json& spec) {
         continue;
       }
       surface.restraint_types.insert(type->as_string());
-      for (const std::string& field :
-           ContextFieldsForRestraint(type->as_string())) {
+      for (const std::string& field : registry.ContextFields(type->as_string())) {
         surface.context_fields.insert(field);
       }
     }
@@ -232,7 +229,7 @@ SemanticDiffReport SemanticDiffer::Classify(
       if (root_set.insert(path).second) {
         roots.push_back(path);
       }
-    } else if (IsGatekeeperPath(path)) {
+    } else if (GatekeeperProjectAt(path).has_value()) {
       gk_touched.insert(path);
     } else {
       auto old_content = old_reader_(path);
@@ -628,8 +625,8 @@ SemanticDiffReport SemanticDiffer::Classify(
       impact.kind = ImpactKind::kNoOp;
       impact.detail = "spec unchanged";
     } else {
-      GateSurface old_surface = ExtractGateSurface(*old_json);
-      GateSurface new_surface = ExtractGateSurface(*new_json);
+      GateSurface old_surface = ExtractGateSurface(*old_json, *registry_);
+      GateSurface new_surface = ExtractGateSurface(*new_json, *registry_);
       if (!(old_surface == new_surface)) {
         impact.kind = ImpactKind::kControlShift;
         impact.old_value = old_surface.Describe();

@@ -1,6 +1,6 @@
 #include "src/core/mutator.h"
 
-#include "src/gatekeeper/project.h"
+#include "src/gatekeeper/compile.h"
 
 namespace configerator {
 
@@ -42,10 +42,9 @@ Result<ObjectId> Mutator::SetJsonField(const std::string& path,
 Result<ObjectId> Mutator::SetGatekeeperProject(const Json& project_config,
                                                const std::string& message) {
   // Validate by compiling the project before distributing it.
-  ASSIGN_OR_RETURN(GatekeeperProject project,
-                   GatekeeperProject::FromJson(project_config));
-  return WriteRawConfig(GatekeeperPath(project.name()),
-                        project_config.DumpPretty(), message);
+  ASSIGN_OR_RETURN(CompiledProjectSpec spec, CompileProjectSpec(project_config));
+  return WriteRawConfig(GatekeeperPath(spec.name), project_config.DumpPretty(),
+                        message);
 }
 
 Result<ObjectId> Mutator::SetRolloutFraction(const std::string& project,

@@ -32,7 +32,8 @@ class Mutator {
   Result<ObjectId> SetJsonField(const std::string& path, const std::string& field,
                                 Json value, const std::string& message);
 
-  // Installs or replaces a Gatekeeper project config (under "gatekeeper/").
+  // Installs or replaces a Gatekeeper project config at its
+  // GatekeeperPath() (src/gatekeeper/compile.h).
   Result<ObjectId> SetGatekeeperProject(const Json& project_config,
                                         const std::string& message);
 
@@ -40,10 +41,6 @@ class Mutator {
   // 1% → 10% → 100% rollout knob.
   Result<ObjectId> SetRolloutFraction(const std::string& project, size_t rule_index,
                                       double fraction, const std::string& message);
-
-  static std::string GatekeeperPath(const std::string& project) {
-    return "gatekeeper/" + project + ".json";
-  }
 
  private:
   ConfigManagementStack* stack_;

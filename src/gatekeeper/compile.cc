@@ -2,6 +2,13 @@
 
 namespace configerator {
 
+namespace {
+
+constexpr std::string_view kPathPrefix = "gatekeeper/";
+constexpr std::string_view kPathSuffix = ".json";
+
+}  // namespace
+
 Result<CompiledProjectSpec> CompileProjectSpec(const Json& config,
                                                const RestraintRegistry& registry) {
   if (!config.is_object()) {
@@ -42,6 +49,40 @@ Result<CompiledProjectSpec> CompileProjectSpec(const Json& config,
           std::shared_ptr<const Restraint>(std::move(restraint)));
     }
     spec.rules.push_back(std::move(rule));
+  }
+  return spec;
+}
+
+std::string GatekeeperPath(std::string_view project) {
+  std::string path(kPathPrefix);
+  path += project;
+  path += kPathSuffix;
+  return path;
+}
+
+std::optional<std::string> GatekeeperProjectAt(std::string_view path) {
+  if (!path.starts_with(kPathPrefix) || !path.ends_with(kPathSuffix)) {
+    return std::nullopt;
+  }
+  path.remove_prefix(kPathPrefix.size());
+  path.remove_suffix(kPathSuffix.size());
+  return std::string(path);
+}
+
+Result<CompiledProjectSpec> CompileProjectFile(
+    std::string_view path, const std::string& content,
+    const RestraintRegistry& registry) {
+  std::optional<std::string> project = GatekeeperProjectAt(path);
+  if (!project.has_value()) {
+    return InvalidArgumentError("not a gatekeeper config path: " +
+                                std::string(path));
+  }
+  ASSIGN_OR_RETURN(Json config, Json::Parse(content));
+  ASSIGN_OR_RETURN(CompiledProjectSpec spec, CompileProjectSpec(config, registry));
+  if (spec.name != *project) {
+    return InvalidConfigError("gatekeeper project '" + spec.name +
+                              "' must live at " + GatekeeperPath(spec.name) +
+                              ", not " + std::string(path));
   }
   return spec;
 }

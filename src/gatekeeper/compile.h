@@ -1,9 +1,9 @@
 // Shared compilation path for Gatekeeper project configs (paper §4).
 //
-// Every evaluator in the tree — the single-threaded learner
-// (GatekeeperProject), the naive reference evaluator (NaiveEvaluator), and
-// the concurrent shared-snapshot runtime (GatekeeperRuntime) — compiles the
-// same JSON through CompileProjectSpec(), so validation and semantics can
+// Both evaluators in the tree — the concurrent shared-snapshot runtime
+// (GatekeeperRuntime) and the declared-order reference oracle
+// (NaiveEvaluator) — compile the same JSON through CompileProjectSpec(), as
+// do Sandcastle's validator and the Mutator, so validation and semantics can
 // never diverge between them. Restraints come out as shared_ptr<const>:
 // after creation a restraint is immutable and pure, so one compiled instance
 // can be shared across snapshot generations and across threads without
@@ -11,15 +11,19 @@
 //
 // The deterministic per-(project,user) sampling die also lives here, keyed
 // by a precomputed 64-bit project salt instead of a per-check string
-// concatenation — all evaluators must cast exactly the same die or the
+// concatenation — both evaluators must cast exactly the same die or the
 // differential test battery (tests/gatekeeper_differential_test.cc) fails.
+//
+// So does the path convention: project P lives at "gatekeeper/P.json".
 
 #ifndef SRC_GATEKEEPER_COMPILE_H_
 #define SRC_GATEKEEPER_COMPILE_H_
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/gatekeeper/restraint.h"
@@ -43,10 +47,22 @@ struct CompiledProjectSpec {
   std::vector<CompiledRuleSpec> rules;
 };
 
-// Compiles and validates a project config. Rejects malformed specs with the
-// same messages FromJson always produced.
+// Compiles and validates a project config. Rejects malformed specs.
 Result<CompiledProjectSpec> CompileProjectSpec(
     const Json& config,
+    const RestraintRegistry& registry = RestraintRegistry::Builtin());
+
+// The path convention, both directions. GatekeeperPath("P") is
+// "gatekeeper/P.json"; GatekeeperProjectAt() inverts it, returning nullopt
+// for a path outside the convention.
+std::string GatekeeperPath(std::string_view project);
+std::optional<std::string> GatekeeperProjectAt(std::string_view path);
+
+// Parses and compiles the project file at `path`, rejecting one whose
+// "project" name differs from the name its path carries: a file's deletion
+// tombstones the project its path names, so a mismatch would outlive it.
+Result<CompiledProjectSpec> CompileProjectFile(
+    std::string_view path, const std::string& content,
     const RestraintRegistry& registry = RestraintRegistry::Builtin());
 
 // The die salt for a project name (hashed once at compile time).
@@ -65,9 +81,9 @@ inline double GatekeeperDie(uint64_t project_salt, int64_t user_id) {
   return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
 
-// Evaluates one rule's conjunction in the given index order (pure, so order
-// never changes the outcome — only the work done before a short-circuit).
-// Declared order = indices 0..n-1.
+// Evaluates one rule's conjunction in declared order. Restraints are pure,
+// so an evaluator may test them in any order without changing the outcome —
+// only the work done before a short-circuit.
 inline bool RuleMatches(const CompiledRuleSpec& rule, const UserContext& user,
                         const LaserStore* laser) {
   for (const auto& restraint : rule.restraints) {

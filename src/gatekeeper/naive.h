@@ -2,10 +2,10 @@
 // Legunsen's configuration-testing framing: test a config value by running
 // the code that consumes it). NaiveEvaluator walks rules and restraints in
 // *declared* order, keeps no statistics, and never reorders — the simplest
-// possible semantics of a Gatekeeper config. Every optimized evaluator
-// (the cost-ordered learner, the concurrent shared-snapshot runtime) must
-// agree with it on every (config, user) pair; the DST harness and the fuzz
-// battery assert exactly that.
+// possible semantics of a Gatekeeper config. The serving evaluator — the
+// concurrent, cost-ordered GatekeeperRuntime — must agree with it on every
+// (config, user) pair; the DST harness, the differential battery and the
+// serving benchmark assert exactly that.
 //
 // Check() is const and touches no mutable state, so one NaiveEvaluator can
 // be shared freely across threads.

@@ -242,16 +242,17 @@ class LaserRestraint : public Restraint {
 RestraintRegistry MakeBuiltinRegistry() {
   RestraintRegistry registry;
 
-  registry.Register("always", [](const Json& params) -> Result<RestraintPtr> {
+  registry.Register("always", {}, [](const Json& params) -> Result<RestraintPtr> {
     const Json* v = params.Get("value");
     bool value = v != nullptr && v->is_bool() ? v->as_bool() : true;
     return RestraintPtr(std::make_unique<AlwaysRestraint>(value));
   });
 
-  registry.Register("employee", [](const Json&) -> Result<RestraintPtr> {
+  registry.Register("employee", {"is_employee"}, [](const Json&) -> Result<RestraintPtr> {
     return RestraintPtr(std::make_unique<EmployeeRestraint>());
   });
 
+  // Each string-set type is named after the field it reads.
   struct StringSetSpec {
     const char* type;
     const char* param;
@@ -266,7 +267,7 @@ RestraintRegistry MakeBuiltinRegistry() {
   };
   for (const StringSetSpec& spec : kStringSets) {
     registry.Register(
-        spec.type, [spec](const Json& params) -> Result<RestraintPtr> {
+        spec.type, {spec.type}, [spec](const Json& params) -> Result<RestraintPtr> {
           ASSIGN_OR_RETURN(std::vector<std::string> values,
                            GetStringList(params, spec.param));
           return RestraintPtr(std::make_unique<StringSetRestraint>(
@@ -278,25 +279,31 @@ RestraintRegistry MakeBuiltinRegistry() {
     const char* type;
     const char* param;
     bool at_least;
+    const char* field_name;
     int32_t UserContext::* field;
   };
   static constexpr ThresholdSpec kThresholds[] = {
-      {"min_friend_count", "count", true, &UserContext::friend_count},
-      {"max_friend_count", "count", false, &UserContext::friend_count},
-      {"min_account_age", "days", true, &UserContext::account_age_days},
-      {"new_user", "max_days", false, &UserContext::account_age_days},
-      {"min_app_version", "version", true, &UserContext::app_version},
+      {"min_friend_count", "count", true, "friend_count",
+       &UserContext::friend_count},
+      {"max_friend_count", "count", false, "friend_count",
+       &UserContext::friend_count},
+      {"min_account_age", "days", true, "account_age_days",
+       &UserContext::account_age_days},
+      {"new_user", "max_days", false, "account_age_days",
+       &UserContext::account_age_days},
+      {"min_app_version", "version", true, "app_version",
+       &UserContext::app_version},
   };
   for (const ThresholdSpec& spec : kThresholds) {
     registry.Register(
-        spec.type, [spec](const Json& params) -> Result<RestraintPtr> {
+        spec.type, {spec.field_name}, [spec](const Json& params) -> Result<RestraintPtr> {
           ASSIGN_OR_RETURN(int64_t threshold, GetInt(params, spec.param));
           return RestraintPtr(std::make_unique<IntThresholdRestraint>(
               spec.type, threshold, spec.at_least, spec.field));
         });
   }
 
-  registry.Register("id_in", [](const Json& params) -> Result<RestraintPtr> {
+  registry.Register("id_in", {"user_id"}, [](const Json& params) -> Result<RestraintPtr> {
     const Json* ids = params.Get("ids");
     if (ids == nullptr || !ids->is_array()) {
       return InvalidConfigError("id_in needs an 'ids' list");
@@ -311,7 +318,8 @@ RestraintRegistry MakeBuiltinRegistry() {
     return RestraintPtr(std::make_unique<IdInRestraint>(std::move(set)));
   });
 
-  registry.Register("id_mod", [](const Json& params) -> Result<RestraintPtr> {
+  registry.Register("id_mod", {"user_id"},
+                    [](const Json& params) -> Result<RestraintPtr> {
     ASSIGN_OR_RETURN(int64_t mod, GetInt(params, "mod"));
     ASSIGN_OR_RETURN(int64_t lo, GetInt(params, "lo"));
     ASSIGN_OR_RETURN(int64_t hi, GetInt(params, "hi"));
@@ -321,7 +329,8 @@ RestraintRegistry MakeBuiltinRegistry() {
     return RestraintPtr(std::make_unique<IdModRestraint>(mod, lo, hi));
   });
 
-  registry.Register("hash_range", [](const Json& params) -> Result<RestraintPtr> {
+  registry.Register("hash_range", {"user_id"},
+                    [](const Json& params) -> Result<RestraintPtr> {
     ASSIGN_OR_RETURN(std::string salt, GetString(params, "salt"));
     ASSIGN_OR_RETURN(double lo, GetDouble(params, "lo"));
     ASSIGN_OR_RETURN(double hi, GetDouble(params, "hi"));
@@ -332,7 +341,7 @@ RestraintRegistry MakeBuiltinRegistry() {
         std::make_unique<HashRangeRestraint>(std::move(salt), lo, hi));
   });
 
-  registry.Register("string_attr_equals",
+  registry.Register("string_attr_equals", {"string_attrs"},
                     [](const Json& params) -> Result<RestraintPtr> {
                       ASSIGN_OR_RETURN(std::string attr, GetString(params, "attr"));
                       ASSIGN_OR_RETURN(std::string value,
@@ -341,26 +350,30 @@ RestraintRegistry MakeBuiltinRegistry() {
                           std::move(attr), std::move(value)));
                     });
 
-  registry.Register("numeric_attr_gt", [](const Json& params) -> Result<RestraintPtr> {
+  registry.Register("numeric_attr_gt", {"numeric_attrs"},
+                    [](const Json& params) -> Result<RestraintPtr> {
     ASSIGN_OR_RETURN(std::string attr, GetString(params, "attr"));
     ASSIGN_OR_RETURN(double threshold, GetDouble(params, "threshold"));
     return RestraintPtr(std::make_unique<NumericAttrRestraint>(
         "numeric_attr_gt", std::move(attr), threshold, /*greater=*/true));
   });
 
-  registry.Register("numeric_attr_lt", [](const Json& params) -> Result<RestraintPtr> {
+  registry.Register("numeric_attr_lt", {"numeric_attrs"},
+                    [](const Json& params) -> Result<RestraintPtr> {
     ASSIGN_OR_RETURN(std::string attr, GetString(params, "attr"));
     ASSIGN_OR_RETURN(double threshold, GetDouble(params, "threshold"));
     return RestraintPtr(std::make_unique<NumericAttrRestraint>(
         "numeric_attr_lt", std::move(attr), threshold, /*greater=*/false));
   });
 
-  registry.Register("has_attr", [](const Json& params) -> Result<RestraintPtr> {
+  registry.Register("has_attr", {"string_attrs", "numeric_attrs"},
+                    [](const Json& params) -> Result<RestraintPtr> {
     ASSIGN_OR_RETURN(std::string attr, GetString(params, "attr"));
     return RestraintPtr(std::make_unique<HasAttrRestraint>(std::move(attr)));
   });
 
-  registry.Register("laser", [](const Json& params) -> Result<RestraintPtr> {
+  // The store key is built from the user id.
+  registry.Register("laser", {"user_id"}, [](const Json& params) -> Result<RestraintPtr> {
     ASSIGN_OR_RETURN(std::string project, GetString(params, "project"));
     ASSIGN_OR_RETURN(double threshold, GetDouble(params, "threshold"));
     return RestraintPtr(
@@ -378,8 +391,10 @@ const RestraintRegistry& RestraintRegistry::Builtin() {
   return *registry;
 }
 
-void RestraintRegistry::Register(const std::string& type, Factory factory) {
-  factories_[type] = std::move(factory);
+void RestraintRegistry::Register(const std::string& type,
+                                 std::vector<std::string> context_fields,
+                                 Factory factory) {
+  types_[type] = Entry{std::move(context_fields), std::move(factory)};
 }
 
 Result<RestraintPtr> RestraintRegistry::Create(const Json& spec) const {
@@ -390,14 +405,15 @@ Result<RestraintPtr> RestraintRegistry::Create(const Json& spec) const {
   if (type == nullptr || !type->is_string()) {
     return InvalidConfigError("restraint spec needs a string 'type'");
   }
-  auto it = factories_.find(type->as_string());
-  if (it == factories_.end()) {
+  auto it = types_.find(type->as_string());
+  if (it == types_.end()) {
     return InvalidConfigError("unknown restraint type '" + type->as_string() + "'");
   }
   static const Json kEmptyParams = Json::MakeObject();
   const Json* params = spec.Get("params");
   ASSIGN_OR_RETURN(RestraintPtr restraint,
-                   it->second(params != nullptr ? *params : kEmptyParams));
+                   it->second.factory(params != nullptr ? *params
+                                                         : kEmptyParams));
   const Json* negate = spec.Get("negate");
   if (negate != nullptr && negate->is_bool()) {
     restraint->set_negate(negate->as_bool());
@@ -407,11 +423,18 @@ Result<RestraintPtr> RestraintRegistry::Create(const Json& spec) const {
 
 std::vector<std::string> RestraintRegistry::TypeNames() const {
   std::vector<std::string> names;
-  names.reserve(factories_.size());
-  for (const auto& [name, factory] : factories_) {
+  names.reserve(types_.size());
+  for (const auto& [name, entry] : types_) {
     names.push_back(name);
   }
   return names;
+}
+
+const std::vector<std::string>& RestraintRegistry::ContextFields(
+    const std::string& type) const {
+  static const std::vector<std::string> kNone;
+  auto it = types_.find(type);
+  return it == types_.end() ? kNone : it->second.context_fields;
 }
 
 }  // namespace configerator

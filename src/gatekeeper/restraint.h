@@ -61,14 +61,25 @@ class RestraintRegistry {
   // Registry preloaded with all builtin restraint types.
   static const RestraintRegistry& Builtin();
 
-  void Register(const std::string& type, Factory factory);
+  // `context_fields` names the UserContext fields restraints of `type`
+  // read: the inputs provenance, semdiff and the invariant checker reason
+  // about.
+  void Register(const std::string& type, std::vector<std::string> context_fields,
+                Factory factory);
 
   Result<RestraintPtr> Create(const Json& spec) const;
 
   std::vector<std::string> TypeNames() const;
 
+  // The context fields `type` declared at registration; empty if unknown.
+  const std::vector<std::string>& ContextFields(const std::string& type) const;
+
  private:
-  std::map<std::string, Factory> factories_;
+  struct Entry {
+    std::vector<std::string> context_fields;
+    Factory factory;
+  };
+  std::map<std::string, Entry> types_;
 };
 
 }  // namespace configerator

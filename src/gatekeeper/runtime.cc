@@ -1,7 +1,5 @@
 #include "src/gatekeeper/runtime.h"
 
-#include <cstring>
-
 namespace configerator {
 
 namespace {
@@ -169,6 +167,11 @@ void GatekeeperRuntime::PublishLocked() {
 
 Status GatekeeperRuntime::LoadProject(const Json& config) {
   ASSIGN_OR_RETURN(CompiledProjectSpec spec, CompileProjectSpec(config));
+  Install(std::move(spec));
+  return OkStatus();
+}
+
+void GatekeeperRuntime::Install(CompiledProjectSpec spec) {
   std::lock_guard<std::mutex> lock(writer_mu_);
   std::string name = spec.name;
   Source source;
@@ -179,7 +182,6 @@ Status GatekeeperRuntime::LoadProject(const Json& config) {
       std::move(spec), std::vector<std::vector<size_t>>{}, nullptr);
   sources_[name] = std::move(source);
   PublishLocked();
-  return OkStatus();
 }
 
 Status GatekeeperRuntime::RemoveProject(const std::string& project) {
@@ -193,26 +195,24 @@ Status GatekeeperRuntime::RemoveProject(const std::string& project) {
 
 Status GatekeeperRuntime::ApplyConfigUpdateInternal(const std::string& path,
                                                     const std::string& json_text) {
-  if (!path.starts_with("gatekeeper/")) {
+  std::optional<std::string> project = GatekeeperProjectAt(path);
+  if (!project.has_value()) {
     return InvalidArgumentError("not a gatekeeper config path: " + path);
   }
   if (updates_counter_ != nullptr) {
     updates_counter_->Inc();
   }
   if (json_text.empty()) {
-    // Tombstone: project deleted. Derive the name from the path.
-    std::string name = path.substr(strlen("gatekeeper/"));
-    if (name.ends_with(".json")) {
-      name = name.substr(0, name.size() - 5);
-    }
+    // Tombstone: the project the path names is deleted.
     std::lock_guard<std::mutex> lock(writer_mu_);
-    if (sources_.erase(name) > 0) {
+    if (sources_.erase(*project) > 0) {
       PublishLocked();
     }
     return OkStatus();
   }
-  ASSIGN_OR_RETURN(Json config, Json::Parse(json_text));
-  return LoadProject(config);
+  ASSIGN_OR_RETURN(CompiledProjectSpec spec, CompileProjectFile(path, json_text));
+  Install(std::move(spec));
+  return OkStatus();
 }
 
 Status GatekeeperRuntime::ApplyConfigUpdate(const std::string& path,
@@ -239,10 +239,8 @@ Status GatekeeperRuntime::ApplyConfigUpdate(const std::string& path,
 void GatekeeperRuntime::Rebuild() {
   std::lock_guard<std::mutex> lock(writer_mu_);
   for (auto& [name, source] : sources_) {
-    std::vector<ProjectStats::Folded> folded = source.compiled->stats()->Fold();
     std::vector<std::vector<size_t>> orders =
-        cost_based_ordering_ ? CostBasedOrders(source.spec, folded)
-                             : DeclaredOrders(source.spec);
+        CostBasedOrders(source.spec, source.compiled->stats()->Fold());
     // Same spec, same (shared) stats block, new evaluation order: learning
     // carries across the swap because stats are indexed by declared
     // position, not by order slot.
@@ -253,23 +251,6 @@ void GatekeeperRuntime::Rebuild() {
     folds_counter_->Inc();
   }
   PublishLocked();
-}
-
-void GatekeeperRuntime::set_cost_based_ordering(bool enabled) {
-  std::lock_guard<std::mutex> lock(writer_mu_);
-  if (cost_based_ordering_ == enabled) {
-    return;
-  }
-  cost_based_ordering_ = enabled;
-  if (!enabled) {
-    // Revert every project to declared order right away (benches rely on the
-    // ablation taking effect immediately).
-    for (auto& [name, source] : sources_) {
-      source.compiled = std::make_shared<const CompiledProject>(
-          source.spec, DeclaredOrders(source.spec), source.compiled->stats());
-    }
-    PublishLocked();
-  }
 }
 
 void GatekeeperRuntime::AttachObservability(Observability* obs,

@@ -13,11 +13,14 @@
 //     published version. In-flight checks finish on the old snapshot; the
 //     old snapshot is freed when its last reader drops it. Writers serialize
 //     on a mutex; snapshot versions are strictly monotone.
-//   * Cost-based restraint reordering is an epoch job: Rebuild() folds the
-//     striped statistics and publishes a snapshot whose per-rule evaluation
-//     orders are recomputed from the fold (cheap, usually-false restraints
-//     first). Unchanged projects keep their stats blocks across swaps, so
-//     learning survives both epochs and unrelated config updates.
+//   * Cost-based restraint reordering is an epoch job, and Rebuild() is the
+//     only place an evaluation order changes: it folds the striped
+//     statistics and publishes a snapshot whose per-rule evaluation orders
+//     are recomputed from the fold (cheap, usually-false restraints first).
+//     A loaded or replaced project starts in declared order, so a runtime
+//     that never rebuilds is the declared-order ablation. Unchanged projects
+//     keep their stats blocks across swaps, so learning survives both epochs
+//     and unrelated config updates.
 //   * A hot thread caches the snapshot pointer thread-locally and
 //     revalidates it against the published version with one acquire load per
 //     check, so the steady-state hot path does no reference counting and
@@ -65,9 +68,11 @@ class GatekeeperRuntime {
   Status LoadProject(const Json& config);
   Status RemoveProject(const std::string& project);
 
-  // Hook for the distribution layer: config updates under "gatekeeper/"
-  // (path "gatekeeper/<project>.json") hot-swap the snapshot; an empty value
-  // removes the project. The traced overload parents a
+  // Hook for the distribution layer: config updates at a gatekeeper path
+  // (GatekeeperPath(project), "gatekeeper/<project>.json") hot-swap the
+  // snapshot; an empty value removes the project the path names. A config
+  // whose "project" differs from its path's is rejected and the old project
+  // kept, as for any bad update. The traced overload parents a
   // "gatekeeper.snapshot_swap" span at the commit bound to `zxid` (no-op
   // when unattached or the zxid was never traced).
   Status ApplyConfigUpdate(const std::string& path, const std::string& json_text);
@@ -79,11 +84,6 @@ class GatekeeperRuntime {
   // periodically from a maintenance thread (or between request batches);
   // never required for correctness.
   void Rebuild();
-
-  // Cost-based ordering toggle (on by default; benches ablate it). Turning
-  // it off republishes every project in declared order and makes Rebuild()
-  // keep declared order.
-  void set_cost_based_ordering(bool enabled);
 
   // --- Read path (const, thread-safe, lock-free) ----------------------------
 
@@ -133,7 +133,10 @@ class GatekeeperRuntime {
     std::shared_ptr<const CompiledProject> compiled;
   };
 
-  // Writer helpers; callers hold writer_mu_.
+  // Writer helpers. Install() and ApplyConfigUpdateInternal() take
+  // writer_mu_; callers of PublishLocked() hold it. Install() publishes
+  // `spec` in declared order with fresh stats.
+  void Install(CompiledProjectSpec spec);
   void PublishLocked();
   Status ApplyConfigUpdateInternal(const std::string& path,
                                    const std::string& json_text);
@@ -160,7 +163,6 @@ class GatekeeperRuntime {
   mutable std::mutex writer_mu_;
   std::map<std::string, Source> sources_;
   uint64_t next_version_ = 1;
-  bool cost_based_ordering_ = true;
 
   // Striped check counter (check_count() folds it). Stripe count matches
   // CountStripe() in runtime.cc.

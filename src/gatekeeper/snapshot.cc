@@ -14,6 +14,20 @@ size_t ThreadStripe() {
   return slot;
 }
 
+// Declared-order permutations (the identity), one per rule.
+std::vector<std::vector<size_t>> DeclaredOrders(const CompiledProjectSpec& spec) {
+  std::vector<std::vector<size_t>> orders;
+  orders.reserve(spec.rules.size());
+  for (const CompiledRuleSpec& rule : spec.rules) {
+    std::vector<size_t> order(rule.restraints.size());
+    for (size_t i = 0; i < order.size(); ++i) {
+      order[i] = i;
+    }
+    orders.push_back(std::move(order));
+  }
+  return orders;
+}
+
 }  // namespace
 
 ProjectStats::ProjectStats(size_t restraint_count)
@@ -104,19 +118,6 @@ CompiledProject::StatsView() const {
     view.push_back(std::move(rule_view));
   }
   return view;
-}
-
-std::vector<std::vector<size_t>> DeclaredOrders(const CompiledProjectSpec& spec) {
-  std::vector<std::vector<size_t>> orders;
-  orders.reserve(spec.rules.size());
-  for (const CompiledRuleSpec& rule : spec.rules) {
-    std::vector<size_t> order(rule.restraints.size());
-    for (size_t i = 0; i < order.size(); ++i) {
-      order[i] = i;
-    }
-    orders.push_back(std::move(order));
-  }
-  return orders;
 }
 
 std::vector<std::vector<size_t>> CostBasedOrders(

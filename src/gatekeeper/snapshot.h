@@ -100,8 +100,8 @@ class CompiledProject {
   // calling thread's stripe.
   bool Check(const UserContext& user, const LaserStore* laser) const;
 
-  // Execution-statistics view per rule, in this snapshot's evaluation order
-  // (mirrors GatekeeperProject::StatsSnapshot for the concurrent runtime).
+  // Execution-statistics view per rule, in this snapshot's evaluation order:
+  // what the runtime learned about each restraint's cost and pass rate.
   struct RestraintStatsView {
     std::string type;
     double cost = 0;
@@ -157,9 +157,6 @@ class GatekeeperSnapshot {
 // 0.5 pass rate. Stable, so ties keep declared order.
 std::vector<std::vector<size_t>> CostBasedOrders(
     const CompiledProjectSpec& spec, const std::vector<ProjectStats::Folded>& folded);
-
-// Declared-order permutations (the identity), one per rule.
-std::vector<std::vector<size_t>> DeclaredOrders(const CompiledProjectSpec& spec);
 
 }  // namespace configerator
 

@@ -5,7 +5,7 @@
 #include <set>
 
 #include "src/canary/canary.h"
-#include "src/gatekeeper/project.h"
+#include "src/gatekeeper/compile.h"
 #include "src/lang/unit_cache.h"
 #include "src/util/logging.h"
 #include "src/util/strings.h"
@@ -20,14 +20,10 @@ Sandcastle::Sandcastle(const Repository* repo, const DependencyService* deps)
   // matters: the most specific check that applies decides.
   raw_validators_.push_back(
       [](const std::string& path, const std::string& content) -> Status {
-        if (!path.starts_with("gatekeeper/") || !path.ends_with(".json")) {
+        if (!GatekeeperProjectAt(path).has_value()) {
           return OkStatus();
         }
-        ASSIGN_OR_RETURN(Json json, Json::Parse(content));
-        ASSIGN_OR_RETURN(GatekeeperProject project,
-                         GatekeeperProject::FromJson(json));
-        (void)project;
-        return OkStatus();
+        return CompileProjectFile(path, content).status();
       });
   raw_validators_.push_back(
       [](const std::string& path, const std::string& content) -> Status {
@@ -238,8 +234,7 @@ CiReport Sandcastle::RunTests(const ProposedDiff& diff) const {
     }
     bool certified = write.path.ends_with(".cconf") ||
                      write.path.ends_with(".cinc") ||
-                     (write.path.starts_with("gatekeeper/") &&
-                      write.path.ends_with(".json"));
+                     GatekeeperProjectAt(write.path).has_value();
     if (!certified || !write.content.has_value()) {
       outside_certificate = true;
     }

@@ -23,6 +23,11 @@
 // being reported, so the failure message carries a minimal reproducer, not
 // a 30-statement wall of noise.
 //
+// Both sides of that comparison run the same interpreter, so a semantic bug
+// in the interpreter itself shows in neither. A golden digest closes the
+// gap: the fresh compiler's outcome for every seeded program, folded into
+// one SHA-256, must match a committed constant.
+//
 // The mutation lane bit-flips valid programs and requires the cached and
 // fresh compilers to keep agreeing (typically on a parse diagnostic)
 // without crashing — the case the ASan/UBSan build hammers.
@@ -39,6 +44,7 @@
 #include "src/lang/unit_cache.h"
 #include "src/util/ddmin.h"
 #include "src/util/rng.h"
+#include "src/util/sha256.h"
 #include "src/util/strings.h"
 
 namespace configerator {
@@ -645,6 +651,31 @@ TEST(CslFuzz, SharedCacheMatchesFreshCompilerOnSeededPrograms) {
   // enough failing ones that error-message equality is really exercised.
   EXPECT_GT(failing_programs, kPrograms / 20);
   EXPECT_LT(failing_programs, kPrograms * 9 / 10);
+}
+
+// The fresh compiler's outcomes (JSON artifacts or the full error) for all
+// kPrograms seeded programs, folded into one SHA-256. An interpreter change
+// that alters any output or error message changes it. If the change is
+// intended, run
+//   build/tests/csl_fuzz_test --gtest_filter=CslFuzz.FreshOutcomesMatchGoldenDigest
+// and replace the constant with the digest the failure reports.
+constexpr char kGoldenDigest[] =
+    "4f11dae8eae69e5a55dfa5180a4be2c52ddf57ec54ece6cd8feb72c187f68332";
+
+TEST(CslFuzz, FreshOutcomesMatchGoldenDigest) {
+  Sha256 digest;
+  for (uint64_t seed = 1; seed <= kPrograms; ++seed) {
+    ProgGen gen(seed);
+    Outcome fresh = CompileFresh(gen.Generate().Files());
+    std::string record = fresh.status.ToString();
+    for (const std::string& artifact : fresh.artifacts) {
+      record += "\n" + artifact;
+    }
+    // Length-prefixed, so record boundaries cannot shift between programs.
+    digest.Update(StrFormat("%zu:", record.size()));
+    digest.Update(record);
+  }
+  EXPECT_EQ(digest.Finish().ToHex(), kGoldenDigest);
 }
 
 TEST(CslFuzz, MutatedSourcesNeverCrashAndMatchFreshCompiler) {

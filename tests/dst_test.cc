@@ -322,7 +322,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DstSmokeTest,
                          ::testing::Values(1, 2, 3, 5, 7));
 
 // The wide sweep: excluded from tier-1 (ctest configuration + label "chaos");
-// scripts/check.sh --chaos runs it.
+// scripts/check.sh --lane chaos runs it.
 class DstChaosSweepTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(DstChaosSweepTest, RandomChaosRunsClean) {

@@ -6,7 +6,7 @@
 //   * snapshot versions are monotone per thread;
 //   * folded statistics equal the sum of per-thread observations once the
 //     threads have quiesced.
-// Run under TSan (scripts/check.sh --tsan) to catch actual data races.
+// Run under TSan (scripts/check.sh --lane tsan) to catch actual data races.
 
 #include <gtest/gtest.h>
 

@@ -1,7 +1,8 @@
 #include <gtest/gtest.h>
 
-#include "src/gatekeeper/project.h"
+#include "src/gatekeeper/compile.h"
 #include "src/gatekeeper/runtime.h"
+#include "src/util/strings.h"
 
 namespace configerator {
 namespace {
@@ -31,6 +32,23 @@ Json ParseConfig(const std::string& text) {
 TEST(RestraintTest, RegistryListsBuiltins) {
   auto names = RestraintRegistry::Builtin().TypeNames();
   EXPECT_GE(names.size(), 18u);
+}
+
+TEST(RestraintTest, EveryBuiltinDeclaresItsContextFields) {
+  // Provenance, semdiff and the invariant checker learn what a project reads
+  // from these declarations, so a builtin that reads the context must say so.
+  const RestraintRegistry& registry = RestraintRegistry::Builtin();
+  for (const std::string& type : registry.TypeNames()) {
+    if (type == "always") {
+      EXPECT_TRUE(registry.ContextFields(type).empty());
+      continue;
+    }
+    EXPECT_FALSE(registry.ContextFields(type).empty())
+        << "builtin restraint '" << type << "' declares no context fields";
+  }
+  EXPECT_EQ(registry.ContextFields("laser"),
+            std::vector<std::string>{"user_id"});
+  EXPECT_TRUE(registry.ContextFields("no_such_restraint").empty());
 }
 
 TEST(RestraintTest, Employee) {
@@ -198,19 +216,19 @@ constexpr char kProjectX[] = R"({
 })";
 
 TEST(ProjectTest, EmployeesAlwaysPass) {
-  auto project = GatekeeperProject::FromJson(ParseConfig(kProjectX));
-  ASSERT_TRUE(project.ok()) << project.status();
+  GatekeeperRuntime runtime;
+  ASSERT_TRUE(runtime.LoadProject(ParseConfig(kProjectX)).ok());
   UserContext employee = MakeUser(5);
   employee.is_employee = true;
-  EXPECT_TRUE(project->Check(employee, nullptr));
+  EXPECT_TRUE(runtime.Check("ProjectX", employee));
 }
 
 TEST(ProjectTest, SamplingApproximatesProbability) {
-  auto project = GatekeeperProject::FromJson(ParseConfig(kProjectX));
-  ASSERT_TRUE(project.ok());
+  GatekeeperRuntime runtime;
+  ASSERT_TRUE(runtime.LoadProject(ParseConfig(kProjectX)).ok());
   int passed = 0;
   for (int64_t id = 0; id < 20'000; ++id) {
-    if (project->Check(MakeUser(id), nullptr)) {
+    if (runtime.Check("ProjectX", MakeUser(id))) {
       ++passed;
     }
   }
@@ -218,92 +236,105 @@ TEST(ProjectTest, SamplingApproximatesProbability) {
 }
 
 TEST(ProjectTest, SamplingIsStickyPerUser) {
-  auto project = GatekeeperProject::FromJson(ParseConfig(kProjectX));
-  ASSERT_TRUE(project.ok());
+  // The die is per (project, user): neither repeated checks nor a Rebuild()
+  // into a new evaluation order flips a user's outcome.
+  GatekeeperRuntime runtime;
+  ASSERT_TRUE(runtime.LoadProject(ParseConfig(kProjectX)).ok());
   for (int64_t id = 100; id < 200; ++id) {
     UserContext user = MakeUser(id);
-    bool first = project->Check(user, nullptr);
+    bool first = runtime.Check("ProjectX", user);
     for (int i = 0; i < 5; ++i) {
-      EXPECT_EQ(project->Check(user, nullptr), first);
+      runtime.Rebuild();
+      EXPECT_EQ(runtime.Check("ProjectX", user), first);
     }
   }
 }
 
 TEST(ProjectTest, NonMatchingUsersFail) {
-  auto project = GatekeeperProject::FromJson(ParseConfig(kProjectX));
-  ASSERT_TRUE(project.ok());
+  GatekeeperRuntime runtime;
+  ASSERT_TRUE(runtime.LoadProject(ParseConfig(kProjectX)).ok());
   UserContext user = MakeUser(7);
   user.country = "BR";  // Fails rule 2's country restraint.
-  EXPECT_FALSE(project->Check(user, nullptr));
+  EXPECT_FALSE(runtime.Check("ProjectX", user));
 }
 
 TEST(ProjectTest, RuleOrderMatters) {
   // A user matching rule 1 (employees, 100%) never falls through to rule 2.
-  auto project = GatekeeperProject::FromJson(ParseConfig(kProjectX));
-  ASSERT_TRUE(project.ok());
+  GatekeeperRuntime runtime;
+  ASSERT_TRUE(runtime.LoadProject(ParseConfig(kProjectX)).ok());
   UserContext employee = MakeUser(123456);
   employee.is_employee = true;
   employee.country = "DE";  // Would fail rule 2.
-  EXPECT_TRUE(project->Check(employee, nullptr));
+  EXPECT_TRUE(runtime.Check("ProjectX", employee));
+  runtime.Rebuild();  // Reordering restraints never reorders rules.
+  EXPECT_TRUE(runtime.Check("ProjectX", employee));
 }
 
-TEST(ProjectTest, CostBasedOrderingPreservesSemantics) {
-  auto with = GatekeeperProject::FromJson(ParseConfig(kProjectX));
-  auto without = GatekeeperProject::FromJson(ParseConfig(kProjectX));
-  ASSERT_TRUE(with.ok());
-  ASSERT_TRUE(without.ok());
-  with->set_cost_based_ordering(true);
-  without->set_cost_based_ordering(false);
-  // Run enough checks to trigger several reorder intervals, then compare.
-  for (int64_t id = 0; id < 5000; ++id) {
-    UserContext user = MakeUser(id);
-    user.is_employee = id % 7 == 0;
-    user.country = id % 3 == 0 ? "US" : "BR";
-    EXPECT_EQ(with->Check(user, nullptr), without->Check(user, nullptr))
-        << "id=" << id;
-  }
-}
-
-TEST(ProjectTest, CostBasedOrderingLearnsToFrontLoadCheapRestraints) {
+TEST(ProjectTest, RebuildFrontLoadsCheapUsuallyFalseRestraints) {
   // An expensive laser() first in config order, a cheap, usually-false
-  // country restraint second: after training, the optimizer must evaluate
-  // the country restraint first.
+  // country restraint second: checks alone keep declared order; Rebuild()
+  // folds what they observed and moves the country restraint first.
   LaserStore laser;
-  auto project = GatekeeperProject::FromJson(ParseConfig(R"({
+  for (int64_t id = 0; id < 5000; ++id) {
+    laser.Put("T-" + std::to_string(id), 1.0);  // laser() passes.
+  }
+  GatekeeperRuntime runtime(&laser);
+  ASSERT_TRUE(runtime
+                  .LoadProject(ParseConfig(R"({
     "project": "LaserFirst",
     "rules": [{"restraints": [
       {"type": "laser", "params": {"project": "T", "threshold": 0.5}},
       {"type": "country", "params": {"countries": ["JP"]}}],
       "pass_probability": 1.0}]
-  })"));
-  ASSERT_TRUE(project.ok());
+  })"))
+                  .ok());
+  auto check_all = [&runtime] {
+    for (int64_t id = 0; id < 5000; ++id) {
+      (void)runtime.Check("LaserFirst", MakeUser(id));  // US: country fails.
+    }
+  };
 
-  auto initial = project->StatsSnapshot();
-  ASSERT_EQ(initial.size(), 1u);
-  EXPECT_EQ(initial[0][0].type, "laser");  // Config order before training.
+  check_all();
+  auto untrained = runtime.StatsSnapshot("LaserFirst");
+  ASSERT_EQ(untrained.size(), 1u);
+  EXPECT_EQ(untrained[0][0].type, "laser");  // No Rebuild(): declared order.
+  EXPECT_EQ(untrained[0][1].evals, 5000u);
 
-  for (int64_t id = 0; id < 5000; ++id) {
-    (void)project->Check(MakeUser(id), &laser);  // Users are US: country=false.
-  }
-  auto trained = project->StatsSnapshot();
+  runtime.Rebuild();
+  auto trained = runtime.StatsSnapshot("LaserFirst");
   EXPECT_EQ(trained[0][0].type, "country");  // Cheap short-circuit first.
-  EXPECT_GT(trained[0][0].evals, 0u);
+  EXPECT_EQ(trained[0][0].evals, 5000u);     // Stats survive the rebuild.
   EXPECT_DOUBLE_EQ(trained[0][0].pass_rate(), 0.0);
+
   // Once reordered, the laser restraint stops being evaluated at all.
-  EXPECT_LT(trained[0][1].evals, 5000u);
+  check_all();
+  auto after = runtime.StatsSnapshot("LaserFirst");
+  EXPECT_EQ(after[0][0].evals, 10000u);
+  EXPECT_EQ(after[0][1].type, "laser");
+  EXPECT_EQ(after[0][1].evals, 5000u);
 }
 
 TEST(ProjectTest, MalformedProjectsRejected) {
-  EXPECT_FALSE(GatekeeperProject::FromJson(ParseConfig(R"({"rules": []})")).ok());
-  EXPECT_FALSE(
-      GatekeeperProject::FromJson(ParseConfig(R"({"project": "X"})")).ok());
-  EXPECT_FALSE(GatekeeperProject::FromJson(ParseConfig(
-                   R"({"project": "X", "rules": [{"restraints": []}]})"))
+  GatekeeperRuntime runtime;
+  EXPECT_FALSE(runtime.LoadProject(ParseConfig(R"({"rules": []})")).ok());
+  EXPECT_FALSE(runtime.LoadProject(ParseConfig(R"({"project": "X"})")).ok());
+  EXPECT_FALSE(runtime
+                   .LoadProject(ParseConfig(
+                       R"({"project": "X", "rules": [{"restraints": []}]})"))
                    .ok());
-  EXPECT_FALSE(GatekeeperProject::FromJson(ParseConfig(
-                   R"({"project": "X",
-                       "rules": [{"restraints": [], "pass_probability": 1.5}]})"))
+  EXPECT_FALSE(runtime
+                   .LoadProject(ParseConfig(
+                       R"({"project": "X",
+                           "rules": [{"restraints": [], "pass_probability": 1.5}]})"))
                    .ok());
+  EXPECT_EQ(runtime.project_count(), 0u);
+}
+
+TEST(ProjectTest, PathConventionRoundTrips) {
+  EXPECT_EQ(GatekeeperPath("ProjectX"), "gatekeeper/ProjectX.json");
+  EXPECT_EQ(GatekeeperProjectAt("gatekeeper/ProjectX.json"), "ProjectX");
+  EXPECT_EQ(GatekeeperProjectAt("sitevars/ProjectX.json"), std::nullopt);
+  EXPECT_EQ(GatekeeperProjectAt("gatekeeper/ProjectX.cconf"), std::nullopt);
 }
 
 // ---- Runtime ------------------------------------------------------------------
@@ -363,6 +394,25 @@ TEST(RuntimeTest, BadConfigUpdateRejectedAndOldKept) {
   EXPECT_FALSE(
       runtime.ApplyConfigUpdate("gatekeeper/ProjectX.json", "{not json").ok());
   EXPECT_TRUE(runtime.HasProject("ProjectX"));  // Old config still live.
+}
+
+TEST(RuntimeTest, ProjectNamedOffItsPathRejected) {
+  // gatekeeper/A.json declaring project "B" would load as B, and the file's
+  // tombstone (which names A) would then leave B live after A.json is gone.
+  auto project = [](const char* name) {
+    return StrFormat(R"({"project": "%s", "rules": [
+        {"restraints": [], "pass_probability": 1.0}]})",
+                     name);
+  };
+  GatekeeperRuntime runtime;
+  ASSERT_TRUE(runtime.ApplyConfigUpdate("gatekeeper/A.json", project("A")).ok());
+  EXPECT_FALSE(runtime.ApplyConfigUpdate("gatekeeper/A.json", project("B")).ok());
+  EXPECT_TRUE(runtime.HasProject("A"));  // Old config still live.
+  EXPECT_FALSE(runtime.HasProject("B"));
+
+  ASSERT_TRUE(runtime.ApplyConfigUpdate("gatekeeper/A.json", "").ok());
+  EXPECT_EQ(runtime.project_count(), 0u);
+  EXPECT_FALSE(runtime.Check("B", MakeUser(1)));
 }
 
 TEST(RuntimeTest, LaserWiredThrough) {

@@ -401,6 +401,32 @@ TEST_F(InvariantCheckerTest, GateContextFlagsDisallowedFields) {
   EXPECT_EQ(report.diagnostics[0].rule_id, "I006");
 }
 
+TEST_F(InvariantCheckerTest, GateContextSeesTheUserIdALaserRestraintReads) {
+  // laser() builds its store key from the user id, so a laser-only project
+  // consults user_id: allowing only "country" must not prove the invariant.
+  sources_.Put("gk/roll.json",
+               R"({"project": "roll", "rules": [
+                 {"restraints": [
+                    {"type": "laser",
+                     "params": {"project": "Trend", "threshold": 0.5}}],
+                  "pass_probability": 1.0}]})");
+  InvariantReport report = Check(R"({"invariants": [
+    {"name": "roll-fields", "kind": "gate_context",
+     "project": "gk/roll.json", "allowed_fields": ["country"]},
+    {"name": "roll-fields-uid", "kind": "gate_context",
+     "project": "gk/roll.json", "allowed_fields": ["user_id"]}]})");
+  const InvariantOutcome* narrow = FindOutcome(report, "roll-fields");
+  ASSERT_NE(narrow, nullptr);
+  EXPECT_EQ(narrow->status, InvariantStatus::kViolated);
+  ASSERT_EQ(narrow->witness.valuation.size(), 1u);
+  EXPECT_NE(narrow->witness.valuation[0].first.find("laser"),
+            std::string::npos);
+  EXPECT_NE(narrow->witness.valuation[0].second.find("user_id"),
+            std::string::npos);
+  EXPECT_EQ(FindOutcome(report, "roll-fields-uid")->status,
+            InvariantStatus::kProven);
+}
+
 // ---- Checker: scope activation ----------------------------------------------
 
 TEST_F(InvariantCheckerTest, ScopeActivatesByReferencedConfig) {

@@ -375,6 +375,21 @@ TEST_F(SandcastleTest, GatekeeperProjectConfigsValidated) {
   EXPECT_TRUE(ci.RunTests(good).passed);
 }
 
+TEST_F(SandcastleTest, GatekeeperProjectMustLiveAtItsPath) {
+  // gatekeeper/A.json declaring project "B" would serve as B, and deleting
+  // the file would tombstone A: B would outlive its file.
+  Sandcastle ci(&repo_, &deps_);
+  ProposedDiff misnamed = MakeProposedDiff(
+      repo_, "tool", "m",
+      {{"gatekeeper/A.json",
+        R"({"project": "B", "rules": [{"restraints":
+            [{"type": "employee"}], "pass_probability": 1.0}]})"}});
+  CiReport report = ci.RunTests(misnamed);
+  EXPECT_FALSE(report.passed);
+  ASSERT_EQ(report.failures.size(), 1u);
+  EXPECT_NE(report.failures[0].find("gatekeeper/B.json"), std::string::npos);
+}
+
 TEST_F(SandcastleTest, CanarySpecConfigsValidated) {
   Sandcastle ci(&repo_, &deps_);
   ProposedDiff bad = MakeProposedDiff(

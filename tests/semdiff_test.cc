@@ -2,7 +2,7 @@
 // (no-op / value-delta / control-shift / type-change), the provenance graph
 // (nodes, reverse edges, line attribution), the graph gating rules
 // G007–G010, diff-hunk -> symbol attribution, byte-stable determinism, a
-// 20-commit scripted sequence (what scripts/check.sh --semdiff drives), and
+// 20-commit scripted sequence (part of the semdiff lane), and
 // the acceptance scenario: a latent control shift in an UNTOUCHED dependent
 // is classified (not no-op) and the landing is blocked by a G-rule error.
 
@@ -162,18 +162,6 @@ TEST(ProvenanceGraphTest, G010FlagsShadowedImport) {
   EXPECT_EQ(g010->file, "entry.cconf");
   EXPECT_EQ(g010->line, 2);
   EXPECT_NE(g010->message.find("TIMEOUT"), std::string::npos);
-}
-
-TEST(ProvenanceGraphTest, ContextFieldTableCoversBuiltinTypes) {
-  // Every builtin restraint type must resolve to its context fields (or be
-  // a known field-free type) so control-shift detection sees field changes.
-  for (const std::string& type : RestraintRegistry::Builtin().TypeNames()) {
-    if (type == "always" || type == "laser") {
-      continue;  // No user-context field reads ("laser" uses pseudo-deps).
-    }
-    EXPECT_FALSE(ContextFieldsForRestraint(type).empty())
-        << "no context fields mapped for builtin restraint '" << type << "'";
-  }
 }
 
 // ---- Semantic diff: 4-way classification ------------------------------------
@@ -557,12 +545,12 @@ TEST(SemdiffDeterminismTest, MessageOrdersBeforeRuleIdOnColumnTie) {
   EXPECT_EQ(diags[1].rule_id, "G007");
 }
 
-// ---- Scripted 20-commit sequence (check.sh --semdiff drives this) -----------
+// ---- Scripted 20-commit sequence (the semdiff lane runs this) ---------------
 
 TEST(SemdiffScriptedSequenceTest, TwentyCommitClassifications) {
   // A scripted history over one small repo: each step edits the tree and
   // states the expected classification of its probe symbol. This is the
-  // smoke sequence scripts/check.sh --semdiff asserts on.
+  // smoke sequence the semdiff lane asserts on.
   struct Step {
     const char* lib;            // Content of lib.cinc after the commit.
     ImpactKind expected;        // Classification of lib.cinc:TUNABLE.

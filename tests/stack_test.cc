@@ -213,7 +213,7 @@ TEST_F(StackTest, MutatorGatekeeperRollout) {
 
   // Bump rule 1 from 1% to 10%.
   ASSERT_TRUE(mutator.SetRolloutFraction("NewFeed", 1, 0.10, "expand").ok());
-  auto content = stack_.repo().ReadFile(Mutator::GatekeeperPath("NewFeed"));
+  auto content = stack_.repo().ReadFile(GatekeeperPath("NewFeed"));
   ASSERT_TRUE(content.ok());
   auto parsed = Json::Parse(*content);
   ASSERT_TRUE(parsed.ok());
