@@ -31,8 +31,8 @@ void GitTailer::Poll() {
           continue;
         }
         std::string value;
-        if (delta.kind != FileDelta::Kind::kDeleted) {
-          auto content = repo_->ReadFileAt(*head, delta.path);
+        if (delta.new_blob.has_value()) {
+          auto content = repo_->store().GetBlob(*delta.new_blob);
           if (!content.ok()) {
             CLOG(Warning) << "tailer: cannot read " << delta.path << ": "
                           << content.status();

@@ -1,21 +1,6 @@
 #include "src/pipeline/landing_strip.h"
 
-#include "src/util/sha256.h"
-
 namespace configerator {
-
-namespace {
-
-// Blob id a path would have for `content` — matches ObjectStore::PutBlob.
-ObjectId BlobIdFor(const std::string& content) {
-  Sha256 hasher;
-  hasher.Update("blob");
-  hasher.Update("\0", 1);
-  hasher.Update(content);
-  return hasher.Finish();
-}
-
-}  // namespace
 
 ProposedDiff MakeProposedDiff(const Repository& repo, std::string author,
                               std::string message, std::vector<FileWrite> writes,
@@ -25,12 +10,7 @@ ProposedDiff MakeProposedDiff(const Repository& repo, std::string author,
   diff.message = std::move(message);
   diff.timestamp_ms = timestamp_ms;
   for (const FileWrite& write : writes) {
-    auto content = repo.ReadFile(write.path);
-    if (content.ok()) {
-      diff.base[write.path] = BlobIdFor(*content);
-    } else {
-      diff.base[write.path] = std::nullopt;
-    }
+    diff.base[write.path] = repo.HeadBlobId(write.path);
   }
   diff.writes = std::move(writes);
   return diff;
@@ -43,14 +23,7 @@ Result<ObjectId> LandingStrip::Land(const ProposedDiff& diff,
   // version. Changes to *other* files never force a rebase — that is the
   // whole point of the landing strip.
   for (const auto& [path, base_id] : diff.base) {
-    auto head_content = repo_->ReadFile(path);
-    std::optional<ObjectId> head_id;
-    if (head_content.ok()) {
-      head_id = BlobIdFor(*head_content);
-    } else if (head_content.status().code() != StatusCode::kNotFound) {
-      return head_content.status();
-    }
-    if (head_id != base_id) {
+    if (repo_->HeadBlobId(path) != base_id) {
       ++conflicts_;
       if (conflicts_counter_ != nullptr) {
         conflicts_counter_->Inc();

@@ -7,44 +7,60 @@
 
 namespace configerator {
 
+namespace {
+
+// A file's text on one side of a delta; the side it is absent from reads as
+// empty, so an added or deleted file diffs against nothing.
+Result<std::string> ReadSide(const Repository& repo,
+                             const std::optional<ObjectId>& blob) {
+  if (!blob.has_value()) {
+    return std::string();
+  }
+  return repo.store().GetBlob(*blob);
+}
+
+}  // namespace
+
 Status RiskAdvisor::IndexHistory(const Repository& repo) {
-  if (repo.head() == last_indexed_) {
-    return OkStatus();  // Already current.
-  }
-  ASSIGN_OR_RETURN(std::vector<ObjectId> log,
-                   repo.Log(options_.max_history_commits));
-  // Keep only commits newer than the last indexed head, oldest first.
-  std::vector<ObjectId> fresh;
-  for (const ObjectId& commit_id : log) {
-    if (last_indexed_.has_value() && commit_id == *last_indexed_) {
-      break;
+  // First parents from head back to the last indexed commit, at most
+  // max_history_commits of them.
+  std::vector<std::pair<ObjectId, CommitObject>> fresh;
+  std::optional<ObjectId> id = repo.head();
+  while (id.has_value() && id != last_indexed_ &&
+         fresh.size() < options_.max_history_commits) {
+    ASSIGN_OR_RETURN(CommitObject commit, repo.GetCommit(*id));
+    std::optional<ObjectId> parent;
+    if (!commit.parents.empty()) {
+      parent = commit.parents.front();
     }
-    fresh.push_back(commit_id);
+    fresh.emplace_back(*id, std::move(commit));
+    id = parent;
   }
-  std::reverse(fresh.begin(), fresh.end());
-  std::optional<ObjectId> previous = last_indexed_;
-  for (const ObjectId& commit_id : fresh) {
-    ASSIGN_OR_RETURN(CommitObject commit, repo.GetCommit(commit_id));
+  // Oldest first. Each commit's blobs are all read before the index changes,
+  // so a failed read leaves it complete up to the previous commit.
+  for (auto it = fresh.rbegin(); it != fresh.rend(); ++it) {
+    const auto& [commit_id, commit] = *it;
     ASSIGN_OR_RETURN(std::vector<FileDelta> deltas,
-                     repo.DiffCommits(previous, commit_id));
+                     repo.DiffCommits(last_indexed_, commit_id));
+    std::vector<size_t> changed_lines;
+    changed_lines.reserve(deltas.size());
     for (const FileDelta& delta : deltas) {
-      PathHistory& entry = history_[delta.path];
+      ASSIGN_OR_RETURN(std::string old_text, ReadSide(repo, delta.old_blob));
+      ASSIGN_OR_RETURN(std::string new_text, ReadSide(repo, delta.new_blob));
+      changed_lines.push_back(DiffLines(old_text, new_text).changed_lines());
+    }
+    for (size_t i = 0; i < deltas.size(); ++i) {
+      PathHistory& entry = history_[deltas[i].path];
       entry.update_times_ms.push_back(commit.timestamp_ms);
       entry.authors.insert(commit.author);
-      // Change size: line diff of this path across the commit.
-      auto line_diff = repo.DiffFile(previous, commit_id, delta.path);
-      if (line_diff.ok()) {
-        double lines = static_cast<double>(line_diff->changed_lines());
-        entry.mean_change_lines =
-            (entry.mean_change_lines * static_cast<double>(entry.change_count) +
-             lines) /
-            static_cast<double>(entry.change_count + 1);
-        ++entry.change_count;
-      }
+      entry.mean_change_lines =
+          (entry.mean_change_lines * static_cast<double>(entry.change_count) +
+           static_cast<double>(changed_lines[i])) /
+          static_cast<double>(entry.change_count + 1);
+      ++entry.change_count;
     }
-    previous = commit_id;
+    last_indexed_ = commit_id;
   }
-  last_indexed_ = repo.head();
   return OkStatus();
 }
 

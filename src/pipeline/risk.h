@@ -50,9 +50,12 @@ class RiskAdvisor {
   explicit RiskAdvisor(Options options) : options_(options) {}
   RiskAdvisor() : RiskAdvisor(Options{}) {}
 
-  // Builds (or incrementally extends) the history index from the repository
-  // log: only commits newer than the last indexed head are walked, so
-  // calling this per-proposal stays O(new commits), not O(history).
+  // Builds (or incrementally extends) the history index: follows first
+  // parents from head back to the last indexed commit (at most
+  // max_history_commits of them) and line-diffs each changed file's blobs,
+  // read by id from the deltas. A call costs O(files changed since the last
+  // one), not O(history) or O(directory size). A blob that cannot be read
+  // fails the call; the index then stays complete up to the commit before.
   Status IndexHistory(const Repository& repo);
 
   // Scores a proposed diff. `deps` may be null (skips the fan-in signal).

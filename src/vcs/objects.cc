@@ -18,6 +18,14 @@ const char* KindTag(ObjectKind kind) {
   return "?";
 }
 
+ObjectId HashObject(ObjectKind kind, std::string_view encoded) {
+  Sha256 hasher;
+  hasher.Update(KindTag(kind));
+  hasher.Update("\0", 1);
+  hasher.Update(encoded);
+  return hasher.Finish();
+}
+
 }  // namespace
 
 std::string TreeObject::Encode() const {
@@ -33,29 +41,6 @@ std::string TreeObject::Encode() const {
     out += '\n';
   }
   return out;
-}
-
-Result<TreeObject> TreeObject::Decode(std::string_view data) {
-  TreeObject tree;
-  for (const std::string& line : SplitLines(data)) {
-    if (line.size() < 3 + 64) {
-      return CorruptionError("malformed tree entry: " + line);
-    }
-    Entry entry;
-    entry.is_tree = line[0] == 't';
-    if (line[0] != 't' && line[0] != 'b') {
-      return CorruptionError("malformed tree entry kind");
-    }
-    if (!Sha256Digest::FromHex(std::string_view(line).substr(2, 64), &entry.id)) {
-      return CorruptionError("malformed tree entry id");
-    }
-    std::string name = line.substr(2 + 64 + 1);
-    if (name.empty()) {
-      return CorruptionError("empty tree entry name");
-    }
-    tree.entries.emplace(std::move(name), entry);
-  }
-  return tree;
 }
 
 std::string CommitObject::Encode() const {
@@ -111,15 +96,10 @@ Result<CommitObject> CommitObject::Decode(std::string_view data) {
   return CorruptionError("malformed commit: truncated");
 }
 
-ObjectId ObjectStore::Put(ObjectKind kind, std::string data) {
-  Sha256 hasher;
-  hasher.Update(KindTag(kind));
-  hasher.Update("\0", 1);
-  hasher.Update(data);
-  ObjectId id = hasher.Finish();
-  auto [it, inserted] = objects_.try_emplace(id, Stored{kind, std::move(data)});
-  if (inserted) {
-    total_bytes_ += it->second.data.size();
+ObjectId ObjectStore::Insert(const ObjectId& id, size_t encoded_bytes,
+                             Stored stored) {
+  if (objects_.try_emplace(id, std::move(stored)).second) {
+    total_bytes_ += encoded_bytes;
   }
   return id;
 }
@@ -139,15 +119,22 @@ Result<const ObjectStore::Stored*> ObjectStore::Get(const ObjectId& id,
 }
 
 ObjectId ObjectStore::PutBlob(std::string data) {
-  return Put(ObjectKind::kBlob, std::move(data));
+  ObjectId id = HashObject(ObjectKind::kBlob, data);
+  size_t bytes = data.size();
+  return Insert(id, bytes, Stored{ObjectKind::kBlob, std::move(data), {}});
 }
 
-ObjectId ObjectStore::PutTree(const TreeObject& tree) {
-  return Put(ObjectKind::kTree, tree.Encode());
+ObjectId ObjectStore::PutTree(TreeObject tree) {
+  std::string encoded = tree.Encode();
+  return Insert(HashObject(ObjectKind::kTree, encoded), encoded.size(),
+                Stored{ObjectKind::kTree, {}, std::move(tree)});
 }
 
 ObjectId ObjectStore::PutCommit(const CommitObject& commit) {
-  return Put(ObjectKind::kCommit, commit.Encode());
+  std::string encoded = commit.Encode();
+  ObjectId id = HashObject(ObjectKind::kCommit, encoded);
+  size_t bytes = encoded.size();
+  return Insert(id, bytes, Stored{ObjectKind::kCommit, std::move(encoded), {}});
 }
 
 Result<std::string> ObjectStore::GetBlob(const ObjectId& id) const {
@@ -155,9 +142,9 @@ Result<std::string> ObjectStore::GetBlob(const ObjectId& id) const {
   return stored->data;
 }
 
-Result<TreeObject> ObjectStore::GetTree(const ObjectId& id) const {
+Result<const TreeObject*> ObjectStore::GetTree(const ObjectId& id) const {
   ASSIGN_OR_RETURN(const Stored* stored, Get(id, ObjectKind::kTree));
-  return TreeObject::Decode(stored->data);
+  return &stored->tree;
 }
 
 Result<CommitObject> ObjectStore::GetCommit(const ObjectId& id) const {

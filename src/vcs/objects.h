@@ -25,7 +25,8 @@ using ObjectId = Sha256Digest;
 enum class ObjectKind { kBlob, kTree, kCommit };
 
 // A directory: name -> (object id, is_tree). Names within a tree are unique
-// and sorted (std::map), making tree encoding canonical.
+// and sorted (std::map), making tree encoding canonical. The store keeps
+// trees parsed; the encoding exists only to be hashed into the tree's id.
 struct TreeObject {
   struct Entry {
     ObjectId id;
@@ -36,7 +37,6 @@ struct TreeObject {
   std::map<std::string, Entry> entries;
 
   std::string Encode() const;
-  static Result<TreeObject> Decode(std::string_view data);
 };
 
 struct CommitObject {
@@ -51,16 +51,19 @@ struct CommitObject {
 };
 
 // In-memory content-addressed store. Objects are immutable once inserted.
+// Blobs and commits are kept as their canonical bytes, trees as parsed
+// TreeObjects, so reading history never re-parses a directory.
 class ObjectStore {
  public:
-  // Stores `data` under its content hash (prefixed with the kind) and
-  // returns the id. Idempotent.
+  // Stores the object under the content hash of its canonical encoding
+  // (prefixed with the kind) and returns the id. Idempotent.
   ObjectId PutBlob(std::string data);
-  ObjectId PutTree(const TreeObject& tree);
+  ObjectId PutTree(TreeObject tree);
   ObjectId PutCommit(const CommitObject& commit);
 
   Result<std::string> GetBlob(const ObjectId& id) const;
-  Result<TreeObject> GetTree(const ObjectId& id) const;
+  // The pointer stays valid for the store's lifetime.
+  Result<const TreeObject*> GetTree(const ObjectId& id) const;
   Result<CommitObject> GetCommit(const ObjectId& id) const;
 
   bool Contains(const ObjectId& id) const { return objects_.count(id) > 0; }
@@ -71,10 +74,12 @@ class ObjectStore {
  private:
   struct Stored {
     ObjectKind kind;
-    std::string data;
+    std::string data;  // A blob's or commit's canonical bytes.
+    TreeObject tree;   // A tree's entries.
   };
 
-  ObjectId Put(ObjectKind kind, std::string data);
+  // Inserts `stored` under `id` unless present, charging `encoded_bytes`.
+  ObjectId Insert(const ObjectId& id, size_t encoded_bytes, Stored stored);
   Result<const Stored*> Get(const ObjectId& id, ObjectKind expected) const;
 
   std::unordered_map<ObjectId, Stored> objects_;

@@ -1,5 +1,7 @@
 #include "src/vcs/repository.h"
 
+#include <algorithm>
+
 #include "src/util/rng.h"
 #include "src/util/strings.h"
 
@@ -16,6 +18,12 @@ Status Repository::ValidatePath(const std::string& path) {
   }
   if (path.find("//") != std::string::npos) {
     return InvalidArgumentError("path contains empty segment: '" + path + "'");
+  }
+  size_t segments =
+      1 + static_cast<size_t>(std::count(path.begin(), path.end(), '/'));
+  if (segments > kMaxPathSegments) {
+    return InvalidArgumentError(StrFormat(
+        "path has %zu segments; the limit is %zu", segments, kMaxPathSegments));
   }
   return OkStatus();
 }
@@ -152,7 +160,7 @@ ObjectId Repository::FlushTree(DirNode* node) {
   for (const auto& [name, blob_id] : node->files) {
     tree.entries[name] = TreeObject::Entry{blob_id, /*is_tree=*/false};
   }
-  node->id = store_.PutTree(tree);
+  node->id = store_.PutTree(std::move(tree));
   node->dirty = false;
   return node->id;
 }
@@ -187,6 +195,14 @@ Result<std::string> Repository::ReadFile(const std::string& path) const {
   return store_.GetBlob(it->second);
 }
 
+std::optional<ObjectId> Repository::HeadBlobId(const std::string& path) const {
+  auto it = manifest_.find(path);
+  if (it == manifest_.end()) {
+    return std::nullopt;
+  }
+  return it->second;
+}
+
 std::vector<std::string> Repository::ListFiles() const {
   std::vector<std::string> paths;
   paths.reserve(manifest_.size());
@@ -218,9 +234,9 @@ Result<std::string> Repository::ReadFileAt(const ObjectId& commit_id,
   std::vector<std::string> segments = StrSplit(path, '/');
   ObjectId current = commit.tree;
   for (size_t i = 0; i < segments.size(); ++i) {
-    ASSIGN_OR_RETURN(TreeObject tree, store_.GetTree(current));
-    auto it = tree.entries.find(segments[i]);
-    if (it == tree.entries.end()) {
+    ASSIGN_OR_RETURN(const TreeObject* tree, store_.GetTree(current));
+    auto it = tree->entries.find(segments[i]);
+    if (it == tree->entries.end()) {
       return NotFoundError(StrFormat("no file '%s' in commit %s", path.c_str(),
                                      commit_id.ShortHex().c_str()));
     }
@@ -253,30 +269,16 @@ Result<std::vector<ObjectId>> Repository::Log(size_t limit) const {
   return out;
 }
 
-Status Repository::CollectTreeFiles(const ObjectId& tree_id,
-                                    const std::string& prefix,
-                                    std::map<std::string, ObjectId>* out) const {
-  ASSIGN_OR_RETURN(TreeObject tree, store_.GetTree(tree_id));
-  for (const auto& [name, entry] : tree.entries) {
-    std::string path = prefix.empty() ? name : prefix + "/" + name;
-    if (entry.is_tree) {
-      RETURN_IF_ERROR(CollectTreeFiles(entry.id, path, out));
-    } else {
-      (*out)[path] = entry.id;
-    }
-  }
-  return OkStatus();
-}
-
 Status Repository::DiffTrees(const std::optional<ObjectId>& old_tree,
                              const std::optional<ObjectId>& new_tree,
                              const std::string& prefix,
                              std::vector<FileDelta>* out) const {
-  if (old_tree.has_value() && new_tree.has_value() && *old_tree == *new_tree) {
+  if (old_tree == new_tree) {
     return OkStatus();  // Identical subtrees: skip, the content-address wins.
   }
-  TreeObject old_obj;
-  TreeObject new_obj;
+  const TreeObject empty{};
+  const TreeObject* old_obj = &empty;
+  const TreeObject* new_obj = &empty;
   if (old_tree.has_value()) {
     ASSIGN_OR_RETURN(old_obj, store_.GetTree(*old_tree));
   }
@@ -284,8 +286,8 @@ Status Repository::DiffTrees(const std::optional<ObjectId>& old_tree,
     ASSIGN_OR_RETURN(new_obj, store_.GetTree(*new_tree));
   }
 
-  auto old_it = old_obj.entries.begin();
-  auto new_it = new_obj.entries.begin();
+  auto old_it = old_obj->entries.begin();
+  auto new_it = new_obj->entries.begin();
   auto emit_side = [&](const std::string& name, const TreeObject::Entry& entry,
                        bool is_old) -> Status {
     std::string path = prefix.empty() ? name : prefix + "/" + name;
@@ -294,19 +296,22 @@ Status Repository::DiffTrees(const std::optional<ObjectId>& old_tree,
                        is_old ? std::nullopt : std::optional<ObjectId>(entry.id),
                        path, out);
     }
-    out->push_back(
-        {path, is_old ? FileDelta::Kind::kDeleted : FileDelta::Kind::kAdded});
+    if (is_old) {
+      out->push_back({path, FileDelta::Kind::kDeleted, entry.id, std::nullopt});
+    } else {
+      out->push_back({path, FileDelta::Kind::kAdded, std::nullopt, entry.id});
+    }
     return OkStatus();
   };
 
-  while (old_it != old_obj.entries.end() || new_it != new_obj.entries.end()) {
-    if (new_it == new_obj.entries.end() ||
-        (old_it != old_obj.entries.end() && old_it->first < new_it->first)) {
+  while (old_it != old_obj->entries.end() || new_it != new_obj->entries.end()) {
+    if (new_it == new_obj->entries.end() ||
+        (old_it != old_obj->entries.end() && old_it->first < new_it->first)) {
       RETURN_IF_ERROR(emit_side(old_it->first, old_it->second, /*is_old=*/true));
       ++old_it;
       continue;
     }
-    if (old_it == old_obj.entries.end() || new_it->first < old_it->first) {
+    if (old_it == old_obj->entries.end() || new_it->first < old_it->first) {
       RETURN_IF_ERROR(emit_side(new_it->first, new_it->second, /*is_old=*/false));
       ++new_it;
       continue;
@@ -320,7 +325,7 @@ Status Repository::DiffTrees(const std::optional<ObjectId>& old_tree,
       RETURN_IF_ERROR(DiffTrees(oe.id, ne.id, path, out));
     } else if (!oe.is_tree && !ne.is_tree) {
       if (!(oe.id == ne.id)) {
-        out->push_back({path, FileDelta::Kind::kModified});
+        out->push_back({path, FileDelta::Kind::kModified, oe.id, ne.id});
       }
     } else {
       // File replaced by directory or vice versa.
@@ -349,30 +354,6 @@ Result<std::vector<FileDelta>> Repository::DiffCommits(
   std::vector<FileDelta> out;
   RETURN_IF_ERROR(DiffTrees(old_tree, new_tree, "", &out));
   return out;
-}
-
-Result<LineDiff> Repository::DiffFile(const std::optional<ObjectId>& old_commit,
-                                      const std::optional<ObjectId>& new_commit,
-                                      const std::string& path) const {
-  std::string old_text;
-  std::string new_text;
-  if (old_commit.has_value()) {
-    auto r = ReadFileAt(*old_commit, path);
-    if (r.ok()) {
-      old_text = std::move(r).value();
-    } else if (r.status().code() != StatusCode::kNotFound) {
-      return r.status();
-    }
-  }
-  if (new_commit.has_value()) {
-    auto r = ReadFileAt(*new_commit, path);
-    if (r.ok()) {
-      new_text = std::move(r).value();
-    } else if (r.status().code() != StatusCode::kNotFound) {
-      return r.status();
-    }
-  }
-  return DiffLines(old_text, new_text);
 }
 
 }  // namespace configerator

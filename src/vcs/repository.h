@@ -18,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "src/vcs/diff.h"
 #include "src/vcs/objects.h"
 
 namespace configerator {
@@ -29,12 +28,21 @@ struct FileWrite {
   std::optional<std::string> content;
 };
 
-// A path-level difference between two commits.
+// A path-level difference between two commits, with the file's blob id on
+// each side: `old_blob` is set unless the file was added, `new_blob` unless
+// it was deleted. Readers fetch either side with store().GetBlob, without
+// walking a tree.
 struct FileDelta {
   enum class Kind { kAdded, kDeleted, kModified };
   std::string path;
   Kind kind = Kind::kModified;
+  std::optional<ObjectId> old_blob;
+  std::optional<ObjectId> new_blob;
 };
+
+// Paths deeper than this are rejected: tree flushing and diffing recurse once
+// per segment. Matches the CSL parser's AST depth cap.
+inline constexpr size_t kMaxPathSegments = 256;
 
 class Repository {
  public:
@@ -55,6 +63,8 @@ class Repository {
     return manifest_.count(path) > 0;
   }
   Result<std::string> ReadFile(const std::string& path) const;
+  // The blob id of `path` at head; nullopt if there is no such file.
+  std::optional<ObjectId> HeadBlobId(const std::string& path) const;
   std::vector<std::string> ListFiles() const;
   // Files under a directory prefix ("feed/" matches "feed/a.json").
   std::vector<std::string> ListFilesUnder(const std::string& prefix) const;
@@ -69,15 +79,11 @@ class Repository {
   Result<std::vector<ObjectId>> Log(size_t limit) const;
 
   // Path-level diff between two commits (either may be "empty" by passing
-  // std::nullopt — useful against the pre-history state).
+  // std::nullopt — useful against the pre-history state). Its cost grows with
+  // the entries of the directories that changed, not with the repository.
   Result<std::vector<FileDelta>> DiffCommits(
       const std::optional<ObjectId>& old_commit,
       const std::optional<ObjectId>& new_commit) const;
-
-  // Line diff of one path between two commits.
-  Result<LineDiff> DiffFile(const std::optional<ObjectId>& old_commit,
-                            const std::optional<ObjectId>& new_commit,
-                            const std::string& path) const;
 
   const ObjectStore& store() const { return store_; }
 
@@ -101,8 +107,6 @@ class Repository {
   Status ValidateWrites(const std::vector<FileWrite>& writes) const;
   Status ApplyWrite(const FileWrite& write);
   ObjectId FlushTree(DirNode* node);
-  Status CollectTreeFiles(const ObjectId& tree_id, const std::string& prefix,
-                          std::map<std::string, ObjectId>* out) const;
   Status DiffTrees(const std::optional<ObjectId>& old_tree,
                    const std::optional<ObjectId>& new_tree,
                    const std::string& prefix,

@@ -84,6 +84,50 @@ TEST(LandingStripTest, DeleteDeleteIsConflict) {
   EXPECT_EQ(strip.Land(diff_y).status().code(), StatusCode::kConflict);
 }
 
+TEST(LandingStripTest, BaseIdsAreTheBlobIdsDiffCommitsReports) {
+  Repository repo;
+  auto before = repo.Commit("init", "init", {{"a", "1"}, {"b", "1"}});
+  ASSERT_TRUE(before.ok());
+  LandingStrip strip(&repo);
+  ProposedDiff diff = MakeProposedDiff(
+      repo, "alice", "m", {{"a", "2"}, {"b", std::nullopt}, {"c", "3"}});
+  auto after = strip.Land(diff);
+  ASSERT_TRUE(after.ok()) << after.status();
+  auto deltas = repo.DiffCommits(*before, *after);
+  ASSERT_TRUE(deltas.ok());
+  ASSERT_EQ(deltas->size(), diff.base.size());
+  for (const FileDelta& delta : *deltas) {
+    EXPECT_EQ(diff.base.at(delta.path), delta.old_blob) << delta.path;
+    EXPECT_EQ(repo.HeadBlobId(delta.path), delta.new_blob) << delta.path;
+  }
+  EXPECT_FALSE(diff.base.at("c").has_value());
+}
+
+TEST(LandingStripTest, VeryDeepPathRejected) {
+  // Tree flushing and diffing recurse once per path segment: a 20,000-segment
+  // path must be refused before it lands, or the next diff overflows the
+  // stack.
+  Repository repo;
+  auto first = repo.Commit("init", "init", {{"cfg", "v1"}});
+  ASSERT_TRUE(first.ok());
+  LandingStrip strip(&repo);
+  std::string deep;
+  for (int i = 0; i < 20'000; ++i) {
+    deep += "d/";
+  }
+  deep += "f";
+  auto rejected = strip.Land(MakeProposedDiff(repo, "alice", "deep", {{deep, "v"}}));
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(strip.landed(), 0u);
+
+  auto landed = strip.Land(MakeProposedDiff(repo, "alice", "m", {{"cfg", "v2"}}));
+  ASSERT_TRUE(landed.ok()) << landed.status();
+  auto deltas = repo.DiffCommits(*first, *landed);
+  ASSERT_TRUE(deltas.ok()) << deltas.status();
+  ASSERT_EQ(deltas->size(), 1u);
+  EXPECT_EQ((*deltas)[0].path, "cfg");
+}
+
 TEST(LandingStripTest, SerializationEqualsSequentialApplication) {
   // Property: landing N racing diffs (different files) leaves the repo in
   // the same state as applying them sequentially.

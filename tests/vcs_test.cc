@@ -47,19 +47,48 @@ TEST(ObjectStoreTest, MissingObjectNotFound) {
             StatusCode::kNotFound);
 }
 
-TEST(TreeObjectTest, EncodeDecodeRoundTrip) {
+TEST(TreeObjectTest, IdsFollowEntries) {
   TreeObject tree;
   tree.entries["file.json"] = {Sha256::Hash("f"), false};
   tree.entries["subdir"] = {Sha256::Hash("d"), true};
   tree.entries["name with spaces"] = {Sha256::Hash("s"), false};
-  auto decoded = TreeObject::Decode(tree.Encode());
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->entries, tree.entries);
-}
+  ObjectStore store;
+  const ObjectId id = store.PutTree(tree);
 
-TEST(TreeObjectTest, DecodeRejectsGarbage) {
-  EXPECT_FALSE(TreeObject::Decode("not a tree").ok());
-  EXPECT_FALSE(TreeObject::Decode("x " + std::string(64, 'a') + " name\n").ok());
+  // Equal entry maps give equal ids, whatever order they were built in.
+  TreeObject reordered;
+  reordered.entries["subdir"] = {Sha256::Hash("d"), true};
+  reordered.entries["name with spaces"] = {Sha256::Hash("s"), false};
+  reordered.entries["file.json"] = {Sha256::Hash("f"), false};
+  EXPECT_EQ(ObjectStore().PutTree(reordered), id);
+
+  // Changing any entry's name, id or kind changes the id.
+  for (const auto& [name, entry] : tree.entries) {
+    TreeObject renamed = tree;
+    renamed.entries.erase(name);
+    renamed.entries[name + "2"] = entry;
+    EXPECT_NE(store.PutTree(renamed), id) << name;
+
+    TreeObject repointed = tree;
+    repointed.entries[name].id = Sha256::Hash("other");
+    EXPECT_NE(store.PutTree(repointed), id) << name;
+
+    TreeObject rekinded = tree;
+    rekinded.entries[name].is_tree = !entry.is_tree;
+    EXPECT_NE(store.PutTree(rekinded), id) << name;
+  }
+
+  // Storing an equal tree again adds nothing.
+  size_t objects = store.object_count();
+  size_t bytes = store.total_bytes();
+  EXPECT_EQ(store.PutTree(reordered), id);
+  EXPECT_EQ(store.object_count(), objects);
+  EXPECT_EQ(store.total_bytes(), bytes);
+
+  // The store keeps the entries it hashed.
+  auto stored = store.GetTree(id);
+  ASSERT_TRUE(stored.ok()) << stored.status();
+  EXPECT_EQ((*stored)->entries, tree.entries);
 }
 
 TEST(CommitObjectTest, EncodeDecodeRoundTrip) {
@@ -292,13 +321,30 @@ TEST(RepositoryTest, DiffCommits) {
   auto deltas = repo.DiffCommits(*c1, *c2);
   ASSERT_TRUE(deltas.ok());
   ASSERT_EQ(deltas->size(), 3u);
-  std::map<std::string, FileDelta::Kind> by_path;
+  std::map<std::string, FileDelta> by_path;
   for (const FileDelta& d : *deltas) {
-    by_path[d.path] = d.kind;
+    by_path[d.path] = d;
   }
-  EXPECT_EQ(by_path.at("mod"), FileDelta::Kind::kModified);
-  EXPECT_EQ(by_path.at("del"), FileDelta::Kind::kDeleted);
-  EXPECT_EQ(by_path.at("new"), FileDelta::Kind::kAdded);
+  const ObjectStore& store = repo.store();
+  const FileDelta& mod = by_path.at("mod");
+  EXPECT_EQ(mod.kind, FileDelta::Kind::kModified);
+  ASSERT_TRUE(mod.old_blob.has_value());
+  ASSERT_TRUE(mod.new_blob.has_value());
+  EXPECT_EQ(*store.GetBlob(*mod.old_blob), "v1");
+  EXPECT_EQ(*store.GetBlob(*mod.new_blob), "v2");
+
+  const FileDelta& del = by_path.at("del");
+  EXPECT_EQ(del.kind, FileDelta::Kind::kDeleted);
+  ASSERT_TRUE(del.old_blob.has_value());
+  EXPECT_EQ(*store.GetBlob(*del.old_blob), "x");
+  EXPECT_FALSE(del.new_blob.has_value());
+
+  const FileDelta& added = by_path.at("new");
+  EXPECT_EQ(added.kind, FileDelta::Kind::kAdded);
+  EXPECT_FALSE(added.old_blob.has_value());
+  ASSERT_TRUE(added.new_blob.has_value());
+  EXPECT_EQ(*store.GetBlob(*added.new_blob), "y");
+  EXPECT_EQ(added.new_blob, repo.HeadBlobId("new"));
 }
 
 TEST(RepositoryTest, DiffAgainstEmptyHistory) {
@@ -309,17 +355,36 @@ TEST(RepositoryTest, DiffAgainstEmptyHistory) {
   ASSERT_TRUE(deltas.ok());
   ASSERT_EQ(deltas->size(), 1u);
   EXPECT_EQ((*deltas)[0].kind, FileDelta::Kind::kAdded);
+  EXPECT_FALSE((*deltas)[0].old_blob.has_value());
+  ASSERT_TRUE((*deltas)[0].new_blob.has_value());
+  EXPECT_EQ(*repo.store().GetBlob(*(*deltas)[0].new_blob), "v");
+
+  // And back to nothing: every file reads as deleted.
+  auto erased = repo.DiffCommits(*c1, std::nullopt);
+  ASSERT_TRUE(erased.ok());
+  ASSERT_EQ(erased->size(), 1u);
+  EXPECT_EQ((*erased)[0].kind, FileDelta::Kind::kDeleted);
+  EXPECT_EQ((*erased)[0].old_blob, (*deltas)[0].new_blob);
+  EXPECT_FALSE((*erased)[0].new_blob.has_value());
 }
 
-TEST(RepositoryTest, DiffFileLineLevel) {
+TEST(RepositoryTest, LineDiffFromDeltaBlobs) {
   Repository repo;
   auto c1 = repo.Commit("a", "1", {{"cfg", "a\nb\n"}});
   auto c2 = repo.Commit("a", "2", {{"cfg", "a\nc\n"}});
   ASSERT_TRUE(c1.ok());
   ASSERT_TRUE(c2.ok());
-  auto diff = repo.DiffFile(*c1, *c2, "cfg");
-  ASSERT_TRUE(diff.ok());
-  EXPECT_EQ(diff->changed_lines(), 2u);
+  auto deltas = repo.DiffCommits(*c1, *c2);
+  ASSERT_TRUE(deltas.ok());
+  ASSERT_EQ(deltas->size(), 1u);
+  const FileDelta& delta = (*deltas)[0];
+  ASSERT_TRUE(delta.old_blob.has_value());
+  ASSERT_TRUE(delta.new_blob.has_value());
+  auto old_text = repo.store().GetBlob(*delta.old_blob);
+  auto new_text = repo.store().GetBlob(*delta.new_blob);
+  ASSERT_TRUE(old_text.ok());
+  ASSERT_TRUE(new_text.ok());
+  EXPECT_EQ(DiffLines(*old_text, *new_text).changed_lines(), 2u);
 }
 
 TEST(RepositoryTest, NestedDirectoriesPrunedOnDelete) {
@@ -414,6 +479,43 @@ TEST(RepositoryTest, ReadFileAtRejectsDirectoryPath) {
   EXPECT_FALSE(repo.ReadFileAt(*c, "dir").ok());
   EXPECT_FALSE(repo.ReadFileAt(*c, "dir/file/extra").ok());
   EXPECT_EQ(repo.ReadFileAt(*c, "nope").status().code(), StatusCode::kNotFound);
+}
+
+// "d/d/.../f" with `segments` segments.
+std::string DeepPath(size_t segments) {
+  std::string path;
+  for (size_t i = 1; i < segments; ++i) {
+    path += "d/";
+  }
+  return path + "f";
+}
+
+TEST(RepositoryTest, VeryDeepPathsRejected) {
+  // Flushing and diffing trees recurse once per path segment, so a path of
+  // tens of thousands of segments would overflow the stack.
+  Repository repo;
+  auto first = repo.Commit("a", "1", {{"cfg", "v1"}});
+  ASSERT_TRUE(first.ok());
+  for (size_t segments : {size_t{20'000}, size_t{100'000}}) {
+    auto deep = repo.Commit("a", "deep", {{DeepPath(segments), "v"}});
+    EXPECT_EQ(deep.status().code(), StatusCode::kInvalidArgument) << segments;
+  }
+  EXPECT_EQ(repo.Commit("a", "over", {{DeepPath(kMaxPathSegments + 1), "v"}})
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(repo.commit_count(), 1u);
+
+  // The repository still commits, at the cap too, and still diffs.
+  ASSERT_TRUE(repo.Commit("a", "at cap", {{DeepPath(kMaxPathSegments), "v"}}).ok());
+  auto last = repo.Commit("a", "2", {{"cfg", "v2"}});
+  ASSERT_TRUE(last.ok()) << last.status();
+  auto deltas = repo.DiffCommits(*first, *last);
+  ASSERT_TRUE(deltas.ok()) << deltas.status();
+  ASSERT_EQ(deltas->size(), 2u);
+  EXPECT_EQ((*deltas)[0].path, "cfg");
+  EXPECT_EQ((*deltas)[1].path, DeepPath(kMaxPathSegments));
+  EXPECT_EQ(*repo.ReadFileAt(*last, DeepPath(kMaxPathSegments)), "v");
 }
 
 TEST(RepositoryTest, SameContentCommitStillAdvancesHead) {
