@@ -2,16 +2,33 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 #include <utility>
 
 #include "src/lang/ast.h"
 #include "src/lang/import_resolver.h"
+#include "src/lang/ops.h"
 #include "src/util/strings.h"
 
 namespace configerator {
 
 using Bindings = std::map<std::string, AbstractValue>;
 using OriginSet = std::set<std::pair<std::string, std::string>>;
+
+namespace {
+
+// `a OP b` for interval bounds: none where an input has none, or where the
+// interpreter's checked int64 arithmetic fails.
+std::optional<int64_t> BoundArithmetic(BinOp op, std::optional<int64_t> a,
+                                       std::optional<int64_t> b) {
+  if (!a.has_value() || !b.has_value()) {
+    return std::nullopt;
+  }
+  Result<Value> out = IntArithmetic(op, *a, *b);
+  return out.ok() ? std::optional<int64_t>(out->as_int()) : std::nullopt;
+}
+
+}  // namespace
 
 // ---- AbstractValue basics ---------------------------------------------------
 
@@ -168,7 +185,7 @@ AbstractValue JoinContext::Values(const AbstractValue& a,
   }
   AbstractValue out = AbstractValue::OfKinds(a.kinds | b.kinds);
   if (a.constant.has_value() && b.constant.has_value() &&
-      a.constant->Equals(*b.constant)) {
+      a.constant->Equals(*b.constant).value_or(false)) {
     out.constant = a.constant;
   }
   if (a.int_min.has_value() && b.int_min.has_value()) {
@@ -440,7 +457,8 @@ void Analyzer::WidenValue(AbstractValue& v, const AbstractValue& prev) {
     return;
   }
   if (v.constant.has_value() &&
-      !(prev.constant.has_value() && v.constant->Equals(*prev.constant))) {
+      !(prev.constant.has_value() &&
+        v.constant->Equals(*prev.constant).value_or(false))) {
     v.constant.reset();
   }
   if (v.int_min.has_value() &&
@@ -840,16 +858,15 @@ AbstractValue Analyzer::Eval(const Expr& expr, Ctx& ctx) {
       if (expr.name == "-") {
         if (operand.only(kAbsInt)) {
           AbstractValue v = AbstractValue::OfKinds(kAbsInt);
-          if (operand.constant.has_value() && operand.constant->is_int()) {
-            v = AbstractValue::OfConstant(
-                Value::Int(-operand.constant->as_int()));
+          std::optional<int64_t> negated =
+              operand.constant.has_value() && operand.constant->is_int()
+                  ? BoundArithmetic(BinOp::kSub, 0, operand.constant->as_int())
+                  : std::nullopt;
+          if (negated.has_value()) {
+            v = AbstractValue::OfConstant(Value::Int(*negated));
           } else {
-            if (operand.int_max.has_value()) {
-              v.int_min = -*operand.int_max;
-            }
-            if (operand.int_min.has_value()) {
-              v.int_max = -*operand.int_min;
-            }
+            v.int_min = BoundArithmetic(BinOp::kSub, 0, operand.int_max);
+            v.int_max = BoundArithmetic(BinOp::kSub, 0, operand.int_min);
           }
           v.origins = operand.origins;
           return v;
@@ -955,7 +972,7 @@ AbstractValue Analyzer::EvalBinaryAbstract(const std::string& op,
   if (op == "==" || op == "!=") {
     AbstractValue v = AbstractValue::OfKinds(kAbsBool);
     if (both_const) {
-      bool eq = lhs.constant->Equals(*rhs.constant);
+      bool eq = lhs.constant->Equals(*rhs.constant).value_or(false);
       v.constant = Value::Bool(op == "==" ? eq : !eq);
     }
     return with_origins(std::move(v));
@@ -990,16 +1007,15 @@ AbstractValue Analyzer::EvalBinaryAbstract(const std::string& op,
   if (op == "+") {
     if (lhs.only(kAbsInt) && rhs.only(kAbsInt)) {
       if (both_const) {
-        return with_origins(AbstractValue::OfConstant(
-            Value::Int(lhs.constant->as_int() + rhs.constant->as_int())));
+        Result<Value> sum = IntArithmetic(BinOp::kAdd, lhs.constant->as_int(),
+                                          rhs.constant->as_int());
+        if (sum.ok()) {
+          return with_origins(AbstractValue::OfConstant(*sum));
+        }
       }
       AbstractValue v = AbstractValue::OfKinds(kAbsInt);
-      if (lhs.int_min.has_value() && rhs.int_min.has_value()) {
-        v.int_min = *lhs.int_min + *rhs.int_min;
-      }
-      if (lhs.int_max.has_value() && rhs.int_max.has_value()) {
-        v.int_max = *lhs.int_max + *rhs.int_max;
-      }
+      v.int_min = BoundArithmetic(BinOp::kAdd, lhs.int_min, rhs.int_min);
+      v.int_max = BoundArithmetic(BinOp::kAdd, lhs.int_max, rhs.int_max);
       return with_origins(std::move(v));
     }
     if (lhs.only(kAbsString) && rhs.only(kAbsString)) {
@@ -1045,33 +1061,18 @@ AbstractValue Analyzer::EvalBinaryAbstract(const std::string& op,
       if (op == "/") {
         return with_origins(AbstractValue::OfKinds(kAbsDouble));
       }
-      if (both_const && op != "//" && op != "%") {
-        int64_t a = lhs.constant->as_int();
-        int64_t b = rhs.constant->as_int();
-        return with_origins(AbstractValue::OfConstant(
-            Value::Int(op == "-" ? a - b : a * b)));
-      }
-      if (both_const && rhs.constant->as_int() != 0) {
-        // Floor semantics, mirroring the interpreter.
-        int64_t a = lhs.constant->as_int();
-        int64_t b = rhs.constant->as_int();
-        int64_t q = a / b;
-        int64_t r = a % b;
-        if (r != 0 && ((a < 0) != (b < 0))) {
-          --q;
-          r += b;
+      if (both_const) {
+        // The interpreter's own arithmetic: no constant where it fails.
+        Result<Value> folded = IntArithmetic(
+            *ParseBinOp(op), lhs.constant->as_int(), rhs.constant->as_int());
+        if (folded.ok()) {
+          return with_origins(AbstractValue::OfConstant(*folded));
         }
-        return with_origins(
-            AbstractValue::OfConstant(Value::Int(op == "//" ? q : r)));
       }
       AbstractValue v = AbstractValue::OfKinds(kAbsInt);
       if (op == "-") {
-        if (lhs.int_min.has_value() && rhs.int_max.has_value()) {
-          v.int_min = *lhs.int_min - *rhs.int_max;
-        }
-        if (lhs.int_max.has_value() && rhs.int_min.has_value()) {
-          v.int_max = *lhs.int_max - *rhs.int_min;
-        }
+        v.int_min = BoundArithmetic(BinOp::kSub, lhs.int_min, rhs.int_max);
+        v.int_max = BoundArithmetic(BinOp::kSub, lhs.int_max, rhs.int_min);
       }
       return with_origins(std::move(v));
     }
@@ -1235,7 +1236,8 @@ AbstractValue Analyzer::CallBuiltin(const std::string& name,
         v = AbstractValue::OfConstant(c);
       } else if (c.is_bool()) {
         v = AbstractValue::OfConstant(Value::Int(c.as_bool() ? 1 : 0));
-      } else if (c.is_double()) {
+      } else if (c.is_double() && c.as_double() >= -0x1p63 &&
+                 c.as_double() < 0x1p63) {
         v = AbstractValue::OfConstant(
             Value::Int(static_cast<int64_t>(c.as_double())));
       }
@@ -1265,7 +1267,7 @@ AbstractValue Analyzer::CallBuiltin(const std::string& name,
       int64_t stop = args[0].constant->as_int();
       obj.definitely_nonempty = stop > 0;
       elem.int_min = 0;
-      elem.int_max = stop - 1;
+      elem.int_max = BoundArithmetic(BinOp::kSub, stop, 1);
     } else if (args.size() >= 2 && args[0].constant.has_value() &&
                args[0].constant->is_int() && args[1].constant.has_value() &&
                args[1].constant->is_int() && args.size() == 2) {
@@ -1273,7 +1275,7 @@ AbstractValue Analyzer::CallBuiltin(const std::string& name,
       int64_t stop = args[1].constant->as_int();
       obj.definitely_nonempty = start < stop;
       elem.int_min = start;
-      elem.int_max = stop - 1;
+      elem.int_max = BoundArithmetic(BinOp::kSub, stop, 1);
     }
     obj.element = std::move(elem);
     AbstractValue v = AbstractValue::OfKinds(kAbsList);

@@ -2,15 +2,20 @@
 
 #include <algorithm>
 #include <cctype>
-#include <functional>
+#include <cerrno>
 #include <cmath>
 #include <cstdlib>
+#include <functional>
 
+#include "src/lang/ops.h"
 #include "src/util/strings.h"
 
 namespace configerator {
 
 namespace {
+
+using Args = std::vector<Value>;
+using Kwargs = std::map<std::string, Value>;
 
 Status ArityError(const std::string& fn, const std::string& expected) {
   return InvalidArgumentError(fn + "() expects " + expected);
@@ -35,6 +40,13 @@ std::string Stringify(const Value& v) {
   return v.ToDebugString();
 }
 
+// Appends `piece` to `out` unless the result would pass kMaxStringBytes.
+Status AppendBounded(std::string* out, std::string_view piece) {
+  RETURN_IF_ERROR(CheckStringLength(uint64_t{out->size()} + piece.size()));
+  out->append(piece);
+  return OkStatus();
+}
+
 void Def(Environment* env, const std::string& name, NativeFn fn) {
   env->Define(name, Value::MakeNative(name, std::move(fn)));
 }
@@ -42,12 +54,6 @@ void Def(Environment* env, const std::string& name, NativeFn fn) {
 }  // namespace
 
 const std::shared_ptr<Environment>& SharedBuiltinsEnvironment() {
-  // Construction may run lazily inside a session whose ContainerCycleBreaker
-  // is installed, so this environment must bind only natives and scalars:
-  // a list/dict cell created here would be emptied at that session's
-  // teardown, corrupting the shared scope for every later session. (Mutable
-  // bindings like enum namespaces belong in RegisterSchemaConstructors,
-  // which populates each session's own base layer.)
   static const std::shared_ptr<Environment> env = [] {
     auto e = std::make_shared<Environment>();
     RegisterCslBuiltins(e.get());
@@ -57,8 +63,7 @@ const std::shared_ptr<Environment>& SharedBuiltinsEnvironment() {
 }
 
 void RegisterCslBuiltins(Environment* env) {
-  Def(env, "len", [](std::vector<Value>& args, std::map<std::string, Value>&)
-          -> Result<Value> {
+  Def(env, "len", [](ValueArena&, Args& args, Kwargs&) -> Result<Value> {
     if (args.size() != 1) {
       return ArityError("len", "one argument");
     }
@@ -75,16 +80,14 @@ void RegisterCslBuiltins(Environment* env) {
     return InvalidArgumentError("len() needs a string, list or dict");
   });
 
-  Def(env, "str", [](std::vector<Value>& args, std::map<std::string, Value>&)
-          -> Result<Value> {
+  Def(env, "str", [](ValueArena& arena, Args& args, Kwargs&) -> Result<Value> {
     if (args.size() != 1) {
       return ArityError("str", "one argument");
     }
-    return Value::Str(Stringify(args[0]));
+    return arena.Str(Stringify(args[0]));
   });
 
-  Def(env, "int", [](std::vector<Value>& args, std::map<std::string, Value>&)
-          -> Result<Value> {
+  Def(env, "int", [](ValueArena&, Args& args, Kwargs&) -> Result<Value> {
     if (args.size() != 1) {
       return ArityError("int", "one argument");
     }
@@ -93,24 +96,32 @@ void RegisterCslBuiltins(Environment* env) {
       return v;
     }
     if (v.is_double()) {
-      return Value::Int(static_cast<int64_t>(v.as_double()));
+      // int64 holds exactly the doubles in [-2^63, 2^63); NaN is in none.
+      double d = v.as_double();
+      if (!(d >= -0x1p63 && d < 0x1p63)) {
+        return InvalidConfigError("integer overflow");
+      }
+      return Value::Int(static_cast<int64_t>(d));
     }
     if (v.is_bool()) {
       return Value::Int(v.as_bool() ? 1 : 0);
     }
     if (v.is_string()) {
       char* end = nullptr;
+      errno = 0;
       long long parsed = std::strtoll(v.as_string().c_str(), &end, 10);
       if (end == v.as_string().c_str() || *end != '\0') {
         return InvalidArgumentError("int(): cannot parse '" + v.as_string() + "'");
+      }
+      if (errno == ERANGE) {
+        return InvalidConfigError("integer overflow");
       }
       return Value::Int(parsed);
     }
     return InvalidArgumentError("int() needs a number or numeric string");
   });
 
-  Def(env, "float", [](std::vector<Value>& args, std::map<std::string, Value>&)
-          -> Result<Value> {
+  Def(env, "float", [](ValueArena&, Args& args, Kwargs&) -> Result<Value> {
     if (args.size() != 1) {
       return ArityError("float", "one argument");
     }
@@ -129,19 +140,18 @@ void RegisterCslBuiltins(Environment* env) {
     return InvalidArgumentError("float() needs a number or numeric string");
   });
 
-  Def(env, "abs", [](std::vector<Value>& args, std::map<std::string, Value>&)
-          -> Result<Value> {
+  Def(env, "abs", [](ValueArena&, Args& args, Kwargs&) -> Result<Value> {
     if (args.size() != 1 || !args[0].is_number()) {
       return ArityError("abs", "one number");
     }
     if (args[0].is_int()) {
-      return Value::Int(std::llabs(args[0].as_int()));
+      int64_t i = args[0].as_int();
+      return i < 0 ? IntArithmetic(BinOp::kSub, 0, i) : args[0];
     }
     return Value::Double(std::fabs(args[0].as_double()));
   });
 
-  Def(env, "range", [](std::vector<Value>& args, std::map<std::string, Value>&)
-          -> Result<Value> {
+  Def(env, "range", [](ValueArena& arena, Args& args, Kwargs&) -> Result<Value> {
     int64_t start = 0;
     int64_t stop = 0;
     int64_t step = 1;
@@ -159,21 +169,24 @@ void RegisterCslBuiltins(Environment* env) {
     } else {
       return ArityError("range", "1-3 integer arguments");
     }
+    // The item count, computed where nothing overflows.
+    __int128 span = static_cast<__int128>(stop) - start;
+    uint64_t length = span != 0 && (span > 0) == (step > 0)
+                          ? (span - (step > 0 ? 1 : -1)) / step + 1
+                          : 0;
+    RETURN_IF_ERROR(arena.CheckFits(
+        std::min<uint64_t>(length, kArenaBudgetBytes) * sizeof(Value)));
     Value::List items;
-    if (step > 0) {
-      for (int64_t i = start; i < stop; i += step) {
-        items.push_back(Value::Int(i));
-      }
-    } else {
-      for (int64_t i = start; i > stop; i += step) {
-        items.push_back(Value::Int(i));
-      }
+    items.reserve(length);
+    for (uint64_t k = 0; k < length; ++k) {
+      // Modular, so nothing overflows; every item is in range.
+      items.push_back(Value::Int(static_cast<int64_t>(
+          static_cast<uint64_t>(start) + k * static_cast<uint64_t>(step))));
     }
-    return Value::MakeList(std::move(items));
+    return arena.MakeList(std::move(items));
   });
 
-  Def(env, "sorted", [](std::vector<Value>& args, std::map<std::string, Value>&)
-          -> Result<Value> {
+  Def(env, "sorted", [](ValueArena& arena, Args& args, Kwargs&) -> Result<Value> {
     if (args.size() != 1 || !args[0].is_list()) {
       return ArityError("sorted", "one list");
     }
@@ -192,18 +205,13 @@ void RegisterCslBuiltins(Environment* env) {
                        }
                        return a.as_string() < b.as_string();
                      });
-    return Value::MakeList(std::move(items));
+    return arena.MakeList(std::move(items));
   });
 
   auto min_max = [](bool is_min) {
-    return [is_min](std::vector<Value>& args, std::map<std::string, Value>&)
-               -> Result<Value> {
-      Value::List items;
-      if (args.size() == 1 && args[0].is_list()) {
-        items = args[0].as_list();
-      } else {
-        items = args;
-      }
+    return [is_min](ValueArena&, Args& args, Kwargs&) -> Result<Value> {
+      const Value::List& items =
+          args.size() == 1 && args[0].is_list() ? args[0].as_list() : args;
       if (items.empty()) {
         return InvalidArgumentError("min()/max() of empty sequence");
       }
@@ -214,7 +222,7 @@ void RegisterCslBuiltins(Environment* env) {
             return InvalidArgumentError("min()/max() needs numbers or strings");
           }
           bool less = v.as_string() < best.as_string();
-          if (less == is_min && !v.Equals(best)) {
+          if (less == is_min && v.as_string() != best.as_string()) {
             best = v;
           }
           continue;
@@ -230,33 +238,33 @@ void RegisterCslBuiltins(Environment* env) {
   Def(env, "min", min_max(true));
   Def(env, "max", min_max(false));
 
-  Def(env, "items", [](std::vector<Value>& args, std::map<std::string, Value>&)
-          -> Result<Value> {
+  Def(env, "items", [](ValueArena& arena, Args& args, Kwargs&) -> Result<Value> {
     if (args.size() != 1 || !args[0].is_dict()) {
       return ArityError("items", "one dict");
     }
     Value::List pairs;
     for (const auto& [k, v] : args[0].as_dict()) {
-      pairs.push_back(Value::MakeList({Value::Str(k), v}));
+      ASSIGN_OR_RETURN(Value key, arena.Str(k));
+      ASSIGN_OR_RETURN(Value pair, arena.MakeList({std::move(key), v}));
+      pairs.push_back(std::move(pair));
     }
-    return Value::MakeList(std::move(pairs));
+    return arena.MakeList(std::move(pairs));
   });
 
-  Def(env, "keys", [](std::vector<Value>& args, std::map<std::string, Value>&)
-          -> Result<Value> {
+  Def(env, "keys", [](ValueArena& arena, Args& args, Kwargs&) -> Result<Value> {
     if (args.size() != 1 || !args[0].is_dict()) {
       return ArityError("keys", "one dict");
     }
     Value::List out;
     for (const auto& [k, v] : args[0].as_dict()) {
       (void)v;
-      out.push_back(Value::Str(k));
+      ASSIGN_OR_RETURN(Value key, arena.Str(k));
+      out.push_back(std::move(key));
     }
-    return Value::MakeList(std::move(out));
+    return arena.MakeList(std::move(out));
   });
 
-  Def(env, "values", [](std::vector<Value>& args, std::map<std::string, Value>&)
-          -> Result<Value> {
+  Def(env, "values", [](ValueArena& arena, Args& args, Kwargs&) -> Result<Value> {
     if (args.size() != 1 || !args[0].is_dict()) {
       return ArityError("values", "one dict");
     }
@@ -265,39 +273,36 @@ void RegisterCslBuiltins(Environment* env) {
       (void)k;
       out.push_back(v);
     }
-    return Value::MakeList(std::move(out));
+    return arena.MakeList(std::move(out));
   });
 
-  Def(env, "append", [](std::vector<Value>& args, std::map<std::string, Value>&)
-          -> Result<Value> {
+  Def(env, "append", [](ValueArena& arena, Args& args, Kwargs&) -> Result<Value> {
     if (args.size() != 2 || !args[0].is_list()) {
       return ArityError("append", "a list and a value");
     }
+    RETURN_IF_ERROR(arena.Charge(sizeof(Value)));
     args[0].as_list().push_back(args[1]);
     return Value::Null();
   });
 
-  Def(env, "extend", [](std::vector<Value>& args, std::map<std::string, Value>&)
-          -> Result<Value> {
+  Def(env, "extend", [](ValueArena& arena, Args& args, Kwargs&) -> Result<Value> {
     if (args.size() != 2 || !args[0].is_list() || !args[1].is_list()) {
       return ArityError("extend", "two lists");
     }
-    for (const Value& v : args[1].as_list()) {
-      args[0].as_list().push_back(v);
-    }
+    RETURN_IF_ERROR(arena.Charge(args[1].as_list().size() * sizeof(Value)));
+    Value::List tail = args[1].as_list();  // A copy: extend(l, l) is allowed.
+    args[0].as_list().insert(args[0].as_list().end(), tail.begin(), tail.end());
     return Value::Null();
   });
 
-  Def(env, "has_key", [](std::vector<Value>& args, std::map<std::string, Value>&)
-          -> Result<Value> {
+  Def(env, "has_key", [](ValueArena&, Args& args, Kwargs&) -> Result<Value> {
     if (args.size() != 2 || !args[0].is_dict() || !args[1].is_string()) {
       return ArityError("has_key", "a dict and a string key");
     }
     return Value::Bool(args[0].as_dict().count(args[1].as_string()) > 0);
   });
 
-  Def(env, "get", [](std::vector<Value>& args, std::map<std::string, Value>&)
-          -> Result<Value> {
+  Def(env, "get", [](ValueArena&, Args& args, Kwargs&) -> Result<Value> {
     if (args.size() < 2 || !args[0].is_dict() || !args[1].is_string()) {
       return ArityError("get", "a dict, a string key, and an optional default");
     }
@@ -311,8 +316,7 @@ void RegisterCslBuiltins(Environment* env) {
     return Value::Null();
   });
 
-  Def(env, "join", [](std::vector<Value>& args, std::map<std::string, Value>&)
-          -> Result<Value> {
+  Def(env, "join", [](ValueArena& arena, Args& args, Kwargs&) -> Result<Value> {
     if (args.size() != 2 || !args[0].is_string() || !args[1].is_list()) {
       return ArityError("join", "a separator string and a list");
     }
@@ -320,39 +324,44 @@ void RegisterCslBuiltins(Environment* env) {
     bool first = true;
     for (const Value& v : args[1].as_list()) {
       if (!first) {
-        out += args[0].as_string();
+        RETURN_IF_ERROR(AppendBounded(&out, args[0].as_string()));
       }
       first = false;
-      out += Stringify(v);
+      RETURN_IF_ERROR(AppendBounded(&out, Stringify(v)));
     }
-    return Value::Str(std::move(out));
+    return arena.Str(std::move(out));
   });
 
-  Def(env, "split", [](std::vector<Value>& args, std::map<std::string, Value>&)
-          -> Result<Value> {
+  Def(env, "split", [](ValueArena& arena, Args& args, Kwargs&) -> Result<Value> {
     if (args.size() != 2 || !args[0].is_string() || !args[1].is_string() ||
         args[1].as_string().empty()) {
       return ArityError("split", "a string and a nonempty separator");
     }
     const std::string& s = args[0].as_string();
     const std::string& sep = args[1].as_string();
+    size_t pieces = 1;
+    for (size_t at = s.find(sep); at != std::string::npos;
+         at = s.find(sep, at + sep.size())) {
+      ++pieces;
+    }
+    RETURN_IF_ERROR(arena.CheckFits(pieces * sizeof(Value)));
     Value::List out;
+    out.reserve(pieces);
     size_t start = 0;
     while (true) {
       size_t next = s.find(sep, start);
+      ASSIGN_OR_RETURN(Value piece, arena.Str(s.substr(start, next - start)));
+      out.push_back(std::move(piece));
       if (next == std::string::npos) {
-        out.push_back(Value::Str(s.substr(start)));
         break;
       }
-      out.push_back(Value::Str(s.substr(start, next - start)));
       start = next + sep.size();
     }
-    return Value::MakeList(std::move(out));
+    return arena.MakeList(std::move(out));
   });
 
   // format("{} has {} cores", name, n) — sequential "{}" substitution.
-  Def(env, "format", [](std::vector<Value>& args, std::map<std::string, Value>&)
-          -> Result<Value> {
+  Def(env, "format", [](ValueArena& arena, Args& args, Kwargs&) -> Result<Value> {
     if (args.empty() || !args[0].is_string()) {
       return ArityError("format", "a format string first");
     }
@@ -364,13 +373,13 @@ void RegisterCslBuiltins(Environment* env) {
         if (next_arg >= args.size()) {
           return InvalidArgumentError("format(): not enough arguments");
         }
-        out += Stringify(args[next_arg++]);
+        RETURN_IF_ERROR(AppendBounded(&out, Stringify(args[next_arg++])));
         ++i;
       } else {
-        out.push_back(fmt[i]);
+        out.push_back(fmt[i]);  // At most fmt.size() in all.
       }
     }
-    return Value::Str(std::move(out));
+    return arena.Str(std::move(out));
   });
 
   // String predicates and transforms (function-style, like the collection
@@ -378,9 +387,8 @@ void RegisterCslBuiltins(Environment* env) {
   auto string_pair = [](const char* fn_name,
                         std::function<Value(const std::string&, const std::string&)>
                             op) {
-    return [fn_name, op = std::move(op)](std::vector<Value>& args,
-                                         std::map<std::string, Value>&)
-               -> Result<Value> {
+    return [fn_name, op = std::move(op)](ValueArena&, Args& args,
+                                         Kwargs&) -> Result<Value> {
       if (args.size() != 2 || !args[0].is_string() || !args[1].is_string()) {
         return ArityError(fn_name, "two strings");
       }
@@ -398,13 +406,12 @@ void RegisterCslBuiltins(Environment* env) {
 
   auto string_unary = [](const char* fn_name,
                          std::function<std::string(const std::string&)> op) {
-    return [fn_name, op = std::move(op)](std::vector<Value>& args,
-                                         std::map<std::string, Value>&)
-               -> Result<Value> {
+    return [fn_name, op = std::move(op)](ValueArena& arena, Args& args,
+                                         Kwargs&) -> Result<Value> {
       if (args.size() != 1 || !args[0].is_string()) {
         return ArityError(fn_name, "one string");
       }
-      return Value::Str(op(args[0].as_string()));
+      return arena.Str(op(args[0].as_string()));
     };
   };
   Def(env, "upper", string_unary("upper", [](const std::string& s) {
@@ -423,8 +430,7 @@ void RegisterCslBuiltins(Environment* env) {
         return std::string(StrTrim(s));
       }));
 
-  Def(env, "replace", [](std::vector<Value>& args, std::map<std::string, Value>&)
-          -> Result<Value> {
+  Def(env, "replace", [](ValueArena& arena, Args& args, Kwargs&) -> Result<Value> {
     if (args.size() != 3 || !args[0].is_string() || !args[1].is_string() ||
         !args[2].is_string() || args[1].as_string().empty()) {
       return ArityError("replace", "a string, a nonempty needle, a replacement");
@@ -437,18 +443,18 @@ void RegisterCslBuiltins(Environment* env) {
     while (true) {
       size_t pos = s.find(needle, start);
       if (pos == std::string::npos) {
-        out += s.substr(start);
+        RETURN_IF_ERROR(AppendBounded(&out, std::string_view(s).substr(start)));
         break;
       }
-      out += s.substr(start, pos - start);
-      out += replacement;
+      RETURN_IF_ERROR(
+          AppendBounded(&out, std::string_view(s).substr(start, pos - start)));
+      RETURN_IF_ERROR(AppendBounded(&out, replacement));
       start = pos + needle.size();
     }
-    return Value::Str(std::move(out));
+    return arena.Str(std::move(out));
   });
 
-  Def(env, "fail", [](std::vector<Value>& args, std::map<std::string, Value>&)
-          -> Result<Value> {
+  Def(env, "fail", [](ValueArena&, Args& args, Kwargs&) -> Result<Value> {
     std::string msg = "fail() called";
     if (!args.empty()) {
       msg = Stringify(args[0]);
@@ -460,30 +466,35 @@ void RegisterCslBuiltins(Environment* env) {
   // "introducing config inheritance" future work). Returns a NEW value:
   // nested dicts merge recursively, anything else is replaced by the
   // override. The base's schema type tag is preserved, so a merged typed
-  // config still type-checks at export.
-  Def(env, "merge", [](std::vector<Value>& args, std::map<std::string, Value>&)
-          -> Result<Value> {
+  // config still type-checks at export. The walk over the override is
+  // bounded like any other value walk.
+  Def(env, "merge", [](ValueArena& arena, Args& args, Kwargs&) -> Result<Value> {
     if (args.size() != 2 || !args[0].is_dict() || !args[1].is_dict()) {
       return ArityError("merge", "two dicts (base, override)");
     }
-    std::function<Value(const Value&, const Value&)> deep_merge =
-        [&deep_merge](const Value& base, const Value& override_v) -> Value {
+    ValueWalk walk;
+    std::function<Result<Value>(const Value&, const Value&, int)> deep_merge =
+        [&](const Value& base, const Value& override_v,
+            int depth) -> Result<Value> {
       Value::Dict merged = base.as_dict();
       for (const auto& [key, value] : override_v.as_dict()) {
+        RETURN_IF_ERROR(walk.Visit(value, depth + 1, key.size()));
         auto it = merged.find(key);
         if (it != merged.end() && it->second.is_dict() && value.is_dict()) {
-          merged[key] = deep_merge(it->second, value);
+          ASSIGN_OR_RETURN(it->second, deep_merge(it->second, value, depth + 1));
         } else {
           merged[key] = value;
         }
       }
-      return Value::MakeDict(std::move(merged), base.type_name());
+      return arena.MakeDict(std::move(merged), base.type_name());
     };
-    return deep_merge(args[0], args[1]);
+    RETURN_IF_ERROR(walk.Visit(args[1], 0));
+    return deep_merge(args[0], args[1], 0);
   });
 }
 
-void RegisterSchemaConstructors(const SchemaRegistry& registry, Environment* env) {
+Status RegisterSchemaConstructors(const SchemaRegistry& registry,
+                                  Environment* env, ValueArena& arena) {
   for (const std::string& struct_name : registry.StructNames()) {
     const StructDef* def = registry.FindStruct(struct_name);
     // Copy the field names; the registry outlives the interpreter session.
@@ -496,9 +507,8 @@ void RegisterSchemaConstructors(const SchemaRegistry& registry, Environment* env
     env->Define(
         name,
         Value::MakeNative(
-            name, [name, field_names](std::vector<Value>& args,
-                                      std::map<std::string, Value>& kwargs)
-                      -> Result<Value> {
+            name, [name, field_names](ValueArena& arena, Args& args,
+                                      Kwargs& kwargs) -> Result<Value> {
               if (!args.empty()) {
                 return InvalidArgumentError(
                     name + "(...) takes keyword arguments only");
@@ -512,7 +522,7 @@ void RegisterSchemaConstructors(const SchemaRegistry& registry, Environment* env
                 }
                 fields[kw] = std::move(value);
               }
-              return Value::MakeDict(std::move(fields), name);
+              return arena.MakeDict(std::move(fields), name);
             }));
   }
 
@@ -523,8 +533,10 @@ void RegisterSchemaConstructors(const SchemaRegistry& registry, Environment* env
     for (const auto& [value_name, value] : e->values) {
       ns[value_name] = Value::Int(value);
     }
-    env->Define(e->name, Value::MakeDict(std::move(ns), "enum " + e->name));
+    ASSIGN_OR_RETURN(Value dict, arena.MakeDict(std::move(ns), "enum " + e->name));
+    env->Define(e->name, std::move(dict));
   }
+  return OkStatus();
 }
 
 }  // namespace configerator

@@ -25,8 +25,9 @@ const std::shared_ptr<Environment>& SharedBuiltinsEnvironment();
 // For every struct in `registry`, installs a constructor `StructName(...)`
 // that accepts keyword arguments (rejecting unknown field names — the typo
 // defense starts at construction), and for every enum a namespace value
-// `EnumName.VALUE`.
-void RegisterSchemaConstructors(const SchemaRegistry& registry, Environment* env);
+// `EnumName.VALUE`, a dict built in the session's `arena`.
+Status RegisterSchemaConstructors(const SchemaRegistry& registry,
+                                  Environment* env, ValueArena& arena);
 
 }  // namespace configerator
 

@@ -203,7 +203,7 @@ class ConfigCompiler::Session {
     if (it == validators_.end()) {
       return OkStatus();
     }
-    Value cfg = Value::FromJson(json);
+    ASSIGN_OR_RETURN(Value cfg, Value::FromJson(json, interp_.arena()));
     cfg.set_type_name(type_name);
     for (const Value& validator : it->second) {
       auto result = interp_.CallValue(validator, {cfg}, {});

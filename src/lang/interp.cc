@@ -1,8 +1,5 @@
 #include "src/lang/interp.h"
 
-#include <algorithm>
-#include <cmath>
-
 #include "src/lang/builtins.h"
 #include "src/lang/import_resolver.h"
 #include "src/lang/ops.h"
@@ -72,36 +69,6 @@ Value* Environment::Find(const std::string& name) {
 Interp::Interp(const SchemaRegistry* registry, Hooks hooks)
     : registry_(registry), hooks_(std::move(hooks)) {}
 
-Interp::~Interp() {
-  // Break closure <-> environment shared_ptr cycles so the whole session's
-  // values are reclaimed.
-  for (const std::weak_ptr<Environment>& weak : session_envs_) {
-    if (std::shared_ptr<Environment> env = weak.lock()) {
-      env->Clear();
-    }
-  }
-  if (base_env_ != nullptr) {
-    base_env_->Clear();
-  }
-}
-
-std::shared_ptr<Environment> Interp::NewEnvironment(
-    std::shared_ptr<Environment> parent) {
-  // Compact expired registrations occasionally so long evaluations (many
-  // short-lived call frames) don't accumulate dead weak_ptrs.
-  if (session_envs_.size() >= env_compact_threshold_) {
-    std::erase_if(session_envs_,
-                  [](const std::weak_ptr<Environment>& weak) {
-                    return weak.expired();
-                  });
-    env_compact_threshold_ =
-        std::max<size_t>(1024, session_envs_.size() * 2);
-  }
-  auto env = std::make_shared<Environment>(std::move(parent));
-  session_envs_.push_back(env);
-  return env;
-}
-
 Status Interp::Tick(int line) {
   if (++steps_ > step_limit_) {
     return EvalError(line, "evaluation step limit exceeded (runaway config code?)");
@@ -126,7 +93,8 @@ std::shared_ptr<Environment> Interp::MakeBaseEnvironment() {
     // schema constructors / enum namespaces go in this (mutable) layer.
     base_env_ = std::make_shared<Environment>(SharedBuiltinsEnvironment());
     if (registry_ != nullptr) {
-      RegisterSchemaConstructors(*registry_, base_env_.get());
+      base_status_ =
+          RegisterSchemaConstructors(*registry_, base_env_.get(), arena_);
     }
   }
   return base_env_;
@@ -135,6 +103,7 @@ std::shared_ptr<Environment> Interp::MakeBaseEnvironment() {
 Status Interp::EvalModule(const Module& module,
                           const std::shared_ptr<Environment>& globals,
                           bool exports_enabled) {
+  RETURN_IF_ERROR(base_status_);
   StackBase stack_base(&stack_base_);
   std::string saved_origin = current_origin_;
   bool saved_exports = exports_enabled_;
@@ -211,12 +180,8 @@ Result<Interp::Flow> Interp::ExecStmt(const Stmt& stmt,
     }
     case Stmt::Kind::kFor: {
       ASSIGN_OR_RETURN(Value iterable, Eval(*stmt.value, env));
-      auto materialized = IterableItems(iterable);
-      if (!materialized.ok()) {
-        return EvalError(stmt.line,
-                         std::string(materialized.status().message()));
-      }
-      std::vector<Value> items = std::move(materialized).value();
+      ASSIGN_OR_RETURN(Value::List items,
+                       AtLine(stmt.line, IterableItems(iterable, arena_)));
       for (Value& item : items) {
         RETURN_IF_ERROR_R(Tick(stmt.line));
         if (stmt.loop_vars.size() == 1) {
@@ -257,10 +222,10 @@ Result<Interp::Flow> Interp::ExecStmt(const Stmt& stmt,
       return Flow{};
     }
     case Stmt::Kind::kDef: {
-      Closure closure;
-      closure.def = stmt.def.get();
-      closure.env = env;
-      env->Define(stmt.def->name, Value::MakeClosure(std::move(closure)));
+      ASSIGN_OR_RETURN(
+          Value fn,
+          AtLine(stmt.line, arena_.MakeClosure(Closure{stmt.def.get(), env})));
+      env->Define(stmt.def->name, std::move(fn));
       return Flow{};
     }
     case Stmt::Kind::kReturn: {
@@ -307,30 +272,15 @@ Status Interp::Assign(const Expr& target, Value value,
       return OkStatus();
     }
     case Expr::Kind::kAttr: {
-      auto base = Eval(*target.lhs, env);
-      if (!base.ok()) {
-        return base.status();
-      }
-      Status set = EvalAttrSet(*base, target.name, std::move(value));
-      if (!set.ok()) {
-        return EvalError(target.line, std::string(set.message()));
-      }
-      return OkStatus();
+      ASSIGN_OR_RETURN(Value base, Eval(*target.lhs, env));
+      Status set = EvalAttrSet(base, target.name, std::move(value), arena_);
+      return set.ok() ? set : EvalError(target.line, set.message());
     }
     case Expr::Kind::kIndex: {
-      auto base = Eval(*target.lhs, env);
-      if (!base.ok()) {
-        return base.status();
-      }
-      auto key = Eval(*target.rhs, env);
-      if (!key.ok()) {
-        return key.status();
-      }
-      Status set = EvalIndexSet(*base, *key, std::move(value));
-      if (!set.ok()) {
-        return EvalError(target.line, std::string(set.message()));
-      }
-      return OkStatus();
+      ASSIGN_OR_RETURN(Value base, Eval(*target.lhs, env));
+      ASSIGN_OR_RETURN(Value key, Eval(*target.rhs, env));
+      Status set = EvalIndexSet(base, key, std::move(value), arena_);
+      return set.ok() ? set : EvalError(target.line, set.message());
     }
     default:
       return EvalError(target.line, "invalid assignment target");
@@ -356,7 +306,7 @@ Result<Value> Interp::Eval(const Expr& expr, const std::shared_ptr<Environment>&
         ASSIGN_OR_RETURN(Value v, Eval(*item, env));
         items.push_back(std::move(v));
       }
-      return Value::MakeList(std::move(items));
+      return AtLine(expr.line, arena_.MakeList(std::move(items)));
     }
     case Expr::Kind::kDict: {
       Value::Dict items;
@@ -368,15 +318,11 @@ Result<Value> Interp::Eval(const Expr& expr, const std::shared_ptr<Environment>&
         ASSIGN_OR_RETURN(Value value, Eval(*value_expr, env));
         items[key.as_string()] = std::move(value);
       }
-      return Value::MakeDict(std::move(items));
+      return AtLine(expr.line, arena_.MakeDict(std::move(items)));
     }
     case Expr::Kind::kUnary: {
       ASSIGN_OR_RETURN(Value operand, Eval(*expr.lhs, env));
-      auto result = EvalUnaryValues(expr.name, operand);
-      if (!result.ok()) {
-        return EvalError(expr.line, std::string(result.status().message()));
-      }
-      return result;
+      return AtLine(expr.line, EvalUnaryValues(expr.name, operand));
     }
     case Expr::Kind::kTernary: {
       ASSIGN_OR_RETURN(Value cond, Eval(*expr.rhs, env));
@@ -389,20 +335,12 @@ Result<Value> Interp::Eval(const Expr& expr, const std::shared_ptr<Environment>&
       return EvalBinary(expr, env);
     case Expr::Kind::kAttr: {
       ASSIGN_OR_RETURN(Value base, Eval(*expr.lhs, env));
-      auto result = EvalAttrGet(base, expr.name);
-      if (!result.ok()) {
-        return EvalError(expr.line, std::string(result.status().message()));
-      }
-      return result;
+      return AtLine(expr.line, EvalAttrGet(base, expr.name));
     }
     case Expr::Kind::kIndex: {
       ASSIGN_OR_RETURN(Value base, Eval(*expr.lhs, env));
       ASSIGN_OR_RETURN(Value key, Eval(*expr.rhs, env));
-      auto result = EvalIndexGet(base, key);
-      if (!result.ok()) {
-        return EvalError(expr.line, std::string(result.status().message()));
-      }
-      return result;
+      return AtLine(expr.line, EvalIndexGet(base, key));
     }
     case Expr::Kind::kCall:
       return EvalCall(expr, env);
@@ -437,11 +375,7 @@ Result<Value> Interp::EvalBinary(const Expr& expr,
 
   ASSIGN_OR_RETURN(Value lhs, Eval(*expr.lhs, env));
   ASSIGN_OR_RETURN(Value rhs, Eval(*expr.rhs, env));
-  auto result = EvalBinaryValues(*bin, lhs, rhs);
-  if (!result.ok()) {
-    return EvalError(expr.line, std::string(result.status().message()));
-  }
-  return result;
+  return AtLine(expr.line, EvalBinaryValues(*bin, lhs, rhs, arena_));
 }
 
 Result<Value> Interp::EvalCall(const Expr& expr,
@@ -465,7 +399,11 @@ Result<Value> Interp::EvalCall(const Expr& expr,
         RETURN_IF_ERROR_R(hooks_.import_schema(path));
         // Newly registered schemas need constructors in the base env.
         if (registry_ != nullptr && base_env_ != nullptr) {
-          RegisterSchemaConstructors(*registry_, base_env_.get());
+          Status registered =
+              RegisterSchemaConstructors(*registry_, base_env_.get(), arena_);
+          if (!registered.ok()) {
+            return EvalError(expr.line, registered.message());
+          }
         }
         return Value::Null();
       }
@@ -552,7 +490,7 @@ Result<Value> Interp::EvalCall(const Expr& expr,
 Result<Value> Interp::CallValue(const Value& fn, std::vector<Value> args,
                                 std::map<std::string, Value> kwargs) {
   if (fn.kind() == Value::Kind::kNative) {
-    return fn.as_native().fn(args, kwargs);
+    return fn.as_native().fn(arena_, args, kwargs);
   }
   if (fn.kind() != Value::Kind::kClosure) {
     return InvalidArgumentError("value is not callable");

@@ -5,7 +5,8 @@
 // modules) to exported JSON, which is what makes compiled configs
 // reproducible and reviewable. Imports and exports are delegated to hooks
 // supplied by the compiler. A step limit bounds runaway config code; a
-// call-depth limit and a stack budget bound the interpreter's recursion.
+// call-depth limit and a stack budget bound the interpreter's recursion; the
+// session's ValueArena bounds the memory its values take.
 
 #ifndef SRC_LANG_INTERP_H_
 #define SRC_LANG_INTERP_H_
@@ -27,11 +28,10 @@ namespace configerator {
 // Lexical scope. Lookup walks the parent chain; assignment writes the
 // innermost scope (Python-like).
 //
-// Lifetime: closures capture their defining environment by shared_ptr, and
-// the environment holds the closure value — a reference cycle. The Interp
-// therefore registers every environment it hands out and clears them all on
-// destruction, breaking the cycles (a session-scoped arena, matching how
-// compile sessions and sitevar stores own their interpreter).
+// Lifetime: environments are reference-counted. A call frame is freed when
+// its call returns, unless a closure captured it; the closure's cell, owned
+// by the session's arena, then owns the frame. A frame's bindings point at
+// cells without owning them, so no reference cycle can form.
 class Environment {
  public:
   explicit Environment(std::shared_ptr<Environment> parent = nullptr)
@@ -46,12 +46,6 @@ class Environment {
   }
 
   const std::map<std::string, Value>& vars() const { return vars_; }
-
-  // Drops all bindings and the parent link (cycle breaking at session end).
-  void Clear() {
-    vars_.clear();
-    parent_.reset();
-  }
 
  private:
   std::map<std::string, Value> vars_;
@@ -74,16 +68,15 @@ class Interp {
   };
 
   Interp(const SchemaRegistry* registry, Hooks hooks);
-  ~Interp();
 
   Interp(const Interp&) = delete;
   Interp& operator=(const Interp&) = delete;
 
-  // Creates an environment owned by this interpreter session. All module
-  // globals and call frames must come from here so closure/environment
-  // reference cycles are reclaimed when the session ends.
-  std::shared_ptr<Environment> NewEnvironment(
-      std::shared_ptr<Environment> parent = nullptr);
+  // Creates a scope chained from `parent` (module globals, call frames).
+  static std::shared_ptr<Environment> NewEnvironment(
+      std::shared_ptr<Environment> parent = nullptr) {
+    return std::make_shared<Environment>(std::move(parent));
+  }
 
   // Evaluates a module body in `globals`. `exports_enabled` is true only for
   // the entry file — imported library modules calling export_if_last() are
@@ -103,7 +96,9 @@ class Interp {
   // Total evaluation steps allowed per EvalModule (default 20M).
   void set_step_limit(uint64_t limit) { step_limit_ = limit; }
 
-  const SchemaRegistry* registry() const { return registry_; }
+  // Owns every list, dict and closure this session creates; they live until
+  // the interpreter is destroyed.
+  ValueArena& arena() { return arena_; }
 
  private:
   struct Flow {
@@ -114,6 +109,14 @@ class Interp {
 
   Status Tick(int line);
   Status EvalError(int line, const std::string& msg) const;
+  // `result`, or its error prefixed with the origin and `line`.
+  template <typename T>
+  Result<T> AtLine(int line, Result<T> result) const {
+    if (!result.ok()) {
+      return EvalError(line, result.status().message());
+    }
+    return result;
+  }
 
   Result<Flow> ExecBlock(const std::vector<StmtPtr>& body,
                          const std::shared_ptr<Environment>& env);
@@ -126,14 +129,11 @@ class Interp {
 
   const SchemaRegistry* registry_;
   Hooks hooks_;
+  ValueArena arena_;
   std::shared_ptr<Environment> base_env_;
-  std::vector<std::weak_ptr<Environment>> session_envs_;
-  size_t env_compact_threshold_ = 1024;
-  // Installed for the interpreter's lifetime; its destructor (after
-  // ~Interp clears the environments) empties surviving list/dict cells,
-  // breaking self-referential container cycles the environment sweep
-  // can't reach.
-  ContainerCycleBreaker cycle_breaker_;
+  // Why the base environment's enum namespaces could not be built, if they
+  // could not; EvalModule reports it.
+  Status base_status_;
   std::string current_origin_;
   bool exports_enabled_ = false;
   uint64_t step_limit_ = 20'000'000;

@@ -1,6 +1,7 @@
 #include "src/lang/ops.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "src/util/strings.h"
@@ -59,19 +60,68 @@ std::string_view BinOpName(BinOp op) {
   return "?";
 }
 
-Result<Value> EvalBinaryValues(BinOp op, const Value& lhs, const Value& rhs) {
-  if (op == BinOp::kEq) {
-    return Value::Bool(lhs.Equals(rhs));
+namespace {
+
+// One shared string per byte value, so indexing and iterating a string
+// build no strings.
+const Value& CharString(char c) {
+  static const std::array<Value, 256> kTable = [] {
+    std::array<Value, 256> table;
+    for (size_t i = 0; i < table.size(); ++i) {
+      table[i] = Value::Str(std::string(1, static_cast<char>(i)));
+    }
+    return table;
+  }();
+  return kTable[static_cast<unsigned char>(c)];
+}
+
+}  // namespace
+
+Result<Value> IntArithmetic(BinOp op, int64_t a, int64_t b) {
+  int64_t out = 0;
+  bool overflow = false;
+  if (op == BinOp::kAdd) {
+    overflow = __builtin_add_overflow(a, b, &out);
+  } else if (op == BinOp::kSub) {
+    overflow = __builtin_sub_overflow(a, b, &out);
+  } else if (op == BinOp::kMul) {
+    overflow = __builtin_mul_overflow(a, b, &out);
+  } else if (b == 0) {
+    return InvalidConfigError("division by zero");
+  } else if (op == BinOp::kDiv) {
+    // "/" on ints yields double, Python 3 semantics.
+    return Value::Double(static_cast<double>(a) / static_cast<double>(b));
+  } else if (b == -1) {
+    // The one quotient that can overflow; its remainder is always 0.
+    overflow = op == BinOp::kFloorDiv && __builtin_sub_overflow(0, a, &out);
+  } else if (op == BinOp::kFloorDiv) {
+    // Floor division, Python semantics.
+    out = a / b - ((a % b != 0) && ((a < 0) != (b < 0)) ? 1 : 0);
+  } else {
+    out = a % b;
+    if (out != 0 && ((out < 0) != (b < 0))) {
+      out += b;
+    }
   }
-  if (op == BinOp::kNe) {
-    return Value::Bool(!lhs.Equals(rhs));
+  if (overflow) {
+    return InvalidConfigError("integer overflow");
+  }
+  return Value::Int(out);
+}
+
+Result<Value> EvalBinaryValues(BinOp op, const Value& lhs, const Value& rhs,
+                               ValueArena& arena) {
+  if (op == BinOp::kEq || op == BinOp::kNe) {
+    ASSIGN_OR_RETURN(bool equal, lhs.Equals(rhs));
+    return Value::Bool(op == BinOp::kEq ? equal : !equal);
   }
   if (op == BinOp::kIn || op == BinOp::kNotIn) {
     bool contains = false;
     if (rhs.is_list()) {
+      ValueWalk walk;  // One bound for the whole scan.
       for (const Value& item : rhs.as_list()) {
-        if (item.Equals(lhs)) {
-          contains = true;
+        ASSIGN_OR_RETURN(contains, item.Equals(lhs, &walk));
+        if (contains) {
           break;
         }
       }
@@ -123,70 +173,54 @@ Result<Value> EvalBinaryValues(BinOp op, const Value& lhs, const Value& rhs) {
 
   // Arithmetic and concatenation.
   if (op == BinOp::kAdd) {
-    if (lhs.is_int() && rhs.is_int()) {
-      return Value::Int(lhs.as_int() + rhs.as_int());
-    }
-    if (lhs.is_number() && rhs.is_number()) {
-      return Value::Double(lhs.as_double() + rhs.as_double());
-    }
     if (lhs.is_string() && rhs.is_string()) {
-      return Value::Str(lhs.as_string() + rhs.as_string());
+      RETURN_IF_ERROR(CheckStringLength(uint64_t{lhs.as_string().size()} +
+                                        rhs.as_string().size()));
+      return arena.Str(lhs.as_string() + rhs.as_string());
     }
     if (lhs.is_list() && rhs.is_list()) {
-      Value::List combined = lhs.as_list();
-      for (const Value& v : rhs.as_list()) {
-        combined.push_back(v);
-      }
-      return Value::MakeList(std::move(combined));
+      size_t size = lhs.as_list().size() + rhs.as_list().size();
+      RETURN_IF_ERROR(arena.CheckFits(size * sizeof(Value)));
+      Value::List combined;
+      combined.reserve(size);
+      combined.insert(combined.end(), lhs.as_list().begin(),
+                      lhs.as_list().end());
+      combined.insert(combined.end(), rhs.as_list().begin(),
+                      rhs.as_list().end());
+      return arena.MakeList(std::move(combined));
     }
-    return InvalidConfigError(StrFormat(
-        "cannot add %s and %s", std::string(lhs.KindName()).c_str(),
-        std::string(rhs.KindName()).c_str()));
+    if (!lhs.is_number() || !rhs.is_number()) {
+      return InvalidConfigError(StrFormat(
+          "cannot add %s and %s", std::string(lhs.KindName()).c_str(),
+          std::string(rhs.KindName()).c_str()));
+    }
   }
 
   if (op == BinOp::kMul && lhs.is_string() && rhs.is_int()) {
+    const std::string& unit = lhs.as_string();
+    uint64_t count = unit.empty() ? 0 : std::max<int64_t>(rhs.as_int(), 0);
+    uint64_t length = 0;
+    bool overflow = __builtin_mul_overflow(uint64_t{unit.size()}, count, &length);
+    RETURN_IF_ERROR(CheckStringLength(overflow ? UINT64_MAX : length));
     std::string out;
-    for (int64_t i = 0; i < rhs.as_int(); ++i) {
-      out += lhs.as_string();
+    out.reserve(length);
+    for (uint64_t i = 0; i < count; ++i) {
+      out += unit;
     }
-    return Value::Str(std::move(out));
+    return arena.Str(std::move(out));
   }
   if (!lhs.is_number() || !rhs.is_number()) {
     return InvalidConfigError(StrFormat("operator '%s' needs numbers",
                                         std::string(BinOpName(op)).c_str()));
   }
   if (lhs.is_int() && rhs.is_int()) {
-    int64_t a = lhs.as_int();
-    int64_t b = rhs.as_int();
-    if (op == BinOp::kSub) {
-      return Value::Int(a - b);
-    }
-    if (op == BinOp::kMul) {
-      return Value::Int(a * b);
-    }
-    if (b == 0) {
-      return InvalidConfigError("division by zero");
-    }
-    if (op == BinOp::kFloorDiv) {
-      // Floor division, Python semantics.
-      int64_t q = a / b;
-      if ((a % b != 0) && ((a < 0) != (b < 0))) {
-        --q;
-      }
-      return Value::Int(q);
-    }
-    if (op == BinOp::kMod) {
-      int64_t r = a % b;
-      if (r != 0 && ((r < 0) != (b < 0))) {
-        r += b;
-      }
-      return Value::Int(r);
-    }
-    // "/" on ints yields double, Python 3 semantics.
-    return Value::Double(static_cast<double>(a) / static_cast<double>(b));
+    return IntArithmetic(op, lhs.as_int(), rhs.as_int());
   }
   double a = lhs.as_double();
   double b = rhs.as_double();
+  if (op == BinOp::kAdd) {
+    return Value::Double(a + b);
+  }
   if (op == BinOp::kSub) {
     return Value::Double(a - b);
   }
@@ -211,7 +245,7 @@ Result<Value> EvalUnaryValues(std::string_view op, const Value& operand) {
   }
   if (op == "-") {
     if (operand.is_int()) {
-      return Value::Int(-operand.as_int());
+      return IntArithmetic(BinOp::kSub, 0, operand.as_int());
     }
     if (operand.is_double()) {
       return Value::Double(-operand.as_double());
@@ -258,18 +292,34 @@ Result<Value> EvalIndexGet(const Value& base, const Value& key) {
     if (idx < 0 || idx >= static_cast<int64_t>(s.size())) {
       return InvalidConfigError("string index out of range");
     }
-    return Value::Str(std::string(1, s[static_cast<size_t>(idx)]));
+    return CharString(s[static_cast<size_t>(idx)]);
   }
   return InvalidConfigError("cannot index " + std::string(base.KindName()));
 }
 
-Status EvalIndexSet(Value& base, const Value& key, Value value) {
+namespace {
+
+// `dict[key] = value`, charging a new key to `arena`.
+Status DictStore(Value::Dict& dict, const std::string& key, Value value,
+                 ValueArena& arena) {
+  auto it = dict.lower_bound(key);
+  if (it == dict.end() || it->first != key) {
+    RETURN_IF_ERROR(arena.Charge(ValueArena::DictEntryBytes(key)));
+    it = dict.emplace_hint(it, key, Value());
+  }
+  it->second = std::move(value);
+  return OkStatus();
+}
+
+}  // namespace
+
+Status EvalIndexSet(const Value& base, const Value& key, Value value,
+                    ValueArena& arena) {
   if (base.is_dict()) {
     if (!key.is_string()) {
       return InvalidConfigError("dict keys must be strings");
     }
-    base.as_dict()[key.as_string()] = std::move(value);
-    return OkStatus();
+    return DictStore(base.as_dict(), key.as_string(), std::move(value), arena);
   }
   if (base.is_list()) {
     if (!key.is_int()) {
@@ -304,27 +354,31 @@ Result<Value> EvalAttrGet(const Value& base, const std::string& name) {
                 std::string(base.KindName()).c_str()));
 }
 
-Status EvalAttrSet(Value& base, const std::string& name, Value value) {
+Status EvalAttrSet(const Value& base, const std::string& name, Value value,
+                   ValueArena& arena) {
   if (!base.is_dict()) {
     return InvalidConfigError("cannot set attribute on " +
                               std::string(base.KindName()));
   }
-  base.as_dict()[name] = std::move(value);
-  return OkStatus();
+  return DictStore(base.as_dict(), name, std::move(value), arena);
 }
 
-Result<Value::List> IterableItems(const Value& iterable) {
+Result<Value::List> IterableItems(const Value& iterable, ValueArena& arena) {
   std::vector<Value> items;
   if (iterable.is_list()) {
     items = iterable.as_list();
   } else if (iterable.is_dict()) {
     // Iterating a dict yields its keys, like Python.
     for (const auto& [k, v] : iterable.as_dict()) {
-      items.push_back(Value::Str(k));
+      ASSIGN_OR_RETURN(Value key, arena.Str(k));
+      items.push_back(std::move(key));
     }
   } else if (iterable.is_string()) {
-    for (char c : iterable.as_string()) {
-      items.push_back(Value::Str(std::string(1, c)));
+    const std::string& s = iterable.as_string();
+    RETURN_IF_ERROR(arena.CheckFits(s.size() * sizeof(Value)));
+    items.reserve(s.size());
+    for (char c : s) {
+      items.push_back(CharString(c));
     }
   } else {
     return InvalidConfigError("for-loop target is not iterable");

@@ -45,8 +45,15 @@ std::optional<BinOp> ParseBinOp(std::string_view op);
 std::string_view BinOpName(BinOp op);
 
 // `lhs OP rhs` with Python-flavored semantics (floor division, `/` on ints
-// yielding double, string repetition, list concatenation, ...).
-Result<Value> EvalBinaryValues(BinOp op, const Value& lhs, const Value& rhs);
+// yielding double, string repetition, list concatenation, ...). Integer
+// arithmetic fails on int64 overflow. Lists and strings the operator builds
+// come from `arena`.
+Result<Value> EvalBinaryValues(BinOp op, const Value& lhs, const Value& rhs,
+                               ValueArena& arena);
+
+// The arithmetic operators on two ints (`/` yields a double). Fails on
+// int64 overflow and division by zero.
+Result<Value> IntArithmetic(BinOp op, int64_t a, int64_t b);
 
 // Unary "-" / "not".
 Result<Value> EvalUnaryValues(std::string_view op, const Value& operand);
@@ -54,20 +61,23 @@ Result<Value> EvalUnaryValues(std::string_view op, const Value& operand);
 // `base[key]` read.
 Result<Value> EvalIndexGet(const Value& base, const Value& key);
 
-// `base[key] = value`. Mutates through the value's reference semantics.
-Status EvalIndexSet(Value& base, const Value& key, Value value);
+// `base[key] = value`. Mutates the cell `base` points to; a new dict key is
+// charged to `arena`.
+Status EvalIndexSet(const Value& base, const Value& key, Value value,
+                    ValueArena& arena);
 
 // `base.name` read.
 Result<Value> EvalAttrGet(const Value& base, const std::string& name);
 
 // `base.name = value`.
-Status EvalAttrSet(Value& base, const std::string& name, Value value);
+Status EvalAttrSet(const Value& base, const std::string& name, Value value,
+                   ValueArena& arena);
 
 // Materializes a for-loop's item sequence: a copy of a list's items, a
-// dict's keys in sorted order, a string's characters. The copy is part of
-// the language semantics — mutating the iterable inside the loop must not
-// change the iteration.
-Result<Value::List> IterableItems(const Value& iterable);
+// dict's keys in sorted order (strings built in `arena`), a string's
+// characters. The copy is part of the language semantics — mutating the
+// iterable inside the loop must not change the iteration.
+Result<Value::List> IterableItems(const Value& iterable, ValueArena& arena);
 
 // Binds call arguments to parameters with the interpreter's exact rules and
 // messages: positionals first, then keywords in sorted order, then defaults

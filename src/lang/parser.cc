@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
 
 #include "src/lang/ast.h"
@@ -553,8 +554,14 @@ class CslParser {
   Result<ExprPtr> ParsePrimary() {
     switch (Cur().kind) {
       case CslToken::Kind::kInt: {
+        const std::string& text = Cur().text;  // Digits only.
+        int64_t value = 0;
+        if (std::from_chars(text.data(), text.data() + text.size(), value).ec !=
+            std::errc()) {
+          return Error("integer literal " + text + " is out of the int64 range");
+        }
         auto e = NewExpr(Expr::Kind::kLiteral);
-        e->literal = Value::Int(std::strtoll(Cur().text.c_str(), nullptr, 10));
+        e->literal = Value::Int(value);
         Advance();
         return e;
       }

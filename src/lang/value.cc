@@ -1,11 +1,24 @@
 #include "src/lang/value.h"
 
-#include <algorithm>
-#include <set>
-
 #include "src/util/strings.h"
 
 namespace configerator {
+
+Status ValueWalk::Visit(const Value& v, int depth, size_t key_bytes) {
+  if (depth > kMaxValueDepth) {
+    return InvalidConfigError(
+        "value nesting exceeds the depth limit (self-referential container?)");
+  }
+  if (++nodes_ > kMaxValueNodes) {
+    return InvalidConfigError(
+        "value walk exceeds the node limit (shared substructure?)");
+  }
+  bytes_ += key_bytes + (v.is_string() ? v.as_string().size() : 0);
+  if (bytes_ > kMaxStringBytes) {
+    return InvalidConfigError("value walk exceeds the string byte limit");
+  }
+  return OkStatus();
+}
 
 Value Value::Bool(bool b) {
   Value v;
@@ -31,48 +44,21 @@ Value Value::Double(double d) {
 Value Value::Str(std::string s) {
   Value v;
   v.kind_ = Kind::kString;
-  v.string_ = std::make_shared<std::string>(std::move(s));
-  return v;
-}
-
-Value Value::MakeList() { return MakeList({}); }
-
-Value Value::MakeList(List items) {
-  Value v;
-  v.kind_ = Kind::kList;
-  v.list_ = std::make_shared<List>(std::move(items));
-  if (ContainerCycleBreaker* breaker = ContainerCycleBreaker::Current()) {
-    breaker->Track(v.list_);
-  }
-  return v;
-}
-
-Value Value::MakeDict() { return MakeDict({}, ""); }
-
-Value Value::MakeDict(Dict items, std::string type_name) {
-  Value v;
-  v.kind_ = Kind::kDict;
-  v.dict_ = std::make_shared<Dict>(std::move(items));
-  v.type_name_ = std::move(type_name);
-  if (ContainerCycleBreaker* breaker = ContainerCycleBreaker::Current()) {
-    breaker->Track(v.dict_);
-  }
-  return v;
-}
-
-Value Value::MakeClosure(Closure c) {
-  Value v;
-  v.kind_ = Kind::kClosure;
-  v.closure_ = std::make_shared<Closure>(std::move(c));
+  v.shared_ = std::make_shared<const std::string>(std::move(s));
   return v;
 }
 
 Value Value::MakeNative(std::string name, NativeFn fn) {
   Value v;
   v.kind_ = Kind::kNative;
-  v.native_ = std::make_shared<NativeFunction>(
+  v.shared_ = std::make_shared<const NativeFunction>(
       NativeFunction{std::move(name), std::move(fn)});
   return v;
+}
+
+const std::string& Value::type_name() const {
+  static const std::string kNone;
+  return is_dict() ? dict_->type_name : kNone;
 }
 
 bool Value::Truthy() const {
@@ -86,11 +72,11 @@ bool Value::Truthy() const {
     case Kind::kDouble:
       return double_ != 0;
     case Kind::kString:
-      return !string_->empty();
+      return !as_string().empty();
     case Kind::kList:
       return !list_->empty();
     case Kind::kDict:
-      return !dict_->empty();
+      return !dict_->items.empty();
     case Kind::kClosure:
     case Kind::kNative:
       return true;
@@ -98,7 +84,14 @@ bool Value::Truthy() const {
   return false;
 }
 
-bool Value::Equals(const Value& other) const {
+Result<bool> Value::Equals(const Value& other, ValueWalk* walk) const {
+  ValueWalk local;
+  return EqualsInternal(other, 0, 0, walk != nullptr ? *walk : local);
+}
+
+Result<bool> Value::EqualsInternal(const Value& other, int depth,
+                                   size_t key_bytes, ValueWalk& walk) const {
+  RETURN_IF_ERROR(walk.Visit(*this, depth, key_bytes));
   if (is_number() && other.is_number()) {
     if (is_int() && other.is_int()) {
       return int_ == other.int_;
@@ -114,7 +107,7 @@ bool Value::Equals(const Value& other) const {
     case Kind::kBool:
       return bool_ == other.bool_;
     case Kind::kString:
-      return *string_ == *other.string_;
+      return shared_ == other.shared_ || as_string() == other.as_string();
     case Kind::kList: {
       if (list_ == other.list_) {
         return true;
@@ -123,7 +116,9 @@ bool Value::Equals(const Value& other) const {
         return false;
       }
       for (size_t i = 0; i < list_->size(); ++i) {
-        if (!(*list_)[i].Equals((*other.list_)[i])) {
+        ASSIGN_OR_RETURN(bool equal, (*list_)[i].EqualsInternal(
+                                         (*other.list_)[i], depth + 1, 0, walk));
+        if (!equal) {
           return false;
         }
       }
@@ -133,22 +128,27 @@ bool Value::Equals(const Value& other) const {
       if (dict_ == other.dict_) {
         return true;
       }
-      if (dict_->size() != other.dict_->size()) {
+      if (dict_->items.size() != other.dict_->items.size()) {
         return false;
       }
-      auto it1 = dict_->begin();
-      auto it2 = other.dict_->begin();
-      for (; it1 != dict_->end(); ++it1, ++it2) {
-        if (it1->first != it2->first || !it1->second.Equals(it2->second)) {
+      auto it2 = other.dict_->items.begin();
+      for (const auto& [key, item] : dict_->items) {
+        if (key != it2->first) {
           return false;
         }
+        ASSIGN_OR_RETURN(bool equal, item.EqualsInternal(it2->second, depth + 1,
+                                                         key.size(), walk));
+        if (!equal) {
+          return false;
+        }
+        ++it2;
       }
       return true;
     }
     case Kind::kClosure:
       return closure_ == other.closure_;
     case Kind::kNative:
-      return native_ == other.native_;
+      return shared_ == other.shared_;
     default:
       return false;
   }
@@ -169,7 +169,8 @@ std::string_view Value::KindName() const {
     case Kind::kList:
       return "list";
     case Kind::kDict:
-      return type_name_.empty() ? "dict" : std::string_view(type_name_);
+      return dict_->type_name.empty() ? "dict"
+                                      : std::string_view(dict_->type_name);
     case Kind::kClosure:
       return "function";
     case Kind::kNative:
@@ -178,64 +179,75 @@ std::string_view Value::KindName() const {
   return "?";
 }
 
-namespace {
-constexpr int kMaxValueDepth = 128;
-}  // namespace
+std::string Value::ToDebugString() const {
+  ValueWalk walk;
+  std::string out;
+  AppendDebugString(0, 0, walk, &out);
+  return out;
+}
 
-std::string Value::ToDebugStringInternal(int depth) const {
-  if (depth > kMaxValueDepth) {
-    return "...";
+bool Value::AppendDebugString(int depth, size_t key_bytes, ValueWalk& walk,
+                              std::string* out) const {
+  if (!walk.Visit(*this, depth, key_bytes).ok()) {
+    *out += "...";
+    return false;
   }
   switch (kind_) {
     case Kind::kNull:
-      return "None";
+      *out += "None";
+      return true;
     case Kind::kBool:
-      return bool_ ? "True" : "False";
+      *out += bool_ ? "True" : "False";
+      return true;
     case Kind::kInt:
-      return std::to_string(int_);
+      *out += std::to_string(int_);
+      return true;
     case Kind::kDouble:
-      return StrFormat("%g", double_);
-    case Kind::kString: {
-      std::string out;
-      JsonEscape(*string_, &out);
-      return out;
-    }
+      *out += StrFormat("%g", double_);
+      return true;
+    case Kind::kString:
+      JsonEscape(as_string(), out);
+      return true;
     case Kind::kList: {
-      std::string out = "[";
-      for (size_t i = 0; i < list_->size(); ++i) {
-        if (i > 0) {
-          out += ", ";
-        }
-        out += (*list_)[i].ToDebugStringInternal(depth + 1);
+      *out += "[";
+      bool complete = true;
+      for (size_t i = 0; complete && i < list_->size(); ++i) {
+        *out += i > 0 ? ", " : "";
+        complete = (*list_)[i].AppendDebugString(depth + 1, 0, walk, out);
       }
-      return out + "]";
+      *out += "]";
+      return complete;
     }
     case Kind::kDict: {
-      std::string out = type_name_.empty() ? "{" : type_name_ + "{";
-      bool first = true;
-      for (const auto& [k, v] : *dict_) {
-        if (!first) {
-          out += ", ";
-        }
-        first = false;
-        out += k + ": " + v.ToDebugStringInternal(depth + 1);
+      *out += dict_->type_name.empty() ? "{" : dict_->type_name + "{";
+      bool complete = true;
+      for (auto it = dict_->items.begin();
+           complete && it != dict_->items.end(); ++it) {
+        *out += (it != dict_->items.begin() ? ", " : "") + it->first + ": ";
+        complete = it->second.AppendDebugString(depth + 1, it->first.size(),
+                                                walk, out);
       }
-      return out + "}";
+      *out += "}";
+      return complete;
     }
     case Kind::kClosure:
-      return "<function>";
+      *out += "<function>";
+      return true;
     case Kind::kNative:
-      return "<builtin " + native_->name + ">";
+      *out += "<builtin " + as_native().name + ">";
+      return true;
   }
-  return "?";
+  return true;
 }
 
-Result<Json> Value::ToJsonInternal(int depth) const {
-  if (depth > kMaxValueDepth) {
-    return InvalidConfigError(
-        "value nesting exceeds the export depth limit (self-referential "
-        "container?)");
-  }
+Result<Json> Value::ToJson() const {
+  ValueWalk walk;
+  return ToJsonInternal(0, 0, walk);
+}
+
+Result<Json> Value::ToJsonInternal(int depth, size_t key_bytes,
+                                   ValueWalk& walk) const {
+  RETURN_IF_ERROR(walk.Visit(*this, depth, key_bytes));
   switch (kind_) {
     case Kind::kNull:
       return Json(nullptr);
@@ -246,19 +258,19 @@ Result<Json> Value::ToJsonInternal(int depth) const {
     case Kind::kDouble:
       return Json(double_);
     case Kind::kString:
-      return Json(*string_);
+      return Json(as_string());
     case Kind::kList: {
       Json arr = Json::MakeArray();
       for (const Value& v : *list_) {
-        ASSIGN_OR_RETURN(Json j, v.ToJsonInternal(depth + 1));
+        ASSIGN_OR_RETURN(Json j, v.ToJsonInternal(depth + 1, 0, walk));
         arr.Append(std::move(j));
       }
       return arr;
     }
     case Kind::kDict: {
       Json obj = Json::MakeObject();
-      for (const auto& [k, v] : *dict_) {
-        ASSIGN_OR_RETURN(Json j, v.ToJsonInternal(depth + 1));
+      for (const auto& [k, v] : dict_->items) {
+        ASSIGN_OR_RETURN(Json j, v.ToJsonInternal(depth + 1, k.size(), walk));
         obj.Set(k, std::move(j));
       }
       return obj;
@@ -270,7 +282,7 @@ Result<Json> Value::ToJsonInternal(int depth) const {
   return InternalError("unhandled value kind");
 }
 
-Value Value::FromJson(const Json& json) {
+Result<Value> Value::FromJson(const Json& json, ValueArena& arena) {
   switch (json.kind()) {
     case Json::Kind::kNull:
       return Value::Null();
@@ -281,172 +293,92 @@ Value Value::FromJson(const Json& json) {
     case Json::Kind::kDouble:
       return Value::Double(json.as_double());
     case Json::Kind::kString:
-      return Value::Str(json.as_string());
+      return arena.Str(json.as_string());
     case Json::Kind::kArray: {
       List items;
       items.reserve(json.as_array().size());
       for (const Json& j : json.as_array()) {
-        items.push_back(FromJson(j));
+        ASSIGN_OR_RETURN(Value item, FromJson(j, arena));
+        items.push_back(std::move(item));
       }
-      return MakeList(std::move(items));
+      return arena.MakeList(std::move(items));
     }
     case Json::Kind::kObject: {
       Dict items;
       for (const auto& [k, j] : json.as_object()) {
-        items.emplace(k, FromJson(j));
+        ASSIGN_OR_RETURN(Value item, FromJson(j, arena));
+        items.emplace(k, std::move(item));
       }
-      return MakeDict(std::move(items));
+      return arena.MakeDict(std::move(items));
     }
   }
   return Value::Null();
 }
 
-ContainerCycleBreaker*& ContainerCycleBreaker::Current() {
-  thread_local ContainerCycleBreaker* current = nullptr;
-  return current;
+Status CheckStringLength(uint64_t length) {
+  if (length > kMaxStringBytes) {
+    return InvalidConfigError(StrFormat(
+        "string exceeds the string length limit of %zu bytes", kMaxStringBytes));
+  }
+  return OkStatus();
 }
 
-ContainerCycleBreaker::ContainerCycleBreaker() : prev_(Current()) {
-  Current() = this;
+Status ValueArena::CheckFits(size_t bytes) const {
+  if (bytes > kArenaBudgetBytes - charged_) {
+    return InvalidConfigError(StrFormat(
+        "evaluation exceeds the memory budget of %zu bytes (the config "
+        "builds too many lists, dicts and strings)",
+        kArenaBudgetBytes));
+  }
+  return OkStatus();
 }
 
-ContainerCycleBreaker::~ContainerCycleBreaker() {
-  BreakCycles();
-  // Splice this breaker out of the installation chain wherever it sits.
-  // Destruction is usually LIFO, but `interp = std::make_unique<Interp>(...)`
-  // constructs the replacement (installing its breaker) before destroying
-  // the old interpreter, so the chain can lose a middle link first.
-  if (Current() == this) {
-    Current() = prev_;
-    return;
-  }
-  for (ContainerCycleBreaker* b = Current(); b != nullptr; b = b->prev_) {
-    if (b->prev_ == this) {
-      b->prev_ = prev_;
-      return;
-    }
-  }
+Status ValueArena::Charge(size_t bytes) {
+  RETURN_IF_ERROR(CheckFits(bytes));
+  charged_ += bytes;
+  return OkStatus();
 }
 
-namespace {
-
-// True when any container reachable from `v` through list/dict edges is
-// `target`. By the time this runs the interpreter has already cleared its
-// environments, so closure→scope edges lead nowhere and container edges
-// are the only way a cycle can persist.
-bool ReachesCell(const Value& v, const void* target,
-                 std::set<const void*>& visited) {
-  if (v.is_list()) {
-    const void* id = &v.as_list();
-    if (id == target) {
-      return true;
-    }
-    if (!visited.insert(id).second) {
-      return false;
-    }
-    for (const Value& item : v.as_list()) {
-      if (ReachesCell(item, target, visited)) {
-        return true;
-      }
-    }
-  } else if (v.is_dict()) {
-    const void* id = &v.as_dict();
-    if (id == target) {
-      return true;
-    }
-    if (!visited.insert(id).second) {
-      return false;
-    }
-    for (const auto& [key, item] : v.as_dict()) {
-      if (ReachesCell(item, target, visited)) {
-        return true;
-      }
-    }
-  }
-  return false;
+size_t ValueArena::DictEntryBytes(const std::string& key) {
+  // The map node: the entry, three links and the color.
+  return sizeof(Value::Dict::value_type) + 4 * sizeof(void*) + key.size();
 }
 
-bool ListIsCyclic(const std::shared_ptr<Value::List>& cell) {
-  std::set<const void*> visited;
-  for (const Value& item : *cell) {
-    if (ReachesCell(item, cell.get(), visited)) {
-      return true;
-    }
-  }
-  return false;
+Result<Value> ValueArena::MakeList(Value::List items) {
+  RETURN_IF_ERROR(
+      Charge(sizeof(Value::List) + items.size() * sizeof(Value)));
+  Value v;
+  v.kind_ = Value::Kind::kList;
+  v.list_ = &lists_.emplace_back(std::move(items));
+  return v;
 }
 
-bool DictIsCyclic(const std::shared_ptr<Value::Dict>& cell) {
-  std::set<const void*> visited;
-  for (const auto& [key, item] : *cell) {
-    if (ReachesCell(item, cell.get(), visited)) {
-      return true;
-    }
+Result<Value> ValueArena::MakeDict(Value::Dict items, std::string type_name) {
+  size_t bytes = sizeof(Value::DictCell);
+  for (const auto& [key, item] : items) {
+    bytes += DictEntryBytes(key);
   }
-  return false;
+  RETURN_IF_ERROR(Charge(bytes));
+  Value v;
+  v.kind_ = Value::Kind::kDict;
+  v.dict_ = &dicts_.emplace_back(
+      Value::DictCell{std::move(items), std::move(type_name)});
+  return v;
 }
 
-}  // namespace
-
-void ContainerCycleBreaker::BreakCycles() {
-  // Lock the survivors, decide which are cyclic, then clear — deciding
-  // before clearing keeps the reachability checks consistent.
-  std::vector<std::shared_ptr<Value::List>> live_lists;
-  std::vector<std::shared_ptr<Value::Dict>> live_dicts;
-  for (const std::weak_ptr<Value::List>& weak : lists_) {
-    if (std::shared_ptr<Value::List> cell = weak.lock()) {
-      live_lists.push_back(std::move(cell));
-    }
-  }
-  for (const std::weak_ptr<Value::Dict>& weak : dicts_) {
-    if (std::shared_ptr<Value::Dict> cell = weak.lock()) {
-      live_dicts.push_back(std::move(cell));
-    }
-  }
-  std::vector<std::shared_ptr<Value::List>> cyclic_lists;
-  std::vector<std::shared_ptr<Value::Dict>> cyclic_dicts;
-  for (const std::shared_ptr<Value::List>& cell : live_lists) {
-    if (ListIsCyclic(cell)) {
-      cyclic_lists.push_back(cell);
-    }
-  }
-  for (const std::shared_ptr<Value::Dict>& cell : live_dicts) {
-    if (DictIsCyclic(cell)) {
-      cyclic_dicts.push_back(cell);
-    }
-  }
-  for (const std::shared_ptr<Value::List>& cell : cyclic_lists) {
-    cell->clear();
-  }
-  for (const std::shared_ptr<Value::Dict>& cell : cyclic_dicts) {
-    cell->clear();
-  }
-  lists_.clear();
-  dicts_.clear();
+Result<Value> ValueArena::MakeClosure(Closure closure) {
+  RETURN_IF_ERROR(Charge(sizeof(Closure)));
+  Value v;
+  v.kind_ = Value::Kind::kClosure;
+  v.closure_ = &closures_.emplace_back(std::move(closure));
+  return v;
 }
 
-void ContainerCycleBreaker::MaybeCompact() {
-  if (lists_.size() + dicts_.size() < compact_threshold_) {
-    return;
-  }
-  std::erase_if(lists_, [](const std::weak_ptr<Value::List>& weak) {
-    return weak.expired();
-  });
-  std::erase_if(dicts_, [](const std::weak_ptr<Value::Dict>& weak) {
-    return weak.expired();
-  });
-  compact_threshold_ =
-      std::max<size_t>(1024, 2 * (lists_.size() + dicts_.size()));
-}
-
-void ContainerCycleBreaker::Track(const std::shared_ptr<Value::List>& cell) {
-  MaybeCompact();
-  lists_.push_back(cell);
-}
-
-void ContainerCycleBreaker::Track(const std::shared_ptr<Value::Dict>& cell) {
-  MaybeCompact();
-  dicts_.push_back(cell);
+Result<Value> ValueArena::Str(std::string s) {
+  RETURN_IF_ERROR(CheckStringLength(s.size()));
+  // The bytes plus the string object and its shared_ptr control block.
+  RETURN_IF_ERROR(Charge(s.size() + sizeof(std::string) + 2 * sizeof(void*)));
+  return Value::Str(std::move(s));
 }
 
 }  // namespace configerator

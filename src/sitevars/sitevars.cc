@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/lang/interp.h"
 #include "src/util/strings.h"
 
 namespace configerator {
@@ -63,28 +64,17 @@ SitevarType ClassifySitevarValue(const Json& value) {
   return SitevarType::kUnknown;
 }
 
-SitevarStore::SitevarStore() {
-  Interp::Hooks hooks;  // No imports/exports inside sitevar expressions.
-  interp_ = std::make_unique<Interp>(nullptr, std::move(hooks));
-}
-
-SitevarStore::~SitevarStore() = default;
-
-Result<Json> SitevarStore::Evaluate(const std::string& expression) const {
-  // Wrap the expression into a single assignment and evaluate the module.
-  std::string source = "__sitevar_value = (" + expression + ")\n";
-  ASSIGN_OR_RETURN(std::shared_ptr<Module> module,
-                   ParseCsl(source, "<sitevar>"));
-  auto globals = interp_->NewEnvironment(interp_->MakeBaseEnvironment());
-  RETURN_IF_ERROR(interp_->EvalModule(*module, globals, /*exports_enabled=*/false));
-  Value* value = globals->Find("__sitevar_value");
-  if (value == nullptr) {
-    return InternalError("sitevar expression produced no value");
-  }
-  return value->ToJson();
-}
-
 namespace {
+
+// Evaluates `module` in `interp`'s session and returns its global `name`
+// (None if it defines none).
+Result<Value> EvalGlobal(Interp& interp, const Module& module,
+                         const std::string& name) {
+  auto globals = interp.NewEnvironment(interp.MakeBaseEnvironment());
+  RETURN_IF_ERROR(interp.EvalModule(module, globals, /*exports_enabled=*/false));
+  Value* value = globals->Find(name);
+  return value != nullptr ? *value : Value::Null();
+}
 
 // Computes the majority type over a history window.
 SitevarType MajorityType(const std::deque<Json>& history) {
@@ -108,14 +98,23 @@ SitevarType MajorityType(const std::deque<Json>& history) {
 Result<SitevarUpdateResult> SitevarStore::Set(const std::string& name,
                                               const std::string& expression,
                                               const std::string& author) {
-  ASSIGN_OR_RETURN(Json value, Evaluate(expression));
+  // Wrap the expression into a single assignment and evaluate the module.
+  ASSIGN_OR_RETURN(
+      std::shared_ptr<Module> module,
+      ParseCsl("__sitevar_value = (" + expression + ")\n", "<sitevar>"));
+  Interp interp(nullptr, Interp::Hooks{});  // No imports or exports.
+  ASSIGN_OR_RETURN(Value evaluated, EvalGlobal(interp, *module, "__sitevar_value"));
+  ASSIGN_OR_RETURN(Json value, evaluated.ToJson());
 
   SitevarUpdateResult result;
 
   auto it = sitevars_.find(name);
   // The checker guards every update, including the first value ever set.
-  if (it != sitevars_.end() && it->second.checker.is_callable()) {
-    auto check = interp_->CallValue(it->second.checker, {Value::FromJson(value)}, {});
+  if (it != sitevars_.end() && it->second.checker != nullptr) {
+    ASSIGN_OR_RETURN(Value checker,
+                     EvalGlobal(interp, *it->second.checker, "check"));
+    ASSIGN_OR_RETURN(Value arg, Value::FromJson(value, interp.arena()));
+    auto check = interp.CallValue(checker, {std::move(arg)}, {});
     if (!check.ok()) {
       return InvalidConfigError(StrFormat("sitevar '%s' checker rejected: %s",
                                           name.c_str(),
@@ -180,14 +179,12 @@ Status SitevarStore::SetChecker(const std::string& name,
                                 const std::string& csl_source) {
   ASSIGN_OR_RETURN(std::shared_ptr<Module> module,
                    ParseCsl(csl_source, "<checker:" + name + ">"));
-  auto globals = interp_->NewEnvironment(interp_->MakeBaseEnvironment());
-  RETURN_IF_ERROR(interp_->EvalModule(*module, globals, /*exports_enabled=*/false));
-  Value* check = globals->Find("check");
-  if (check == nullptr || !check->is_callable()) {
+  Interp interp(nullptr, Interp::Hooks{});
+  ASSIGN_OR_RETURN(Value check, EvalGlobal(interp, *module, "check"));
+  if (!check.is_callable()) {
     return InvalidArgumentError("checker source must define check(value)");
   }
-  checker_modules_.push_back(module);
-  sitevars_[name].checker = *check;
+  sitevars_[name].checker = std::move(module);
   return OkStatus();
 }
 

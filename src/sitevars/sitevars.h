@@ -5,6 +5,10 @@
 // (is this field a string? a JSON string? a timestamp string?) and *warns*
 // when an update deviates — the paper's typo defense for legacy sitevars
 // that predate schemas.
+//
+// Every Set evaluates its expression and runs the sitevar's checker in a
+// fresh interpreter session, so no checker state carries from one update to
+// the next and each update's values are freed when it returns.
 
 #ifndef SRC_SITEVARS_SITEVARS_H_
 #define SRC_SITEVARS_SITEVARS_H_
@@ -16,7 +20,7 @@
 #include <vector>
 
 #include "src/json/json.h"
-#include "src/lang/interp.h"
+#include "src/lang/ast.h"
 #include "src/util/status.h"
 
 namespace configerator {
@@ -48,9 +52,6 @@ struct SitevarUpdateResult {
 
 class SitevarStore {
  public:
-  SitevarStore();
-  ~SitevarStore();
-
   // Evaluates `expression` (a CSL expression, e.g. `{"limit": 3 * 100}`) and
   // stores the result under `name`. Returns warnings when the value's
   // inferred type deviates from history; fails if the expression is invalid
@@ -63,7 +64,8 @@ class SitevarStore {
   bool Exists(const std::string& name) const { return sitevars_.count(name) > 0; }
 
   // Installs a checker: CSL source defining `def check(value)` that asserts
-  // invariants (the PHP checker of the paper). Runs on every later Set.
+  // invariants (the PHP checker of the paper). Runs on every later Set,
+  // each time from a freshly evaluated module.
   Status SetChecker(const std::string& name, const std::string& csl_source);
 
   // Majority type over the value history (kUnknown if never set).
@@ -79,17 +81,12 @@ class SitevarStore {
   struct SitevarRecord {
     std::deque<Json> history;  // Most recent last; bounded.
     std::deque<std::string> authors;
-    Value checker;  // Null value if no checker installed.
+    std::shared_ptr<const Module> checker;  // Null if no checker installed.
   };
-
-  Result<Json> Evaluate(const std::string& expression) const;
 
   static constexpr size_t kMaxHistory = 64;
 
   std::map<std::string, SitevarRecord> sitevars_;
-  std::unique_ptr<Interp> interp_;
-  // Modules backing checkers must stay alive as long as their closures.
-  std::vector<std::shared_ptr<Module>> checker_modules_;
 };
 
 }  // namespace configerator

@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <chrono>
 
 #include "src/lang/builtins.h"
+#include "src/lang/compiler.h"
 #include "src/lang/interp.h"
 #include "src/lang/lexer.h"
 #include "src/util/rng.h"
@@ -707,12 +713,13 @@ TEST_F(LangTest, RecursionThroughDeepExpressionsIsAnErrorNotACrash) {
 // ---- Value model ------------------------------------------------------------
 
 TEST(ValueTest, Truthiness) {
+  ValueArena arena;
   EXPECT_FALSE(Value::Null().Truthy());
   EXPECT_FALSE(Value::Bool(false).Truthy());
   EXPECT_FALSE(Value::Int(0).Truthy());
   EXPECT_FALSE(Value::Str("").Truthy());
-  EXPECT_FALSE(Value::MakeList().Truthy());
-  EXPECT_FALSE(Value::MakeDict().Truthy());
+  EXPECT_FALSE(arena.MakeList()->Truthy());
+  EXPECT_FALSE(arena.MakeDict()->Truthy());
   EXPECT_TRUE(Value::Bool(true).Truthy());
   EXPECT_TRUE(Value::Int(-1).Truthy());
   EXPECT_TRUE(Value::Str("x").Truthy());
@@ -721,8 +728,10 @@ TEST(ValueTest, Truthiness) {
 TEST(ValueTest, JsonRoundTrip) {
   auto json = Json::Parse(R"({"a": [1, 2.5, "x", true, null], "b": {"c": 1}})");
   ASSERT_TRUE(json.ok());
-  Value value = Value::FromJson(*json);
-  auto back = value.ToJson();
+  ValueArena arena;
+  auto value = Value::FromJson(*json, arena);
+  ASSERT_TRUE(value.ok());
+  auto back = value->ToJson();
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(*json, *back);
 }
@@ -730,38 +739,248 @@ TEST(ValueTest, JsonRoundTrip) {
 TEST(ValueTest, SelfReferentialContainersAreSafe) {
   // The language allows `d["self"] = d`; export must fail cleanly (not
   // recurse forever), debug rendering must truncate, and self-comparison
-  // must terminate. (The cycles are broken manually below — reference
-  // counting cannot reclaim them, a documented language limitation.)
-  Value d = Value::MakeDict();
+  // must terminate. The cycles are left in place: the arena frees them.
+  ValueArena arena;
+  Value d = *arena.MakeDict();
   d.as_dict()["self"] = d;
   auto json = d.ToJson();
   ASSERT_FALSE(json.ok());
   EXPECT_NE(json.status().message().find("depth limit"), std::string::npos);
   EXPECT_FALSE(d.ToDebugString().empty());
-  EXPECT_TRUE(d.Equals(d));
+  EXPECT_TRUE(d.Equals(d).value_or(false));
 
-  Value l = Value::MakeList();
+  Value l = *arena.MakeList();
   l.as_list().push_back(l);
   EXPECT_FALSE(l.ToJson().ok());
-  EXPECT_TRUE(l.Equals(l));
-
-  d.as_dict().clear();
-  l.as_list().clear();
+  EXPECT_TRUE(l.Equals(l).value_or(false));
 }
 
 TEST(ValueTest, FunctionsDontSerialize) {
-  Value fn = Value::MakeNative("f", [](std::vector<Value>&,
+  Value fn = Value::MakeNative("f", [](ValueArena&, std::vector<Value>&,
                                        std::map<std::string, Value>&)
                                    -> Result<Value> { return Value::Null(); });
   EXPECT_FALSE(fn.ToJson().ok());
 }
 
 TEST(ValueTest, DebugStrings) {
+  ValueArena arena;
   EXPECT_EQ(Value::Int(3).ToDebugString(), "3");
   EXPECT_EQ(Value::Bool(true).ToDebugString(), "True");
   EXPECT_EQ(Value::Null().ToDebugString(), "None");
-  EXPECT_EQ(Value::MakeList({Value::Int(1)}).ToDebugString(), "[1]");
+  EXPECT_EQ(arena.MakeList({Value::Int(1)})->ToDebugString(), "[1]");
 }
 
+// ---- Robustness: what a config builds and walks is bounded ------------------
+
+// A config program and what compiling it must give: an error naming the
+// limit it hits, or (with an empty `error`) a successful compile exporting
+// `json`, when given.
+struct BoundSeed {
+  std::string name;
+  std::string source;
+  std::string error;
+  std::string json;
+};
+
+std::string Rounds(const std::string& stmt, int n) {
+  std::string out;
+  for (int i = 0; i < n; ++i) {
+    out += stmt + "\n";
+  }
+  return out;
+}
+
+std::vector<BoundSeed> BoundSeeds() {
+  const std::string int64_min = "x = -9223372036854775807 - 1\n";
+  const std::string shared_28 = "x = [1]\n" + Rounds("x = [x, x]", 28);
+  std::string format_call = "s = \"a\" * 50000000\nt = format(\"" +
+                            Repeat("{}", 45) + "\"" + Repeat(", s", 45) +
+                            ")\n";
+  // Each of these crashed, aborted, hung or returned a wrong value before
+  // values lived in a bounded arena and every walk was bounded.
+  std::vector<BoundSeed> seeds = {
+      {"deep_list",
+       "x = []\nfor i in range(200000):\n    x = [x]\n"
+       "export_if_last({\"x\": x})\n",
+       "depth limit", ""},
+      {"deep_dict",
+       "x = {}\nfor i in range(200000):\n    x = {\"k\": x}\n"
+       "export_if_last({\"x\": x})\n",
+       "depth limit", ""},
+      {"self_lists_equal",
+       "a = []\nappend(a, a)\nb = []\nappend(b, b)\nc = a == b\n",
+       "depth limit", ""},
+      {"self_lists_in",
+       "a = []\nappend(a, a)\nb = []\nappend(b, b)\nc = b in a\n",
+       "depth limit", ""},
+      {"self_dict_merge", "d = {}\nd[\"k\"] = d\nm = merge(d, d)\n",
+       "depth limit", ""},
+      {"deep_dict_merge",
+       "x = {}\nfor i in range(100000):\n    x = {\"k\": x}\nm = merge(x, x)\n",
+       "depth limit", ""},
+      {"shared_export", shared_28 + "export_if_last({\"a\": x})\n",
+       "node", ""},
+      {"shared_str",
+       shared_28 + "s = str(x)\nexport_if_last({\"long\": len(s) > 1000000})\n",
+       "", R"({"long": true})"},
+      {"shared_equal",
+       "x = [1]\ny = [1]\n" + Rounds("x = [x, x]\ny = [y, y]", 40) +
+           "c = x == y\n",
+       "node", ""},
+      {"floordiv_min", int64_min + "y = x // -1\n", "integer overflow", ""},
+      {"mod_min", int64_min + "export_if_last({\"y\": x % -1})\n", "",
+       R"({"y": 0})"},
+      {"add_overflow", "x = 9223372036854775807 + 1\n", "integer overflow",
+       ""},
+      {"mul_overflow", "x = 4294967296 * 4294967296\n", "integer overflow",
+       ""},
+      {"neg_overflow", int64_min + "y = -x\n", "integer overflow", ""},
+      {"abs_overflow", int64_min + "y = abs(x)\n", "integer overflow", ""},
+      {"int_overflow", "x = int(1e30)\n", "integer overflow", ""},
+      {"literal_overflow", "x = 99999999999999999999\n", "int64 range", ""},
+      {"range_near_max",
+       "export_if_last({\"r\": range(9223372036854775800, "
+       "9223372036854775807, 5)})\n",
+       "", R"({"r": [9223372036854775800, 9223372036854775805]})"},
+      {"list_doubling", "x = [1]\n" + Rounds("x = x + x", 40),
+       "memory budget", ""},
+      {"huge_range", "r = range(300000000)\n", "memory budget", ""},
+      {"extend_doubling", "x = [1]\n" + Rounds("extend(x, x)", 40),
+       "memory budget", ""},
+      {"dict_big_keys",
+       "s = \"a\" * 1000000\nd = {}\nfor i in range(3000):\n"
+       "    d[s + str(i)] = i\n",
+       "memory budget", ""},
+      {"string_repeat", "s = \"a\" * 3000000000\n", "string length limit",
+       ""},
+      {"string_doubling", "s = \"a\"\n" + Rounds("s = s + s", 40),
+       "string length limit", ""},
+      {"empty_repeat",
+       "export_if_last({\"s\": \"\" * 9223372036854775807})\n", "",
+       R"({"s": ""})"},
+      {"string_join",
+       "s = \"a\" * 1000000\nl = []\nfor i in range(3000):\n    append(l, s)\n"
+       "t = join(\",\", l)\n",
+       "string length limit", ""},
+      {"string_replace", "s = \"a\" * 1000000\nt = replace(s, \"a\", s)\n",
+       "string length limit", ""},
+      {"string_format", format_call, "string length limit", ""},
+      // Appended to the list it was reading (a use-after-free under ASan).
+      {"extend_self",
+       "l = [1, 2, 3]\nextend(l, l)\nexport_if_last({\"l\": l})\n", "",
+       R"({"l": [1, 2, 3, 1, 2, 3]})"},
+      // These must keep compiling. A concatenation loop keeps every
+      // intermediate list until the compile ends; 2,000 rounds stay well
+      // inside the budget.
+      {"concat_loop",
+       "x = []\nfor i in range(2000):\n    x += [i]\n"
+       "export_if_last({\"n\": len(x)})\n",
+       "", R"({"n": 2000})"},
+      {"append_loop",
+       "x = []\nfor i in range(1000000):\n    append(x, i)\n"
+       "export_if_last({\"n\": len(x)})\n",
+       "", R"({"n": 1000000})"},
+  };
+  for (BoundSeed& seed : seeds) {
+    // A program that should fail before its end still exports there, so a
+    // missing error cannot pass as a compile with no output.
+    if (seed.source.find("export_if_last") == std::string::npos) {
+      seed.source += "export_if_last({\"ok\": True})\n";
+    }
+  }
+  return seeds;
+}
+
+// "OK <json>" or "ERR <status>" for compiling `source` as one entry.
+std::string CompileOutcome(const std::string& source) {
+  InMemorySources sources;
+  sources.Put("seed.cconf", source);
+  ConfigCompiler compiler(sources.AsReader());
+  auto output = compiler.Compile("seed.cconf");
+  if (!output.ok()) {
+    return "ERR " + output.status().ToString();
+  }
+  return "OK " + output->configs[0].content.Dump();
+}
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitized = true;
+#else
+constexpr bool kSanitized = false;
+#endif
+
+// Compiles `source` in a forked child under a 2 GiB address-space limit and
+// a 10 s alarm, so a regression fails this test instead of exhausting the
+// host. Returns the child's outcome, or why it died.
+std::string CompileOutcomeInChild(const std::string& source) {
+  int fds[2];
+  if (pipe(fds) != 0) {
+    return "pipe failed";
+  }
+  pid_t pid = fork();
+  if (pid == 0) {
+    close(fds[0]);
+    rlimit limit{rlim_t{2} << 30, rlim_t{2} << 30};
+    setrlimit(RLIMIT_AS, &limit);
+    alarm(10);
+    std::string outcome;
+    try {
+      outcome = CompileOutcome(source);
+    } catch (const std::exception& e) {  // std::bad_alloc past the limit.
+      outcome = std::string("exception: ") + e.what();
+    }
+    for (size_t done = 0; done < outcome.size();) {
+      ssize_t n = write(fds[1], outcome.data() + done, outcome.size() - done);
+      if (n <= 0) {
+        _exit(1);
+      }
+      done += static_cast<size_t>(n);
+    }
+    _exit(0);
+  }
+  close(fds[1]);
+  std::string outcome;
+  char buf[4096];
+  ssize_t n = 0;
+  while ((n = read(fds[0], buf, sizeof(buf))) > 0) {
+    outcome.append(buf, static_cast<size_t>(n));
+  }
+  close(fds[0]);
+  int wstatus = 0;
+  waitpid(pid, &wstatus, 0);
+  if (WIFSIGNALED(wstatus)) {
+    return "killed by signal " + std::to_string(WTERMSIG(wstatus));
+  }
+  if (!WIFEXITED(wstatus) || WEXITSTATUS(wstatus) != 0) {
+    return "child failed";
+  }
+  return outcome;
+}
+
+TEST(LangBoundsTest, SeedsReturnAStatusNamingTheirLimit) {
+  for (const BoundSeed& seed : BoundSeeds()) {
+    auto start = std::chrono::steady_clock::now();
+    std::string outcome = kSanitized ? CompileOutcome(seed.source)
+                                     : CompileOutcomeInChild(seed.source);
+    double seconds = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - start)
+                         .count();
+    if (seed.error.empty()) {
+      ASSERT_TRUE(outcome.starts_with("OK ")) << seed.name << ": " << outcome;
+      if (!seed.json.empty()) {
+        EXPECT_EQ(outcome.substr(3), seed.json) << seed.name;
+      }
+    } else {
+      EXPECT_TRUE(outcome.starts_with("ERR INVALID_CONFIG") ||
+                  outcome.starts_with("ERR INVALID_ARGUMENT"))
+          << seed.name << ": " << outcome;
+      EXPECT_NE(outcome.find(seed.error), std::string::npos)
+          << seed.name << ": " << outcome;
+    }
+    if (!kSanitized) {
+      EXPECT_LT(seconds, 10.0) << seed.name;
+    }
+  }
+}
 }  // namespace
 }  // namespace configerator

@@ -152,6 +152,22 @@ TEST(SitevarStoreTest, CheckerGuardsTheFirstValueToo) {
   EXPECT_EQ(store.Get("fresh")->as_int(), 7);
 }
 
+TEST(SitevarStoreTest, CheckerStateDoesNotCarryAcrossSets) {
+  // Each Set runs the checker from a freshly evaluated module, so its
+  // module-level list holds only the current update.
+  SitevarStore store;
+  ASSERT_TRUE(store
+                  .SetChecker("limit",
+                              "seen = []\n"
+                              "def check(value):\n"
+                              "    append(seen, value)\n"
+                              "    assert len(seen) < 3, \"saw 3 updates\"\n")
+                  .ok());
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_TRUE(store.Set("limit", std::to_string(i), "alice").ok()) << i;
+  }
+}
+
 TEST(SitevarStoreTest, CheckerMustDefineCheck) {
   SitevarStore store;
   EXPECT_FALSE(store.SetChecker("x", "def other():\n    pass\n").ok());
