@@ -19,7 +19,7 @@
 #include "src/analysis/absint.h"
 #include "src/analysis/lint.h"
 #include "src/json/json.h"
-#include "src/lang/ast_cache.h"
+#include "src/lang/unit_cache.h"
 #include "src/util/strings.h"
 #include "src/util/table.h"
 
@@ -70,17 +70,15 @@ int main() {
   }
   double absint_s = Seconds(absint_start);
 
-  // Pass 3: both analyses sharing one parsed AST per file (what Sandcastle
-  // does since lint and absint took a common AstCache): each file is parsed
-  // once instead of once per pass.
+  // Pass 3: both analyses parsing through one CompiledUnitCache (what
+  // Sandcastle's lint and absint stages share): each file is parsed once
+  // instead of once per pass.
   size_t shared_findings = 0;
   auto shared_start = std::chrono::steady_clock::now();
   {
-    AstCache ast_cache;
-    ConfigLint linter(reader);
-    AbstractInterpreter absint(reader);
-    linter.set_ast_cache(&ast_cache);
-    absint.set_ast_cache(&ast_cache);
+    CompiledUnitCache units;
+    ConfigLint linter(reader, &RestraintRegistry::Builtin(), &units);
+    AbstractInterpreter absint(reader, &units);
     for (const std::string& path : repo.paths) {
       const std::string content = *reader(path);
       shared_findings += linter.LintFile(path, content).size();

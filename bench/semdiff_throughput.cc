@@ -7,9 +7,16 @@
 // module value bumps (value-delta fanning out to importers), and
 // entry-local comment edits.
 //
+// Two rows run the same commits: "fresh" gives each commit its own differ
+// and analyzes every version afresh (the ablation), "stored" shares one
+// long-lived AnalysisStore across commits, as Sandcastle does, so each
+// version is analyzed once and head's side is a lookup. Both rows must
+// produce the same impacts.
+//
 // Emits BENCH_semdiff.json next to the working directory for the bench
 // trajectory.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -19,6 +26,7 @@
 
 #include "bench/synthetic_repo.h"
 #include "src/analysis/semdiff.h"
+#include "src/analysis/store.h"
 #include "src/json/json.h"
 #include "src/util/strings.h"
 #include "src/util/table.h"
@@ -68,59 +76,85 @@ int main() {
     tree[SyntheticRepo::EntryPath(e)] = SyntheticRepo::EntrySource(e);
   }
 
-  size_t counts[4] = {0, 0, 0, 0};
-  size_t provable_noops = 0;
-  size_t dependents_total = 0;
-  size_t impacts_total = 0;
-  double classify_s = 0;
-
-  for (int i = 0; i < kCommits; ++i) {
-    std::map<std::string, std::string> new_tree = tree;
-    std::string touched_path;
-    std::vector<std::string> dependents;
-    switch (i % 3) {
-      case 0: {  // Comment-only module edit: provably no-op.
-        int m = (i * 13) % SyntheticRepo::kModules;
-        touched_path = SyntheticRepo::ModulePath(m);
-        new_tree[touched_path] = SyntheticRepo::ModuleSource(m, /*rev=*/i + 1);
-        dependents = SyntheticRepo::EntriesImporting(m);
-        break;
+  struct Row {
+    size_t counts[4] = {0, 0, 0, 0};
+    size_t provable_noops = 0;
+    size_t dependents_total = 0;
+    size_t impacts_total = 0;
+    double classify_s = 0;
+  };
+  const std::map<std::string, std::string> initial_tree = tree;
+  auto run = [&](AnalysisStore* store) {
+    Row row;
+    std::map<std::string, std::string> tree = initial_tree;
+    for (int i = 0; i < kCommits; ++i) {
+      std::map<std::string, std::string> new_tree = tree;
+      std::string touched_path;
+      std::vector<std::string> dependents;
+      switch (i % 3) {
+        case 0: {  // Comment-only module edit: provably no-op.
+          int m = (i * 13) % SyntheticRepo::kModules;
+          touched_path = SyntheticRepo::ModulePath(m);
+          new_tree[touched_path] =
+              SyntheticRepo::ModuleSource(m, /*rev=*/i + 1);
+          dependents = SyntheticRepo::EntriesImporting(m);
+          break;
+        }
+        case 1: {  // Module port bump: value-delta in every importer.
+          int m = (i * 13 + 1) % SyntheticRepo::kModules;
+          touched_path = SyntheticRepo::ModulePath(m);
+          new_tree[touched_path] =
+              SyntheticRepo::ModuleSource(m, /*rev=*/0, /*port_bump=*/i + 1);
+          dependents = SyntheticRepo::EntriesImporting(m);
+          break;
+        }
+        case 2: {  // Entry-local comment edit.
+          int e = (i * 7) % SyntheticRepo::kEntries;
+          touched_path = SyntheticRepo::EntryPath(e);
+          new_tree[touched_path] =
+              StrFormat("# rev %d\n", i + 1) + SyntheticRepo::EntrySource(e);
+          break;
+        }
       }
-      case 1: {  // Module port bump: value-delta in every importer.
-        int m = (i * 13 + 1) % SyntheticRepo::kModules;
-        touched_path = SyntheticRepo::ModulePath(m);
-        new_tree[touched_path] =
-            SyntheticRepo::ModuleSource(m, /*rev=*/0, /*port_bump=*/i + 1);
-        dependents = SyntheticRepo::EntriesImporting(m);
-        break;
+
+      InMemorySources old_sources = SourcesFrom(tree);
+      InMemorySources new_sources = SourcesFrom(new_tree);
+
+      auto start = std::chrono::steady_clock::now();
+      SemanticDiffer differ(old_sources.AsReader(), new_sources.AsReader(),
+                            &RestraintRegistry::Builtin(), store);
+      SemanticDiffReport report = differ.Classify({touched_path}, dependents);
+      row.classify_s += Seconds(start);
+
+      for (const SymbolImpact& impact : report.impacts) {
+        ++row.counts[static_cast<int>(impact.kind)];
       }
-      case 2: {  // Entry-local comment edit.
-        int e = (i * 7) % SyntheticRepo::kEntries;
-        touched_path = SyntheticRepo::EntryPath(e);
-        new_tree[touched_path] =
-            StrFormat("# rev %d\n", i + 1) + SyntheticRepo::EntrySource(e);
-        break;
+      row.impacts_total += report.impacts.size();
+      row.dependents_total += dependents.size();
+      if (report.provably_noop) {
+        ++row.provable_noops;
       }
+      tree = std::move(new_tree);
     }
-
-    InMemorySources old_sources = SourcesFrom(tree);
-    InMemorySources new_sources = SourcesFrom(new_tree);
-
-    auto start = std::chrono::steady_clock::now();
-    SemanticDiffer differ(old_sources.AsReader(), new_sources.AsReader());
-    SemanticDiffReport report = differ.Classify({touched_path}, dependents);
-    classify_s += Seconds(start);
-
-    for (const SymbolImpact& impact : report.impacts) {
-      ++counts[static_cast<int>(impact.kind)];
-    }
-    impacts_total += report.impacts.size();
-    dependents_total += dependents.size();
-    if (report.provably_noop) {
-      ++provable_noops;
-    }
-    tree = std::move(new_tree);
+    return row;
+  };
+  Row fresh = run(nullptr);
+  CompiledUnitCache units;
+  AnalysisStore store(&units);
+  Row stored = run(&store);
+  if (!std::equal(std::begin(stored.counts), std::end(stored.counts),
+                  std::begin(fresh.counts)) ||
+      stored.provable_noops != fresh.provable_noops) {
+    std::fprintf(stderr, "stored and fresh rows disagree\n");
+    return 1;
   }
+  const size_t* counts = fresh.counts;
+  const size_t provable_noops = fresh.provable_noops;
+  const size_t impacts_total = fresh.impacts_total;
+  const size_t dependents_total = fresh.dependents_total;
+  const double classify_s = fresh.classify_s;
+  const double stored_per_sec =
+      static_cast<double>(kCommits) / stored.classify_s;
 
   double commits_per_sec = static_cast<double>(kCommits) / classify_s;
   double mean_dependents =
@@ -130,7 +164,11 @@ int main() {
   table.AddRow({"repo files", std::to_string(total_files)});
   table.AddRow({"commits classified", std::to_string(kCommits)});
   table.AddRow({"classify time (s)", StrFormat("%.3f", classify_s)});
-  table.AddRow({"commits/sec", StrFormat("%.1f", commits_per_sec)});
+  table.AddRow({"commits/sec, fresh", StrFormat("%.1f", commits_per_sec)});
+  table.AddRow({"commits/sec, stored", StrFormat("%.1f", stored_per_sec)});
+  table.AddRow({"stored analyses (hits/misses)",
+                StrFormat("%zu/%zu", store.absint_hits(),
+                          store.absint_misses())});
   table.AddRow({"mean dependent entries", StrFormat("%.1f", mean_dependents)});
   table.AddRow({"impacts: no-op", std::to_string(counts[0])});
   table.AddRow({"impacts: value-delta", std::to_string(counts[1])});
@@ -145,6 +183,9 @@ int main() {
   out.Set("commits", Json(static_cast<int64_t>(kCommits)));
   out.Set("classify_seconds", Json(classify_s));
   out.Set("commits_per_sec", Json(commits_per_sec));
+  out.Set("stored_classify_seconds", Json(stored.classify_s));
+  out.Set("stored_commits_per_sec", Json(stored_per_sec));
+  out.Set("stored_speedup", Json(stored_per_sec / commits_per_sec));
   out.Set("mean_dependent_entries", Json(mean_dependents));
   out.Set("impacts_total", Json(static_cast<int64_t>(impacts_total)));
   out.Set("impacts_noop", Json(static_cast<int64_t>(counts[0])));

@@ -8,6 +8,7 @@
 #include "src/lang/ast.h"
 #include "src/lang/import_resolver.h"
 #include "src/lang/ops.h"
+#include "src/lang/unit_cache.h"
 #include "src/util/strings.h"
 
 namespace configerator {
@@ -284,10 +285,15 @@ const std::set<std::string>& BuiltinNames() {
 
 namespace {
 
+// Stack one analysis may use below Run's frame, like the interpreter's
+// kMaxEvalStackBytes: the AST depth cap bounds one body, but calls (up to
+// 16 deep) and imports stack one body's walk on another.
+constexpr uintptr_t kMaxAnalysisStackBytes = uintptr_t{4} << 20;
+
 class Analyzer {
  public:
-  Analyzer(const FileReader& reader, AstCache* ast_cache)
-      : reader_(reader), ast_cache_(ast_cache) {}
+  Analyzer(const FileReader& reader, CompiledUnitCache* units)
+      : reader_(reader), units_(units) {}
 
   // A module's globals map can hold a function whose env shared_ptr points
   // back at that same map; clear the maps to break the cycles.
@@ -377,8 +383,13 @@ class Analyzer {
                      bool maybe_absent, int depth, std::set<HeapId>& seen,
                      AbstractFieldMap* out) const;
 
+  // True once the analysis has used its stack budget (see Eval); marks the
+  // slice unsound.
+  bool OutOfStack();
+
   const FileReader& reader_;
-  AstCache* ast_cache_;
+  CompiledUnitCache* units_;
+  uintptr_t stack_base_ = 0;  // Frame address at Run's entry.
   SchemaRegistry registry_;
   ValidatorBounds validator_bounds_;
   AbstractHeap heap_;
@@ -806,7 +817,23 @@ void Analyzer::RecordReads(const AbstractValue& v) {
   }
 }
 
+bool Analyzer::OutOfStack() {
+  // The stack grows down from stack_base_.
+  if (stack_base_ - reinterpret_cast<uintptr_t>(__builtin_frame_address(0)) <=
+      kMaxAnalysisStackBytes) {
+    return false;
+  }
+  slice_sound_ = false;
+  return true;
+}
+
 AbstractValue Analyzer::Eval(const Expr& expr, Ctx& ctx) {
+  // Every recursion of the analysis passes through here. Giving up to Any
+  // fires no rule, and the unsound slice keeps pruning and no-op
+  // certificates from resting on the result.
+  if (OutOfStack()) {
+    return AbstractValue::MakeAny();
+  }
   switch (expr.kind) {
     case Expr::Kind::kLiteral:
       return AbstractValue::OfConstant(expr.literal);
@@ -1467,8 +1494,8 @@ AbstractValue Analyzer::MergeDicts(const AbstractValue& a,
 
 Result<std::shared_ptr<Module>> Analyzer::ParseSource(
     const std::string& content, const std::string& path) {
-  return ast_cache_ != nullptr ? ast_cache_->GetOrParse(path, content)
-                               : ParseCsl(content, path);
+  return units_ != nullptr ? units_->GetOrParse(path, content)
+                           : ParseCsl(content, path);
 }
 
 void Analyzer::HandleImport(const Expr& expr, Ctx& ctx) {
@@ -1870,6 +1897,7 @@ AbsintResult Analyzer::Run(const std::string& path,
                            const std::string& content) {
   AbsintResult result;
   entry_path_ = path;
+  stack_base_ = reinterpret_cast<uintptr_t>(__builtin_frame_address(0));
   auto module = ParseSource(content, path);
   if (!module.ok()) {
     result.slice_sound = false;
@@ -1951,15 +1979,16 @@ AbsintResult Analyzer::Run(const std::string& path,
 
 // ---- AbstractInterpreter ----------------------------------------------------
 
-AbstractInterpreter::AbstractInterpreter(FileReader reader)
-    : reader_(std::move(reader)) {}
+AbstractInterpreter::AbstractInterpreter(FileReader reader,
+                                         CompiledUnitCache* units)
+    : reader_(std::move(reader)), units_(units) {}
 
 AbsintResult AbstractInterpreter::Analyze(const std::string& path,
                                           const std::string& content) const {
   if (!path.ends_with(".cconf") && !path.ends_with(".cinc")) {
     return AbsintResult{};  // Not CSL; nothing to analyze.
   }
-  Analyzer analyzer(reader_, ast_cache_);
+  Analyzer analyzer(reader_, units_);
   return analyzer.Run(path, content);
 }
 
@@ -2260,10 +2289,10 @@ void MaxStmtLine(const Stmt& stmt, int* line) {
 
 ModuleSymbolSurface ComputeSymbolSurface(const std::string& path,
                                          const std::string& content,
-                                         AstCache* ast_cache) {
+                                         CompiledUnitCache* units) {
   ModuleSymbolSurface surface;
-  auto module = ast_cache != nullptr ? ast_cache->GetOrParse(path, content)
-                                     : ParseCsl(content, path);
+  auto module = units != nullptr ? units->GetOrParse(path, content)
+                                 : ParseCsl(content, path);
   if (!module.ok()) {
     return surface;  // analyzable = false.
   }

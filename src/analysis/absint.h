@@ -36,7 +36,6 @@
 
 #include "src/analysis/diagnostic.h"
 #include "src/analysis/lint.h"
-#include "src/lang/ast_cache.h"
 #include "src/lang/compiler.h"
 
 namespace configerator {
@@ -210,8 +209,9 @@ struct AbsintResult {
   // not a CSL source; no other fields are meaningful then.
   bool analyzed = false;
   // False when an import could not be resolved statically (dynamic path,
-  // unreadable or unparseable target): `used_symbols` is then incomplete and
-  // callers must NOT use it to prune dependency edges.
+  // unreadable or unparseable target) or the analysis ran out of stack and
+  // gave up to Any: `used_symbols` is then incomplete and callers must NOT
+  // use it to prune dependency edges.
   bool slice_sound = true;
   std::vector<LintDiagnostic> diagnostics;  // T-rules, sorted by line.
   std::vector<ExportSlice> exports;
@@ -256,7 +256,11 @@ class AbstractInterpreter {
  public:
   // `reader` resolves imports, exactly like the compiler's. Without one,
   // cross-module inference degrades to Any (no diagnostics, empty slices).
-  explicit AbstractInterpreter(FileReader reader = nullptr);
+  // `units` (optional) supplies parses; it must outlive the interpreter.
+  // Every call analyzes afresh: AnalysisStore (src/analysis/store.h) is
+  // what memoizes whole results.
+  explicit AbstractInterpreter(FileReader reader = nullptr,
+                               CompiledUnitCache* units = nullptr);
 
   // Analyzes one CSL source. Only ".cconf" entries get export/schema checks;
   // ".cinc" modules are analyzed for slices and local T-rules.
@@ -268,14 +272,9 @@ class AbstractInterpreter {
   // The T-rule table (docs, --explain).
   static const std::vector<LintRuleInfo>& TypeRules();
 
-  // Optional shared parse cache (see ConfigLint::set_ast_cache): one parse
-  // per file across lint + absint + semdiff passes over the same closure.
-  // Must outlive this interpreter; may be null.
-  void set_ast_cache(AstCache* cache) { ast_cache_ = cache; }
-
  private:
   FileReader reader_;
-  AstCache* ast_cache_ = nullptr;
+  CompiledUnitCache* units_;
 };
 
 // ---- Symbol diffing (Sandcastle's refined edges) ----------------------------
@@ -294,9 +293,10 @@ struct ModuleSymbolSurface {
   std::map<std::string, std::vector<std::pair<int, int>>> def_lines;
 };
 
+// `units` (optional) supplies the parse.
 ModuleSymbolSurface ComputeSymbolSurface(const std::string& path,
                                          const std::string& content,
-                                         AstCache* ast_cache = nullptr);
+                                         CompiledUnitCache* units = nullptr);
 
 // Which top-level symbols changed between two versions of a module. Includes
 // the intra-module closure (dependents of changed symbols) and the "*"

@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "src/analysis/absint.h"
+#include "src/analysis/store.h"
 #include "src/gatekeeper/compile.h"
 #include "src/util/ddmin.h"
 #include "src/util/strings.h"
@@ -384,6 +385,10 @@ void InvariantRegistry::AddSpecFile(const std::string& file,
                     spec.name.empty() ? "" : (" ('" + spec.name + "')").c_str(),
                     error.c_str())));
     } else {
+      for (const std::string& path : spec.ReferencedConfigs()) {
+        activated_by[path].push_back(invariants.size());
+      }
+      activated_by[file].push_back(invariants.size());
       invariants.push_back(std::move(spec));
     }
     ++index;
@@ -584,8 +589,8 @@ struct AbstractCases {
 // Resolves and caches abstract facts per config path.
 class AbstractResolver {
  public:
-  explicit AbstractResolver(const FileReader& reader)
-      : reader_(reader), absint_(reader) {}
+  AbstractResolver(const FileReader& reader, AnalysisStore* store)
+      : reader_(reader), store_(store) {}
 
   const AbstractCases& Resolve(const std::string& config) {
     auto it = cache_.find(config);
@@ -598,10 +603,11 @@ class AbstractResolver {
           config.substr(0, config.size() - strlen(".json")) + ".cconf";
       auto content = reader_(entry);
       if (content.ok()) {
-        AbsintResult result = absint_.Analyze(entry, *content);
-        for (ExportSlice& slice : result.exports) {
+        std::shared_ptr<const AbsintResult> result =
+            AnalysisStore::Absint(store_, reader_, entry, *content);
+        for (const ExportSlice& slice : result->exports) {
           if (slice.path == config) {
-            out.cases.push_back(std::move(slice.fields));
+            out.cases.push_back(slice.fields);
           }
         }
         out.resolved = !out.cases.empty();
@@ -624,7 +630,7 @@ class AbstractResolver {
 
  private:
   const FileReader& reader_;
-  AbstractInterpreter absint_;
+  AnalysisStore* store_;
   std::map<std::string, AbstractCases> cache_;
 };
 
@@ -1038,33 +1044,33 @@ std::string InvariantReport::Summary() const {
 
 // ---- Checker ----------------------------------------------------------------
 
-InvariantChecker::InvariantChecker(FileReader reader)
-    : reader_(std::move(reader)) {}
+InvariantChecker::InvariantChecker(FileReader reader, AnalysisStore* store)
+    : reader_(std::move(reader)), store_(store) {}
 
 InvariantReport InvariantChecker::Check(const InvariantRegistry& registry,
                                         const std::set<std::string>& scope) const {
   InvariantReport report;
   report.diagnostics = registry.diagnostics;  // I000 registry errors.
 
-  AbstractResolver resolver(reader_);
-  ConcreteEvaluator concrete(reader_);
+  AbstractResolver resolver(reader_, store_);
+  ConcreteEvaluator concrete(reader_, AnalysisStore::Units(store_));
 
-  for (const InvariantSpec& spec : registry.invariants) {
-    // Activation: the blast radius touches a referenced config, or the spec
-    // file itself. Empty scope = full audit.
-    if (!scope.empty() && scope.count(spec.file) == 0) {
-      std::set<std::string> refs = spec.ReferencedConfigs();
-      bool active = false;
-      for (const std::string& ref : refs) {
-        if (scope.count(ref) > 0) {
-          active = true;
-          break;
-        }
+  // Activation: the blast radius touches a referenced config, or the spec
+  // file itself. Empty scope = full audit.
+  std::vector<bool> active(registry.invariants.size(), scope.empty());
+  for (const std::string& path : scope) {
+    auto it = registry.activated_by.find(path);
+    if (it != registry.activated_by.end()) {
+      for (size_t index : it->second) {
+        active[index] = true;
       }
-      if (!active) {
-        ++report.skipped;
-        continue;
-      }
+    }
+  }
+  for (size_t index = 0; index < registry.invariants.size(); ++index) {
+    const InvariantSpec& spec = registry.invariants[index];
+    if (!active[index]) {
+      ++report.skipped;
+      continue;
     }
 
     InvariantOutcome outcome;

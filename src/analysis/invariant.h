@@ -52,6 +52,7 @@
 #ifndef SRC_ANALYSIS_INVARIANT_H_
 #define SRC_ANALYSIS_INVARIANT_H_
 
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -62,6 +63,8 @@
 #include "src/lang/compiler.h"
 
 namespace configerator {
+
+class AnalysisStore;
 
 enum class InvariantKind {
   kOrdering,    // lhs <relation> rhs over two numeric fields.
@@ -119,6 +122,9 @@ struct InvariantSpec {
 struct InvariantRegistry {
   std::vector<InvariantSpec> invariants;
   std::vector<LintDiagnostic> diagnostics;  // I000, sorted canonically.
+  // Activation index: each referenced config and each spec file -> the
+  // positions in `invariants` it activates, ascending.
+  std::map<std::string, std::vector<size_t>> activated_by;
 
   // Parses one spec file's content and appends its invariants/diagnostics.
   void AddSpecFile(const std::string& file, const std::string& content);
@@ -165,7 +171,9 @@ class InvariantChecker {
   // `reader` resolves both entry sources and raw JSON configs (in the
   // pipeline it is Sandcastle's overlay reader, so the checker sees the tree
   // as it would look with the diff applied).
-  explicit InvariantChecker(FileReader reader);
+  // `store` (optional, see src/analysis/store.h) serves the entries'
+  // abstract interpretations and compiles; it must outlive the checker.
+  explicit InvariantChecker(FileReader reader, AnalysisStore* store = nullptr);
 
   // Checks every invariant in `registry` whose referenced configs (or
   // declaring spec file) intersect `scope` — the semdiff-pruned blast
@@ -180,6 +188,7 @@ class InvariantChecker {
 
  private:
   FileReader reader_;
+  AnalysisStore* store_;
 };
 
 }  // namespace configerator

@@ -15,6 +15,7 @@
 
 #include "src/analysis/rules.h"
 #include "src/lang/import_resolver.h"
+#include "src/lang/unit_cache.h"
 #include "src/schema/schema.h"
 
 namespace configerator {
@@ -95,9 +96,8 @@ void CollectAssignedNames(const std::vector<StmtPtr>& body,
 class LangAnalyzer {
  public:
   LangAnalyzer(const Module& module, const FileReader& reader,
-               std::vector<LintDiagnostic>* diags, AstCache* ast_cache)
-      : module_(module), reader_(reader), diags_(diags),
-        ast_cache_(ast_cache) {}
+               std::vector<LintDiagnostic>* diags, CompiledUnitCache* units)
+      : module_(module), reader_(reader), diags_(diags), units_(units) {}
 
   void Run() {
     // Pre-scan the module surface so forward references can be classified as
@@ -191,9 +191,8 @@ class LangAnalyzer {
     auto source = ReadSource(path);
     std::shared_ptr<Module> module;
     if (source.ok()) {
-      auto parsed = ast_cache_ != nullptr
-                        ? ast_cache_->GetOrParse(path, *source)
-                        : ParseCsl(*source, path);
+      auto parsed = units_ != nullptr ? units_->GetOrParse(path, *source)
+                                      : ParseCsl(*source, path);
       if (parsed.ok()) {
         module = *parsed;
       }
@@ -780,15 +779,15 @@ class LangAnalyzer {
   std::set<std::string> visiting_;
   bool unresolved_star_import_ = false;
   bool unresolved_schema_import_ = false;
-  AstCache* ast_cache_;
+  CompiledUnitCache* units_;
 };
 
 }  // namespace
 
 void RunLanguageRules(const Module& module, const FileReader& reader,
                       std::vector<LintDiagnostic>* diags,
-                      AstCache* ast_cache) {
-  LangAnalyzer(module, reader, diags, ast_cache).Run();
+                      CompiledUnitCache* units) {
+  LangAnalyzer(module, reader, diags, units).Run();
 }
 
 }  // namespace analysis

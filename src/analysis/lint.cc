@@ -5,11 +5,13 @@
 #include "src/analysis/rules.h"
 #include "src/gatekeeper/compile.h"
 #include "src/json/json.h"
+#include "src/lang/unit_cache.h"
 
 namespace configerator {
 
-ConfigLint::ConfigLint(FileReader reader, const RestraintRegistry* registry)
-    : reader_(std::move(reader)), registry_(registry) {}
+ConfigLint::ConfigLint(FileReader reader, const RestraintRegistry* registry,
+                       CompiledUnitCache* units)
+    : reader_(std::move(reader)), registry_(registry), units_(units) {}
 
 std::vector<LintDiagnostic> ConfigLint::LintFile(
     const std::string& path, const std::string& content) const {
@@ -25,9 +27,8 @@ std::vector<LintDiagnostic> ConfigLint::LintFile(
 std::vector<LintDiagnostic> ConfigLint::LintSource(
     const std::string& path, const std::string& content) const {
   std::vector<LintDiagnostic> diags;
-  auto module = ast_cache_ != nullptr
-                    ? ast_cache_->GetOrParse(path, content, &diags)
-                    : ParseCsl(content, path, &diags);
+  auto module = units_ != nullptr ? units_->GetOrParse(path, content, &diags)
+                                  : ParseCsl(content, path, &diags);
   if (!module.ok()) {
     // The compiler rejects the file with the full parse error; lint only
     // records that analysis could not run.
@@ -39,7 +40,7 @@ std::vector<LintDiagnostic> ConfigLint::LintSource(
     diags.push_back(std::move(diag));
     return diags;
   }
-  analysis::RunLanguageRules(**module, reader_, &diags, ast_cache_);
+  analysis::RunLanguageRules(**module, reader_, &diags, units_);
   SortDiagnostics(&diags);
   return diags;
 }

@@ -48,7 +48,6 @@
 
 #include "src/analysis/diagnostic.h"
 #include "src/gatekeeper/restraint.h"
-#include "src/lang/ast_cache.h"
 #include "src/lang/compiler.h"
 
 namespace configerator {
@@ -66,9 +65,12 @@ class ConfigLint {
   // `reader` resolves imports for cross-module analysis; without one (or
   // when a target cannot be read) the affected checks degrade conservatively
   // instead of guessing. `registry` is consulted for restraint types.
+  // `units` (optional) supplies parses, so lint shares them with the
+  // compiler and the other analysis passes; it must outlive the linter.
   explicit ConfigLint(FileReader reader = nullptr,
                       const RestraintRegistry* registry =
-                          &RestraintRegistry::Builtin());
+                          &RestraintRegistry::Builtin(),
+                      CompiledUnitCache* units = nullptr);
 
   // Dispatches on path convention: ".cconf"/".cinc" → language rules,
   // "gatekeeper/*.json" → gating rules, anything else → no findings.
@@ -88,16 +90,10 @@ class ConfigLint {
   // The full rule table, for documentation and tooling.
   static const std::vector<LintRuleInfo>& Rules();
 
-  // Optional shared parse cache: when several passes (lint, absint, semdiff)
-  // analyze the same closure, scoping one AstCache across them parses each
-  // file once instead of once per pass. Must outlive this linter; may be
-  // null (the default) for standalone use.
-  void set_ast_cache(AstCache* cache) { ast_cache_ = cache; }
-
  private:
   FileReader reader_;
   const RestraintRegistry* registry_;
-  AstCache* ast_cache_ = nullptr;
+  CompiledUnitCache* units_;
 };
 
 }  // namespace configerator

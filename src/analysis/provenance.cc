@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <deque>
 
+#include "src/analysis/store.h"
 #include "src/gatekeeper/compile.h"
 #include "src/json/json.h"
 #include "src/lang/ast.h"
@@ -34,10 +35,13 @@ LintDiagnostic MakeFinding(const char* rule_id, LintSeverity severity,
 ProvenanceGraph ProvenanceGraph::Build(const FileReader& reader,
                                        const std::vector<std::string>& paths,
                                        const RestraintRegistry& registry,
-                                       AstCache* ast_cache) {
+                                       AnalysisStore* store) {
   ProvenanceGraph graph;
-  AbstractInterpreter absint(reader);
-  absint.set_ast_cache(ast_cache);
+  CompiledUnitCache private_units;  // Without a store: a private one.
+  AnalysisStore private_store(&private_units);
+  if (store == nullptr) {
+    store = &private_store;
+  }
 
   auto known_type = [&registry](const std::string& type) {
     for (const std::string& name : registry.TypeNames()) {
@@ -63,8 +67,8 @@ ProvenanceGraph ProvenanceGraph::Build(const FileReader& reader,
 
   struct FileFacts {
     std::string content;
-    ModuleSymbolSurface surface;
-    AbsintResult absint;
+    std::shared_ptr<const ModuleSymbolSurface> surface;
+    std::shared_ptr<const AbsintResult> absint;
   };
   std::map<std::string, FileFacts> facts;
 
@@ -82,13 +86,13 @@ ProvenanceGraph ProvenanceGraph::Build(const FileReader& reader,
     }
     FileFacts f;
     f.content = *content;
-    f.surface = ComputeSymbolSurface(path, f.content, ast_cache);
-    f.absint = absint.Analyze(path, f.content);
-    if (!f.surface.analyzable || !f.absint.analyzed ||
-        !f.absint.slice_sound) {
+    f.surface = AnalysisStore::Surface(store, path, f.content);
+    f.absint = AnalysisStore::Absint(store, reader, path, f.content);
+    if (!f.surface->analyzable || !f.absint->analyzed ||
+        !f.absint->slice_sound) {
       graph.sound_ = false;
     }
-    for (const auto& [dep_path, symbols] : f.absint.used_symbols) {
+    for (const auto& [dep_path, symbols] : f.absint->used_symbols) {
       if (IsCslPath(dep_path) && csl_files.insert(dep_path).second) {
         pending.push_back(dep_path);
       }
@@ -101,8 +105,8 @@ ProvenanceGraph ProvenanceGraph::Build(const FileReader& reader,
   // read — the graph-wide fan-in that decides G007.
   std::set<std::pair<std::string, std::string>> consumed;
   for (const auto& [path, f] : facts) {
-    for (const auto& [symbol, summary] : f.absint.symbol_summaries) {
-      if (f.surface.fingerprints.count(symbol) == 0) {
+    for (const auto& [symbol, summary] : f.absint->symbol_summaries) {
+      if (f.surface->fingerprints.count(symbol) == 0) {
         // Import binding, not a definition in this file: the provenance of
         // the value lives at its defining module (a binding node would also
         // fabricate a consumer edge that defeats G007 for unused imports).
@@ -113,13 +117,13 @@ ProvenanceGraph ProvenanceGraph::Build(const FileReader& reader,
       node.symbol = symbol;
       node.summary = summary;
       node.deps = summary.deps;
-      auto lines = f.surface.def_lines.find(symbol);
-      if (lines != f.surface.def_lines.end()) {
+      auto lines = f.surface->def_lines.find(symbol);
+      if (lines != f.surface->def_lines.end()) {
         node.def_lines = lines->second;
       }
       graph.nodes_.emplace(std::make_pair(path, symbol), std::move(node));
     }
-    for (const ExportSlice& slice : f.absint.exports) {
+    for (const ExportSlice& slice : f.absint->exports) {
       // Conditional entries export the same output path from several branch
       // arms: merge the slices into one node (union deps + def lines).
       ProvenanceNode& node = graph.nodes_[{path, slice.path}];
@@ -131,7 +135,7 @@ ProvenanceGraph ProvenanceGraph::Build(const FileReader& reader,
       node.def_lines.push_back({slice.line, slice.line});
       node.is_export = true;
     }
-    for (const auto& [module_path, symbols] : f.absint.used_symbols) {
+    for (const auto& [module_path, symbols] : f.absint->used_symbols) {
       if (module_path == path) {
         continue;  // Self-reads are intra-module, handled below.
       }
@@ -140,9 +144,9 @@ ProvenanceGraph ProvenanceGraph::Build(const FileReader& reader,
       }
     }
     // Intra-module def-use: A consuming B keeps B alive.
-    for (const auto& [symbol, read_names] : f.surface.reads) {
+    for (const auto& [symbol, read_names] : f.surface->reads) {
       for (const std::string& read : read_names) {
-        if (read != symbol && f.surface.fingerprints.count(read) > 0) {
+        if (read != symbol && f.surface->fingerprints.count(read) > 0) {
           consumed.insert({path, read});
         }
       }
@@ -224,9 +228,7 @@ ProvenanceGraph ProvenanceGraph::Build(const FileReader& reader,
   // hazard is a star import growing a new symbol that silently shadows a
   // specific earlier import (or vice versa).
   for (const auto& [path, f] : facts) {
-    auto module = ast_cache != nullptr
-                      ? ast_cache->GetOrParse(path, f.content)
-                      : ParseCsl(f.content, path);
+    auto module = AnalysisStore::Units(store)->GetOrParse(path, f.content);
     if (!module.ok()) {
       continue;
     }
@@ -246,10 +248,10 @@ ProvenanceGraph ProvenanceGraph::Build(const FileReader& reader,
         bound_names.insert(target.filter);
       } else {
         auto it = facts.find(target.path);
-        if (it == facts.end() || !it->second.surface.analyzable) {
+        if (it == facts.end() || !it->second.surface->analyzable) {
           continue;  // Unresolvable star target: absint marked unsound.
         }
-        for (const auto& [name, fp] : it->second.surface.fingerprints) {
+        for (const auto& [name, fp] : it->second.surface->fingerprints) {
           bound_names.insert(name);
         }
       }

@@ -28,10 +28,11 @@
 #include "src/analysis/absint.h"
 #include "src/analysis/diagnostic.h"
 #include "src/gatekeeper/restraint.h"
-#include "src/lang/ast_cache.h"
 #include "src/lang/compiler.h"
 
 namespace configerator {
+
+class AnalysisStore;
 
 // One node: a top-level CSL symbol, an entry export (symbol = output path),
 // or a Gatekeeper project (symbol = project name).
@@ -53,13 +54,13 @@ class ProvenanceGraph {
  public:
   // Builds the graph rooted at `paths` (entry configs, modules, Gatekeeper
   // specs — non-CSL/non-Gatekeeper paths are ignored), following imports
-  // through `reader` transitively. `ast_cache` (optional) dedups parses with
-  // other passes over the same closure.
+  // through `reader` transitively. `store` (see src/analysis/store.h)
+  // serves the files' analyses; without one, the call uses a private store.
   static ProvenanceGraph Build(const FileReader& reader,
                                const std::vector<std::string>& paths,
                                const RestraintRegistry& registry =
                                    RestraintRegistry::Builtin(),
-                               AstCache* ast_cache = nullptr);
+                               AnalysisStore* store = nullptr);
 
   // All nodes, keyed (file, symbol); deterministic order.
   const std::map<std::pair<std::string, std::string>, ProvenanceNode>& nodes()

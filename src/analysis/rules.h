@@ -10,18 +10,17 @@
 #include "src/analysis/diagnostic.h"
 #include "src/gatekeeper/restraint.h"
 #include "src/lang/ast.h"
-#include "src/lang/ast_cache.h"
 #include "src/lang/compiler.h"
 
 namespace configerator {
 namespace analysis {
 
 // Language rules (L001..L009) over a parsed module. `reader` resolves
-// import_python / import_thrift targets; may be null. `ast_cache` (optional)
-// memoizes parses of imported modules across passes.
+// import_python / import_thrift targets; may be null. `units` (optional)
+// supplies parses of imported modules.
 void RunLanguageRules(const Module& module, const FileReader& reader,
                       std::vector<LintDiagnostic>* diags,
-                      AstCache* ast_cache = nullptr);
+                      CompiledUnitCache* units = nullptr);
 
 // Gating rules (G001..G006) over a parsed Gatekeeper project JSON.
 void RunGatingRules(const std::string& path, const Json& config,

@@ -5,6 +5,7 @@
 #include <set>
 #include <tuple>
 
+#include "src/analysis/store.h"
 #include "src/gatekeeper/compile.h"
 #include "src/json/json.h"
 #include "src/util/strings.h"
@@ -124,12 +125,14 @@ bool IsCslPath(const std::string& path) {
   return path.ends_with(".cconf") || path.ends_with(".cinc");
 }
 
-// One version of one file, analyzed.
+// One version of one file, analyzed. An absent side reads as empty facts.
 struct SideFacts {
   bool present = false;
   std::string content;
-  ModuleSymbolSurface surface;
-  AbsintResult absint;
+  std::shared_ptr<const ModuleSymbolSurface> surface =
+      std::make_shared<const ModuleSymbolSurface>();
+  std::shared_ptr<const AbsintResult> absint =
+      std::make_shared<const AbsintResult>();
 };
 
 struct FilePair {
@@ -195,10 +198,12 @@ GateSurface ExtractGateSurface(const Json& spec,
 }  // namespace
 
 SemanticDiffer::SemanticDiffer(FileReader old_reader, FileReader new_reader,
-                               const RestraintRegistry* registry)
+                               const RestraintRegistry* registry,
+                               AnalysisStore* store)
     : old_reader_(std::move(old_reader)),
       new_reader_(std::move(new_reader)),
-      registry_(registry) {}
+      registry_(registry),
+      store_(store) {}
 
 SemanticDiffReport SemanticDiffer::Classify(
     const std::vector<std::string>& touched_paths,
@@ -208,15 +213,12 @@ SemanticDiffReport SemanticDiffer::Classify(
     report.sound = false;
     return report;
   }
-
-  // Separate caches per side: the same path holds different content in the
-  // old and new trees, and a cache entry is (path, content)-keyed.
-  AstCache old_cache;
-  AstCache new_cache;
-  AbstractInterpreter old_absint(old_reader_);
-  old_absint.set_ast_cache(&old_cache);
-  AbstractInterpreter new_absint(new_reader_);
-  new_absint.set_ast_cache(&new_cache);
+  // Without a store, the call analyzes through a private one, as a compiler
+  // without a unit cache keeps its own: fresh for every call, and each
+  // version (an untouched entry is often the same on both sides) once.
+  CompiledUnitCache private_units;
+  AnalysisStore private_store(&private_units);
+  AnalysisStore* store = store_ != nullptr ? store_ : &private_store;
 
   std::set<std::string> touched_set(touched_paths.begin(),
                                     touched_paths.end());
@@ -251,24 +253,23 @@ SemanticDiffReport SemanticDiffer::Classify(
   for (const std::string& path : roots) {
     FilePair pair;
     pair.touched = touched_set.count(path) > 0;
-    auto load = [&](const FileReader& reader, AstCache* cache,
-                    const AbstractInterpreter& interp, SideFacts* side) {
+    auto load = [&](const FileReader& reader, SideFacts* side) {
       auto content = reader(path);
       if (!content.ok()) {
         return;  // Added/deleted on this side.
       }
       side->present = true;
       side->content = *content;
-      side->surface = ComputeSymbolSurface(path, side->content, cache);
-      side->absint = interp.Analyze(path, side->content);
-      if (!side->surface.analyzable || !side->absint.analyzed ||
-          !side->absint.slice_sound) {
+      side->surface = AnalysisStore::Surface(store, path, side->content);
+      side->absint = AnalysisStore::Absint(store, reader, path, side->content);
+      if (!side->surface->analyzable || !side->absint->analyzed ||
+          !side->absint->slice_sound) {
         pair.unsound = true;
         report.sound = false;
       }
     };
-    load(old_reader_, &old_cache, old_absint, &pair.old_side);
-    load(new_reader_, &new_cache, new_absint, &pair.new_side);
+    load(old_reader_, &pair.old_side);
+    load(new_reader_, &pair.new_side);
     files.emplace(path, std::move(pair));
   }
 
@@ -281,8 +282,8 @@ SemanticDiffReport SemanticDiffer::Classify(
       continue;
     }
     if (pair.old_side.present && pair.new_side.present) {
-      auto changed = ChangedSymbols(pair.old_side.surface,
-                                    pair.new_side.surface);
+      auto changed = ChangedSymbols(*pair.old_side.surface,
+                                    *pair.new_side.surface);
       if (!changed.has_value()) {
         incomparable.insert(path);
         continue;
@@ -304,7 +305,7 @@ SemanticDiffReport SemanticDiffer::Classify(
     }
     // Every symbol either version defines is potentially affected.
     for (const auto* side : {&pair.old_side, &pair.new_side}) {
-      for (const auto& [symbol, summary] : side->absint.symbol_summaries) {
+      for (const auto& [symbol, summary] : side->absint->symbol_summaries) {
         dirty_base.insert({path, symbol});
       }
     }
@@ -357,28 +358,28 @@ SemanticDiffReport SemanticDiffer::Classify(
   for (const auto& [path, pair] : files) {
     bool reach_any = false;
     bool reach_raw = false;
-    file_reach(pair.old_side.absint, &reach_any, &reach_raw);
-    file_reach(pair.new_side.absint, &reach_any, &reach_raw);
+    file_reach(*pair.old_side.absint, &reach_any, &reach_raw);
+    file_reach(*pair.new_side.absint, &reach_any, &reach_raw);
     bool all_dirty = incomparable.count(path) > 0 ||
                      pair.old_side.present != pair.new_side.present;
 
     std::map<std::string, std::vector<int>> attributed;
     if (pair.touched && pair.old_side.present && pair.new_side.present) {
       attributed = AttributeDiffLines(
-          pair.old_side.surface, pair.new_side.surface,
+          *pair.old_side.surface, *pair.new_side.surface,
           DiffLines(pair.old_side.content, pair.new_side.content));
     }
 
     // Top-level symbols (union of both sides).
     std::set<std::string> symbols;
     for (const auto* side : {&pair.old_side, &pair.new_side}) {
-      for (const auto& [symbol, summary] : side->absint.symbol_summaries) {
+      for (const auto& [symbol, summary] : side->absint->symbol_summaries) {
         symbols.insert(symbol);
       }
     }
     for (const std::string& symbol : symbols) {
-      const auto& old_map = pair.old_side.absint.symbol_summaries;
-      const auto& new_map = pair.new_side.absint.symbol_summaries;
+      const auto& old_map = pair.old_side.absint->symbol_summaries;
+      const auto& new_map = pair.new_side.absint->symbol_summaries;
       auto old_it = old_map.find(symbol);
       auto new_it = new_map.find(symbol);
       const SymbolSummary* old_sum =
@@ -492,9 +493,9 @@ SemanticDiffReport SemanticDiffer::Classify(
       return merged;
     };
     std::map<std::string, MergedExport> old_exports =
-        merge_exports(pair.old_side.absint);
+        merge_exports(*pair.old_side.absint);
     std::map<std::string, MergedExport> new_exports =
-        merge_exports(pair.new_side.absint);
+        merge_exports(*pair.new_side.absint);
     std::set<std::string> export_paths;
     for (const auto& [out_path, merged] : old_exports) {
       export_paths.insert(out_path);
@@ -650,7 +651,7 @@ SemanticDiffReport SemanticDiffer::Classify(
   std::vector<std::string> graph_paths = roots;
   graph_paths.insert(graph_paths.end(), gk_touched.begin(), gk_touched.end());
   ProvenanceGraph graph =
-      ProvenanceGraph::Build(new_reader_, graph_paths, *registry_, &new_cache);
+      ProvenanceGraph::Build(new_reader_, graph_paths, *registry_, store);
   report.findings = graph.findings();
   if (!graph.sound()) {
     report.sound = false;
@@ -663,10 +664,10 @@ SemanticDiffReport SemanticDiffer::Classify(
   std::set<std::tuple<std::string, int, bool>> old_decided;
   std::set<std::tuple<std::string, int, bool>> new_decided;
   for (const auto& [path, pair] : files) {
-    for (const DecidedBranch& branch : pair.old_side.absint.decided_branches) {
+    for (const DecidedBranch& branch : pair.old_side.absint->decided_branches) {
       old_decided.insert({branch.file, branch.line, branch.value});
     }
-    for (const DecidedBranch& branch : pair.new_side.absint.decided_branches) {
+    for (const DecidedBranch& branch : pair.new_side.absint->decided_branches) {
       new_decided.insert({branch.file, branch.line, branch.value});
     }
   }

@@ -39,6 +39,8 @@
 
 namespace configerator {
 
+class AnalysisStore;
+
 enum class ImpactKind {
   kNoOp = 0,
   kValueDelta = 1,
@@ -97,10 +99,13 @@ std::map<std::string, std::vector<int>> AttributeDiffLines(
 class SemanticDiffer {
  public:
   // `old_reader` resolves the pre-commit tree (repo head), `new_reader` the
-  // post-commit tree (Sandcastle's overlay).
+  // post-commit tree (Sandcastle's overlay). `store` (see
+  // src/analysis/store.h) serves both sides' analyses and must outlive the
+  // differ; without one, each Classify call uses a private store.
   SemanticDiffer(FileReader old_reader, FileReader new_reader,
                  const RestraintRegistry* registry =
-                     &RestraintRegistry::Builtin());
+                     &RestraintRegistry::Builtin(),
+                 AnalysisStore* store = nullptr);
 
   // Classifies the commit that turned `old_reader`'s tree into
   // `new_reader`'s. `touched_paths` are the files the commit writes/deletes;
@@ -114,6 +119,7 @@ class SemanticDiffer {
   FileReader old_reader_;
   FileReader new_reader_;
   const RestraintRegistry* registry_;
+  AnalysisStore* store_;
 };
 
 }  // namespace configerator

@@ -1,0 +1,106 @@
+// AnalysisStore: each analysis product, computed once per input version.
+//
+// Sandcastle analyzes the same entry versions again and again: semdiff's
+// two sides, the provenance graph, the reverse-closure re-analysis, the
+// invariant checker and the post-land dependency refresh each read an
+// entry's abstract interpretation, and the old side of one proposal is the
+// new side of the last. The store keeps one long-lived copy of each product,
+// next to the CompiledUnitCache whose parses and digests key it:
+//
+//   abstract interpretation  an entry's AbsintResult, keyed by its
+//                            ClosureDigest (modules, schemas, `include`s and
+//                            "-cvalidator" companions). CSL is hermetic, so
+//                            equal closures analyze identically.
+//   symbol surface           a file's ModuleSymbolSurface, keyed by its bytes.
+//   invariant registry       the parsed "invariants/" specs, keyed by the
+//                            bytes of every spec file.
+//
+// A result is stored only under a digest of everything the analysis read.
+// When the closure digest fails (a computed import, an unreadable or
+// unparseable file) or the content handed in is not what the reader serves
+// for the path, the analysis runs afresh and nothing is kept. Results are
+// shared and immutable. Each memo keeps at most two versions per path (or,
+// for the registry, two spec sets), the most recently used ones: normally
+// head and the latest proposal.
+//
+// The analysis and surface lookups take the store as a pointer that may be
+// null: a null store analyzes afresh on the same code path (library
+// callers, test oracles). Not thread-safe.
+
+#ifndef SRC_ANALYSIS_STORE_H_
+#define SRC_ANALYSIS_STORE_H_
+
+#include <map>
+#include <memory>
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "src/analysis/absint.h"
+#include "src/analysis/invariant.h"
+#include "src/lang/unit_cache.h"
+
+namespace configerator {
+
+class AnalysisStore {
+ public:
+  // `units` supplies the parses and closure digests that key the store; it
+  // must outlive the store.
+  explicit AnalysisStore(CompiledUnitCache* units) : units_(units) {}
+
+  // `path`'s abstract interpretation, `content` being its source as read
+  // through `reader`.
+  static std::shared_ptr<const AbsintResult> Absint(
+      AnalysisStore* store, const FileReader& reader, const std::string& path,
+      const std::string& content);
+
+  // ComputeSymbolSurface(path, content).
+  static std::shared_ptr<const ModuleSymbolSurface> Surface(
+      AnalysisStore* store, const std::string& path,
+      const std::string& content);
+
+  // InvariantRegistry::Load(reader, spec_files).
+  std::shared_ptr<const InvariantRegistry> Registry(
+      const FileReader& reader, const std::vector<std::string>& spec_files);
+
+  // The unit cache behind `store`, or null.
+  static CompiledUnitCache* Units(AnalysisStore* store) {
+    return store != nullptr ? store->units_ : nullptr;
+  }
+
+  // Abstract interpretations served from the store, and run afresh.
+  size_t absint_hits() const { return absint_hits_; }
+  size_t absint_misses() const { return absint_misses_; }
+  // Times the invariant registry was parsed.
+  size_t registry_parses() const { return registry_parses_; }
+  // Stored abstract interpretations of `path` (at most two).
+  size_t absints_for(const std::string& path) const;
+
+ private:
+  struct StoredAbsint {
+    Sha256Digest digest;
+    std::shared_ptr<const AbsintResult> result;
+  };
+  struct StoredSurface {
+    std::shared_ptr<const std::string> source;  // The unit cache's copy.
+    std::shared_ptr<const ModuleSymbolSurface> surface;
+  };
+  struct StoredRegistry {
+    // Each spec file with its bytes; nullopt when it was unreadable.
+    std::vector<std::pair<std::string, std::optional<std::string>>> specs;
+    std::shared_ptr<const InvariantRegistry> registry;
+  };
+
+  CompiledUnitCache* units_;
+  std::map<std::string, RecentVersions<StoredAbsint>> absints_;
+  std::map<std::string, RecentVersions<StoredSurface>> surfaces_;
+  RecentVersions<StoredRegistry> registries_;
+  size_t absint_hits_ = 0;
+  size_t absint_misses_ = 0;
+  size_t registry_parses_ = 0;
+};
+
+}  // namespace configerator
+
+#endif  // SRC_ANALYSIS_STORE_H_

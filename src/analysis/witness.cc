@@ -33,8 +33,9 @@ std::string Witness::Describe() const {
   return out;
 }
 
-ConcreteEvaluator::ConcreteEvaluator(FileReader reader)
-    : reader_(std::move(reader)) {}
+ConcreteEvaluator::ConcreteEvaluator(FileReader reader,
+                                     CompiledUnitCache* units)
+    : reader_(std::move(reader)), units_(units) {}
 
 const std::optional<Json>& ConcreteEvaluator::ResolveConfig(
     const std::string& config) {
@@ -50,7 +51,9 @@ const std::optional<Json>& ConcreteEvaluator::ResolveConfig(
     std::string entry =
         config.substr(0, config.size() - strlen(".json")) + ".cconf";
     if (reader_(entry).ok()) {
-      ConfigCompiler compiler(reader_);
+      CompilerOptions options;
+      options.unit_cache = units_;
+      ConfigCompiler compiler(reader_, options);
       auto output = compiler.Compile(entry);
       if (output.ok()) {
         for (CompiledConfig& compiled : output->configs) {

@@ -48,7 +48,10 @@ struct Witness {
 // as JSON. Compilation failures and unreadable paths resolve to nullopt.
 class ConcreteEvaluator {
  public:
-  explicit ConcreteEvaluator(FileReader reader);
+  // `units` (optional) is the compile cache: an entry whose closure it
+  // already compiled replays without evaluating.
+  explicit ConcreteEvaluator(FileReader reader,
+                             CompiledUnitCache* units = nullptr);
 
   // The whole config value, or nullopt when unresolvable.
   const std::optional<Json>& ResolveConfig(const std::string& config);
@@ -65,6 +68,7 @@ class ConcreteEvaluator {
 
  private:
   FileReader reader_;
+  CompiledUnitCache* units_;
   std::map<std::string, std::optional<Json>> cache_;
   size_t evaluations_ = 0;
 };

@@ -2,7 +2,7 @@
 
 #include <set>
 
-#include "src/analysis/absint.h"
+#include "src/analysis/store.h"
 #include "src/util/logging.h"
 
 namespace configerator {
@@ -85,11 +85,10 @@ ConfigManagementStack::ConfigManagementStack(Options options)
   tailer_->Start();
 }
 
-ConfigCompiler ConfigManagementStack::CompilerAtHead() const {
+ConfigCompiler ConfigManagementStack::CompilerAtHead() {
   const Repository* repo = &repo_;
-  return ConfigCompiler([repo](const std::string& path) -> Result<std::string> {
-    return repo->ReadFile(path);
-  });
+  return sandcastle_->Compiler(
+      [repo](const std::string& path) { return repo->ReadFile(path); });
 }
 
 Result<PendingChange> ConfigManagementStack::ProposeChange(
@@ -101,8 +100,7 @@ Result<PendingChange> ConfigManagementStack::ProposeChange(
   // the writes on head, collecting regenerated JSON outputs.
   ProposedDiff source_diff =
       MakeProposedDiff(repo_, author, message, source_writes, NowMs());
-  Sandcastle sandbox(&repo_, &deps_);
-  FileReader overlay = sandbox.OverlayReader(source_diff);
+  FileReader overlay = sandcastle_->OverlayReader(source_diff);
 
   std::set<std::string> entries;
   {
@@ -121,7 +119,7 @@ Result<PendingChange> ConfigManagementStack::ProposeChange(
   }
 
   std::vector<FileWrite> all_writes = std::move(source_writes);
-  ConfigCompiler compiler(overlay);
+  ConfigCompiler compiler = sandcastle_->Compiler(overlay);
   for (const std::string& entry : entries) {
     // A deleted entry removes its generated config.
     bool entry_deleted = false;
@@ -165,7 +163,8 @@ Result<PendingChange> ConfigManagementStack::ProposeChange(
 
   // Symbol-level view of the edit: which top-level symbols each changed CSL
   // file actually modifies. Refines risk fan-in and the canary scope.
-  change.changed_symbols = DiffChangedSymbols(repo_, source_diff);
+  change.changed_symbols = DiffChangedSymbols(
+      repo_, source_diff, &sandcastle_->analysis_store());
 
   // Advisory risk assessment from history (flagging, not blocking). The
   // semantic classification — when CI ran — weights fan-in by severity.
@@ -208,21 +207,23 @@ Result<ObjectId> ConfigManagementStack::LandNow(const PendingChange& change) {
   ASSIGN_OR_RETURN(ObjectId commit, landing_strip_->Land(change.diff, change.trace));
   // Refresh the dependency graph for recompiled entries: file-level edges
   // from the compile, symbol-level slices from the abstract interpreter so
-  // future diffs can prune dependents the edit provably can't reach.
+  // future diffs can prune dependents the edit provably can't reach. CI
+  // compiled and analyzed these versions already, so both are lookups.
   ConfigCompiler compiler = CompilerAtHead();
   const Repository* repo = &repo_;
-  AbstractInterpreter absint(
-      [repo](const std::string& path) -> Result<std::string> {
-        return repo->ReadFile(path);
-      });
+  FileReader head = [repo](const std::string& path) {
+    return repo->ReadFile(path);
+  };
   for (const std::string& entry : change.affected_entries) {
     auto output = compiler.Compile(entry);
-    if (output.ok()) {
+    auto content = repo_.ReadFile(entry);
+    if (output.ok() && content.ok()) {
       deps_.UpdateEntry(entry, output->dependencies);
-      AbsintResult analysis = absint.AnalyzePath(entry);
-      if (analysis.analyzed) {
-        deps_.UpdateEntrySymbols(entry, std::move(analysis.used_symbols),
-                                 analysis.slice_sound);
+      std::shared_ptr<const AbsintResult> analysis = AnalysisStore::Absint(
+          &sandcastle_->analysis_store(), head, entry, *content);
+      if (analysis->analyzed) {
+        deps_.UpdateEntrySymbols(entry, analysis->used_symbols,
+                                 analysis->slice_sound);
       }
     }
   }

@@ -135,8 +135,9 @@ class ConfigManagementStack {
   const Topology& topology() const { return network_->topology(); }
   const Options& options() const { return options_; }
 
-  // A config compiler reading from the current repo head.
-  ConfigCompiler CompilerAtHead() const;
+  // A config compiler reading from the current repo head, through
+  // Sandcastle's shared unit cache.
+  ConfigCompiler CompilerAtHead();
 
  private:
   struct ServerRuntime {

@@ -264,7 +264,7 @@ Result<CompileOutput> ConfigCompiler::Compile(const std::string& entry_path) {
     return Session(reader_, entry_path, options_).Run();
   }
   if (const CompiledUnitCache::MemoizedOutput* memo =
-          cache->FindOutput(*digest)) {
+          cache->FindOutput(entry_path, *digest)) {
     if (metrics != nullptr) {
       metrics->GetCounter("csl.output_cache.hits")->Inc();
     }
@@ -283,7 +283,7 @@ Result<CompileOutput> ConfigCompiler::Compile(const std::string& entry_path) {
   } else {
     memo.status = output.status();
   }
-  cache->StoreOutput(*digest, std::move(memo));
+  cache->StoreOutput(entry_path, *digest, std::move(memo));
   return output;
 }
 

@@ -8,38 +8,74 @@
 
 namespace configerator {
 
-const CompiledUnitCache::Source& CompiledUnitCache::Intern(
+const CompiledUnitCache::Unit& CompiledUnitCache::Intern(
     const std::string& path, const std::string& content) {
-  // Byte comparison against the last seen source is strictly more precise
-  // than comparing hashes, and skips the SHA-256 on the (overwhelmingly
-  // common in steady state) unchanged path.
-  Source& slot = sources_[path];
-  if (slot.content == nullptr || *slot.content != content) {
-    slot.content = std::make_shared<const std::string>(content);
-    slot.hash = Sha256::Hash(content);
+  return Version(path, content);
+}
+
+CompiledUnitCache::Unit& CompiledUnitCache::Version(
+    const std::string& path, const std::string& content) {
+  // Byte comparison against the kept versions is strictly more precise than
+  // comparing hashes, and skips the SHA-256 on the (overwhelmingly common in
+  // steady state) unchanged path.
+  RecentVersions<Unit>& versions = units_[path];
+  if (Unit* unit = versions.Find(
+          [&](const Unit& u) { return *u.content == content; })) {
+    return *unit;
   }
-  return slot;
+  Unit unit;
+  unit.content = std::make_shared<const std::string>(content);
+  unit.hash = Sha256::Hash(content);
+  return versions.Add(std::move(unit));
 }
 
 Result<std::shared_ptr<Module>> CompiledUnitCache::GetOrParse(
-    const std::string& path, const std::string& content) {
-  return parses_.GetOrParse(path, Intern(path, content).content);
+    const std::string& path, const std::string& content,
+    std::vector<LintDiagnostic>* lint_diags) {
+  Unit& unit = Version(path, content);
+  if (unit.parsed) {
+    ++hits_;
+  } else {
+    ++misses_;
+    auto parsed = ParseCsl(content, path, &unit.parse_diags);
+    if (parsed.ok()) {
+      unit.module = *parsed;
+    } else {
+      unit.parse_error = parsed.status();
+    }
+    unit.parsed = true;
+  }
+  if (lint_diags != nullptr) {
+    lint_diags->insert(lint_diags->end(), unit.parse_diags.begin(),
+                       unit.parse_diags.end());
+  }
+  if (unit.module == nullptr) {
+    return unit.parse_error;
+  }
+  return unit.module;
 }
 
 const CompiledUnitCache::MemoizedOutput* CompiledUnitCache::FindOutput(
-    const Sha256Digest& closure_digest) {
-  auto it = outputs_.find(closure_digest);
-  if (it == outputs_.end()) {
+    const std::string& entry, const Sha256Digest& closure_digest) {
+  StoredOutput* stored = outputs_[entry].Find(
+      [&](const StoredOutput& s) { return s.digest == closure_digest; });
+  if (stored == nullptr) {
     ++output_misses_;
     return nullptr;
   }
   ++output_hits_;
-  return &it->second;
+  return &stored->result;
 }
 
-void CompiledUnitCache::StoreOutput(const Sha256Digest& closure_digest,
+void CompiledUnitCache::StoreOutput(const std::string& entry,
+                                    const Sha256Digest& closure_digest,
                                     MemoizedOutput result) {
-  outputs_[closure_digest] = std::move(result);
+  outputs_[entry].Add(StoredOutput{closure_digest, std::move(result)});
+}
+
+size_t CompiledUnitCache::outputs_for(const std::string& entry) const {
+  auto it = outputs_.find(entry);
+  return it == outputs_.end() ? 0 : it->second.size();
 }
 
 namespace {
@@ -92,6 +128,7 @@ class ClosureHasher {
 
  private:
   using DigestNode = CompiledUnitCache::DigestNode;
+  using Memos = RecentVersions<DigestNode>;
 
   Result<Sha256Digest> ChildDigest(const DigestNode::Child& child) {
     if (child.is_schema) {
@@ -100,67 +137,85 @@ class ClosureHasher {
     return ModuleDigest(child.path);
   }
 
-  // True when a memoized node's recorded children all still digest to the
-  // values that fed `node.digest` — the steady-state path, which recursively
-  // byte-compares every file in the subtree but computes no hashes.
-  Result<bool> ChildrenUnchanged(const DigestNode& node) {
-    for (const DigestNode::Child& child : node.children) {
-      ASSIGN_OR_RETURN(Sha256Digest digest, ChildDigest(child));
-      if (digest != child.digest) {
+  // A kept node for the same source bytes (and validator presence) has the
+  // same import edges, so the walk only re-derives them from a parse when
+  // no such node exists.
+  static const DigestNode* SameShape(Memos& memos, const DigestNode& node) {
+    return memos.Find([&](const DigestNode& memo) {
+      return memo.source == node.source &&
+             memo.has_validator == node.has_validator;
+    });
+  }
+
+  // Digests `node`'s children, then returns the digest of the kept node
+  // with the same source and child digests — the steady-state path, which
+  // hashes nothing — or hashes `node` (through `hash`) and keeps it.
+  template <typename Hash>
+  Result<Sha256Digest> Finish(Memos& memos, DigestNode node, Hash hash) {
+    for (DigestNode::Child& child : node.children) {
+      ASSIGN_OR_RETURN(child.digest, ChildDigest(child));
+    }
+    const DigestNode* memo = memos.Find([&](const DigestNode& m) {
+      if (m.source != node.source || m.has_validator != node.has_validator ||
+          m.children.size() != node.children.size()) {
         return false;
       }
+      for (size_t i = 0; i < m.children.size(); ++i) {
+        if (m.children[i].digest != node.children[i].digest) {
+          return false;
+        }
+      }
+      return true;
+    });
+    if (memo != nullptr) {
+      return memo->digest;
     }
-    return true;
+    node.digest = hash(node);
+    return memos.Add(std::move(node)).digest;
   }
 
   Result<Sha256Digest> ModuleDigestInner(const std::string& path) {
     ASSIGN_OR_RETURN(std::string content, reader_(path));
-    const CompiledUnitCache::Source& source = cache_->Intern(path, content);
-    auto& memos = cache_->digest_nodes();
-    auto memo = memos.find("m:" + path);
-    if (memo != memos.end() && memo->second.source == source.content) {
-      ASSIGN_OR_RETURN(bool unchanged, ChildrenUnchanged(memo->second));
-      if (unchanged) {
-        return memo->second.digest;
-      }
-    }
-    // Something changed (or first walk): parse to discover import edges,
-    // recompute the subtree digest, and re-memoize.
-    ASSIGN_OR_RETURN(std::shared_ptr<const Module> module,
-                     cache_->GetOrParse(path, content));
+    const CompiledUnitCache::Unit& unit = cache_->Intern(path, content);
+    Memos& memos = cache_->digest_nodes()["m:" + path];
     DigestNode node;
-    node.source = source.content;
-    for (const ImportTarget& edge : CollectImports(*module)) {
-      if (edge.kind == ImportTarget::Kind::kDynamic) {
-        return InvalidConfigError(
-            path + ": computed import path defeats static closure hashing");
-      }
-      bool is_schema = edge.kind == ImportTarget::Kind::kSchema;
-      auto same = [&](const DigestNode::Child& prior) {
-        return prior.path == edge.path && prior.is_schema == is_schema;
-      };
-      if (std::none_of(node.children.begin(), node.children.end(), same)) {
-        node.children.push_back({edge.path, is_schema, {}});
+    node.source = unit.content;
+    if (const DigestNode* shape = SameShape(memos, node)) {
+      node.children = shape->children;
+    } else {
+      // New bytes: parse to discover the import edges.
+      ASSIGN_OR_RETURN(std::shared_ptr<const Module> module,
+                       cache_->GetOrParse(path, content));
+      for (const ImportTarget& edge : CollectImports(*module)) {
+        if (edge.kind == ImportTarget::Kind::kDynamic) {
+          return InvalidConfigError(
+              path + ": computed import path defeats static closure hashing");
+        }
+        bool is_schema = edge.kind == ImportTarget::Kind::kSchema;
+        auto same = [&](const DigestNode::Child& prior) {
+          return prior.path == edge.path && prior.is_schema == is_schema;
+        };
+        if (std::none_of(node.children.begin(), node.children.end(), same)) {
+          node.children.push_back({edge.path, is_schema, {}});
+        }
       }
     }
-    Sha256 hasher;
-    hasher.Update("csl-module\n");
-    hasher.Update(path);
-    hasher.Update("\n");
-    hasher.Update(source.hash.ToHex());
-    hasher.Update("\n");
-    for (DigestNode::Child& child : node.children) {
-      ASSIGN_OR_RETURN(child.digest, ChildDigest(child));
-      hasher.Update(child.is_schema ? "schema " : "module ");
-      hasher.Update(child.path);
+    return Finish(memos, std::move(node), [&](const DigestNode& n) {
+      Sha256 hasher;
+      hasher.Update("csl-module\n");
+      hasher.Update(path);
       hasher.Update("\n");
-      hasher.Update(child.digest.ToHex());
+      hasher.Update(unit.hash.ToHex());
       hasher.Update("\n");
-    }
-    node.digest = hasher.Finish();
-    DigestNode& slot = memos["m:" + path];
-    slot = std::move(node);
-    return slot.digest;
+      for (const DigestNode::Child& child : n.children) {
+        hasher.Update(child.is_schema ? "schema " : "module ");
+        hasher.Update(child.path);
+        hasher.Update("\n");
+        hasher.Update(child.digest.ToHex());
+        hasher.Update("\n");
+      }
+      return hasher.Finish();
+    });
   }
 
   Result<Sha256Digest> SchemaDigest(const std::string& path) {
@@ -174,63 +229,54 @@ class ClosureHasher {
 
   Result<Sha256Digest> SchemaDigestInner(const std::string& path) {
     ASSIGN_OR_RETURN(std::string content, reader_(path));
-    const CompiledUnitCache::Source& source = cache_->Intern(path, content);
+    const CompiledUnitCache::Unit& unit = cache_->Intern(path, content);
     // The validator companion is part of the schema's behavior, and it can
     // appear or vanish without the schema's own source changing — probe its
     // existence on every walk, memo or not.
     std::string validator_path = path + "-cvalidator";
     auto validator_source = reader_(validator_path);
-    bool has_validator = validator_source.ok();
-    if (!has_validator &&
+    Memos& memos = cache_->digest_nodes()["s:" + path];
+    DigestNode node;
+    node.source = unit.content;
+    node.has_validator = validator_source.ok();
+    if (!node.has_validator &&
         validator_source.status().code() != StatusCode::kNotFound) {
       return validator_source.status();
     }
-    auto& memos = cache_->digest_nodes();
-    auto memo = memos.find("s:" + path);
-    if (memo != memos.end() && memo->second.source == source.content &&
-        memo->second.has_validator == has_validator) {
-      ASSIGN_OR_RETURN(bool unchanged, ChildrenUnchanged(memo->second));
-      if (unchanged) {
-        return memo->second.digest;
+    if (const DigestNode* shape = SameShape(memos, node)) {
+      node.children = shape->children;
+    } else {
+      for (const std::string& inc : ScanSchemaIncludes(content)) {
+        node.children.push_back({inc, /*is_schema=*/true, {}});
+      }
+      if (node.has_validator) {
+        // The validator is a CSL module of its own, with its own closure.
+        node.children.push_back({validator_path, /*is_schema=*/false, {}});
       }
     }
-    DigestNode node;
-    node.source = source.content;
-    node.has_validator = has_validator;
-    Sha256 hasher;
-    hasher.Update("thrift-schema\n");
-    hasher.Update(path);
-    hasher.Update("\n");
-    hasher.Update(source.hash.ToHex());
-    hasher.Update("\n");
-    for (const std::string& inc : ScanSchemaIncludes(content)) {
-      DigestNode::Child child;
-      child.path = inc;
-      child.is_schema = true;
-      ASSIGN_OR_RETURN(child.digest, SchemaDigest(inc));
-      hasher.Update("include ");
-      hasher.Update(inc);
+    return Finish(memos, std::move(node), [&](const DigestNode& n) {
+      Sha256 hasher;
+      hasher.Update("thrift-schema\n");
+      hasher.Update(path);
       hasher.Update("\n");
-      hasher.Update(child.digest.ToHex());
+      hasher.Update(unit.hash.ToHex());
       hasher.Update("\n");
-      node.children.push_back(std::move(child));
-    }
-    if (has_validator) {
-      // The validator is a CSL module of its own, with its own closure.
-      DigestNode::Child child;
-      child.path = validator_path;
-      ASSIGN_OR_RETURN(child.digest, ModuleDigest(validator_path));
-      hasher.Update("validator\n");
-      hasher.Update(child.digest.ToHex());
-      hasher.Update("\n");
-      node.children.push_back(std::move(child));
-    } else {
-      hasher.Update("no-validator\n");
-    }
-    node.digest = hasher.Finish();
-    DigestNode& slot = memos["s:" + path];
-    slot = std::move(node);
-    return slot.digest;
+      for (const DigestNode::Child& child : n.children) {
+        if (child.is_schema) {
+          hasher.Update("include ");
+          hasher.Update(child.path);
+          hasher.Update("\n");
+        } else {
+          hasher.Update("validator\n");
+        }
+        hasher.Update(child.digest.ToHex());
+        hasher.Update("\n");
+      }
+      if (!n.has_validator) {
+        hasher.Update("no-validator\n");
+      }
+      return hasher.Finish();
+    });
   }
 
   const SourceReader& reader_;

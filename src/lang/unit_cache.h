@@ -2,14 +2,13 @@
 // outputs.
 //
 // Parsing is purely syntactic, so a parsed Module is a function of its
-// source bytes alone: modules are keyed by path and invalidated when the
-// content changes (detected by byte comparison against the previously seen
-// source; the SHA-256 — the same digest the VCS substrate uses as the blob
-// object id — is recomputed only then). The parse cache is an AstCache, so
-// compile sessions and the analysis passes share one definition of a cache
-// hit. One cache can back many compile sessions (e.g. every entry a
-// Sandcastle run recompiles); shared .cinc modules parse once per content
-// version instead of once per session. Failed parses are cached too.
+// source bytes alone: modules are keyed by path and by byte comparison
+// against the kept versions of that path (the SHA-256 — the same digest the
+// VCS substrate uses as the blob object id — is computed once per new
+// version). Compile sessions, ConfigLint, the abstract interpreter and the
+// symbol surfaces all parse through one cache, so a Sandcastle parses each
+// source version once; shared .cinc modules parse once per content version
+// instead of once per session. Failed parses are cached too.
 //
 // ClosureDigest() extends the per-file key to the whole import closure: a
 // digest over the module's source hash plus, recursively, every statically
@@ -31,10 +30,15 @@
 // returned without recomputing any SHA-256 — steady state reads and
 // compares bytes, nothing more.
 //
-// The cache keeps one copy of each path's source. Its parse entry and
-// digest node share that copy and recognize it by pointer.
+// Every memo here keeps at most two versions per path, the two most recently
+// used (RecentVersions): normally head and the latest proposal, so a pass
+// that alternates between the two trees hits on both, and a long-lived
+// cache never grows one entry per commit. A path's parse and digest nodes
+// share the version's interned copy of its source and recognize it by
+// pointer.
 //
-// Not thread-safe; scope one cache per run, like AstCache.
+// Not thread-safe. One cache can live as long as the pipeline that owns it
+// (Sandcastle keeps one for its lifetime).
 
 #ifndef SRC_LANG_UNIT_CACHE_H_
 #define SRC_LANG_UNIT_CACHE_H_
@@ -45,12 +49,47 @@
 #include <string>
 #include <vector>
 
-#include "src/lang/ast_cache.h"
+#include "src/lang/ast.h"
 #include "src/lang/compiler.h"
 #include "src/util/sha256.h"
 #include "src/util/status.h"
 
 namespace configerator {
+
+// The two most recently used versions of one path's artifact. Adding a
+// third evicts the least recently used. Versions never move in memory, so a
+// reference stays valid until that version is evicted.
+template <typename T>
+class RecentVersions {
+ public:
+  // The most recent version `match` accepts, made the most recent; null if
+  // none does.
+  template <typename Match>
+  T* Find(const Match& match) {
+    for (size_t i = 0; i < versions_.size(); ++i) {
+      if (match(*versions_[i])) {
+        std::swap(versions_[0], versions_[i]);
+        return versions_[0].get();
+      }
+    }
+    return nullptr;
+  }
+
+  T& Add(T value) {
+    if (versions_.size() == kMaxVersions) {
+      versions_.pop_back();
+    }
+    versions_.insert(versions_.begin(),
+                     std::make_unique<T>(std::move(value)));
+    return *versions_.front();
+  }
+
+  size_t size() const { return versions_.size(); }
+
+ private:
+  static constexpr size_t kMaxVersions = 2;
+  std::vector<std::unique_ptr<T>> versions_;
+};
 
 class CompiledUnitCache {
  public:
@@ -61,28 +100,41 @@ class CompiledUnitCache {
     CompileOutput output;  // Meaningful only when status.ok().
   };
 
-  // One path's source as last seen, with its SHA-256.
-  struct Source {
+  // One version of one path's source: its bytes, their SHA-256, and, once
+  // something asked for it, the parse.
+  struct Unit {
     std::shared_ptr<const std::string> content;
     Sha256Digest hash;
+    bool parsed = false;
+    std::shared_ptr<Module> module;  // Null when the parse failed.
+    Status parse_error = OkStatus();
+    std::vector<LintDiagnostic> parse_diags;
   };
 
-  // The cache's copy of `path`'s source: the stored one when `content` is
-  // byte-identical to it, else a fresh copy (hashed once) that replaces it.
-  const Source& Intern(const std::string& path, const std::string& content);
+  // The cache's version of `path` whose bytes equal `content`, added (and
+  // hashed once) when neither kept version matches.
+  const Unit& Intern(const std::string& path, const std::string& content);
 
-  // Parses (path, content), reusing the previous Module when the content is
-  // byte-identical. Modules are immutable and shared: callers that evaluate
+  // Parses (path, content), reusing the version's Module when one was
+  // parsed before. Modules are immutable and shared: callers that evaluate
   // one must keep the shared_ptr alive as long as any value produced from
-  // it (closures point into the module's function definitions).
-  Result<std::shared_ptr<Module>> GetOrParse(const std::string& path,
-                                             const std::string& content);
+  // it (closures point into the module's function definitions). Non-fatal
+  // parse findings (duplicate dict keys) are appended to `lint_diags` on
+  // hits and misses alike. Failed parses are cached too.
+  Result<std::shared_ptr<Module>> GetOrParse(
+      const std::string& path, const std::string& content,
+      std::vector<LintDiagnostic>* lint_diags = nullptr);
 
-  // The whole-entry memo, keyed by ClosureDigest(). FindOutput counts an
-  // output hit or miss; the returned pointer is owned by the cache and
-  // invalidated by the next StoreOutput. StoreOutput overwrites.
-  const MemoizedOutput* FindOutput(const Sha256Digest& closure_digest);
-  void StoreOutput(const Sha256Digest& closure_digest, MemoizedOutput result);
+  // The whole-entry memo, keyed by the entry's ClosureDigest() and bounded
+  // to two digests per entry. FindOutput counts an output hit or miss; the
+  // returned pointer is owned by the cache and stays valid until that
+  // version is evicted. StoreOutput follows a FindOutput that missed.
+  const MemoizedOutput* FindOutput(const std::string& entry,
+                                   const Sha256Digest& closure_digest);
+  void StoreOutput(const std::string& entry,
+                   const Sha256Digest& closure_digest, MemoizedOutput result);
+  // Memoized outputs kept for `entry` (at most two).
+  size_t outputs_for(const std::string& entry) const;
 
   // One memoized node of the closure-digest tree, internal to
   // ClosureDigest(). Holds the exact source and child digests that produced
@@ -102,19 +154,29 @@ class CompiledUnitCache {
 
   // Per-node digest memo, keyed by kind-prefixed path ("m:" module,
   // "s:" schema). Internal to ClosureDigest().
-  std::map<std::string, DigestNode>& digest_nodes() { return digest_nodes_; }
+  std::map<std::string, RecentVersions<DigestNode>>& digest_nodes() {
+    return digest_nodes_;
+  }
 
   // Parse-cache hits and misses.
-  size_t hits() const { return parses_.hits(); }
-  size_t misses() const { return parses_.misses(); }
+  size_t hits() const { return hits_; }
+  size_t misses() const { return misses_; }
   size_t output_hits() const { return output_hits_; }
   size_t output_misses() const { return output_misses_; }
 
  private:
-  std::map<std::string, Source> sources_;
-  AstCache parses_;
-  std::map<Sha256Digest, MemoizedOutput> outputs_;
-  std::map<std::string, DigestNode> digest_nodes_;
+  Unit& Version(const std::string& path, const std::string& content);
+
+  struct StoredOutput {
+    Sha256Digest digest;
+    MemoizedOutput result;
+  };
+
+  std::map<std::string, RecentVersions<Unit>> units_;
+  std::map<std::string, RecentVersions<StoredOutput>> outputs_;
+  std::map<std::string, RecentVersions<DigestNode>> digest_nodes_;
+  size_t hits_ = 0;
+  size_t misses_ = 0;
   size_t output_hits_ = 0;
   size_t output_misses_ = 0;
 };

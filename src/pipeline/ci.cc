@@ -15,7 +15,8 @@ namespace configerator {
 Sandcastle::Sandcastle(const Repository* repo, const DependencyService* deps)
     : repo_(repo),
       deps_(deps),
-      unit_cache_(std::make_unique<CompiledUnitCache>()) {
+      unit_cache_(std::make_unique<CompiledUnitCache>()),
+      store_(std::make_unique<AnalysisStore>(unit_cache_.get())) {
   // Builtin raw-config validators, keyed by path convention. Ordering
   // matters: the most specific check that applies decides.
   raw_validators_.push_back(
@@ -132,7 +133,14 @@ FileReader Sandcastle::OverlayReader(const ProposedDiff& diff) const {
   };
 }
 
-CiReport Sandcastle::RunTests(const ProposedDiff& diff) const {
+ConfigCompiler Sandcastle::Compiler(FileReader reader) {
+  CompilerOptions options;
+  options.unit_cache = unit_cache_.get();
+  options.metrics = metrics_;
+  return ConfigCompiler(std::move(reader), options);
+}
+
+CiReport Sandcastle::RunTests(const ProposedDiff& diff) {
   CiReport report;
   // Entries to rebuild: every known entry affected by a touched path, plus
   // touched .cconf files themselves (they may be new entries).
@@ -155,10 +163,7 @@ CiReport Sandcastle::RunTests(const ProposedDiff& diff) const {
     }
   }
 
-  CompilerOptions compiler_options;
-  compiler_options.unit_cache = unit_cache_.get();
-  compiler_options.metrics = metrics_;
-  ConfigCompiler compiler(OverlayReader(diff), compiler_options);
+  ConfigCompiler compiler = Compiler(OverlayReader(diff));
   report.passed = true;
   for (const std::string& entry : entries) {
     auto output = compiler.Compile(entry);
@@ -200,7 +205,8 @@ CiReport Sandcastle::RunTests(const ProposedDiff& diff) const {
   FileReader head_reader = [repo](const std::string& path) {
     return repo->ReadFile(path);
   };
-  SemanticDiffer differ(head_reader, OverlayReader(diff));
+  SemanticDiffer differ(head_reader, OverlayReader(diff),
+                        &RestraintRegistry::Builtin(), store_.get());
   SemanticDiffReport semdiff = differ.Classify(
       changed, std::vector<std::string>(closure.begin(), closure.end()));
   report.semantic_impacts = semdiff.impacts;
@@ -264,7 +270,7 @@ CiReport Sandcastle::RunTests(const ProposedDiff& diff) const {
 }
 
 std::map<std::string, std::optional<std::set<std::string>>> DiffChangedSymbols(
-    const Repository& repo, const ProposedDiff& diff, AstCache* ast_cache) {
+    const Repository& repo, const ProposedDiff& diff, AnalysisStore* store) {
   std::map<std::string, std::optional<std::set<std::string>>> changed;
   for (const FileWrite& write : diff.writes) {
     const std::string& path = write.path;
@@ -277,18 +283,18 @@ std::map<std::string, std::optional<std::set<std::string>>> DiffChangedSymbols(
       continue;
     }
     changed[path] =
-        ChangedSymbols(ComputeSymbolSurface(path, *head),
-                       ComputeSymbolSurface(path, *write.content, ast_cache));
+        ChangedSymbols(*AnalysisStore::Surface(store, path, *head),
+                       *AnalysisStore::Surface(store, path, *write.content));
   }
   return changed;
 }
 
 std::set<std::string> Sandcastle::PrunedClosure(const ProposedDiff& diff,
-                                                CiReport* report) const {
+                                                CiReport* report) {
   // The file-level reverse closure, then the symbol-pruned one. The
   // difference is the pruning win: dependents whose slice proves the edit
   // can't reach them.
-  auto changed_symbols = DiffChangedSymbols(*repo_, diff);
+  auto changed_symbols = DiffChangedSymbols(*repo_, diff, store_.get());
   std::set<std::string> file_level;
   std::set<std::string> closure;
   for (const FileWrite& write : diff.writes) {
@@ -312,26 +318,20 @@ std::set<std::string> Sandcastle::PrunedClosure(const ProposedDiff& diff,
 }
 
 void Sandcastle::ReanalyzeClosure(const ProposedDiff& diff,
-                                  CiReport* report) const {
+                                  CiReport* report) {
   ReanalyzeClosure(diff, PrunedClosure(diff, report), report);
 }
 
 void Sandcastle::ReanalyzeClosure(const ProposedDiff& diff,
                                   const std::set<std::string>& closure,
-                                  CiReport* report) const {
+                                  CiReport* report) {
   std::set<std::string> touched;
   for (const FileWrite& write : diff.writes) {
     touched.insert(write.path);
   }
 
   FileReader overlay = OverlayReader(diff);
-  // One parse per (path, content) across the lint and absint passes: the
-  // linter and the interpreter walk the same overlay closure.
-  AstCache ast_cache;
-  ConfigLint linter(overlay);
-  linter.set_ast_cache(&ast_cache);
-  AbstractInterpreter absint(overlay);
-  absint.set_ast_cache(&ast_cache);
+  ConfigLint linter(overlay, &RestraintRegistry::Builtin(), unit_cache_.get());
 
   // Touched CSL files get the semantic pass unconditionally (RunLint already
   // ran the syntactic rules on them).
@@ -343,10 +343,11 @@ void Sandcastle::ReanalyzeClosure(const ProposedDiff& diff,
     if (!content.ok()) {
       continue;  // Deleted in the diff.
     }
-    AbsintResult result = absint.Analyze(path, *content);
+    std::shared_ptr<const AbsintResult> result =
+        AnalysisStore::Absint(store_.get(), overlay, path, *content);
     report->lint_findings.insert(report->lint_findings.end(),
-                                 result.diagnostics.begin(),
-                                 result.diagnostics.end());
+                                 result->diagnostics.begin(),
+                                 result->diagnostics.end());
   }
 
   // Untouched dependents: full re-lint + re-interpretation through the
@@ -378,16 +379,17 @@ void Sandcastle::ReanalyzeClosure(const ProposedDiff& diff,
         report->lint_findings.end(),
         std::make_move_iterator(lint_findings.begin()),
         std::make_move_iterator(lint_findings.end()));
-    AbsintResult result = absint.Analyze(entry, *content);
+    std::shared_ptr<const AbsintResult> result =
+        AnalysisStore::Absint(store_.get(), overlay, entry, *content);
     report->lint_findings.insert(report->lint_findings.end(),
-                                 result.diagnostics.begin(),
-                                 result.diagnostics.end());
+                                 result->diagnostics.begin(),
+                                 result->diagnostics.end());
   }
 }
 
 void Sandcastle::RunInvariants(const ProposedDiff& diff,
                                const std::set<std::string>& scope,
-                               CiReport* report) const {
+                               CiReport* report) {
   // The spec set: every "invariants/" file at head plus any the diff adds.
   // Files the diff deletes drop out naturally — Load skips unreadable paths,
   // and the overlay reports deleted files as not found.
@@ -404,11 +406,10 @@ void Sandcastle::RunInvariants(const ProposedDiff& diff,
     return;
   }
   FileReader overlay = OverlayReader(diff);
-  InvariantRegistry registry = InvariantRegistry::Load(
-      overlay,
-      std::vector<std::string>(spec_files.begin(), spec_files.end()));
-  InvariantChecker checker(overlay);
-  InvariantReport result = checker.Check(registry, scope);
+  std::shared_ptr<const InvariantRegistry> registry = store_->Registry(
+      overlay, std::vector<std::string>(spec_files.begin(), spec_files.end()));
+  InvariantChecker checker(overlay, store_.get());
+  InvariantReport result = checker.Check(*registry, scope);
   report->invariants_proven = result.proven;
   report->invariants_in_jeopardy = result.in_jeopardy;
   if (result.violated > 0) {
@@ -423,12 +424,11 @@ void Sandcastle::RunInvariants(const ProposedDiff& diff,
   report->invariant_outcomes = std::move(result.outcomes);
 }
 
-std::vector<LintDiagnostic> Sandcastle::RunLint(const ProposedDiff& diff) const {
+std::vector<LintDiagnostic> Sandcastle::RunLint(const ProposedDiff& diff) {
   // Imports resolve through the overlay: a finding (or its absence) reflects
   // the tree as it would look with the diff applied.
-  ConfigLint linter(OverlayReader(diff));
-  AstCache ast_cache;
-  linter.set_ast_cache(&ast_cache);
+  ConfigLint linter(OverlayReader(diff), &RestraintRegistry::Builtin(),
+                    unit_cache_.get());
   std::vector<LintDiagnostic> findings;
   for (const FileWrite& write : diff.writes) {
     if (!write.content.has_value()) {

@@ -22,7 +22,7 @@
 #include "src/analysis/invariant.h"
 #include "src/analysis/lint.h"
 #include "src/analysis/semdiff.h"
-#include "src/lang/ast_cache.h"
+#include "src/analysis/store.h"
 #include "src/lang/compiler.h"
 #include "src/pipeline/dependency.h"
 #include "src/pipeline/landing_strip.h"
@@ -74,10 +74,10 @@ struct CiReport {
 // diffing ComputeSymbolSurface() of the head content against the diff's.
 // nullopt = not statically comparable (parse failure, side-effecting
 // statements changed); consumers then fall back to file-level edges.
-// `ast_cache` (optional) shares parses with the other Sandcastle stages.
+// `store` (optional) serves the surfaces.
 std::map<std::string, std::optional<std::set<std::string>>> DiffChangedSymbols(
     const Repository& repo, const ProposedDiff& diff,
-    AstCache* ast_cache = nullptr);
+    AnalysisStore* store = nullptr);
 
 class Sandcastle {
  public:
@@ -94,11 +94,12 @@ class Sandcastle {
   // (Gatekeeper project JSON must compile into a project; canary specs must
   // parse; any "*.json" must at least be valid JSON), and lints every
   // touched file with ConfigLint (imports resolved through the overlay, so
-  // cross-module findings see the diff's state of the tree).
-  CiReport RunTests(const ProposedDiff& diff) const;
+  // cross-module findings see the diff's state of the tree). Every stage
+  // reads and fills the long-lived caches below, so none of them is const.
+  CiReport RunTests(const ProposedDiff& diff);
 
   // The ConfigLint stage alone: diagnostics for every file `diff` touches.
-  std::vector<LintDiagnostic> RunLint(const ProposedDiff& diff) const;
+  std::vector<LintDiagnostic> RunLint(const ProposedDiff& diff);
 
   // The cross-config invariant stage alone: loads every "invariants/" spec
   // through the overlay, activates those whose referenced configs intersect
@@ -106,11 +107,18 @@ class Sandcastle {
   // in `report`. RunTests calls this with the semdiff-pruned blast radius;
   // a provably-no-op diff that touches no invariant spec skips it entirely.
   void RunInvariants(const ProposedDiff& diff,
-                     const std::set<std::string>& scope,
-                     CiReport* report) const;
+                     const std::set<std::string>& scope, CiReport* report);
 
   // A FileReader that resolves through `diff` first, then the repo head.
   FileReader OverlayReader(const ProposedDiff& diff) const;
+
+  // A compiler over `reader` that compiles through Sandcastle's unit cache
+  // (and metrics sink), so a proposal's, its CI's and its landing's
+  // compiles of one entry version evaluate it once.
+  ConfigCompiler Compiler(FileReader reader);
+
+  // The analysis store every stage reads (see src/analysis/store.h).
+  AnalysisStore& analysis_store() { return *store_; }
 
   // Adds a custom raw-config validator (run for every written path).
   void RegisterRawValidator(RawValidator validator);
@@ -135,30 +143,32 @@ class Sandcastle {
   // dependents the changed symbols provably never reach. Results land in
   // `report` (findings, reanalyzed_entries, pruned_dependents,
   // closure_truncated).
-  void ReanalyzeClosure(const ProposedDiff& diff, CiReport* report) const;
+  void ReanalyzeClosure(const ProposedDiff& diff, CiReport* report);
 
  private:
   // Computes the symbol-pruned reverse closure of `diff` and records the
   // pruning statistics in `report` (pruned_dependents).
   std::set<std::string> PrunedClosure(const ProposedDiff& diff,
-                                      CiReport* report) const;
+                                      CiReport* report);
   // The analysis half of ReanalyzeClosure, over a precomputed closure.
   void ReanalyzeClosure(const ProposedDiff& diff,
                         const std::set<std::string>& closure,
-                        CiReport* report) const;
+                        CiReport* report);
 
   const Repository* repo_;
   const DependencyService* deps_;
   std::vector<RawValidator> raw_validators_;
   bool strict_lint_ = false;
   size_t max_closure_ = 64;
-  // Shared across RunTests calls: unchanged files byte-compare equal and
-  // skip parse+codegen, and an entry whose whole import closure is
-  // unchanged replays its memoized output without evaluating at all, so
-  // re-validating a diff costs one digest walk per reached entry.
-  // Hermeticity is unaffected — every compile still re-reads sources
-  // through the overlay and compares them against what was cached.
+  // Live as long as Sandcastle, shared by every stage and by the stack's
+  // proposal and landing compiles: unchanged files byte-compare equal and
+  // skip parsing, an entry whose whole import closure is unchanged replays
+  // its memoized output without evaluating, and each entry version is
+  // abstractly interpreted once. Hermeticity is unaffected — every stage
+  // still re-reads sources through its reader and compares them against
+  // what was kept. Both keep at most two versions per path.
   std::unique_ptr<CompiledUnitCache> unit_cache_;
+  std::unique_ptr<AnalysisStore> store_;
   MetricsRegistry* metrics_ = nullptr;
 };
 

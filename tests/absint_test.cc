@@ -8,6 +8,7 @@
 
 #include "src/analysis/absint.h"
 #include "src/lang/compiler.h"
+#include "src/util/strings.h"
 
 namespace configerator {
 namespace {
@@ -442,6 +443,30 @@ TEST_F(AbsintTest, DynamicImportMakesSliceUnsound) {
       "import_python(name, \"*\")\n"
       "export_if_last({\"a\": 1})\n");
   EXPECT_FALSE(result.slice_sound);
+}
+
+// ---- Stack budget -----------------------------------------------------------
+
+// 16 functions, each calling the next at the bottom of a 250-term chain: the
+// analysis follows all 16 calls, so one walk stacks 16 chains. Under ASan
+// that overflowed the stack before the analysis had a stack budget. Past
+// the budget it gives up to Any, which fires no rule, and marks the slice
+// unsound so nothing prunes or certifies on it.
+TEST_F(AbsintTest, DeepCallChainsStayWithinTheStackBudget) {
+  std::string source;
+  for (int f = 0; f < 16; ++f) {
+    source += StrFormat("def f%d(x):\n    return ", f);
+    source += f < 15 ? StrFormat("f%d(x)", f + 1) : std::string("x");
+    for (int term = 1; term < 250; ++term) {
+      source += " + 1";
+    }
+    source += "\n";
+  }
+  source += "export_if_last({\"v\": f0(1)})\n";
+  AbsintResult result = Analyze(source);
+  EXPECT_TRUE(result.analyzed);
+  EXPECT_TRUE(result.diagnostics.empty());
+  ASSERT_EQ(result.exports.size(), 1u);
 }
 
 // ---- Symbol diffing (ComputeSymbolSurface / ChangedSymbols) -----------------

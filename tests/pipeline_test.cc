@@ -362,14 +362,15 @@ TEST_F(SandcastleTest, UnitCacheIsSharedAcrossRunTestsCalls) {
   EXPECT_EQ(metrics.GetCounter("csl.output_cache.hits")->value(), 1u);
 
   // Editing the module invalidates exactly that unit: the walk recompiles
-  // it (one miss) and re-keys the untouched entry (one hit), the closure
-  // digest changes so the output memo misses, and the session re-evaluates
-  // over hash-hitting units.
+  // it (one miss) and re-keys the untouched entry from its kept digest node,
+  // which already lists the entry's imports (no parse), the closure digest
+  // changes so the output memo misses, and the session re-evaluates over
+  // hash-hitting units (two hits).
   ProposedDiff second =
       MakeProposedDiff(repo_, "alice", "bump", {{"port.cinc", "PORT = 82\n"}});
   EXPECT_TRUE(ci.RunTests(second).passed);
   EXPECT_EQ(metrics.GetCounter("csl.unit_cache.hits")->value(),
-            hits_after_first + 3);
+            hits_after_first + 2);
   EXPECT_EQ(metrics.GetCounter("csl.unit_cache.misses")->value(),
             misses_after_first + 1);
   EXPECT_EQ(metrics.GetCounter("csl.output_cache.misses")->value(), 2u);

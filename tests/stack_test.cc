@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include "src/core/mutator.h"
+#include "src/analysis/store.h"
 #include "src/core/stack.h"
 #include "src/gatekeeper/runtime.h"
+#include "src/lang/unit_cache.h"
+#include "src/util/strings.h"
 
 namespace configerator {
 namespace {
@@ -440,6 +443,108 @@ TEST_F(BlastRadiusTest, CanaryRunAnnotatedWithScope) {
   ASSERT_EQ(scope.changed_symbols.count("flags.cinc"), 1u);
   EXPECT_EQ(scope.changed_symbols.at("flags.cinc").count("BONUS"), 1u);
   EXPECT_NE(scope.Describe().find("1 affected entry"), std::string::npos);
+}
+
+// ---- One analysis per entry version -----------------------------------------
+
+// Four entries read BASE from lib.cinc. Counts come from the Sandcastle's
+// analysis store: a miss is a fresh abstract interpretation.
+class AnalysisStoreTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    std::vector<FileWrite> files = {
+        {"schemas/job.thrift",
+         "struct Job { 1: required string name; 2: optional i32 mem; }\n"},
+        {"util.cinc", "SCALE = 2\n"},
+        {"lib.cinc", Lib(1)}};
+    for (int e = 0; e < kEntries; ++e) {
+      files.push_back({StrFormat("e%d.cconf", e), Entry(e, 0)});
+    }
+    ASSERT_TRUE(Land(std::move(files)).ok());
+  }
+
+  static std::string Lib(int base) {
+    return StrFormat(
+        "import_python(\"util.cinc\", \"*\")\nBASE = %d * SCALE\n", base);
+  }
+  static std::string Entry(int e, int rev) {
+    return StrFormat(
+        "# rev %d\n"
+        "import_thrift(\"schemas/job.thrift\")\n"
+        "import_python(\"lib.cinc\", \"BASE\")\n"
+        "export_if_last(Job(name=\"e%d\", mem=BASE + %d))\n",
+        rev, e, e);
+  }
+
+  Result<ObjectId> Land(std::vector<FileWrite> writes) {
+    auto change = stack_.ProposeChange("alice", "edit", std::move(writes));
+    RETURN_IF_ERROR(change.status());
+    RETURN_IF_ERROR(stack_.Approve(&*change, "bob"));
+    misses_before_land_ = store().absint_misses();
+    return stack_.LandNow(*change);
+  }
+
+  const AnalysisStore& store() { return stack_.sandcastle().analysis_store(); }
+
+  static constexpr int kEntries = 4;
+  ConfigManagementStack stack_;
+  size_t misses_before_land_ = 0;
+};
+
+TEST_F(AnalysisStoreTest, ValueCommitAnalyzesEachNewVersionOnce) {
+  size_t misses = store().absint_misses();
+  ASSERT_TRUE(Land({{"lib.cinc", Lib(2)}}).ok());
+  // lib.cinc and the four entries reading BASE are new versions; head's
+  // versions, util.cinc and every later pass are served from the store.
+  EXPECT_EQ(store().absint_misses() - misses, 1u + kEntries);
+  EXPECT_EQ(store().absint_misses(), misses_before_land_)
+      << "the post-land refresh re-analyzed an entry CI had analyzed";
+  EXPECT_GT(store().absint_hits(), 0u);
+}
+
+TEST_F(AnalysisStoreTest, CommentOnlyCommitAnalyzesOnlyTheTouchedFile) {
+  size_t misses = store().absint_misses();
+  ASSERT_TRUE(Land({{"e0.cconf", Entry(0, 1)}}).ok());
+  EXPECT_EQ(store().absint_misses() - misses, 1u);
+  EXPECT_EQ(store().absint_misses(), misses_before_land_);
+}
+
+TEST_F(AnalysisStoreTest, RegistryIsParsedOnlyWhenASpecChanges) {
+  const std::string spec =
+      "{\"invariants\": [{\"name\": \"mem\", \"kind\": \"ordering\", "
+      "\"lhs\": {\"config\": \"e0.json\", \"field\": \"mem\"}, "
+      "\"relation\": \"<=\", "
+      "\"rhs\": {\"config\": \"e1.json\", \"field\": \"mem\"}}]}";
+  ASSERT_TRUE(Land({{"invariants/mem.json", spec}}).ok());
+  size_t parses = store().registry_parses();
+  ASSERT_TRUE(Land({{"lib.cinc", Lib(3)}}).ok());
+  ASSERT_TRUE(Land({{"lib.cinc", Lib(4)}}).ok());
+  EXPECT_EQ(store().registry_parses(), parses);
+  ASSERT_TRUE(Land({{"invariants/mem.json", spec + "\n"}}).ok());
+  EXPECT_EQ(store().registry_parses(), parses + 1);
+}
+
+TEST_F(AnalysisStoreTest, LongRunKeepsTwoVersionsPerPath) {
+  for (int commit = 0; commit < 1000; ++commit) {
+    ASSERT_TRUE(Land({{"lib.cinc", Lib(2 + commit)}}).ok()) << commit;
+  }
+  for (const char* path : {"lib.cinc", "e0.cconf", "e3.cconf"}) {
+    EXPECT_LE(store().absints_for(path), 2u) << path;
+  }
+  const CompiledUnitCache* units =
+      AnalysisStore::Units(&stack_.sandcastle().analysis_store());
+  for (int e = 0; e < kEntries; ++e) {
+    EXPECT_LE(units->outputs_for(StrFormat("e%d.cconf", e)), 2u);
+  }
+  // A proposal that reverts to the version before head is still held.
+  size_t misses = store().absint_misses();
+  size_t output_hits = units->output_hits();
+  auto revert = stack_.ProposeChange("alice", "revert",
+                                     {{"lib.cinc", Lib(2 + 998)}});
+  ASSERT_TRUE(revert.ok());
+  EXPECT_TRUE(revert->ci_report.passed);
+  EXPECT_EQ(store().absint_misses(), misses);
+  EXPECT_GT(units->output_hits(), output_hits);
 }
 
 }  // namespace
