@@ -11,12 +11,11 @@
 // and analyzes every version afresh (the ablation), "stored" shares one
 // long-lived AnalysisStore across commits, as Sandcastle does, so each
 // version is analyzed once and head's side is a lookup. Both rows must
-// produce the same impacts.
+// produce the same reports: impacts, findings and certificates.
 //
 // Emits BENCH_semdiff.json next to the working directory for the bench
 // trajectory.
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -28,6 +27,7 @@
 #include "src/analysis/semdiff.h"
 #include "src/analysis/store.h"
 #include "src/json/json.h"
+#include "src/util/sha256.h"
 #include "src/util/strings.h"
 #include "src/util/table.h"
 
@@ -82,6 +82,7 @@ int main() {
     size_t dependents_total = 0;
     size_t impacts_total = 0;
     double classify_s = 0;
+    Sha256 reports;  // Every impact and finding, for the rows' agreement.
   };
   const std::map<std::string, std::string> initial_tree = tree;
   auto run = [&](AnalysisStore* store) {
@@ -128,6 +129,10 @@ int main() {
 
       for (const SymbolImpact& impact : report.impacts) {
         ++row.counts[static_cast<int>(impact.kind)];
+        row.reports.Update(impact.Describe() + "\n");
+      }
+      for (const LintDiagnostic& finding : report.findings) {
+        row.reports.Update(finding.Format() + "\n");
       }
       row.impacts_total += report.impacts.size();
       row.dependents_total += dependents.size();
@@ -142,8 +147,7 @@ int main() {
   CompiledUnitCache units;
   AnalysisStore store(&units);
   Row stored = run(&store);
-  if (!std::equal(std::begin(stored.counts), std::end(stored.counts),
-                  std::begin(fresh.counts)) ||
+  if (stored.reports.Finish() != fresh.reports.Finish() ||
       stored.provable_noops != fresh.provable_noops) {
     std::fprintf(stderr, "stored and fresh rows disagree\n");
     return 1;

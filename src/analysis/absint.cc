@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "src/lang/ast.h"
+#include "src/lang/builtins.h"
 #include "src/lang/import_resolver.h"
 #include "src/lang/ops.h"
 #include "src/lang/unit_cache.h"
@@ -265,18 +266,6 @@ AbstractObject JoinContext::ObjectContents(const AbstractObject& a,
     }
   }
   return out;
-}
-
-// Builtins the interpreter registers (src/lang/builtins.cc). Anything else
-// resolves to Any and stays silent.
-const std::set<std::string>& BuiltinNames() {
-  static const std::set<std::string> kNames = {
-      "len",     "str",        "int",      "float",  "abs",    "range",
-      "sorted",  "min",        "max",      "items",  "keys",   "values",
-      "append",  "extend",     "has_key",  "get",    "join",   "split",
-      "format",  "startswith", "endswith", "upper",  "lower",  "strip",
-      "replace", "fail",       "merge"};
-  return kNames;
 }
 
 }  // namespace
@@ -775,7 +764,9 @@ AbstractValue Analyzer::LookupName(const std::string& name, Ctx& ctx) {
   if (schema_it != schema_env_.end()) {
     return schema_it->second;
   }
-  if (BuiltinNames().count(name) > 0) {
+  // A registered builtin function; any other name resolves to Any and
+  // stays silent.
+  if (SharedBuiltinsEnvironment()->vars().count(name) > 0) {
     auto fn = std::make_shared<AbstractFunction>();
     fn->builtin = name;
     AbstractValue v = AbstractValue::OfKinds(kAbsFunction);
@@ -1956,7 +1947,7 @@ AbsintResult Analyzer::Run(const std::string& path,
     result.exports.push_back(std::move(slice));
   }
 
-  // The provenance graph's nodes: every surviving top-level binding.
+  // Every surviving top-level binding, for the semantic differ.
   for (const auto& [name, value] : *globals) {
     result.symbol_summaries.emplace(name, Summarize(value));
   }

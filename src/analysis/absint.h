@@ -222,8 +222,8 @@ struct AbsintResult {
   // names, so additions must invalidate). This is the sound pruning set the
   // DependencyService consumes.
   std::map<std::string, std::set<std::string>> used_symbols;
-  // Abstract summary of every top-level binding after the module body ran
-  // (the provenance graph's nodes; keyed by symbol name).
+  // Abstract summary of every top-level binding after the module body ran,
+  // keyed by symbol name: what SemanticDiffer compares across versions.
   std::map<std::string, SymbolSummary> symbol_summaries;
   // Non-literal conditions decided to one truth value on every path (G008
   // material). Sorted by (file, line); sites observed under both truth

@@ -14,6 +14,7 @@
 #include <string>
 
 #include "src/analysis/rules.h"
+#include "src/lang/builtins.h"
 #include "src/lang/import_resolver.h"
 #include "src/lang/unit_cache.h"
 #include "src/schema/schema.h"
@@ -23,15 +24,17 @@ namespace analysis {
 
 namespace {
 
+// Every name bound before user code runs: the registered builtin functions
+// and the special forms the interpreter evaluates itself.
 const std::set<std::string>& BuiltinNames() {
-  static const std::set<std::string>* names = new std::set<std::string>{
-      // RegisterCslBuiltins:
-      "len", "str", "int", "float", "abs", "range", "sorted", "min", "max",
-      "items", "keys", "values", "append", "extend", "has_key", "get", "join",
-      "split", "format", "startswith", "endswith", "upper", "lower", "strip",
-      "replace", "fail", "merge",
-      // Interpreter special forms:
-      "import_python", "import_thrift", "export", "export_if_last"};
+  static const std::set<std::string>* names = [] {
+    auto* names = new std::set<std::string>{"import_python", "import_thrift",
+                                            "export", "export_if_last"};
+    for (const auto& [name, value] : SharedBuiltinsEnvironment()->vars()) {
+      names->insert(name);
+    }
+    return names;
+  }();
   return *names;
 }
 

@@ -91,14 +91,11 @@ const std::vector<LintRuleInfo>& ConfigLint::Rules() {
        "identical restraint repeated inside one conjunction"},
       {"G006", "vacuous-bucket", LintSeverity::kWarning,
        "id_mod/hash_range bucket spans all users and filters nothing"},
-      {"G007", "dead-export", LintSeverity::kWarning,
-       "module symbol has no consumer anywhere in the repository"},
+      {"G007", "dead-on-arrival", LintSeverity::kWarning,
+       "the commit adds a module symbol that nothing in its closure reads"},
       {"G008", "unreachable-branch", LintSeverity::kWarning,
        "branch condition is statically decided under every schema-valid "
        "context (via cross-module constant flow)"},
-      {"G009", "stale-restraint-reference", LintSeverity::kError,
-       "a Gatekeeper project in the analyzed closure references a restraint "
-       "type no longer in the RestraintRegistry"},
       {"G010", "shadowed-import", LintSeverity::kError,
        "a later import silently rebinds a name an earlier import already "
        "bound (star-import surface growth hazard)"},

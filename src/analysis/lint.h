@@ -34,11 +34,11 @@
 // | G005 duplicate-restraint | warning | identical restraint repeated in one rule |
 // | G006 vacuous-bucket      | warning | id_mod/hash_range spans every user |
 //
-// The semantic-diff / provenance layer (src/analysis/semdiff.h,
-// src/analysis/provenance.h) adds graph-driven rules G007..G010: dead
-// export, unreachable branch, stale restraint reference in the closure, and
-// shadowed import. They are listed in Rules() for docs/--explain but emitted
-// by ProvenanceGraph / SemanticDiffer, not by LintFile.
+// The semantic differ (src/analysis/semdiff.h) adds the rules that need a
+// commit and its closure: G007 (a symbol the commit adds that nothing
+// reads), G008 (newly unreachable branch) and G010 (shadowed import). They
+// are listed in Rules() for docs/--explain but emitted by
+// SemanticDiffer::Classify, not by LintFile.
 
 #ifndef SRC_ANALYSIS_LINT_H_
 #define SRC_ANALYSIS_LINT_H_

@@ -8,6 +8,9 @@
 #include "src/analysis/store.h"
 #include "src/gatekeeper/compile.h"
 #include "src/json/json.h"
+#include "src/lang/ast.h"
+#include "src/lang/import_resolver.h"
+#include "src/lang/unit_cache.h"
 #include "src/util/strings.h"
 
 namespace configerator {
@@ -133,6 +136,12 @@ struct SideFacts {
       std::make_shared<const ModuleSymbolSurface>();
   std::shared_ptr<const AbsintResult> absint =
       std::make_shared<const AbsintResult>();
+
+  // Present, parsed, and analyzed with every import resolved.
+  bool sound() const {
+    return present && surface->analyzable && absint->analyzed &&
+           absint->slice_sound;
+  }
 };
 
 struct FilePair {
@@ -168,6 +177,19 @@ struct GateSurface {
     return out;
   }
 };
+
+LintDiagnostic MakeFinding(const char* rule_id, LintSeverity severity,
+                           std::string file, int line, std::string message,
+                           std::string suggestion) {
+  LintDiagnostic d;
+  d.rule_id = rule_id;
+  d.severity = severity;
+  d.file = std::move(file);
+  d.line = line;
+  d.message = std::move(message);
+  d.suggestion = std::move(suggestion);
+  return d;
+}
 
 GateSurface ExtractGateSurface(const Json& spec,
                                const RestraintRegistry& registry) {
@@ -223,7 +245,9 @@ SemanticDiffReport SemanticDiffer::Classify(
   std::set<std::string> touched_set(touched_paths.begin(),
                                     touched_paths.end());
   std::set<std::string> gk_touched;
-  std::set<std::string> raw_touched;  // Non-CSL deps whose bytes changed.
+  // Every other write whose bytes changed, adds and deletes included: a raw
+  // config, a compiled output, a schema, an invariant spec.
+  std::set<std::string> raw_touched;
   std::vector<std::string> roots;
   std::set<std::string> root_set;
   for (const std::string& path : touched_paths) {
@@ -248,28 +272,33 @@ SemanticDiffReport SemanticDiffer::Classify(
     }
   }
 
+  // One version of `path`, analyzed through the store.
+  auto load = [store](const FileReader& reader, const std::string& path) {
+    SideFacts side;
+    auto content = reader(path);
+    if (!content.ok()) {
+      return side;  // Added/deleted on this side.
+    }
+    side.present = true;
+    side.content = std::move(*content);
+    side.surface = AnalysisStore::Surface(store, path, side.content);
+    side.absint = AnalysisStore::Absint(store, reader, path, side.content);
+    return side;
+  };
+
   // -- Analyze every root on both sides.
   std::map<std::string, FilePair> files;
   for (const std::string& path : roots) {
     FilePair pair;
     pair.touched = touched_set.count(path) > 0;
-    auto load = [&](const FileReader& reader, SideFacts* side) {
-      auto content = reader(path);
-      if (!content.ok()) {
-        return;  // Added/deleted on this side.
-      }
-      side->present = true;
-      side->content = *content;
-      side->surface = AnalysisStore::Surface(store, path, side->content);
-      side->absint = AnalysisStore::Absint(store, reader, path, side->content);
-      if (!side->surface->analyzable || !side->absint->analyzed ||
-          !side->absint->slice_sound) {
+    pair.old_side = load(old_reader_, path);
+    pair.new_side = load(new_reader_, path);
+    for (const SideFacts* side : {&pair.old_side, &pair.new_side}) {
+      if (side->present && !side->sound()) {
         pair.unsound = true;
         report.sound = false;
       }
-    };
-    load(old_reader_, &pair.old_side);
-    load(new_reader_, &pair.new_side);
+    }
     files.emplace(path, std::move(pair));
   }
 
@@ -647,19 +676,126 @@ SemanticDiffReport SemanticDiffer::Classify(
               return std::tie(a.file, a.symbol) < std::tie(b.file, b.symbol);
             });
 
-  // -- Graph findings over the NEW closure (G007, G009, G010)...
-  std::vector<std::string> graph_paths = roots;
-  graph_paths.insert(graph_paths.end(), gk_touched.begin(), gk_touched.end());
-  ProvenanceGraph graph =
-      ProvenanceGraph::Build(new_reader_, graph_paths, *registry_, store);
-  report.findings = graph.findings();
-  if (!graph.sound()) {
-    report.sound = false;
+  // -- Graph findings over the new side's closure: the roots plus every CSL
+  // file their new-side runs read. A closure file that is absent or not
+  // fully analyzed makes the findings incomplete, so the report is unsound.
+  std::map<std::string, const SideFacts*> closure;
+  std::map<std::string, SideFacts> beyond_roots;
+  std::vector<std::string> pending = roots;
+  while (!pending.empty()) {
+    std::string path = std::move(pending.back());
+    pending.pop_back();
+    if (closure.count(path) > 0) {
+      continue;
+    }
+    auto root = files.find(path);
+    const SideFacts* side =
+        root != files.end() ? &root->second.new_side
+                            : &(beyond_roots[path] = load(new_reader_, path));
+    closure.emplace(path, side);
+    if (!side->sound()) {
+      report.sound = false;
+    }
+    for (const auto& [dep, symbols] : side->absint->used_symbols) {
+      if (IsCslPath(dep) && closure.count(dep) == 0) {
+        pending.push_back(dep);
+      }
+    }
   }
 
-  // ...plus G008: branches the commit *newly* decides. A site decided the
-  // same way on both sides was already dead — flagging it on every commit
-  // that touches the file would be noise; the semantic diff reports the
+  // G010 (shadowed import): a later top-level import rebinding a name an
+  // earlier import from a *different* module already bound. The classic
+  // hazard is a star import growing a new symbol that silently shadows a
+  // specific earlier import (or vice versa).
+  for (const auto& [path, side] : closure) {
+    if (!side->present) {
+      continue;
+    }
+    auto module = AnalysisStore::Units(store)->GetOrParse(path, side->content);
+    if (!module.ok()) {
+      continue;
+    }
+    std::map<std::string, std::string> bound_by;  // name -> source module.
+    for (const StmtPtr& stmt : (*module)->body) {
+      if (stmt->kind != Stmt::Kind::kExpr || stmt->target == nullptr ||
+          !IsImportCall(*stmt->target)) {
+        continue;
+      }
+      ImportTarget target = ClassifyImport(*stmt->target);
+      if (target.kind != ImportTarget::Kind::kModule) {
+        continue;  // Schemas bind into a separate env; dynamic is unsound
+                   // already (absint flagged it).
+      }
+      std::set<std::string> bound_names;
+      if (target.filter != "*") {
+        bound_names.insert(target.filter);
+      } else {
+        auto it = closure.find(target.path);
+        if (it == closure.end() || !it->second->surface->analyzable) {
+          continue;  // Unresolvable star target: absint marked unsound.
+        }
+        for (const auto& [name, fp] : it->second->surface->fingerprints) {
+          bound_names.insert(name);
+        }
+      }
+      for (const std::string& name : bound_names) {
+        auto it = bound_by.find(name);
+        if (it != bound_by.end() && it->second != target.path) {
+          report.findings.push_back(MakeFinding(
+              "G010", LintSeverity::kError, path, target.line,
+              "import from '" + target.path + "' rebinds '" + name +
+                  "' already bound by the import of '" + it->second + "'",
+              "rename the symbol or drop one of the imports"));
+        }
+        bound_by[name] = target.path;
+      }
+    }
+  }
+
+  // G007 (dead on arrival): a symbol this commit adds to a touched module
+  // that no other symbol of the module and no file of the new closure
+  // reads. A consumer of a brand-new symbol is in the diff or star-imports
+  // the module (the "*" of ChangedSymbols puts star importers in the
+  // closure), so the closure holds every consumer; an incomplete closure
+  // suppresses the rule.
+  if (report.sound) {
+    for (const auto& [path, pair] : files) {
+      if (!pair.touched || !path.ends_with(".cinc")) {
+        continue;
+      }
+      const ModuleSymbolSurface& surface = *pair.new_side.surface;
+      for (const auto& [symbol, fingerprint] : surface.fingerprints) {
+        if (pair.old_side.surface->fingerprints.count(symbol) > 0) {
+          continue;
+        }
+        bool read = false;
+        for (const auto& [name, read_names] : surface.reads) {
+          read = read || (name != symbol && read_names.count(symbol) > 0);
+        }
+        for (const auto& [file, side] : closure) {
+          if (file == path) {
+            continue;  // The module's own reads are its surface's.
+          }
+          auto it = side->absint->used_symbols.find(path);
+          read = read || (it != side->absint->used_symbols.end() &&
+                          it->second.count(symbol) > 0);
+        }
+        if (read) {
+          continue;
+        }
+        report.findings.push_back(MakeFinding(
+            "G007", LintSeverity::kWarning, path,
+            surface.def_lines.at(symbol).front().first,
+            "module symbol '" + symbol +
+                "' is added by this commit, but nothing reads it",
+            "delete it or import it where it is needed"));
+      }
+    }
+  }
+
+  // G008: branches the commit *newly* decides. A site decided the same way
+  // on both sides was already dead — flagging it on every commit that
+  // touches the file would be noise; the semantic diff reports the
   // transition.
   std::set<std::tuple<std::string, int, bool>> old_decided;
   std::set<std::tuple<std::string, int, bool>> new_decided;
@@ -675,21 +811,19 @@ SemanticDiffReport SemanticDiffer::Classify(
     if (old_decided.count({file, line, value}) > 0) {
       continue;
     }
-    LintDiagnostic d;
-    d.rule_id = "G008";
-    d.severity = LintSeverity::kWarning;
-    d.file = file;
-    d.line = line;
-    d.message = StrFormat(
-        "branch condition is now statically %s under every schema-valid "
-        "context; one arm is unreachable",
-        value ? "true" : "false");
-    d.suggestion = "fold the branch or revisit the constants deciding it";
-    report.findings.push_back(std::move(d));
+    report.findings.push_back(MakeFinding(
+        "G008", LintSeverity::kWarning, file, line,
+        StrFormat("branch condition is now statically %s under every "
+                  "schema-valid context; one arm is unreachable",
+                  value ? "true" : "false"),
+        "fold the branch or revisit the constants deciding it"));
   }
   SortDiagnostics(&report.findings);
 
-  report.provably_noop = report.sound;
+  // The certificate covers the classified writes (CSL sources and
+  // Gatekeeper projects) and byte-identical others. Any other changed write
+  // withholds it: its readers are code semdiff does not model.
+  report.provably_noop = report.sound && raw_touched.empty();
   for (const SymbolImpact& impact : report.impacts) {
     if (impact.kind != ImpactKind::kNoOp) {
       report.provably_noop = false;

@@ -18,10 +18,16 @@
 //   type-change  — kind set, schema struct tag, or existence changed
 //                  (added/removed symbols land here).
 //
+// Only CSL sources and Gatekeeper projects are classified. A commit that
+// changes the bytes of any other file (a raw config, a compiled output, a
+// schema, an invariant spec) is never certified no-op.
+//
 // Classification drives the landing pipeline: provably-no-op commits skip
-// reverse-closure re-analysis and take the fast-path canary, RiskAdvisor
-// weights blast radius by severity, and CanaryScope annotates the rollout
-// with the old -> new bounds.
+// reverse-closure re-analysis and invariant re-verification and take the
+// fast-path canary, RiskAdvisor weights blast radius by severity, and
+// CanaryScope annotates the rollout with the old -> new bounds. The differ
+// also reports the gating findings that need the commit's closure (G007,
+// G008, G010; see SemanticDiffReport::findings).
 
 #ifndef SRC_ANALYSIS_SEMDIFF_H_
 #define SRC_ANALYSIS_SEMDIFF_H_
@@ -32,7 +38,6 @@
 
 #include "src/analysis/absint.h"
 #include "src/analysis/diagnostic.h"
-#include "src/analysis/provenance.h"
 #include "src/gatekeeper/restraint.h"
 #include "src/lang/compiler.h"
 #include "src/vcs/diff.h"
@@ -71,15 +76,18 @@ struct SemanticDiffReport {
   // every symbol of every touched CSL file, and every impacted symbol of
   // dependents — so an untouched dependent whose guard flipped shows up.
   std::vector<SymbolImpact> impacts;
-  // Graph/diff gating findings over the NEW closure: G007 dead export, G008
-  // newly-unreachable branch, G009 stale restraint reference, G010 shadowed
+  // Gating findings over the new side's closure (the analyzed files plus
+  // every CSL file their new versions read): G007 symbol added but read
+  // nowhere (only when sound), G008 newly-unreachable branch, G010 shadowed
   // import. Canonically sorted.
   std::vector<LintDiagnostic> findings;
-  // False when some version failed to parse, an import was dynamic, or a
-  // slice was unsound: no-op certificates are then withheld.
+  // False when some version failed to parse, an import was dynamic, a
+  // slice was unsound, or a file of the new closure was unreadable: no-op
+  // certificates are then withheld.
   bool sound = true;
-  // Every impact is a provable no-op (comment/reformat-only commits): safe
-  // to skip reverse-closure re-analysis and fast-path the canary.
+  // Every impact is a provable no-op and no other write changed a byte
+  // (comment/reformat-only commits): safe to skip reverse-closure
+  // re-analysis and invariants and to fast-path the canary.
   bool provably_noop = false;
 
   size_t CountKind(ImpactKind kind) const;

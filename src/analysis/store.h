@@ -1,7 +1,7 @@
 // AnalysisStore: each analysis product, computed once per input version.
 //
 // Sandcastle analyzes the same entry versions again and again: semdiff's
-// two sides, the provenance graph, the reverse-closure re-analysis, the
+// two sides and its closure walk, the reverse-closure re-analysis, the
 // invariant checker and the post-land dependency refresh each read an
 // entry's abstract interpretation, and the old side of one proposal is the
 // new side of the last. The store keeps one long-lived copy of each product,

@@ -62,8 +62,7 @@ class RestraintRegistry {
   static const RestraintRegistry& Builtin();
 
   // `context_fields` names the UserContext fields restraints of `type`
-  // read: the inputs provenance, semdiff and the invariant checker reason
-  // about.
+  // read: the inputs semdiff and the invariant checker reason about.
   void Register(const std::string& type, std::vector<std::string> context_fields,
                 Factory factory);
 

@@ -9,9 +9,9 @@
 
 namespace configerator {
 
-// Installs the builtin function set: len, str, int, float, range, sorted,
-// min, max, abs, items, keys, values, append, extend, has_key, join, split,
-// format, fail.
+// Installs the builtin functions. SharedBuiltinsEnvironment()->vars() is the
+// one list of their names: ConfigLint and the abstract interpreter read it,
+// so a function added here is known to both.
 void RegisterCslBuiltins(Environment* env);
 
 // Process-wide environment holding exactly the RegisterCslBuiltins bindings,

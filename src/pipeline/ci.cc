@@ -142,17 +142,20 @@ ConfigCompiler Sandcastle::Compiler(FileReader reader) {
 
 CiReport Sandcastle::RunTests(const ProposedDiff& diff) {
   CiReport report;
-  // Entries to rebuild: every known entry affected by a touched path, plus
-  // touched .cconf files themselves (they may be new entries).
+  // Entries to rebuild: every known entry affected by a touched path, the
+  // touched .cconf files themselves (they may be new entries), and the
+  // entry of every compiled output the diff writes.
   std::vector<std::string> changed;
   changed.reserve(diff.writes.size());
   for (const FileWrite& write : diff.writes) {
     changed.push_back(write.path);
   }
+  FileReader overlay = OverlayReader(diff);
   std::set<std::string> entries;
   for (const std::string& entry : deps_->EntriesAffectedBy(changed)) {
     entries.insert(entry);
   }
+  std::map<std::string, std::string> output_entry;  // X.json -> X.cconf.
   for (const FileWrite& write : diff.writes) {
     if (write.path.ends_with(".cconf") && write.content.has_value()) {
       entries.insert(write.path);
@@ -161,17 +164,54 @@ CiReport Sandcastle::RunTests(const ProposedDiff& diff) {
       // An entry deleted by this diff no longer needs to compile.
       entries.erase(write.path);
     }
+    if (write.path.ends_with(".json")) {
+      std::string entry =
+          write.path.substr(0, write.path.size() - 5) + ".cconf";
+      if (overlay(entry).ok()) {
+        output_entry[write.path] = entry;  // Checked below, so compiled.
+        entries.insert(entry);
+      }
+    }
   }
 
-  ConfigCompiler compiler = Compiler(OverlayReader(diff));
+  ConfigCompiler compiler = Compiler(overlay);
   report.passed = true;
+  std::map<std::string, CompileOutput> outputs;
   for (const std::string& entry : entries) {
     auto output = compiler.Compile(entry);
     if (output.ok()) {
       report.compiled_entries.push_back(entry);
+      outputs.emplace(entry, std::move(*output));
     } else {
       report.passed = false;
       report.failures.push_back(entry + ": " + output.status().ToString());
+    }
+  }
+
+  // A compiled output lands only as its entry produces it (paper §3.1: a
+  // config and its generated JSON land together). Every write to X.json
+  // next to an X.cconf must equal what X.cconf compiles to, and deleting
+  // X.json is a failure while X.cconf still produces it.
+  for (const FileWrite& write : diff.writes) {
+    auto entry = output_entry.find(write.path);
+    auto output = entry != output_entry.end() ? outputs.find(entry->second)
+                                              : outputs.end();
+    if (output == outputs.end()) {
+      continue;  // Not a compiled output, or its entry failed to compile.
+    }
+    std::optional<std::string> produced;
+    for (const CompiledConfig& config : output->second.configs) {
+      if (config.path == write.path) {
+        produced = config.content.DumpPretty();
+      }
+    }
+    if (write.content != produced) {
+      report.passed = false;
+      report.failures.push_back(
+          write.path + ": " +
+          (write.content.has_value()
+               ? "does not match what " + entry->second + " compiles to"
+               : "deleted while " + entry->second + " still compiles to it"));
     }
   }
 
@@ -199,14 +239,14 @@ CiReport Sandcastle::RunTests(const ProposedDiff& diff) {
 
   // Semantic diff: classify every impacted symbol (head tree vs overlay)
   // and attach the classification to the landing. The differ's gating
-  // findings (G007–G010) ride the same lint stream and can block.
+  // findings (G007, G008, G010) ride the same lint stream and can block.
   std::set<std::string> closure = PrunedClosure(diff, &report);
   const Repository* repo = repo_;
   FileReader head_reader = [repo](const std::string& path) {
     return repo->ReadFile(path);
   };
-  SemanticDiffer differ(head_reader, OverlayReader(diff),
-                        &RestraintRegistry::Builtin(), store_.get());
+  SemanticDiffer differ(head_reader, overlay, &RestraintRegistry::Builtin(),
+                        store_.get());
   SemanticDiffReport semdiff = differ.Classify(
       changed, std::vector<std::string>(closure.begin(), closure.end()));
   report.semantic_impacts = semdiff.impacts;
@@ -216,36 +256,16 @@ CiReport Sandcastle::RunTests(const ProposedDiff& diff) {
                               semdiff.findings.end());
 
   if (report.provably_noop) {
-    // Certified no-op (comment/reformat-only): the reverse closure cannot
-    // observe it, so skip re-analyzing it.
+    // Certified no-op (comment/reformat-only, every other write
+    // byte-identical, invariant specs included): no value the reverse
+    // closure or an invariant reads moved, so neither is re-checked.
     CLOG(Info) << "Sandcastle: diff is provably no-op; skipping reverse-"
                << "closure re-analysis of " << closure.size()
-               << " dependent(s)";
+               << " dependent(s) and invariant re-verification";
   } else {
     ReanalyzeClosure(diff, closure, &report);
-  }
 
-  // Cross-config invariants over the blast radius. A provably-no-op diff
-  // cannot change any exported value, so re-verification is skipped — unless
-  // the diff edits an invariant spec itself (then the *predicates* changed
-  // even though no config value did), or touches a path the no-op
-  // certificate does not cover: the semantic differ only certifies CSL
-  // sources and Gatekeeper projects, so any other write (a raw JSON config,
-  // say) can change invariant inputs while leaving the certificate intact.
-  bool touches_invariants = false;
-  bool outside_certificate = false;
-  for (const FileWrite& write : diff.writes) {
-    if (write.path.starts_with("invariants/")) {
-      touches_invariants = true;
-    }
-    bool certified = write.path.ends_with(".cconf") ||
-                     write.path.ends_with(".cinc") ||
-                     GatekeeperProjectAt(write.path).has_value();
-    if (!certified || !write.content.has_value()) {
-      outside_certificate = true;
-    }
-  }
-  if (!report.provably_noop || touches_invariants || outside_certificate) {
+    // Cross-config invariants over the blast radius.
     std::set<std::string> scope;
     for (const std::string& path : changed) {
       scope.insert(path);
@@ -257,9 +277,6 @@ CiReport Sandcastle::RunTests(const ProposedDiff& diff) {
       scope.insert(ConfigCompiler::OutputPathFor(entry));
     }
     RunInvariants(diff, scope, &report);
-  } else if (report.provably_noop) {
-    CLOG(Info) << "Sandcastle: provably no-op diff; invariant re-verification "
-               << "skipped";
   }
 
   if (report.lint_errors() > 0 ||

@@ -51,8 +51,10 @@ struct CiReport {
   // value-delta / control-shift / type-change) over the touched files and
   // the symbol-pruned closure, attached to the review.
   std::vector<SymbolImpact> semantic_impacts;
-  // Every impacted symbol is a provable no-op: Sandcastle then skips the
-  // reverse-closure re-analysis and the landing takes the fast-path canary.
+  // Every impacted symbol is a provable no-op and every other write is
+  // byte-identical (SemanticDiffReport::provably_noop): Sandcastle then
+  // skips the reverse-closure re-analysis and the invariant stage, and the
+  // landing takes the fast-path canary.
   bool provably_noop = false;
   // Cross-config invariants activated by the diff's blast radius (touched
   // paths + recompiled/reanalyzed outputs), evaluated over the overlay.
@@ -90,12 +92,14 @@ class Sandcastle {
   ~Sandcastle();
 
   // Recompiles every entry config affected by `diff` in a sandbox overlay,
-  // runs raw-config validators over touched non-compiled configs
-  // (Gatekeeper project JSON must compile into a project; canary specs must
-  // parse; any "*.json" must at least be valid JSON), and lints every
-  // touched file with ConfigLint (imports resolved through the overlay, so
-  // cross-module findings see the diff's state of the tree). Every stage
-  // reads and fills the long-lived caches below, so none of them is const.
+  // fails every write to (or deletion of) X.json that differs from what an
+  // X.cconf in the overlay compiles to, runs raw-config validators over
+  // every written path (Gatekeeper project JSON must compile into a
+  // project; canary specs must parse; any "*.json" must at least be valid
+  // JSON), and lints every touched file with ConfigLint (imports resolved
+  // through the overlay, so cross-module findings see the diff's state of
+  // the tree). Every stage reads and fills the long-lived caches below, so
+  // none of them is const.
   CiReport RunTests(const ProposedDiff& diff);
 
   // The ConfigLint stage alone: diagnostics for every file `diff` touches.
@@ -104,8 +108,8 @@ class Sandcastle {
   // The cross-config invariant stage alone: loads every "invariants/" spec
   // through the overlay, activates those whose referenced configs intersect
   // `scope` (empty = audit everything), and records outcomes + diagnostics
-  // in `report`. RunTests calls this with the semdiff-pruned blast radius;
-  // a provably-no-op diff that touches no invariant spec skips it entirely.
+  // in `report`. RunTests calls this with the semdiff-pruned blast radius
+  // unless the diff is provably no-op (an edit to a spec never is).
   void RunInvariants(const ProposedDiff& diff,
                      const std::set<std::string>& scope, CiReport* report);
 

@@ -66,9 +66,11 @@ std::vector<std::string> DependencyService::EntriesAffectedBySymbols(
       affected.push_back(entry);  // The entry's own source changed.
       continue;
     }
+    if (changed_symbols.empty()) {
+      continue;  // No symbol changed, so no dependent can observe the edit.
+    }
     auto sit = slice_of_entry_.find(entry);
-    if (sit == slice_of_entry_.end() || !sit->second.sound ||
-        changed_symbols.empty()) {
+    if (sit == slice_of_entry_.end() || !sit->second.sound) {
       affected.push_back(entry);  // No sound slice: file-level fallback.
       continue;
     }

@@ -37,13 +37,15 @@ class DependencyService {
       const std::string& entry,
       std::map<std::string, std::set<std::string>> used_symbols, bool sound);
 
-  // File-level dependents of `path`, pruned by symbol slices: an entry with
-  // a sound slice is dropped when it reads none of `changed_symbols` from
-  // `path`. Entries without a sound slice are always included (file-level
-  // fallback), as is every entry when `changed_symbols` contains "*" and the
-  // entry star-imports the file. Pass the symbols ChangedSymbols() reported
-  // for the edit; an empty set means "changed in an unknown way" and prunes
-  // nothing.
+  // File-level dependents of `path`, pruned by symbol slices. Pass the
+  // symbols ChangedSymbols() reported for the edit (when it reports nullopt,
+  // the edit is not comparable: use EntriesAffectedBy). `path` itself, when
+  // it is an entry, is always included. An empty set (no symbol changed)
+  // prunes every other dependent. Otherwise an entry with a sound slice is
+  // dropped when it reads none of `changed_symbols` from `path`, unless
+  // `changed_symbols` contains "*" and the entry star-imports the file;
+  // entries without a sound slice are always included (file-level
+  // fallback).
   std::vector<std::string> EntriesAffectedBySymbols(
       const std::string& path, const std::set<std::string>& changed_symbols) const;
 

@@ -4,7 +4,9 @@
 
 #include <algorithm>
 
+#include "src/analysis/absint.h"
 #include "src/analysis/lint.h"
+#include "src/lang/builtins.h"
 #include "src/lang/compiler.h"
 
 namespace configerator {
@@ -243,6 +245,25 @@ TEST_F(LanguageRulesTest, ShadowedBuiltinFiresOnParameter) {
       "    return str\n"
       "export_if_last({\"v\": f(\"x\")})\n");
   EXPECT_EQ(CountRule(diags, "L006"), 1u);
+}
+
+TEST_F(LanguageRulesTest, EveryRegisteredBuiltinIsKnownToLintAndAbsint) {
+  // Lint and the abstract interpreter read the names from the environment
+  // the interpreter registers them in, so no builtin can be missing there.
+  const auto& builtins = SharedBuiltinsEnvironment()->vars();
+  ASSERT_FALSE(builtins.empty());
+  AbstractInterpreter absint;
+  for (const auto& [name, value] : builtins) {
+    EXPECT_EQ(CountRule(Lint("x = " + name + "\n", "lib.cinc"), "L001"), 0u)
+        << name;
+    EXPECT_EQ(CountRule(Lint(name + " = 1\n", "lib.cinc"), "L006"), 1u)
+        << name;
+    AbsintResult result = absint.Analyze("lib.cinc", "x = " + name + "\n");
+    ASSERT_EQ(result.symbol_summaries.count("x"), 1u) << name;
+    const SymbolSummary& x = result.symbol_summaries.at("x");
+    EXPECT_FALSE(x.any) << name;
+    EXPECT_EQ(x.kinds, kAbsFunction) << name;
+  }
 }
 
 // ---- L007 unreachable-code --------------------------------------------------

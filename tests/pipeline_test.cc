@@ -555,6 +555,61 @@ TEST_F(SandcastleTest, DeletedFileInvisibleThroughOverlay) {
   EXPECT_FALSE(report.passed);
 }
 
+TEST_F(SandcastleTest, CommentOnlyModuleCommitPrunesItsImporters) {
+  Sandcastle ci(&repo_, &deps_);
+  CiReport report = ci.RunTests(MakeProposedDiff(
+      repo_, "alice", "document the port",
+      {{"port.cinc", "# the service port\nPORT = 80\n"}}));
+  EXPECT_TRUE(report.passed) << report.Summary();
+  EXPECT_TRUE(report.provably_noop) << report.Summary();
+  EXPECT_EQ(report.pruned_dependents, 1u);
+  for (const SymbolImpact& impact : report.semantic_impacts) {
+    EXPECT_EQ(impact.file, "port.cinc") << impact.Describe();
+  }
+}
+
+TEST_F(SandcastleTest, CompiledOutputMustMatchItsEntry) {
+  auto head = ConfigCompiler([this](const std::string& path) {
+                return repo_.ReadFile(path);
+              }).Compile("app.cconf");
+  ASSERT_TRUE(head.ok()) << head.status();
+  ASSERT_TRUE(repo_
+                  .Commit("alice", "land output",
+                          {{"app.json", head->configs.at(0).content.DumpPretty()}})
+                  .ok());
+  Sandcastle ci(&repo_, &deps_);
+  auto names_entry = [](const CiReport& report) {
+    for (const std::string& failure : report.failures) {
+      if (failure.find("app.cconf") != std::string::npos) {
+        return true;
+      }
+    }
+    return false;
+  };
+
+  // The output the new source compiles to, written with it, passes.
+  std::vector<FileWrite> bump = {{"port.cinc", "PORT = 8080\n"}};
+  auto regenerated =
+      ci.Compiler(ci.OverlayReader(MakeProposedDiff(repo_, "a", "b", bump)))
+          .Compile("app.cconf");
+  ASSERT_TRUE(regenerated.ok()) << regenerated.status();
+  bump.push_back({"app.json", regenerated->configs.at(0).content.DumpPretty()});
+  CiReport passing = ci.RunTests(MakeProposedDiff(repo_, "alice", "bump", bump));
+  EXPECT_TRUE(passing.passed) << passing.Summary();
+
+  // A hand edit of the output alone fails and names its entry.
+  CiReport hand_edit = ci.RunTests(MakeProposedDiff(
+      repo_, "mallory", "hand edit", {{"app.json", "{\"port\": 1}"}}));
+  EXPECT_FALSE(hand_edit.passed) << hand_edit.Summary();
+  EXPECT_TRUE(names_entry(hand_edit)) << hand_edit.Summary();
+
+  // So does deleting the output while its entry stays.
+  CiReport deletion = ci.RunTests(MakeProposedDiff(
+      repo_, "mallory", "drop output", {{"app.json", std::nullopt}}));
+  EXPECT_FALSE(deletion.passed) << deletion.Summary();
+  EXPECT_TRUE(names_entry(deletion)) << deletion.Summary();
+}
+
 // ---- Symbol-level dependency edges ------------------------------------------
 
 TEST(DependencySymbolsTest, SoundSlicePrunesUnrelatedDependents) {
@@ -601,6 +656,22 @@ TEST(DependencySymbolsTest, SurfaceGrowthAffectsStarImporters) {
   auto affected = deps.EntriesAffectedBySymbols("shared.cinc", {"*"});
   ASSERT_EQ(affected.size(), 1u);
   EXPECT_EQ(affected[0], "star.cconf");
+}
+
+TEST(DependencySymbolsTest, EmptyChangeSetPrunesEveryOtherDependent) {
+  // ChangedSymbols reports no symbol for a comment-only edit: no dependent
+  // can observe it, whatever its slice. The edited entry itself stays.
+  DependencyService deps;
+  deps.UpdateEntry("app.cconf", {"shared.cinc"});
+  deps.UpdateEntry("web.cconf", {"shared.cinc"});
+  deps.UpdateEntry("shared.cinc", {});
+  deps.UpdateEntrySymbols("app.cconf", {{"shared.cinc", {"*", "PORT"}}},
+                          /*sound=*/true);
+  auto affected = deps.EntriesAffectedBySymbols("shared.cinc", {});
+  ASSERT_EQ(affected.size(), 1u);
+  EXPECT_EQ(affected[0], "shared.cinc");
+  EXPECT_TRUE(deps.EntriesAffectedBySymbols("app.cconf", {}) ==
+              std::vector<std::string>{"app.cconf"});
 }
 
 TEST(DependencySymbolsTest, SymbolFanIn) {

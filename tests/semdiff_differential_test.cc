@@ -14,6 +14,7 @@
 
 #include "src/analysis/semdiff.h"
 #include "src/gatekeeper/naive.h"
+#include "src/util/sha256.h"
 #include "tests/semdiff_commits.h"
 
 namespace configerator {
@@ -114,6 +115,45 @@ TEST(SemdiffDifferentialTest, NoOpCertificatesNeverLie) {
   EXPECT_GE(noop_export_checks, 100u);
   EXPECT_GE(provable_noop_commits, 20u);
   EXPECT_GE(gk_noop_checks, 10u);
+}
+
+// Every report of the 500 commits above folded into one SHA-256: each
+// impact's Describe(), each finding's Format() (G007 aside: its verdict is
+// not a refactor's to keep), `sound` and `provably_noop`. Recorded from the
+// differ before its closure walk moved into Classify; a change that alters
+// any classification or finding changes it. If the change is intended, run
+//   build/tests/semdiff_differential_test --gtest_filter=*GoldenDigest
+// and replace the constant with the digest the failure reports.
+constexpr char kGoldenDigest[] =
+    "d6523b2511e4106710987a5e9dca557f6c533bce4927b92120bfd458717f7e54";
+
+TEST(SemdiffDifferentialTest, ReportsMatchGoldenDigest) {
+  Rng rng(20260809);
+  SemdiffTree tree;
+  Sha256 digest;
+  for (int commit = 0; commit < kCommits; ++commit) {
+    SemdiffTree old_tree = tree;
+    std::vector<std::string> touched = MutateTree(rng, &tree);
+    InMemorySources old_sources = old_tree.Sources();
+    InMemorySources new_sources = tree.Sources();
+    SemanticDiffer differ(old_sources.AsReader(), new_sources.AsReader());
+    SemanticDiffReport report =
+        differ.Classify(touched, {"entry1.cconf", "entry2.cconf"});
+    std::string record = StrFormat("sound=%d noop=%d", report.sound,
+                                   report.provably_noop);
+    for (const SymbolImpact& impact : report.impacts) {
+      record += "\n" + impact.Describe();
+    }
+    for (const LintDiagnostic& finding : report.findings) {
+      if (finding.rule_id != "G007") {
+        record += "\n" + finding.Format();
+      }
+    }
+    // Length-prefixed, so record boundaries cannot shift between commits.
+    digest.Update(StrFormat("%zu:", record.size()));
+    digest.Update(record);
+  }
+  EXPECT_EQ(digest.Finish().ToHex(), kGoldenDigest);
 }
 
 }  // namespace

@@ -1,16 +1,15 @@
-// Semantic diffing + provenance analysis: the 4-way classification
-// (no-op / value-delta / control-shift / type-change), the provenance graph
-// (nodes, reverse edges, line attribution), the graph gating rules
-// G007–G010, diff-hunk -> symbol attribution, byte-stable determinism, a
-// 20-commit scripted sequence (part of the semdiff lane), and
-// the acceptance scenario: a latent control shift in an UNTOUCHED dependent
-// is classified (not no-op) and the landing is blocked by a G-rule error.
+// Semantic diffing: the 4-way classification (no-op / value-delta /
+// control-shift / type-change), which writes the no-op certificate covers,
+// the closure gating rules G007, G008 and G010, diff-hunk -> symbol
+// attribution, byte-stable determinism, a 20-commit scripted sequence (part
+// of the semdiff lane), and the acceptance scenario: a latent control shift
+// in an UNTOUCHED dependent is classified (not no-op) and the landing is
+// blocked by a G-rule error.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
-#include "src/analysis/provenance.h"
 #include "src/analysis/semdiff.h"
 #include "src/core/stack.h"
 #include "src/lang/compiler.h"
@@ -36,132 +35,6 @@ const LintDiagnostic* FindRule(const std::vector<LintDiagnostic>& diags,
     }
   }
   return nullptr;
-}
-
-// ---- Provenance graph -------------------------------------------------------
-
-TEST(ProvenanceGraphTest, NodesEdgesAndDependents) {
-  InMemorySources sources;
-  sources.Put("lib.cinc", "BASE = 8000\nPORT = BASE + 80\n");
-  sources.Put("entry.cconf",
-              "import_python(\"lib.cinc\", \"PORT\")\n"
-              "export_if_last({\"port\": PORT})\n");
-  ProvenanceGraph graph =
-      ProvenanceGraph::Build(sources.AsReader(), {"entry.cconf"});
-  EXPECT_TRUE(graph.sound());
-
-  // The closure pulled lib.cinc in through the import.
-  const ProvenanceNode* port = graph.Find("lib.cinc", "PORT");
-  ASSERT_NE(port, nullptr);
-  EXPECT_FALSE(port->is_export);
-
-  // The entry's export node depends on lib.cinc:PORT...
-  const ProvenanceNode* exported = graph.Find("entry.cconf", "entry.json");
-  ASSERT_NE(exported, nullptr);
-  EXPECT_TRUE(exported->is_export);
-  ASSERT_EQ(exported->deps.count("lib.cinc"), 1u);
-  EXPECT_EQ(exported->deps.at("lib.cinc").count("PORT"), 1u);
-
-  // ...so reverse reachability finds it from the module symbol.
-  auto dependents = graph.Dependents("lib.cinc", "PORT");
-  bool found = false;
-  for (const auto& [file, symbol] : dependents) {
-    found = found || (file == "entry.cconf");
-  }
-  EXPECT_TRUE(found);
-}
-
-TEST(ProvenanceGraphTest, SymbolsAtLineAttribution) {
-  InMemorySources sources;
-  sources.Put("lib.cinc",
-              "A = 1\n"
-              "B = {\n"
-              "    \"x\": 1,\n"
-              "    \"y\": 2,\n"
-              "}\n"
-              "C = 3\n");
-  sources.Put("entry.cconf",
-              "import_python(\"lib.cinc\", \"*\")\n"
-              "export_if_last({\"a\": A, \"b\": B, \"c\": C})\n");
-  ProvenanceGraph graph =
-      ProvenanceGraph::Build(sources.AsReader(), {"entry.cconf"});
-  EXPECT_EQ(graph.SymbolsAtLine("lib.cinc", 1),
-            std::vector<std::string>{"A"});
-  // Line 3 is inside B's multi-line dict literal.
-  EXPECT_EQ(graph.SymbolsAtLine("lib.cinc", 3),
-            std::vector<std::string>{"B"});
-  EXPECT_EQ(graph.SymbolsAtLine("lib.cinc", 6),
-            std::vector<std::string>{"C"});
-  EXPECT_TRUE(graph.SymbolsAtLine("lib.cinc", 40).empty());
-}
-
-TEST(ProvenanceGraphTest, G007FlagsDeadModuleSymbol) {
-  InMemorySources sources;
-  sources.Put("lib.cinc",
-              "USED = 1\n"
-              "HELPER = 2\n"
-              "ALIVE_VIA_HELPER = HELPER + 1\n"
-              "DEAD = 99\n");
-  sources.Put("entry.cconf",
-              "import_python(\"lib.cinc\", \"*\")\n"
-              "export_if_last({\"used\": USED, \"a\": ALIVE_VIA_HELPER})\n");
-  ProvenanceGraph graph =
-      ProvenanceGraph::Build(sources.AsReader(), {"entry.cconf"});
-  ASSERT_TRUE(graph.sound());
-  const LintDiagnostic* g007 = FindRule(graph.findings(), "G007");
-  ASSERT_NE(g007, nullptr);
-  EXPECT_EQ(g007->file, "lib.cinc");
-  EXPECT_EQ(g007->line, 4);
-  EXPECT_NE(g007->message.find("DEAD"), std::string::npos);
-  EXPECT_EQ(g007->severity, LintSeverity::kWarning);
-  // HELPER is consumed intra-module; only DEAD fires.
-  EXPECT_EQ(CountRule(graph.findings(), "G007"), 1u);
-}
-
-TEST(ProvenanceGraphTest, G009FlagsStaleRestraintReference) {
-  InMemorySources sources;
-  sources.Put("gatekeeper/exp.json",
-              "{\"project\": \"exp\", \"rules\": [{\"restraints\": "
-              "[{\"type\": \"abolished_restraint\"}], "
-              "\"pass_probability\": 1.0}]}");
-  ProvenanceGraph graph =
-      ProvenanceGraph::Build(sources.AsReader(), {"gatekeeper/exp.json"});
-  const LintDiagnostic* g009 = FindRule(graph.findings(), "G009");
-  ASSERT_NE(g009, nullptr);
-  EXPECT_EQ(g009->severity, LintSeverity::kError);
-  EXPECT_NE(g009->message.find("abolished_restraint"), std::string::npos);
-
-  // A project using only registered types is clean.
-  sources.Put("gatekeeper/ok.json",
-              "{\"project\": \"ok\", \"rules\": [{\"restraints\": "
-              "[{\"type\": \"employee\"}], \"pass_probability\": 1.0}]}");
-  ProvenanceGraph clean =
-      ProvenanceGraph::Build(sources.AsReader(), {"gatekeeper/ok.json"});
-  EXPECT_EQ(CountRule(clean.findings(), "G009"), 0u);
-  // And its node carries restraint/context pseudo-module edges.
-  const ProvenanceNode* node = clean.Find("gatekeeper/ok.json", "ok");
-  ASSERT_NE(node, nullptr);
-  EXPECT_TRUE(node->is_gatekeeper);
-  EXPECT_EQ(node->deps.at("restraints").count("employee"), 1u);
-  EXPECT_EQ(node->deps.at("context").count("is_employee"), 1u);
-}
-
-TEST(ProvenanceGraphTest, G010FlagsShadowedImport) {
-  InMemorySources sources;
-  sources.Put("a.cinc", "TIMEOUT = 5\n");
-  sources.Put("b.cinc", "TIMEOUT = 30\nRETRIES = 3\n");
-  sources.Put("entry.cconf",
-              "import_python(\"a.cinc\", \"TIMEOUT\")\n"
-              "import_python(\"b.cinc\", \"*\")\n"
-              "export_if_last({\"t\": TIMEOUT, \"r\": RETRIES})\n");
-  ProvenanceGraph graph =
-      ProvenanceGraph::Build(sources.AsReader(), {"entry.cconf"});
-  const LintDiagnostic* g010 = FindRule(graph.findings(), "G010");
-  ASSERT_NE(g010, nullptr);
-  EXPECT_EQ(g010->severity, LintSeverity::kError);
-  EXPECT_EQ(g010->file, "entry.cconf");
-  EXPECT_EQ(g010->line, 2);
-  EXPECT_NE(g010->message.find("TIMEOUT"), std::string::npos);
 }
 
 // ---- Semantic diff: 4-way classification ------------------------------------
@@ -373,6 +246,113 @@ TEST_F(SemdiffTest, UnparseableVersionIsUnsound) {
   for (const SymbolImpact& impact : report.impacts) {
     EXPECT_NE(impact.kind, ImpactKind::kNoOp) << impact.Describe();
   }
+}
+
+// ---- Closure gating rules: G007 and G010 ------------------------------------
+
+TEST_F(SemdiffTest, G010FlagsShadowedImport) {
+  for (InMemorySources* side : {&old_, &new_}) {
+    side->Put("a.cinc", "TIMEOUT = 5\n");
+    side->Put("b.cinc", "TIMEOUT = 30\nRETRIES = 3\n");
+  }
+  old_.Put("entry.cconf",
+           "import_python(\"a.cinc\", \"TIMEOUT\")\n"
+           "export_if_last({\"t\": TIMEOUT})\n");
+  new_.Put("entry.cconf",
+           "import_python(\"a.cinc\", \"TIMEOUT\")\n"
+           "import_python(\"b.cinc\", \"*\")\n"
+           "export_if_last({\"t\": TIMEOUT, \"r\": RETRIES})\n");
+  SemanticDiffReport report = Classify({"entry.cconf"}, {});
+  const LintDiagnostic* g010 = FindRule(report.findings, "G010");
+  ASSERT_NE(g010, nullptr) << report.Summary();
+  EXPECT_EQ(g010->severity, LintSeverity::kError);
+  EXPECT_EQ(g010->file, "entry.cconf");
+  EXPECT_EQ(g010->line, 2);
+  EXPECT_NE(g010->message.find("TIMEOUT"), std::string::npos);
+}
+
+TEST_F(SemdiffTest, G010FlagsShadowingInAnIntermediateModule) {
+  // The shadowing import sits in mid.cinc, which neither the commit nor the
+  // dependent list names: only the walk over the new side's closure (the
+  // entry's run reads mid.cinc) reaches it.
+  const char* mid =
+      "import_python(\"a.cinc\", \"TIMEOUT\")\n"
+      "import_python(\"b.cinc\", \"*\")\n"
+      "MID_TIMEOUT = TIMEOUT\n";
+  const char* entry =
+      "import_python(\"mid.cinc\", \"MID_TIMEOUT\")\n"
+      "export_if_last({\"t\": MID_TIMEOUT})\n";
+  for (InMemorySources* side : {&old_, &new_}) {
+    side->Put("a.cinc", "TIMEOUT = 5\n");
+    side->Put("mid.cinc", mid);
+    side->Put("entry.cconf", entry);
+  }
+  old_.Put("b.cinc", "RETRIES = 3\n");
+  new_.Put("b.cinc", "TIMEOUT = 30\nRETRIES = 3\n");
+  SemanticDiffReport report = Classify({"b.cinc"}, {"entry.cconf"});
+  EXPECT_TRUE(report.sound);
+  const LintDiagnostic* g010 = FindRule(report.findings, "G010");
+  ASSERT_NE(g010, nullptr) << report.Summary();
+  EXPECT_EQ(g010->file, "mid.cinc");
+  EXPECT_EQ(g010->line, 2);
+  EXPECT_NE(g010->message.find("TIMEOUT"), std::string::npos);
+}
+
+TEST_F(SemdiffTest, G007IgnoresSymbolsWhoseReadersWerePruned) {
+  // The commit moves Y; only y.cconf reads it, so Sandcastle prunes
+  // x.cconf, the one reader of X. X predates the commit: no G007.
+  old_.Put("lib.cinc", "X = 1\nY = 2\n");
+  new_.Put("lib.cinc", "X = 1\nY = 3\n");
+  for (InMemorySources* side : {&old_, &new_}) {
+    side->Put("x.cconf",
+              "import_python(\"lib.cinc\", \"X\")\n"
+              "export_if_last({\"x\": X})\n");
+    side->Put("y.cconf",
+              "import_python(\"lib.cinc\", \"Y\")\n"
+              "export_if_last({\"y\": Y})\n");
+  }
+  SemanticDiffReport report = Classify({"lib.cinc"}, {"y.cconf"});
+  ASSERT_TRUE(report.sound);
+  EXPECT_EQ(CountRule(report.findings, "G007"), 0u) << report.Summary();
+}
+
+TEST_F(SemdiffTest, G007FlagsAnAddedSymbolNothingReads) {
+  old_.Put("lib.cinc", "USED = 1\n");
+  new_.Put("lib.cinc", "USED = 1\n# new knob\nDEAD = 99\n");
+  const char* entry =
+      "import_python(\"lib.cinc\", \"*\")\n"
+      "export_if_last({\"used\": USED})\n";
+  old_.Put("entry.cconf", entry);
+  new_.Put("entry.cconf", entry);
+  SemanticDiffReport report = Classify({"lib.cinc"}, {"entry.cconf"});
+  ASSERT_TRUE(report.sound);
+  const LintDiagnostic* g007 = FindRule(report.findings, "G007");
+  ASSERT_NE(g007, nullptr) << report.Summary();
+  EXPECT_EQ(g007->file, "lib.cinc");
+  EXPECT_EQ(g007->line, 3);
+  EXPECT_NE(g007->message.find("DEAD"), std::string::npos);
+  EXPECT_EQ(g007->severity, LintSeverity::kWarning);
+  EXPECT_EQ(CountRule(report.findings, "G007"), 1u);
+
+  // The same symbol read by an entry the commit also edits is alive.
+  new_.Put("entry.cconf",
+           "import_python(\"lib.cinc\", \"*\")\n"
+           "export_if_last({\"used\": USED, \"dead\": DEAD})\n");
+  SemanticDiffReport read = Classify({"lib.cinc", "entry.cconf"}, {});
+  EXPECT_EQ(CountRule(read.findings, "G007"), 0u) << read.Summary();
+}
+
+TEST_F(SemdiffTest, G007IgnoresAnAddedSymbolItsModuleReads) {
+  // No file of the closure reads BASE; PORT, in the same module, does.
+  old_.Put("lib.cinc", "PORT = 8080\n");
+  new_.Put("lib.cinc", "BASE = 8000\nPORT = BASE + 80\n");
+  SemanticDiffReport report = Classify({"lib.cinc"}, {});
+  ASSERT_TRUE(report.sound);
+  EXPECT_EQ(CountRule(report.findings, "G007"), 0u) << report.Summary();
+
+  // Without that read, BASE is dead on arrival.
+  new_.Put("lib.cinc", "BASE = 8000\nPORT = 8080\n");
+  EXPECT_EQ(CountRule(Classify({"lib.cinc"}, {}).findings, "G007"), 1u);
 }
 
 // ---- Diff-hunk -> symbol attribution ----------------------------------------
@@ -708,6 +688,83 @@ TEST_F(SemdiffPipelineTest, CanaryScopeCarriesValueDeltas) {
   EXPECT_EQ(scope.value_deltas.at("flags.cinc:USE_BIG"), "True -> False");
   EXPECT_EQ(scope.value_deltas.count("flags.cinc:EXTRA"), 0u);  // No-ops: no.
   EXPECT_NE(scope.Describe().find("True -> False"), std::string::npos);
+}
+
+// ---- What the no-op certificate covers --------------------------------------
+
+TEST(NoOpCertificateTest, CoversClassifiedAndByteIdenticalWritesOnly) {
+  const std::string lib = "PORT = 8080\n";
+  const std::string entry =
+      "import_python(\"lib.cinc\", \"*\")\n"
+      "export_if_last({\"port\": PORT})\n";
+  InMemorySources sources;
+  sources.Put("lib.cinc", lib);
+  sources.Put("svc.cconf", entry);
+  auto output = ConfigCompiler(sources.AsReader()).Compile("svc.cconf");
+  ASSERT_TRUE(output.ok()) << output.status();
+  const std::string svc_json = output->configs.at(0).content.DumpPretty();
+  const std::string spec =
+      R"({"invariants": [{"name": "port", "kind": "membership",
+          "subject": {"config": "svc.json", "field": "port"},
+          "allowed": [8080, 9090]}]})";
+  Repository repo;
+  ASSERT_TRUE(
+      repo.Commit("init", "init",
+                  {{"lib.cinc", lib},
+                   {"svc.cconf", entry},
+                   {"svc.json", svc_json},
+                   {"feed/limits.json", "{\"qps\": 100}"},
+                   {"gatekeeper/ramp.json",
+                    "{\"project\": \"ramp\", \"rules\": [{\"restraints\": "
+                    "[{\"type\": \"employee\"}], \"pass_probability\": 0.5}]}"},
+                   {"invariants/ports.json", spec},
+                   {"schemas/unused.thrift",
+                    "struct Unused { 1: optional i32 x; }\n"}})
+          .ok());
+  DependencyService deps;
+  deps.UpdateEntry("svc.cconf", {"lib.cinc"});
+
+  struct Case {
+    const char* name;
+    std::vector<FileWrite> writes;
+    bool certified;
+  };
+  const std::vector<Case> cases = {
+      {"CSL comment", {{"lib.cinc", "# the port\n" + lib}}, true},
+      {"unchanged regenerated output",
+       {{"lib.cinc", "# the port\n" + lib}, {"svc.json", svc_json}},
+       true},
+      {"Gatekeeper reformat",
+       {{"gatekeeper/ramp.json",
+         "{\n  \"project\": \"ramp\",\n  \"rules\": [{\"restraints\": "
+         "[{\"type\": \"employee\"}],\n    \"pass_probability\": 0.5}]\n}"}},
+       true},
+      {"CSL value", {{"lib.cinc", "PORT = 9090\n"}}, false},
+      {"raw value edit", {{"feed/limits.json", "{\"qps\": 10000}"}}, false},
+      {"raw add", {{"feed/burst.json", "{\"qps\": 1}"}}, false},
+      {"raw delete", {{"feed/limits.json", std::nullopt}}, false},
+      {"invariant spec edit",
+       {{"invariants/ports.json",
+         R"({"invariants": [{"name": "port", "kind": "membership",
+             "subject": {"config": "svc.json", "field": "port"},
+             "allowed": [8080]}]})"}},
+       false},
+      {"schema nothing reads",
+       {{"schemas/unused.thrift",
+         "struct Unused { 1: optional i32 x = 5; }\n"}},
+       false},
+  };
+  for (const Case& c : cases) {
+    Sandcastle ci(&repo, &deps);
+    CiReport report =
+        ci.RunTests(MakeProposedDiff(repo, "alice", c.name, c.writes));
+    EXPECT_EQ(report.provably_noop, c.certified)
+        << c.name << ": " << report.Summary();
+    // The invariant stage (which loads the specs) runs exactly when the
+    // certificate is withheld.
+    EXPECT_EQ(ci.analysis_store().registry_parses(), c.certified ? 0u : 1u)
+        << c.name;
+  }
 }
 
 // ---- Acceptance scenario ----------------------------------------------------

@@ -122,6 +122,36 @@ TEST_F(StackTest, CanaryPassLandsAutomatically) {
   EXPECT_TRUE(stack_.repo().FileExists("feed/cache.json"));
 }
 
+TEST_F(StackTest, LoadSensitiveRawEditIsAbortedInTheClusterPhase) {
+  // Semdiff does not model raw configs, so a raw edit earns no no-op
+  // certificate and takes the two-phase canary: its cluster phase exposes
+  // the load-sensitive defect the 20-server phase cannot (§6.4).
+  auto initial = stack_.ProposeChange("alice", "add limits",
+                                      {{"feed/limits.json", "{\"qps\": 100}"}});
+  ASSERT_TRUE(initial.ok()) << initial.status();
+  ASSERT_TRUE(stack_.Approve(&*initial, "bob").ok());
+  ASSERT_TRUE(stack_.LandNow(*initial).ok());
+
+  auto change = stack_.ProposeChange(
+      "alice", "raise qps", {{"feed/limits.json", "{\"qps\": 10000}"}});
+  ASSERT_TRUE(change.ok()) << change.status();
+  EXPECT_TRUE(change->ci_report.passed) << change->ci_report.Summary();
+  EXPECT_FALSE(change->ci_report.provably_noop);
+  ASSERT_TRUE(stack_.Approve(&*change, "bob").ok());
+
+  DefectServiceModel load_sensitive(ConfigDefect::kLoadSensitive,
+                                    DefectServiceModel::Params{}, 3);
+  Result<ObjectId> outcome(InternalError("pending"));
+  stack_.TestAndLand(*change, CanarySpec::Default(), &load_sensitive,
+                     [&](Result<ObjectId> r) { outcome = std::move(r); });
+  stack_.RunFor(20 * kSimMinute);
+  ASSERT_FALSE(outcome.ok());
+  EXPECT_EQ(outcome.status().code(), StatusCode::kRejected);
+  EXPECT_NE(outcome.status().message().find("phase2"), std::string::npos)
+      << outcome.status();
+  EXPECT_EQ(*stack_.repo().ReadFile("feed/limits.json"), "{\"qps\": 100}");
+}
+
 TEST_F(StackTest, DependencyChangeRegeneratesDependents) {
   // Land the shared-constant layout (§3.1 example).
   auto first = stack_.ProposeChange(
