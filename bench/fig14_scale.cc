@@ -17,9 +17,16 @@
 //     vs pull freshness, and bandwidth estimated from a sampled fleet
 //     running the real sync protocol.
 //
-// --smoke runs only the 10k push leg and writes nothing (the scale lane
-// uses it as a fast end-to-end probe).
+// Each scale's push leg runs kReps times. The simulated results (every
+// propagation sample, messages, bytes, events, links, traces) must repeat
+// exactly, or the bench fails; wall time and ns per simulated event are
+// reported as the median, min and max over the repetitions. The JSON
+// records nproc, compiler, build type and git sha beside them.
+//
+// --smoke runs only the 10k push leg once and writes nothing (the scale
+// lane uses it as a fast end-to-end probe).
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -27,6 +34,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/distribution/fleet.h"
@@ -50,6 +58,7 @@ constexpr int kCommits = 20;
 constexpr SimTime kCommitSpacing = 10 * kSimSecond;
 constexpr SimTime kFirstCommit = 20 * kSimSecond;
 constexpr SimTime kPullInterval = 60 * kSimSecond;
+constexpr int kReps = 5;
 
 struct ScaleShape {
   const char* label;
@@ -79,6 +88,38 @@ struct PushResult {
   size_t traces_recorded = 0;
   uint64_t traces_sampled_out = 0;
   size_t materialized_links = 0;
+
+  // True if every simulated result matches `other`'s (wall time aside).
+  bool SameSimulation(const PushResult& other) const {
+    return servers == other.servers && observers == other.observers &&
+           latency.samples() == other.latency.samples() &&
+           messages == other.messages && bytes == other.bytes &&
+           sim_events == other.sim_events &&
+           traces_recorded == other.traces_recorded &&
+           traces_sampled_out == other.traces_sampled_out &&
+           materialized_links == other.materialized_links;
+  }
+};
+
+// Median, min and max over repetitions.
+struct Spread {
+  double median = 0;
+  double min = 0;
+  double max = 0;
+
+  static Spread Of(std::vector<double> values) {
+    std::sort(values.begin(), values.end());
+    return Spread{values[values.size() / 2], values.front(), values.back()};
+  }
+  Json ToJson(const char* unit) const {
+    Json json = Json::MakeObject();
+    json.Set("median", Json(median));
+    json.Set("min", Json(min));
+    json.Set("max", Json(max));
+    json.Set("reps", Json(static_cast<int64_t>(kReps)));
+    json.Set("unit", Json(std::string(unit)));
+    return json;
+  }
 };
 
 struct PullResult {
@@ -318,12 +359,31 @@ int main(int argc, char** argv) {
 
   Json scales_json = Json::MakeArray();
   TextTable table({"scale", "servers", "p50 (s)", "p90 (s)", "p99 (s)",
-                   "p999 (s)", "events/s", "push msgs", "pull msgs"});
+                   "p999 (s)", "events/s", "ns/event (min-max)", "push msgs",
+                   "pull msgs"});
   double events_per_sec_10k = 0;
   double events_per_sec_100k = 0;
 
   for (const ScaleShape& shape : kScales) {
     PushResult push = RunPush(shape);
+    std::vector<double> wall_s = {push.wall_s};
+    for (int rep = 1; rep < kReps; ++rep) {
+      PushResult again = RunPush(shape);
+      if (!again.SameSimulation(push)) {
+        std::fprintf(stderr, "FATAL: %s push leg repetition %d simulated "
+                     "differently\n", shape.label, rep);
+        return 1;
+      }
+      wall_s.push_back(again.wall_s);
+    }
+    std::vector<double> ns_per_event;
+    for (double wall : wall_s) {
+      ns_per_event.push_back(wall * 1e9 / static_cast<double>(push.sim_events));
+    }
+    Spread wall = Spread::Of(wall_s);
+    Spread ns = Spread::Of(ns_per_event);
+    push.wall_s = wall.median;
+    push.events_per_sec = static_cast<double>(push.sim_events) / wall.median;
     PullResult pull = RunPull(shape);
     if (std::strcmp(shape.label, "10k") == 0) {
       events_per_sec_10k = push.events_per_sec;
@@ -337,6 +397,7 @@ int main(int argc, char** argv) {
                   StrFormat("%.2f", push.latency.Percentile(99)),
                   StrFormat("%.2f", push.latency.Percentile(99.9)),
                   StrFormat("%.2e", push.events_per_sec),
+                  StrFormat("%.0f (%.0f-%.0f)", ns.median, ns.min, ns.max),
                   StrFormat("%llu",
                             static_cast<unsigned long long>(push.messages)),
                   StrFormat("%llu",
@@ -353,7 +414,8 @@ int main(int argc, char** argv) {
     push_json.Set("messages", Json(static_cast<int64_t>(push.messages)));
     push_json.Set("bytes", Json(static_cast<int64_t>(push.bytes)));
     push_json.Set("sim_events", Json(static_cast<int64_t>(push.sim_events)));
-    push_json.Set("wall_s", Json(push.wall_s));
+    push_json.Set("wall_s", wall.ToJson("s"));
+    push_json.Set("ns_per_event", ns.ToJson("ns"));
     push_json.Set("events_per_sec", Json(push.events_per_sec));
     push_json.Set("traces_recorded",
                   Json(static_cast<int64_t>(push.traces_recorded)));
@@ -396,6 +458,11 @@ int main(int argc, char** argv) {
 
   Json out = Json::MakeObject();
   out.Set("bench", Json(std::string("fig14_scale")));
+  out.Set("git_sha", Json(std::string(CFG_GIT_SHA)));
+  out.Set("build_type", Json(std::string(CFG_BUILD_TYPE)));
+  out.Set("nproc",
+          Json(static_cast<int64_t>(std::thread::hardware_concurrency())));
+  out.Set("compiler", Json(std::string(__VERSION__)));
   out.Set("scales", std::move(scales_json));
   Json linearity = Json::MakeObject();
   linearity.Set("events_per_sec_10k", Json(events_per_sec_10k));

@@ -20,16 +20,19 @@ void ProxyFleet::SubscribeAll(const std::string& key, SimTime spread) {
                      ? 0
                      : spread / static_cast<SimTime>(hosts_.size());
   for (size_t i = 0; i < hosts_.size(); ++i) {
-    ServerId host = hosts_[i];
-    ServerId observer = zeus_->PickObserverFor(host, rng_);
-    net_->sim().Schedule(
-        static_cast<SimTime>(i) * step,
-        [this, host, observer, key, key_index, i] {
-          zeus_->Subscribe(host, observer, key,
-                           [this, i, key_index](const ZeusTxn& txn) {
-                             OnUpdate(i, key_index, txn);
-                           });
-        });
+    ServerId observer = zeus_->PickObserverFor(hosts_[i], rng_);
+    // Host and key packed into one word: the watch callback is `this` plus
+    // that word, 16 trivially copyable bytes, which std::function stores
+    // inline, so neither registering it nor copying it into each push
+    // delivery allocates.
+    uint64_t watch = (static_cast<uint64_t>(key_index) << 32) | i;
+    net_->sim().Schedule(static_cast<SimTime>(i) * step, [this, observer, watch] {
+      zeus_->Subscribe(hosts_[watch & 0xffffffff], observer,
+                       keys_[watch >> 32].name,
+                       [this, watch](const ZeusTxn& txn, TraceContext) {
+                         OnUpdate(watch & 0xffffffff, watch >> 32, txn);
+                       });
+    });
   }
 }
 

@@ -23,16 +23,17 @@ void ConfigProxy::Subscribe(const std::string& key, UpdateCallback on_update) {
 
 void ConfigProxy::DoSubscribe(const std::string& key) {
   std::weak_ptr<ConfigProxy*> weak = self_;
-  zeus_->Subscribe(host_, observer_, key, [weak](const ZeusTxn& txn) {
-    std::shared_ptr<ConfigProxy*> self = weak.lock();
-    if (self == nullptr) {
-      return;  // Proxy incarnation is gone (crash without restart).
-    }
-    (*self)->OnZeusUpdate(txn);
-  });
+  zeus_->Subscribe(host_, observer_, key,
+                   [weak](const ZeusTxn& txn, TraceContext trace) {
+                     std::shared_ptr<ConfigProxy*> self = weak.lock();
+                     if (self == nullptr) {
+                       return;  // Proxy incarnation is gone (crash without restart).
+                     }
+                     (*self)->OnZeusUpdate(txn, trace);
+                   });
 }
 
-void ConfigProxy::OnZeusUpdate(const ZeusTxn& txn) {
+void ConfigProxy::OnZeusUpdate(const ZeusTxn& txn, TraceContext trace) {
   if (crashed_) {
     return;  // Delivery to a dead process.
   }
@@ -52,9 +53,8 @@ void ConfigProxy::OnZeusUpdate(const ZeusTxn& txn) {
   if (obs_ != nullptr) {
     SimTime now = net_->sim().now();
     updates_counter_->Inc();
-    TraceContext parent = txn.trace.valid()
-                              ? txn.trace
-                              : obs_->tracer.ZxidContext(txn.zxid);
+    TraceContext parent =
+        trace.valid() ? trace : obs_->tracer.ZxidContext(txn.zxid);
     apply_span = obs_->tracer.StartSpan(parent, "proxy.apply",
                                         host_.ToString(), now);
     SimTime commit_start = obs_->tracer.TraceStartTime(parent.trace_id);

@@ -89,7 +89,7 @@ class ConfigProxy {
 
  private:
   void DoSubscribe(const std::string& key);
-  void OnZeusUpdate(const ZeusTxn& txn);
+  void OnZeusUpdate(const ZeusTxn& txn, TraceContext trace);
   void ProbeStaleness();
 
   Network* net_;

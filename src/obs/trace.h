@@ -31,7 +31,8 @@
 namespace configerator {
 
 // Identifies one span within one trace; passed by value across hops (it
-// rides inside ZeusTxn through the distribution tree). trace_id 0 = invalid.
+// rides beside the shared ZeusTxn through the distribution tree). trace_id
+// 0 = invalid.
 struct TraceContext {
   uint64_t trace_id = 0;
   uint64_t span_id = 0;

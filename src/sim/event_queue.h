@@ -4,6 +4,11 @@
 // ascending (time, seq) order — seq is the scheduling sequence number, so
 // same-instant events run FIFO in the order they were scheduled.
 //
+// A queue orders events but never holds their code: a SimEvent is the
+// 24-byte, trivially copyable triple (time, seq, slot), where `slot` names
+// the Simulator-owned storage of the event's callable (simulator.h). Heaps,
+// bucket moves and rebuilds therefore copy plain words.
+//
 // `CalendarEventQueue` is the simulator's scheduler: a bucketed calendar
 // queue (R. Brown, CACM '88) whose push/pop are amortized O(1) when event
 // times are spread across the horizon, instead of a binary heap's O(log n) —
@@ -16,7 +21,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "src/sim/time.h"
@@ -25,8 +29,8 @@ namespace configerator {
 
 struct SimEvent {
   SimTime time = 0;
-  uint64_t seq = 0;  // Tie-break: FIFO among same-time events.
-  std::function<void()> fn;
+  uint64_t seq = 0;   // Tie-break: FIFO among same-time events.
+  uint32_t slot = 0;  // The Simulator's storage slot for the callable.
 };
 
 class EventQueue {

@@ -1,6 +1,7 @@
 #include "src/sim/network.h"
 
 #include <algorithm>
+#include <cassert>
 
 namespace configerator {
 
@@ -43,14 +44,13 @@ Network::Network(Simulator* sim, Topology topology, uint64_t seed)
     : sim_(sim), topology_(std::move(topology)), rng_(seed) {
   failures_.AttachTopology(&topology_);
   // Typical traffic touches a few links per server (proxy <-> observer, both
-  // directions); reserving that up front spares the link and FIFO-channel
-  // tables ~20 growth rehashes over a 100k-server run. Capped so a huge
-  // topology with sparse traffic doesn't pay memory for nothing.
+  // directions); reserving that up front spares the link table ~20 growth
+  // rehashes over a 100k-server run. Capped so a huge topology with sparse
+  // traffic doesn't pay memory for nothing.
   size_t expected_links =
       std::min<size_t>(static_cast<size_t>(topology_.total_servers()) * 4,
                        size_t{1} << 22);
   link_index_.reserve(expected_links);
-  channel_clock_.reserve(expected_links);
 }
 
 uint64_t Network::AddPartitionRule(const std::vector<ServerId>& from_group,
@@ -124,12 +124,19 @@ const LinkFault& Network::EffectiveFault(uint64_t link) const {
 
 LinkStats Network::link_stats(const ServerId& from, const ServerId& to) const {
   auto it = link_index_.find(PackLink(from, to));
-  return it == link_index_.end() ? LinkStats{} : link_pool_[it->second];
+  if (it == link_index_.end() || links_[it->second].epoch != stats_epoch_) {
+    return LinkStats{};
+  }
+  return links_[it->second].stats;
 }
 
 NetStats Network::SumLinkStats() const {
   NetStats sum;
-  for (const LinkStats& ls : link_pool_) {
+  for (const LinkRecord& record : links_) {
+    if (record.epoch != stats_epoch_) {
+      continue;  // Untouched since the last reset: reads zero.
+    }
+    const LinkStats& ls = record.stats;
     sum.messages_sent += ls.sent;
     sum.delivered += ls.delivered;
     sum.dropped += ls.dropped;
@@ -141,52 +148,61 @@ NetStats Network::SumLinkStats() const {
   return sum;
 }
 
-uint32_t Network::LinkIndexFor(uint64_t link) {
-  auto [it, inserted] = link_index_.try_emplace(
-      link, static_cast<uint32_t>(link_pool_.size()));
+uint32_t Network::TouchLink(uint64_t link) {
+  auto [it, inserted] =
+      link_index_.try_emplace(link, static_cast<uint32_t>(links_.size()));
   if (inserted) {
-    link_pool_.emplace_back();
+    links_.emplace_back();
+  }
+  LinkRecord& record = links_[it->second];
+  if (inserted || record.epoch != stats_epoch_) {
+    // First touch in this stats window.
+    record.stats = LinkStats{};
+    record.epoch = stats_epoch_;
+    ++live_links_;
   }
   return it->second;
 }
 
-void Network::ScheduleDelivery(const ServerId& to, uint32_t link_index,
-                               SimTime arrival,
-                               std::function<void()> deliver) {
-  sim_->ScheduleAt(arrival,
-                   [this, to, link_index, deliver = std::move(deliver)] {
-    // Re-index the pool at delivery time: the vector may have grown (never
-    // shrunk) since the send materialized the entry.
-    if (failures_.IsDown(to)) {
+bool Network::Arrive(uint32_t to, uint32_t link, uint32_t epoch) {
+  // A delivery sent before the last ResetStats counts in neither window.
+  bool counted = epoch == stats_epoch_;
+  if (failures_.IsDownAt(to)) {
+    if (counted) {
       ++stats_.dropped;
-      ++link_pool_[link_index].dropped;
-      return;
+      ++links_[link].stats.dropped;
     }
+    return false;
+  }
+  if (counted) {
     ++stats_.delivered;
-    ++link_pool_[link_index].delivered;
-    deliver();
-  });
+    ++links_[link].stats.delivered;
+  }
+  return true;
 }
 
-void Network::SendInternal(const ServerId& from, const ServerId& to,
-                           int64_t bytes, std::function<void()> deliver,
-                           bool fifo) {
+Network::Route Network::Admit(const ServerId& from, const ServerId& to,
+                              int64_t bytes, bool fifo) {
+  assert(topology_.Contains(from) && topology_.Contains(to));
+  Route route;
   uint64_t link = PackLink(from, to);
   if (failures_.IsDown(from) || failures_.IsDown(to) || Blocked(from, to)) {
     ++stats_.dropped;
-    ++link_pool_[LinkIndexFor(link)].dropped;
-    return;
+    ++links_[TouchLink(link)].stats.dropped;
+    return route;
   }
   const LinkFault& fault = EffectiveFault(link);
   if (fault.drop_prob > 0 && rng_.NextBool(fault.drop_prob)) {
     ++stats_.dropped;
-    ++link_pool_[LinkIndexFor(link)].dropped;
-    return;
+    ++links_[TouchLink(link)].stats.dropped;
+    return route;
   }
 
-  uint32_t li = LinkIndexFor(link);
+  route.to = Flat(to);
+  route.link = TouchLink(link);
+  LinkRecord& record = links_[route.link];
   ++stats_.messages_sent;
-  ++link_pool_[li].sent;
+  ++record.stats.sent;
   stats_.bytes_sent += static_cast<uint64_t>(bytes);
 
   SimTime delay = topology_.Latency(from, to, rng_) + topology_.TransmitTime(bytes);
@@ -199,30 +215,26 @@ void Network::SendInternal(const ServerId& from, const ServerId& to,
     if (extra > 0) {
       delay += extra;
       ++stats_.delayed;
-      ++link_pool_[li].delayed;
+      ++record.stats.delayed;
     }
   }
   bool duplicate = fault.dup_prob > 0 && rng_.NextBool(fault.dup_prob);
   if (duplicate) {
     ++stats_.duplicated;
-    ++link_pool_[li].duplicated;
+    ++record.stats.duplicated;
   }
+  route.copies = duplicate ? 2 : 1;
 
   if (fifo) {
     SimTime arrival = sim_->now() + delay;
-    SimTime& clock = channel_clock_[link];
-    if (arrival <= clock) {
-      arrival = clock + 1;  // Preserve order: never overtake the channel.
+    if (arrival <= record.fifo_clock) {
+      arrival = record.fifo_clock + 1;  // Preserve order: never overtake the channel.
     }
-    clock = arrival;
-    if (duplicate) {
-      ScheduleDelivery(to, li, arrival, deliver);
-      clock = arrival + 1;  // Duplicate rides the channel right behind.
-      ScheduleDelivery(to, li, clock, std::move(deliver));
-    } else {
-      ScheduleDelivery(to, li, arrival, std::move(deliver));
-    }
-    return;
+    route.at[0] = arrival;
+    // A duplicate rides the channel right behind the original.
+    route.at[1] = arrival + 1;
+    record.fifo_clock = route.at[route.copies - 1];
+    return route;
   }
 
   if (fault.reorder_prob > 0 && delay > 0 && rng_.NextBool(fault.reorder_prob)) {
@@ -231,28 +243,17 @@ void Network::SendInternal(const ServerId& from, const ServerId& to,
     delay = static_cast<SimTime>(
         rng_.NextBounded(static_cast<uint64_t>(2 * delay) + 1));
     ++stats_.reordered;
-    ++link_pool_[li].reordered;
+    ++record.stats.reordered;
   }
+  route.at[0] = sim_->now() + delay;
   if (duplicate) {
     // Independent delay for the duplicate, so the copies can arrive in
     // either order.
     SimTime dup_delay = delay + 1 +
         static_cast<SimTime>(rng_.NextBounded(static_cast<uint64_t>(delay) + 1));
-    ScheduleDelivery(to, li, sim_->now() + delay, deliver);
-    ScheduleDelivery(to, li, sim_->now() + dup_delay, std::move(deliver));
-  } else {
-    ScheduleDelivery(to, li, sim_->now() + delay, std::move(deliver));
+    route.at[1] = sim_->now() + dup_delay;
   }
-}
-
-void Network::Send(const ServerId& from, const ServerId& to, int64_t bytes,
-                   std::function<void()> deliver) {
-  SendInternal(from, to, bytes, std::move(deliver), /*fifo=*/false);
-}
-
-void Network::SendFifo(const ServerId& from, const ServerId& to, int64_t bytes,
-                       std::function<void()> deliver) {
-  SendInternal(from, to, bytes, std::move(deliver), /*fifo=*/true);
+  return route;
 }
 
 }  // namespace configerator

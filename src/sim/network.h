@@ -16,23 +16,32 @@
 //    never reorder — but they can still drop, duplicate, and delay.
 //
 // Every outcome is counted in aggregate (stats(), always exact) and per
-// directed link. Per-link counters are lazy: a LinkStats record materializes
-// the first time a link carries or drops a message, so a 100k-server fleet
-// pays memory only for links that actually saw traffic. The scale invariant —
-// aggregate == sum over materialized links, untouched links allocate nothing
-// — is property-tested under a seeded fault barrage (tests/sim_test.cc).
+// directed link. Each link gets one record, created the first time the link
+// carries or drops a message, so a 100k-server fleet pays memory only for
+// links that actually saw traffic. The record holds the link's counters and
+// its FIFO channel clock, so a send probes one hash table. The scale
+// invariant — aggregate == sum over materialized links, untouched links
+// allocate nothing — is property-tested under a seeded fault barrage
+// (tests/sim_test.cc).
+//
+// A send is built in place: Send and SendFifo take any copyable callable and
+// construct it, next to the destination, link and stats epoch, inside the
+// delivery's pooled simulator event (simulator.h). No std::function wraps
+// it, and a delivery whose payload fits the slot allocates nothing. A
+// duplicate delivery copies the payload.
 //
 // Per-server and per-link state is keyed by dense integer handles
 // (Topology::FlatIndex; a directed link packs two 32-bit flat indices into a
 // uint64_t), so the hot path is flat-array/open-hash work instead of
-// tree-map walks over 12-byte ServerId tuples.
+// tree-map walks over 12-byte ServerId tuples. Endpoints must be servers of
+// the topology.
 
 #ifndef SRC_SIM_NETWORK_H_
 #define SRC_SIM_NETWORK_H_
 
-#include <functional>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -62,6 +71,8 @@ class FailureInjector {
     }
     return other_down_.count(id) > 0;
   }
+  // Liveness by flat index, for a server of the attached topology.
+  bool IsDownAt(uint32_t flat_index) const { return down_[flat_index] != 0; }
   size_t down_count() const { return down_count_; }
 
  private:
@@ -122,16 +133,23 @@ class Network {
   Rng& rng() { return rng_; }
 
   // Delivers `deliver` at the destination after latency + serialization time
-  // for `bytes`, subject to the fault model. `deliver` runs only if the
-  // destination is still up on arrival.
+  // for `bytes`, subject to the fault model. `deliver` is any copyable
+  // callable taking no arguments, stored in place in the delivery's event;
+  // it runs only if the destination is still up on arrival.
+  template <typename F>
   void Send(const ServerId& from, const ServerId& to, int64_t bytes,
-            std::function<void()> deliver);
+            F&& deliver) {
+    Dispatch(Admit(from, to, bytes, /*fifo=*/false), std::forward<F>(deliver));
+  }
 
   // Like Send, but messages on the same (from, to) channel are delivered in
   // send order — the TCP-connection semantics ZooKeeper's ordering guarantees
   // rest on. Reorder faults do not apply; drop/dup/delay do.
+  template <typename F>
   void SendFifo(const ServerId& from, const ServerId& to, int64_t bytes,
-                std::function<void()> deliver);
+                F&& deliver) {
+    Dispatch(Admit(from, to, bytes, /*fifo=*/true), std::forward<F>(deliver));
+  }
 
   // --- Partitions -----------------------------------------------------------
 
@@ -180,20 +198,22 @@ class Network {
   // message).
   LinkStats link_stats(const ServerId& from, const ServerId& to) const;
   // Number of directed links with materialized counters — i.e. links that
-  // carried or dropped at least one message. Property tests assert untouched
-  // links never allocate.
-  size_t materialized_links() const { return link_pool_.size(); }
+  // carried or dropped at least one message since the last ResetStats.
+  // Property tests assert untouched links never allocate.
+  size_t materialized_links() const { return live_links_; }
   // Sum of every materialized link's counters; must equal stats() exactly
   // (bytes are tracked in aggregate only).
   NetStats SumLinkStats() const;
 
-  // Zeroes the aggregate and per-link counters. Harness runs sharing a
-  // process (the shrinker builds dozens) reset between runs so one run's
-  // delivery counts can never leak into the next run's assertions.
+  // Starts a new measurement window: the aggregate and every link's counters
+  // read zero. Link records and their FIFO clocks stay, so channel order
+  // holds across the reset; a record's counters are zeroed in place when the
+  // link is next touched. A delivery sent before the reset counts in neither
+  // window, so one window's counts can never leak into the next.
   void ResetStats() {
     stats_ = NetStats{};
-    link_index_.clear();
-    link_pool_.clear();
+    ++stats_epoch_;
+    live_links_ = 0;
   }
 
   // Legacy aggregate accessors — benches report these as overhead measures.
@@ -227,33 +247,82 @@ class Network {
                             const std::vector<ServerId>& to_group,
                             bool bidirectional);
 
+  // One directed link's state.
+  struct LinkRecord {
+    LinkStats stats;         // Valid only while `epoch` == stats_epoch_.
+    SimTime fifo_clock = 0;  // Last scheduled SendFifo arrival.
+    uint32_t epoch = 0;
+  };
+
+  // What the fault model decided for one send: how many copies arrive
+  // (0 = dropped at send time, 2 = duplicated) and when.
+  struct Route {
+    int copies = 0;
+    uint32_t to = 0;    // Destination's flat index.
+    uint32_t link = 0;  // Index into links_.
+    SimTime at[2] = {0, 0};
+  };
+
+  // A scheduled arrival: the payload plus what the network needs to count
+  // it. This whole object is the event's callable.
+  template <typename P>
+  struct Delivery {
+    Network* net;
+    uint32_t to;
+    uint32_t link;
+    uint32_t epoch;  // stats_epoch_ at send time.
+    P payload;
+
+    void operator()() {
+      if (net->Arrive(to, link, epoch)) {
+        payload();
+      }
+    }
+  };
+
   const LinkFault& EffectiveFault(uint64_t link) const;
-  // Index of the link's pooled counters, materializing them on first use.
-  uint32_t LinkIndexFor(uint64_t link);
-  // Shared by Send/SendFifo after the channel-independent fault handling.
-  void ScheduleDelivery(const ServerId& to, uint32_t link_index,
-                        SimTime arrival, std::function<void()> deliver);
-  void SendInternal(const ServerId& from, const ServerId& to, int64_t bytes,
-                    std::function<void()> deliver, bool fifo);
+  // Index of the link's record, creating it on first use; zeroes counters
+  // left from an earlier stats window.
+  uint32_t TouchLink(uint64_t link);
+  // Applies the fault model and counts the send.
+  Route Admit(const ServerId& from, const ServerId& to, int64_t bytes,
+              bool fifo);
+  // Counts an arrival; true if the destination is up and the payload runs.
+  bool Arrive(uint32_t to, uint32_t link, uint32_t epoch);
+
+  template <typename F>
+  void Dispatch(const Route& route, F&& deliver) {
+    using P = std::decay_t<F>;
+    static_assert(std::is_copy_constructible_v<P>,
+                  "a duplicate delivery copies the payload");
+    if (route.copies == 2) {
+      sim_->ScheduleAt(route.at[0], Delivery<P>{this, route.to, route.link,
+                                                stats_epoch_, deliver});
+    }
+    if (route.copies > 0) {
+      sim_->ScheduleAt(route.at[route.copies - 1],
+                       Delivery<P>{this, route.to, route.link, stats_epoch_,
+                                   std::forward<F>(deliver)});
+    }
+  }
 
   Simulator* sim_;
   Topology topology_;
   FailureInjector failures_;
   Rng rng_;
   NetStats stats_;
-  // Lazy per-link counters: packed link key → index into link_pool_. Indices
-  // are stable (the pool only grows between resets), so in-flight deliveries
-  // carry an index, not an iterator.
+  uint32_t stats_epoch_ = 0;  // Bumped by ResetStats.
+  size_t live_links_ = 0;     // Records touched in the current epoch.
+  // Packed link key → index into links_. Indices are stable (records are
+  // never removed), so in-flight deliveries carry an index. Keyed by the
+  // exact packed link: the pre-scale implementation mixed the endpoint
+  // hashes, so distinct FIFO channels could collide and falsely serialize.
   std::unordered_map<uint64_t, uint32_t> link_index_;
-  std::vector<LinkStats> link_pool_;
+  std::vector<LinkRecord> links_;
   std::unordered_map<uint64_t, LinkFault> link_faults_;
   LinkFault default_fault_;
   std::vector<PartitionRule> partitions_;
   uint64_t next_partition_id_ = 1;
-  // Last scheduled arrival per FIFO channel, keyed by exact packed link (the
-  // pre-scale implementation mixed the endpoint hashes, so distinct channels
-  // could collide and falsely serialize).
-  std::unordered_map<uint64_t, SimTime> channel_clock_;
 };
 
 }  // namespace configerator

@@ -9,18 +9,35 @@ Simulator::Simulator() : queue_(std::make_unique<CalendarEventQueue>()) {}
 Simulator::Simulator(std::unique_ptr<EventQueue> queue)
     : queue_(std::move(queue)) {}
 
-void Simulator::Schedule(SimTime delay, std::function<void()> fn) {
-  if (delay < 0) {
-    delay = 0;
+Simulator::~Simulator() {
+  for (std::unique_ptr<Slot[]>& chunk : chunks_) {
+    for (uint32_t i = 0; i < kChunkSlots; ++i) {
+      Slot& slot = chunk[i];
+      if (slot.op != nullptr) {
+        slot.op(slot.bytes, /*run=*/false);
+      }
+    }
   }
-  ScheduleAt(now_ + delay, std::move(fn));
 }
 
-void Simulator::ScheduleAt(SimTime when, std::function<void()> fn) {
+uint32_t Simulator::AcquireSlot() {
+  if (free_slots_.empty()) {
+    uint32_t base = static_cast<uint32_t>(chunks_.size()) * kChunkSlots;
+    chunks_.push_back(std::unique_ptr<Slot[]>(new Slot[kChunkSlots]));
+    for (uint32_t i = kChunkSlots; i > 0; --i) {
+      free_slots_.push_back(base + i - 1);
+    }
+  }
+  uint32_t index = free_slots_.back();
+  free_slots_.pop_back();
+  return index;
+}
+
+void Simulator::Enqueue(SimTime when, uint32_t index) {
   if (when < now_) {
     when = now_;
   }
-  queue_->Push(SimEvent{when, next_seq_++, std::move(fn)});
+  queue_->Push(SimEvent{when, next_seq_++, index});
 }
 
 bool Simulator::Step() {
@@ -30,7 +47,12 @@ bool Simulator::Step() {
   SimEvent event = queue_->PopMin();
   now_ = event.time;
   ++processed_;
-  event.fn();
+  // Chunks never move, so the slot stays put while its callable schedules
+  // more events; it is freed only after the callable is destroyed.
+  Slot& slot = SlotAt(event.slot);
+  slot.op(slot.bytes, /*run=*/true);
+  slot.op = nullptr;
+  free_slots_.push_back(event.slot);
   return true;
 }
 

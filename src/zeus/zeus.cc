@@ -86,45 +86,13 @@ void ZeusEnsemble::CommitOnLeader(std::string key, std::string value,
     done(UnavailableError("Zeus ensemble lost quorum"));
     return;
   }
-  Member& leader = members_[leader_idx_];
-  ZeusTxn txn;
-  txn.key = std::move(key);
-  txn.value = std::move(value);
+  int64_t bytes = static_cast<int64_t>(key.size() + value.size() + 64);
+  auto proposal = std::make_shared<Proposal>();
+  proposal->key = std::move(key);
+  proposal->value = std::move(value);
+  proposal->done = std::move(done);
 
-  // Propose to followers; count acks. The leader implicitly acks itself.
-  auto acks = std::make_shared<size_t>(1);
-  auto committed_flag = std::make_shared<bool>(false);
-  size_t quorum = members_.size() / 2 + 1;
-  int64_t bytes = static_cast<int64_t>(txn.key.size() + txn.value.size() + 64);
-
-  auto maybe_commit = [this, acks, committed_flag, quorum, txn,
-                       done = std::move(done)]() mutable {
-    if (*committed_flag || *acks < quorum) {
-      return;
-    }
-    *committed_flag = true;
-    // Commit: assign the zxid *at commit time* — FIFO proposal/ack channels
-    // make commits complete in proposal order, so the committed zxid stream
-    // is contiguous (failed proposals leave no holes). Apply on leader
-    // state, append to the logs of live members, then fan out to observers
-    // after the processing delay (log fsync etc.).
-    txn.zxid = ++last_committed_zxid_;
-    committed_[txn.key] = ZeusValue{txn.value, txn.zxid};
-    commit_log_.push_back(txn);
-    for (Member& m : members_) {
-      if (!net_->failures().IsDown(m.id)) {
-        m.log.push_back(txn);
-        m.last_logged_zxid = txn.zxid;
-      }
-    }
-    if (commits_counter_ != nullptr) {
-      commits_counter_->Inc();
-    }
-    net_->sim().Schedule(options_.processing_delay,
-                         [this, txn] { PushToObservers(txn); });
-    done(txn.zxid);
-  };
-
+  const ServerId leader_id = members_[leader_idx_].id;
   for (size_t i = 0; i < members_.size(); ++i) {
     if (i == leader_idx_) {
       continue;
@@ -134,18 +102,46 @@ void ZeusEnsemble::CommitOnLeader(std::string key, std::string value,
       continue;
     }
     // Round trip: leader → follower (proposal) → leader (ack).
-    ServerId leader_id = leader.id;
     net_->SendFifo(leader_id, follower, bytes,
-               [this, leader_id, follower, acks, maybe_commit]() mutable {
-                 net_->SendFifo(follower, leader_id, 64,
-                            [acks, maybe_commit]() mutable {
-                              ++*acks;
-                              maybe_commit();
-                            });
-               });
+                   [this, leader_id, follower, proposal] {
+                     net_->SendFifo(follower, leader_id, 64,
+                                    [this, proposal] {
+                                      ++proposal->acks;
+                                      MaybeCommit(proposal.get());
+                                    });
+                   });
   }
   // A single-member ensemble commits immediately.
-  maybe_commit();
+  MaybeCommit(proposal.get());
+}
+
+void ZeusEnsemble::MaybeCommit(Proposal* proposal) {
+  if (proposal->committed || proposal->acks < members_.size() / 2 + 1) {
+    return;
+  }
+  proposal->committed = true;
+  // Commit: assign the zxid *at commit time* — FIFO proposal/ack channels
+  // make commits complete in proposal order, so the committed zxid stream
+  // is contiguous (failed proposals leave no holes). Apply on leader state,
+  // append to the commit log, mark live members as having logged it, then
+  // fan out to observers after the processing delay (log fsync etc.).
+  auto txn = std::make_shared<const ZeusTxn>(
+      ZeusTxn{++last_committed_zxid_, std::move(proposal->key),
+              std::move(proposal->value)});
+  committed_[txn->key] = ZeusValue{txn->value, txn->zxid};
+  assert(static_cast<int64_t>(commit_log_.size()) + 1 == txn->zxid);
+  commit_log_.push_back(txn);
+  for (Member& m : members_) {
+    if (!net_->failures().IsDown(m.id)) {
+      m.last_logged_zxid = txn->zxid;
+    }
+  }
+  if (commits_counter_ != nullptr) {
+    commits_counter_->Inc();
+  }
+  net_->sim().Schedule(options_.processing_delay,
+                       [this, txn] { PushToObservers(txn); });
+  proposal->done(txn->zxid);
 }
 
 void ZeusEnsemble::StartElection() {
@@ -187,19 +183,18 @@ void ZeusEnsemble::StartElection() {
   });
 }
 
-void ZeusEnsemble::PushToObservers(const ZeusTxn& txn) {
+void ZeusEnsemble::PushToObservers(const TxnPtr& txn) {
   const ServerId& leader_id = members_[leader_idx_].id;
-  int64_t bytes = static_cast<int64_t>(txn.key.size() + txn.value.size() + 64);
-  ZeusTxn traced = txn;
+  int64_t bytes = static_cast<int64_t>(txn->key.size() + txn->value.size() + 64);
+  Push push{txn, TraceContext{}};
   if (obs_ != nullptr) {
     // The publisher bound the zxid (in its Write done-callback, which ran
     // before this scheduled push); parent the leader fan-out there.
     SimTime now = net_->sim().now();
-    TraceContext ctx = obs_->tracer.ZxidContext(txn.zxid);
-    TraceContext push = obs_->tracer.StartSpan(ctx, "zeus.leader.push",
-                                               leader_id.ToString(), now);
-    obs_->tracer.EndSpan(push, now);
-    traced.trace = push;
+    TraceContext ctx = obs_->tracer.ZxidContext(txn->zxid);
+    push.trace = obs_->tracer.StartSpan(ctx, "zeus.leader.push",
+                                        leader_id.ToString(), now);
+    obs_->tracer.EndSpan(push.trace, now);
   }
   for (Observer& obs : observer_states_) {
     if (net_->failures().IsDown(obs.id)) {
@@ -207,24 +202,25 @@ void ZeusEnsemble::PushToObservers(const ZeusTxn& txn) {
     }
     Observer* obs_ptr = &obs;
     net_->SendFifo(leader_id, obs.id, bytes,
-               [this, obs_ptr, txn = traced] { ApplyOnObserver(obs_ptr, txn); });
+                   [this, obs_ptr, push] { ApplyOnObserver(obs_ptr, push); });
   }
 }
 
-void ZeusEnsemble::ApplyOnObserver(Observer* obs, const ZeusTxn& txn) {
-  if (txn.zxid <= obs->last_zxid) {
+void ZeusEnsemble::ApplyOnObserver(Observer* obs, const Push& push) {
+  if (push.txn->zxid <= obs->last_zxid) {
     return;  // Stale or duplicate (anti-entropy overlap).
   }
   // Buffer, then apply the contiguous prefix. A gap means pushes were lost
   // while this observer was down; applying txn N+2 before N would let a
   // later anti-entropy pass believe the observer is current and leave key N
   // permanently stale.
-  obs->pending.emplace(txn.zxid, txn);
+  obs->pending.emplace(push.txn->zxid, push);
   while (!obs->pending.empty() &&
          obs->pending.begin()->first == obs->last_zxid + 1) {
-    const ZeusTxn& next = obs->pending.begin()->second;
-    obs->last_zxid = next.zxid;
-    obs->data[next.key] = ZeusValue{next.value, next.zxid};
+    const Push& next = obs->pending.begin()->second;
+    const ZeusTxn& txn = *next.txn;
+    obs->last_zxid = txn.zxid;
+    obs->data[txn.key] = next.txn;
     TraceContext apply_ctx = next.trace;
     if (obs_ != nullptr) {
       if (pushes_counter_ != nullptr) {
@@ -233,7 +229,7 @@ void ZeusEnsemble::ApplyOnObserver(Observer* obs, const ZeusTxn& txn) {
       SimTime now = net_->sim().now();
       TraceContext parent = next.trace.valid()
                                 ? next.trace
-                                : obs_->tracer.ZxidContext(next.zxid);
+                                : obs_->tracer.ZxidContext(txn.zxid);
       TraceContext span = obs_->tracer.StartSpan(parent, "zeus.observer.apply",
                                                  obs->id.ToString(), now);
       obs_->tracer.EndSpan(span, now);
@@ -241,19 +237,20 @@ void ZeusEnsemble::ApplyOnObserver(Observer* obs, const ZeusTxn& txn) {
         apply_ctx = span;
       }
     }
-    // Notify watching proxies (observer → proxy hop of the tree). The txn is
-    // shared across the whole fan-out — at 100k watching proxies, a per-watch
-    // deep copy of key+value was the dominant allocation in a commit.
-    auto it = obs->watches.find(next.key);
+    // Notify watching proxies (observer → proxy hop of the tree). Each
+    // delivery carries the shared txn and a copy of the callback registered
+    // now, so a watch replaced while its push is in flight still runs the
+    // old callback. A callback stored inline in its std::function (the
+    // fleet's) copies without allocating.
+    auto it = obs->watches.find(txn.key);
     if (it != obs->watches.end() && !it->second.list.empty()) {
-      int64_t bytes =
-          static_cast<int64_t>(next.key.size() + next.value.size() + 64);
-      auto shared = std::make_shared<ZeusTxn>(next);
-      shared->trace = apply_ctx;
+      int64_t bytes = static_cast<int64_t>(txn.key.size() + txn.value.size() + 64);
       for (const Watch& watch : it->second.list) {
-        UpdateCallback cb = watch.callback;
         net_->SendFifo(obs->id, watch.proxy, bytes,
-                       [cb = std::move(cb), shared] { cb(*shared); });
+                       [callback = watch.callback,
+                        push = Push{next.txn, apply_ctx}] {
+                         callback(*push.txn, push.trace);
+                       });
       }
     }
     obs->pending.erase(obs->pending.begin());
@@ -268,28 +265,24 @@ void ZeusEnsemble::AntiEntropyTick() {
         continue;
       }
       // Replay the missing suffix of the committed stream, in order. Sourced
-      // from the hole-free commit log, not the leader's member log: a leader
-      // elected for its long log can still miss mid-stream txns it was down
-      // for, and replaying around a hole would wedge the observer forever.
+      // from the hole-free commit log: zxid z sits at commit_log_[z - 1], so
+      // the first txn the observer lacks is commit_log_[last_zxid].
       Observer* obs_ptr = &obs;
-      for (const ZeusTxn& txn : commit_log_) {
-        if (txn.zxid <= obs.last_zxid) {
-          continue;
-        }
-        ZeusTxn replay = txn;
+      for (size_t i = static_cast<size_t>(obs.last_zxid); i < commit_log_.size();
+           ++i) {
+        Push replay{commit_log_[i], TraceContext{}};
         if (obs_ != nullptr) {
           if (antientropy_counter_ != nullptr) {
             antientropy_counter_->Inc();
           }
           // The commit log predates tracing of this txn's push; rejoin the
           // replay to the publisher's span via the zxid binding.
-          replay.trace = obs_->tracer.ZxidContext(txn.zxid);
+          replay.trace = obs_->tracer.ZxidContext(replay.txn->zxid);
         }
-        int64_t bytes = static_cast<int64_t>(txn.key.size() + txn.value.size() + 64);
+        int64_t bytes = static_cast<int64_t>(replay.txn->key.size() +
+                                             replay.txn->value.size() + 64);
         net_->SendFifo(leader_id, obs.id, bytes,
-                   [this, obs_ptr, txn = std::move(replay)] {
-                     ApplyOnObserver(obs_ptr, txn);
-                   });
+                       [this, obs_ptr, replay] { ApplyOnObserver(obs_ptr, replay); });
       }
     }
   }
@@ -325,19 +318,19 @@ void ZeusEnsemble::Subscribe(const ServerId& proxy, const ServerId& observer,
                if (it == obs->data.end()) {
                  return;
                }
-               ZeusTxn txn;
-               txn.zxid = it->second.zxid;
-               txn.key = key;
-               txn.value = it->second.value;
+               ZeusTxn txn{it->second->zxid, key, it->second->value};
+               TraceContext trace;
                if (obs_ != nullptr) {
                  // Refetch after restart/failover: rejoin the commit's trace
                  // so the proxy's apply span is not orphaned.
-                 txn.trace = obs_->tracer.ZxidContext(txn.zxid);
+                 trace = obs_->tracer.ZxidContext(txn.zxid);
                }
                int64_t reply_bytes =
                    static_cast<int64_t>(key.size() + txn.value.size() + 64);
                net_->SendFifo(obs->id, proxy, reply_bytes,
-                          [on_update, txn = std::move(txn)] { on_update(txn); });
+                              [on_update, txn = std::move(txn), trace] {
+                                on_update(txn, trace);
+                              });
              });
 }
 
@@ -361,7 +354,7 @@ void ZeusEnsemble::Fetch(const ServerId& proxy, const ServerId& observer,
                  [done, key] { done(NotFoundError("no config '" + key + "'")); });
       return;
     }
-    ZeusValue value = it->second;
+    ZeusValue value{it->second->value, it->second->zxid};
     int64_t reply_bytes = static_cast<int64_t>(key.size() + value.value.size() + 64);
     net_->Send(obs->id, proxy, reply_bytes,
                [done, value = std::move(value)] { done(value); });

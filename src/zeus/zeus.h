@@ -18,6 +18,16 @@
 // longest-log live member directly instead of running voting rounds. These
 // do not affect the distribution-latency or fan-out behaviour the paper
 // evaluates.
+//
+// One copy per committed txn: every follower's round trip shares one
+// Proposal, whose key and value move into one immutable ZeusTxn at commit.
+// The commit log, every observer's pending buffer and data, and every push
+// in flight (leader → observer, observer → proxy, anti-entropy replays)
+// share that txn through a shared_ptr<const ZeusTxn>. Members keep no log
+// of their own, only the highest zxid they logged, which is what elections
+// compare. The trace context of a delivery travels beside the pointer. Only
+// the leader's committed_ map (Lookup's ground truth) and the replies to
+// Fetch and to a subscription's refetch copy a value.
 
 #ifndef SRC_ZEUS_ZEUS_H_
 #define SRC_ZEUS_ZEUS_H_
@@ -25,6 +35,7 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -35,14 +46,12 @@
 
 namespace configerator {
 
-// One committed write.
+// One committed write. Immutable once committed; shared, never copied,
+// down the distribution tree.
 struct ZeusTxn {
   int64_t zxid = 0;
   std::string key;
   std::string value;
-  // Provenance for the commit tracer: the span this delivery is causally
-  // downstream of. Invalid (default) when tracing is not attached.
-  TraceContext trace{};
 };
 
 // Value + version returned by reads.
@@ -61,7 +70,10 @@ class ZeusEnsemble {
     SimTime processing_delay = 2 * kSimMillisecond;
   };
 
-  using UpdateCallback = std::function<void(const ZeusTxn& txn)>;
+  // `trace` is the span the delivery is causally downstream of, for the
+  // commit tracer; invalid when tracing is not attached.
+  using UpdateCallback =
+      std::function<void(const ZeusTxn& txn, TraceContext trace)>;
   using WriteCallback = std::function<void(Result<int64_t> zxid)>;
   using FetchCallback = std::function<void(Result<ZeusValue>)>;
 
@@ -84,7 +96,9 @@ class ZeusEnsemble {
 
   // Registers a persistent subscription for `key` at `observer`; `on_update`
   // runs on the proxy side for the current value (immediately, as a fetch)
-  // and for every later committed update pushed down the tree.
+  // and for every later committed update pushed down the tree. One watch per
+  // (proxy, key): a later Subscribe replaces the callback, but a push already
+  // in flight still runs the callback registered when it was sent.
   void Subscribe(const ServerId& proxy, const ServerId& observer,
                  const std::string& key, UpdateCallback on_update);
 
@@ -131,10 +145,30 @@ class ZeusEnsemble {
   ServerId PickObserverFor(const ServerId& proxy, Rng& rng) const;
 
  private:
+  using TxnPtr = std::shared_ptr<const ZeusTxn>;
+
   struct Member {
     ServerId id;
+    // Highest zxid committed while this member was up; the election picks
+    // the live member with the largest.
     int64_t last_logged_zxid = 0;
-    std::vector<ZeusTxn> log;  // Committed prefix only (simplification).
+  };
+
+  // A write being proposed: one object shared by every follower's round
+  // trip. The leader implicitly acks itself.
+  struct Proposal {
+    size_t acks = 1;
+    bool committed = false;
+    std::string key;
+    std::string value;
+    WriteCallback done;
+  };
+
+  // A txn on its way to or buffered at an observer, with the span it is
+  // causally downstream of.
+  struct Push {
+    TxnPtr txn;
+    TraceContext trace;
   };
 
   struct Watch {
@@ -158,15 +192,17 @@ class ZeusEnsemble {
     // Out-of-order arrivals (holes happen when pushes were dropped while the
     // observer was down). Applied only once contiguous — ZooKeeper's
     // in-order delivery guarantee; anti-entropy fills the holes.
-    std::map<int64_t, ZeusTxn> pending;
-    std::unordered_map<std::string, ZeusValue> data;
+    std::map<int64_t, Push> pending;
+    std::unordered_map<std::string, TxnPtr> data;
     std::unordered_map<std::string, WatchList> watches;
   };
 
   void CommitOnLeader(std::string key, std::string value, WriteCallback done);
+  // Commits `proposal` once a quorum has acked it.
+  void MaybeCommit(Proposal* proposal);
   void StartElection();
-  void PushToObservers(const ZeusTxn& txn);
-  void ApplyOnObserver(Observer* obs, const ZeusTxn& txn);
+  void PushToObservers(const TxnPtr& txn);
+  void ApplyOnObserver(Observer* obs, const Push& push);
   void AntiEntropyTick();
   Observer* FindObserver(const ServerId& id);
   const Observer* FindObserver(const ServerId& id) const;
@@ -181,11 +217,12 @@ class ZeusEnsemble {
   Counter* elections_counter_ = nullptr;
   Counter* pushes_counter_ = nullptr;
   Counter* antientropy_counter_ = nullptr;
-  // The committed transaction stream, in zxid order with no holes (zxids are
-  // assigned at commit). Anti-entropy replays suffixes of this — a member's
-  // own log can have holes (it was down when some txns committed), so it is
-  // not a safe replay source even for the longest-log election winner.
-  std::vector<ZeusTxn> commit_log_;
+  // The committed transaction stream: zxids are assigned contiguously from
+  // 1 at commit and the log is never trimmed, so commit_log_[z - 1] holds
+  // zxid z. Anti-entropy replays suffixes of this hole-free stream; a
+  // member that was down for some commits would have holes, so members keep
+  // no log of their own.
+  std::vector<TxnPtr> commit_log_;
   std::vector<Member> members_;
   std::vector<ServerId> observer_ids_;
   std::vector<Observer> observer_states_;

@@ -179,6 +179,43 @@ TEST_F(DistributionTest, ProxyRestartRecoversFromDiskAndResubscribes) {
   EXPECT_EQ(proxy.GetCached("cfg")->value, "v2");
 }
 
+// A push in flight to a proxy that crashes and restarts belongs to the old
+// incarnation: its callback drops it, even though the restart has replaced
+// the watch at the observer by the time it lands. The restart's refetch,
+// queued behind it on the same delayed channel, applies the value, so
+// nothing is applied twice or discarded as stale.
+TEST_F(DistributionTest, PushInFlightAcrossProxyRestartIsDroppedNotReapplied) {
+  WriteAndSettle("cfg", "v1");
+  ServerId host{0, 0, 7};
+  OnDiskCache disk;
+  ConfigProxy proxy(net_.get(), zeus_.get(), host, &disk, 6);
+  proxy.Subscribe("cfg", nullptr);
+  sim_.RunUntil(sim_.now() + 5 * kSimSecond);
+  ASSERT_EQ(proxy.updates_received(), 1u);
+  ServerId observer = proxy.observer();
+  LinkFault slow;
+  slow.extra_delay = 5 * kSimSecond;
+  net_->SetLinkFault(observer, host, slow);
+
+  zeus_->Write(ServerId{0, 0, 5}, "cfg", "v2", [](Result<int64_t> r) {
+    ASSERT_TRUE(r.ok()) << r.status();
+  });
+  sim_.RunUntil(sim_.now() + kSimSecond);
+  ASSERT_EQ(zeus_->ObserverLastZxid(observer), zeus_->last_committed_zxid());
+  ASSERT_EQ(proxy.GetCached("cfg")->value, "v1") << "push must be in flight";
+
+  proxy.Crash();
+  proxy.Restart();
+  // The restart resubscribed at the same observer, so the watch the push
+  // was sent for has been replaced there.
+  ASSERT_EQ(proxy.observer(), observer);
+  sim_.RunUntil(sim_.now() + 20 * kSimSecond);
+  ASSERT_NE(proxy.GetCached("cfg"), nullptr);
+  EXPECT_EQ(proxy.GetCached("cfg")->value, "v2");
+  EXPECT_EQ(proxy.updates_received(), 2u);
+  EXPECT_EQ(proxy.stale_discarded(), 0u);
+}
+
 TEST_F(DistributionTest, ProxyFailsOverToAnotherObserver) {
   WriteAndSettle("cfg", "v1");
   ServerId host{0, 1, 4};

@@ -195,6 +195,48 @@ TEST_F(NetworkStatsTest, ResetStatsIsolatesMeasurementWindows) {
   EXPECT_EQ(net_.link_stats(a_, b_).delivered, first_ab);
 }
 
+// A delivery sent before ResetStats counts in neither window: not in the
+// old one, which was reset, and not against whatever link the new window
+// materializes first.
+TEST_F(NetworkStatsTest, ResetStatsWithDeliveryInFlightCountsItInNeitherWindow) {
+  ServerId d{1, 1, 2};
+  int delivered = 0;
+  net_.Send(a_, b_, 10, [&] { ++delivered; });
+  net_.ResetStats();
+  net_.Send(c_, d, 10, [&] { ++delivered; });
+  sim_.RunUntilIdle();
+  EXPECT_EQ(delivered, 2);  // Both handlers still run.
+  EXPECT_EQ(net_.link_stats(c_, d).sent, 1u);
+  EXPECT_EQ(net_.link_stats(c_, d).delivered, 1u);
+  EXPECT_EQ(net_.link_stats(a_, b_).sent, 0u);
+  EXPECT_EQ(net_.link_stats(a_, b_).delivered, 0u);
+  EXPECT_EQ(net_.stats().messages_sent, 1u);
+  EXPECT_EQ(net_.stats().delivered, 1u);
+  EXPECT_EQ(net_.materialized_links(), 1u);
+  EXPECT_EQ(net_.SumLinkStats().delivered, net_.stats().delivered);
+}
+
+TEST_F(NetworkStatsTest, ResetStatsWithOnlyPreResetTrafficReadsZero) {
+  net_.Send(a_, b_, 10, [] {});
+  net_.ResetStats();
+  sim_.RunUntilIdle();
+  EXPECT_EQ(net_.stats().delivered, 0u);
+  EXPECT_EQ(net_.link_stats(a_, b_).delivered, 0u);
+  EXPECT_EQ(net_.materialized_links(), 0u);
+  EXPECT_EQ(net_.SumLinkStats().delivered, 0u);
+}
+
+// The reset zeroes counters only: a FIFO channel keeps its clock, so a
+// message sent after the reset cannot overtake one sent before it.
+TEST_F(NetworkStatsTest, ResetStatsKeepsFifoChannelOrder) {
+  std::vector<int> order;
+  net_.SendFifo(a_, b_, 1 << 20, [&] { order.push_back(0); });  // Slow.
+  net_.ResetStats();
+  net_.SendFifo(a_, b_, 10, [&] { order.push_back(1); });
+  sim_.RunUntilIdle();
+  EXPECT_EQ(order, (std::vector<int>{0, 1}));
+}
+
 // ---- Fault plans -------------------------------------------------------------
 
 TEST(FaultPlanTest, SerializationRoundTripsEveryOp) {

@@ -223,7 +223,7 @@ TEST(SchedulerDifferentialTest, CalendarRebuildsPreserveOrder) {
   uint64_t seq = 0;
   for (int i = 0; i < 60000; ++i) {
     queue.Push(SimEvent{static_cast<SimTime>(rng.NextBounded(kSimHour)), seq++,
-                        [] {}});
+                        /*slot=*/0});
   }
   EXPECT_GT(queue.rebuilds(), 0u);
   EXPECT_GT(queue.bucket_count(), 64u);
@@ -242,10 +242,10 @@ TEST(SchedulerDifferentialTest, CalendarRebuildsPreserveOrder) {
     ++popped;
     // Interleave occasional pushes below and above the cursor.
     if (popped % 1000 == 0) {
-      queue.Push(SimEvent{last_time, seq++, [] {}});
+      queue.Push(SimEvent{last_time, seq++, /*slot=*/0});
       queue.Push(
           SimEvent{last_time + static_cast<SimTime>(rng.NextBounded(kSimDay)),
-                   seq++, [] {}});
+                   seq++, /*slot=*/0});
     }
   }
   EXPECT_EQ(popped, 60000u + 2 * 60u);

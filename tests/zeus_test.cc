@@ -2,6 +2,7 @@
 
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/zeus/zeus.h"
@@ -74,7 +75,7 @@ TEST_F(ZeusTest, SubscribeDeliversCurrentValueAndUpdates) {
   ServerId observer = observers_[2];  // Same cluster as the proxy.
   std::vector<std::string> seen;
   zeus_->Subscribe(proxy, observer, "config/x",
-                   [&](const ZeusTxn& txn) { seen.push_back(txn.value); });
+                   [&](const ZeusTxn& txn, TraceContext) { seen.push_back(txn.value); });
   sim_.RunUntil(sim_.now() + 5 * kSimSecond);
   ASSERT_EQ(seen.size(), 1u);  // Initial value.
   EXPECT_EQ(seen[0], "v1");
@@ -89,7 +90,7 @@ TEST_F(ZeusTest, SubscribeToUnwrittenKeyDeliversOnFirstWrite) {
   ServerId proxy{0, 0, 7};
   std::vector<std::string> seen;
   zeus_->Subscribe(proxy, observers_[0], "config/later",
-                   [&](const ZeusTxn& txn) { seen.push_back(txn.value); });
+                   [&](const ZeusTxn& txn, TraceContext) { seen.push_back(txn.value); });
   sim_.RunUntil(sim_.now() + 2 * kSimSecond);
   EXPECT_TRUE(seen.empty());
   ASSERT_TRUE(WriteSync("config/later", "arrived").ok());
@@ -164,12 +165,48 @@ TEST_F(ZeusTest, CrashedObserverCatchesUpViaAntiEntropy) {
   EXPECT_EQ(zeus_->ObserverLastZxid(lagging), 2);
 }
 
+// A push carries the callback registered when it was sent. The write's push
+// to the proxy is held up on the observer → proxy link; meanwhile the proxy
+// resubscribes with a new callback, whose registration reaches the observer
+// first. The push still runs the old callback, and the new one sees only
+// its refetch, which rides the same FIFO channel behind the push.
+TEST_F(ZeusTest, InFlightPushRunsTheCallbackRegisteredAtSendTime) {
+  ServerId proxy{0, 1, 7};
+  ServerId observer = observers_[2];  // Same cluster as the proxy.
+  std::vector<std::string> log;
+  zeus_->Subscribe(proxy, observer, "k",
+                   [&](const ZeusTxn& txn, TraceContext) {
+                     log.push_back("A:" + std::to_string(txn.zxid));
+                   });
+  sim_.RunUntil(sim_.now() + kSimSecond);
+  LinkFault slow;
+  slow.extra_delay = 5 * kSimSecond;
+  net_->SetLinkFault(observer, proxy, slow);
+
+  int64_t zxid = 0;
+  zeus_->Write(client_, "k", "v1", [&](Result<int64_t> r) {
+    ASSERT_TRUE(r.ok()) << r.status();
+    zxid = *r;
+  });
+  sim_.RunUntil(sim_.now() + kSimSecond);
+  ASSERT_EQ(zeus_->ObserverLastZxid(observer), zxid);
+  ASSERT_TRUE(log.empty()) << "the push must still be in flight";
+
+  zeus_->Subscribe(proxy, observer, "k",
+                   [&](const ZeusTxn& txn, TraceContext) {
+                     log.push_back("B:" + std::to_string(txn.zxid));
+                   });
+  sim_.RunUntil(sim_.now() + 20 * kSimSecond);
+  std::string z = std::to_string(zxid);
+  EXPECT_EQ(log, (std::vector<std::string>{"A:" + z, "B:" + z}));
+}
+
 TEST_F(ZeusTest, RecoveredObserverPushesMissedUpdatesToWatchers) {
   ServerId proxy{0, 0, 9};
   const ServerId& observer = observers_[0];
   std::vector<std::string> seen;
   zeus_->Subscribe(proxy, observer, "cfg",
-                   [&](const ZeusTxn& txn) { seen.push_back(txn.value); });
+                   [&](const ZeusTxn& txn, TraceContext) { seen.push_back(txn.value); });
   sim_.RunUntil(sim_.now() + 2 * kSimSecond);
 
   zeus_->Crash(observer);
@@ -189,7 +226,7 @@ TEST_F(ZeusTest, PerKeyOrderingAtObservers) {
   ServerId proxy{0, 1, 3};
   std::vector<int64_t> zxids;
   zeus_->Subscribe(proxy, observers_[2], "hot",
-                   [&](const ZeusTxn& txn) { zxids.push_back(txn.zxid); });
+                   [&](const ZeusTxn& txn, TraceContext) { zxids.push_back(txn.zxid); });
   sim_.RunUntil(sim_.now() + kSimSecond);
   for (int i = 0; i < 20; ++i) {
     zeus_->Write(client_, "hot", "v" + std::to_string(i), [](Result<int64_t>) {});
