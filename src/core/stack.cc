@@ -72,7 +72,7 @@ ConfigManagementStack::ConfigManagementStack(Options options)
   zeus_ = std::make_unique<ZeusEnsemble>(network_.get(), members, observers);
   zeus_->AttachObservability(&obs_);
 
-  sandcastle_ = std::make_unique<Sandcastle>(&repo_, &deps_);
+  sandcastle_ = std::make_unique<Sandcastle>(&repo_, &deps_, &obs_.metrics);
   landing_strip_ = std::make_unique<LandingStrip>(&repo_);
   landing_strip_->AttachObservability(&obs_);
   canary_ = std::make_unique<CanaryService>(&sim_, options_.canary);

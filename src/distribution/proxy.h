@@ -53,6 +53,8 @@ class ConfigProxy {
               OnDiskCache* disk, uint64_t seed);
 
   const ServerId& host() const { return host_; }
+  // The server's on-disk cache, which outlives the proxy process.
+  OnDiskCache* disk() const { return disk_; }
 
   // Subscribes the proxy (and the registered application callbacks) to
   // `key`. Fetch + watch go to the chosen observer; every update lands in

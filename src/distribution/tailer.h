@@ -1,12 +1,16 @@
 // Git Tailer (paper §3.4 / Fig 3): continuously extracts config changes from
 // the committed repository and writes them into Zeus for distribution. The
 // paper reports the tailer contributes ~5 seconds to end-to-end propagation;
-// that is its poll interval here.
+// that is its poll interval here. A landed change is never dropped: a path
+// whose Zeus write is still unacknowledged a poll interval after it was
+// issued (refused for lack of quorum, or lost on the network) is published
+// again, with its content at head.
 
 #ifndef SRC_DISTRIBUTION_TAILER_H_
 #define SRC_DISTRIBUTION_TAILER_H_
 
 #include <functional>
+#include <map>
 #include <optional>
 #include <string>
 
@@ -49,10 +53,13 @@ class GitTailer {
     on_published_ = std::move(fn);
   }
 
+  const ServerId& host() const { return host_; }
   uint64_t published_count() const { return published_; }
 
  private:
   void Poll();
+  // Writes `value` for `path` into Zeus after the fetch delay.
+  void Publish(std::string path, std::string value);
 
   Network* net_;
   ServerId host_;
@@ -60,6 +67,8 @@ class GitTailer {
   ZeusEnsemble* zeus_;
   Options options_;
   std::optional<ObjectId> last_seen_;
+  // Per path, when its latest write was issued, until Zeus acknowledges it.
+  std::map<std::string, SimTime> unacked_;
   uint64_t published_ = 0;
   std::function<void(const std::string&, int64_t)> on_published_;
   Observability* obs_ = nullptr;

@@ -156,9 +156,10 @@ Result<FaultEvent> FaultEvent::FromLine(const std::string& line) {
     event.key = tokens[4] == "*" ? "" : tokens[4];
   } else if (op == "inconsistent-commit") {
     RETURN_IF_ERROR(need(4));
-    if (tokens[3] != "gated" && tokens[3] != "bypass") {
-      return InvalidArgumentError("inconsistent-commit mode must be gated or "
-                                  "bypass: " + line);
+    if (tokens[3] != "gated" && tokens[3] != "bypass" &&
+        tokens[3] != "hand-edit") {
+      return InvalidArgumentError("inconsistent-commit mode must be gated, "
+                                  "bypass or hand-edit: " + line);
     }
     event.op = FaultOp::kInconsistentCommit;
     event.key = tokens[3];

@@ -31,14 +31,12 @@ enum class FaultOp {
   kClearFaults,      // Clear all link faults.
   kCorruptDisk,      // Tear proxy #index's on-disk cache entry for `key`
                      // ("*" = every cached key) — a torn write.
-  kInconsistentCommit,  // Commit a jointly-inconsistent config pair (a shed
-                        // threshold above its kill threshold, split across
-                        // two keys). `key` selects the mode: "gated" runs the
-                        // commit through the cross-config InvariantChecker
-                        // first (it must block, so the fleet never sees it);
-                        // "bypass" force-lands it, and the harness's
-                        // cross-config-invariant check must catch the pair
-                        // the moment any proxy serves both halves.
+  kInconsistentCommit,  // Commit a config that contradicts another; `key`
+                        // is the mode. "gated" proposes a shed threshold
+                        // above its kill threshold (two keys), which
+                        // Sandcastle must reject; "bypass" force-lands that
+                        // pair; "hand-edit" force-lands a compiled output its
+                        // CSL source does not produce. Never random.
 };
 
 struct FaultEvent {

@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <cassert>
+#include <charconv>
+#include <optional>
 #include <sstream>
 #include <utility>
 
-#include "src/analysis/invariant.h"
 #include "src/json/json.h"
 #include "src/util/strings.h"
 
@@ -14,43 +15,115 @@ namespace configerator {
 namespace {
 
 constexpr char kTraceHeader[] = "# dst-trace v1";
+constexpr char kAuthor[] = "dst";
+constexpr char kReviewer[] = "dst-reviewer";
+constexpr char kGatekeeperKey[] = "gatekeeper/dst_rollout.json";
+constexpr char kVesselName[] = "bigcfg";
 
-std::string SidStr(const ServerId& id) {
-  return StrFormat("%d.%d.%d", id.region, id.cluster, id.server);
+// The CSL service config: a module holding a constant the workload bumps,
+// and the entry that exports from it to kSvcKey.
+constexpr char kSvcModule[] = "cfg/svc.cinc";
+constexpr char kSvcEntry[] = "cfg/svc.cconf";
+constexpr char kSvcKey[] = "cfg/svc.json";
+constexpr char kSvcEntrySource[] =
+    "import_python(\"cfg/svc.cinc\", \"*\")\n"
+    "export_if_last({\"limit\": SVC_LIMIT, \"burst\": SVC_LIMIT * 2})\n";
+
+// Bounds on what a scenario line may ask for: the network indexes servers
+// densely, and every key, write and vessel chunk costs memory.
+constexpr int64_t kMaxServers = int64_t{1} << 17;
+constexpr int64_t kMaxKeysOrWrites = int64_t{1} << 16;
+constexpr int64_t kMaxVesselBytes = int64_t{1} << 30;
+constexpr SimTime kMaxPhase = 3600 * kSimSecond;
+
+std::string SvcModuleSource(int step) {
+  return StrFormat("SVC_LIMIT = %d\n", 100 + step);
 }
 
 // The Gatekeeper config the workload rolls forward: an employee bypass rule
 // plus an id_mod bucket whose width and pass probability change every step —
 // exercising live recompiles, sampling, and the cost-based optimizer.
 std::string GatekeeperConfigJson(int step) {
-  Json employee_restraint = Json::MakeObject();
-  employee_restraint.Set("type", Json(std::string("employee")));
-  Json rule0 = Json::MakeObject();
-  Json rule0_restraints = Json::MakeArray();
-  rule0_restraints.Append(std::move(employee_restraint));
-  rule0.Set("restraints", std::move(rule0_restraints));
-  rule0.Set("pass_probability", Json(1.0));
+  return StrFormat(
+      "{\"project\":\"dst_rollout\",\"rules\":["
+      "{\"restraints\":[{\"type\":\"employee\"}],\"pass_probability\":1.0},"
+      "{\"restraints\":[{\"type\":\"id_mod\",\"params\":{\"mod\":100,\"lo\":0,"
+      "\"hi\":%d}}],\"pass_probability\":%.1f}]}",
+      10 + (step * 7) % 90, 0.5 * (step % 3));
+}
 
-  Json params = Json::MakeObject();
-  params.Set("mod", Json(static_cast<int64_t>(100)));
-  params.Set("lo", Json(static_cast<int64_t>(0)));
-  params.Set("hi", Json(static_cast<int64_t>(10 + (step * 7) % 90)));
-  Json id_mod = Json::MakeObject();
-  id_mod.Set("type", Json(std::string("id_mod")));
-  id_mod.Set("params", std::move(params));
-  Json rule1 = Json::MakeObject();
-  Json rule1_restraints = Json::MakeArray();
-  rule1_restraints.Append(std::move(id_mod));
-  rule1.Set("restraints", std::move(rule1_restraints));
-  rule1.Set("pass_probability", Json(0.5 * (step % 3)));
+// The cross-config invariant the inconsistent-commit fault violates: key0's
+// shed threshold must stay at or below key1's kill threshold.
+std::string InvariantSpecJson(const std::string& path0,
+                              const std::string& path1) {
+  return "{\"invariants\":[{\"name\":\"shed-below-kill\",\"kind\":"
+         "\"ordering\",\"severity\":\"error\","
+         "\"lhs\":{\"config\":\"" + path0 + "\",\"field\":\"shed\"},"
+         "\"relation\":\"<=\","
+         "\"rhs\":{\"config\":\"" + path1 + "\",\"field\":\"kill\"}}]}";
+}
 
-  Json rules = Json::MakeArray();
-  rules.Append(std::move(rule0));
-  rules.Append(std::move(rule1));
-  Json project = Json::MakeObject();
-  project.Set("project", Json(std::string("dst_rollout")));
-  project.Set("rules", std::move(rules));
-  return project.Dump();
+// Placement. The stack puts Zeus member i at {i % R, 0, i / R}, one observer
+// at the top of every cluster and the tailer at {0, 0, S / 2}. Proxies fill
+// the server layers between the members' and the tailer's; the vessel
+// storage host sits at {R - 1, C - 1, S - 2}.
+int64_t MemberLayers(const ScenarioOptions& o) {
+  return (int64_t{o.members} + o.regions - 1) / o.regions;
+}
+
+ServerId ProxyHost(const ScenarioOptions& o, int i) {
+  const int R = o.regions;
+  const int C = o.clusters_per_region;
+  return {i % R, (i / R) % C, static_cast<int>(MemberLayers(o)) + i / (R * C)};
+}
+
+Status CheckScenario(const ScenarioOptions& o) {
+  auto reject = [&o](const std::string& why) {
+    return InvalidArgumentError("scenario cannot run (" + why + "): " +
+                                o.ToLine());
+  };
+  const int64_t clusters = int64_t{o.regions} * o.clusters_per_region;
+  if (o.regions < 1 || o.clusters_per_region < 1 ||
+      o.servers_per_cluster < 8 || clusters > kMaxServers ||
+      clusters * o.servers_per_cluster > kMaxServers) {
+    return reject(StrFormat("needs at most %lld servers, 8 or more per "
+                            "cluster", static_cast<long long>(kMaxServers)));
+  }
+  const int64_t layers = o.servers_per_cluster / 2 - MemberLayers(o);
+  if (o.members < 1 || layers < 0) {
+    return reject("Zeus members do not fit below the tailer");
+  }
+  if (o.proxies < 0 || o.proxies > layers * clusters) {
+    return reject(StrFormat("room for %lld proxies",
+                            static_cast<long long>(layers * clusters)));
+  }
+  if (o.keys < 1 || o.keys > kMaxKeysOrWrites || o.writes < 0 ||
+      o.writes > kMaxKeysOrWrites || o.chaos_duration < 1 ||
+      o.chaos_duration > kMaxPhase || o.settle < 0 || o.settle > kMaxPhase ||
+      o.freshness_slo < 0 || o.check_stride < 1 || o.vessel_bytes < 1 ||
+      o.vessel_bytes > kMaxVesselBytes) {
+    return reject("a count, size or time out of range");
+  }
+  return OkStatus();
+}
+
+// A whole decimal token that fits T, or an error naming the option.
+template <typename T>
+Result<T> ParseNumber(const std::string& key, const std::string& text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (text.empty() || error != std::errc() || stop != end) {
+    return InvalidArgumentError("scenario option " + key + "='" + text +
+                                "' is not a number in range");
+  }
+  return value;
+}
+
+// Flattens a multi-line status into one trace log line.
+std::string OneLine(std::string text) {
+  std::replace(text.begin(), text.end(), '\n', ' ');
+  return text;
 }
 
 }  // namespace
@@ -59,11 +132,11 @@ std::string GatekeeperConfigJson(int step) {
 
 std::string ScenarioOptions::ToLine() const {
   return StrFormat(
-      "seed=%llu regions=%d clusters=%d spc=%d members=%d observers=%d "
-      "proxies=%d keys=%d writes=%d chaos_us=%lld settle_us=%lld vessel=%d "
-      "gatekeeper=%d vessel_bytes=%lld slo_us=%lld check_stride=%d",
+      "seed=%llu regions=%d clusters=%d spc=%d members=%d proxies=%d keys=%d "
+      "writes=%d chaos_us=%lld settle_us=%lld vessel=%d gatekeeper=%d "
+      "vessel_bytes=%lld slo_us=%lld check_stride=%d",
       static_cast<unsigned long long>(seed), regions, clusters_per_region,
-      servers_per_cluster, members, observers, proxies, keys, writes,
+      servers_per_cluster, members, proxies, keys, writes,
       static_cast<long long>(chaos_duration), static_cast<long long>(settle),
       enable_vessel ? 1 : 0, enable_gatekeeper ? 1 : 0,
       static_cast<long long>(vessel_bytes),
@@ -72,6 +145,18 @@ std::string ScenarioOptions::ToLine() const {
 
 Result<ScenarioOptions> ScenarioOptions::Parse(const std::string& line) {
   ScenarioOptions options;
+  const std::map<std::string, int*> ints = {
+      {"regions", &options.regions},   {"clusters", &options.clusters_per_region},
+      {"spc", &options.servers_per_cluster}, {"members", &options.members},
+      {"proxies", &options.proxies},   {"keys", &options.keys},
+      {"writes", &options.writes},     {"check_stride", &options.check_stride}};
+  const std::map<std::string, int64_t*> int64s = {
+      {"chaos_us", &options.chaos_duration}, {"settle_us", &options.settle},
+      {"vessel_bytes", &options.vessel_bytes},
+      {"slo_us", &options.freshness_slo}};
+  const std::map<std::string, bool*> flags = {
+      {"vessel", &options.enable_vessel},
+      {"gatekeeper", &options.enable_gatekeeper}};
   std::istringstream in(line);
   std::string token;
   while (in >> token) {
@@ -80,248 +165,225 @@ Result<ScenarioOptions> ScenarioOptions::Parse(const std::string& line) {
       return InvalidArgumentError("bad scenario token: " + token);
     }
     std::string key = token.substr(0, eq);
-    long long value = std::strtoll(token.c_str() + eq + 1, nullptr, 10);
+    std::string text = token.substr(eq + 1);
     if (key == "seed") {
-      options.seed = static_cast<uint64_t>(value);
-    } else if (key == "regions") {
-      options.regions = static_cast<int>(value);
-    } else if (key == "clusters") {
-      options.clusters_per_region = static_cast<int>(value);
-    } else if (key == "spc") {
-      options.servers_per_cluster = static_cast<int>(value);
-    } else if (key == "members") {
-      options.members = static_cast<int>(value);
-    } else if (key == "observers") {
-      options.observers = static_cast<int>(value);
-    } else if (key == "proxies") {
-      options.proxies = static_cast<int>(value);
-    } else if (key == "keys") {
-      options.keys = static_cast<int>(value);
-    } else if (key == "writes") {
-      options.writes = static_cast<int>(value);
-    } else if (key == "chaos_us") {
-      options.chaos_duration = value;
-    } else if (key == "settle_us") {
-      options.settle = value;
-    } else if (key == "vessel") {
-      options.enable_vessel = value != 0;
-    } else if (key == "gatekeeper") {
-      options.enable_gatekeeper = value != 0;
-    } else if (key == "vessel_bytes") {
-      options.vessel_bytes = value;
-    } else if (key == "slo_us") {
-      options.freshness_slo = value;
-    } else if (key == "check_stride") {
-      options.check_stride = static_cast<int>(value);
+      ASSIGN_OR_RETURN(options.seed, ParseNumber<uint64_t>(key, text));
+    } else if (auto it = ints.find(key); it != ints.end()) {
+      ASSIGN_OR_RETURN(*it->second, ParseNumber<int>(key, text));
+    } else if (auto it64 = int64s.find(key); it64 != int64s.end()) {
+      ASSIGN_OR_RETURN(*it64->second, ParseNumber<int64_t>(key, text));
+    } else if (auto flag = flags.find(key); flag != flags.end()) {
+      ASSIGN_OR_RETURN(int value, ParseNumber<int>(key, text));
+      *flag->second = value != 0;
     } else {
       return InvalidArgumentError("unknown scenario option: " + key);
     }
   }
+  RETURN_IF_ERROR(CheckScenario(options));
   return options;
 }
 
 // --- Harness ----------------------------------------------------------------
 
+namespace {
+
+ConfigManagementStack::Options StackOptions(const ScenarioOptions& o) {
+  assert(CheckScenario(o).ok() && "scenario cannot run");
+  ConfigManagementStack::Options options;
+  options.regions = o.regions;
+  options.clusters_per_region = o.clusters_per_region;
+  options.servers_per_cluster = o.servers_per_cluster;
+  options.zeus_members = static_cast<size_t>(o.members);
+  options.observers_per_cluster = 1;
+  options.tailer.poll_interval = kSimSecond;
+  options.seed = o.seed;
+  return options;
+}
+
+// Fixed evaluation panel for gatekeeper-consistency: an employee, plus
+// non-employees landing in different id_mod buckets.
+std::vector<UserContext> GatekeeperPanel() {
+  std::vector<UserContext> users(4);
+  users[0].user_id = 1;
+  users[0].is_employee = true;
+  users[1].user_id = 42;
+  users[1].country = "US";
+  users[2].user_id = 1077;
+  users[3].user_id = 991;
+  return users;
+}
+
+}  // namespace
+
 Harness::Harness(const ScenarioOptions& options)
     : options_(options),
-      topology_(options.regions, options.clusters_per_region,
-                options.servers_per_cluster) {
-  assert(options_.servers_per_cluster >= 8 && "scenario needs server room");
-  sim_ = std::make_unique<Simulator>();
-  net_ = std::make_unique<Network>(sim_.get(), topology_, options_.seed);
-
-  const int R = options_.regions;
-  const int C = options_.clusters_per_region;
-  const int S = options_.servers_per_cluster;
-  // Deterministic host allocation, spread across regions/clusters so
-  // partitions bite: members at low server indices, observers at the top,
-  // proxies in the middle, tailer and storage on dedicated hosts.
-  for (int i = 0; i < options_.members; ++i) {
-    member_ids_.push_back({i % R, (i / R) % C, i / (R * C)});
-  }
-  for (int i = 0; i < options_.observers; ++i) {
-    observer_ids_.push_back({i % R, (i / R) % C, S - 1 - i / (R * C)});
-  }
-  for (int i = 0; i < options_.proxies; ++i) {
-    proxy_hosts_.push_back({i % R, (i / R) % C, 4 + i / (R * C)});
-  }
-  tailer_host_ = {0, 0, S - 2};
-  storage_host_ = {R - 1, C - 1, S - 2};
-
-  zeus_ = std::make_unique<ZeusEnsemble>(net_.get(), member_ids_, observer_ids_);
-  zeus_->AttachObservability(&obs_);
-
-  GitTailer::Options tailer_options;
-  tailer_options.poll_interval = 1 * kSimSecond;
-  tailer_ = std::make_unique<GitTailer>(net_.get(), tailer_host_, &repo_,
-                                        zeus_.get(), tailer_options);
-  tailer_->AttachObservability(&obs_);
-  tailer_->set_on_published([this](const std::string& path, int64_t zxid) {
-    ++published_;
-    Log(StrFormat("published %s zxid=%lld", path.c_str(),
-                  static_cast<long long>(zxid)));
-  });
+      stack_(StackOptions(options)),
+      storage_host_{options.regions - 1, options.clusters_per_region - 1,
+                    options.servers_per_cluster - 2},
+      gk_users_(GatekeeperPanel()) {
+  stack_.tailer().set_on_published(
+      [this](const std::string& path, int64_t zxid) {
+        Log(StrFormat("published %s zxid=%lld", path.c_str(),
+                      static_cast<long long>(zxid)));
+      });
 
   for (int k = 0; k < options_.keys; ++k) {
     tracked_keys_.push_back(StrFormat("cfg/key%d.json", k));
   }
   if (options_.enable_gatekeeper) {
-    gk_key_ = "gatekeeper/dst_rollout.json";
-    tracked_keys_.push_back(gk_key_);
+    tracked_keys_.push_back(kGatekeeperKey);
   }
-  vessel_name_ = "bigcfg";
+  tracked_keys_.push_back(kSvcKey);
   if (options_.enable_vessel) {
-    vessel_key_ = VesselPublisher::MetadataKey(vessel_name_);
+    vessel_key_ = VesselPublisher::MetadataKey(kVesselName);
     tracked_keys_.push_back(vessel_key_);
   }
 
   gk_delivered_.resize(static_cast<size_t>(options_.proxies));
   last_seen_zxid_.resize(static_cast<size_t>(options_.proxies));
-  ever_seen_.resize(static_cast<size_t>(options_.proxies));
   for (int i = 0; i < options_.proxies; ++i) {
-    disks_.push_back(std::make_unique<OnDiskCache>());
-    proxies_.push_back(std::make_unique<ConfigProxy>(
-        net_.get(), zeus_.get(), proxy_hosts_[static_cast<size_t>(i)],
-        disks_.back().get(), options_.seed * 131 + static_cast<uint64_t>(i)));
-    // Probe interval 0: metrics + tracing only, no probe messages — the
-    // network event/rng sequence is identical to an uninstrumented run, so
-    // every recorded seed keeps replaying bit-for-bit.
-    proxies_.back()->AttachObservability(&obs_);
-    apps_.push_back(std::make_unique<AppConfigClient>(proxies_.back().get(),
-                                                      disks_.back().get()));
+    const ServerId host = ProxyHost(options_, i);
+    proxy_hosts_.push_back(host);
+    ConfigProxy* proxy = stack_.ProxyOn(host);
+    apps_.push_back(stack_.ClientOn(host));
     gk_runtimes_.push_back(std::make_unique<GatekeeperRuntime>());
-    gk_runtimes_.back()->AttachObservability(&obs_, SidStr(proxy_hosts_[i]));
-    ConfigProxy* proxy = proxies_.back().get();
+    gk_runtimes_.back()->AttachObservability(&stack_.obs(), host.ToString());
     for (const std::string& key : tracked_keys_) {
-      if (key == gk_key_) {
-        GatekeeperRuntime* runtime = gk_runtimes_.back().get();
-        std::string* delivered = &gk_delivered_[static_cast<size_t>(i)];
-        proxy->Subscribe(key, [this, runtime, delivered](
-                                   const std::string& path,
-                                   const std::string& value, int64_t zxid) {
-          *delivered = value;
-          // Invalid JSON keeps the previous project live; the consistency
-          // invariant then compares against the delivered (bad) config and
-          // flags the divergence. The zxid parents a gatekeeper.snapshot_swap
-          // span at the commit's trace.
-          (void)runtime->ApplyConfigUpdate(path, value, zxid, sim_->now());
-        });
-      } else {
+      if (key != kGatekeeperKey) {
         proxy->Subscribe(key, nullptr);
+        continue;
       }
+      GatekeeperRuntime* runtime = gk_runtimes_.back().get();
+      std::string* delivered = &gk_delivered_[static_cast<size_t>(i)];
+      proxy->Subscribe(key, [this, runtime, delivered](const std::string& path,
+                                                       const std::string& value,
+                                                       int64_t zxid) {
+        *delivered = value;
+        // Invalid JSON keeps the previous project live; the consistency
+        // invariant then compares against the delivered (bad) config and
+        // flags the divergence. The zxid parents a gatekeeper.snapshot_swap
+        // span at the commit's trace.
+        (void)runtime->ApplyConfigUpdate(path, value, zxid, stack_.sim().now());
+      });
     }
   }
 
   if (options_.enable_vessel) {
-    vessel_pub_ = std::make_unique<VesselPublisher>(net_.get(), zeus_.get(),
-                                                    tailer_host_, storage_host_);
-    vessel_pub_->AttachObservability(&obs_);
+    vessel_pub_ = std::make_unique<VesselPublisher>(
+        &stack_.network(), &stack_.zeus(), stack_.tailer().host(),
+        storage_host_);
+    vessel_pub_->AttachObservability(&stack_.obs());
     VesselSwarm::Options swarm_options;
     swarm_options.chunk_size = 2 << 20;
     swarm_ = std::make_unique<VesselSwarm>(
-        net_.get(), storage_host_, proxy_hosts_, options_.vessel_bytes,
+        &stack_.network(), storage_host_, proxy_hosts_, options_.vessel_bytes,
         swarm_options, options_.seed ^ 0xbead5a17ULL);
-    swarm_->AttachObservability(&obs_);
+    swarm_->AttachObservability(&stack_.obs());
   }
-
-  // Fixed evaluation panel for the Gatekeeper consistency invariant: an
-  // employee, plus non-employees landing in different id_mod buckets.
-  UserContext employee;
-  employee.user_id = 1;
-  employee.is_employee = true;
-  UserContext low_bucket;
-  low_bucket.user_id = 42;
-  low_bucket.country = "US";
-  UserContext mid_bucket;
-  mid_bucket.user_id = 1077;
-  UserContext high_bucket;
-  high_bucket.user_id = 991;
-  gk_users_ = {employee, low_bucket, mid_bucket, high_bucket};
 }
 
-Harness::~Harness() = default;
+FaultPlanShape Harness::shape() {
+  return {stack_.zeus().member_ids(), stack_.zeus().observers(), proxy_hosts_,
+          {stack_.tailer().host(), storage_host_}, options_.chaos_duration};
+}
 
-FaultPlanShape Harness::shape() const {
-  FaultPlanShape shape;
-  shape.members = member_ids_;
-  shape.observers = observer_ids_;
-  shape.proxies = proxy_hosts_;
-  shape.other_hosts = {tailer_host_, storage_host_};
-  shape.duration = options_.chaos_duration;
-  return shape;
+void Harness::LandChange(const std::string& what,
+                         std::vector<FileWrite> writes) {
+  Result<PendingChange> change =
+      stack_.ProposeChange(kAuthor, what, std::move(writes));
+  if (!change.ok()) {
+    RecordLanding(what, ProposedDiff{}, change.status());
+    return;
+  }
+  Status approved = stack_.Approve(&*change, kReviewer);
+  RecordLanding(what, change->diff,
+                approved.ok() ? stack_.LandNow(*change)
+                              : Result<ObjectId>(approved));
+}
+
+void Harness::ForceLand(const std::string& what,
+                        std::vector<FileWrite> writes) {
+  ProposedDiff diff =
+      MakeProposedDiff(stack_.repo(), kAuthor, what, std::move(writes),
+                       stack_.sim().now() / kSimMillisecond);
+  RecordLanding(what, diff, stack_.landing_strip().Land(diff));
+}
+
+void Harness::RecordLanding(const std::string& what, const ProposedDiff& diff,
+                            const Result<ObjectId>& landed) {
+  if (!landed.ok()) {
+    Log("rejected " + what + ": " + OneLine(landed.status().ToString()));
+    return;
+  }
+  std::string paths;
+  for (const FileWrite& write : diff.writes) {
+    if (write.content.has_value()) {
+      written_values_[write.path].insert(*write.content);
+    }
+    paths += " " + write.path;
+  }
+  Log("commit " + what + paths);
 }
 
 void Harness::ScheduleWorkload() {
-  // Initial commit so every key exists before the chaos window.
-  std::vector<FileWrite> initial;
+  // The seed commit, so every key exists before the chaos window: the raw
+  // keys, the Gatekeeper project, the CSL service config and (with two
+  // keys to relate) the cross-config invariant spec.
+  std::vector<FileWrite> seed;
   for (int k = 0; k < options_.keys; ++k) {
-    std::string path = tracked_keys_[static_cast<size_t>(k)];
-    std::string value = StrFormat("{\"key\":%d,\"step\":0}", k);
-    written_values_[path].insert(value);
-    initial.push_back(FileWrite{path, value});
+    seed.push_back(FileWrite{tracked_keys_[static_cast<size_t>(k)],
+                             StrFormat("{\"key\":%d,\"step\":0}", k)});
   }
   if (options_.enable_gatekeeper) {
-    std::string value = GatekeeperConfigJson(0);
-    written_values_[gk_key_].insert(value);
-    initial.push_back(FileWrite{gk_key_, value});
+    seed.push_back(FileWrite{kGatekeeperKey, GatekeeperConfigJson(0)});
   }
-  // Each commit (the seed included) roots a trace; the touched paths are
-  // bound so the tailer's publish span — and everything downstream of the
-  // zxid — joins the tree.
-  TraceContext seed_root = obs_.tracer.StartTrace("commit step=0", "dst", 0);
-  obs_.tracer.EndSpan(seed_root, 0);
-  for (const FileWrite& write : initial) {
-    obs_.tracer.BindPath(write.path, seed_root);
+  seed.push_back(FileWrite{kSvcModule, SvcModuleSource(0)});
+  seed.push_back(FileWrite{kSvcEntry, kSvcEntrySource});
+  if (options_.keys >= 2) {
+    seed.push_back(FileWrite{"invariants/dst.json",
+                             InvariantSpecJson(tracked_keys_[0],
+                                               tracked_keys_[1])});
   }
-  Result<ObjectId> seed_commit = repo_.Commit("dst", "seed configs", initial, 0);
-  assert(seed_commit.ok());
-  (void)seed_commit;
+  LandChange("step=0", std::move(seed));
 
-  // Ongoing writes, spread over the chaos window. Values are recorded here —
-  // any observed value outside this universe is torn by construction.
+  // Ongoing writes, spread over the chaos window: a bump of the service
+  // module every fifth step, a Gatekeeper rollout every fourth, raw key
+  // edits otherwise.
   Rng workload_rng(options_.seed * 7919 + 17);
   for (int step = 1; step <= options_.writes; ++step) {
     SimTime at = kSimSecond + static_cast<SimTime>(workload_rng.NextBounded(
                      static_cast<uint64_t>(
                          std::max<SimTime>(options_.chaos_duration - 2 * kSimSecond, 1))));
-    std::string path;
-    std::string value;
-    if (options_.enable_gatekeeper && step % 4 == 0) {
-      path = gk_key_;
-      value = GatekeeperConfigJson(step);
+    FileWrite write;
+    if (step % 5 == 0) {
+      write = FileWrite{kSvcModule, SvcModuleSource(step)};
+    } else if (options_.enable_gatekeeper && step % 4 == 0) {
+      write = FileWrite{kGatekeeperKey, GatekeeperConfigJson(step)};
     } else {
       int k = static_cast<int>(
           workload_rng.NextBounded(static_cast<uint64_t>(options_.keys)));
-      path = tracked_keys_[static_cast<size_t>(k)];
-      value = StrFormat("{\"key\":%d,\"step\":%d,\"nonce\":%llu}", k, step,
-                        static_cast<unsigned long long>(
-                            workload_rng.Next() & 0xffffff));
+      write = FileWrite{
+          tracked_keys_[static_cast<size_t>(k)],
+          StrFormat("{\"key\":%d,\"step\":%d,\"nonce\":%llu}", k, step,
+                    static_cast<unsigned long long>(workload_rng.Next() &
+                                                    0xffffff))};
     }
-    written_values_[path].insert(value);
-    sim_->ScheduleAt(at, [this, path, value, step] {
-      TraceContext root = obs_.tracer.StartTrace(
-          StrFormat("commit step=%d", step), "dst", sim_->now());
-      obs_.tracer.EndSpan(root, sim_->now());
-      obs_.tracer.BindPath(path, root);
-      Result<ObjectId> commit = repo_.Commit(
-          "dst", StrFormat("step %d", step), {FileWrite{path, value}}, step);
-      assert(commit.ok());
-      (void)commit;
-      Log(StrFormat("commit step=%d path=%s", step, path.c_str()));
+    stack_.sim().ScheduleAt(at, [this, step, write] {
+      LandChange(StrFormat("step=%d", step), {write});
     });
   }
 
   if (options_.enable_vessel) {
-    sim_->ScheduleAt(2 * kSimSecond, [this] {
-      vessel_pub_->Publish(vessel_name_, 1, options_.vessel_bytes,
+    stack_.sim().ScheduleAt(2 * kSimSecond, [this] {
+      vessel_pub_->Publish(kVesselName, 1, options_.vessel_bytes,
                            [this](Result<int64_t> zxid) {
                              Log(StrFormat("vessel-published ok=%d",
                                            zxid.ok() ? 1 : 0));
                            });
     });
-    sim_->ScheduleAt(4 * kSimSecond, [this] {
+    stack_.sim().ScheduleAt(4 * kSimSecond, [this] {
       swarm_->Start([this](const ServerId& client, SimTime /*when*/) {
-        Log("vessel-complete " + SidStr(client));
+        Log("vessel-complete " + client.ToString());
       });
     });
   }
@@ -331,11 +393,11 @@ void Harness::ApplyFault(const FaultEvent& event) {
   Log("apply " + event.ToLine());
   switch (event.op) {
     case FaultOp::kCrash:
-      zeus_->Crash(event.group_a.at(0));
+      stack_.zeus().Crash(event.group_a.at(0));
       break;
     case FaultOp::kRecover: {
       const ServerId& id = event.group_a.at(0);
-      zeus_->Recover(id);
+      stack_.zeus().Recover(id);
       if (swarm_ != nullptr &&
           std::find(proxy_hosts_.begin(), proxy_hosts_.end(), id) !=
               proxy_hosts_.end()) {
@@ -344,110 +406,71 @@ void Harness::ApplyFault(const FaultEvent& event) {
       break;
     }
     case FaultOp::kCrashProxy:
-      if (event.index >= 0 && event.index < options_.proxies) {
-        proxies_[static_cast<size_t>(event.index)]->Crash();
-      }
-      break;
     case FaultOp::kRestartProxy:
       if (event.index >= 0 && event.index < options_.proxies) {
-        proxies_[static_cast<size_t>(event.index)]->Restart();
+        ConfigProxy* proxy =
+            stack_.ProxyOn(proxy_hosts_[static_cast<size_t>(event.index)]);
+        event.op == FaultOp::kCrashProxy ? proxy->Crash() : proxy->Restart();
       }
       break;
     case FaultOp::kPartition:
-      net_->Partition(event.group_a, event.group_b);
+      stack_.network().Partition(event.group_a, event.group_b);
       break;
     case FaultOp::kPartitionOneWay:
-      net_->PartitionOneWay(event.group_a, event.group_b);
+      stack_.network().PartitionOneWay(event.group_a, event.group_b);
       break;
     case FaultOp::kHealPartitions:
-      net_->HealAllPartitions();
+      stack_.network().HealAllPartitions();
       break;
     case FaultOp::kGlobalFault:
-      net_->SetDefaultFault(event.fault);
+      stack_.network().SetDefaultFault(event.fault);
       break;
     case FaultOp::kClearFaults:
-      net_->ClearLinkFaults();
+      stack_.network().ClearLinkFaults();
       break;
     case FaultOp::kCorruptDisk:
       CorruptDisk(event.index, event.key);
       break;
     case FaultOp::kInconsistentCommit:
-      SeedInconsistentCommit(event.key != "bypass");
+      SeedInconsistentCommit(event.key);
       break;
   }
 }
 
-void Harness::SeedInconsistentCommit(bool gated) {
+void Harness::SeedInconsistentCommit(const std::string& mode) {
+  if (mode == "hand-edit") {
+    // A hand edit of a compiled output: valid JSON that its CSL source does
+    // not produce. CI rejects such a write, so it can only be force-landed.
+    ForceLand("hand-edit", {FileWrite{kSvcKey, "{\n  \"limit\": -1\n}"}});
+    return;
+  }
   if (options_.keys < 2) {
     return;
   }
   // A jointly-inconsistent pair: key0's shed threshold lands above key1's
   // kill threshold. Each half is individually valid JSON that passes every
-  // per-file check — only a cross-config predicate can see the problem.
-  const std::string& path0 = tracked_keys_[0];
-  const std::string& path1 = tracked_keys_[1];
-  std::string value0 = "{\"key\":0,\"shed\":90}";
-  std::string value1 = "{\"key\":1,\"kill\":50}";
-  if (gated) {
-    // The landing gate: the same InvariantChecker Sandcastle runs, over an
-    // overlay of the proposed pair on the harness repository.
-    InvariantRegistry registry;
-    registry.AddSpecFile(
-        "invariants/dst.json",
-        "{\"invariants\":[{\"name\":\"shed-below-kill\",\"kind\":"
-        "\"ordering\",\"severity\":\"error\","
-        "\"lhs\":{\"config\":\"" + path0 + "\",\"field\":\"shed\"},"
-        "\"relation\":\"<=\","
-        "\"rhs\":{\"config\":\"" + path1 + "\",\"field\":\"kill\"}}]}");
-    assert(registry.diagnostics.empty());
-    std::map<std::string, std::string> pair = {{path0, value0},
-                                               {path1, value1}};
-    const Repository* repo = &repo_;
-    InvariantChecker checker(
-        [pair, repo](const std::string& path) -> Result<std::string> {
-          auto it = pair.find(path);
-          if (it != pair.end()) {
-            return it->second;
-          }
-          return repo->ReadFile(path);
-        });
-    InvariantReport report = checker.Check(registry, {path0, path1});
-    if (CountLintErrors(report.diagnostics) > 0) {
-      Log("inconsistent-commit blocked by invariant gate");
-      return;  // Never committed: the fleet never sees the pair.
-    }
-    Log("inconsistent-commit passed the gate unexpectedly; committing");
+  // per-file check — only the cross-config invariant can see the problem.
+  std::vector<FileWrite> pair = {
+      FileWrite{tracked_keys_[0], "{\"key\":0,\"shed\":90}"},
+      FileWrite{tracked_keys_[1], "{\"key\":1,\"kill\":50}"}};
+  if (mode == "bypass") {
+    // The continuous cross-config check must catch it downstream.
+    ForceLand("inconsistent-pair", std::move(pair));
+  } else {
+    // Sandcastle's invariant stage must reject it: the fleet never sees it.
+    LandChange("inconsistent-pair", std::move(pair));
   }
-  // Bypass (or a gate that failed to block): the pair lands like any other
-  // commit and the continuous cross-config check must catch it downstream.
-  written_values_[path0].insert(value0);
-  written_values_[path1].insert(value1);
-  TraceContext root =
-      obs_.tracer.StartTrace("commit inconsistent-pair", "dst", sim_->now());
-  obs_.tracer.EndSpan(root, sim_->now());
-  obs_.tracer.BindPath(path0, root);
-  obs_.tracer.BindPath(path1, root);
-  Result<ObjectId> commit = repo_.Commit(
-      "dst", "inconsistent pair",
-      {FileWrite{path0, value0}, FileWrite{path1, value1}},
-      options_.writes + 1);
-  assert(commit.ok());
-  (void)commit;
-  Log("commit inconsistent-pair");
 }
 
 void Harness::CorruptDisk(int index, const std::string& key) {
   if (index < 0 || index >= options_.proxies) {
     return;
   }
-  OnDiskCache* disk = disks_[static_cast<size_t>(index)].get();
-  std::vector<std::string> targets;
-  if (key.empty() || key == "*") {
-    targets = tracked_keys_;
-  } else {
-    targets.push_back(key);
-  }
-  for (const std::string& target : targets) {
+  OnDiskCache* disk =
+      stack_.ProxyOn(proxy_hosts_[static_cast<size_t>(index)])->disk();
+  for (const std::string& target : key.empty() || key == "*"
+                                       ? tracked_keys_
+                                       : std::vector<std::string>{key}) {
     const OnDiskCache::Entry* entry = disk->Get(target);
     if (entry == nullptr) {
       continue;
@@ -462,20 +485,23 @@ void Harness::CorruptDisk(int index, const std::string& key) {
 
 void Harness::FinalHeal() {
   Log("final-heal");
-  for (const ServerId& id : member_ids_) {
-    zeus_->Recover(id);
+  ZeusEnsemble& zeus = stack_.zeus();
+  Network& net = stack_.network();
+  for (const ServerId& id : zeus.member_ids()) {
+    zeus.Recover(id);
   }
-  for (const ServerId& id : observer_ids_) {
-    zeus_->Recover(id);
+  for (const ServerId& id : zeus.observers()) {
+    zeus.Recover(id);
   }
   for (const ServerId& id : proxy_hosts_) {
-    net_->failures().Recover(id);
+    net.failures().Recover(id);
   }
-  net_->failures().Recover(tailer_host_);
-  net_->failures().Recover(storage_host_);
-  net_->HealAllPartitions();
-  net_->ClearLinkFaults();
-  for (auto& proxy : proxies_) {
+  net.failures().Recover(stack_.tailer().host());
+  net.failures().Recover(storage_host_);
+  net.HealAllPartitions();
+  net.ClearLinkFaults();
+  for (const ServerId& host : proxy_hosts_) {
+    ConfigProxy* proxy = stack_.ProxyOn(host);
     if (proxy->crashed()) {
       proxy->Restart();
     } else {
@@ -494,23 +520,22 @@ void Harness::FinalHeal() {
 RunResult Harness::Run(const FaultPlan& plan) {
   assert(!ran_ && "Harness is single-shot; build a fresh one per run");
   ran_ = true;
+  Simulator& sim = stack_.sim();
 
   ScheduleWorkload();
-  tailer_->Start();
   for (const FaultEvent& event : plan.events) {
     // Faults land strictly before the final heal, so convergence invariants
     // always get a fully-healed network to judge.
     SimTime at = std::clamp<SimTime>(event.at, 0, options_.chaos_duration - 1);
-    sim_->ScheduleAt(at, [this, event] { ApplyFault(event); });
+    sim.ScheduleAt(at, [this, event] { ApplyFault(event); });
   }
-  sim_->ScheduleAt(options_.chaos_duration, [this] { FinalHeal(); });
+  sim.ScheduleAt(options_.chaos_duration, [this] { FinalHeal(); });
 
   const SimTime end = options_.chaos_duration + options_.settle;
   const uint64_t stride =
-      options_.check_stride > 1 ? static_cast<uint64_t>(options_.check_stride)
-                                : 1;
+      static_cast<uint64_t>(std::max(options_.check_stride, 1));
   uint64_t steps = 0;
-  while (!violated_ && sim_->now() <= end && sim_->Step()) {
+  while (!violated_ && sim.now() <= end && sim.Step()) {
     if (++steps % stride == 0) {
       CheckContinuous();
     }
@@ -526,12 +551,12 @@ RunResult Harness::Run(const FaultPlan& plan) {
   RunResult result;
   result.violated = violated_;
   result.violation = violation_;
-  result.committed_zxid = zeus_->last_committed_zxid();
-  result.published = published_;
+  result.committed_zxid = stack_.zeus().last_committed_zxid();
+  result.published = stack_.tailer().published_count();
   result.vessel_completed =
       swarm_ != nullptr ? swarm_->stats().completed_clients : 0;
-  result.net = net_->stats();
-  result.sim_events = sim_->processed_events();
+  result.net = stack_.network().stats();
+  result.sim_events = sim.processed_events();
   result.trace = BuildTrace(plan);
   return result;
 }
@@ -540,13 +565,13 @@ void Harness::CheckContinuous() {
   if (violated_) {
     return;
   }
-  for (size_t i = 0; i < proxies_.size(); ++i) {
+  const int64_t committed = stack_.zeus().last_committed_zxid();
+  for (size_t i = 0; i < apps_.size(); ++i) {
     for (const std::string& key : tracked_keys_) {
-      const OnDiskCache::Entry* entry = apps_[i]->Get(key);
-      bool& seen = ever_seen_[i][key];
-      int64_t& last_zxid = last_seen_zxid_[i][key];
+      const OnDiskCache::Entry* entry = apps_[i].Get(key);
+      int64_t& last_zxid = last_seen_zxid_[i][key];  // 0 = never observed.
       if (entry == nullptr) {
-        if (seen) {
+        if (last_zxid > 0) {
           Fail("last-known-good",
                StrFormat("proxy %zu lost previously-observed key %s", i,
                          key.c_str()));
@@ -562,24 +587,21 @@ void Harness::CheckContinuous() {
              entry->zxid);
         return;
       }
-      if (entry->zxid > zeus_->last_committed_zxid()) {
+      if (entry->zxid > committed) {
         Fail("phantom-version",
              StrFormat("proxy %zu key %s has zxid %lld beyond commit point %lld",
                        i, key.c_str(), static_cast<long long>(entry->zxid),
-                       static_cast<long long>(zeus_->last_committed_zxid())),
+                       static_cast<long long>(committed)),
              entry->zxid);
         return;
       }
       if (key == vessel_key_) {
         Result<Json> parsed = Json::Parse(entry->value);
-        bool ok = parsed.ok();
-        if (ok) {
-          Result<VesselMetadata> meta = VesselMetadata::FromJson(*parsed);
-          ok = meta.ok() && meta->name == vessel_name_ &&
-               meta->content_hash ==
-                   VesselPublisher::SyntheticHash(meta->name, meta->version);
-        }
-        if (!ok) {
+        Result<VesselMetadata> meta =
+            parsed.ok() ? VesselMetadata::FromJson(*parsed) : parsed.status();
+        if (!meta.ok() || meta->name != kVesselName ||
+            meta->content_hash !=
+                VesselPublisher::SyntheticHash(meta->name, meta->version)) {
           Fail("vessel-metadata-hash",
                StrFormat("proxy %zu holds vessel metadata whose hash does not "
                          "match the published content (zxid %lld)",
@@ -594,7 +616,6 @@ void Harness::CheckContinuous() {
                        entry->value.size()));
         return;
       }
-      seen = true;
       last_zxid = std::max(last_zxid, entry->zxid);
     }
     // cross-config-invariant: the shed/kill marker pair is only ever written
@@ -603,8 +624,8 @@ void Harness::CheckContinuous() {
     // means an inconsistent commit reached the fleet. The substring guard
     // keeps the JSON parse off the hot path for ordinary values.
     if (options_.keys >= 2) {
-      const OnDiskCache::Entry* e0 = apps_[i]->Get(tracked_keys_[0]);
-      const OnDiskCache::Entry* e1 = apps_[i]->Get(tracked_keys_[1]);
+      const OnDiskCache::Entry* e0 = apps_[i].Get(tracked_keys_[0]);
+      const OnDiskCache::Entry* e1 = apps_[i].Get(tracked_keys_[1]);
       if (e0 != nullptr && e1 != nullptr &&
           e0->value.find("\"shed\"") != std::string::npos &&
           e1->value.find("\"kill\"") != std::string::npos) {
@@ -638,23 +659,18 @@ void Harness::CheckContinuous() {
 }
 
 const NaiveEvaluator* Harness::ReferenceProject(const std::string& json_text) {
-  auto it = gk_reference_cache_.find(json_text);
-  if (it != gk_reference_cache_.end()) {
-    return it->second.get();
-  }
-  std::unique_ptr<NaiveEvaluator> compiled;
-  Result<Json> parsed = Json::Parse(json_text);
-  if (parsed.ok()) {
+  auto [it, inserted] = gk_reference_cache_.try_emplace(json_text);
+  if (inserted) {
     // Plain declared-order evaluation: the runtime's compiled snapshot and
     // cost-based reordering are checked against unoptimized semantics.
-    Result<NaiveEvaluator> project = NaiveEvaluator::FromJson(*parsed);
+    Result<Json> parsed = Json::Parse(json_text);
+    Result<NaiveEvaluator> project =
+        parsed.ok() ? NaiveEvaluator::FromJson(*parsed) : parsed.status();
     if (project.ok()) {
-      compiled = std::make_unique<NaiveEvaluator>(std::move(*project));
+      it->second = std::make_unique<NaiveEvaluator>(std::move(*project));
     }
   }
-  const NaiveEvaluator* result = compiled.get();
-  gk_reference_cache_[json_text] = std::move(compiled);
-  return result;
+  return it->second.get();
 }
 
 void Harness::CheckGatekeeper(size_t proxy_idx) {
@@ -683,23 +699,24 @@ void Harness::CheckGatekeeper(size_t proxy_idx) {
 }
 
 void Harness::CheckConvergence() {
-  for (const ServerId& observer : observer_ids_) {
-    int64_t last = zeus_->ObserverLastZxid(observer);
-    if (last != zeus_->last_committed_zxid()) {
+  ZeusEnsemble& zeus = stack_.zeus();
+  for (const ServerId& observer : zeus.observers()) {
+    int64_t last = zeus.ObserverLastZxid(observer);
+    if (last != zeus.last_committed_zxid()) {
       Fail("convergence-observer",
            StrFormat("observer %s stuck at zxid %lld, commit point %lld",
-                     SidStr(observer).c_str(), static_cast<long long>(last),
-                     static_cast<long long>(zeus_->last_committed_zxid())));
+                     observer.ToString().c_str(), static_cast<long long>(last),
+                     static_cast<long long>(zeus.last_committed_zxid())));
       return;
     }
   }
-  for (size_t i = 0; i < proxies_.size(); ++i) {
+  for (size_t i = 0; i < apps_.size(); ++i) {
     for (const std::string& key : tracked_keys_) {
-      const ZeusValue* truth = zeus_->Lookup(key);
+      const ZeusValue* truth = zeus.Lookup(key);
       if (truth == nullptr) {
         continue;  // Never committed (e.g. every write to it was lost).
       }
-      const OnDiskCache::Entry* entry = apps_[i]->Get(key);
+      const OnDiskCache::Entry* entry = apps_[i].Get(key);
       if (entry == nullptr || entry->value != truth->value ||
           entry->zxid != truth->zxid) {
         Fail("convergence-proxy",
@@ -714,6 +731,10 @@ void Harness::CheckConvergence() {
       }
     }
   }
+  CheckServedEqualsCompiled();
+  if (violated_) {
+    return;
+  }
   if (swarm_ != nullptr && !swarm_->AllComplete()) {
     Fail("vessel-complete",
          StrFormat("swarm finished %zu of %zu clients",
@@ -725,11 +746,38 @@ void Harness::CheckConvergence() {
   }
 }
 
+void Harness::CheckServedEqualsCompiled() {
+  // What the compiler makes of the entry at head, in the DumpPretty form
+  // ProposeChange lands ("" if it does not compile).
+  Result<CompileOutput> output = stack_.CompilerAtHead().Compile(kSvcEntry);
+  std::string expected;
+  for (const CompiledConfig& config :
+       output.ok() ? output->configs : std::vector<CompiledConfig>{}) {
+    if (config.path == kSvcKey) {
+      expected = config.content.DumpPretty();
+    }
+  }
+  for (size_t i = 0; i < apps_.size(); ++i) {
+    const OnDiskCache::Entry* entry = apps_[i].Get(kSvcKey);
+    if (entry == nullptr || entry->value != expected) {
+      int64_t zxid = entry != nullptr ? entry->zxid : -1;
+      Fail("served-equals-compiled",
+           StrFormat("proxy %zu serves %s (zxid %lld) but %s compiles at "
+                     "head to: %s",
+                     i, kSvcKey, static_cast<long long>(zxid), kSvcEntry,
+                     OneLine(expected).c_str()),
+           zxid);
+      return;
+    }
+  }
+}
+
 void Harness::CheckFreshness() {
   // Fleet-wide propagation latency: the merge of every proxy's log-linear
   // histogram equals recording the union stream, so the fleet p99.9 comes
   // straight out of the roll-up.
-  Histogram fleet = obs_.metrics.MergedHistogram("proxy_propagation_seconds");
+  const MetricsRegistry& metrics = stack_.obs().metrics;
+  Histogram fleet = metrics.MergedHistogram("proxy_propagation_seconds");
   if (fleet.count() == 0) {
     return;
   }
@@ -743,19 +791,17 @@ void Harness::CheckFreshness() {
   double worst = -1;
   ServerId worst_host{};
   for (const ServerId& host : proxy_hosts_) {
-    const Histogram* h = obs_.metrics.FindHistogram(
+    const Histogram* h = metrics.FindHistogram(
         "proxy_propagation_seconds", {{"server", host.ToString()}});
     if (h != nullptr && h->count() > 0 && h->max() > worst) {
       worst = h->max();
       worst_host = host;
     }
   }
-  int64_t slowest_zxid = -1;
-  const Gauge* slow = obs_.metrics.FindGauge(
+  const Gauge* slow = metrics.FindGauge(
       "proxy_slowest_zxid", {{"server", worst_host.ToString()}});
-  if (slow != nullptr) {
-    slowest_zxid = static_cast<int64_t>(slow->value());
-  }
+  int64_t slowest_zxid =
+      slow != nullptr ? static_cast<int64_t>(slow->value()) : -1;
   Fail("freshness-slo",
        StrFormat("fleet p99.9 propagation %.3fs exceeds SLO %.3fs "
                  "(worst %.3fs on proxy %s, zxid %lld)",
@@ -770,33 +816,26 @@ void Harness::Fail(const std::string& invariant, std::string message,
     return;
   }
   violated_ = true;
-  violation_.at = sim_->now();
+  violation_.at = stack_.sim().now();
   violation_.invariant = invariant;
   violation_.message = std::move(message);
-  if (zxid >= 0) {
-    violation_.span_tree = SpanTreeForZxid(zxid);
+  const Tracer& tracer = stack_.obs().tracer;
+  TraceContext ctx = zxid >= 0 ? tracer.ZxidContext(zxid) : TraceContext{};
+  if (ctx.valid()) {
+    violation_.span_tree = tracer.DumpTree(ctx.trace_id);
   }
-}
-
-std::string Harness::SpanTreeForZxid(int64_t zxid) const {
-  TraceContext ctx = obs_.tracer.ZxidContext(zxid);
-  if (!ctx.valid()) {
-    return "";
-  }
-  return obs_.tracer.DumpTree(ctx.trace_id);
 }
 
 void Harness::Log(std::string line) {
-  log_.push_back(StrFormat("log %lld ", static_cast<long long>(sim_->now())) +
-                 std::move(line));
+  log_.push_back(
+      StrFormat("log %lld ", static_cast<long long>(stack_.sim().now())) +
+      std::move(line));
 }
 
 std::string Harness::BuildTrace(const FaultPlan& plan) const {
-  std::string out = std::string(kTraceHeader) + "\n";
-  out += "scenario " + options_.ToLine() + "\n";
-  out += "plan-begin\n";
-  out += plan.ToString();
-  out += "plan-end\n";
+  std::string out = std::string(kTraceHeader) + "\nscenario " +
+                    options_.ToLine() + "\nplan-begin\n" + plan.ToString() +
+                    "plan-end\n";
   for (const std::string& line : log_) {
     out += line + "\n";
   }
@@ -806,7 +845,7 @@ std::string Harness::BuildTrace(const FaultPlan& plan) const {
                      violation_.invariant.c_str(), violation_.message.c_str());
     if (!violation_.span_tree.empty()) {
       // The implicated commit's span tree, for humans reading the trace.
-      // ParseTrace ignores these lines, so replay is unaffected.
+      // Replay ignores these lines.
       out += "span-tree-begin\n";
       out += violation_.span_tree;
       out += "span-tree-end\n";
@@ -817,36 +856,27 @@ std::string Harness::BuildTrace(const FaultPlan& plan) const {
   return out;
 }
 
-Result<Harness::ReplaySpec> Harness::ParseTrace(const std::string& trace_text) {
-  ReplaySpec spec;
-  bool have_scenario = false;
+Result<RunResult> Harness::Replay(const std::string& trace_text) {
+  std::optional<ScenarioOptions> scenario;
   bool in_plan = false;
   std::string plan_text;
   std::istringstream in(trace_text);
   std::string line;
   while (std::getline(in, line)) {
-    if (line == "plan-begin") {
-      in_plan = true;
-    } else if (line == "plan-end") {
-      in_plan = false;
+    if (line == "plan-begin" || line == "plan-end") {
+      in_plan = line == "plan-begin";
     } else if (in_plan) {
       plan_text += line + "\n";
     } else if (line.rfind("scenario ", 0) == 0) {
-      ASSIGN_OR_RETURN(spec.scenario, ScenarioOptions::Parse(line.substr(9)));
-      have_scenario = true;
+      ASSIGN_OR_RETURN(scenario, ScenarioOptions::Parse(line.substr(9)));
     }
   }
-  if (!have_scenario) {
+  if (!scenario.has_value()) {
     return InvalidArgumentError("trace has no scenario line");
   }
-  ASSIGN_OR_RETURN(spec.plan, FaultPlan::Parse(plan_text));
-  return spec;
-}
-
-Result<RunResult> Harness::Replay(const std::string& trace_text) {
-  ASSIGN_OR_RETURN(ReplaySpec spec, ParseTrace(trace_text));
-  Harness harness(spec.scenario);
-  return harness.Run(spec.plan);
+  ASSIGN_OR_RETURN(FaultPlan plan, FaultPlan::Parse(plan_text));
+  Harness harness(*scenario);
+  return harness.Run(plan);
 }
 
 }  // namespace configerator

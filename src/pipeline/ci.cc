@@ -12,60 +12,44 @@
 
 namespace configerator {
 
-Sandcastle::Sandcastle(const Repository* repo, const DependencyService* deps)
+namespace {
+
+// The raw-config validator: every check whose path convention applies, in
+// order; the first failure decides.
+Status ValidateRawConfig(const std::string& path, const std::string& content) {
+  if (GatekeeperProjectAt(path).has_value()) {
+    RETURN_IF_ERROR(CompileProjectFile(path, content).status());
+  }
+  if (path.ends_with(".canary.json")) {
+    ASSIGN_OR_RETURN(Json json, Json::Parse(content));
+    RETURN_IF_ERROR(CanarySpec::FromJson(json).status());
+  }
+  if (path.starts_with("invariants/") && path.ends_with(".json")) {
+    // A spec file must parse with zero I000s: a malformed invariant is a
+    // silently-unenforced invariant, which must not land.
+    InvariantRegistry registry;
+    registry.AddSpecFile(path, content);
+    if (!registry.diagnostics.empty()) {
+      return InvalidConfigError(registry.diagnostics.front().message);
+    }
+  }
+  if (path.ends_with(".json")) {
+    RETURN_IF_ERROR(Json::Parse(content).status());
+  }
+  return OkStatus();
+}
+
+}  // namespace
+
+Sandcastle::Sandcastle(const Repository* repo, const DependencyService* deps,
+                       MetricsRegistry* metrics)
     : repo_(repo),
       deps_(deps),
+      metrics_(metrics),
       unit_cache_(std::make_unique<CompiledUnitCache>()),
-      store_(std::make_unique<AnalysisStore>(unit_cache_.get())) {
-  // Builtin raw-config validators, keyed by path convention. Ordering
-  // matters: the most specific check that applies decides.
-  raw_validators_.push_back(
-      [](const std::string& path, const std::string& content) -> Status {
-        if (!GatekeeperProjectAt(path).has_value()) {
-          return OkStatus();
-        }
-        return CompileProjectFile(path, content).status();
-      });
-  raw_validators_.push_back(
-      [](const std::string& path, const std::string& content) -> Status {
-        if (!path.ends_with(".canary.json")) {
-          return OkStatus();
-        }
-        ASSIGN_OR_RETURN(Json json, Json::Parse(content));
-        ASSIGN_OR_RETURN(CanarySpec spec, CanarySpec::FromJson(json));
-        (void)spec;
-        return OkStatus();
-      });
-  raw_validators_.push_back(
-      [](const std::string& path, const std::string& content) -> Status {
-        if (!path.starts_with("invariants/") || !path.ends_with(".json")) {
-          return OkStatus();
-        }
-        // A spec file must parse with zero I000s: a malformed invariant is a
-        // silently-unenforced invariant, which must not land.
-        InvariantRegistry registry;
-        registry.AddSpecFile(path, content);
-        if (!registry.diagnostics.empty()) {
-          return InvalidConfigError(registry.diagnostics.front().message);
-        }
-        return OkStatus();
-      });
-  raw_validators_.push_back(
-      [](const std::string& path, const std::string& content) -> Status {
-        if (!path.ends_with(".json")) {
-          return OkStatus();
-        }
-        ASSIGN_OR_RETURN(Json json, Json::Parse(content));
-        (void)json;
-        return OkStatus();
-      });
-}
+      store_(std::make_unique<AnalysisStore>(unit_cache_.get())) {}
 
 Sandcastle::~Sandcastle() = default;
-
-void Sandcastle::RegisterRawValidator(RawValidator validator) {
-  raw_validators_.push_back(std::move(validator));
-}
 
 std::string CiReport::Summary() const {
   std::string out = passed ? "PASS" : "FAIL";
@@ -221,20 +205,17 @@ CiReport Sandcastle::RunTests(const ProposedDiff& diff) {
     if (!write.content.has_value()) {
       continue;
     }
-    for (const RawValidator& validator : raw_validators_) {
-      Status status = validator(write.path, *write.content);
-      if (!status.ok()) {
-        report.passed = false;
-        report.failures.push_back(write.path + ": " + status.ToString());
-        break;  // One failure per path is enough signal.
-      }
+    Status status = ValidateRawConfig(write.path, *write.content);
+    if (!status.ok()) {
+      report.passed = false;
+      report.failures.push_back(write.path + ": " + status.ToString());
     }
   }
 
   // Static analysis over everything the diff touches, then over the reverse
   // dependency closure — untouched entries the change can still break.
   // Error-severity findings block the diff just like a failing compile;
-  // warnings are advisory unless strict lint is on.
+  // warnings are advisory.
   report.lint_findings = RunLint(diff);
 
   // Semantic diff: classify every impacted symbol (head tree vs overlay)
@@ -279,8 +260,7 @@ CiReport Sandcastle::RunTests(const ProposedDiff& diff) {
     RunInvariants(diff, scope, &report);
   }
 
-  if (report.lint_errors() > 0 ||
-      (strict_lint_ && !report.lint_findings.empty())) {
+  if (report.lint_errors() > 0) {
     report.passed = false;
   }
   return report;
@@ -376,10 +356,10 @@ void Sandcastle::ReanalyzeClosure(const ProposedDiff& diff,
     if (touched.count(entry) > 0) {
       continue;
     }
-    if (analyzed >= max_closure_) {
+    if (analyzed >= kMaxClosure) {
       report->closure_truncated = true;
       CLOG(Warning) << "Sandcastle: reverse-closure re-analysis truncated at "
-                    << max_closure_ << " of " << closure.size()
+                    << kMaxClosure << " of " << closure.size()
                     << " dependent entries; remaining dependents were not "
                     << "re-analyzed";
       break;

@@ -83,20 +83,23 @@ std::map<std::string, std::optional<std::set<std::string>>> DiffChangedSymbols(
 
 class Sandcastle {
  public:
-  // Validates one raw config's content by its path convention; empty status
-  // = no validator applies. Registered via RegisterRawValidator.
-  using RawValidator =
-      std::function<Status(const std::string& path, const std::string& content)>;
+  // Upper bound on how many untouched dependent entries one diff may pull
+  // into re-analysis; beyond it the closure is truncated with a logged
+  // notice (report.closure_truncated).
+  static constexpr size_t kMaxClosure = 64;
 
-  Sandcastle(const Repository* repo, const DependencyService* deps);
+  // `metrics` (optional, must outlive Sandcastle) receives the CSL engine's
+  // unit-cache hit/miss counters and compile/execute histograms.
+  Sandcastle(const Repository* repo, const DependencyService* deps,
+             MetricsRegistry* metrics = nullptr);
   ~Sandcastle();
 
   // Recompiles every entry config affected by `diff` in a sandbox overlay,
   // fails every write to (or deletion of) X.json that differs from what an
-  // X.cconf in the overlay compiles to, runs raw-config validators over
+  // X.cconf in the overlay compiles to, runs the raw-config validator over
   // every written path (Gatekeeper project JSON must compile into a
-  // project; canary specs must parse; any "*.json" must at least be valid
-  // JSON), and lints every touched file with ConfigLint (imports resolved
+  // project; canary and invariant specs must parse; any "*.json" must at
+  // least be valid JSON), and lints every touched file with ConfigLint (imports resolved
   // through the overlay, so cross-module findings see the diff's state of
   // the tree). Every stage reads and fills the long-lived caches below, so
   // none of them is const.
@@ -124,21 +127,6 @@ class Sandcastle {
   // The analysis store every stage reads (see src/analysis/store.h).
   AnalysisStore& analysis_store() { return *store_; }
 
-  // Adds a custom raw-config validator (run for every written path).
-  void RegisterRawValidator(RawValidator validator);
-
-  // Warnings-as-errors for the lint stage (off by default).
-  void set_strict_lint(bool strict) { strict_lint_ = strict; }
-
-  // Metrics sink for the CSL engine (unit-cache hit/miss counters and
-  // compile/execute histograms); nullptr (the default) disables them.
-  void set_metrics(MetricsRegistry* metrics) { metrics_ = metrics; }
-
-  // Upper bound on how many untouched dependent entries one diff may pull
-  // into re-analysis; beyond it the closure is truncated with a logged
-  // notice (report.closure_truncated).
-  void set_max_closure(size_t max_closure) { max_closure_ = max_closure; }
-
   // The reverse-closure stage alone: re-lints and abstractly re-interprets
   // every entry the diff can reach through the dependency graph — not just
   // the files it touches — so a dependent that the diff silently breaks
@@ -161,9 +149,7 @@ class Sandcastle {
 
   const Repository* repo_;
   const DependencyService* deps_;
-  std::vector<RawValidator> raw_validators_;
-  bool strict_lint_ = false;
-  size_t max_closure_ = 64;
+  MetricsRegistry* metrics_;
   // Live as long as Sandcastle, shared by every stage and by the stack's
   // proposal and landing compiles: unchanged files byte-compare equal and
   // skip parsing, an entry whose whole import closure is unchanged replays
@@ -173,7 +159,6 @@ class Sandcastle {
   // what was kept. Both keep at most two versions per path.
   std::unique_ptr<CompiledUnitCache> unit_cache_;
   std::unique_ptr<AnalysisStore> store_;
-  MetricsRegistry* metrics_ = nullptr;
 };
 
 }  // namespace configerator

@@ -110,20 +110,17 @@ void CalendarEventQueue::MigrateOverflow() {
 
 void CalendarEventQueue::Rebuild(size_t target_buckets) {
   ++rebuilds_;
-  std::vector<SimEvent> all;
-  all.reserve(size_);
-  for (SimEvent& event : near_) {
-    all.push_back(std::move(event));
-  }
+  // Collect into the kept scratch vector and empty every tier in place, so
+  // a rebuild reuses the capacity earlier ones grew instead of allocating.
+  std::vector<SimEvent>& all = rebuild_scratch_;
+  all.clear();
+  all.insert(all.end(), near_.begin(), near_.end());
   near_.clear();
   for (std::vector<SimEvent>& bucket : buckets_) {
-    for (SimEvent& event : bucket) {
-      all.push_back(std::move(event));
-    }
+    all.insert(all.end(), bucket.begin(), bucket.end());
+    bucket.clear();
   }
-  for (SimEvent& event : overflow_) {
-    all.push_back(std::move(event));
-  }
+  all.insert(all.end(), overflow_.begin(), overflow_.end());
   overflow_.clear();
   ring_size_ = 0;
 
@@ -131,7 +128,7 @@ void CalendarEventQueue::Rebuild(size_t target_buckets) {
   while (count < target_buckets && count < kMaxBuckets) {
     count <<= 1;
   }
-  buckets_.assign(count, {});
+  buckets_.resize(count);
   head_ = 0;
 
   if (all.empty()) {
@@ -149,12 +146,12 @@ void CalendarEventQueue::Rebuild(size_t target_buckets) {
   // single bucket, i.e. plain heap behavior.
   width_ = std::max<SimTime>(1, (hi - lo) / static_cast<SimTime>(count) + 1);
   base_ = FloorAlign(lo, width_);
-  for (SimEvent& event : all) {
+  for (const SimEvent& event : all) {
     if (InHorizon(event.time)) {
-      buckets_[SlotFor(event.time)].push_back(std::move(event));
+      buckets_[SlotFor(event.time)].push_back(event);
       ++ring_size_;
     } else {
-      overflow_.push_back(std::move(event));
+      overflow_.push_back(event);
       std::push_heap(overflow_.begin(), overflow_.end(), Later{});
     }
   }

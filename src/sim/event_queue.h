@@ -103,6 +103,7 @@ class CalendarEventQueue : public EventQueue {
   std::vector<SimEvent> near_;
   std::vector<std::vector<SimEvent>> buckets_;
   std::vector<SimEvent> overflow_;
+  std::vector<SimEvent> rebuild_scratch_;  // Rebuild's gather buffer.
   SimTime width_ = kSimMillisecond;
   SimTime base_ = 0;   // Start of the ring head's window; near_ holds < base_.
   size_t head_ = 0;    // Ring index of the window starting at base_.

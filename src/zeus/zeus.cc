@@ -413,6 +413,14 @@ int64_t ZeusEnsemble::ObserverLastZxid(const ServerId& observer) const {
   return obs == nullptr ? -1 : obs->last_zxid;
 }
 
+std::vector<ServerId> ZeusEnsemble::member_ids() const {
+  std::vector<ServerId> ids;
+  for (const Member& member : members_) {
+    ids.push_back(member.id);
+  }
+  return ids;
+}
+
 ServerId ZeusEnsemble::PickObserverFor(const ServerId& proxy, Rng& rng) const {
   std::vector<const ServerId*> same_cluster;
   std::vector<const ServerId*> live;

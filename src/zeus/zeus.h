@@ -138,6 +138,7 @@ class ZeusEnsemble {
   const ZeusValue* Lookup(const std::string& key) const;
   int64_t ObserverLastZxid(const ServerId& observer) const;
   const std::vector<ServerId>& observers() const { return observer_ids_; }
+  std::vector<ServerId> member_ids() const;
 
   // Picks the observer co-located with `proxy`'s cluster if one exists,
   // else a random one (the paper: "randomly picks an observer in the same

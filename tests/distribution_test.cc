@@ -286,6 +286,49 @@ TEST_F(DistributionTest, TailerBatchesMultipleCommits) {
   EXPECT_EQ(tailer.published_count(), 2u);
 }
 
+// A landed change is never dropped: a publish the network loses, or that
+// Zeus refuses for lack of quorum, is published again from head.
+TEST_F(DistributionTest, TailerRepublishesWriteLostOnTheNetwork) {
+  Repository repo;
+  const ServerId tailer_host{0, 0, 10};
+  GitTailer tailer(net_.get(), tailer_host, &repo, zeus_.get(),
+                   GitTailer::Options{});
+  tailer.Start();
+  ASSERT_TRUE(repo.Commit("alice", "add", {{"app/a.json", "{}"}}).ok());
+  // The first poll's write to the leader is dropped.
+  net_->PartitionOneWay({tailer_host}, members_);
+  sim_.RunUntil(sim_.now() + 7 * kSimSecond);
+  EXPECT_EQ(zeus_->Lookup("app/a.json"), nullptr);
+  net_->HealAllPartitions();
+  sim_.RunUntil(sim_.now() + 10 * kSimSecond);
+  const ZeusValue* value = zeus_->Lookup("app/a.json");
+  ASSERT_NE(value, nullptr) << "the lost publish was never retried";
+  EXPECT_EQ(value->value, "{}");
+  EXPECT_EQ(tailer.published_count(), 1u);
+}
+
+TEST_F(DistributionTest, TailerRepublishesHeadAfterQuorumReturns) {
+  Repository repo;
+  GitTailer tailer(net_.get(), ServerId{0, 0, 10}, &repo, zeus_.get(),
+                   GitTailer::Options{});
+  tailer.Start();
+  for (size_t i = 1; i < 4; ++i) {
+    zeus_->Crash(members_[i]);
+  }
+  ASSERT_TRUE(repo.Commit("alice", "v1", {{"app/a.json", "1"}}).ok());
+  sim_.RunUntil(sim_.now() + 6 * kSimSecond);  // Refused: no quorum.
+  ASSERT_TRUE(repo.Commit("alice", "v2", {{"app/a.json", "2"}}).ok());
+  sim_.RunUntil(sim_.now() + 5 * kSimSecond);  // Refused again.
+  EXPECT_EQ(zeus_->Lookup("app/a.json"), nullptr);
+  for (size_t i = 1; i < 4; ++i) {
+    zeus_->Recover(members_[i]);
+  }
+  sim_.RunUntil(sim_.now() + 15 * kSimSecond);
+  const ZeusValue* value = zeus_->Lookup("app/a.json");
+  ASSERT_NE(value, nullptr) << "the refused publish was never retried";
+  EXPECT_EQ(value->value, "2");  // Head's content, not the stale v1.
+}
+
 TEST_F(DistributionTest, TailerRespectsPathPrefix) {
   Repository repo;
   GitTailer::Options options;

@@ -300,6 +300,10 @@ TEST(FaultPlanTest, SerializationRoundTripsEveryOp) {
   bypass_pair.at = 12 * kSimSecond;
   bypass_pair.key = "bypass";
   plan.events.push_back(bypass_pair);
+  FaultEvent hand_edit = gated_pair;
+  hand_edit.at = 13 * kSimSecond;
+  hand_edit.key = "hand-edit";
+  plan.events.push_back(hand_edit);
 
   std::string text = plan.ToString();
   auto parsed = FaultPlan::Parse(text);
@@ -320,9 +324,17 @@ TEST(FaultPlanTest, RandomPlansAreSeedDeterministic) {
   FaultPlan p3 = FaultPlan::Random(100, shape);
   EXPECT_NE(p1.ToString(), p3.ToString());
 
-  // Clean-run sweeps never inject corruption unless asked.
+  // Clean-run sweeps never inject corruption unless asked, and never land
+  // an inconsistent commit.
   for (const FaultEvent& event : p1.events) {
     EXPECT_NE(event.op, FaultOp::kCorruptDisk);
+  }
+  RandomPlanOptions corrupting;
+  corrupting.include_corruption = true;
+  corrupting.incidents = 200;
+  for (const FaultEvent& event :
+       FaultPlan::Random(99, shape, corrupting).events) {
+    EXPECT_NE(event.op, FaultOp::kInconsistentCommit);
   }
 }
 
@@ -356,6 +368,8 @@ TEST_P(DstSmokeTest, RandomChaosRunsClean) {
                 result.net.reordered,
             0u)
       << "fault plan fired no observable network fault";
+  // Every workload write landed through propose, review, CI and the strip.
+  EXPECT_EQ(result.trace.find("rejected"), std::string::npos) << result.trace;
 }
 
 // Seeds picked so every smoke run's random plan fires countable network
@@ -404,6 +418,52 @@ TEST(DstReplayTest, TraceReplaysBitForBit) {
   // The replay's own trace is identical — the fixed point that makes traces
   // shareable bug reports.
   EXPECT_EQ(replayed->trace, first.trace);
+}
+
+// A trace is input from outside the process (a shared bug report). A
+// scenario line the harness cannot run is an error, never a crash, a hang
+// or a spurious violation.
+Status ReplayScenario(const std::string& options) {
+  Result<RunResult> run = Harness::Replay(
+      "# dst-trace v1\nscenario seed=1 vessel=0 " + options +
+      "\nplan-begin\nplan-end\n");
+  return run.ok() ? OkStatus() : run.status();
+}
+
+TEST(DstReplayTest, RejectsNegativeProxyCount) {
+  EXPECT_EQ(ReplayScenario("proxies=-1").code(), StatusCode::kInvalidArgument);
+}
+
+TEST(DstReplayTest, RejectsWritesWithNoKeys) {
+  EXPECT_EQ(ReplayScenario("keys=0 writes=3").code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(DstReplayTest, RejectsZeroRegions) {
+  EXPECT_EQ(ReplayScenario("regions=0").code(), StatusCode::kInvalidArgument);
+}
+
+TEST(DstReplayTest, RejectsZeroMembers) {
+  EXPECT_EQ(ReplayScenario("members=0").code(), StatusCode::kInvalidArgument);
+}
+
+TEST(DstReplayTest, RejectsClustersTooSmallToPlace) {
+  EXPECT_EQ(ReplayScenario("spc=4").code(), StatusCode::kInvalidArgument);
+}
+
+TEST(DstReplayTest, RejectsMoreProxiesThanServers) {
+  // The default topology has 64 servers.
+  EXPECT_EQ(ReplayScenario("proxies=5000").code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(DstReplayTest, RejectsNonNumericValues) {
+  for (const char* options :
+       {"proxies=8x", "proxies=", "keys=five", "seed=-1", "seed=0x10",
+        "chaos_us=1e9", "spc=99999999999999999999"}) {
+    EXPECT_EQ(ReplayScenario(options).code(), StatusCode::kInvalidArgument)
+        << options;
+  }
 }
 
 // ---- The seeded bug: torn config served after a proxy crash ------------------
@@ -510,16 +570,21 @@ FaultPlan InconsistentCommitPlan(const ScenarioOptions& options,
 }
 
 TEST(DstSeededBugTest, InconsistentCommitIsBlockedByTheGate) {
-  // "gated" runs the pair through the same cross-config InvariantChecker
-  // Sandcastle uses; it must refuse the commit, so the fleet never sees the
-  // pair and the run converges clean.
+  // "gated" proposes the pair through the stack; Sandcastle's invariant
+  // stage, reading the spec the seed commit landed, must reject it, so the
+  // fleet never sees the pair and the run converges clean.
   ScenarioOptions options = SmokeScenario(31);
   Harness harness(options);
   RunResult result = harness.Run(InconsistentCommitPlan(options, "gated"));
   EXPECT_FALSE(result.violated)
       << result.violation.invariant << ": " << result.violation.message;
-  EXPECT_NE(result.trace.find("blocked by invariant gate"), std::string::npos)
-      << "the gate never fired";
+  size_t rejected = result.trace.find("rejected inconsistent-pair");
+  ASSERT_NE(rejected, std::string::npos) << "the gate never fired";
+  std::string line = result.trace.substr(
+      rejected, result.trace.find('\n', rejected) - rejected);
+  EXPECT_NE(line.find("[I001] invariant 'shed-below-kill' violated"),
+            std::string::npos)
+      << line;
   EXPECT_EQ(result.trace.find("commit inconsistent-pair"), std::string::npos);
 }
 
@@ -560,6 +625,68 @@ TEST(DstSeededBugTest, InconsistentCommitBypassIsCaughtShrunkAndReplayed) {
   ASSERT_EQ(shrunk.plan.events.size(), 1u);
   EXPECT_EQ(shrunk.plan.events[0].op, FaultOp::kInconsistentCommit);
   EXPECT_EQ(shrunk.plan.events[0].key, "bypass");
+
+  // 3. seed + shrunk trace reproduce the identical violation.
+  auto replayed = Harness::Replay(shrunk.run.trace);
+  ASSERT_TRUE(replayed.ok()) << replayed.status();
+  ASSERT_TRUE(replayed->violated);
+  EXPECT_EQ(replayed->violation.invariant, shrunk.run.violation.invariant);
+  EXPECT_EQ(replayed->violation.at, shrunk.run.violation.at);
+  EXPECT_EQ(replayed->violation.message, shrunk.run.violation.message);
+}
+
+// ---- Served equals compiled --------------------------------------------------
+
+// A hand edit of cfg/svc.json, the compiled output of cfg/svc.cconf,
+// force-landed past CI (which rejects it) and buried in schedule noise. The
+// fleet converges on the edited value, so Zeus agrees with every proxy;
+// only served-equals-compiled, which compiles the entry at head, sees that
+// no source produces what the fleet serves.
+TEST(DstSeededBugTest, HandEditedCompiledOutputIsCaughtShrunkAndReplayed) {
+  ScenarioOptions options = SmokeScenario(31);
+  FaultPlan plan = InconsistentCommitPlan(options, "hand-edit");
+  {
+    Harness noise_shape(options);
+    FaultPlanShape shape = noise_shape.shape();
+    FaultEvent crash;
+    crash.at = 6 * kSimSecond;
+    crash.op = FaultOp::kCrash;
+    crash.group_a = {shape.members.at(1)};
+    plan.events.push_back(crash);
+    FaultEvent recover = crash;
+    recover.at = 11 * kSimSecond;
+    recover.op = FaultOp::kRecover;
+    plan.events.push_back(recover);
+    FaultEvent proxy_crash;
+    proxy_crash.at = 14 * kSimSecond;
+    proxy_crash.op = FaultOp::kCrashProxy;
+    proxy_crash.index = 3;
+    plan.events.push_back(proxy_crash);
+    FaultEvent proxy_restart = proxy_crash;
+    proxy_restart.at = 19 * kSimSecond;
+    proxy_restart.op = FaultOp::kRestartProxy;
+    plan.events.push_back(proxy_restart);
+    plan.SortByTime();
+  }
+
+  // 1. The convergence check catches the served output.
+  Harness harness(options);
+  RunResult failing = harness.Run(plan);
+  ASSERT_TRUE(failing.violated) << "hand-edited output was never caught";
+  EXPECT_EQ(failing.violation.invariant, "served-equals-compiled")
+      << failing.violation.message;
+  EXPECT_NE(failing.trace.find("commit hand-edit cfg/svc.json"),
+            std::string::npos);
+
+  // 2. The shrinker strips the noise: the force-landed edit alone
+  //    reproduces.
+  ShrinkResult shrunk =
+      ShrinkFaultPlan(options, plan, failing.violation.invariant);
+  EXPECT_EQ(shrunk.final_events, 1u) << shrunk.plan.ToString();
+  ASSERT_TRUE(shrunk.run.violated);
+  ASSERT_EQ(shrunk.plan.events.size(), 1u);
+  EXPECT_EQ(shrunk.plan.events[0].op, FaultOp::kInconsistentCommit);
+  EXPECT_EQ(shrunk.plan.events[0].key, "hand-edit");
 
   // 3. seed + shrunk trace reproduce the identical violation.
   auto replayed = Harness::Replay(shrunk.run.trace);
@@ -631,21 +758,6 @@ TEST(DstFreshnessTest, DelayedOneWayPartitionViolatesSloAndShrinksMinimal) {
   // the slowest delivery's commit.
   Harness harness(options);
   RunResult failing = harness.Run(plan);
-  {
-    Histogram fleet =
-        harness.obs().metrics.MergedHistogram("proxy_propagation_seconds");
-    fprintf(stderr, "DBG fleet count=%llu p50=%.2f p99=%.2f p999=%.2f max=%.2f\n",
-            (unsigned long long)fleet.count(), fleet.Quantile(0.5),
-            fleet.Quantile(0.99), fleet.Quantile(0.999), fleet.max());
-    for (size_t i = 0; i < harness.shape().proxies.size(); ++i) {
-      const Histogram* h = harness.obs().metrics.FindHistogram(
-          "proxy_propagation_seconds",
-          {{"server", harness.shape().proxies[i].ToString()}});
-      fprintf(stderr, "DBG proxy %zu %s count=%llu max=%.2f\n", i,
-              harness.shape().proxies[i].ToString().c_str(),
-              h ? (unsigned long long)h->count() : 0, h ? h->max() : -1);
-    }
-  }
   ASSERT_TRUE(failing.violated) << "starved proxy did not violate the SLO";
   EXPECT_EQ(failing.violation.invariant, "freshness-slo")
       << failing.violation.message;
@@ -708,9 +820,10 @@ TEST(DstTraceTest, CommitSpanTreeIsCompleteUnderFaults) {
       << result.violation.invariant << ": " << result.violation.message;
   ASSERT_GT(result.committed_zxid, 0);
 
-  // Walk back from the last committed zxid to the most recent workload
-  // commit (the tail can be a vessel publish, whose trace has no proxy
-  // fan-out), then demand a complete span tree that reached every proxy.
+  // Walk back from the last committed zxid to the most recent change landed
+  // through the stack (the tail can be a vessel publish, whose trace has no
+  // proxy fan-out), then demand a complete span tree that reached every
+  // proxy.
   const Tracer& tracer = harness.obs().tracer;
   const TraceData* trace = nullptr;
   for (int64_t zxid = result.committed_zxid; zxid > 0 && trace == nullptr;
@@ -721,11 +834,11 @@ TEST(DstTraceTest, CommitSpanTreeIsCompleteUnderFaults) {
     }
     const TraceData* candidate = tracer.Find(ctx.trace_id);
     if (candidate != nullptr &&
-        candidate->name.rfind("commit step=", 0) == 0) {
+        candidate->name.rfind("change:", 0) == 0) {
       trace = candidate;
     }
   }
-  ASSERT_NE(trace, nullptr) << "no workload commit trace found";
+  ASSERT_NE(trace, nullptr) << "no landed change's trace found";
 
   Status complete = tracer.ValidateComplete(trace->id);
   EXPECT_TRUE(complete.ok()) << complete << "\n" << tracer.DumpTree(trace->id);

@@ -333,9 +333,8 @@ TEST_F(SandcastleTest, UnrelatedChangeCompilesNothing) {
 }
 
 TEST_F(SandcastleTest, UnitCacheIsSharedAcrossRunTestsCalls) {
-  Sandcastle ci(&repo_, &deps_);
   MetricsRegistry metrics;
-  ci.set_metrics(&metrics);
+  Sandcastle ci(&repo_, &deps_, &metrics);
 
   // First run: the digest walk misses both units (entry + imported module),
   // then the evaluating session hash-hits the units the walk just compiled.
@@ -448,23 +447,6 @@ TEST_F(SandcastleTest, CanarySpecConfigsValidated) {
   EXPECT_TRUE(ci.RunTests(good).passed);
 }
 
-TEST_F(SandcastleTest, CustomRawValidator) {
-  Sandcastle ci(&repo_, &deps_);
-  ci.RegisterRawValidator(
-      [](const std::string& path, const std::string& content) -> Status {
-        if (path.ends_with(".must-be-short") && content.size() > 10) {
-          return InvalidConfigError("too long");
-        }
-        return OkStatus();
-      });
-  ProposedDiff bad = MakeProposedDiff(
-      repo_, "tool", "m", {{"x.must-be-short", "far far far too long"}});
-  EXPECT_FALSE(ci.RunTests(bad).passed);
-  ProposedDiff good =
-      MakeProposedDiff(repo_, "tool", "m", {{"x.must-be-short", "ok"}});
-  EXPECT_TRUE(ci.RunTests(good).passed);
-}
-
 TEST_F(SandcastleTest, LintErrorBlocksDiffThatCompiles) {
   Sandcastle ci(&repo_, &deps_);
   // Duplicate dict keys compile fine (last write wins) but almost always
@@ -498,17 +480,6 @@ TEST_F(SandcastleTest, LintWarningOnlyDiffPasses) {
   EXPECT_EQ(report.lint_findings[0].rule_id, "L009");
   // The warning still reaches reviewers through the summary.
   EXPECT_NE(report.Summary().find("[L009]"), std::string::npos);
-}
-
-TEST_F(SandcastleTest, StrictLintPromotesWarningsToBlocking) {
-  Sandcastle ci(&repo_, &deps_);
-  ci.set_strict_lint(true);
-  ProposedDiff warn = MakeProposedDiff(
-      repo_, "alice", "tweak",
-      {{"limits.cconf",
-        "max_conn = 100 if True else 500\n"
-        "export_if_last({\"max_conn\": max_conn})\n"}});
-  EXPECT_FALSE(ci.RunTests(warn).passed);
 }
 
 TEST_F(SandcastleTest, LintResolvesImportsThroughOverlay) {
@@ -767,7 +738,8 @@ TEST_F(ClosureTest, SymbolSlicePrunesReanalysis) {
 }
 
 TEST_F(ClosureTest, ClosureCapTruncatesWithNotice) {
-  for (int i = 0; i < 5; ++i) {
+  const int dependents = static_cast<int>(Sandcastle::kMaxClosure) + 6;
+  for (int i = 0; i < dependents; ++i) {
     std::string entry = StrFormat("gen%d.cconf", i);
     deps_.UpdateEntry(entry, {"flags.cinc"});
     ASSERT_TRUE(repo_
@@ -778,13 +750,12 @@ TEST_F(ClosureTest, ClosureCapTruncatesWithNotice) {
                     .ok());
   }
   Sandcastle ci(&repo_, &deps_);
-  ci.set_max_closure(2);
   ProposedDiff diff = MakeProposedDiff(
       repo_, "alice", "bump",
       {{"flags.cinc", "ENABLE_BONUS = False\nBONUS = 256\n"}});
   CiReport report = ci.RunTests(diff);
   EXPECT_TRUE(report.closure_truncated);
-  EXPECT_EQ(report.reanalyzed_entries.size(), 2u);
+  EXPECT_EQ(report.reanalyzed_entries.size(), Sandcastle::kMaxClosure);
   EXPECT_NE(report.Summary().find("closure truncated"), std::string::npos);
 }
 

@@ -34,7 +34,6 @@ ScenarioOptions ScaleScenario(uint64_t seed, int servers_per_cluster,
   options.clusters_per_region = 8;
   options.servers_per_cluster = servers_per_cluster;
   options.members = 5;
-  options.observers = 8;
   options.proxies = proxies;
   options.keys = 3;
   options.writes = 10;

@@ -11,14 +11,27 @@
 //     applied (host, key, zxid) update with its simulated time, then the
 //     NetStats, materialized links and processed events of the run.
 //
-// The constant was recorded from the simulator, network and Zeus as they
-// were before deliveries moved into pooled event slots. A refactor of those
-// layers must pass it unchanged; a mismatch means simulated behaviour moved,
-// which is a finding to explain, not a constant to update. If a change is
-// meant to alter simulated behaviour, run
+// The fleet-push-1k part was recorded from the simulator, network and Zeus
+// as they were before deliveries moved into pooled event slots. The DST
+// parts (the five dst-smoke runs and scale-1k) were re-recorded once when
+// the harness moved onto ConfigManagementStack: its writes now land through
+// propose, review, Sandcastle and the landing strip, hosts are placed by the
+// stack's rule (one observer per cluster), the workload gained a CSL
+// service config, and the tailer republishes writes Zeus never
+// acknowledged. A refactor of those layers must pass it unchanged; a
+// mismatch means simulated behaviour moved, which is a finding to explain,
+// not a constant to update. If a change is meant to alter simulated
+// behaviour, run
 //   build/tests/sim_golden_test
 // and replace the constant with the digest the failure reports, naming the
-// change in CHANGES.md.
+// change in CHANGES.md. The recorded parts, for locating a mismatch:
+//   dst-smoke-1   9c5e7ce544e43c25a88b20a951c1c8bf3fc065267aedc3f00bf2394c26632b6e
+//   dst-smoke-2   dff110c4386104d63d74e935679ae211704f6aee44e904c0ca8fb0529d198233
+//   dst-smoke-3   ece3947ede00906dffcdb15ae23f171fa5c80d2c774b1d710177a3640c22172d
+//   dst-smoke-5   321918e7f438a96cb4717bf13414f7c871a1da4d3ec89779d9797ae6e3271f08
+//   dst-smoke-7   dc1be25719b47bbaf41aedf040780f0cc0796c13fcc5e5c4ee4b585edac126b7
+//   scale-1k      892799270ecdcdc7a25befff476a2a7a940048272c47f9a29b087e810a45bc2d
+//   fleet-push-1k 83080c7d9d7a66fc8aa7a808043da47b4ae926d3ee635212266edb1b8c942d09
 
 #include <gtest/gtest.h>
 
@@ -38,7 +51,7 @@ namespace configerator {
 namespace {
 
 constexpr char kGoldenDigest[] =
-    "b5467b7fa42a6eb8e8e230a4daaf996a751004ca6cc8e60fad73eebca7da250f";
+    "def3c28bd639e3cde8a94c4cd1915fc12379975bb45362721bd2f0acda6b70ed";
 
 std::string NetLine(const NetStats& net) {
   return StrFormat(
@@ -82,7 +95,8 @@ RunResult DstSmokeRun(uint64_t seed) {
   return harness.Run(FaultPlan::Random(seed, harness.shape()));
 }
 
-// scale_test's Replay1kSmoke scenario: 2 x 8 x 64 servers, seed 11.
+// scale_test's Replay1kSmoke scenario: 2 x 8 x 64 servers, seed 11, one
+// observer per cluster.
 RunResult Scale1kRun() {
   ScenarioOptions options;
   options.seed = 11;
@@ -90,7 +104,6 @@ RunResult Scale1kRun() {
   options.clusters_per_region = 8;
   options.servers_per_cluster = 64;
   options.members = 5;
-  options.observers = 8;
   options.proxies = 64;
   options.keys = 3;
   options.writes = 10;

@@ -43,6 +43,28 @@ TEST_F(StackTest, ProposeCompilesGeneratedConfigs) {
   EXPECT_TRUE(has_json);
 }
 
+// Sandcastle records the CSL engine's series (docs/LANGUAGE.md, "Evaluation
+// and caching") into the stack's registry, so a proposal's compiles are
+// visible at run time.
+TEST_F(StackTest, ProposalRecordsCslMetricsInTheStackRegistry) {
+  auto change = stack_.ProposeChange("alice", "add cache job", JobSources());
+  ASSERT_TRUE(change.ok()) << change.status();
+  const MetricsRegistry& metrics = stack_.obs().metrics;
+  for (const char* counter :
+       {"csl.unit_cache.hits", "csl.unit_cache.misses",
+        "csl.output_cache.hits", "csl.output_cache.misses"}) {
+    EXPECT_NE(metrics.FindCounter(counter), nullptr) << counter;
+  }
+  const Counter* misses = metrics.FindCounter("csl.output_cache.misses");
+  ASSERT_NE(misses, nullptr);
+  EXPECT_GT(misses->value(), 0u);
+  for (const char* histogram : {"csl.compile_micros", "csl.execute_micros"}) {
+    const Histogram* h = metrics.FindHistogram(histogram);
+    ASSERT_NE(h, nullptr) << histogram;
+    EXPECT_GT(h->count(), 0u) << histogram;
+  }
+}
+
 TEST_F(StackTest, CompileErrorBlocksProposal) {
   auto change = stack_.ProposeChange(
       "alice", "broken",
