@@ -18,6 +18,7 @@
 #include "bench/synthetic_repo.h"
 #include "src/analysis/absint.h"
 #include "src/analysis/lint.h"
+#include "src/analysis/store.h"
 #include "src/json/json.h"
 #include "src/lang/unit_cache.h"
 #include "src/util/strings.h"
@@ -70,14 +71,16 @@ int main() {
   }
   double absint_s = Seconds(absint_start);
 
-  // Pass 3: both analyses parsing through one CompiledUnitCache (what
-  // Sandcastle's lint and absint stages share): each file is parsed once
-  // instead of once per pass.
+  // Pass 3: both analyses parsing through one CompiledUnitCache, lint
+  // reading module surfaces from an AnalysisStore over it (what Sandcastle's
+  // lint and absint stages share): each file is parsed and pre-scanned once
+  // instead of once per pass or per importer.
   size_t shared_findings = 0;
   auto shared_start = std::chrono::steady_clock::now();
   {
     CompiledUnitCache units;
-    ConfigLint linter(reader, &RestraintRegistry::Builtin(), &units);
+    AnalysisStore store(&units);
+    ConfigLint linter(reader, &RestraintRegistry::Builtin(), &store);
     AbstractInterpreter absint(reader, &units);
     for (const std::string& path : repo.paths) {
       const std::string content = *reader(path);

@@ -2002,279 +2002,167 @@ AbsintResult AbstractInterpreter::AnalyzePath(const std::string& path) const {
 
 namespace {
 
-// Deterministic structural dump of an AST subtree: two statements with the
-// same dump behave identically, so dumps double as fingerprints.
-void DumpExpr(const Expr& expr, std::string* out);
-void DumpStmt(const Stmt& stmt, std::string* out);
+// One walk over a top-level statement. It yields the statement's structural
+// dump (two statements with the same dump behave identically, so dumps
+// double as fingerprints), the names it reads, its last line, whether it
+// imports outside a function body and the names it assigns. Along the way
+// it records the module-level bindings, signatures and imports into the
+// surface.
+class StmtScan {
+ public:
+  explicit StmtScan(ModuleSymbolSurface* surface) : surface_(surface) {}
 
-void DumpExpr(const Expr& expr, std::string* out) {
-  out->push_back('(');
-  out->append(std::to_string(static_cast<int>(expr.kind)));
-  if (expr.kind == Expr::Kind::kLiteral) {
-    out->push_back(' ');
-    out->append(expr.literal.ToDebugString());
-  }
-  if (!expr.name.empty()) {
-    out->push_back(' ');
-    out->append(expr.name);
-  }
-  for (const ExprPtr& item : expr.items) {
-    DumpExpr(*item, out);
-  }
-  for (const auto& [key, value] : expr.pairs) {
-    DumpExpr(*key, out);
-    out->push_back(':');
-    DumpExpr(*value, out);
-  }
-  for (const auto& [kw, value] : expr.kwargs) {
-    out->append(kw);
-    out->push_back('=');
-    DumpExpr(*value, out);
-  }
-  if (expr.lhs != nullptr) {
-    DumpExpr(*expr.lhs, out);
-  }
-  if (expr.rhs != nullptr) {
-    DumpExpr(*expr.rhs, out);
-  }
-  if (expr.third != nullptr) {
-    DumpExpr(*expr.third, out);
-  }
-  out->push_back(')');
-}
+  std::string dump;
+  // Over-approximates: a function's local names count as reads too.
+  // Spurious edges only widen invalidation, never narrow it.
+  std::set<std::string> reads;
+  int last_line = 0;
+  bool has_import = false;  // An import call outside function bodies.
+  // Names the statement assigns at module level, `X.y = v` counting as X.
+  std::set<std::string> assigned;
 
-void DumpStmt(const Stmt& stmt, std::string* out) {
-  out->push_back('[');
-  out->append(std::to_string(static_cast<int>(stmt.kind)));
-  if (!stmt.op.empty()) {
-    out->push_back(' ');
-    out->append(stmt.op);
-  }
-  for (const std::string& var : stmt.loop_vars) {
-    out->push_back(' ');
-    out->append(var);
-  }
-  if (stmt.target != nullptr) {
-    DumpExpr(*stmt.target, out);
-  }
-  if (stmt.value != nullptr) {
-    DumpExpr(*stmt.value, out);
-  }
-  for (const StmtPtr& s : stmt.body) {
-    DumpStmt(*s, out);
-  }
-  for (const StmtPtr& s : stmt.orelse) {
-    DumpStmt(*s, out);
-  }
-  if (stmt.def != nullptr) {
-    out->append(stmt.def->name);
-    for (size_t i = 0; i < stmt.def->params.size(); ++i) {
-      out->push_back(' ');
-      out->append(stmt.def->params[i]);
-      if (i < stmt.def->defaults.size() && stmt.def->defaults[i] != nullptr) {
-        out->push_back('=');
-        DumpExpr(*stmt.def->defaults[i], out);
+  void Scan(const Stmt& stmt) { ScanStmt(stmt, /*module_level=*/true); }
+
+ private:
+  void ScanStmt(const Stmt& stmt, bool module_level) {
+    last_line = std::max(last_line, stmt.line);
+    dump.push_back('[');
+    dump.append(std::to_string(static_cast<int>(stmt.kind)));
+    if (!stmt.op.empty()) {
+      dump.push_back(' ');
+      dump.append(stmt.op);
+    }
+    for (const std::string& var : stmt.loop_vars) {
+      dump.push_back(' ');
+      dump.append(var);
+    }
+    if (module_level) {
+      RecordBindings(stmt);
+    }
+    if (stmt.target != nullptr) {
+      ScanExpr(*stmt.target, module_level);
+    }
+    if (stmt.value != nullptr) {
+      ScanExpr(*stmt.value, module_level);
+    }
+    for (const StmtPtr& s : stmt.body) {
+      ScanStmt(*s, module_level);
+    }
+    for (const StmtPtr& s : stmt.orelse) {
+      ScanStmt(*s, module_level);
+    }
+    if (stmt.def != nullptr) {
+      const FunctionDefStmt& def = *stmt.def;
+      dump.append(def.name);
+      for (size_t i = 0; i < def.params.size(); ++i) {
+        dump.push_back(' ');
+        dump.append(def.params[i]);
+        if (i < def.defaults.size() && def.defaults[i] != nullptr) {
+          dump.push_back('=');
+          ScanExpr(*def.defaults[i], /*module_level=*/false);
+        }
+      }
+      for (const StmtPtr& s : def.body) {
+        ScanStmt(*s, /*module_level=*/false);
       }
     }
-    for (const StmtPtr& s : stmt.def->body) {
-      DumpStmt(*s, out);
+    dump.push_back(']');
+  }
+
+  void ScanExpr(const Expr& expr, bool module_level) {
+    last_line = std::max(last_line, expr.line);
+    has_import = has_import || (module_level && IsImportCall(expr));
+    if (expr.kind == Expr::Kind::kName) {
+      reads.insert(expr.name);
     }
-  }
-  out->push_back(']');
-}
-
-void CollectExprNames(const Expr& expr, std::set<std::string>* out) {
-  if (expr.kind == Expr::Kind::kName) {
-    out->insert(expr.name);
-  }
-  for (const ExprPtr& item : expr.items) {
-    CollectExprNames(*item, out);
-  }
-  for (const auto& [key, value] : expr.pairs) {
-    CollectExprNames(*key, out);
-    CollectExprNames(*value, out);
-  }
-  for (const auto& [kw, value] : expr.kwargs) {
-    CollectExprNames(*value, out);
-  }
-  if (expr.lhs != nullptr) {
-    CollectExprNames(*expr.lhs, out);
-  }
-  if (expr.rhs != nullptr) {
-    CollectExprNames(*expr.rhs, out);
-  }
-  if (expr.third != nullptr) {
-    CollectExprNames(*expr.third, out);
-  }
-}
-
-void CollectStmtNames(const Stmt& stmt, std::set<std::string>* out) {
-  if (stmt.target != nullptr) {
-    CollectExprNames(*stmt.target, out);
-  }
-  if (stmt.value != nullptr) {
-    CollectExprNames(*stmt.value, out);
-  }
-  for (const StmtPtr& s : stmt.body) {
-    CollectStmtNames(*s, out);
-  }
-  for (const StmtPtr& s : stmt.orelse) {
-    CollectStmtNames(*s, out);
-  }
-  if (stmt.def != nullptr) {
-    for (const ExprPtr& d : stmt.def->defaults) {
-      if (d != nullptr) {
-        CollectExprNames(*d, out);
+    dump.push_back('(');
+    dump.append(std::to_string(static_cast<int>(expr.kind)));
+    if (expr.kind == Expr::Kind::kLiteral) {
+      dump.push_back(' ');
+      dump.append(expr.literal.ToDebugString());
+    }
+    if (!expr.name.empty()) {
+      dump.push_back(' ');
+      dump.append(expr.name);
+    }
+    for (const ExprPtr& item : expr.items) {
+      ScanExpr(*item, module_level);
+    }
+    for (const auto& [key, value] : expr.pairs) {
+      ScanExpr(*key, module_level);
+      dump.push_back(':');
+      ScanExpr(*value, module_level);
+    }
+    for (const auto& [kw, value] : expr.kwargs) {
+      dump.append(kw);
+      dump.push_back('=');
+      ScanExpr(*value, module_level);
+    }
+    for (const Expr* child : {expr.lhs.get(), expr.rhs.get(), expr.third.get()}) {
+      if (child != nullptr) {
+        ScanExpr(*child, module_level);
       }
     }
-    // Over-approximates: local names count as reads too. Spurious edges
-    // only widen invalidation, never narrow it.
-    for (const StmtPtr& s : stmt.def->body) {
-      CollectStmtNames(*s, out);
-    }
+    dump.push_back(')');
   }
-}
 
-// Names a (possibly nested) statement assigns at its scope.
-void CollectAssigned(const Stmt& stmt, std::set<std::string>* out) {
-  switch (stmt.kind) {
-    case Stmt::Kind::kAssign:
-    case Stmt::Kind::kAugAssign: {
-      const Expr* target = stmt.target.get();
-      while (target != nullptr && (target->kind == Expr::Kind::kAttr ||
-                                   target->kind == Expr::Kind::kIndex)) {
-        target = target->lhs.get();
+  void RecordBindings(const Stmt& stmt) {
+    switch (stmt.kind) {
+      case Stmt::Kind::kAssign:
+      case Stmt::Kind::kAugAssign: {
+        const Expr* target = stmt.target.get();
+        if (target->kind == Expr::Kind::kName) {
+          surface_->binding_lines.emplace(target->name, stmt.line);
+        }
+        while (target->kind == Expr::Kind::kAttr ||
+               target->kind == Expr::Kind::kIndex) {
+          target = target->lhs.get();
+        }
+        if (target->kind == Expr::Kind::kName) {
+          assigned.insert(target->name);
+        }
+        break;
       }
-      if (target != nullptr && target->kind == Expr::Kind::kName) {
-        out->insert(target->name);
+      case Stmt::Kind::kFor:
+        for (const std::string& var : stmt.loop_vars) {
+          surface_->binding_lines.emplace(var, stmt.line);
+          assigned.insert(var);
+        }
+        break;
+      case Stmt::Kind::kDef: {
+        const FunctionDefStmt& def = *stmt.def;
+        surface_->binding_lines.emplace(def.name, stmt.line);
+        assigned.insert(def.name);
+        FunctionSignature& sig = surface_->functions[def.name];
+        sig.params = def.params;
+        sig.has_default.clear();
+        for (const ExprPtr& dflt : def.defaults) {
+          sig.has_default.push_back(dflt != nullptr);
+        }
+        sig.def_line = def.line;
+        break;
       }
-      return;
+      case Stmt::Kind::kExpr:
+        if (IsImportCall(*stmt.target)) {
+          ImportTarget import = ClassifyImport(*stmt.target);
+          if (import.kind == ImportTarget::Kind::kSchema) {
+            surface_->has_schema_import = true;
+          } else if (import.kind == ImportTarget::Kind::kDynamic) {
+            surface_->has_dynamic_import = true;
+          } else {
+            surface_->imports.push_back(
+                {std::move(import.path), std::move(import.filter),
+                 import.line});
+          }
+        }
+        break;
+      default:
+        break;
     }
-    case Stmt::Kind::kDef:
-      out->insert(stmt.def->name);
-      return;
-    case Stmt::Kind::kFor:
-      for (const std::string& var : stmt.loop_vars) {
-        out->insert(var);
-      }
-      [[fallthrough]];
-    case Stmt::Kind::kIf:
-    case Stmt::Kind::kWhile:
-      for (const StmtPtr& s : stmt.body) {
-        CollectAssigned(*s, out);
-      }
-      for (const StmtPtr& s : stmt.orelse) {
-        CollectAssigned(*s, out);
-      }
-      return;
-    default:
-      return;
   }
-}
 
-bool ContainsImportCall(const Expr& expr) {
-  if (IsImportCall(expr)) {
-    return true;
-  }
-  for (const ExprPtr& item : expr.items) {
-    if (ContainsImportCall(*item)) {
-      return true;
-    }
-  }
-  for (const auto& [key, value] : expr.pairs) {
-    if (ContainsImportCall(*key) || ContainsImportCall(*value)) {
-      return true;
-    }
-  }
-  for (const auto& [kw, value] : expr.kwargs) {
-    if (ContainsImportCall(*value)) {
-      return true;
-    }
-  }
-  if (expr.lhs != nullptr && ContainsImportCall(*expr.lhs)) {
-    return true;
-  }
-  if (expr.rhs != nullptr && ContainsImportCall(*expr.rhs)) {
-    return true;
-  }
-  return expr.third != nullptr && ContainsImportCall(*expr.third);
-}
-
-bool ContainsImportStmt(const Stmt& stmt) {
-  if (stmt.target != nullptr && ContainsImportCall(*stmt.target)) {
-    return true;
-  }
-  if (stmt.value != nullptr && ContainsImportCall(*stmt.value)) {
-    return true;
-  }
-  for (const StmtPtr& s : stmt.body) {
-    if (ContainsImportStmt(*s)) {
-      return true;
-    }
-  }
-  for (const StmtPtr& s : stmt.orelse) {
-    if (ContainsImportStmt(*s)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-}  // namespace
-
-namespace {
-
-void MaxExprLine(const Expr& expr, int* line);
-void MaxStmtLine(const Stmt& stmt, int* line);
-
-void MaxExprLine(const Expr& expr, int* line) {
-  *line = std::max(*line, expr.line);
-  for (const ExprPtr& item : expr.items) {
-    MaxExprLine(*item, line);
-  }
-  for (const auto& [key, value] : expr.pairs) {
-    MaxExprLine(*key, line);
-    MaxExprLine(*value, line);
-  }
-  for (const auto& [kw, value] : expr.kwargs) {
-    MaxExprLine(*value, line);
-  }
-  if (expr.lhs != nullptr) {
-    MaxExprLine(*expr.lhs, line);
-  }
-  if (expr.rhs != nullptr) {
-    MaxExprLine(*expr.rhs, line);
-  }
-  if (expr.third != nullptr) {
-    MaxExprLine(*expr.third, line);
-  }
-}
-
-void MaxStmtLine(const Stmt& stmt, int* line) {
-  *line = std::max(*line, stmt.line);
-  if (stmt.target != nullptr) {
-    MaxExprLine(*stmt.target, line);
-  }
-  if (stmt.value != nullptr) {
-    MaxExprLine(*stmt.value, line);
-  }
-  for (const StmtPtr& s : stmt.body) {
-    MaxStmtLine(*s, line);
-  }
-  for (const StmtPtr& s : stmt.orelse) {
-    MaxStmtLine(*s, line);
-  }
-  if (stmt.def != nullptr) {
-    for (const ExprPtr& d : stmt.def->defaults) {
-      if (d != nullptr) {
-        MaxExprLine(*d, line);
-      }
-    }
-    for (const StmtPtr& s : stmt.def->body) {
-      MaxStmtLine(*s, line);
-    }
-  }
-}
+  ModuleSymbolSurface* surface_;
+};
 
 }  // namespace
 
@@ -2289,31 +2177,21 @@ ModuleSymbolSurface ComputeSymbolSurface(const std::string& path,
   }
   surface.analyzable = true;
   for (const StmtPtr& stmt : (*module)->body) {
-    std::set<std::string> defined;
-    CollectAssigned(*stmt, &defined);
-    bool side_effecting = defined.empty() ||
+    StmtScan scan(&surface);
+    scan.Scan(*stmt);
+    bool side_effecting = scan.assigned.empty() ||
                           stmt->kind == Stmt::Kind::kExpr ||
-                          stmt->kind == Stmt::Kind::kAssert ||
-                          ContainsImportStmt(*stmt);
-    std::string dump;
-    DumpStmt(*stmt, &dump);
-    dump.push_back('\n');
+                          stmt->kind == Stmt::Kind::kAssert || scan.has_import;
+    scan.dump.push_back('\n');
     if (side_effecting) {
       // Imports, exports, asserts, bare calls: their effects aren't
       // attributable to one symbol, so any change falls back to file level.
-      surface.side_effects += dump;
+      surface.side_effects += scan.dump;
     }
-    if (defined.empty()) {
-      continue;
-    }
-    std::set<std::string> read_names;
-    CollectStmtNames(*stmt, &read_names);
-    int last_line = stmt->line;
-    MaxStmtLine(*stmt, &last_line);
-    for (const std::string& name : defined) {
-      surface.fingerprints[name] += dump;
-      surface.reads[name].insert(read_names.begin(), read_names.end());
-      surface.def_lines[name].push_back({stmt->line, last_line});
+    for (const std::string& name : scan.assigned) {
+      surface.fingerprints[name] += scan.dump;
+      surface.reads[name].insert(scan.reads.begin(), scan.reads.end());
+      surface.def_lines[name].push_back({stmt->line, scan.last_line});
     }
   }
   return surface;

@@ -279,10 +279,28 @@ class AbstractInterpreter {
 
 // ---- Symbol diffing (Sandcastle's refined edges) ----------------------------
 
+// A module-level function's signature, for call-arity checks.
+struct FunctionSignature {
+  std::vector<std::string> params;
+  std::vector<bool> has_default;  // Parallel to params.
+  int def_line = 0;
+};
+
+// One literal `import_python(path, filter)` statement of a module.
+struct ModuleImport {
+  std::string path;
+  std::string filter;  // "*" or one symbol.
+  int line = 0;
+};
+
 // The statically-visible top-level symbol surface of one module version,
 // with a definition fingerprint per symbol and an intra-module def-use graph
 // (symbol -> names its defining statements read), so a change to `A` also
 // invalidates `B = A + 1`.
+//
+// It is also the one pre-scan of the module that lint and import
+// composition (AnalysisStore::Import) read. "Module level" there means
+// outside function bodies, inside if/for/while blocks included.
 struct ModuleSymbolSurface {
   bool analyzable = false;  // False: callers must fall back to file level.
   std::map<std::string, std::string> fingerprints;   // symbol -> digest.
@@ -291,6 +309,18 @@ struct ModuleSymbolSurface {
   // Source line ranges [first, last] of each symbol's defining statements —
   // lets diff hunks be attributed to the symbols they touch.
   std::map<std::string, std::vector<std::pair<int, int>>> def_lines;
+
+  // Each name bound at module level, with the line of its first binding: a
+  // `Name = v` or `Name op= v` target, a loop variable or a `def`.
+  // `X.y = v` and `X[k] = v` mutate X; they do not bind it.
+  std::map<std::string, int> binding_lines;
+  // The signature of each module-level `def`, the last one of each name.
+  std::map<std::string, FunctionSignature> functions;
+  // Module-level import statements with a literal module path and filter,
+  // in source order.
+  std::vector<ModuleImport> imports;
+  bool has_schema_import = false;   // A module-level schema import.
+  bool has_dynamic_import = false;  // A module-level computed import.
 };
 
 // `units` (optional) supplies the parse.

@@ -2,8 +2,8 @@
 // JSON. Each project rule is a conjunction of restraints plus a sampling
 // probability, so whole error classes are statically decidable: X AND NOT X
 // never passes, a rule behind an always-pass rule never runs, and a bucket
-// spanning [0, 1) gates nobody. These all compile fine — FromJson accepts
-// them — and then silently do the wrong thing in production, which is
+// spanning [0, 1) gates nobody. These all compile fine — CompileProjectSpec
+// accepts them — and then silently do the wrong thing in production, which is
 // exactly the class of error the paper's layered defenses exist to catch
 // before distribution.
 
@@ -119,7 +119,7 @@ void RunGatingRules(const std::string& path, const Json& config,
 
   const Json* rules = config.Get("rules");
   if (rules == nullptr || !rules->is_array()) {
-    return;  // FromJson rejects this shape; nothing for lint to add.
+    return;  // CompileProjectSpec rejects this shape; nothing for lint to add.
   }
 
   // Index of the first rule that matches every user with probability 1 —

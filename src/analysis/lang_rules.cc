@@ -1,12 +1,13 @@
 // Language rule family (L001..L009): a scope-resolution pass over the CSL
 // AST. The pass mirrors the interpreter's name semantics — star imports copy
 // a module's globals, assignment defines in the innermost scope, function
-// bodies read enclosing scopes — and resolves import_python()/import_thrift()
-// targets through the FileReader so cross-module references are checked the
-// same way the compiler will resolve them. Where a target cannot be resolved
-// (no reader, unreadable file, non-literal path), the affected checks degrade
-// to silence rather than guessing: a lint false positive that blocks landing
-// is worse than a miss the compiler will catch anyway.
+// bodies read enclosing scopes. What an import_python() binds comes from the
+// analysis store's import composition (AnalysisStore::Import), the same one
+// semdiff's G010 reads; import_thrift() targets are read through the
+// FileReader. Where a target cannot be resolved (no reader, unreadable file,
+// non-literal path), the affected checks degrade to silence rather than
+// guessing: a lint false positive that blocks landing is worse than a miss
+// the compiler will catch anyway.
 
 #include <cctype>
 #include <map>
@@ -14,9 +15,9 @@
 #include <string>
 
 #include "src/analysis/rules.h"
+#include "src/analysis/store.h"
 #include "src/lang/builtins.h"
 #include "src/lang/import_resolver.h"
-#include "src/lang/unit_cache.h"
 #include "src/schema/schema.h"
 
 namespace configerator {
@@ -38,20 +39,9 @@ const std::set<std::string>& BuiltinNames() {
   return *names;
 }
 
-// A function signature harvested from a FunctionDefStmt (local or imported).
-struct FuncSig {
-  std::vector<std::string> params;
-  std::vector<bool> has_default;
-  int def_line = 0;
+// A known function's signature (local or imported).
+struct FuncSig : FunctionSignature {
   std::string origin;  // File that defines it, for cross-module messages.
-};
-
-// The statically-visible surface of an imported module.
-struct ModuleSurface {
-  std::set<std::string> names;             // All top-level bindings.
-  std::map<std::string, FuncSig> funcs;    // Top-level defs.
-  bool unresolved = false;      // Some of its own imports defied analysis.
-  bool has_schema_import = false;
 };
 
 // One lexical scope. The module frame fills in statement order (so
@@ -98,16 +88,23 @@ void CollectAssignedNames(const std::vector<StmtPtr>& body,
 
 class LangAnalyzer {
  public:
-  LangAnalyzer(const Module& module, const FileReader& reader,
-               std::vector<LintDiagnostic>* diags, CompiledUnitCache* units)
-      : module_(module), reader_(reader), diags_(diags), units_(units) {}
-
-  void Run() {
-    // Pre-scan the module surface so forward references can be classified as
+  LangAnalyzer(const Module& module, const ModuleSymbolSurface& surface,
+               const FileReader& reader, std::vector<LintDiagnostic>* diags,
+               AnalysisStore* store)
+      : module_(module),
+        module_names_(surface.binding_lines),
+        reader_(reader),
+        diags_(diags),
+        store_(store) {
+    // The module's surface is its pre-scan: forward references classify as
     // use-before-def (L002) instead of undefined (L001), and signatures are
     // known before the textual pass reaches the call site.
-    CollectModuleSurface(module_.body);
+    for (const auto& [name, sig] : surface.functions) {
+      known_funcs_[name] = FuncSig{sig, module_.path};
+    }
+  }
 
+  void Run() {
     frames_.push_back(Frame{});
     WalkBlock(module_.body, /*loop_depth=*/0);
     ReportUnused();
@@ -128,46 +125,6 @@ class LangAnalyzer {
     diags_->push_back(std::move(diag));
   }
 
-  // ---- Module pre-scan -----------------------------------------------------
-
-  void CollectModuleSurface(const std::vector<StmtPtr>& body) {
-    for (const StmtPtr& stmt : body) {
-      switch (stmt->kind) {
-        case Stmt::Kind::kAssign:
-        case Stmt::Kind::kAugAssign:
-          if (stmt->target->kind == Expr::Kind::kName) {
-            module_names_.emplace(stmt->target->name, stmt->line);
-          }
-          break;
-        case Stmt::Kind::kFor:
-          for (const std::string& var : stmt->loop_vars) {
-            module_names_.emplace(var, stmt->line);
-          }
-          CollectModuleSurface(stmt->body);
-          break;
-        case Stmt::Kind::kIf:
-        case Stmt::Kind::kWhile:
-          CollectModuleSurface(stmt->body);
-          CollectModuleSurface(stmt->orelse);
-          break;
-        case Stmt::Kind::kDef: {
-          module_names_.emplace(stmt->def->name, stmt->line);
-          FuncSig sig;
-          sig.params = stmt->def->params;
-          sig.def_line = stmt->def->line;
-          sig.origin = module_.path;
-          for (const ExprPtr& dflt : stmt->def->defaults) {
-            sig.has_default.push_back(dflt != nullptr);
-          }
-          known_funcs_[stmt->def->name] = std::move(sig);
-          break;
-        }
-        default:
-          break;
-      }
-    }
-  }
-
   // ---- Import resolution ---------------------------------------------------
 
   Result<std::string> ReadSource(const std::string& path) {
@@ -175,116 +132,6 @@ class LangAnalyzer {
       return UnavailableError("no file reader configured for lint");
     }
     return reader_(path);
-  }
-
-  // Statically evaluates one imported module's top-level bindings, following
-  // its own star imports up to a bounded depth (cycles and depth overruns
-  // mark the surface unresolved, which silences dependent checks).
-  ModuleSurface ResolveModule(const std::string& path, int depth) {
-    ModuleSurface surface;
-    if (depth > 8 || !visiting_.insert(path).second) {
-      surface.unresolved = true;
-      return surface;
-    }
-    auto cached = module_cache_.find(path);
-    if (cached != module_cache_.end()) {
-      visiting_.erase(path);
-      return cached->second;
-    }
-    auto source = ReadSource(path);
-    std::shared_ptr<Module> module;
-    if (source.ok()) {
-      auto parsed = units_ != nullptr ? units_->GetOrParse(path, *source)
-                                      : ParseCsl(*source, path);
-      if (parsed.ok()) {
-        module = *parsed;
-      }
-    }
-    if (module == nullptr) {
-      surface.unresolved = true;
-      visiting_.erase(path);
-      return surface;
-    }
-    CollectSurfaceFrom(module->body, path, depth, &surface);
-    visiting_.erase(path);
-    module_cache_[path] = surface;
-    return surface;
-  }
-
-  void CollectSurfaceFrom(const std::vector<StmtPtr>& body,
-                          const std::string& path, int depth,
-                          ModuleSurface* surface) {
-    for (const StmtPtr& stmt : body) {
-      switch (stmt->kind) {
-        case Stmt::Kind::kAssign:
-        case Stmt::Kind::kAugAssign:
-          if (stmt->target->kind == Expr::Kind::kName) {
-            surface->names.insert(stmt->target->name);
-          }
-          break;
-        case Stmt::Kind::kFor:
-          for (const std::string& var : stmt->loop_vars) {
-            surface->names.insert(var);
-          }
-          CollectSurfaceFrom(stmt->body, path, depth, surface);
-          break;
-        case Stmt::Kind::kIf:
-        case Stmt::Kind::kWhile:
-          CollectSurfaceFrom(stmt->body, path, depth, surface);
-          CollectSurfaceFrom(stmt->orelse, path, depth, surface);
-          break;
-        case Stmt::Kind::kDef: {
-          surface->names.insert(stmt->def->name);
-          FuncSig sig;
-          sig.params = stmt->def->params;
-          sig.def_line = stmt->def->line;
-          sig.origin = path;
-          for (const ExprPtr& dflt : stmt->def->defaults) {
-            sig.has_default.push_back(dflt != nullptr);
-          }
-          surface->funcs[stmt->def->name] = std::move(sig);
-          break;
-        }
-        case Stmt::Kind::kExpr: {
-          // Nested imports contribute to the module's surface.
-          const Expr& e = *stmt->target;
-          if (!IsImportCall(e)) {
-            break;
-          }
-          ImportTarget import = ClassifyImport(e);
-          if (import.kind == ImportTarget::Kind::kSchema) {
-            surface->has_schema_import = true;
-            break;
-          }
-          if (import.kind == ImportTarget::Kind::kDynamic) {
-            surface->unresolved = true;
-            break;
-          }
-          ModuleSurface nested = ResolveModule(import.path, depth + 1);
-          if (nested.unresolved) {
-            surface->unresolved = true;
-          }
-          if (nested.has_schema_import) {
-            surface->has_schema_import = true;
-          }
-          if (import.filter == "*") {
-            surface->names.insert(nested.names.begin(), nested.names.end());
-            for (auto& [name, sig] : nested.funcs) {
-              surface->funcs[name] = sig;
-            }
-          } else {
-            surface->names.insert(import.filter);
-            auto it = nested.funcs.find(import.filter);
-            if (it != nested.funcs.end()) {
-              surface->funcs[import.filter] = it->second;
-            }
-          }
-          break;
-        }
-        default:
-          break;
-      }
-    }
   }
 
   // A record of one import in the file under analysis, for L004.
@@ -313,38 +160,34 @@ class LangAnalyzer {
     record.line = call.line;
     record.path = path;
     record.filter = import.filter;
-    ModuleSurface surface = ResolveModule(path, /*depth=*/1);
-    if (surface.has_schema_import) {
+    ImportBinding binding =
+        AnalysisStore::Import(store_, reader_, path, import.filter);
+    if (binding.has_schema_import) {
       // The imported module may hand us schema-constructed values whose
       // constructors we cannot enumerate here.
       unresolved_schema_import_ = true;
     }
-    if (record.filter == "*") {
-      if (surface.unresolved) {
-        unresolved_star_import_ = true;
-        return;
-      }
-      record.verifiable = true;
-      record.names = surface.names;
-      for (const std::string& name : surface.names) {
-        DefineModuleName(name, call.line, /*from_import=*/true);
-      }
-      for (const auto& [name, sig] : surface.funcs) {
-        known_funcs_[name] = sig;
-      }
-    } else {
-      record.verifiable = !surface.unresolved;
+    if (record.filter == "*" && binding.unresolved) {
+      unresolved_star_import_ = true;
+      return;
+    }
+    record.verifiable = !binding.unresolved;
+    if (record.filter != "*" && binding.names.empty()) {
+      // The name stays defined here, so its uses do not cascade into L001.
       record.names.insert(record.filter);
-      if (record.verifiable && surface.names.count(record.filter) == 0) {
+      DefineModuleName(record.filter, call.line, /*from_import=*/true);
+      if (record.verifiable) {
         Report("L001", LintSeverity::kError, call.line,
                "'" + record.filter + "' is not defined by module '" + path +
                    "'",
                "check the symbol name against " + path);
       }
-      DefineModuleName(record.filter, call.line, /*from_import=*/true);
-      auto it = surface.funcs.find(record.filter);
-      if (it != surface.funcs.end()) {
-        known_funcs_[record.filter] = it->second;
+    }
+    for (const auto& [name, bound] : binding.names) {
+      record.names.insert(name);
+      DefineModuleName(name, call.line, /*from_import=*/true);
+      if (bound.function.has_value()) {
+        known_funcs_[name] = FuncSig{*bound.function, bound.function_module};
       }
     }
     imports_.push_back(std::move(record));
@@ -768,29 +611,29 @@ class LangAnalyzer {
   }
 
   const Module& module_;
+  // The module's names at any line, with their first binding line.
+  const std::map<std::string, int>& module_names_;
   const FileReader& reader_;
   std::vector<LintDiagnostic>* diags_;
+  AnalysisStore* store_;
 
-  std::map<std::string, int> module_names_;  // Full surface, any line.
   std::map<std::string, FuncSig> known_funcs_;
   std::set<std::string> schema_names_;
   std::set<std::string> import_defined_;
   std::set<std::string> loop_vars_;
   std::vector<ImportRecord> imports_;
   std::vector<Frame> frames_;
-  std::map<std::string, ModuleSurface> module_cache_;
-  std::set<std::string> visiting_;
   bool unresolved_star_import_ = false;
   bool unresolved_schema_import_ = false;
-  CompiledUnitCache* units_;
 };
 
 }  // namespace
 
-void RunLanguageRules(const Module& module, const FileReader& reader,
+void RunLanguageRules(const Module& module, const ModuleSymbolSurface& surface,
+                      const FileReader& reader,
                       std::vector<LintDiagnostic>* diags,
-                      CompiledUnitCache* units) {
-  LangAnalyzer(module, reader, diags, units).Run();
+                      AnalysisStore* store) {
+  LangAnalyzer(module, surface, reader, diags, store).Run();
 }
 
 }  // namespace analysis

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/analysis/rules.h"
+#include "src/analysis/store.h"
 #include "src/gatekeeper/compile.h"
 #include "src/json/json.h"
 #include "src/lang/unit_cache.h"
@@ -10,8 +11,8 @@
 namespace configerator {
 
 ConfigLint::ConfigLint(FileReader reader, const RestraintRegistry* registry,
-                       CompiledUnitCache* units)
-    : reader_(std::move(reader)), registry_(registry), units_(units) {}
+                       AnalysisStore* store)
+    : reader_(std::move(reader)), registry_(registry), store_(store) {}
 
 std::vector<LintDiagnostic> ConfigLint::LintFile(
     const std::string& path, const std::string& content) const {
@@ -27,8 +28,9 @@ std::vector<LintDiagnostic> ConfigLint::LintFile(
 std::vector<LintDiagnostic> ConfigLint::LintSource(
     const std::string& path, const std::string& content) const {
   std::vector<LintDiagnostic> diags;
-  auto module = units_ != nullptr ? units_->GetOrParse(path, content, &diags)
-                                  : ParseCsl(content, path, &diags);
+  CompiledUnitCache* units = AnalysisStore::Units(store_);
+  auto module = units != nullptr ? units->GetOrParse(path, content, &diags)
+                                 : ParseCsl(content, path, &diags);
   if (!module.ok()) {
     // The compiler rejects the file with the full parse error; lint only
     // records that analysis could not run.
@@ -40,7 +42,9 @@ std::vector<LintDiagnostic> ConfigLint::LintSource(
     diags.push_back(std::move(diag));
     return diags;
   }
-  analysis::RunLanguageRules(**module, reader_, &diags, units_);
+  analysis::RunLanguageRules(
+      **module, *AnalysisStore::Surface(store_, path, content), reader_,
+      &diags, store_);
   SortDiagnostics(&diags);
   return diags;
 }

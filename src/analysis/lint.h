@@ -10,7 +10,8 @@
 //   Language rules (Lxxx) — run over the config-language AST with a
 //   scope-resolution pass that follows import_python()/import_thrift()
 //   through the supplied FileReader, so cross-module name resolution matches
-//   what the compiler will do at build time.
+//   what the compiler will do at build time. What an import binds comes from
+//   the analysis store's import composition, the one semdiff's G010 reads.
 //
 //   Gating rules (Gxxx) — run over Gatekeeper project JSON, reasoning about
 //   each rule's restraint conjunction (contradictions, subsumption, dead
@@ -60,17 +61,20 @@ struct LintRuleInfo {
   std::string_view summary;
 };
 
+class AnalysisStore;
+
 class ConfigLint {
  public:
   // `reader` resolves imports for cross-module analysis; without one (or
   // when a target cannot be read) the affected checks degrade conservatively
   // instead of guessing. `registry` is consulted for restraint types.
-  // `units` (optional) supplies parses, so lint shares them with the
-  // compiler and the other analysis passes; it must outlive the linter.
+  // `store` (optional) supplies parses and module surfaces, so lint shares
+  // them with the compiler and the other analysis passes; it must outlive
+  // the linter.
   explicit ConfigLint(FileReader reader = nullptr,
                       const RestraintRegistry* registry =
                           &RestraintRegistry::Builtin(),
-                      CompiledUnitCache* units = nullptr);
+                      AnalysisStore* store = nullptr);
 
   // Dispatches on path convention: ".cconf"/".cinc" → language rules,
   // "gatekeeper/*.json" → gating rules, anything else → no findings.
@@ -93,7 +97,7 @@ class ConfigLint {
  private:
   FileReader reader_;
   const RestraintRegistry* registry_;
-  CompiledUnitCache* units_;
+  AnalysisStore* store_;
 };
 
 }  // namespace configerator

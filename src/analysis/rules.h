@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "src/analysis/diagnostic.h"
+#include "src/analysis/store.h"
 #include "src/gatekeeper/restraint.h"
 #include "src/lang/ast.h"
 #include "src/lang/compiler.h"
@@ -15,12 +16,14 @@
 namespace configerator {
 namespace analysis {
 
-// Language rules (L001..L009) over a parsed module. `reader` resolves
-// import_python / import_thrift targets; may be null. `units` (optional)
-// supplies parses of imported modules.
-void RunLanguageRules(const Module& module, const FileReader& reader,
+// Language rules (L001..L009) over a parsed module and its symbol surface.
+// `reader` resolves import_python / import_thrift targets; may be null.
+// Imported modules are composed through `store` (AnalysisStore::Import);
+// may be null.
+void RunLanguageRules(const Module& module, const ModuleSymbolSurface& surface,
+                      const FileReader& reader,
                       std::vector<LintDiagnostic>* diags,
-                      CompiledUnitCache* units = nullptr);
+                      AnalysisStore* store);
 
 // Gating rules (G001..G006) over a parsed Gatekeeper project JSON.
 void RunGatingRules(const std::string& path, const Json& config,

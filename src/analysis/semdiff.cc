@@ -704,9 +704,11 @@ SemanticDiffReport SemanticDiffer::Classify(
   }
 
   // G010 (shadowed import): a later top-level import rebinding a name an
-  // earlier import from a *different* module already bound. The classic
-  // hazard is a star import growing a new symbol that silently shadows a
-  // specific earlier import (or vice versa).
+  // earlier import bound to a *different* definition. The classic hazard is
+  // a star import growing a new symbol, or re-exporting one, that silently
+  // shadows a specific earlier import (or vice versa). Names compare by
+  // their defining module, so the same definition re-exported is no
+  // conflict.
   for (const auto& [path, side] : closure) {
     if (!side->present) {
       continue;
@@ -715,7 +717,8 @@ SemanticDiffReport SemanticDiffer::Classify(
     if (!module.ok()) {
       continue;
     }
-    std::map<std::string, std::string> bound_by;  // name -> source module.
+    // name -> (defining module, the import that bound it).
+    std::map<std::string, std::pair<std::string, std::string>> bound_by;
     for (const StmtPtr& stmt : (*module)->body) {
       if (stmt->kind != Stmt::Kind::kExpr || stmt->target == nullptr ||
           !IsImportCall(*stmt->target)) {
@@ -726,28 +729,19 @@ SemanticDiffReport SemanticDiffer::Classify(
         continue;  // Schemas bind into a separate env; dynamic is unsound
                    // already (absint flagged it).
       }
-      std::set<std::string> bound_names;
-      if (target.filter != "*") {
-        bound_names.insert(target.filter);
-      } else {
-        auto it = closure.find(target.path);
-        if (it == closure.end() || !it->second->surface->analyzable) {
-          continue;  // Unresolvable star target: absint marked unsound.
-        }
-        for (const auto& [name, fp] : it->second->surface->fingerprints) {
-          bound_names.insert(name);
-        }
-      }
-      for (const std::string& name : bound_names) {
+      ImportBinding binding = AnalysisStore::Import(store, new_reader_,
+                                                    target.path, target.filter);
+      for (const auto& [name, bound] : binding.names) {
         auto it = bound_by.find(name);
-        if (it != bound_by.end() && it->second != target.path) {
+        if (it != bound_by.end() && it->second.first != bound.module) {
           report.findings.push_back(MakeFinding(
               "G010", LintSeverity::kError, path, target.line,
               "import from '" + target.path + "' rebinds '" + name +
-                  "' already bound by the import of '" + it->second + "'",
+                  "' already bound by the import of '" + it->second.second +
+                  "'",
               "rename the symbol or drop one of the imports"));
         }
-        bound_by[name] = target.path;
+        bound_by[name] = {bound.module, target.path};
       }
     }
   }

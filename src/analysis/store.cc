@@ -1,6 +1,100 @@
 #include "src/analysis/store.h"
 
+#include <set>
+
 namespace configerator {
+
+namespace {
+
+// Composes what importing a module binds: depth first, each module's imports
+// in source order, each module composed once per lookup.
+class ImportComposer {
+ public:
+  ImportComposer(AnalysisStore* store, const FileReader& reader)
+      : store_(store), reader_(reader) {}
+
+  ImportBinding Compose(const std::string& path, int depth) {
+    ImportBinding out;
+    if (depth > AnalysisStore::kMaxImportDepth ||
+        !visiting_.insert(path).second) {
+      out.unresolved = true;
+      return out;
+    }
+    auto composed = composed_.find(path);
+    if (composed != composed_.end()) {
+      visiting_.erase(path);
+      return composed->second;
+    }
+    std::shared_ptr<const ModuleSymbolSurface> surface;
+    if (reader_) {
+      if (auto content = reader_(path); content.ok()) {
+        surface = AnalysisStore::Surface(store_, path, *content);
+      }
+    }
+    if (surface == nullptr || !surface->analyzable) {
+      out.unresolved = true;
+      visiting_.erase(path);
+      return out;
+    }
+    out.unresolved = surface->has_dynamic_import;
+    out.has_schema_import = surface->has_schema_import;
+    // Later bindings win. A name's module follows the line of its last
+    // binding seen; a signature, the line of the last import that carried
+    // one against the module's own last `def`.
+    std::map<std::string, int> bound_at;
+    std::map<std::string, int> function_at;
+    for (const auto& [name, line] : surface->binding_lines) {
+      out.names[name].module = path;
+      bound_at[name] = line;
+    }
+    for (const ModuleImport& import : surface->imports) {
+      ImportBinding nested = Compose(import.path, depth + 1);
+      out.unresolved = out.unresolved || nested.unresolved;
+      out.has_schema_import =
+          out.has_schema_import || nested.has_schema_import;
+      auto bind = [&](const std::string& name,
+                      const ImportBinding::Name* from) {
+        ImportBinding::Name& slot = out.names[name];
+        auto at = bound_at.find(name);
+        if (at == bound_at.end() || at->second < import.line) {
+          slot.module = from != nullptr ? from->module : import.path;
+          bound_at[name] = import.line;
+        }
+        if (from != nullptr && from->function.has_value()) {
+          slot.function = from->function;
+          slot.function_module = from->function_module;
+          function_at[name] = import.line;
+        }
+      };
+      if (import.filter == "*") {
+        for (const auto& [name, bound] : nested.names) {
+          bind(name, &bound);
+        }
+      } else {
+        auto it = nested.names.find(import.filter);
+        bind(import.filter, it != nested.names.end() ? &it->second : nullptr);
+      }
+    }
+    for (const auto& [name, sig] : surface->functions) {
+      auto at = function_at.find(name);
+      if (at == function_at.end() || sig.def_line > at->second) {
+        ImportBinding::Name& slot = out.names[name];
+        slot.function = sig;
+        slot.function_module = path;
+      }
+    }
+    visiting_.erase(path);
+    return composed_[path] = std::move(out);
+  }
+
+ private:
+  AnalysisStore* store_;
+  const FileReader& reader_;
+  std::set<std::string> visiting_;
+  std::map<std::string, ImportBinding> composed_;
+};
+
+}  // namespace
 
 std::shared_ptr<const AbsintResult> AnalysisStore::Absint(
     AnalysisStore* store, const FileReader& reader, const std::string& path,
@@ -51,6 +145,23 @@ std::shared_ptr<const ModuleSymbolSurface> AnalysisStore::Surface(
       ComputeSymbolSurface(path, content, store->units_));
   return versions.Add(StoredSurface{std::move(source), std::move(surface)})
       .surface;
+}
+
+ImportBinding AnalysisStore::Import(AnalysisStore* store,
+                                    const FileReader& reader,
+                                    const std::string& path,
+                                    const std::string& filter) {
+  ImportBinding all = ImportComposer(store, reader).Compose(path, 1);
+  if (filter == "*") {
+    return all;
+  }
+  ImportBinding one;
+  one.unresolved = all.unresolved;
+  one.has_schema_import = all.has_schema_import;
+  if (auto it = all.names.find(filter); it != all.names.end()) {
+    one.names.insert(*it);
+  }
+  return one;
 }
 
 std::shared_ptr<const InvariantRegistry> AnalysisStore::Registry(

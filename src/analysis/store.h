@@ -11,7 +11,9 @@
 //                            ClosureDigest (modules, schemas, `include`s and
 //                            "-cvalidator" companions). CSL is hermetic, so
 //                            equal closures analyze identically.
-//   symbol surface           a file's ModuleSymbolSurface, keyed by its bytes.
+//   symbol surface           a file's ModuleSymbolSurface, keyed by its bytes:
+//                            the one pre-scan of a module that lint,
+//                            symbol diffing and import composition read.
 //   invariant registry       the parsed "invariants/" specs, keyed by the
 //                            bytes of every spec file.
 //
@@ -23,8 +25,11 @@
 // for the registry, two spec sets), the most recently used ones: normally
 // head and the latest proposal.
 //
-// The analysis and surface lookups take the store as a pointer that may be
-// null: a null store analyzes afresh on the same code path (library
+// What an import binds (Import) is composed on each call from the stored
+// surfaces of the modules it reaches; only the surfaces are kept.
+//
+// The analysis, surface and import lookups take the store as a pointer that
+// may be null: a null store analyzes afresh on the same code path (library
 // callers, test oracles). Not thread-safe.
 
 #ifndef SRC_ANALYSIS_STORE_H_
@@ -43,8 +48,36 @@
 
 namespace configerator {
 
+// What one `import_python(path, filter)` binds: for "*", the module's own
+// bindings plus, recursively, whatever each of its module imports binds
+// (the interpreter copies every global of the imported module, imported
+// ones included); for a named filter, that one name when the module binds
+// it. A module-level named import inside the composition binds its filter
+// even when the target lacks it.
+struct ImportBinding {
+  struct Name {
+    // The module whose definition the import copies: a re-exported name
+    // keeps the module that defines it.
+    std::string module;
+    // Set when the name's last binding that carries a signature is a `def`:
+    // the signature and the module that defines it.
+    std::optional<FunctionSignature> function;
+    std::string function_module;
+  };
+  std::map<std::string, Name> names;
+  // Some module on the way was more than kMaxImportDepth imports deep, in
+  // an import cycle, unreadable, unparseable or imported a computed path;
+  // `names` is then what could be composed.
+  bool unresolved = false;
+  bool has_schema_import = false;  // Some module on the way loads a schema.
+};
+
 class AnalysisStore {
  public:
+  // Imports nested deeper than this (the linted or diffed file's own
+  // imports are depth 1) leave an ImportBinding unresolved.
+  static constexpr int kMaxImportDepth = 8;
+
   // `units` supplies the parses and closure digests that key the store; it
   // must outlive the store.
   explicit AnalysisStore(CompiledUnitCache* units) : units_(units) {}
@@ -59,6 +92,12 @@ class AnalysisStore {
   static std::shared_ptr<const ModuleSymbolSurface> Surface(
       AnalysisStore* store, const std::string& path,
       const std::string& content);
+
+  // What `import_python(path, filter)` binds, each module on the way read
+  // through `reader` and pre-scanned by Surface().
+  static ImportBinding Import(AnalysisStore* store, const FileReader& reader,
+                              const std::string& path,
+                              const std::string& filter);
 
   // InvariantRegistry::Load(reader, spec_files).
   std::shared_ptr<const InvariantRegistry> Registry(

@@ -876,6 +876,18 @@ Result<RunResult> Harness::Replay(const std::string& trace_text) {
   }
   ASSIGN_OR_RETURN(FaultPlan plan, FaultPlan::Parse(plan_text));
   Harness harness(*scenario);
+  for (const FaultEvent& event : plan.events) {
+    for (const std::vector<ServerId>* group : {&event.group_a, &event.group_b}) {
+      for (const ServerId& id : *group) {
+        if (!harness.stack_.topology().Contains(id)) {
+          return InvalidArgumentError("fault plan names server " +
+                                      id.ToString() +
+                                      " outside the scenario's topology: " +
+                                      event.ToLine());
+        }
+      }
+    }
+  }
   return harness.Run(plan);
 }
 

@@ -328,7 +328,7 @@ void Sandcastle::ReanalyzeClosure(const ProposedDiff& diff,
   }
 
   FileReader overlay = OverlayReader(diff);
-  ConfigLint linter(overlay, &RestraintRegistry::Builtin(), unit_cache_.get());
+  ConfigLint linter(overlay, &RestraintRegistry::Builtin(), store_.get());
 
   // Touched CSL files get the semantic pass unconditionally (RunLint already
   // ran the syntactic rules on them).
@@ -425,7 +425,7 @@ std::vector<LintDiagnostic> Sandcastle::RunLint(const ProposedDiff& diff) {
   // Imports resolve through the overlay: a finding (or its absence) reflects
   // the tree as it would look with the diff applied.
   ConfigLint linter(OverlayReader(diff), &RestraintRegistry::Builtin(),
-                    unit_cache_.get());
+                    store_.get());
   std::vector<LintDiagnostic> findings;
   for (const FileWrite& write : diff.writes) {
     if (!write.content.has_value()) {

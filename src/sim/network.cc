@@ -59,16 +59,20 @@ uint64_t Network::AddPartitionRule(const std::vector<ServerId>& from_group,
   PartitionRule rule;
   rule.id = next_partition_id_++;
   size_t words = (static_cast<size_t>(topology_.total_servers()) + 63) / 64;
-  rule.from_bits.assign(words, 0);
-  rule.to_bits.assign(words, 0);
-  for (const ServerId& id : from_group) {
-    uint32_t f = Flat(id);
-    rule.from_bits[f >> 6] |= uint64_t{1} << (f & 63);
-  }
-  for (const ServerId& id : to_group) {
-    uint32_t f = Flat(id);
-    rule.to_bits[f >> 6] |= uint64_t{1} << (f & 63);
-  }
+  // A server outside the topology sends and receives nothing, so a rule
+  // naming it has nothing to block there.
+  auto mark = [this, words](const std::vector<ServerId>& group) {
+    std::vector<uint64_t> bits(words, 0);
+    for (const ServerId& id : group) {
+      if (topology_.Contains(id)) {
+        uint32_t f = Flat(id);
+        bits[f >> 6] |= uint64_t{1} << (f & 63);
+      }
+    }
+    return bits;
+  };
+  rule.from_bits = mark(from_group);
+  rule.to_bits = mark(to_group);
   rule.bidirectional = bidirectional;
   partitions_.push_back(std::move(rule));
   return partitions_.back().id;

@@ -61,12 +61,8 @@ void ZeusEnsemble::Write(const ServerId& from, std::string key, std::string valu
     StartElection();
   }
   if (election_in_progress_) {
-    // Queue behind the election.
     pending_writes_.push_back(
-        [this, from, key = std::move(key), value = std::move(value),
-         done = std::move(done)]() mutable {
-          Write(from, std::move(key), std::move(value), std::move(done));
-        });
+        PendingWrite{from, std::move(key), std::move(value), std::move(done)});
     return;
   }
   if (!has_quorum()) {
@@ -165,20 +161,21 @@ void ZeusEnsemble::StartElection() {
       }
     }
     election_in_progress_ = false;
+    // A callback or a replayed write may queue again: take the queue first.
+    std::deque<PendingWrite> queued;
+    queued.swap(pending_writes_);
     if (best == members_.size() || !has_quorum()) {
-      // No quorum: fail queued writes.
-      while (!pending_writes_.empty()) {
-        pending_writes_.pop_front();
-      }
       CLOG(Warning) << "Zeus election failed: no quorum";
+      for (PendingWrite& write : queued) {
+        write.done(UnavailableError("Zeus election failed: no quorum"));
+      }
       return;
     }
     leader_idx_ = best;
     CLOG(Info) << "Zeus elected leader " << members_[best].id.ToString();
-    std::deque<std::function<void()>> queued;
-    queued.swap(pending_writes_);
-    for (auto& fn : queued) {
-      fn();
+    for (PendingWrite& write : queued) {
+      Write(write.from, std::move(write.key), std::move(write.value),
+            std::move(write.done));
     }
   });
 }

@@ -231,7 +231,15 @@ class ZeusEnsemble {
   size_t leader_idx_ = 0;
   int64_t last_committed_zxid_ = 0;
   bool election_in_progress_ = false;
-  std::deque<std::function<void()>> pending_writes_;  // Queued during election.
+  // A write queued behind an election: replayed when a leader is elected,
+  // failed with kUnavailable when the election finds no quorum.
+  struct PendingWrite {
+    ServerId from;
+    std::string key;
+    std::string value;
+    WriteCallback done;
+  };
+  std::deque<PendingWrite> pending_writes_;
 };
 
 }  // namespace configerator

@@ -8,6 +8,7 @@
 #include "src/analysis/lint.h"
 #include "src/lang/builtins.h"
 #include "src/lang/compiler.h"
+#include "src/util/strings.h"
 
 namespace configerator {
 namespace {
@@ -200,6 +201,28 @@ TEST_F(LanguageRulesTest, UnusedStarImportFires) {
       "import_python(\"lib.cinc\", \"*\")\n"
       "export_if_last({\"ok\": True})\n");
   EXPECT_EQ(CountRule(diags, "L004"), 1u);
+}
+
+TEST_F(LanguageRulesTest, ImportResolutionDoesNotDependOnEarlierImports) {
+  // d0 -> d1 -> ... -> d8: from the linted file, d8 is nine imports deep
+  // through d0 (past the resolution bound) but eight through d1.
+  for (int k = 0; k <= 8; ++k) {
+    sources_.Put(StrFormat("d%d.cinc", k),
+                 k < 8 ? StrFormat("import_python(\"d%d.cinc\", \"*\")\n"
+                                   "D%d = %d\n",
+                                   k + 1, k, k)
+                       : std::string("D8 = 8\n"));
+  }
+  const std::string unused_d1 =
+      "import_python(\"d1.cinc\", \"D1\")\n"
+      "export_if_last({\"ok\": True})\n";
+  EXPECT_EQ(CountRule(Lint(unused_d1), "L004"), 1u);
+  // An earlier import that reaches d1 deeper does not change how the
+  // import of d1 resolves.
+  EXPECT_EQ(
+      CountRule(Lint("import_python(\"d0.cinc\", \"*\")\n" + unused_d1),
+                "L004"),
+      1u);
 }
 
 // ---- L005 duplicate-dict-key ------------------------------------------------

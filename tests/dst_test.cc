@@ -457,6 +457,13 @@ TEST(DstReplayTest, RejectsMoreProxiesThanServers) {
             StatusCode::kInvalidArgument);
 }
 
+TEST(DstReplayTest, RejectsPlanNamingAServerOutsideTheTopology) {
+  Result<RunResult> run = Harness::Replay(
+      "# dst-trace v1\nscenario seed=1 vessel=0\nplan-begin\n"
+      "at 1000000 partition 9.9.9 | 0.0.0\nplan-end\n");
+  EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(DstReplayTest, RejectsNonNumericValues) {
   for (const char* options :
        {"proxies=8x", "proxies=", "keys=five", "seed=-1", "seed=0x10",

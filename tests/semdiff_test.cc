@@ -298,6 +298,74 @@ TEST_F(SemdiffTest, G010FlagsShadowingInAnIntermediateModule) {
   EXPECT_NE(g010->message.find("TIMEOUT"), std::string::npos);
 }
 
+TEST_F(SemdiffTest, G010FlagsShadowingReExportedThroughAStarImport) {
+  // entry.cconf takes TIMEOUT from a.cinc, then star-imports b.cinc, which
+  // star-imports c.cinc. The commit adds TIMEOUT to c.cinc: b.cinc now
+  // re-exports it, and the entry's TIMEOUT silently moves from 5 to 30.
+  for (InMemorySources* side : {&old_, &new_}) {
+    side->Put("a.cinc", "TIMEOUT = 5\n");
+    side->Put("b.cinc", "import_python(\"c.cinc\", \"*\")\nRETRIES = 3\n");
+    side->Put("entry.cconf",
+              "import_python(\"a.cinc\", \"TIMEOUT\")\n"
+              "import_python(\"b.cinc\", \"*\")\n"
+              "export_if_last({\"t\": TIMEOUT, \"r\": RETRIES})\n");
+  }
+  old_.Put("c.cinc", "LEVEL = 1\n");
+  new_.Put("c.cinc", "LEVEL = 1\nTIMEOUT = 30\n");
+  SemanticDiffReport report = Classify({"c.cinc"}, {"entry.cconf"});
+  EXPECT_TRUE(report.sound);
+  const SymbolImpact* timeout = report.Find("entry.cconf", "TIMEOUT");
+  ASSERT_NE(timeout, nullptr) << report.Summary();
+  EXPECT_EQ(timeout->kind, ImpactKind::kValueDelta);
+  const LintDiagnostic* g010 = FindRule(report.findings, "G010");
+  ASSERT_NE(g010, nullptr) << report.Summary();
+  EXPECT_EQ(g010->file, "entry.cconf");
+  EXPECT_EQ(g010->line, 2);
+  EXPECT_NE(g010->message.find("TIMEOUT"), std::string::npos);
+}
+
+TEST_F(SemdiffTest, G010FlagsShadowingTwoReExportsDeep) {
+  for (InMemorySources* side : {&old_, &new_}) {
+    side->Put("a.cinc", "TIMEOUT = 5\n");
+    side->Put("b.cinc", "import_python(\"c.cinc\", \"*\")\nRETRIES = 3\n");
+    side->Put("c.cinc", "import_python(\"d.cinc\", \"*\")\nLEVEL = 1\n");
+    side->Put("entry.cconf",
+              "import_python(\"a.cinc\", \"TIMEOUT\")\n"
+              "import_python(\"b.cinc\", \"*\")\n"
+              "export_if_last({\"t\": TIMEOUT, \"r\": RETRIES})\n");
+  }
+  old_.Put("d.cinc", "DEPTH = 2\n");
+  new_.Put("d.cinc", "DEPTH = 2\nTIMEOUT = 30\n");
+  SemanticDiffReport report = Classify({"d.cinc"}, {"entry.cconf"});
+  EXPECT_TRUE(report.sound);
+  const LintDiagnostic* g010 = FindRule(report.findings, "G010");
+  ASSERT_NE(g010, nullptr) << report.Summary();
+  EXPECT_EQ(g010->file, "entry.cconf");
+  EXPECT_EQ(g010->line, 2);
+  EXPECT_NE(g010->message.find("TIMEOUT"), std::string::npos);
+}
+
+TEST_F(SemdiffTest, G010IgnoresTheSameDefinitionReExported) {
+  // bench/synthetic_repo.h's chained modules: mod010 re-exports
+  // BASE_PORT_9 from mod009, and the entry also imports it from mod009.
+  // Both imports bind the one definition, so nothing is shadowed.
+  for (InMemorySources* side : {&old_, &new_}) {
+    side->Put("lib/mod010.cinc",
+              "import_python(\"lib/mod009.cinc\", \"BASE_PORT_9\")\n"
+              "BASE_PORT_10 = BASE_PORT_9 + 1\n");
+    side->Put("entry.cconf",
+              "import_python(\"lib/mod010.cinc\", \"*\")\n"
+              "import_python(\"lib/mod009.cinc\", \"BASE_PORT_9\")\n"
+              "export_if_last({\"a\": BASE_PORT_10, \"b\": BASE_PORT_9})\n");
+  }
+  old_.Put("lib/mod009.cinc", "BASE_PORT_9 = 9009\n");
+  new_.Put("lib/mod009.cinc", "BASE_PORT_9 = 9010\n");
+  SemanticDiffReport report =
+      Classify({"lib/mod009.cinc"}, {"entry.cconf"});
+  EXPECT_TRUE(report.sound);
+  EXPECT_EQ(CountRule(report.findings, "G010"), 0u) << report.Summary();
+}
+
 TEST_F(SemdiffTest, G007IgnoresSymbolsWhoseReadersWerePruned) {
   // The commit moves Y; only y.cconf reads it, so Sandcastle prunes
   // x.cconf, the one reader of X. X predates the commit: no G007.

@@ -143,6 +143,25 @@ TEST_F(ZeusTest, NoQuorumFailsWrites) {
   EXPECT_EQ(result.status().code(), StatusCode::kUnavailable);
 }
 
+TEST_F(ZeusTest, WriteQueuedBehindAFailedElectionFailsUnavailable) {
+  // The leader and two more of five members crash: the write queues behind
+  // an election, which finds no quorum and must fail it.
+  zeus_->Crash(members_[0]);
+  zeus_->Crash(members_[1]);
+  zeus_->Crash(members_[2]);
+  int calls = 0;
+  Result<int64_t> result(int64_t{0});
+  zeus_->Write(client_, "k", "v", [&](Result<int64_t> r) {
+    ++calls;
+    result = std::move(r);
+  });
+  sim_.RunUntil(sim_.now() + ZeusEnsemble::Options{}.election_delay);
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(result.status().code(), StatusCode::kUnavailable);
+  sim_.RunUntil(sim_.now() + 30 * kSimSecond);
+  EXPECT_EQ(calls, 1);
+}
+
 TEST_F(ZeusTest, QuorumRestoredAfterRecovery) {
   zeus_->Crash(members_[1]);
   zeus_->Crash(members_[2]);
