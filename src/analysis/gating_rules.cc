@@ -17,12 +17,14 @@ namespace analysis {
 
 namespace {
 
-// A restraint spec decoded just far enough to reason about.
+// A restraint spec: its JSON, which G001/G004/G005 compare, and the
+// restraint its factory builds from it, which G002/G003/G006 ask whether its
+// verdict depends on the user. Null when the factory rejects the spec.
 struct RestraintView {
   std::string type;
   const Json* params;  // Never null (shared empty object when absent).
   bool negate = false;
-  bool known_type = false;
+  RestraintPtr restraint;
 };
 
 const Json& EmptyParams() {
@@ -47,58 +49,11 @@ RestraintView DecodeRestraint(const Json& spec,
   }
   const Json* negate = spec.Get("negate");
   view.negate = negate != nullptr && negate->is_bool() && negate->as_bool();
-  if (!view.type.empty()) {
-    for (const std::string& name : registry.TypeNames()) {
-      if (name == view.type) {
-        view.known_type = true;
-        break;
-      }
-    }
+  auto restraint = registry.Create(spec);
+  if (restraint.ok()) {
+    view.restraint = std::move(*restraint);
   }
   return view;
-}
-
-double ParamNumber(const RestraintView& view, std::string_view key,
-                   double fallback) {
-  const Json* field = view.params->Get(key);
-  return field != nullptr && field->is_number() ? field->as_double() : fallback;
-}
-
-// always(value) before negation; `value` defaults to true.
-bool IsAlways(const RestraintView& view, bool* value) {
-  if (view.type != "always") {
-    return false;
-  }
-  const Json* v = view.params->Get("value");
-  *value = v == nullptr || !v->is_bool() || v->as_bool();
-  return true;
-}
-
-// An id_mod/hash_range bucket spanning every user (before negation).
-bool IsFullRangeBucket(const RestraintView& view) {
-  if (view.type == "id_mod") {
-    double mod = ParamNumber(view, "mod", -1);
-    return mod > 0 && ParamNumber(view, "lo", -1) == 0 &&
-           ParamNumber(view, "hi", -1) == mod;
-  }
-  if (view.type == "hash_range") {
-    return ParamNumber(view, "lo", 1) <= 0 && ParamNumber(view, "hi", 0) >= 1;
-  }
-  return false;
-}
-
-// Statically always-true / always-false after applying negation.
-bool EffectivelyConstant(const RestraintView& view, bool* value) {
-  bool base;
-  if (IsAlways(view, &base)) {
-    *value = base != view.negate;
-    return true;
-  }
-  if (IsFullRangeBucket(view)) {
-    *value = !view.negate;
-    return true;
-  }
-  return false;
 }
 
 }  // namespace
@@ -162,7 +117,7 @@ void RunGatingRules(const std::string& path, const Json& config,
     views.reserve(restraints->as_array().size());
     for (const Json& spec : restraints->as_array()) {
       RestraintView view = DecodeRestraint(spec, registry);
-      if (!view.type.empty() && !view.known_type) {
+      if (!view.type.empty() && !registry.Has(view.type)) {
         report("G004", LintSeverity::kError,
                rule_label + " uses unknown restraint type '" + view.type + "'",
                "register the restraint or fix the type name");
@@ -173,19 +128,21 @@ void RunGatingRules(const std::string& path, const Json& config,
     bool conjunction_always_true = true;
     bool conjunction_dead = false;
     for (const RestraintView& view : views) {
-      bool constant;
-      if (EffectivelyConstant(view, &constant)) {
-        if (!constant) {
-          conjunction_dead = true;
-        }
-        if (IsFullRangeBucket(view) && !view.negate) {
-          report("G006", LintSeverity::kWarning,
-                 rule_label + ": " + view.type +
-                     " bucket spans all users and filters nothing",
-                 "narrow the range or drop the restraint");
-        }
-      } else {
+      if (view.restraint == nullptr || !view.restraint->IgnoresContext()) {
         conjunction_always_true = false;
+        continue;
+      }
+      // The same verdict, negation applied, for every user.
+      if (!view.restraint->Test(UserContext(), nullptr)) {
+        conjunction_dead = true;
+      }
+      // A type that declares context fields but ignores the context is a
+      // bucket spanning every user.
+      if (!registry.ContextFields(view.type).empty() && !view.negate) {
+        report("G006", LintSeverity::kWarning,
+               rule_label + ": " + view.type +
+                   " bucket spans all users and filters nothing",
+               "narrow the range or drop the restraint");
       }
     }
     if (conjunction_dead) {

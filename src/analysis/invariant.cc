@@ -670,11 +670,12 @@ NumInterval JoinInterval(const AbstractCases& cases, const SymbolRef& ref) {
 
 // ---- Gatekeeper predicates --------------------------------------------------
 
-// One axis of the mined context space: a field plus candidate values (index 0
-// is always the default). Fields are UserContext members; string/numeric
-// attributes use "sattr:<name>" / "nattr:<name>".
+// One axis of the probed context space: a context field (one attribute of
+// an attribute map) plus candidate values, index 0 its default.
 struct ContextAxis {
-  std::string field;
+  const ContextField* field = nullptr;
+  std::string attr;
+  std::string name;          // ContextProbe::Name(), as witnesses print it.
   std::vector<Json> values;  // values[0] = default.
 };
 
@@ -716,211 +717,52 @@ bool Eligible(const CompiledProjectSpec& spec, const UserContext& user) {
   return false;
 }
 
-void AddAxisValue(std::map<std::string, std::vector<Json>>* axes,
-                  const std::string& field, Json value) {
-  std::vector<Json>& values = (*axes)[field];
-  for (const Json& existing : values) {
-    if (JsonScalarEqual(existing, value)) {
-      return;
-    }
-  }
-  values.push_back(std::move(value));
-}
-
-// Mines candidate context values from a project's restraint parameters:
-// member values, thresholds +/- 1, mod-bucket representatives — the boundary
-// inputs where the project's decision can flip.
-void MineAxes(const Json& project,
-              std::map<std::string, std::vector<Json>>* axes) {
-  const Json* rules = project.Get("rules");
-  if (rules == nullptr || !rules->is_array()) {
-    return;
-  }
-  for (const Json& rule : rules->as_array()) {
-    const Json* restraints = rule.Get("restraints");
-    if (restraints == nullptr || !restraints->is_array()) {
-      continue;
-    }
-    for (const Json& restraint : restraints->as_array()) {
-      const Json* type = restraint.Get("type");
-      if (type == nullptr || !type->is_string()) {
-        continue;
-      }
-      const std::string& type_name = type->as_string();
-      const Json* params = restraint.Get("params");
-      auto string_list = [&](const char* key, const std::string& field) {
-        const Json* list = params != nullptr ? params->Get(key) : nullptr;
-        if (list != nullptr && list->is_array()) {
-          for (const Json& value : list->as_array()) {
-            if (value.is_string()) {
-              AddAxisValue(axes, field, value);
-            }
+// The context space of `projects`: the boundary probes their restraints
+// report (member values, thresholds +/- 1, bucket edges), one axis per
+// field sorted by name, each value once, in probe order after the default.
+std::vector<ContextAxis> ProbeAxes(
+    std::initializer_list<const CompiledProjectSpec*> projects) {
+  std::map<std::string, ContextAxis> by_name;
+  for (const CompiledProjectSpec* project : projects) {
+    for (const CompiledRuleSpec& rule : project->rules) {
+      for (const auto& restraint : rule.restraints) {
+        for (ContextProbe& probe : restraint->Probes()) {
+          const ContextField* field = FindContextField(probe.field);
+          if (field == nullptr) {
+            continue;
+          }
+          std::string name = probe.Name();
+          ContextAxis& axis = by_name[name];
+          if (axis.field == nullptr) {
+            axis.field = field;
+            axis.name = std::move(name);
+            axis.attr = std::move(probe.attr);
+            axis.values.push_back(ContextFieldDefault(*field));
+          }
+          bool duplicate = false;
+          for (const Json& existing : axis.values) {
+            duplicate = duplicate || JsonScalarEqual(existing, probe.value);
+          }
+          if (!duplicate) {
+            axis.values.push_back(std::move(probe.value));
           }
         }
-      };
-      auto int_boundary = [&](const char* key, const std::string& field) {
-        const Json* value = params != nullptr ? params->Get(key) : nullptr;
-        if (value != nullptr && value->is_number()) {
-          int64_t v = value->as_int();
-          AddAxisValue(axes, field, Json(v - 1));
-          AddAxisValue(axes, field, Json(v));
-          AddAxisValue(axes, field, Json(v + 1));
-        }
-      };
-      if (type_name == "employee") {
-        AddAxisValue(axes, "is_employee", Json(true));
-      } else if (type_name == "country") {
-        string_list("countries", "country");
-      } else if (type_name == "locale") {
-        string_list("locales", "locale");
-      } else if (type_name == "app") {
-        string_list("apps", "app");
-      } else if (type_name == "device") {
-        string_list("devices", "device");
-      } else if (type_name == "platform") {
-        string_list("platforms", "platform");
-      } else if (type_name == "min_friend_count" ||
-                 type_name == "max_friend_count") {
-        int_boundary("count", "friend_count");
-      } else if (type_name == "min_account_age") {
-        int_boundary("days", "account_age_days");
-      } else if (type_name == "new_user") {
-        int_boundary("max_days", "account_age_days");
-      } else if (type_name == "min_app_version") {
-        int_boundary("version", "app_version");
-      } else if (type_name == "id_in") {
-        const Json* ids = params != nullptr ? params->Get("ids") : nullptr;
-        if (ids != nullptr && ids->is_array()) {
-          int64_t max_id = 0;
-          size_t taken = 0;
-          for (const Json& id : ids->as_array()) {
-            if (id.is_int()) {
-              max_id = std::max(max_id, id.as_int());
-              if (taken++ < 4) {
-                AddAxisValue(axes, "user_id", id);
-              }
-            }
-          }
-          AddAxisValue(axes, "user_id", Json(max_id + 1));
-        }
-      } else if (type_name == "id_mod") {
-        const Json* lo = params != nullptr ? params->Get("lo") : nullptr;
-        const Json* hi = params != nullptr ? params->Get("hi") : nullptr;
-        const Json* mod = params != nullptr ? params->Get("mod") : nullptr;
-        if (lo != nullptr && lo->is_int()) {
-          AddAxisValue(axes, "user_id", *lo);
-        }
-        if (hi != nullptr && hi->is_int()) {
-          AddAxisValue(axes, "user_id", *hi);
-        }
-        if (mod != nullptr && mod->is_int()) {
-          AddAxisValue(axes, "user_id", *mod);
-        }
-      } else if (type_name == "hash_range") {
-        for (int64_t id = 1; id <= 8; ++id) {
-          AddAxisValue(axes, "user_id", Json(id));
-        }
-      } else if (type_name == "string_attr_equals") {
-        const Json* attr = params != nullptr ? params->Get("attr") : nullptr;
-        const Json* value = params != nullptr ? params->Get("value") : nullptr;
-        if (attr != nullptr && attr->is_string() && value != nullptr &&
-            value->is_string()) {
-          AddAxisValue(axes, "sattr:" + attr->as_string(), *value);
-        }
-      } else if (type_name == "has_attr") {
-        const Json* attr = params != nullptr ? params->Get("attr") : nullptr;
-        if (attr != nullptr && attr->is_string()) {
-          AddAxisValue(axes, "sattr:" + attr->as_string(), Json("present"));
-        }
-      } else if (type_name == "numeric_attr_gt" ||
-                 type_name == "numeric_attr_lt") {
-        const Json* attr = params != nullptr ? params->Get("attr") : nullptr;
-        const Json* threshold =
-            params != nullptr ? params->Get("threshold") : nullptr;
-        if (attr != nullptr && attr->is_string() && threshold != nullptr &&
-            threshold->is_number()) {
-          double t = threshold->as_double();
-          std::string field = "nattr:" + attr->as_string();
-          AddAxisValue(axes, field, Json(t - 1));
-          AddAxisValue(axes, field, Json(t + 1));
-        }
       }
-      // "always" and "laser" mine nothing: the former reads no context, the
-      // latter reads a store invariants do not model (it evaluates false
-      // here, which is the conservative no-laser environment).
     }
   }
-}
-
-Json DefaultAxisValue(const std::string& field) {
-  if (field == "is_employee") {
-    return Json(false);
-  }
-  if (field == "user_id" || field == "friend_count" ||
-      field == "account_age_days" || field == "app_version") {
-    return Json(static_cast<int64_t>(0));
-  }
-  if (field.starts_with("sattr:") || field.starts_with("nattr:")) {
-    return Json();  // null = attribute absent.
-  }
-  return Json("");  // String context fields default to empty.
-}
-
-std::vector<ContextAxis> BuildAxes(
-    const std::map<std::string, std::vector<Json>>& mined) {
   std::vector<ContextAxis> axes;
-  for (const auto& [field, values] : mined) {
-    ContextAxis axis;
-    axis.field = field;
-    axis.values.push_back(DefaultAxisValue(field));
-    for (const Json& value : values) {
-      bool duplicate = false;
-      for (const Json& existing : axis.values) {
-        if (JsonScalarEqual(existing, value)) {
-          duplicate = true;
-          break;
-        }
-      }
-      if (!duplicate) {
-        axis.values.push_back(value);
-      }
-    }
+  for (auto& [name, axis] : by_name) {
     axes.push_back(std::move(axis));
   }
   return axes;
 }
 
-UserContext BuildContext(const std::vector<ContextAxis>& axes,
-                         const std::vector<size_t>& choice) {
+UserContext ContextAt(const std::vector<ContextAxis>& axes,
+                      const std::vector<size_t>& choice) {
   UserContext user;
   for (size_t i = 0; i < axes.size(); ++i) {
-    const std::string& field = axes[i].field;
-    const Json& value = axes[i].values[choice[i]];
-    if (field == "country" && value.is_string()) {
-      user.country = value.as_string();
-    } else if (field == "locale" && value.is_string()) {
-      user.locale = value.as_string();
-    } else if (field == "app" && value.is_string()) {
-      user.app = value.as_string();
-    } else if (field == "device" && value.is_string()) {
-      user.device = value.as_string();
-    } else if (field == "platform" && value.is_string()) {
-      user.platform = value.as_string();
-    } else if (field == "is_employee" && value.is_bool()) {
-      user.is_employee = value.as_bool();
-    } else if (field == "user_id" && value.is_number()) {
-      user.user_id = value.as_int();
-    } else if (field == "friend_count" && value.is_number()) {
-      user.friend_count = static_cast<int32_t>(value.as_int());
-    } else if (field == "account_age_days" && value.is_number()) {
-      user.account_age_days = static_cast<int32_t>(value.as_int());
-    } else if (field == "app_version" && value.is_number()) {
-      user.app_version = static_cast<int32_t>(value.as_int());
-    } else if (field.starts_with("sattr:") && value.is_string()) {
-      user.string_attrs[field.substr(strlen("sattr:"))] = value.as_string();
-    } else if (field.starts_with("nattr:") && value.is_number()) {
-      user.numeric_attrs[field.substr(strlen("nattr:"))] = value.as_double();
-    }
+    SetContextField(*axes[i].field, axes[i].attr, axes[i].values[choice[i]],
+                    &user);
   }
   return user;
 }
@@ -930,7 +772,7 @@ std::vector<std::pair<std::string, std::string>> RenderContext(
   std::vector<std::pair<std::string, std::string>> out;
   for (size_t i = 0; i < axes.size(); ++i) {
     if (choice[i] != 0) {
-      out.emplace_back(axes[i].field, axes[i].values[choice[i]].Dump());
+      out.emplace_back(axes[i].name, axes[i].values[choice[i]].Dump());
     }
   }
   return out;
@@ -1386,14 +1228,16 @@ InvariantReport InvariantChecker::Check(const InvariantRegistry& registry,
                            "positive then-rule";
           break;
         }
-        // Case split on context fields: mine boundary values from both
-        // projects' restraint params and enumerate the (capped) cross
-        // product. Any violating context found this way is concrete and
-        // real by construction.
-        std::map<std::string, std::vector<Json>> mined;
-        MineAxes(if_proj.json, &mined);
-        MineAxes(then_proj.json, &mined);
-        std::vector<ContextAxis> axes = BuildAxes(mined);
+        // Case split on context fields: ask both projects' restraints for
+        // their boundary probes and enumerate the (capped) cross product.
+        // Any violating context found this way is concrete and real by
+        // construction.
+        std::vector<ContextAxis> axes =
+            ProbeAxes({&if_proj.spec, &then_proj.spec});
+        auto violates = [&](const std::vector<size_t>& choice) {
+          UserContext user = ContextAt(axes, choice);
+          return Eligible(if_proj.spec, user) && !Eligible(then_proj.spec, user);
+        };
         size_t total = 1;
         for (const ContextAxis& axis : axes) {
           total *= axis.values.size();
@@ -1411,8 +1255,7 @@ InvariantReport InvariantChecker::Check(const InvariantRegistry& registry,
             rest /= axes[i].values.size();
           }
           ++outcome.cases_checked;
-          UserContext user = BuildContext(axes, choice);
-          if (Eligible(if_proj.spec, user) && !Eligible(then_proj.spec, user)) {
+          if (violates(choice)) {
             violating_choice = std::move(choice);
             break;
           }
@@ -1433,27 +1276,22 @@ InvariantReport InvariantChecker::Check(const InvariantRegistry& registry,
             set_fields.push_back(i);
           }
         }
-        auto still_violates = [&](const std::vector<size_t>& kept) {
+        auto kept_choice = [&](const std::vector<size_t>& kept) {
           std::vector<size_t> choice(axes.size(), 0);
           for (size_t k : kept) {
             choice[set_fields[k]] = violating_choice[set_fields[k]];
           }
-          UserContext user = BuildContext(axes, choice);
-          return Eligible(if_proj.spec, user) && !Eligible(then_proj.spec, user);
+          return choice;
         };
-        std::vector<size_t> kept =
-            DdminSubset(set_fields.size(), still_violates, /*max_probes=*/128,
-                        &outcome.witness.shrink_probes);
-        std::vector<size_t> final_choice(axes.size(), 0);
-        for (size_t k : kept) {
-          final_choice[set_fields[k]] = violating_choice[set_fields[k]];
-        }
+        std::vector<size_t> final_choice = kept_choice(DdminSubset(
+            set_fields.size(),
+            [&](const std::vector<size_t>& kept) {
+              return violates(kept_choice(kept));
+            },
+            /*max_probes=*/128, &outcome.witness.shrink_probes));
         // Final concrete re-validation of the shrunk context.
-        UserContext final_user = BuildContext(axes, final_choice);
-        if (!Eligible(if_proj.spec, final_user) ||
-            Eligible(then_proj.spec, final_user)) {
+        if (!violates(final_choice)) {
           final_choice = violating_choice;  // Shrink regressed; keep original.
-          final_user = BuildContext(axes, final_choice);
         }
         outcome.status = InvariantStatus::kViolated;
         outcome.witness.context = RenderContext(axes, final_choice);
@@ -1465,8 +1303,7 @@ InvariantReport InvariantChecker::Check(const InvariantRegistry& registry,
         outcome.witness.predicate = "context is eligible under " +
                                     spec.if_project + " but not under " +
                                     spec.then_project;
-        outcome.witness.validated = Eligible(if_proj.spec, final_user) &&
-                                    !Eligible(then_proj.spec, final_user);
+        outcome.witness.validated = violates(final_choice);
         report.diagnostics.push_back(
             ViolationDiagnostic(spec, outcome.witness));
         break;
@@ -1483,29 +1320,15 @@ InvariantReport InvariantChecker::Check(const InvariantRegistry& registry,
         }
         std::set<std::string> allowed(spec.allowed_fields.begin(),
                                       spec.allowed_fields.end());
-        // Exact static walk: which context fields do the project's
+        // Exact static listing: which context fields do the project's
         // restraints consult?
         std::vector<std::pair<std::string, std::string>> offending;
-        const Json* rules = proj.json.Get("rules");
-        if (rules != nullptr && rules->is_array()) {
-          for (const Json& rule : rules->as_array()) {
-            const Json* restraints = rule.Get("restraints");
-            if (restraints == nullptr || !restraints->is_array()) {
-              continue;
-            }
-            for (const Json& restraint : restraints->as_array()) {
-              const Json* type = restraint.Get("type");
-              if (type == nullptr || !type->is_string()) {
-                continue;
-              }
-              ++outcome.cases_checked;
-              for (const std::string& field :
-                   RestraintRegistry::Builtin().ContextFields(
-                       type->as_string())) {
-                if (allowed.count(field) == 0) {
-                  offending.emplace_back(type->as_string(), field);
-                }
-              }
+        for (const RestraintFields& restraint :
+             ProjectContextFields(proj.json)) {
+          ++outcome.cases_checked;
+          for (const std::string& field : *restraint.fields) {
+            if (allowed.count(field) == 0) {
+              offending.emplace_back(restraint.type, field);
             }
           }
         }
@@ -1515,8 +1338,8 @@ InvariantReport InvariantChecker::Check(const InvariantRegistry& registry,
         }
         outcome.status = InvariantStatus::kViolated;
         // The witness is the config text itself: restraint type -> field it
-        // consults. A differential context pair (flip the field, eligibility
-        // flips) is attached when the mined candidates produce one.
+        // consults. A differential context pair (flip a disallowed field,
+        // eligibility flips) is attached when the probes produce one.
         std::set<std::string> seen;
         for (const auto& [type, field] : offending) {
           if (seen.insert(type + "/" + field).second) {
@@ -1526,15 +1349,14 @@ InvariantReport InvariantChecker::Check(const InvariantRegistry& registry,
         }
         outcome.witness.predicate =
             "project consults context field(s) outside the allowed set";
-        std::map<std::string, std::vector<Json>> mined;
-        MineAxes(proj.json, &mined);
-        std::vector<ContextAxis> axes = BuildAxes(mined);
+        std::vector<ContextAxis> axes = ProbeAxes({&proj.spec});
         // Try to demonstrate real dependence: two contexts differing only in
         // a disallowed field with different eligibility.
         for (size_t axis_idx = 0;
              axis_idx < axes.size() && outcome.witness.context.empty();
              ++axis_idx) {
-          bool disallowed = allowed.count(axes[axis_idx].field) == 0;
+          bool disallowed =
+              allowed.count(std::string(axes[axis_idx].field->name)) == 0;
           if (!disallowed) {
             continue;
           }
@@ -1542,14 +1364,14 @@ InvariantReport InvariantChecker::Check(const InvariantRegistry& registry,
           std::optional<bool> first;
           for (size_t v = 0; v < axes[axis_idx].values.size(); ++v) {
             base[axis_idx] = v;
-            bool eligible = Eligible(proj.spec, BuildContext(axes, base));
+            bool eligible = Eligible(proj.spec, ContextAt(axes, base));
             ++outcome.cases_checked;
             if (!first.has_value()) {
               first = eligible;
             } else if (eligible != *first) {
               outcome.witness.context = RenderContext(axes, base);
               if (outcome.witness.context.empty()) {
-                outcome.witness.context.emplace_back(axes[axis_idx].field,
+                outcome.witness.context.emplace_back(axes[axis_idx].name,
                                                      "<default>");
               }
               break;

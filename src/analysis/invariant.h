@@ -10,8 +10,8 @@
 // evaluates each one symbolically over the abstract interpreter's
 // interval/constant lattice, case-splitting on branch decisions (one
 // ExportSlice per `export` call site) and — for gatekeeper predicates — on
-// context-field values mined from restraint parameters. The outcome per
-// invariant is one of:
+// the context values each compiled restraint reports as its boundary probes.
+// The outcome per invariant is one of:
 //
 //   kProven     every case satisfies the predicate on abstract facts alone:
 //               no context, no branch arm, no schema-valid value can break it.

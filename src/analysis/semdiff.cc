@@ -8,8 +8,6 @@
 #include "src/analysis/store.h"
 #include "src/gatekeeper/compile.h"
 #include "src/json/json.h"
-#include "src/lang/ast.h"
-#include "src/lang/import_resolver.h"
 #include "src/lang/unit_cache.h"
 #include "src/util/strings.h"
 
@@ -191,28 +189,13 @@ LintDiagnostic MakeFinding(const char* rule_id, LintSeverity severity,
   return d;
 }
 
-GateSurface ExtractGateSurface(const Json& spec,
-                               const RestraintRegistry& registry) {
+GateSurface SurfaceOf(const Json& spec, const RestraintRegistry& registry) {
   GateSurface surface;
-  const Json* rules = spec.Get("rules");
-  if (rules == nullptr || !rules->is_array()) {
-    return surface;
-  }
-  for (const Json& rule : rules->as_array()) {
-    const Json* restraints = rule.Get("restraints");
-    if (restraints == nullptr || !restraints->is_array()) {
-      continue;
-    }
-    for (const Json& restraint : restraints->as_array()) {
-      const Json* type = restraint.Get("type");
-      if (type == nullptr || !type->is_string()) {
-        continue;
-      }
-      surface.restraint_types.insert(type->as_string());
-      for (const std::string& field : registry.ContextFields(type->as_string())) {
-        surface.context_fields.insert(field);
-      }
-    }
+  for (const RestraintFields& restraint :
+       ProjectContextFields(spec, registry)) {
+    surface.restraint_types.insert(restraint.type);
+    surface.context_fields.insert(restraint.fields->begin(),
+                                  restraint.fields->end());
   }
   return surface;
 }
@@ -655,8 +638,8 @@ SemanticDiffReport SemanticDiffer::Classify(
       impact.kind = ImpactKind::kNoOp;
       impact.detail = "spec unchanged";
     } else {
-      GateSurface old_surface = ExtractGateSurface(*old_json, *registry_);
-      GateSurface new_surface = ExtractGateSurface(*new_json, *registry_);
+      GateSurface old_surface = SurfaceOf(*old_json, *registry_);
+      GateSurface new_surface = SurfaceOf(*new_json, *registry_);
       if (!(old_surface == new_surface)) {
         impact.kind = ImpactKind::kControlShift;
         impact.old_value = old_surface.Describe();
@@ -703,45 +686,31 @@ SemanticDiffReport SemanticDiffer::Classify(
     }
   }
 
-  // G010 (shadowed import): a later top-level import rebinding a name an
-  // earlier import bound to a *different* definition. The classic hazard is
-  // a star import growing a new symbol, or re-exporting one, that silently
-  // shadows a specific earlier import (or vice versa). Names compare by
-  // their defining module, so the same definition re-exported is no
-  // conflict.
+  // G010 (shadowed import): a later module-level import, one inside an
+  // if/for/while block included, rebinding a name an earlier import bound
+  // to a *different* definition. The classic hazard is a star import
+  // growing a new symbol, or re-exporting one, that silently shadows a
+  // specific earlier import (or vice versa). Names compare by their
+  // defining module, so the same definition re-exported is no conflict.
+  // Schema imports bind into a separate env, and a dynamic import made the
+  // analysis unsound already.
   for (const auto& [path, side] : closure) {
-    if (!side->present) {
-      continue;
-    }
-    auto module = AnalysisStore::Units(store)->GetOrParse(path, side->content);
-    if (!module.ok()) {
-      continue;
-    }
     // name -> (defining module, the import that bound it).
     std::map<std::string, std::pair<std::string, std::string>> bound_by;
-    for (const StmtPtr& stmt : (*module)->body) {
-      if (stmt->kind != Stmt::Kind::kExpr || stmt->target == nullptr ||
-          !IsImportCall(*stmt->target)) {
-        continue;
-      }
-      ImportTarget target = ClassifyImport(*stmt->target);
-      if (target.kind != ImportTarget::Kind::kModule) {
-        continue;  // Schemas bind into a separate env; dynamic is unsound
-                   // already (absint flagged it).
-      }
+    for (const ModuleImport& import : side->surface->imports) {
       ImportBinding binding = AnalysisStore::Import(store, new_reader_,
-                                                    target.path, target.filter);
+                                                    import.path, import.filter);
       for (const auto& [name, bound] : binding.names) {
         auto it = bound_by.find(name);
         if (it != bound_by.end() && it->second.first != bound.module) {
           report.findings.push_back(MakeFinding(
-              "G010", LintSeverity::kError, path, target.line,
-              "import from '" + target.path + "' rebinds '" + name +
+              "G010", LintSeverity::kError, path, import.line,
+              "import from '" + import.path + "' rebinds '" + name +
                   "' already bound by the import of '" + it->second.second +
                   "'",
               "rename the symbol or drop one of the imports"));
         }
-        bound_by[name] = {bound.module, target.path};
+        bound_by[name] = {bound.module, import.path};
       }
     }
   }

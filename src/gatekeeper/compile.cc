@@ -53,6 +53,29 @@ Result<CompiledProjectSpec> CompileProjectSpec(const Json& config,
   return spec;
 }
 
+std::vector<RestraintFields> ProjectContextFields(
+    const Json& config, const RestraintRegistry& registry) {
+  std::vector<RestraintFields> out;
+  const Json* rules = config.Get("rules");
+  if (rules == nullptr || !rules->is_array()) {
+    return out;
+  }
+  for (const Json& rule : rules->as_array()) {
+    const Json* restraints = rule.Get("restraints");
+    if (restraints == nullptr || !restraints->is_array()) {
+      continue;
+    }
+    for (const Json& restraint : restraints->as_array()) {
+      const Json* type = restraint.Get("type");
+      if (type != nullptr && type->is_string()) {
+        out.push_back({type->as_string(),
+                       &registry.ContextFields(type->as_string())});
+      }
+    }
+  }
+  return out;
+}
+
 std::string GatekeeperPath(std::string_view project) {
   std::string path(kPathPrefix);
   path += project;

@@ -52,6 +52,22 @@ Result<CompiledProjectSpec> CompileProjectSpec(
     const Json& config,
     const RestraintRegistry& registry = RestraintRegistry::Builtin());
 
+// One restraint spec of a project config: its type, and the context fields
+// the registry declares for that type (none for an unknown type).
+struct RestraintFields {
+  std::string type;
+  const std::vector<std::string>* fields;  // Owned by the registry.
+};
+
+// The restraints a project config names, in declared order. The one listing
+// of what a project reads: semdiff compares it across an edit, and the
+// invariant checker tests it against a gate_context invariant. It reads the
+// JSON leniently, skipping a rule or restraint of the wrong shape, so it
+// also describes a project that does not compile.
+std::vector<RestraintFields> ProjectContextFields(
+    const Json& config,
+    const RestraintRegistry& registry = RestraintRegistry::Builtin());
+
 // The path convention, both directions. GatekeeperPath("P") is
 // "gatekeeper/P.json"; GatekeeperProjectAt() inverts it, returning nullopt
 // for a path outside the convention.

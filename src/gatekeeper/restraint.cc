@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <set>
 #include <unordered_set>
+#include <variant>
 
 #include "src/util/rng.h"
 #include "src/util/strings.h"
@@ -54,6 +55,12 @@ Result<std::string> GetString(const Json& params, const std::string& key) {
   return field->as_string();
 }
 
+// The int64 `v + delta`, wrapping at the edges instead of overflowing.
+Json Shifted(int64_t v, int64_t delta) {
+  return Json(static_cast<int64_t>(static_cast<uint64_t>(v) +
+                                   static_cast<uint64_t>(delta)));
+}
+
 // ---- Builtin restraints ----------------------------------------------------
 
 class AlwaysRestraint : public Restraint {
@@ -62,6 +69,7 @@ class AlwaysRestraint : public Restraint {
   bool Evaluate(const UserContext&, const LaserStore*) const override {
     return value_;
   }
+  bool IgnoresContext() const override { return true; }
   double cost() const override { return 0.1; }
   std::string_view type_name() const override { return "always"; }
 
@@ -74,18 +82,29 @@ class EmployeeRestraint : public Restraint {
   bool Evaluate(const UserContext& user, const LaserStore*) const override {
     return user.is_employee;
   }
+  std::vector<ContextProbe> Probes() const override {
+    return {{"is_employee", "", Json(true)}};
+  }
   std::string_view type_name() const override { return "employee"; }
 };
 
-// Generic membership restraint over a string field.
+// Generic membership restraint over a string field; the type is named after
+// the field. The set serves Evaluate, the declared list the probes.
 class StringSetRestraint : public Restraint {
  public:
-  StringSetRestraint(std::string type, std::vector<std::string> values,
-                     std::string UserContext::* field)
-      : type_(std::move(type)), values_(values.begin(), values.end()),
-        field_(field) {}
+  StringSetRestraint(const ContextField& field, std::vector<std::string> values)
+      : type_(field.name), values_(values.begin(), values.end()),
+        field_(std::get<std::string UserContext::*>(field.member)),
+        declared_(std::move(values)) {}
   bool Evaluate(const UserContext& user, const LaserStore*) const override {
     return values_.count(user.*field_) > 0;
+  }
+  std::vector<ContextProbe> Probes() const override {
+    std::vector<ContextProbe> probes;
+    for (const std::string& value : declared_) {
+      probes.push_back({type_, "", Json(value)});
+    }
+    return probes;
   }
   double cost() const override { return 1.5; }
   std::string_view type_name() const override { return type_; }
@@ -94,18 +113,26 @@ class StringSetRestraint : public Restraint {
   std::string type_;
   std::set<std::string> values_;
   std::string UserContext::* field_;
+  std::vector<std::string> declared_;
 };
 
 // Generic threshold over an int32 field.
 class IntThresholdRestraint : public Restraint {
  public:
   IntThresholdRestraint(std::string type, int64_t threshold, bool at_least,
-                        int32_t UserContext::* field)
+                        const ContextField& field)
       : type_(std::move(type)), threshold_(threshold), at_least_(at_least),
-        field_(field) {}
+        field_(std::get<int32_t UserContext::*>(field.member)),
+        field_name_(field.name) {}
   bool Evaluate(const UserContext& user, const LaserStore*) const override {
     int64_t v = user.*field_;
     return at_least_ ? v >= threshold_ : v <= threshold_;
+  }
+  std::vector<ContextProbe> Probes() const override {
+    std::string field(field_name_);
+    return {{field, "", Shifted(threshold_, -1)},
+            {field, "", Shifted(threshold_, 0)},
+            {field, "", Shifted(threshold_, 1)}};
   }
   std::string_view type_name() const override { return type_; }
 
@@ -114,18 +141,35 @@ class IntThresholdRestraint : public Restraint {
   int64_t threshold_;
   bool at_least_;
   int32_t UserContext::* field_;
+  std::string_view field_name_;
 };
 
+// The set serves Evaluate, the declared list the probes: its first four ids
+// and one past the largest (at least 1).
 class IdInRestraint : public Restraint {
  public:
-  explicit IdInRestraint(std::unordered_set<int64_t> ids) : ids_(std::move(ids)) {}
+  explicit IdInRestraint(std::vector<int64_t> ids)
+      : ids_(ids.begin(), ids.end()), declared_(std::move(ids)) {}
   bool Evaluate(const UserContext& user, const LaserStore*) const override {
     return ids_.count(user.user_id) > 0;
+  }
+  std::vector<ContextProbe> Probes() const override {
+    std::vector<ContextProbe> probes;
+    int64_t max_id = 0;
+    for (size_t i = 0; i < declared_.size(); ++i) {
+      max_id = std::max(max_id, declared_[i]);
+      if (i < 4) {
+        probes.push_back({"user_id", "", Json(declared_[i])});
+      }
+    }
+    probes.push_back({"user_id", "", Shifted(max_id, 1)});
+    return probes;
   }
   std::string_view type_name() const override { return "id_in"; }
 
  private:
   std::unordered_set<int64_t> ids_;
+  std::vector<int64_t> declared_;
 };
 
 class IdModRestraint : public Restraint {
@@ -133,9 +177,18 @@ class IdModRestraint : public Restraint {
   IdModRestraint(int64_t mod, int64_t lo, int64_t hi)
       : mod_(mod), lo_(lo), hi_(hi) {}
   bool Evaluate(const UserContext& user, const LaserStore*) const override {
-    int64_t bucket = ((user.user_id % mod_) + mod_) % mod_;
+    int64_t bucket = user.user_id % mod_;
+    if (bucket < 0) {
+      bucket += mod_;  // Floors into [0, mod_); cannot overflow.
+    }
     return bucket >= lo_ && bucket < hi_;
   }
+  std::vector<ContextProbe> Probes() const override {
+    return {{"user_id", "", Json(lo_)},
+            {"user_id", "", Json(hi_)},
+            {"user_id", "", Json(mod_)}};
+  }
+  bool IgnoresContext() const override { return lo_ == 0 && hi_ == mod_; }
   std::string_view type_name() const override { return "id_mod"; }
 
  private:
@@ -155,6 +208,15 @@ class HashRangeRestraint : public Restraint {
     double u = static_cast<double>(h >> 11) * 0x1.0p-53;
     return u >= lo_ && u < hi_;
   }
+  // The hash hides every edge, so the probes are the first few users.
+  std::vector<ContextProbe> Probes() const override {
+    std::vector<ContextProbe> probes;
+    for (int64_t id = 1; id <= 8; ++id) {
+      probes.push_back({"user_id", "", Json(id)});
+    }
+    return probes;
+  }
+  bool IgnoresContext() const override { return lo_ <= 0 && hi_ >= 1; }
   double cost() const override { return 2.0; }
   std::string_view type_name() const override { return "hash_range"; }
 
@@ -171,6 +233,9 @@ class StringAttrEqualsRestraint : public Restraint {
   bool Evaluate(const UserContext& user, const LaserStore*) const override {
     auto it = user.string_attrs.find(attr_);
     return it != user.string_attrs.end() && it->second == value_;
+  }
+  std::vector<ContextProbe> Probes() const override {
+    return {{"string_attrs", attr_, Json(value_)}};
   }
   double cost() const override { return 2.0; }
   std::string_view type_name() const override { return "string_attr_equals"; }
@@ -193,6 +258,10 @@ class NumericAttrRestraint : public Restraint {
     }
     return greater_ ? it->second > threshold_ : it->second < threshold_;
   }
+  std::vector<ContextProbe> Probes() const override {
+    return {{"numeric_attrs", attr_, Json(threshold_ - 1)},
+            {"numeric_attrs", attr_, Json(threshold_ + 1)}};
+  }
   double cost() const override { return 2.0; }
   std::string_view type_name() const override { return type_; }
 
@@ -208,6 +277,9 @@ class HasAttrRestraint : public Restraint {
   explicit HasAttrRestraint(std::string attr) : attr_(std::move(attr)) {}
   bool Evaluate(const UserContext& user, const LaserStore*) const override {
     return user.string_attrs.count(attr_) > 0 || user.numeric_attrs.count(attr_) > 0;
+  }
+  std::vector<ContextProbe> Probes() const override {
+    return {{"string_attrs", attr_, Json("present")}};
   }
   double cost() const override { return 2.0; }
   std::string_view type_name() const override { return "has_attr"; }
@@ -256,22 +328,19 @@ RestraintRegistry MakeBuiltinRegistry() {
   struct StringSetSpec {
     const char* type;
     const char* param;
-    std::string UserContext::* field;
   };
   static constexpr StringSetSpec kStringSets[] = {
-      {"country", "countries", &UserContext::country},
-      {"locale", "locales", &UserContext::locale},
-      {"app", "apps", &UserContext::app},
-      {"device", "devices", &UserContext::device},
-      {"platform", "platforms", &UserContext::platform},
+      {"country", "countries"}, {"locale", "locales"}, {"app", "apps"},
+      {"device", "devices"},    {"platform", "platforms"},
   };
   for (const StringSetSpec& spec : kStringSets) {
+    const ContextField* field = FindContextField(spec.type);
     registry.Register(
-        spec.type, {spec.type}, [spec](const Json& params) -> Result<RestraintPtr> {
+        spec.type, {spec.type}, [spec, field](const Json& params) -> Result<RestraintPtr> {
           ASSIGN_OR_RETURN(std::vector<std::string> values,
                            GetStringList(params, spec.param));
-          return RestraintPtr(std::make_unique<StringSetRestraint>(
-              spec.type, std::move(values), spec.field));
+          return RestraintPtr(
+              std::make_unique<StringSetRestraint>(*field, std::move(values)));
         });
   }
 
@@ -279,27 +348,22 @@ RestraintRegistry MakeBuiltinRegistry() {
     const char* type;
     const char* param;
     bool at_least;
-    const char* field_name;
-    int32_t UserContext::* field;
+    const char* field;
   };
   static constexpr ThresholdSpec kThresholds[] = {
-      {"min_friend_count", "count", true, "friend_count",
-       &UserContext::friend_count},
-      {"max_friend_count", "count", false, "friend_count",
-       &UserContext::friend_count},
-      {"min_account_age", "days", true, "account_age_days",
-       &UserContext::account_age_days},
-      {"new_user", "max_days", false, "account_age_days",
-       &UserContext::account_age_days},
-      {"min_app_version", "version", true, "app_version",
-       &UserContext::app_version},
+      {"min_friend_count", "count", true, "friend_count"},
+      {"max_friend_count", "count", false, "friend_count"},
+      {"min_account_age", "days", true, "account_age_days"},
+      {"new_user", "max_days", false, "account_age_days"},
+      {"min_app_version", "version", true, "app_version"},
   };
   for (const ThresholdSpec& spec : kThresholds) {
+    const ContextField* field = FindContextField(spec.field);
     registry.Register(
-        spec.type, {spec.field_name}, [spec](const Json& params) -> Result<RestraintPtr> {
+        spec.type, {spec.field}, [spec, field](const Json& params) -> Result<RestraintPtr> {
           ASSIGN_OR_RETURN(int64_t threshold, GetInt(params, spec.param));
           return RestraintPtr(std::make_unique<IntThresholdRestraint>(
-              spec.type, threshold, spec.at_least, spec.field));
+              spec.type, threshold, spec.at_least, *field));
         });
   }
 
@@ -308,14 +372,15 @@ RestraintRegistry MakeBuiltinRegistry() {
     if (ids == nullptr || !ids->is_array()) {
       return InvalidConfigError("id_in needs an 'ids' list");
     }
-    std::unordered_set<int64_t> set;
+    std::vector<int64_t> list;
+    list.reserve(ids->as_array().size());
     for (const Json& id : ids->as_array()) {
       if (!id.is_int()) {
         return InvalidConfigError("id_in ids must be integers");
       }
-      set.insert(id.as_int());
+      list.push_back(id.as_int());
     }
-    return RestraintPtr(std::make_unique<IdInRestraint>(std::move(set)));
+    return RestraintPtr(std::make_unique<IdInRestraint>(std::move(list)));
   });
 
   registry.Register("id_mod", {"user_id"},

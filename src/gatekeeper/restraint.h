@@ -22,13 +22,38 @@
 
 namespace configerator {
 
-// A compiled restraint instance, ready to evaluate.
+// A context value at which a restraint's verdict can flip: one boundary
+// input for analyses that enumerate contexts instead of reading params.
+struct ContextProbe {
+  std::string field;  // As the restraint's type declares it: "country", ...
+  std::string attr;   // The attribute, for string_attrs and numeric_attrs.
+  Json value;         // Sets the field as SetContextField does.
+
+  // "country", or "string_attrs.tier" for an attribute.
+  std::string Name() const { return attr.empty() ? field : field + "." + attr; }
+};
+
+// A compiled restraint instance, ready to evaluate. Only the restraint
+// knows its params: analyses ask it the two questions below instead of
+// decoding the spec's JSON again.
 class Restraint {
  public:
   virtual ~Restraint() = default;
 
   // Pure predicate over the context (and read-only Laser).
   virtual bool Evaluate(const UserContext& user, const LaserStore* laser) const = 0;
+
+  // The context values at which Evaluate can flip, in the order the spec
+  // declares them (duplicates possible): member values, thresholds and
+  // their neighbours, bucket edges. Each names a field the type declares.
+  // Empty for a restraint that reads no context, and for laser, whose
+  // store the analyses do not model.
+  virtual std::vector<ContextProbe> Probes() const { return {}; }
+
+  // True if Evaluate, before negation, returns the same verdict for every
+  // context: always, or a bucket spanning every user. That verdict is
+  // Evaluate(UserContext(), nullptr).
+  virtual bool IgnoresContext() const { return false; }
 
   // Relative evaluation cost (1.0 = trivial field compare). The runtime's
   // cost-based optimizer uses this together with observed pass rates.
@@ -61,14 +86,16 @@ class RestraintRegistry {
   // Registry preloaded with all builtin restraint types.
   static const RestraintRegistry& Builtin();
 
-  // `context_fields` names the UserContext fields restraints of `type`
-  // read: the inputs semdiff and the invariant checker reason about.
+  // `context_fields` names the UserContext fields (kContextFields) that
+  // restraints of `type` read: the inputs semdiff and the invariant checker
+  // reason about. Every probe a restraint of `type` reports names one.
   void Register(const std::string& type, std::vector<std::string> context_fields,
                 Factory factory);
 
   Result<RestraintPtr> Create(const Json& spec) const;
 
   std::vector<std::string> TypeNames() const;
+  bool Has(const std::string& type) const { return types_.count(type) > 0; }
 
   // The context fields `type` declared at registration; empty if unknown.
   const std::vector<std::string>& ContextFields(const std::string& type) const;

@@ -46,6 +46,7 @@
 #include "src/util/rng.h"
 #include "src/util/sha256.h"
 #include "src/util/strings.h"
+#include "tests/mutate.h"
 
 namespace configerator {
 namespace {
@@ -678,6 +679,110 @@ TEST(CslFuzz, FreshOutcomesMatchGoldenDigest) {
   EXPECT_EQ(digest.Finish().ToHex(), kGoldenDigest);
 }
 
+// --- Negative-operand arithmetic ---------------------------------------------
+
+// The family above mostly ends in an error, so its digest pins error
+// messages more than arithmetic. This one binds only defined names and
+// divides by nonzero values, so nearly every program compiles, and it does
+// int arithmetic on negative operands through //, %, unary - and abs(),
+// where Python's floor semantics differ from C++'s truncation. Each
+// expression draws from the generator at most once, so the programs do not
+// depend on the compiler's order of evaluation.
+class NegArithGen {
+ public:
+  explicit NegArithGen(uint64_t seed) : rng_(seed) {}
+
+  std::string Generate() {
+    std::string entry;
+    int n = 4 + static_cast<int>(rng_.NextBounded(7));
+    for (int i = 0; i < n; ++i) {
+      std::string var = StrFormat("n%d", i);
+      entry += var + " = " + Expr(3) + "\n";
+      vars_.push_back(var);
+    }
+    entry += "export_if_last({";
+    for (size_t i = 0; i < vars_.size(); ++i) {
+      entry += StrFormat("%s\"%s\": %s", i > 0 ? ", " : "", vars_[i].c_str(),
+                         vars_[i].c_str());
+    }
+    return entry + "})\n";
+  }
+
+ private:
+  std::string Literal() {
+    return StrFormat("%d", static_cast<int>(rng_.NextInRange(-20, 20)));
+  }
+
+  // A value that is never 0: a nonzero literal or abs(x) + 1, often negated.
+  std::string Divisor(int depth) {
+    std::string magnitude =
+        depth <= 0 || rng_.NextBool(0.5)
+            ? StrFormat("%d", static_cast<int>(rng_.NextInRange(1, 9)))
+            : "(abs(" + Expr(depth - 1) + ") + 1)";
+    return rng_.NextBool(0.6) ? "(-" + magnitude + ")" : magnitude;
+  }
+
+  std::string Expr(int depth) {
+    if (depth <= 0 || rng_.NextBool(0.25)) {
+      if (!vars_.empty() && rng_.NextBool(0.5)) {
+        return vars_[rng_.NextBounded(vars_.size())];
+      }
+      return Literal();
+    }
+    uint64_t pick = rng_.NextBounded(7);
+    std::string operand = Expr(depth - 1);
+    if (pick < 2) {
+      return "(" + operand + " // " + Divisor(depth - 1) + ")";
+    }
+    if (pick < 4) {
+      return "(" + operand + " % " + Divisor(depth - 1) + ")";
+    }
+    if (pick == 4) {
+      return "(-" + operand + ")";
+    }
+    if (pick == 5) {
+      return "abs(" + operand + ")";
+    }
+    static const char* kOps[] = {"+", "-", "*"};
+    std::string op = kOps[rng_.NextBounded(3)];
+    return "(" + operand + " " + op + " " +
+           (rng_.NextBool(0.5) ? Literal() : Expr(depth - 1)) + ")";
+  }
+
+  Rng rng_;
+  std::vector<std::string> vars_;
+};
+
+constexpr int kNegArithPrograms = 400;
+
+// The fresh compiler's outcomes for the kNegArithPrograms programs, folded
+// into one SHA-256 like kGoldenDigest. Recorded before this family was
+// first committed, from an interpreter whose // and % already floored; a
+// build that truncates either operator instead fails it. Update it the same
+// way as kGoldenDigest, and only for an intended change of arithmetic.
+constexpr char kNegArithDigest[] =
+    "e954a568520f54ce9e40d0aace1c03610d001444a4241dc5e52d787824b9608b";
+
+TEST(CslFuzz, NegativeOperandArithmeticMatchesGoldenDigest) {
+  Sha256 digest;
+  int failing_programs = 0;
+  for (uint64_t seed = 1; seed <= kNegArithPrograms; ++seed) {
+    NegArithGen gen(seed);
+    Outcome fresh = CompileFresh({{"entry.cconf", gen.Generate()}});
+    if (!fresh.status.ok()) {
+      ++failing_programs;
+    }
+    std::string record = fresh.status.ToString();
+    for (const std::string& artifact : fresh.artifacts) {
+      record += "\n" + artifact;
+    }
+    digest.Update(StrFormat("%zu:", record.size()));
+    digest.Update(record);
+  }
+  EXPECT_LE(failing_programs, kNegArithPrograms / 10);
+  EXPECT_EQ(digest.Finish().ToHex(), kNegArithDigest);
+}
+
 TEST(CslFuzz, MutatedSourcesNeverCrashAndMatchFreshCompiler) {
   SharedCompiler shared;
   for (uint64_t seed = 1; seed <= kMutations; ++seed) {
@@ -689,12 +794,7 @@ TEST(CslFuzz, MutatedSourcesNeverCrashAndMatchFreshCompiler) {
       continue;
     }
     Rng mut(seed * 7919);
-    int flips = 1 + static_cast<int>(mut.NextBounded(4));
-    for (int i = 0; i < flips; ++i) {
-      size_t at = mut.NextBounded(entry.size());
-      entry[at] = static_cast<char>(entry[at] ^
-                                    (1 << mut.NextBounded(7)));
-    }
+    FlipBits(&entry, mut);
     auto divergence = Divergence(shared, files);
     EXPECT_FALSE(divergence.has_value())
         << "mutated seed " << seed << ": " << *divergence << "\n"

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+
 #include "src/gatekeeper/compile.h"
 #include "src/gatekeeper/runtime.h"
 #include "src/util/strings.h"
@@ -49,6 +52,149 @@ TEST(RestraintTest, EveryBuiltinDeclaresItsContextFields) {
   EXPECT_EQ(registry.ContextFields("laser"),
             std::vector<std::string>{"user_id"});
   EXPECT_TRUE(registry.ContextFields("no_such_restraint").empty());
+
+  // Every declared field is a UserContext field, and every boundary probe
+  // a restraint reports names a field its type declares.
+  const std::map<std::string, std::string> kSampleParams = {
+      {"always", R"({"value": false})"},
+      {"employee", "{}"},
+      {"country", R"({"countries": ["US", "CA"]})"},
+      {"locale", R"({"locales": ["en_US"]})"},
+      {"app", R"({"apps": ["fb4a", "www"]})"},
+      {"device", R"({"devices": ["iphone6"]})"},
+      {"platform", R"({"platforms": ["ios"]})"},
+      {"min_friend_count", R"({"count": 10})"},
+      {"max_friend_count", R"({"count": 10})"},
+      {"min_account_age", R"({"days": 30})"},
+      {"new_user", R"({"max_days": 7})"},
+      {"min_app_version", R"({"version": 200})"},
+      {"id_in", R"({"ids": [3, 1, 4, 1, 5, 9]})"},
+      {"id_mod", R"({"mod": 10, "lo": 2, "hi": 5})"},
+      {"hash_range", R"({"salt": "s", "lo": 0.25, "hi": 0.5})"},
+      {"string_attr_equals", R"({"attr": "tier", "value": "gold"})"},
+      {"numeric_attr_gt", R"({"attr": "score", "threshold": 2.5})"},
+      {"numeric_attr_lt", R"({"attr": "score", "threshold": 2.5})"},
+      {"has_attr", R"({"attr": "tier"})"},
+      {"laser", R"({"project": "Trend", "threshold": 0.5})"},
+  };
+  ASSERT_EQ(registry.TypeNames().size(), kSampleParams.size());
+  for (const std::string& type : registry.TypeNames()) {
+    const std::vector<std::string>& fields = registry.ContextFields(type);
+    for (const std::string& field : fields) {
+      EXPECT_NE(FindContextField(field), nullptr) << type << ": " << field;
+    }
+    ASSERT_EQ(kSampleParams.count(type), 1u) << type;
+    auto restraint = registry.Create(ParseConfig(
+        R"({"type": ")" + type + R"(", "params": )" + kSampleParams.at(type) +
+        "}"));
+    ASSERT_TRUE(restraint.ok()) << type << ": " << restraint.status();
+    std::vector<ContextProbe> probes = (*restraint)->Probes();
+    EXPECT_EQ(probes.empty(), type == "always" || type == "laser") << type;
+    for (const ContextProbe& probe : probes) {
+      EXPECT_NE(std::find(fields.begin(), fields.end(), probe.field),
+                fields.end())
+          << type << " probes undeclared field " << probe.Name();
+      EXPECT_EQ(probe.attr.empty(), probe.field != "string_attrs" &&
+                                        probe.field != "numeric_attrs")
+          << type << ": " << probe.Name();
+    }
+    EXPECT_EQ((*restraint)->IgnoresContext(), type == "always") << type;
+  }
+}
+
+TEST(RestraintTest, ProbesFollowTheDeclaredParams) {
+  const RestraintRegistry& registry = RestraintRegistry::Builtin();
+  auto render = [&](const std::string& spec) {
+    auto restraint = registry.Create(ParseConfig(spec));
+    EXPECT_TRUE(restraint.ok()) << spec;
+    std::string out;
+    for (const ContextProbe& probe : (*restraint)->Probes()) {
+      // A double renders with a trailing "d", so JSON kinds are pinned too.
+      out += (out.empty() ? "" : " ") + probe.Name() + "=" +
+             probe.value.Dump() + (probe.value.is_double() ? "d" : "");
+    }
+    return out;
+  };
+  // Declared order, not set order; duplicates are the caller's to merge.
+  EXPECT_EQ(render(R"({"type": "country", "params": {"countries": ["US", "CA", "US"]}})"),
+            R"(country="US" country="CA" country="US")");
+  // The first four ids, then one past the largest (at least 1).
+  EXPECT_EQ(render(R"({"type": "id_in", "params": {"ids": [9, 2, 7, 2, 30]}})"),
+            "user_id=9 user_id=2 user_id=7 user_id=2 user_id=31");
+  EXPECT_EQ(render(R"({"type": "id_in", "params": {"ids": [-5]}})"),
+            "user_id=-5 user_id=1");
+  EXPECT_EQ(render(R"({"type": "new_user", "params": {"max_days": 7}})"),
+            "account_age_days=6 account_age_days=7 account_age_days=8");
+  EXPECT_EQ(render(R"({"type": "id_mod", "params": {"mod": 10, "lo": 2, "hi": 5}})"),
+            "user_id=2 user_id=5 user_id=10");
+  EXPECT_EQ(render(R"({"type": "numeric_attr_lt", "params": {"attr": "s", "threshold": 2}})"),
+            "numeric_attrs.s=1d numeric_attrs.s=3d");
+  EXPECT_EQ(render(R"({"type": "has_attr", "params": {"attr": "t"}})"),
+            R"(string_attrs.t="present")");
+  // A threshold at the int64 edge wraps instead of overflowing.
+  EXPECT_EQ(render(R"({"type": "min_app_version", "params": {"version": 9223372036854775807}})"),
+            "app_version=9223372036854775806 app_version=9223372036854775807 "
+            "app_version=-9223372036854775808");
+}
+
+TEST(RestraintTest, IdModBucketsExtremeIdsWithoutOverflow) {
+  // A modulus above 2^62 used to overflow int64 while flooring the bucket
+  // (UBSan reports it); the invariant checker probes exactly these edges.
+  auto r = RestraintRegistry::Builtin().Create(ParseConfig(
+      R"({"type": "id_mod", "params": {"mod": 9223372036854775807,
+          "lo": 9223372036854775805, "hi": 9223372036854775806}})"));
+  ASSERT_TRUE(r.ok());
+  EXPECT_TRUE((*r)->Test(MakeUser(9223372036854775805), nullptr));
+  EXPECT_FALSE((*r)->Test(MakeUser(9223372036854775806), nullptr));
+  EXPECT_FALSE((*r)->Test(MakeUser(0), nullptr));
+  // -2 floors to mod - 2, which is lo.
+  EXPECT_TRUE((*r)->Test(MakeUser(-2), nullptr));
+  EXPECT_FALSE((*r)->Test(MakeUser(INT64_MIN), nullptr));
+}
+
+TEST(RestraintTest, BucketsSpanningEveryUserIgnoreTheContext) {
+  const RestraintRegistry& registry = RestraintRegistry::Builtin();
+  auto ignores = [&](const std::string& spec) {
+    auto restraint = registry.Create(ParseConfig(spec));
+    EXPECT_TRUE(restraint.ok()) << spec;
+    return restraint.ok() && (*restraint)->IgnoresContext();
+  };
+  EXPECT_TRUE(ignores(R"({"type": "always"})"));
+  EXPECT_TRUE(ignores(R"({"type": "id_mod", "params": {"mod": 4, "lo": 0, "hi": 4}})"));
+  EXPECT_FALSE(ignores(R"({"type": "id_mod", "params": {"mod": 4, "lo": 0, "hi": 3}})"));
+  EXPECT_TRUE(ignores(R"({"type": "hash_range", "params": {"salt": "s", "lo": 0, "hi": 1}})"));
+  EXPECT_FALSE(ignores(R"({"type": "hash_range", "params": {"salt": "s", "lo": 0, "hi": 0.99}})"));
+  EXPECT_FALSE(ignores(R"({"type": "employee"})"));
+}
+
+TEST(ContextFieldTest, DefaultsAndSettersFollowTheMembers) {
+  for (const ContextField& field : kContextFields) {
+    EXPECT_EQ(FindContextField(field.name), &field);
+  }
+  EXPECT_EQ(FindContextField("sattr:tier"), nullptr);
+  EXPECT_EQ(ContextFieldDefault(*FindContextField("country")), Json(""));
+  EXPECT_EQ(ContextFieldDefault(*FindContextField("is_employee")), Json(false));
+  EXPECT_EQ(ContextFieldDefault(*FindContextField("friend_count")),
+            Json(static_cast<int64_t>(0)));
+  EXPECT_TRUE(ContextFieldDefault(*FindContextField("string_attrs")).is_null());
+
+  UserContext user;
+  SetContextField(*FindContextField("country"), "", Json("BR"), &user);
+  SetContextField(*FindContextField("is_employee"), "", Json(true), &user);
+  SetContextField(*FindContextField("user_id"), "", Json(static_cast<int64_t>(42)), &user);
+  SetContextField(*FindContextField("app_version"), "", Json(static_cast<int64_t>(7)), &user);
+  SetContextField(*FindContextField("string_attrs"), "tier", Json("gold"), &user);
+  SetContextField(*FindContextField("numeric_attrs"), "score", Json(2.5), &user);
+  // A value of the wrong kind, or null, changes nothing.
+  SetContextField(*FindContextField("locale"), "", Json(3), &user);
+  SetContextField(*FindContextField("string_attrs"), "plan", Json(), &user);
+  EXPECT_EQ(user.country, "BR");
+  EXPECT_TRUE(user.is_employee);
+  EXPECT_EQ(user.user_id, 42);
+  EXPECT_EQ(user.app_version, 7);
+  EXPECT_EQ(user.locale, "");
+  EXPECT_EQ(user.string_attrs, (std::map<std::string, std::string>{{"tier", "gold"}}));
+  EXPECT_EQ(user.numeric_attrs, (std::map<std::string, double>{{"score", 2.5}}));
 }
 
 TEST(RestraintTest, Employee) {

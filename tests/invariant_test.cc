@@ -18,6 +18,7 @@
 #include "src/analysis/witness.h"
 #include "src/canary/canary.h"
 #include "src/core/stack.h"
+#include "src/gatekeeper/restraint.h"
 #include "src/lang/compiler.h"
 #include "src/pipeline/ci.h"
 #include "src/pipeline/risk.h"
@@ -399,6 +400,52 @@ TEST_F(InvariantCheckerTest, GateContextFlagsDisallowedFields) {
             InvariantStatus::kProven);
   ASSERT_EQ(report.diagnostics.size(), 1u);
   EXPECT_EQ(report.diagnostics[0].rule_id, "I006");
+}
+
+TEST_F(InvariantCheckerTest, GateContextWitnessNeverFlipsAnAllowedField) {
+  // Only the attribute rule can pass; the country rule has probability 0.
+  // So the project consults 'country' without depending on it, and no
+  // differential context over a disallowed field exists. The witness must
+  // not flip the allowed attribute instead, and it names fields as the
+  // restraint registry does.
+  sources_.Put("gk/roll.json",
+               R"({"project": "roll", "rules": [
+                 {"restraints": [{"type": "string_attr_equals",
+                   "params": {"attr": "tier", "value": "gold"}}],
+                  "pass_probability": 1.0},
+                 {"restraints": [{"type": "country",
+                   "params": {"countries": ["US"]}}],
+                  "pass_probability": 0.0}]})");
+  InvariantReport report = Check(R"({"invariants": [
+    {"name": "attrs-allowed", "kind": "gate_context",
+     "project": "gk/roll.json", "allowed_fields": ["string_attrs"]},
+    {"name": "country-allowed", "kind": "gate_context",
+     "project": "gk/roll.json", "allowed_fields": ["country"]}]})");
+  const RestraintRegistry& registry = RestraintRegistry::Builtin();
+  std::set<std::string> declared;
+  for (const std::string& type : registry.TypeNames()) {
+    for (const std::string& field : registry.ContextFields(type)) {
+      declared.insert(field);
+    }
+  }
+  const InvariantOutcome* attrs = FindOutcome(report, "attrs-allowed");
+  ASSERT_NE(attrs, nullptr);
+  EXPECT_EQ(attrs->status, InvariantStatus::kViolated);
+  ASSERT_EQ(attrs->witness.valuation.size(), 1u);
+  EXPECT_NE(attrs->witness.valuation[0].second.find("'country'"),
+            std::string::npos);
+  for (const auto& [name, value] : attrs->witness.context) {
+    std::string field = name.substr(0, name.find('.'));
+    EXPECT_EQ(declared.count(field), 1u) << name << "=" << value;
+    EXPECT_NE(field, "string_attrs") << name << "=" << value;
+  }
+  // With the attribute disallowed, flipping it is the demonstration.
+  const InvariantOutcome* country = FindOutcome(report, "country-allowed");
+  ASSERT_NE(country, nullptr);
+  EXPECT_EQ(country->status, InvariantStatus::kViolated);
+  ASSERT_EQ(country->witness.context.size(), 1u);
+  EXPECT_EQ(country->witness.context[0].first, "string_attrs.tier");
+  EXPECT_EQ(country->witness.context[0].second, "\"gold\"");
 }
 
 TEST_F(InvariantCheckerTest, GateContextSeesTheUserIdALaserRestraintReads) {

@@ -345,6 +345,32 @@ TEST_F(SemdiffTest, G010FlagsShadowingTwoReExportsDeep) {
   EXPECT_NE(g010->message.find("TIMEOUT"), std::string::npos);
 }
 
+TEST_F(SemdiffTest, G010FlagsShadowingByAnImportInsideABlock) {
+  // The star import sits in a module-level if block; it still runs at
+  // module level, so b.cinc's new TIMEOUT shadows the one from a.cinc.
+  for (InMemorySources* side : {&old_, &new_}) {
+    side->Put("a.cinc", "TIMEOUT = 5\n");
+    side->Put("entry.cconf",
+              "import_python(\"a.cinc\", \"TIMEOUT\")\n"
+              "ON = 1\n"
+              "if ON > 0:\n"
+              "    import_python(\"b.cinc\", \"*\")\n"
+              "export_if_last({\"t\": TIMEOUT, \"r\": RETRIES})\n");
+  }
+  old_.Put("b.cinc", "RETRIES = 3\n");
+  new_.Put("b.cinc", "RETRIES = 3\nTIMEOUT = 30\n");
+  SemanticDiffReport report = Classify({"b.cinc"}, {"entry.cconf"});
+  EXPECT_TRUE(report.sound);
+  const SymbolImpact* timeout = report.Find("entry.cconf", "TIMEOUT");
+  ASSERT_NE(timeout, nullptr) << report.Summary();
+  EXPECT_EQ(timeout->kind, ImpactKind::kValueDelta);
+  const LintDiagnostic* g010 = FindRule(report.findings, "G010");
+  ASSERT_NE(g010, nullptr) << report.Summary();
+  EXPECT_EQ(g010->file, "entry.cconf");
+  EXPECT_EQ(g010->line, 4);
+  EXPECT_NE(g010->message.find("TIMEOUT"), std::string::npos);
+}
+
 TEST_F(SemdiffTest, G010IgnoresTheSameDefinitionReExported) {
   // bench/synthetic_repo.h's chained modules: mod010 re-exports
   // BASE_PORT_9 from mod009, and the entry also imports it from mod009.
