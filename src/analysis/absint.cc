@@ -2045,11 +2045,17 @@ class StmtScan {
     if (stmt.value != nullptr) {
       ScanExpr(*stmt.value, module_level);
     }
-    for (const StmtPtr& s : stmt.body) {
-      ScanStmt(*s, module_level);
-    }
-    for (const StmtPtr& s : stmt.orelse) {
-      ScanStmt(*s, module_level);
+    bool branches = module_level && stmt.kind == Stmt::Kind::kIf;
+    for (const std::vector<StmtPtr>* block : {&stmt.body, &stmt.orelse}) {
+      if (branches) {
+        arms_.push_back(2 * stmt.line + (block == &stmt.orelse ? 1 : 0));
+      }
+      for (const StmtPtr& s : *block) {
+        ScanStmt(*s, module_level);
+      }
+      if (branches) {
+        arms_.pop_back();
+      }
     }
     if (stmt.def != nullptr) {
       const FunctionDefStmt& def = *stmt.def;
@@ -2150,9 +2156,9 @@ class StmtScan {
           } else if (import.kind == ImportTarget::Kind::kDynamic) {
             surface_->has_dynamic_import = true;
           } else {
-            surface_->imports.push_back(
-                {std::move(import.path), std::move(import.filter),
-                 import.line});
+            surface_->imports.push_back({std::move(import.path),
+                                         std::move(import.filter),
+                                         import.line, arms_});
           }
         }
         break;
@@ -2162,6 +2168,7 @@ class StmtScan {
   }
 
   ModuleSymbolSurface* surface_;
+  std::vector<int> arms_;  // ModuleImport::arms of the statement scanned.
 };
 
 }  // namespace

@@ -291,6 +291,10 @@ struct ModuleImport {
   std::string path;
   std::string filter;  // "*" or one symbol.
   int line = 0;
+  // The if/else arms the import sits in, outermost first: 2n for the body
+  // of the `if` on line n (an `elif` is an `if` nested in the else arm),
+  // 2n + 1 for its else arm.
+  std::vector<int> arms;
 };
 
 // The statically-visible top-level symbol surface of one module version,

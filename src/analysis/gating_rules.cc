@@ -34,19 +34,13 @@ const Json& EmptyParams() {
 
 RestraintView DecodeRestraint(const Json& spec,
                               const RestraintRegistry& registry) {
-  RestraintView view;
-  view.params = &EmptyParams();
-  if (!spec.is_object()) {
-    return view;
-  }
+  RestraintView view;  // Get() finds nothing in a spec that is no object.
   const Json* type = spec.Get("type");
   if (type != nullptr && type->is_string()) {
     view.type = type->as_string();
   }
   const Json* params = spec.Get("params");
-  if (params != nullptr) {
-    view.params = params;
-  }
+  view.params = params != nullptr ? params : &EmptyParams();
   const Json* negate = spec.Get("negate");
   view.negate = negate != nullptr && negate->is_bool() && negate->as_bool();
   auto restraint = registry.Create(spec);
@@ -96,11 +90,9 @@ void RunGatingRules(const std::string& path, const Json& config,
              "delete this rule or reorder it first");
     }
 
-    double pass_probability = -1;
     const Json* prob = rule_spec.Get("pass_probability");
-    if (prob != nullptr && prob->is_number()) {
-      pass_probability = prob->as_double();
-    }
+    double pass_probability =
+        prob != nullptr && prob->is_number() ? prob->as_double() : -1;
     if (pass_probability == 0) {
       report("G003", LintSeverity::kWarning,
              rule_label + " has pass_probability 0, so it can never pass "

@@ -1355,9 +1355,7 @@ InvariantReport InvariantChecker::Check(const InvariantRegistry& registry,
         for (size_t axis_idx = 0;
              axis_idx < axes.size() && outcome.witness.context.empty();
              ++axis_idx) {
-          bool disallowed =
-              allowed.count(std::string(axes[axis_idx].field->name)) == 0;
-          if (!disallowed) {
+          if (allowed.count(std::string(axes[axis_idx].field->name)) > 0) {
             continue;
           }
           std::vector<size_t> base(axes.size(), 0);

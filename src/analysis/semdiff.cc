@@ -162,17 +162,8 @@ struct GateSurface {
   bool operator==(const GateSurface& other) const = default;
 
   std::string Describe() const {
-    std::string out = "restraints{";
-    bool first = true;
-    for (const std::string& type : restraint_types) {
-      if (!first) {
-        out += ",";
-      }
-      first = false;
-      out += type;
-    }
-    out += "}";
-    return out;
+    return "restraints{" +
+           StrJoin({restraint_types.begin(), restraint_types.end()}, ",") + "}";
   }
 };
 
@@ -323,18 +314,6 @@ SemanticDiffReport SemanticDiffer::Classify(
     }
   }
 
-  auto deps_dirty = [&dirty_base](
-                        const std::map<std::string, std::set<std::string>>&
-                            deps) {
-    for (const auto& [module_path, symbols] : deps) {
-      for (const std::string& symbol : symbols) {
-        if (dirty_base.count({module_path, symbol}) > 0) {
-          return true;
-        }
-      }
-    }
-    return false;
-  };
   // Names of dirty dependencies, for control-shift attribution.
   auto dirty_deps_of = [&dirty_base](
                            const std::map<std::string, std::set<std::string>>&
@@ -349,6 +328,8 @@ SemanticDiffReport SemanticDiffer::Classify(
     }
     return out;
   };
+  auto deps_dirty = [&](const std::map<std::string, std::set<std::string>>&
+                            deps) { return !dirty_deps_of(deps).empty(); };
   // File-level reach: reads of a changed raw dep (schema, validator), of an
   // incomparable touched file, or a star import of a module whose surface
   // grew. `raw` is reported separately — it also voids precision-based
@@ -472,17 +453,11 @@ SemanticDiffReport SemanticDiffer::Classify(
         if (brief_by_digest.size() == 1) {
           return brief_by_digest.begin()->second;
         }
-        std::string out = "one of {";
-        bool first = true;
+        std::vector<std::string> briefs;
         for (const auto& [digest, brief] : brief_by_digest) {
-          if (!first) {
-            out += " | ";
-          }
-          first = false;
-          out += brief;
+          briefs.push_back(brief);
         }
-        out += "}";
-        return out;
+        return "one of {" + StrJoin(briefs, " | ") + "}";
       }
     };
     auto merge_exports = [](const AbsintResult& result) {
@@ -579,14 +554,11 @@ SemanticDiffReport SemanticDiffer::Classify(
           }
           if (all_control) {
             impact.kind = ImpactKind::kControlShift;
-            std::string guards;
-            for (const SymbolKey& key : dirty_deps) {
-              if (!guards.empty()) {
-                guards += ", ";
-              }
-              guards += key.first + ":" + key.second;
+            std::vector<std::string> guards;
+            for (const auto& [module_path, symbol] : dirty_deps) {
+              guards.push_back(module_path + ":" + symbol);
             }
-            impact.detail = "guard symbols changed: " + guards;
+            impact.detail = "guard symbols changed: " + StrJoin(guards, ", ");
           } else {
             impact.kind = ImpactKind::kValueDelta;
             impact.detail = pair.unsound
@@ -601,22 +573,17 @@ SemanticDiffReport SemanticDiffer::Classify(
 
   // -- Gatekeeper specs: the control surface IS the semantics.
   for (const std::string& path : gk_touched) {
-    auto old_content = old_reader_(path);
-    auto new_content = new_reader_(path);
-    std::optional<Json> old_json;
-    std::optional<Json> new_json;
-    if (old_content.ok()) {
-      auto parsed = Json::Parse(*old_content);
-      if (parsed.ok()) {
-        old_json = std::move(*parsed);
+    auto parse = [&path](const FileReader& reader) -> std::optional<Json> {
+      auto content = reader(path);
+      if (!content.ok()) {
+        return std::nullopt;
       }
-    }
-    if (new_content.ok()) {
-      auto parsed = Json::Parse(*new_content);
-      if (parsed.ok()) {
-        new_json = std::move(*parsed);
-      }
-    }
+      auto parsed = Json::Parse(*content);
+      return parsed.ok() ? std::optional<Json>(std::move(*parsed))
+                         : std::nullopt;
+    };
+    std::optional<Json> old_json = parse(old_reader_);
+    std::optional<Json> new_json = parse(new_reader_);
     SymbolImpact impact;
     impact.file = path;
     auto project_name = [&path](const std::optional<Json>& json) {
@@ -686,31 +653,70 @@ SemanticDiffReport SemanticDiffer::Classify(
     }
   }
 
-  // G010 (shadowed import): a later module-level import, one inside an
-  // if/for/while block included, rebinding a name an earlier import bound
-  // to a *different* definition. The classic hazard is a star import
-  // growing a new symbol, or re-exporting one, that silently shadows a
-  // specific earlier import (or vice versa). Names compare by their
-  // defining module, so the same definition re-exported is no conflict.
-  // Schema imports bind into a separate env, and a dynamic import made the
-  // analysis unsound already.
+  // G010 (shadowed import): a module-level import, one inside an
+  // if/for/while block included, rebinding a name that an earlier import
+  // it can follow bound to a *different* definition. The classic hazard is
+  // a star import growing a new symbol, or re-exporting one, that silently
+  // shadows a specific earlier import (or vice versa). Names compare by
+  // their defining module, so the same definition re-exported is no
+  // conflict. The two arms of an `if` never both run: each starts from the
+  // bindings before the `if`, and after it a name holds what either arm
+  // left it. Loop bodies read as straight-line code. Schema imports bind
+  // into a separate env, and a dynamic import made the analysis unsound
+  // already.
+  // name -> the (defining module, importing path) pairs it may hold.
+  using Held =
+      std::map<std::string, std::set<std::pair<std::string, std::string>>>;
+  auto join = [](const Held& from, Held* into) {
+    for (const auto& [name, pairs] : from) {
+      (*into)[name].insert(pairs.begin(), pairs.end());
+    }
+  };
   for (const auto& [path, side] : closure) {
-    // name -> (defining module, the import that bound it).
-    std::map<std::string, std::pair<std::string, std::string>> bound_by;
+    Held held;
+    // The `if`s around the last import, outermost first: the arm it sat in,
+    // the bindings as the `if` began, and those its left arms ended with.
+    std::vector<std::tuple<int, Held, Held>> open;
     for (const ModuleImport& import : side->surface->imports) {
+      const std::vector<int>& arms = import.arms;
+      while (!open.empty()) {
+        auto& [arm, before, after] = open.back();
+        int next = open.size() <= arms.size() ? arms[open.size() - 1] : -1;
+        if (arm == next) {
+          break;  // Still in this arm; arm numbers are unique.
+        }
+        join(held, &after);
+        if (arm % 2 == 0 && arm + 1 == next) {
+          held = before;  // On to the else arm.
+          ++arm;
+          break;
+        }
+        if (arm % 2 == 0) {
+          join(before, &after);  // The else arm imports nothing.
+        }
+        held = std::move(after);
+        open.pop_back();
+      }
+      while (open.size() < arms.size()) {
+        // Entered at its else arm, an `if` already holds what its body left.
+        int arm = arms[open.size()];
+        open.emplace_back(arm, held, arm % 2 == 1 ? held : Held());
+      }
       ImportBinding binding = AnalysisStore::Import(store, new_reader_,
                                                     import.path, import.filter);
       for (const auto& [name, bound] : binding.names) {
-        auto it = bound_by.find(name);
-        if (it != bound_by.end() && it->second.first != bound.module) {
-          report.findings.push_back(MakeFinding(
-              "G010", LintSeverity::kError, path, import.line,
-              "import from '" + import.path + "' rebinds '" + name +
-                  "' already bound by the import of '" + it->second.second +
-                  "'",
-              "rename the symbol or drop one of the imports"));
+        std::set<std::pair<std::string, std::string>>& pairs = held[name];
+        for (const auto& [module, importer] : pairs) {
+          if (module != bound.module) {
+            report.findings.push_back(MakeFinding(
+                "G010", LintSeverity::kError, path, import.line,
+                "import from '" + import.path + "' rebinds '" + name +
+                    "' already bound by the import of '" + importer + "'",
+                "rename the symbol or drop one of the imports"));
+            break;
+          }
         }
-        bound_by[name] = {bound.module, import.path};
+        pairs = {{bound.module, import.path}};
       }
     }
   }

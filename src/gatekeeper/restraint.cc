@@ -144,32 +144,30 @@ class IntThresholdRestraint : public Restraint {
   std::string_view field_name_;
 };
 
-// The set serves Evaluate, the declared list the probes: its first four ids
-// and one past the largest (at least 1).
+// The verdict flips at the first four declared ids, in declared order, and
+// one past the largest (at least 1).
 class IdInRestraint : public Restraint {
  public:
-  explicit IdInRestraint(std::vector<int64_t> ids)
-      : ids_(ids.begin(), ids.end()), declared_(std::move(ids)) {}
+  IdInRestraint(std::unordered_set<int64_t> ids, std::vector<int64_t> first,
+                int64_t max_id)
+      : ids_(std::move(ids)), first_(std::move(first)), max_id_(max_id) {}
   bool Evaluate(const UserContext& user, const LaserStore*) const override {
     return ids_.count(user.user_id) > 0;
   }
   std::vector<ContextProbe> Probes() const override {
     std::vector<ContextProbe> probes;
-    int64_t max_id = 0;
-    for (size_t i = 0; i < declared_.size(); ++i) {
-      max_id = std::max(max_id, declared_[i]);
-      if (i < 4) {
-        probes.push_back({"user_id", "", Json(declared_[i])});
-      }
+    for (int64_t id : first_) {
+      probes.push_back({"user_id", "", Json(id)});
     }
-    probes.push_back({"user_id", "", Shifted(max_id, 1)});
+    probes.push_back({"user_id", "", Shifted(max_id_, 1)});
     return probes;
   }
   std::string_view type_name() const override { return "id_in"; }
 
  private:
   std::unordered_set<int64_t> ids_;
-  std::vector<int64_t> declared_;
+  std::vector<int64_t> first_;
+  int64_t max_id_;
 };
 
 class IdModRestraint : public Restraint {
@@ -372,15 +370,21 @@ RestraintRegistry MakeBuiltinRegistry() {
     if (ids == nullptr || !ids->is_array()) {
       return InvalidConfigError("id_in needs an 'ids' list");
     }
-    std::vector<int64_t> list;
-    list.reserve(ids->as_array().size());
+    std::unordered_set<int64_t> set;
+    std::vector<int64_t> first;
+    int64_t max_id = 0;
     for (const Json& id : ids->as_array()) {
       if (!id.is_int()) {
         return InvalidConfigError("id_in ids must be integers");
       }
-      list.push_back(id.as_int());
+      set.insert(id.as_int());
+      if (first.size() < 4) {
+        first.push_back(id.as_int());
+      }
+      max_id = std::max(max_id, id.as_int());
     }
-    return RestraintPtr(std::make_unique<IdInRestraint>(std::move(list)));
+    return RestraintPtr(std::make_unique<IdInRestraint>(
+        std::move(set), std::move(first), max_id));
   });
 
   registry.Register("id_mod", {"user_id"},
@@ -408,28 +412,22 @@ RestraintRegistry MakeBuiltinRegistry() {
 
   registry.Register("string_attr_equals", {"string_attrs"},
                     [](const Json& params) -> Result<RestraintPtr> {
-                      ASSIGN_OR_RETURN(std::string attr, GetString(params, "attr"));
-                      ASSIGN_OR_RETURN(std::string value,
-                                       GetString(params, "value"));
-                      return RestraintPtr(std::make_unique<StringAttrEqualsRestraint>(
-                          std::move(attr), std::move(value)));
-                    });
-
-  registry.Register("numeric_attr_gt", {"numeric_attrs"},
-                    [](const Json& params) -> Result<RestraintPtr> {
     ASSIGN_OR_RETURN(std::string attr, GetString(params, "attr"));
-    ASSIGN_OR_RETURN(double threshold, GetDouble(params, "threshold"));
-    return RestraintPtr(std::make_unique<NumericAttrRestraint>(
-        "numeric_attr_gt", std::move(attr), threshold, /*greater=*/true));
+    ASSIGN_OR_RETURN(std::string value, GetString(params, "value"));
+    return RestraintPtr(std::make_unique<StringAttrEqualsRestraint>(
+        std::move(attr), std::move(value)));
   });
 
-  registry.Register("numeric_attr_lt", {"numeric_attrs"},
-                    [](const Json& params) -> Result<RestraintPtr> {
-    ASSIGN_OR_RETURN(std::string attr, GetString(params, "attr"));
-    ASSIGN_OR_RETURN(double threshold, GetDouble(params, "threshold"));
-    return RestraintPtr(std::make_unique<NumericAttrRestraint>(
-        "numeric_attr_lt", std::move(attr), threshold, /*greater=*/false));
-  });
+  for (bool greater : {true, false}) {
+    const char* type = greater ? "numeric_attr_gt" : "numeric_attr_lt";
+    registry.Register(type, {"numeric_attrs"},
+                      [type, greater](const Json& params) -> Result<RestraintPtr> {
+      ASSIGN_OR_RETURN(std::string attr, GetString(params, "attr"));
+      ASSIGN_OR_RETURN(double threshold, GetDouble(params, "threshold"));
+      return RestraintPtr(std::make_unique<NumericAttrRestraint>(
+          type, std::move(attr), threshold, greater));
+    });
+  }
 
   registry.Register("has_attr", {"string_attrs", "numeric_attrs"},
                     [](const Json& params) -> Result<RestraintPtr> {

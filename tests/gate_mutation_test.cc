@@ -79,60 +79,80 @@ TEST(GateMutation, ProjectMutantsReachEveryAnalysis) {
   EXPECT_LT(compiled, kMutants * 9 / 10);
 }
 
-// A seeded invariant spec file declaring every kind over a small tree.
+// A seeded invariant spec file declaring every kind over a small tree. Each
+// draw from the Rng is a statement of its own, so the specs do not depend on
+// the order in which the compiler evaluates operands.
 std::string GenSpec(uint64_t seed) {
   Rng rng(seed);
   auto pick = [&rng](std::initializer_list<const char*> values) {
     return std::string(*(values.begin() + rng.NextBounded(values.size())));
   };
   auto ref = [&]() {
-    return "{\"config\": \"" + pick({"cfg/a.json", "cfg/b.json"}) +
-           "\", \"field\": \"" + pick({"x", "w", "limits.max", "tier"}) +
-           "\"}";
+    std::string config = pick({"cfg/a.json", "cfg/b.json"});
+    std::string field = pick({"x", "w", "limits.max", "tier"});
+    return "{\"config\": \"" + config + "\", \"field\": \"" + field + "\"}";
   };
   auto relation = [&]() { return pick({"<", "<=", "==", "!=", ">=", ">"}); };
+  auto project = [&]() {
+    return pick({"gatekeeper/a.json", "gatekeeper/b.json"});
+  };
   std::vector<std::string> invariants;
   int n = 4 + static_cast<int>(rng.NextBounded(5));
   for (int i = 0; i < n; ++i) {
     std::string head = StrFormat("{\"name\": \"inv%d\", \"severity\": \"%s\", ",
                                  i, pick({"error", "warning"}).c_str());
     switch (rng.NextBounded(6)) {
-      case 0:
-        invariants.push_back(head + "\"kind\": \"ordering\", \"lhs\": " +
-                             ref() + ", \"relation\": \"" + relation() +
-                             "\", \"rhs\": " + ref() + "}");
+      case 0: {
+        std::string lhs = ref();
+        std::string op = relation();
+        std::string rhs = ref();
+        invariants.push_back(head + "\"kind\": \"ordering\", \"lhs\": " + lhs +
+                             ", \"relation\": \"" + op + "\", \"rhs\": " + rhs +
+                             "}");
         break;
-      case 1:
-        invariants.push_back(head + "\"kind\": \"sum\", \"terms\": [" + ref() +
-                             ", " + ref() + "], \"relation\": \"" +
-                             relation() + "\", \"budget\": " +
-                             pick({"10", "100", "-1", "2.5"}) + "}");
+      }
+      case 1: {
+        std::string first = ref();
+        std::string second = ref();
+        std::string op = relation();
+        std::string budget = pick({"10", "100", "-1", "2.5"});
+        invariants.push_back(head + "\"kind\": \"sum\", \"terms\": [" + first +
+                             ", " + second + "], \"relation\": \"" + op +
+                             "\", \"budget\": " + budget + "}");
         break;
-      case 2:
+      }
+      case 2: {
+        std::string subject = ref();
+        std::string extra = pick({"\"cold\"", "7", "null"});
         invariants.push_back(head + "\"kind\": \"membership\", \"subject\": " +
-                             ref() + ", \"allowed\": [\"hot\", 5, " +
-                             pick({"\"cold\"", "7", "null"}) + "]}");
+                             subject + ", \"allowed\": [\"hot\", 5, " + extra +
+                             "]}");
         break;
+      }
       case 3:
         invariants.push_back(head + "\"kind\": \"reference\", \"subject\": {" +
                              "\"config\": \"cfg/a.json\", \"field\": \"" +
                              pick({"fallback", "tier"}) + "\"}}");
         break;
-      case 4:
-        invariants.push_back(
-            head + "\"kind\": \"gate_implies\", \"if_project\": \"" +
-            pick({"gatekeeper/a.json", "gatekeeper/b.json"}) +
-            "\", \"then_project\": \"" +
-            pick({"gatekeeper/a.json", "gatekeeper/b.json"}) + "\"}");
+      case 4: {
+        std::string if_project = project();
+        std::string then_project = project();
+        invariants.push_back(head +
+                             "\"kind\": \"gate_implies\", \"if_project\": \"" +
+                             if_project + "\", \"then_project\": \"" +
+                             then_project + "\"}");
         break;
-      default:
-        invariants.push_back(
-            head + "\"kind\": \"gate_context\", \"project\": \"" +
-            pick({"gatekeeper/a.json", "gatekeeper/b.json"}) +
-            "\", \"allowed_fields\": [\"" +
-            pick({"country", "user_id", "string_attrs", "app_version"}) +
-            "\"]}");
+      }
+      default: {
+        std::string gated = project();
+        std::string field =
+            pick({"country", "user_id", "string_attrs", "app_version"});
+        invariants.push_back(head +
+                             "\"kind\": \"gate_context\", \"project\": \"" +
+                             gated + "\", \"allowed_fields\": [\"" + field +
+                             "\"]}");
         break;
+      }
     }
   }
   std::string out = "{\"invariants\": [";

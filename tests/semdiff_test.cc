@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 
 #include "src/analysis/semdiff.h"
 #include "src/core/stack.h"
@@ -369,6 +370,69 @@ TEST_F(SemdiffTest, G010FlagsShadowingByAnImportInsideABlock) {
   EXPECT_EQ(g010->file, "entry.cconf");
   EXPECT_EQ(g010->line, 4);
   EXPECT_NE(g010->message.find("TIMEOUT"), std::string::npos);
+}
+
+TEST_F(SemdiffTest, G010IgnoresImportsInExclusiveArms) {
+  // Only one arm of each if/elif/else runs, so the star imports in them
+  // never shadow one another, though every module defines TIMEOUT.
+  for (InMemorySources* side : {&old_, &new_}) {
+    side->Put("prod.cinc", "TIMEOUT = 5\n");
+    side->Put("dev.cinc", "TIMEOUT = 30\n");
+    side->Put("test.cinc", "TIMEOUT = 1\n");
+  }
+  old_.Put("entry.cconf",
+           "import_python(\"prod.cinc\", \"*\")\n"
+           "export_if_last({\"t\": TIMEOUT})\n");
+  new_.Put("entry.cconf",
+           "STAGE = 1\n"
+           "if STAGE == 0:\n"
+           "    import_python(\"prod.cinc\", \"*\")\n"
+           "elif STAGE == 1:\n"
+           "    import_python(\"dev.cinc\", \"*\")\n"
+           "else:\n"
+           "    import_python(\"test.cinc\", \"*\")\n"
+           "export_if_last({\"t\": TIMEOUT})\n");
+  SemanticDiffReport report = Classify({"entry.cconf"}, {});
+  EXPECT_TRUE(report.sound);
+  EXPECT_EQ(CountRule(report.findings, "G010"), 0u) << report.Summary();
+}
+
+TEST_F(SemdiffTest, G010FlagsShadowingOfWhatEitherArmBound) {
+  // After the if/else, TIMEOUT holds prod.cinc's or dev.cinc's definition;
+  // the import of lib.cinc rebinds it, and dev.cinc's too, which only the
+  // else arm binds. The imports inside the arms shadow nothing.
+  for (InMemorySources* side : {&old_, &new_}) {
+    side->Put("prod.cinc", "TIMEOUT = 5\n");
+    side->Put("dev.cinc", "TIMEOUT = 30\nDEBUG = 1\n");
+    side->Put("lib.cinc", "TIMEOUT = 1\nDEBUG = 0\n");
+  }
+  old_.Put("entry.cconf",
+           "import_python(\"prod.cinc\", \"*\")\n"
+           "export_if_last({\"t\": TIMEOUT})\n");
+  new_.Put("entry.cconf",
+           "PROD = 1\n"
+           "if PROD > 0:\n"
+           "    import_python(\"prod.cinc\", \"*\")\n"
+           "else:\n"
+           "    import_python(\"dev.cinc\", \"*\")\n"
+           "import_python(\"lib.cinc\", \"*\")\n"
+           "export_if_last({\"t\": TIMEOUT, \"d\": DEBUG})\n");
+  SemanticDiffReport report = Classify({"entry.cconf"}, {});
+  EXPECT_TRUE(report.sound);
+  ASSERT_EQ(CountRule(report.findings, "G010"), 2u) << report.Summary();
+  std::set<std::string> names;
+  for (const LintDiagnostic& d : report.findings) {
+    if (d.rule_id != "G010") {
+      continue;
+    }
+    EXPECT_EQ(d.line, 6) << d.message;
+    names.insert(d.message.substr(d.message.find("rebinds")));
+  }
+  EXPECT_EQ(names, (std::set<std::string>{
+                       "rebinds 'DEBUG' already bound by the import of "
+                       "'dev.cinc'",
+                       "rebinds 'TIMEOUT' already bound by the import of "
+                       "'dev.cinc'"}));
 }
 
 TEST_F(SemdiffTest, G010IgnoresTheSameDefinitionReExported) {
