@@ -29,8 +29,9 @@ void ProxyFleet::SubscribeAll(const std::string& key, SimTime spread) {
     net_->sim().Schedule(static_cast<SimTime>(i) * step, [this, observer, watch] {
       zeus_->Subscribe(hosts_[watch & 0xffffffff], observer,
                        keys_[watch >> 32].name,
-                       [this, watch](const ZeusTxn& txn, TraceContext) {
-                         OnUpdate(watch & 0xffffffff, watch >> 32, txn);
+                       [this, watch](const ZeusEnsemble::TxnPtr& txn,
+                                     TraceContext) {
+                         OnUpdate(watch & 0xffffffff, watch >> 32, *txn);
                        });
     });
   }

@@ -1,10 +1,11 @@
 // ProxyFleet: a struct-of-arrays subscriber fleet for scale experiments.
 //
-// A full ConfigProxy per server (memory cache + on-disk cache + callback
-// registry + metrics) costs kilobytes each — fine for a DST scenario with
-// tens of proxies, fatal at the paper's fleet sizes. The Fig 14 scaling bench
-// needs 100k+ servers that each hold a live per-key Zeus subscription and
-// record when updates land; nothing more. ProxyFleet keeps exactly that:
+// A full ConfigProxy per server (a hash record per subscribed key holding
+// the cached txn and the app callbacks, an on-disk cache, metrics) costs
+// kilobytes each — fine for a DST scenario with tens of proxies, fatal at
+// the paper's fleet sizes. The Fig 14 scaling bench needs 100k+ servers
+// that each hold a live per-key Zeus subscription and record when updates
+// land; nothing more. ProxyFleet keeps exactly that:
 // per-(key, server) state is two dense arrays (last zxid, last update time)
 // indexed by the server's position in the fleet, ~16 bytes per subscription,
 // and every server runs the real subscribe/watch/push protocol over the

@@ -1,5 +1,7 @@
 #include "src/distribution/proxy.h"
 
+#include <algorithm>
+
 namespace configerator {
 
 ConfigProxy::ConfigProxy(Network* net, ZeusEnsemble* zeus, ServerId host,
@@ -10,13 +12,11 @@ ConfigProxy::ConfigProxy(Network* net, ZeusEnsemble* zeus, ServerId host,
 }
 
 void ConfigProxy::Subscribe(const std::string& key, UpdateCallback on_update) {
-  bool already_subscribed = callbacks_.count(key) > 0;
+  auto [it, inserted] = subscriptions_.try_emplace(key);
   if (on_update) {
-    callbacks_[key].push_back(std::move(on_update));
-  } else {
-    callbacks_.try_emplace(key);  // Subscription without a callback.
+    it->second.callbacks.push_back(std::move(on_update));
   }
-  if (!already_subscribed && !crashed_) {
+  if (inserted && !crashed_) {
     DoSubscribe(key);
   }
 }
@@ -24,7 +24,7 @@ void ConfigProxy::Subscribe(const std::string& key, UpdateCallback on_update) {
 void ConfigProxy::DoSubscribe(const std::string& key) {
   std::weak_ptr<ConfigProxy*> weak = self_;
   zeus_->Subscribe(host_, observer_, key,
-                   [weak](const ZeusTxn& txn, TraceContext trace) {
+                   [weak](const ZeusEnsemble::TxnPtr& txn, TraceContext trace) {
                      std::shared_ptr<ConfigProxy*> self = weak.lock();
                      if (self == nullptr) {
                        return;  // Proxy incarnation is gone (crash without restart).
@@ -33,15 +33,30 @@ void ConfigProxy::DoSubscribe(const std::string& key) {
                    });
 }
 
-void ConfigProxy::OnZeusUpdate(const ZeusTxn& txn, TraceContext trace) {
+void ConfigProxy::ResubscribeAll() {
+  std::vector<const std::string*> keys;
+  keys.reserve(subscriptions_.size());
+  for (const auto& [key, sub] : subscriptions_) {
+    keys.push_back(&key);
+  }
+  std::sort(keys.begin(), keys.end(),
+            [](const std::string* a, const std::string* b) { return *a < *b; });
+  for (const std::string* key : keys) {
+    DoSubscribe(*key);
+  }
+}
+
+void ConfigProxy::OnZeusUpdate(const ZeusEnsemble::TxnPtr& txn,
+                               TraceContext trace) {
   if (crashed_) {
     return;  // Delivery to a dead process.
   }
   if (obs_ != nullptr) {
     last_confirmed_ = net_->sim().now();  // A delivery is proof of liveness.
   }
-  auto it = memory_cache_.find(txn.key);
-  if (it != memory_cache_.end() && txn.zxid <= it->second.zxid) {
+  // Zeus delivers only subscribed keys: the proxy watches nothing else.
+  Subscription& sub = subscriptions_.at(txn->key);
+  if (sub.cached != nullptr && txn->zxid <= sub.cached->zxid) {
     ++stale_discarded_;  // Ordering guarantee: never move backwards.
     if (stale_counter_ != nullptr) {
       stale_counter_->Inc();
@@ -54,7 +69,7 @@ void ConfigProxy::OnZeusUpdate(const ZeusTxn& txn, TraceContext trace) {
     SimTime now = net_->sim().now();
     updates_counter_->Inc();
     TraceContext parent =
-        trace.valid() ? trace : obs_->tracer.ZxidContext(txn.zxid);
+        trace.valid() ? trace : obs_->tracer.ZxidContext(txn->zxid);
     apply_span = obs_->tracer.StartSpan(parent, "proxy.apply",
                                         host_.ToString(), now);
     SimTime commit_start = obs_->tracer.TraceStartTime(parent.trace_id);
@@ -63,23 +78,20 @@ void ConfigProxy::OnZeusUpdate(const ZeusTxn& txn, TraceContext trace) {
       propagation_hist_->Record(latency);
       if (latency > max_propagation_) {
         max_propagation_ = latency;
-        slowest_zxid_gauge_->Set(static_cast<double>(txn.zxid));
+        slowest_zxid_gauge_->Set(static_cast<double>(txn->zxid));
       }
     }
   }
-  memory_cache_[txn.key] = OnDiskCache::Entry{txn.value, txn.zxid};
-  disk_->Put(txn.key, txn.value, txn.zxid);
-  auto cb_it = callbacks_.find(txn.key);
-  if (cb_it != callbacks_.end()) {
-    if (obs_ != nullptr && !cb_it->second.empty()) {
-      SimTime now = net_->sim().now();
-      obs_->tracer.EndSpan(obs_->tracer.StartSpan(apply_span, "app.callback",
-                                                  host_.ToString(), now),
-                           now);
-    }
-    for (const UpdateCallback& cb : cb_it->second) {
-      cb(txn.key, txn.value, txn.zxid);
-    }
+  sub.cached = txn;
+  disk_->Put(txn);
+  if (obs_ != nullptr && !sub.callbacks.empty()) {
+    SimTime now = net_->sim().now();
+    obs_->tracer.EndSpan(obs_->tracer.StartSpan(apply_span, "app.callback",
+                                                host_.ToString(), now),
+                         now);
+  }
+  for (const UpdateCallback& cb : sub.callbacks) {
+    cb(txn->key, txn->value, txn->zxid);
   }
   if (obs_ != nullptr) {
     obs_->tracer.EndSpan(apply_span, net_->sim().now());
@@ -133,13 +145,15 @@ const OnDiskCache::Entry* ConfigProxy::GetCached(const std::string& key) const {
   if (crashed_) {
     return nullptr;
   }
-  auto it = memory_cache_.find(key);
-  return it == memory_cache_.end() ? nullptr : &it->second;
+  auto it = subscriptions_.find(key);
+  return it == subscriptions_.end() ? nullptr : it->second.cached.get();
 }
 
 void ConfigProxy::Crash() {
   crashed_ = true;
-  memory_cache_.clear();
+  for (auto& [key, sub] : subscriptions_) {
+    sub.cached = nullptr;
+  }
   // Invalidate outstanding watch deliveries to this incarnation.
   self_ = std::make_shared<ConfigProxy*>(this);
 }
@@ -150,31 +164,17 @@ void ConfigProxy::Restart() {
   }
   crashed_ = false;
   // Warm the memory cache from disk, then resubscribe everything.
-  for (const std::string& key : [this] {
-         std::vector<std::string> keys;
-         keys.reserve(callbacks_.size());
-         for (const auto& [k, cbs] : callbacks_) {
-           keys.push_back(k);
-         }
-         return keys;
-       }()) {
-    const OnDiskCache::Entry* entry = disk_->Get(key);
-    if (entry != nullptr) {
-      memory_cache_[key] = *entry;
-    }
+  for (auto& [key, sub] : subscriptions_) {
+    sub.cached = disk_->Load(key);
   }
   observer_ = zeus_->PickObserverFor(host_, rng_);
-  for (const auto& [key, cbs] : callbacks_) {
-    DoSubscribe(key);
-  }
+  ResubscribeAll();
 }
 
 void ConfigProxy::RepickObserver() {
   observer_ = zeus_->PickObserverFor(host_, rng_);
   if (!crashed_) {
-    for (const auto& [key, cbs] : callbacks_) {
-      DoSubscribe(key);
-    }
+    ResubscribeAll();
   }
 }
 

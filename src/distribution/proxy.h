@@ -6,14 +6,21 @@
 // if the proxy fails, applications fall back to reading the on-disk cache
 // directly — so a config that has ever been fetched stays readable even if
 // every Configerator component is down.
+//
+// One copy per committed value: the proxy's memory cache and its on-disk
+// cache hold the very txn Zeus delivered (the leader's, shared down the
+// tree), not copies of its value. So every read here (GetCached,
+// AppConfigClient::Get, OnDiskCache::Get) returns a pointer to an immutable
+// txn, valid until that server applies its next update of the key; the
+// bytes behind it never change under the reader.
 
 #ifndef SRC_DISTRIBUTION_PROXY_H_
 #define SRC_DISTRIBUTION_PROXY_H_
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "src/sim/network.h"
@@ -26,21 +33,28 @@ namespace configerator {
 // client library (fallback reader).
 class OnDiskCache {
  public:
+  using Entry = ZeusTxn;
+
+  // Stores the txn the proxy was delivered, shared, not copied.
+  void Put(const ZeusEnsemble::TxnPtr& txn) { entries_[txn->key] = txn; }
+  // Stores a txn only this disk holds (the DST harness's torn write).
   void Put(const std::string& key, std::string value, int64_t zxid) {
-    entries_[key] = Entry{std::move(value), zxid};
+    Put(std::make_shared<const ZeusTxn>(ZeusTxn{zxid, key, std::move(value)}));
   }
-  struct Entry {
-    std::string value;
-    int64_t zxid = 0;
-  };
   const Entry* Get(const std::string& key) const {
     auto it = entries_.find(key);
-    return it == entries_.end() ? nullptr : &it->second;
+    return it == entries_.end() ? nullptr : it->second.get();
+  }
+  // The stored txn itself (nullptr if absent), for a restarted proxy's
+  // memory cache to share.
+  ZeusEnsemble::TxnPtr Load(const std::string& key) const {
+    auto it = entries_.find(key);
+    return it == entries_.end() ? nullptr : it->second;
   }
   size_t size() const { return entries_.size(); }
 
  private:
-  std::map<std::string, Entry> entries_;
+  std::unordered_map<std::string, ZeusEnsemble::TxnPtr> entries_;
 };
 
 class ConfigProxy {
@@ -64,7 +78,9 @@ class ConfigProxy {
   void Subscribe(const std::string& key, UpdateCallback on_update);
 
   // Synchronous read of the proxy's in-memory cache (applications read
-  // through shared memory in production; function call here).
+  // through shared memory in production; function call here). The txn is
+  // immutable; the pointer stays valid until the proxy applies its next
+  // update of `key`.
   const OnDiskCache::Entry* GetCached(const std::string& key) const;
 
   // Simulated proxy crash/restart. While crashed the proxy ignores
@@ -90,8 +106,18 @@ class ConfigProxy {
   uint64_t stale_discarded() const { return stale_discarded_; }
 
  private:
+  // One subscribed key: the cached txn (nullptr until a delivery, and while
+  // crashed) and the application callbacks.
+  struct Subscription {
+    ZeusEnsemble::TxnPtr cached;
+    std::vector<UpdateCallback> callbacks;
+  };
+
   void DoSubscribe(const std::string& key);
-  void OnZeusUpdate(const ZeusTxn& txn, TraceContext trace);
+  // Resubscribes every key in sorted order, so the messages sent (and the
+  // network's draws for them) do not depend on the hash table's layout.
+  void ResubscribeAll();
+  void OnZeusUpdate(const ZeusEnsemble::TxnPtr& txn, TraceContext trace);
   void ProbeStaleness();
 
   Network* net_;
@@ -101,8 +127,7 @@ class ConfigProxy {
   Rng rng_;
   ServerId observer_;
   bool crashed_ = false;
-  std::map<std::string, OnDiskCache::Entry> memory_cache_;
-  std::map<std::string, std::vector<UpdateCallback>> callbacks_;
+  std::unordered_map<std::string, Subscription> subscriptions_;
   uint64_t updates_received_ = 0;
   uint64_t stale_discarded_ = 0;
 

@@ -712,7 +712,7 @@ void Harness::CheckConvergence() {
   }
   for (size_t i = 0; i < apps_.size(); ++i) {
     for (const std::string& key : tracked_keys_) {
-      const ZeusValue* truth = zeus.Lookup(key);
+      const ZeusTxn* truth = zeus.Lookup(key);
       if (truth == nullptr) {
         continue;  // Never committed (e.g. every write to it was lost).
       }

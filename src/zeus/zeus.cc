@@ -124,7 +124,7 @@ void ZeusEnsemble::MaybeCommit(Proposal* proposal) {
   auto txn = std::make_shared<const ZeusTxn>(
       ZeusTxn{++last_committed_zxid_, std::move(proposal->key),
               std::move(proposal->value)});
-  committed_[txn->key] = ZeusValue{txn->value, txn->zxid};
+  committed_[txn->key] = txn;
   assert(static_cast<int64_t>(commit_log_.size()) + 1 == txn->zxid);
   commit_log_.push_back(txn);
   for (Member& m : members_) {
@@ -246,7 +246,7 @@ void ZeusEnsemble::ApplyOnObserver(Observer* obs, const Push& push) {
         net_->SendFifo(obs->id, watch.proxy, bytes,
                        [callback = watch.callback,
                         push = Push{next.txn, apply_ctx}] {
-                         callback(*push.txn, push.trace);
+                         callback(push.txn, push.trace);
                        });
       }
     }
@@ -315,19 +315,17 @@ void ZeusEnsemble::Subscribe(const ServerId& proxy, const ServerId& observer,
                if (it == obs->data.end()) {
                  return;
                }
-               ZeusTxn txn{it->second->zxid, key, it->second->value};
+               const TxnPtr& txn = it->second;
                TraceContext trace;
                if (obs_ != nullptr) {
                  // Refetch after restart/failover: rejoin the commit's trace
                  // so the proxy's apply span is not orphaned.
-                 trace = obs_->tracer.ZxidContext(txn.zxid);
+                 trace = obs_->tracer.ZxidContext(txn->zxid);
                }
                int64_t reply_bytes =
-                   static_cast<int64_t>(key.size() + txn.value.size() + 64);
+                   static_cast<int64_t>(key.size() + txn->value.size() + 64);
                net_->SendFifo(obs->id, proxy, reply_bytes,
-                              [on_update, txn = std::move(txn), trace] {
-                                on_update(txn, trace);
-                              });
+                              [on_update, txn, trace] { on_update(txn, trace); });
              });
 }
 
@@ -400,9 +398,9 @@ const ZeusEnsemble::Observer* ZeusEnsemble::FindObserver(const ServerId& id) con
   return nullptr;
 }
 
-const ZeusValue* ZeusEnsemble::Lookup(const std::string& key) const {
+const ZeusTxn* ZeusEnsemble::Lookup(const std::string& key) const {
   auto it = committed_.find(key);
-  return it == committed_.end() ? nullptr : &it->second;
+  return it == committed_.end() ? nullptr : it->second.get();
 }
 
 int64_t ZeusEnsemble::ObserverLastZxid(const ServerId& observer) const {

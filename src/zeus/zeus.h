@@ -21,13 +21,14 @@
 //
 // One copy per committed txn: every follower's round trip shares one
 // Proposal, whose key and value move into one immutable ZeusTxn at commit.
-// The commit log, every observer's pending buffer and data, and every push
-// in flight (leader → observer, observer → proxy, anti-entropy replays)
-// share that txn through a shared_ptr<const ZeusTxn>. Members keep no log
-// of their own, only the highest zxid they logged, which is what elections
-// compare. The trace context of a delivery travels beside the pointer. Only
-// the leader's committed_ map (Lookup's ground truth) and the replies to
-// Fetch and to a subscription's refetch copy a value.
+// The leader's committed_ map (Lookup's ground truth), the commit log, every
+// observer's pending buffer and data, and every push in flight (leader →
+// observer, observer → proxy, a subscription's refetch, anti-entropy
+// replays) share that txn through a TxnPtr, and so do the proxies that
+// cache what they are delivered. Members keep no log of their own, only the
+// highest zxid they logged, which is what elections compare. The trace
+// context of a delivery travels beside the pointer. Only a reply to Fetch
+// copies a value.
 
 #ifndef SRC_ZEUS_ZEUS_H_
 #define SRC_ZEUS_ZEUS_H_
@@ -47,7 +48,7 @@
 namespace configerator {
 
 // One committed write. Immutable once committed; shared, never copied,
-// down the distribution tree.
+// from the leader down to every proxy's memory and disk cache.
 struct ZeusTxn {
   int64_t zxid = 0;
   std::string key;
@@ -70,10 +71,15 @@ class ZeusEnsemble {
     SimTime processing_delay = 2 * kSimMillisecond;
   };
 
-  // `trace` is the span the delivery is causally downstream of, for the
-  // commit tracer; invalid when tracing is not attached.
+  // A committed txn, immutable and shared by everything that holds it.
+  using TxnPtr = std::shared_ptr<const ZeusTxn>;
+
+  // `txn` is the committed txn itself: a subscriber may keep the pointer
+  // instead of copying the value. `trace` is the span the delivery is
+  // causally downstream of, for the commit tracer; invalid when tracing is
+  // not attached.
   using UpdateCallback =
-      std::function<void(const ZeusTxn& txn, TraceContext trace)>;
+      std::function<void(const TxnPtr& txn, TraceContext trace)>;
   using WriteCallback = std::function<void(Result<int64_t> zxid)>;
   using FetchCallback = std::function<void(Result<ZeusValue>)>;
 
@@ -132,10 +138,11 @@ class ZeusEnsemble {
   bool has_quorum() const;
   int64_t last_committed_zxid() const { return last_committed_zxid_; }
 
-  // Committed leader-state value for `key` (nullptr if never written). This
-  // is the simulation-harness ground truth: after a full heal, every replica
-  // must converge to it. Not a networked read — tests/invariants only.
-  const ZeusValue* Lookup(const std::string& key) const;
+  // The leader's last committed txn for `key` (nullptr if never written).
+  // This is the simulation-harness ground truth: after a full heal, every
+  // replica must converge to it. Not a networked read — tests/invariants
+  // only.
+  const ZeusTxn* Lookup(const std::string& key) const;
   int64_t ObserverLastZxid(const ServerId& observer) const;
   const std::vector<ServerId>& observers() const { return observer_ids_; }
   std::vector<ServerId> member_ids() const;
@@ -146,8 +153,6 @@ class ZeusEnsemble {
   ServerId PickObserverFor(const ServerId& proxy, Rng& rng) const;
 
  private:
-  using TxnPtr = std::shared_ptr<const ZeusTxn>;
-
   struct Member {
     ServerId id;
     // Highest zxid committed while this member was up; the election picks
@@ -227,7 +232,7 @@ class ZeusEnsemble {
   std::vector<Member> members_;
   std::vector<ServerId> observer_ids_;
   std::vector<Observer> observer_states_;
-  std::unordered_map<std::string, ZeusValue> committed_;  // Leader KV state.
+  std::unordered_map<std::string, TxnPtr> committed_;  // Leader KV state.
   size_t leader_idx_ = 0;
   int64_t last_committed_zxid_ = 0;
   bool election_in_progress_ = false;

@@ -71,6 +71,10 @@ struct GenProgram {
   }
 };
 
+// Each expression draws from rng_ at most once: where a construct needs
+// several values, they are drawn into named locals in source order, so the
+// programs (and kGoldenDigest) do not depend on the compiler's order of
+// evaluation of operands.
 class ProgGen {
  public:
   explicit ProgGen(uint64_t seed) : rng_(seed) {}
@@ -195,25 +199,39 @@ class ProgGen {
         static const char* kOps[] = {"+",  "-",  "*",  "/",  "//", "%",
                                      "==", "!=", "<",  "<=", ">",  ">=",
                                      "in", "not in", "and", "or"};
-        return "(" + Expr(depth - 1) + " " + kOps[rng_.NextBounded(16)] +
-               " " + Expr(depth - 1) + ")";
+        std::string lhs = Expr(depth - 1);
+        const char* op = kOps[rng_.NextBounded(16)];
+        std::string rhs = Expr(depth - 1);
+        return "(" + lhs + " " + op + " " + rhs + ")";
       }
       case 1:  // Unary.
         return rng_.NextBool(0.5) ? "(-" + Expr(depth - 1) + ")"
                                   : "(not " + Expr(depth - 1) + ")";
-      case 2:  // List literal.
-        return "[" + Expr(depth - 1) + ", " + Expr(depth - 1) + "]";
-      case 3:  // Dict literal.
-        return "{\"a\": " + Expr(depth - 1) + ", \"b\": " + Expr(depth - 1) +
-               "}";
-      case 4:  // Index (often in range, sometimes not).
-        return "([" + Expr(depth - 1) + ", " + Expr(depth - 1) + "][" +
-               StrFormat("%d", static_cast<int>(rng_.NextBounded(3))) + "])";
+      case 2: {  // List literal.
+        std::string first = Expr(depth - 1);
+        std::string second = Expr(depth - 1);
+        return "[" + first + ", " + second + "]";
+      }
+      case 3: {  // Dict literal.
+        std::string a = Expr(depth - 1);
+        std::string b = Expr(depth - 1);
+        return "{\"a\": " + a + ", \"b\": " + b + "}";
+      }
+      case 4: {  // Index (often in range, sometimes not).
+        std::string first = Expr(depth - 1);
+        std::string second = Expr(depth - 1);
+        int index = static_cast<int>(rng_.NextBounded(3));
+        return "([" + first + ", " + second + "][" + StrFormat("%d", index) +
+               "])";
+      }
       case 5:  // Attribute on a dict literal.
         return "({\"k\": " + Expr(depth - 1) + "}.k)";
-      case 6:  // Ternary.
-        return "(" + Expr(depth - 1) + " if " + Expr(depth - 1) + " else " +
-               Expr(depth - 1) + ")";
+      case 6: {  // Ternary.
+        std::string value = Expr(depth - 1);
+        std::string cond = Expr(depth - 1);
+        std::string other = Expr(depth - 1);
+        return "(" + value + " if " + cond + " else " + other + ")";
+      }
       case 7:
         return BuiltinCall(depth);
       case 8:
@@ -231,12 +249,21 @@ class ProgGen {
         return "str(" + Expr(depth - 1) + ")";
       case 2:
         return "abs(" + Expr(depth - 1) + ")";
-      case 3:
-        return "sorted([" + Expr(depth - 1) + ", " + Expr(depth - 1) + "])";
-      case 4:
-        return "min(" + Expr(depth - 1) + ", " + Expr(depth - 1) + ")";
-      case 5:
-        return "max(" + Expr(depth - 1) + ", " + Expr(depth - 1) + ")";
+      case 3: {
+        std::string first = Expr(depth - 1);
+        std::string second = Expr(depth - 1);
+        return "sorted([" + first + ", " + second + "])";
+      }
+      case 4: {
+        std::string first = Expr(depth - 1);
+        std::string second = Expr(depth - 1);
+        return "min(" + first + ", " + second + ")";
+      }
+      case 5: {
+        std::string first = Expr(depth - 1);
+        std::string second = Expr(depth - 1);
+        return "max(" + first + ", " + second + ")";
+      }
       case 6:
         return "keys({\"x\": " + Expr(depth - 1) + "})";
       default:
@@ -258,19 +285,27 @@ class ProgGen {
     const Fn& fn = fns_[rng_.NextBounded(fns_.size())];
     // Occasionally a wrong-arity call: binding errors must match too.
     if (rng_.NextBool(0.04)) {
-      return fn.name + "(" + Expr(depth - 1) + ", " + Expr(depth - 1) + ", " +
-             Expr(depth - 1) + ", " + Expr(depth - 1) + ")";
+      std::string call = fn.name + "(";
+      for (int i = 0; i < 4; ++i) {
+        call += (i > 0 ? ", " : "") + Expr(depth - 1);
+      }
+      return call + ")";
     }
     if (fn.has_default) {
       switch (rng_.NextBounded(3)) {
         case 0:
           return fn.name + "(" + Expr(depth - 1) + ")";
-        case 1:
-          return fn.name + "(" + Expr(depth - 1) + ", " + Expr(depth - 1) +
+        case 1: {
+          std::string first = Expr(depth - 1);
+          std::string second = Expr(depth - 1);
+          return fn.name + "(" + first + ", " + second + ")";
+        }
+        default: {
+          std::string first = Expr(depth - 1);
+          std::string kw_value = Expr(depth - 1);
+          return fn.name + "(" + first + ", " + fn.kw_name + "=" + kw_value +
                  ")";
-        default:
-          return fn.name + "(" + Expr(depth - 1) + ", " + fn.kw_name + "=" +
-                 Expr(depth - 1) + ")";
+        }
       }
     }
     std::string call = fn.name + "(";
@@ -297,22 +332,27 @@ class ProgGen {
         std::string target = Name();
         static const char* kAug[] = {"+=", "-=", "*=", "/="};
         if (rng_.NextBool(0.5)) {
-          return Indent(indent) + target + " " + kAug[rng_.NextBounded(4)] +
-                 " " + Expr(1) + "\n";
+          const char* aug = kAug[rng_.NextBounded(4)];
+          std::string value = Expr(1);
+          return Indent(indent) + target + " " + aug + " " + value + "\n";
         }
         return Indent(indent) + target + " = " + Expr(2) + "\n";
       }
       case 5: {  // Container mutation through an index/attr target.
         std::string var = FreshVar();
-        std::string stmt = Indent(indent) + var + " = {\"n\": " + Expr(1) +
-                           ", \"l\": [" + Expr(1) + ", " + Expr(1) + "]}\n";
+        std::string n = Expr(1);
+        std::string l0 = Expr(1);
+        std::string l1 = Expr(1);
+        std::string stmt = Indent(indent) + var + " = {\"n\": " + n +
+                           ", \"l\": [" + l0 + ", " + l1 + "]}\n";
         vars_.push_back(var);
         if (rng_.NextBool(0.5)) {
           stmt += Indent(indent) + var + "[\"n\"] = " + Expr(1) + "\n";
         } else {
-          stmt += Indent(indent) + var + ".l[" +
-                  StrFormat("%d", static_cast<int>(rng_.NextBounded(2))) +
-                  "] = " + Expr(1) + "\n";
+          int index = static_cast<int>(rng_.NextBounded(2));
+          std::string value = Expr(1);
+          stmt += Indent(indent) + var + ".l[" + StrFormat("%d", index) +
+                  "] = " + value + "\n";
         }
         return stmt;
       }
@@ -344,16 +384,22 @@ class ProgGen {
                    "):\n";
             vars_.push_back(var);
             break;
-          case 1:
-            stmt = Indent(indent) + "for " + var + " in [" + Expr(1) + ", " +
-                   Expr(1) + "]:\n";
+          case 1: {
+            std::string first = Expr(1);
+            std::string second = Expr(1);
+            stmt = Indent(indent) + "for " + var + " in [" + first + ", " +
+                   second + "]:\n";
             vars_.push_back(var);
             break;
+          }
           case 2: {
             std::string var2 = FreshVar();
+            std::string a0 = Expr(1);
+            std::string a1 = Expr(1);
+            std::string b0 = Expr(1);
+            std::string b1 = Expr(1);
             stmt = Indent(indent) + "for " + var + ", " + var2 + " in [[" +
-                   Expr(1) + ", " + Expr(1) + "], [" + Expr(1) + ", " +
-                   Expr(1) + "]]:\n";
+                   a0 + ", " + a1 + "], [" + b0 + ", " + b1 + "]]:\n";
             vars_.push_back(var);
             vars_.push_back(var2);
             break;
@@ -391,7 +437,9 @@ class ProgGen {
         if (rng_.NextBool(0.7)) {
           return Indent(indent) + "assert 1 == 1, \"invariant\"\n";
         }
-        return Indent(indent) + "assert " + Expr(1) + ", " + Expr(1) + "\n";
+        std::string cond = Expr(1);
+        std::string message = Expr(1);
+        return Indent(indent) + "assert " + cond + ", " + message + "\n";
       }
       case 14: {  // break/continue — valid in loops; rarely outside one,
                   // where the flow escapes the function or module.
@@ -661,7 +709,7 @@ TEST(CslFuzz, SharedCacheMatchesFreshCompilerOnSeededPrograms) {
 //   build/tests/csl_fuzz_test --gtest_filter=CslFuzz.FreshOutcomesMatchGoldenDigest
 // and replace the constant with the digest the failure reports.
 constexpr char kGoldenDigest[] =
-    "4f11dae8eae69e5a55dfa5180a4be2c52ddf57ec54ece6cd8feb72c187f68332";
+    "efa5591419e22804f07b3d1039aa3dee76b2abd9a908ba3b4e986a3ea002e744";
 
 TEST(CslFuzz, FreshOutcomesMatchGoldenDigest) {
   Sha256 digest;

@@ -216,6 +216,70 @@ TEST_F(DistributionTest, PushInFlightAcrossProxyRestartIsDroppedNotReapplied) {
   EXPECT_EQ(proxy.stale_discarded(), 0u);
 }
 
+// A committed value is one copy from the Zeus leader down: every proxy's
+// memory cache and on-disk cache hold the txn the leader committed, whether
+// it arrived by a push or by a subscription's refetch. A torn disk write
+// (the DST corrupt-disk fault) replaces only that disk's txn; the proxy
+// serves it only once a restart warms its memory from disk.
+TEST_F(DistributionTest, CommittedValueIsOneCopyFromLeaderToEveryDisk) {
+  const std::string key = "app/shared.json";
+  WriteAndSettle(key, "{\"limit\": 100, \"owner\": \"refetched\"}");
+  std::vector<ServerId> hosts = {ServerId{0, 0, 7}, ServerId{0, 1, 4},
+                                 ServerId{1, 1, 4}};
+  std::vector<std::unique_ptr<OnDiskCache>> disks;
+  std::vector<std::unique_ptr<ConfigProxy>> proxies;
+  for (size_t i = 0; i < hosts.size(); ++i) {
+    disks.push_back(std::make_unique<OnDiskCache>());
+    proxies.push_back(std::make_unique<ConfigProxy>(
+        net_.get(), zeus_.get(), hosts[i], disks.back().get(), 20 + i));
+    proxies.back()->Subscribe(key, nullptr);
+  }
+  sim_.RunUntil(sim_.now() + 5 * kSimSecond);
+  auto expect_shared = [&](const ZeusTxn* committed) {
+    for (const auto& proxy : proxies) {
+      EXPECT_EQ(proxy->GetCached(key), committed) << proxy->host().ToString();
+      EXPECT_EQ(proxy->disk()->Get(key), committed)
+          << proxy->host().ToString();
+    }
+  };
+  ASSERT_NE(zeus_->Lookup(key), nullptr);
+  expect_shared(zeus_->Lookup(key));  // Delivered by the refetch.
+
+  WriteAndSettle(key, "{\"limit\": 200, \"owner\": \"pushed\"}");
+  const ZeusTxn* committed = zeus_->Lookup(key);
+  ASSERT_NE(committed, nullptr);
+  expect_shared(committed);  // Delivered by the push.
+
+  // The torn write, in the corrupt-disk fault's shape: half the value, and
+  // the zxid kept.
+  ConfigProxy& torn_proxy = *proxies[0];
+  const OnDiskCache::Entry* entry = torn_proxy.disk()->Get(key);
+  const std::string torn =
+      entry->value.substr(0, entry->value.size() / 2) + "~TORN";
+  torn_proxy.disk()->Put(key, torn, entry->zxid);
+  ASSERT_NE(torn_proxy.disk()->Get(key), committed);
+  EXPECT_EQ(torn_proxy.disk()->Get(key)->value, torn);
+  EXPECT_EQ(torn_proxy.disk()->Get(key)->zxid, committed->zxid);
+  EXPECT_EQ(torn_proxy.GetCached(key), committed);
+  EXPECT_EQ(committed->value, "{\"limit\": 200, \"owner\": \"pushed\"}");
+  for (size_t i = 1; i < proxies.size(); ++i) {
+    EXPECT_EQ(proxies[i]->GetCached(key), committed);
+    EXPECT_EQ(proxies[i]->disk()->Get(key), committed);
+  }
+
+  const uint64_t stale0 = torn_proxy.stale_discarded();
+  torn_proxy.Crash();
+  torn_proxy.Restart();
+  ASSERT_NE(torn_proxy.GetCached(key), nullptr);
+  EXPECT_EQ(torn_proxy.GetCached(key)->value, torn);
+  // The restart's refetch carries the same zxid, so it is discarded as
+  // stale and the torn value stays served.
+  sim_.RunUntil(sim_.now() + 5 * kSimSecond);
+  EXPECT_EQ(torn_proxy.GetCached(key)->value, torn);
+  EXPECT_EQ(torn_proxy.stale_discarded(), stale0 + 1);
+  EXPECT_EQ(zeus_->Lookup(key), committed);
+}
+
 TEST_F(DistributionTest, ProxyFailsOverToAnotherObserver) {
   WriteAndSettle("cfg", "v1");
   ServerId host{0, 1, 4};
@@ -301,7 +365,7 @@ TEST_F(DistributionTest, TailerRepublishesWriteLostOnTheNetwork) {
   EXPECT_EQ(zeus_->Lookup("app/a.json"), nullptr);
   net_->HealAllPartitions();
   sim_.RunUntil(sim_.now() + 10 * kSimSecond);
-  const ZeusValue* value = zeus_->Lookup("app/a.json");
+  const ZeusTxn* value = zeus_->Lookup("app/a.json");
   ASSERT_NE(value, nullptr) << "the lost publish was never retried";
   EXPECT_EQ(value->value, "{}");
   EXPECT_EQ(tailer.published_count(), 1u);
@@ -324,7 +388,7 @@ TEST_F(DistributionTest, TailerRepublishesHeadAfterQuorumReturns) {
     zeus_->Recover(members_[i]);
   }
   sim_.RunUntil(sim_.now() + 15 * kSimSecond);
-  const ZeusValue* value = zeus_->Lookup("app/a.json");
+  const ZeusTxn* value = zeus_->Lookup("app/a.json");
   ASSERT_NE(value, nullptr) << "the refused publish was never retried";
   EXPECT_EQ(value->value, "2");  // Head's content, not the stale v1.
 }

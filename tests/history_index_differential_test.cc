@@ -519,7 +519,7 @@ TEST_P(HistoryIndexDifferentialTest, TailerPublishesHeadBytes) {
   // ReadFileAt(head, path) returns; after the last, every path ever written.
   auto expect_published = [&](const std::set<std::string>& paths) {
     for (const std::string& path : paths) {
-      const ZeusValue* published = zeus.Lookup(path);
+      const ZeusTxn* published = zeus.Lookup(path);
       if (gen.files().count(path) == 0) {
         // Deleted: a tombstone, or nothing if it never reached a poll.
         EXPECT_TRUE(published == nullptr || published->value.empty()) << path;

@@ -75,7 +75,9 @@ TEST_F(ZeusTest, SubscribeDeliversCurrentValueAndUpdates) {
   ServerId observer = observers_[2];  // Same cluster as the proxy.
   std::vector<std::string> seen;
   zeus_->Subscribe(proxy, observer, "config/x",
-                   [&](const ZeusTxn& txn, TraceContext) { seen.push_back(txn.value); });
+                   [&](const ZeusEnsemble::TxnPtr& txn, TraceContext) {
+                     seen.push_back(txn->value);
+                   });
   sim_.RunUntil(sim_.now() + 5 * kSimSecond);
   ASSERT_EQ(seen.size(), 1u);  // Initial value.
   EXPECT_EQ(seen[0], "v1");
@@ -90,7 +92,9 @@ TEST_F(ZeusTest, SubscribeToUnwrittenKeyDeliversOnFirstWrite) {
   ServerId proxy{0, 0, 7};
   std::vector<std::string> seen;
   zeus_->Subscribe(proxy, observers_[0], "config/later",
-                   [&](const ZeusTxn& txn, TraceContext) { seen.push_back(txn.value); });
+                   [&](const ZeusEnsemble::TxnPtr& txn, TraceContext) {
+                     seen.push_back(txn->value);
+                   });
   sim_.RunUntil(sim_.now() + 2 * kSimSecond);
   EXPECT_TRUE(seen.empty());
   ASSERT_TRUE(WriteSync("config/later", "arrived").ok());
@@ -194,8 +198,8 @@ TEST_F(ZeusTest, InFlightPushRunsTheCallbackRegisteredAtSendTime) {
   ServerId observer = observers_[2];  // Same cluster as the proxy.
   std::vector<std::string> log;
   zeus_->Subscribe(proxy, observer, "k",
-                   [&](const ZeusTxn& txn, TraceContext) {
-                     log.push_back("A:" + std::to_string(txn.zxid));
+                   [&](const ZeusEnsemble::TxnPtr& txn, TraceContext) {
+                     log.push_back("A:" + std::to_string(txn->zxid));
                    });
   sim_.RunUntil(sim_.now() + kSimSecond);
   LinkFault slow;
@@ -212,8 +216,8 @@ TEST_F(ZeusTest, InFlightPushRunsTheCallbackRegisteredAtSendTime) {
   ASSERT_TRUE(log.empty()) << "the push must still be in flight";
 
   zeus_->Subscribe(proxy, observer, "k",
-                   [&](const ZeusTxn& txn, TraceContext) {
-                     log.push_back("B:" + std::to_string(txn.zxid));
+                   [&](const ZeusEnsemble::TxnPtr& txn, TraceContext) {
+                     log.push_back("B:" + std::to_string(txn->zxid));
                    });
   sim_.RunUntil(sim_.now() + 20 * kSimSecond);
   std::string z = std::to_string(zxid);
@@ -225,7 +229,9 @@ TEST_F(ZeusTest, RecoveredObserverPushesMissedUpdatesToWatchers) {
   const ServerId& observer = observers_[0];
   std::vector<std::string> seen;
   zeus_->Subscribe(proxy, observer, "cfg",
-                   [&](const ZeusTxn& txn, TraceContext) { seen.push_back(txn.value); });
+                   [&](const ZeusEnsemble::TxnPtr& txn, TraceContext) {
+                     seen.push_back(txn->value);
+                   });
   sim_.RunUntil(sim_.now() + 2 * kSimSecond);
 
   zeus_->Crash(observer);
@@ -245,7 +251,9 @@ TEST_F(ZeusTest, PerKeyOrderingAtObservers) {
   ServerId proxy{0, 1, 3};
   std::vector<int64_t> zxids;
   zeus_->Subscribe(proxy, observers_[2], "hot",
-                   [&](const ZeusTxn& txn, TraceContext) { zxids.push_back(txn.zxid); });
+                   [&](const ZeusEnsemble::TxnPtr& txn, TraceContext) {
+                     zxids.push_back(txn->zxid);
+                   });
   sim_.RunUntil(sim_.now() + kSimSecond);
   for (int i = 0; i < 20; ++i) {
     zeus_->Write(client_, "hot", "v" + std::to_string(i), [](Result<int64_t>) {});
