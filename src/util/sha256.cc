@@ -1,6 +1,14 @@
 #include "src/util/sha256.h"
 
+#include <algorithm>
 #include <cstring>
+
+#include "src/util/sha256_kernels.h"
+
+#if defined(__x86_64__)
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
 
 namespace configerator {
 
@@ -52,13 +60,16 @@ int HexNibble(char c) {
 }  // namespace
 
 std::string Sha256Digest::ToHex() const {
-  std::string out;
-  out.resize(64);
+  std::string out(64, '\0');
+  WriteHex(out.data());
+  return out;
+}
+
+void Sha256Digest::WriteHex(char* out) const {
   for (size_t i = 0; i < bytes.size(); ++i) {
     out[2 * i] = kHexDigits[bytes[i] >> 4];
     out[2 * i + 1] = kHexDigits[bytes[i] & 0xf];
   }
-  return out;
 }
 
 bool Sha256Digest::FromHex(std::string_view hex, Sha256Digest* out) {
@@ -76,50 +87,142 @@ bool Sha256Digest::FromHex(std::string_view hex, Sha256Digest* out) {
   return true;
 }
 
+namespace sha256_internal {
+
+void CompressPortable(uint32_t* state, const uint8_t* data, size_t blocks) {
+  for (; blocks > 0; --blocks, data += 64) {
+    uint32_t w[64];
+    for (int i = 0; i < 16; ++i) {
+      w[i] = LoadBigEndian32(data + 4 * i);
+    }
+    for (int i = 16; i < 64; ++i) {
+      uint32_t s0 = RotR(w[i - 15], 7) ^ RotR(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      uint32_t s1 = RotR(w[i - 2], 17) ^ RotR(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+
+    uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+
+    for (int i = 0; i < 64; ++i) {
+      uint32_t s1 = RotR(e, 6) ^ RotR(e, 11) ^ RotR(e, 25);
+      uint32_t ch = (e & f) ^ (~e & g);
+      uint32_t temp1 = h + s1 + ch + kRoundConstants[i] + w[i];
+      uint32_t s0 = RotR(a, 2) ^ RotR(a, 13) ^ RotR(a, 22);
+      uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      uint32_t temp2 = s0 + maj;
+      h = g;
+      g = f;
+      f = e;
+      e = d + temp1;
+      d = c;
+      c = b;
+      b = a;
+      a = temp1 + temp2;
+    }
+
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
+  }
+}
+
+#if defined(__x86_64__)
+
+// The state lives in two registers as the SHA instructions want it: ABEF
+// (A in the high lane) and CDGH. Each _mm_sha256rnds2_epu32 runs two rounds
+// on the low two lanes of its message-plus-constant operand.
+__attribute__((target("sha,sse4.1"))) void CompressShaNi(uint32_t* state,
+                                                          const uint8_t* data,
+                                                          size_t blocks) {
+  const __m128i byte_swap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+  __m128i dcba = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state));
+  __m128i hgfe = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4));
+  __m128i cdab = _mm_shuffle_epi32(dcba, 0xb1);
+  __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1b);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
+
+  for (; blocks > 0; --blocks, data += 64) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    // Round group i (rounds 4i..4i+3) uses message words 4i..4i+3, kept in
+    // w[i % 4]. Groups 0-3 load them from the block; each later group
+    // schedules them from the four groups before it.
+    __m128i w[4];
+#pragma GCC unroll 16
+    for (int i = 0; i < 16; ++i) {
+      if (i < 4) {
+        w[i] = _mm_shuffle_epi8(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + 16 * i)),
+            byte_swap);
+      } else {
+        __m128i sum = _mm_add_epi32(
+            _mm_sha256msg1_epu32(w[i % 4], w[(i + 1) % 4]),
+            _mm_alignr_epi8(w[(i + 3) % 4], w[(i + 2) % 4], 4));
+        w[i % 4] = _mm_sha256msg2_epu32(sum, w[(i + 3) % 4]);
+      }
+      __m128i wk = _mm_add_epi32(
+          w[i % 4], _mm_loadu_si128(reinterpret_cast<const __m128i*>(
+                        kRoundConstants.data() + 4 * i)));
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0e));
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  __m128i feba = _mm_shuffle_epi32(abef, 0x1b);
+  __m128i dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+  dcba = _mm_blend_epi16(feba, dchg, 0xf0);
+  hgfe = _mm_alignr_epi8(dchg, feba, 8);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state), dcba);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4), hgfe);
+}
+
+bool CpuHasShaNi() {
+  static const bool has = [] {
+    unsigned eax, ebx, ecx, edx;
+    if (!__get_cpuid(1, &eax, &ebx, &ecx, &edx) || !(ecx & bit_SSE4_1)) {
+      return false;
+    }
+    return __get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) != 0 &&
+           (ebx & bit_SHA) != 0;
+  }();
+  return has;
+}
+
+#else
+
+bool CpuHasShaNi() { return false; }
+
+#endif  // defined(__x86_64__)
+
+}  // namespace sha256_internal
+
+namespace {
+
+void Compress(uint32_t* state, const uint8_t* data, size_t blocks) {
+#if defined(__x86_64__)
+  if (sha256_internal::CpuHasShaNi()) {
+    sha256_internal::CompressShaNi(state, data, blocks);
+    return;
+  }
+#endif
+  sha256_internal::CompressPortable(state, data, blocks);
+}
+
+}  // namespace
+
 Sha256::Sha256()
     : state_{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
              0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19} {}
-
-void Sha256::ProcessBlock(const uint8_t* block) {
-  uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = LoadBigEndian32(block + 4 * i);
-  }
-  for (int i = 16; i < 64; ++i) {
-    uint32_t s0 = RotR(w[i - 15], 7) ^ RotR(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    uint32_t s1 = RotR(w[i - 2], 17) ^ RotR(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-
-  uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-
-  for (int i = 0; i < 64; ++i) {
-    uint32_t s1 = RotR(e, 6) ^ RotR(e, 11) ^ RotR(e, 25);
-    uint32_t ch = (e & f) ^ (~e & g);
-    uint32_t temp1 = h + s1 + ch + kRoundConstants[i] + w[i];
-    uint32_t s0 = RotR(a, 2) ^ RotR(a, 13) ^ RotR(a, 22);
-    uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    uint32_t temp2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + temp1;
-    d = c;
-    c = b;
-    b = a;
-    a = temp1 + temp2;
-  }
-
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
-}
 
 void Sha256::Update(const void* data, size_t len) {
   const uint8_t* p = static_cast<const uint8_t*>(data);
@@ -131,16 +234,18 @@ void Sha256::Update(const void* data, size_t len) {
     buffer_len_ += fill;
     p += fill;
     len -= fill;
-    if (buffer_len_ == buffer_.size()) {
-      ProcessBlock(buffer_.data());
-      buffer_len_ = 0;
+    if (buffer_len_ < buffer_.size()) {
+      return;
     }
+    Compress(state_.data(), buffer_.data(), 1);
+    buffer_len_ = 0;
   }
 
-  while (len >= 64) {
-    ProcessBlock(p);
-    p += 64;
-    len -= 64;
+  const size_t blocks = len / 64;
+  if (blocks > 0) {
+    Compress(state_.data(), p, blocks);
+    p += 64 * blocks;
+    len -= 64 * blocks;
   }
 
   if (len > 0) {
@@ -150,22 +255,20 @@ void Sha256::Update(const void* data, size_t len) {
 }
 
 Sha256Digest Sha256::Finish() {
-  uint64_t bit_len = total_len_ * 8;
+  const uint64_t bit_len = total_len_ * 8;
 
-  // Append 0x80, pad with zeros to 56 mod 64, then the 64-bit length.
-  uint8_t pad_byte = 0x80;
-  Update(&pad_byte, 1);
-  uint8_t zero = 0;
-  while (buffer_len_ != 56) {
-    Update(&zero, 1);
+  // Append 0x80, zeros up to 56 mod 64, then the 64-bit big-endian length.
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 56) {
+    std::memset(buffer_.data() + buffer_len_, 0, buffer_.size() - buffer_len_);
+    Compress(state_.data(), buffer_.data(), 1);
+    buffer_len_ = 0;
   }
-  uint8_t len_bytes[8];
+  std::memset(buffer_.data() + buffer_len_, 0, 56 - buffer_len_);
   for (int i = 0; i < 8; ++i) {
-    len_bytes[i] = static_cast<uint8_t>(bit_len >> (56 - 8 * i));
+    buffer_[56 + i] = static_cast<uint8_t>(bit_len >> (56 - 8 * i));
   }
-  // Bypass total_len_ accounting for the length field itself.
-  std::memcpy(buffer_.data() + buffer_len_, len_bytes, 8);
-  ProcessBlock(buffer_.data());
+  Compress(state_.data(), buffer_.data(), 1);
 
   Sha256Digest digest;
   for (int i = 0; i < 8; ++i) {

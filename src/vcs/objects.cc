@@ -1,5 +1,8 @@
 #include "src/vcs/objects.h"
 
+#include <algorithm>
+#include <cassert>
+
 #include "src/util/strings.h"
 
 namespace configerator {
@@ -28,17 +31,29 @@ ObjectId HashObject(ObjectKind kind, std::string_view encoded) {
 
 }  // namespace
 
+const TreeObject::Entry* TreeObject::Find(std::string_view name) const {
+  auto it = std::lower_bound(
+      entries.begin(), entries.end(), name,
+      [](const Entry& entry, std::string_view key) { return entry.name < key; });
+  return it != entries.end() && it->name == name ? &*it : nullptr;
+}
+
 std::string TreeObject::Encode() const {
-  // Lines: "<t|b> <hex-id> <name>\n". Names are sorted by std::map order, so
-  // the encoding (and hence the id) is canonical.
-  std::string out;
-  for (const auto& [name, entry] : entries) {
-    out += entry.is_tree ? 't' : 'b';
-    out += ' ';
-    out += entry.id.ToHex();
-    out += ' ';
-    out += name;
-    out += '\n';
+  // Each line is "<t|b> <hex-id> <name>\n": 68 bytes plus the name.
+  size_t size = 0;
+  for (const Entry& entry : entries) {
+    size += 68 + entry.name.size();
+  }
+  std::string out(size, '\0');
+  char* p = out.data();
+  for (const Entry& entry : entries) {
+    *p++ = entry.is_tree ? 't' : 'b';
+    *p++ = ' ';
+    entry.id.WriteHex(p);
+    p += 64;
+    *p++ = ' ';
+    p = std::copy(entry.name.begin(), entry.name.end(), p);
+    *p++ = '\n';
   }
   return out;
 }
@@ -125,6 +140,17 @@ ObjectId ObjectStore::PutBlob(std::string data) {
 }
 
 ObjectId ObjectStore::PutTree(TreeObject tree) {
+  auto by_name = [](const TreeObject::Entry& a, const TreeObject::Entry& b) {
+    return a.name < b.name;
+  };
+  if (!std::is_sorted(tree.entries.begin(), tree.entries.end(), by_name)) {
+    std::sort(tree.entries.begin(), tree.entries.end(), by_name);
+  }
+  assert(std::adjacent_find(tree.entries.begin(), tree.entries.end(),
+                            [](const TreeObject::Entry& a,
+                               const TreeObject::Entry& b) {
+                              return a.name == b.name;
+                            }) == tree.entries.end());
   std::string encoded = tree.Encode();
   return Insert(HashObject(ObjectKind::kTree, encoded), encoded.size(),
                 Stored{ObjectKind::kTree, {}, std::move(tree)});

@@ -8,10 +8,10 @@
 #define SRC_VCS_OBJECTS_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -24,18 +24,26 @@ using ObjectId = Sha256Digest;
 
 enum class ObjectKind { kBlob, kTree, kCommit };
 
-// A directory: name -> (object id, is_tree). Names within a tree are unique
-// and sorted (std::map), making tree encoding canonical. The store keeps
+// A directory: a vector of (name, object id, is_tree) entries, sorted by
+// name, with names unique, so the encoding is canonical. The store keeps
 // trees parsed; the encoding exists only to be hashed into the tree's id.
 struct TreeObject {
   struct Entry {
+    std::string name;
     ObjectId id;
     bool is_tree = false;
 
     bool operator==(const Entry&) const = default;
   };
-  std::map<std::string, Entry> entries;
+  // Sorted by name once stored (ObjectStore::PutTree sorts).
+  std::vector<Entry> entries;
 
+  // The entry named `name`, or nullptr. A binary search, so `entries` must
+  // be sorted.
+  const Entry* Find(std::string_view name) const;
+
+  // "<t|b> <hex-id> <name>\n" per entry, in `entries` order, built in one
+  // pre-sized string.
   std::string Encode() const;
 };
 
@@ -58,6 +66,9 @@ class ObjectStore {
   // Stores the object under the content hash of its canonical encoding
   // (prefixed with the kind) and returns the id. Idempotent.
   ObjectId PutBlob(std::string data);
+  // Sorts `tree.entries` by name first if they arrive unsorted, so equal
+  // entry sets give equal ids whatever order they were built in. Entry names
+  // must be unique (asserted).
   ObjectId PutTree(TreeObject tree);
   ObjectId PutCommit(const CommitObject& commit);
 

@@ -102,15 +102,25 @@ Status Repository::ValidateWrites(const std::vector<FileWrite>& writes) const {
 }
 
 Status Repository::ApplyWrite(const FileWrite& write) {
+  ObjectId blob_id;
+  if (write.content.has_value()) {
+    blob_id = store_.PutBlob(*write.content);
+    auto [entry, added] = manifest_.try_emplace(write.path, blob_id);
+    if (!added) {
+      if (entry->second == blob_id) {
+        return OkStatus();  // Head's bytes: no directory changes.
+      }
+      entry->second = blob_id;
+    }
+  } else if (manifest_.erase(write.path) == 0) {
+    return NotFoundError("cannot delete nonexistent path: " + write.path);
+  }
+
   std::vector<std::string> segments = StrSplit(write.path, '/');
   std::string filename = segments.back();
   segments.pop_back();
 
   if (!write.content.has_value()) {
-    // Delete.
-    if (manifest_.erase(write.path) == 0) {
-      return NotFoundError("cannot delete nonexistent path: " + write.path);
-    }
     std::vector<DirNode*> chain{&root_};
     DirNode* node = &root_;
     for (const std::string& seg : segments) {
@@ -137,8 +147,6 @@ Status Repository::ApplyWrite(const FileWrite& write) {
     return OkStatus();
   }
 
-  ObjectId blob_id = store_.PutBlob(*write.content);
-  manifest_[write.path] = blob_id;
   DirNode* node = &root_;
   node->dirty = true;
   for (const std::string& seg : segments) {
@@ -153,12 +161,22 @@ ObjectId Repository::FlushTree(DirNode* node) {
   if (!node->dirty) {
     return node->id;
   }
+  // Merge the two name-sorted maps into the tree's sorted entries; a name is
+  // never both a directory and a file.
   TreeObject tree;
-  for (auto& [name, child] : node->dirs) {
-    tree.entries[name] = TreeObject::Entry{FlushTree(&child), /*is_tree=*/true};
-  }
-  for (const auto& [name, blob_id] : node->files) {
-    tree.entries[name] = TreeObject::Entry{blob_id, /*is_tree=*/false};
+  tree.entries.reserve(node->dirs.size() + node->files.size());
+  auto dir = node->dirs.begin();
+  auto file = node->files.begin();
+  while (dir != node->dirs.end() || file != node->files.end()) {
+    if (file == node->files.end() ||
+        (dir != node->dirs.end() && dir->first < file->first)) {
+      tree.entries.push_back({dir->first, FlushTree(&dir->second),
+                              /*is_tree=*/true});
+      ++dir;
+    } else {
+      tree.entries.push_back({file->first, file->second, /*is_tree=*/false});
+      ++file;
+    }
   }
   node->id = store_.PutTree(std::move(tree));
   node->dirty = false;
@@ -235,22 +253,22 @@ Result<std::string> Repository::ReadFileAt(const ObjectId& commit_id,
   ObjectId current = commit.tree;
   for (size_t i = 0; i < segments.size(); ++i) {
     ASSIGN_OR_RETURN(const TreeObject* tree, store_.GetTree(current));
-    auto it = tree->entries.find(segments[i]);
-    if (it == tree->entries.end()) {
+    const TreeObject::Entry* entry = tree->Find(segments[i]);
+    if (entry == nullptr) {
       return NotFoundError(StrFormat("no file '%s' in commit %s", path.c_str(),
                                      commit_id.ShortHex().c_str()));
     }
     bool is_last = i + 1 == segments.size();
     if (is_last) {
-      if (it->second.is_tree) {
+      if (entry->is_tree) {
         return InvalidArgumentError("'" + path + "' is a directory");
       }
-      return store_.GetBlob(it->second.id);
+      return store_.GetBlob(entry->id);
     }
-    if (!it->second.is_tree) {
+    if (!entry->is_tree) {
       return NotFoundError("'" + segments[i] + "' is not a directory in " + path);
     }
-    current = it->second.id;
+    current = entry->id;
   }
   return InternalError("unreachable");
 }
@@ -288,9 +306,8 @@ Status Repository::DiffTrees(const std::optional<ObjectId>& old_tree,
 
   auto old_it = old_obj->entries.begin();
   auto new_it = new_obj->entries.begin();
-  auto emit_side = [&](const std::string& name, const TreeObject::Entry& entry,
-                       bool is_old) -> Status {
-    std::string path = prefix.empty() ? name : prefix + "/" + name;
+  auto emit_side = [&](const TreeObject::Entry& entry, bool is_old) -> Status {
+    std::string path = prefix.empty() ? entry.name : prefix + "/" + entry.name;
     if (entry.is_tree) {
       return DiffTrees(is_old ? std::optional<ObjectId>(entry.id) : std::nullopt,
                        is_old ? std::nullopt : std::optional<ObjectId>(entry.id),
@@ -306,21 +323,20 @@ Status Repository::DiffTrees(const std::optional<ObjectId>& old_tree,
 
   while (old_it != old_obj->entries.end() || new_it != new_obj->entries.end()) {
     if (new_it == new_obj->entries.end() ||
-        (old_it != old_obj->entries.end() && old_it->first < new_it->first)) {
-      RETURN_IF_ERROR(emit_side(old_it->first, old_it->second, /*is_old=*/true));
+        (old_it != old_obj->entries.end() && old_it->name < new_it->name)) {
+      RETURN_IF_ERROR(emit_side(*old_it, /*is_old=*/true));
       ++old_it;
       continue;
     }
-    if (old_it == old_obj->entries.end() || new_it->first < old_it->first) {
-      RETURN_IF_ERROR(emit_side(new_it->first, new_it->second, /*is_old=*/false));
+    if (old_it == old_obj->entries.end() || new_it->name < old_it->name) {
+      RETURN_IF_ERROR(emit_side(*new_it, /*is_old=*/false));
       ++new_it;
       continue;
     }
     // Same name on both sides.
-    const std::string& name = old_it->first;
-    std::string path = prefix.empty() ? name : prefix + "/" + name;
-    const TreeObject::Entry& oe = old_it->second;
-    const TreeObject::Entry& ne = new_it->second;
+    const TreeObject::Entry& oe = *old_it;
+    const TreeObject::Entry& ne = *new_it;
+    std::string path = prefix.empty() ? oe.name : prefix + "/" + oe.name;
     if (oe.is_tree && ne.is_tree) {
       RETURN_IF_ERROR(DiffTrees(oe.id, ne.id, path, out));
     } else if (!oe.is_tree && !ne.is_tree) {
@@ -329,8 +345,8 @@ Status Repository::DiffTrees(const std::optional<ObjectId>& old_tree,
       }
     } else {
       // File replaced by directory or vice versa.
-      RETURN_IF_ERROR(emit_side(name, oe, /*is_old=*/true));
-      RETURN_IF_ERROR(emit_side(name, ne, /*is_old=*/false));
+      RETURN_IF_ERROR(emit_side(oe, /*is_old=*/true));
+      RETURN_IF_ERROR(emit_side(ne, /*is_old=*/false));
     }
     ++old_it;
     ++new_it;

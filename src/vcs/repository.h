@@ -6,7 +6,9 @@
 //     date by stat()ing every tracked file; we charge an O(#files) pass over
 //     the head manifest;
 //   * tree rewriting along changed paths — directory objects containing the
-//     changed files are re-encoded and re-hashed.
+//     changed files are re-encoded and re-hashed. A write whose bytes match
+//     head's changes no directory, so it costs one blob hash and nothing
+//     more; a commit pays for the directories it really changes.
 // The multi-repository remedy (§3.6) is in multirepo.h.
 
 #ifndef SRC_VCS_REPOSITORY_H_

@@ -25,6 +25,15 @@
 // one key with an app callback. After two warm-up writes, a third write
 // must cost at most one allocation per proxy delivery, plus 16 for the
 // commit itself.
+//
+// A landing commit costs allocations per directory it changes, not per
+// entry of those directories, and a rewrite with head's bytes changes no
+// directory. Shape: a Repository in the authoring layout, 800
+// svc/entryNNN.cconf, 800 svc/entryNNN.json and 180 lib/modNNN.cinc files,
+// after one warm-up commit. A commit of one changed module and five changed
+// outputs re-encodes and re-hashes the 1,600-entry svc/ tree and must cost
+// fewer than 128 allocations; rewriting the same six files with their
+// current bytes must keep the head tree id, also under 128.
 
 #include <gtest/gtest.h>
 
@@ -39,6 +48,8 @@
 #include "src/distribution/fleet.h"
 #include "src/distribution/proxy.h"
 #include "src/sim/network.h"
+#include "src/util/strings.h"
+#include "src/vcs/repository.h"
 #include "src/zeus/zeus.h"
 
 namespace {
@@ -166,6 +177,63 @@ TEST(FanoutAllocTest, ProxyDeliveryAllocatesOnlyItsSendTimeCallback) {
   EXPECT_LE(allocations, deliveries + 16)
       << allocations << " allocations for " << deliveries
       << " proxy deliveries";
+}
+
+std::string EntryPath(int i, const char* ext) {
+  return StrFormat("svc/entry%03d.%s", i, ext);
+}
+std::string ModulePath(int i) { return StrFormat("lib/mod%03d.cinc", i); }
+std::string Content(const std::string& path, int version) {
+  return StrFormat("# %s, version %d, long enough to live on the heap\n",
+                   path.c_str(), version);
+}
+
+TEST(FanoutAllocTest, LandingCommitAllocatesPerChangedDirectory) {
+  Repository repo;
+  std::vector<FileWrite> load;
+  for (int i = 0; i < 800; ++i) {
+    for (const char* ext : {"cconf", "json"}) {
+      load.push_back({EntryPath(i, ext), Content(EntryPath(i, ext), 0)});
+    }
+  }
+  for (int i = 0; i < 180; ++i) {
+    load.push_back({ModulePath(i), Content(ModulePath(i), 0)});
+  }
+  const std::string author = "engineer";
+  const std::string message = "bump a module and regenerate its importers";
+  ASSERT_TRUE(repo.Commit(author, message, load).ok());
+
+  auto edit = [](int version) {
+    std::vector<FileWrite> writes = {
+        {ModulePath(17), Content(ModulePath(17), version)}};
+    for (int i = 0; i < 5; ++i) {
+      std::string path = EntryPath(100 * i + 3, "json");
+      writes.push_back({path, Content(path, version)});
+    }
+    return writes;
+  };
+  ASSERT_TRUE(repo.Commit(author, message, edit(1)).ok());  // Warm-up.
+
+  const std::vector<FileWrite> changed = edit(2);
+  uint64_t allocations0 = g_allocations;
+  Result<ObjectId> commit = repo.Commit(author, message, changed);
+  const uint64_t changed_allocations = g_allocations - allocations0;
+  ASSERT_TRUE(commit.ok()) << commit.status();
+  const ObjectId tree = repo.GetCommit(*commit)->tree;
+
+  const std::vector<FileWrite> unchanged = edit(2);
+  allocations0 = g_allocations;
+  commit = repo.Commit(author, message, unchanged);
+  const uint64_t unchanged_allocations = g_allocations - allocations0;
+  ASSERT_TRUE(commit.ok()) << commit.status();
+
+  std::printf("%llu allocations for a 6-write commit, %llu for the same "
+              "writes with head's bytes\n",
+              static_cast<unsigned long long>(changed_allocations),
+              static_cast<unsigned long long>(unchanged_allocations));
+  EXPECT_LT(changed_allocations, 128u);
+  EXPECT_EQ(repo.GetCommit(*commit)->tree, tree);
+  EXPECT_LT(unchanged_allocations, 128u);
 }
 
 }  // namespace

@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <map>
 #include <set>
+#include <string_view>
+#include <vector>
 
 #include "src/util/rng.h"
 #include "src/util/sha256.h"
+#include "src/util/sha256_kernels.h"
 #include "src/util/stats.h"
 #include "src/util/status.h"
 #include "src/util/strings.h"
@@ -121,6 +126,101 @@ TEST(Sha256Test, IncrementalMatchesOneShot) {
     hasher.Update(data.substr(split));
     EXPECT_EQ(hasher.Finish(), Sha256::Hash(data)) << "split=" << split;
   }
+}
+
+// Kernel agreement. Each kernel hashes a message the way Finish does: every
+// full block in one call, then the one or two padding blocks. The dispatched
+// Sha256 gets the same message through random Update split points.
+using Sha256Kernel = void (*)(uint32_t*, const uint8_t*, size_t);
+
+Sha256Digest HashWithKernel(Sha256Kernel kernel, std::string_view message) {
+  uint32_t state[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                       0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  const auto* bytes = reinterpret_cast<const uint8_t*>(message.data());
+  const size_t full = message.size() / 64;
+  kernel(state, bytes, full);
+  uint8_t tail[128] = {};
+  const size_t rest = message.size() - 64 * full;
+  std::memcpy(tail, bytes + 64 * full, rest);
+  tail[rest] = 0x80;
+  const size_t tail_blocks = rest + 9 > 64 ? 2 : 1;
+  const uint64_t bits = uint64_t{message.size()} * 8;
+  for (int i = 0; i < 8; ++i) {
+    tail[64 * tail_blocks - 1 - i] = static_cast<uint8_t>(bits >> (8 * i));
+  }
+  kernel(state, tail, tail_blocks);
+  Sha256Digest digest;
+  for (int i = 0; i < 8; ++i) {
+    for (int b = 0; b < 4; ++b) {
+      digest.bytes[4 * i + b] = static_cast<uint8_t>(state[i] >> (24 - 8 * b));
+    }
+  }
+  return digest;
+}
+
+Sha256Digest HashInRandomPieces(std::string_view message, Rng& rng) {
+  Sha256 hasher;
+  size_t pos = 0;
+  while (pos < message.size()) {
+    size_t piece = rng.NextBounded(std::min<size_t>(message.size() - pos, 150) + 1);
+    hasher.Update(message.substr(pos, piece));
+    pos += piece;
+  }
+  return hasher.Finish();
+}
+
+// Seeded random messages of every length from 0 to 300 bytes (55, 56, 63,
+// 64, 119 and 120 straddle Finish's one- and two-block padding), plus a few
+// of 10-20 KB.
+std::vector<std::string> KernelTestMessages() {
+  Rng rng(256);
+  std::vector<size_t> lengths;
+  for (size_t len = 0; len <= 300; ++len) {
+    lengths.push_back(len);
+  }
+  for (int i = 0; i < 4; ++i) {
+    lengths.push_back(10'000 + rng.NextBounded(10'001));
+  }
+  std::vector<std::string> messages;
+  for (size_t len : lengths) {
+    std::string message(len, '\0');
+    for (char& c : message) {
+      c = static_cast<char>(rng.Next());
+    }
+    messages.push_back(std::move(message));
+  }
+  return messages;
+}
+
+TEST(Sha256Test, PortableKernelMatchesDispatchedHasher) {
+  Rng rng(7);
+  for (const std::string& message : KernelTestMessages()) {
+    const Sha256Digest expected =
+        HashWithKernel(sha256_internal::CompressPortable, message);
+    EXPECT_EQ(Sha256::Hash(message), expected) << "length " << message.size();
+    EXPECT_EQ(HashInRandomPieces(message, rng), expected)
+        << "length " << message.size();
+  }
+}
+
+TEST(Sha256Test, ShaNiKernelMatchesPortableKernel) {
+#if defined(__x86_64__)
+  if (!sha256_internal::CpuHasShaNi()) {
+    GTEST_SKIP() << "this CPU lacks the SHA extensions or SSE4.1, so Sha256 "
+                    "runs only the portable kernel";
+  }
+  Rng rng(11);
+  for (const std::string& message : KernelTestMessages()) {
+    const Sha256Digest expected =
+        HashWithKernel(sha256_internal::CompressPortable, message);
+    EXPECT_EQ(HashWithKernel(sha256_internal::CompressShaNi, message), expected)
+        << "length " << message.size();
+    EXPECT_EQ(HashInRandomPieces(message, rng), expected)
+        << "length " << message.size();
+  }
+#else
+  GTEST_SKIP() << "the SHA-NI kernel exists only on x86-64";
+#endif
 }
 
 TEST(Sha256Test, HexRoundTrip) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 
 #include "src/util/rng.h"
 #include "src/vcs/diff.h"
@@ -49,32 +50,32 @@ TEST(ObjectStoreTest, MissingObjectNotFound) {
 
 TEST(TreeObjectTest, IdsFollowEntries) {
   TreeObject tree;
-  tree.entries["file.json"] = {Sha256::Hash("f"), false};
-  tree.entries["subdir"] = {Sha256::Hash("d"), true};
-  tree.entries["name with spaces"] = {Sha256::Hash("s"), false};
+  tree.entries = {{"file.json", Sha256::Hash("f"), false},
+                  {"name with spaces", Sha256::Hash("s"), false},
+                  {"subdir", Sha256::Hash("d"), true}};
   ObjectStore store;
   const ObjectId id = store.PutTree(tree);
 
-  // Equal entry maps give equal ids, whatever order they were built in.
+  // Equal entry sets give equal ids, whatever order they arrive in.
   TreeObject reordered;
-  reordered.entries["subdir"] = {Sha256::Hash("d"), true};
-  reordered.entries["name with spaces"] = {Sha256::Hash("s"), false};
-  reordered.entries["file.json"] = {Sha256::Hash("f"), false};
+  reordered.entries = {{"subdir", Sha256::Hash("d"), true},
+                       {"name with spaces", Sha256::Hash("s"), false},
+                       {"file.json", Sha256::Hash("f"), false}};
   EXPECT_EQ(ObjectStore().PutTree(reordered), id);
 
   // Changing any entry's name, id or kind changes the id.
-  for (const auto& [name, entry] : tree.entries) {
+  for (size_t i = 0; i < tree.entries.size(); ++i) {
+    const std::string& name = tree.entries[i].name;
     TreeObject renamed = tree;
-    renamed.entries.erase(name);
-    renamed.entries[name + "2"] = entry;
+    renamed.entries[i].name = name + "2";
     EXPECT_NE(store.PutTree(renamed), id) << name;
 
     TreeObject repointed = tree;
-    repointed.entries[name].id = Sha256::Hash("other");
+    repointed.entries[i].id = Sha256::Hash("other");
     EXPECT_NE(store.PutTree(repointed), id) << name;
 
     TreeObject rekinded = tree;
-    rekinded.entries[name].is_tree = !entry.is_tree;
+    rekinded.entries[i].is_tree = !tree.entries[i].is_tree;
     EXPECT_NE(store.PutTree(rekinded), id) << name;
   }
 
@@ -85,10 +86,17 @@ TEST(TreeObjectTest, IdsFollowEntries) {
   EXPECT_EQ(store.object_count(), objects);
   EXPECT_EQ(store.total_bytes(), bytes);
 
-  // The store keeps the entries it hashed.
+  // The store keeps the entries it hashed, sorted by name, and finds them.
   auto stored = store.GetTree(id);
   ASSERT_TRUE(stored.ok()) << stored.status();
   EXPECT_EQ((*stored)->entries, tree.entries);
+  for (const TreeObject::Entry& entry : tree.entries) {
+    const TreeObject::Entry* found = (*stored)->Find(entry.name);
+    ASSERT_NE(found, nullptr) << entry.name;
+    EXPECT_EQ(*found, entry);
+  }
+  EXPECT_EQ((*stored)->Find("file"), nullptr);
+  EXPECT_EQ((*stored)->Find("zzz"), nullptr);
 }
 
 TEST(CommitObjectTest, EncodeDecodeRoundTrip) {
@@ -528,6 +536,50 @@ TEST(RepositoryTest, SameContentCommitStillAdvancesHead) {
   auto deltas = repo.DiffCommits(*c1, *c2);
   ASSERT_TRUE(deltas.ok());
   EXPECT_TRUE(deltas->empty());  // ...but no content difference.
+}
+
+// A commit re-hashes only the directories it dirties, and a write with
+// head's bytes dirties none. Whatever the batches (same-byte rewrites, a
+// value changed and changed back, a delete then a re-add), head's tree must
+// be the tree a fresh repository builds from the same files in one commit.
+TEST(RepositoryTest, IncrementalTreeMatchesFreshBuild) {
+  const std::vector<std::string> paths = {"top.json",        "svc/a.json",
+                                          "svc/b.json",      "svc/deep/c.json",
+                                          "lib/m.cinc",      "lib/n/o.cinc"};
+  const std::vector<std::string> values = {"v0", "v1", "v2"};
+  Rng rng(27);
+  Repository repo;
+  std::map<std::string, std::string> model;
+  for (int step = 0; step < 300; ++step) {
+    std::vector<FileWrite> batch;
+    const int writes = 1 + static_cast<int>(rng.NextBounded(4));
+    for (int i = 0; i < writes; ++i) {
+      const std::string& path = paths[rng.NextBounded(paths.size())];
+      if (model.count(path) > 0 && rng.NextBounded(4) == 0) {
+        batch.push_back({path, std::nullopt});
+        model.erase(path);
+      } else {
+        const std::string& value = values[rng.NextBounded(values.size())];
+        batch.push_back({path, value});
+        model[path] = value;
+      }
+    }
+    auto head = repo.Commit("a", "step", batch);
+    ASSERT_TRUE(head.ok()) << head.status();
+
+    Repository fresh;
+    std::vector<FileWrite> all;
+    for (const auto& [path, value] : model) {
+      all.push_back({path, value});
+    }
+    auto rebuilt = fresh.Commit("a", "all", all);
+    ASSERT_TRUE(rebuilt.ok()) << rebuilt.status();
+    ASSERT_EQ(repo.GetCommit(*head)->tree, fresh.GetCommit(*rebuilt)->tree)
+        << "step " << step;
+    for (const auto& [path, value] : model) {
+      EXPECT_EQ(*repo.ReadFileAt(*head, path), value) << path;
+    }
+  }
 }
 
 // ---- MultiRepo -----------------------------------------------------------------
