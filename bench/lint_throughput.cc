@@ -20,7 +20,6 @@
 #include "src/analysis/lint.h"
 #include "src/analysis/store.h"
 #include "src/json/json.h"
-#include "src/lang/unit_cache.h"
 #include "src/util/strings.h"
 #include "src/util/table.h"
 
@@ -46,7 +45,7 @@ int main() {
   FileReader reader = repo.sources.AsReader();
   const size_t total_files = repo.paths.size();
 
-  // Pass 1: syntactic lint.
+  // Pass 1: syntactic lint, through the analysis store the linter owns.
   size_t lint_findings = 0;
   auto lint_start = std::chrono::steady_clock::now();
   {
@@ -71,17 +70,16 @@ int main() {
   }
   double absint_s = Seconds(absint_start);
 
-  // Pass 3: both analyses parsing through one CompiledUnitCache, lint
-  // reading module surfaces from an AnalysisStore over it (what Sandcastle's
-  // lint and absint stages share): each file is parsed and pre-scanned once
-  // instead of once per pass or per importer.
+  // Pass 3: both analyses through one AnalysisStore, the interpreter
+  // parsing through the store's unit cache (what Sandcastle's lint and
+  // absint stages share): each file is parsed and pre-scanned once instead
+  // of once per pass.
   size_t shared_findings = 0;
   auto shared_start = std::chrono::steady_clock::now();
   {
-    CompiledUnitCache units;
-    AnalysisStore store(&units);
-    ConfigLint linter(reader, &RestraintRegistry::Builtin(), &store);
-    AbstractInterpreter absint(reader, &units);
+    AnalysisStore store;
+    ConfigLint linter(reader, store);
+    AbstractInterpreter absint(reader, store.units());
     for (const std::string& path : repo.paths) {
       const std::string content = *reader(path);
       shared_findings += linter.LintFile(path, content).size();

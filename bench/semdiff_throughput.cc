@@ -122,8 +122,11 @@ int main() {
       InMemorySources new_sources = SourcesFrom(new_tree);
 
       auto start = std::chrono::steady_clock::now();
-      SemanticDiffer differ(old_sources.AsReader(), new_sources.AsReader(),
-                            &RestraintRegistry::Builtin(), store);
+      SemanticDiffer differ =
+          store == nullptr
+              ? SemanticDiffer(old_sources.AsReader(), new_sources.AsReader())
+              : SemanticDiffer(old_sources.AsReader(), new_sources.AsReader(),
+                               *store);
       SemanticDiffReport report = differ.Classify({touched_path}, dependents);
       row.classify_s += Seconds(start);
 
@@ -144,8 +147,7 @@ int main() {
     return row;
   };
   Row fresh = run(nullptr);
-  CompiledUnitCache units;
-  AnalysisStore store(&units);
+  AnalysisStore store;
   Row stored = run(&store);
   if (stored.reports.Finish() != fresh.reports.Finish() ||
       stored.provable_noops != fresh.provable_noops) {

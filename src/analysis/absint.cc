@@ -281,7 +281,7 @@ constexpr uintptr_t kMaxAnalysisStackBytes = uintptr_t{4} << 20;
 
 class Analyzer {
  public:
-  Analyzer(const FileReader& reader, CompiledUnitCache* units)
+  Analyzer(const FileReader& reader, CompiledUnitCache& units)
       : reader_(reader), units_(units) {}
 
   // A module's globals map can hold a function whose env shared_ptr points
@@ -349,8 +349,6 @@ class Analyzer {
   std::optional<bool> TruthyWithHeap(const AbstractValue& v) const;
 
   // -- cross-module --
-  Result<std::shared_ptr<Module>> ParseSource(const std::string& content,
-                                              const std::string& path);
   void HandleImport(const Expr& expr, Ctx& ctx);
   std::shared_ptr<Bindings> AnalyzeModule(const std::string& path);
   void LoadSchema(const std::string& path);
@@ -377,7 +375,7 @@ class Analyzer {
   bool OutOfStack();
 
   const FileReader& reader_;
-  CompiledUnitCache* units_;
+  CompiledUnitCache& units_;
   uintptr_t stack_base_ = 0;  // Frame address at Run's entry.
   SchemaRegistry registry_;
   ValidatorBounds validator_bounds_;
@@ -1483,12 +1481,6 @@ AbstractValue Analyzer::MergeDicts(const AbstractValue& a,
 
 // -- cross-module: imports, schemas, validators --
 
-Result<std::shared_ptr<Module>> Analyzer::ParseSource(
-    const std::string& content, const std::string& path) {
-  return units_ != nullptr ? units_->GetOrParse(path, content)
-                           : ParseCsl(content, path);
-}
-
 void Analyzer::HandleImport(const Expr& expr, Ctx& ctx) {
   // Evaluate the arguments like the interpreter would (records reads made
   // while computing a dynamic path, even though we then give up on it).
@@ -1542,7 +1534,7 @@ std::shared_ptr<Bindings> Analyzer::AnalyzeModule(const std::string& path) {
     visiting_.erase(path);
     return nullptr;
   }
-  auto module = ParseSource(*source, path);
+  auto module = units_.GetOrParse(path, *source);
   if (!module.ok()) {
     visiting_.erase(path);
     return nullptr;
@@ -1664,7 +1656,7 @@ void MineCondition(const Expr& cond, const std::string& param,
 
 void Analyzer::MineValidatorBounds(const std::string& validator_path,
                                    const std::string& source) {
-  auto module = ParseSource(source, validator_path);
+  auto module = units_.GetOrParse(validator_path, source);
   if (!module.ok()) {
     return;
   }
@@ -1889,7 +1881,7 @@ AbsintResult Analyzer::Run(const std::string& path,
   AbsintResult result;
   entry_path_ = path;
   stack_base_ = reinterpret_cast<uintptr_t>(__builtin_frame_address(0));
-  auto module = ParseSource(content, path);
+  auto module = units_.GetOrParse(path, content);
   if (!module.ok()) {
     result.slice_sound = false;
     return result;  // analyzed = false: the compiler reports parse errors.
@@ -1961,29 +1953,40 @@ AbsintResult Analyzer::Run(const std::string& path,
 
   SortDiagnostics(&diags_);
   result.diagnostics = std::move(diags_);
-  result.used_symbols = std::move(reads_);
+  result.used_symbols = std::make_shared<const SymbolSlice>(std::move(reads_));
   result.slice_sound = slice_sound_;
   return result;
 }
 
 }  // namespace
 
+const std::shared_ptr<const SymbolSlice>& EmptySymbolSlice() {
+  static const auto* empty = new std::shared_ptr<const SymbolSlice>(
+      std::make_shared<const SymbolSlice>());
+  return *empty;
+}
+
 // ---- AbstractInterpreter ----------------------------------------------------
 
+AbstractInterpreter::AbstractInterpreter(FileReader reader)
+    : reader_(std::move(reader)),
+      owned_units_(std::make_unique<CompiledUnitCache>()),
+      units_(owned_units_.get()) {}
+
 AbstractInterpreter::AbstractInterpreter(FileReader reader,
-                                         CompiledUnitCache* units)
-    : reader_(std::move(reader)), units_(units) {}
+                                         CompiledUnitCache& units)
+    : reader_(std::move(reader)), units_(&units) {}
 
 AbsintResult AbstractInterpreter::Analyze(const std::string& path,
-                                          const std::string& content) const {
+                                          const std::string& content) {
   if (!path.ends_with(".cconf") && !path.ends_with(".cinc")) {
     return AbsintResult{};  // Not CSL; nothing to analyze.
   }
-  Analyzer analyzer(reader_, units_);
+  Analyzer analyzer(reader_, *units_);
   return analyzer.Run(path, content);
 }
 
-AbsintResult AbstractInterpreter::AnalyzePath(const std::string& path) const {
+AbsintResult AbstractInterpreter::AnalyzePath(const std::string& path) {
   if (!reader_) {
     AbsintResult result;
     result.slice_sound = false;
@@ -2173,12 +2176,9 @@ class StmtScan {
 
 }  // namespace
 
-ModuleSymbolSurface ComputeSymbolSurface(const std::string& path,
-                                         const std::string& content,
-                                         CompiledUnitCache* units) {
+ModuleSymbolSurface ComputeSymbolSurface(
+    const Result<std::shared_ptr<Module>>& module) {
   ModuleSymbolSurface surface;
-  auto module = units != nullptr ? units->GetOrParse(path, content)
-                                 : ParseCsl(content, path);
   if (!module.ok()) {
     return surface;  // analyzable = false.
   }

@@ -35,8 +35,8 @@
 #include <vector>
 
 #include "src/analysis/diagnostic.h"
-#include "src/analysis/lint.h"
 #include "src/lang/compiler.h"
+#include "src/lang/unit_cache.h"
 
 namespace configerator {
 
@@ -204,6 +204,12 @@ struct DecidedBranch {
   bool value = false;  // The condition's decided truth value.
 };
 
+// A symbol-level dependency slice: module -> the top-level symbols read.
+using SymbolSlice = std::map<std::string, std::set<std::string>>;
+
+// The one empty slice, which every result that analyzed nothing holds.
+const std::shared_ptr<const SymbolSlice>& EmptySymbolSlice();
+
 struct AbsintResult {
   // False when the file failed to parse (the compiler reports that) or was
   // not a CSL source; no other fields are meaningful then.
@@ -220,8 +226,9 @@ struct AbsintResult {
   // inside transitively imported module bodies. The pseudo-symbol "*" marks
   // modules that are star-imported (their surface *growing* can shadow
   // names, so additions must invalidate). This is the sound pruning set the
-  // DependencyService consumes.
-  std::map<std::string, std::set<std::string>> used_symbols;
+  // DependencyService consumes: shared and immutable, so it keeps this
+  // pointer instead of a copy. Never null.
+  std::shared_ptr<const SymbolSlice> used_symbols = EmptySymbolSlice();
   // Abstract summary of every top-level binding after the module body ran,
   // keyed by symbol name: what SemanticDiffer compares across versions.
   std::map<std::string, SymbolSummary> symbol_summaries;
@@ -256,24 +263,26 @@ class AbstractInterpreter {
  public:
   // `reader` resolves imports, exactly like the compiler's. Without one,
   // cross-module inference degrades to Any (no diagnostics, empty slices).
-  // `units` (optional) supplies parses; it must outlive the interpreter.
-  // Every call analyzes afresh: AnalysisStore (src/analysis/store.h) is
-  // what memoizes whole results.
-  explicit AbstractInterpreter(FileReader reader = nullptr,
-                               CompiledUnitCache* units = nullptr);
+  // Parses go through a unit cache the interpreter owns. Every call
+  // analyzes afresh: AnalysisStore (src/analysis/store.h) is what memoizes
+  // whole results.
+  explicit AbstractInterpreter(FileReader reader = nullptr);
+  // Parses through `units` instead, which must outlive the interpreter.
+  AbstractInterpreter(FileReader reader, CompiledUnitCache& units);
 
   // Analyzes one CSL source. Only ".cconf" entries get export/schema checks;
   // ".cinc" modules are analyzed for slices and local T-rules.
-  AbsintResult Analyze(const std::string& path, const std::string& content) const;
+  AbsintResult Analyze(const std::string& path, const std::string& content);
 
   // Convenience: reads `path` through the FileReader first.
-  AbsintResult AnalyzePath(const std::string& path) const;
+  AbsintResult AnalyzePath(const std::string& path);
 
   // The T-rule table (docs, --explain).
   static const std::vector<LintRuleInfo>& TypeRules();
 
  private:
   FileReader reader_;
+  std::unique_ptr<CompiledUnitCache> owned_units_;  // Null when given one.
   CompiledUnitCache* units_;
 };
 
@@ -327,10 +336,11 @@ struct ModuleSymbolSurface {
   bool has_dynamic_import = false;  // A module-level computed import.
 };
 
-// `units` (optional) supplies the parse.
-ModuleSymbolSurface ComputeSymbolSurface(const std::string& path,
-                                         const std::string& content,
-                                         CompiledUnitCache* units = nullptr);
+// The surface of the module version `module` parses (ParseCsl, or a unit
+// cache's GetOrParse); a failed parse gives a surface that is not
+// analyzable.
+ModuleSymbolSurface ComputeSymbolSurface(
+    const Result<std::shared_ptr<Module>>& module);
 
 // Which top-level symbols changed between two versions of a module. Includes
 // the intra-module closure (dependents of changed symbols) and the "*"

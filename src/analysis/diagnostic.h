@@ -33,6 +33,14 @@ struct LintDiagnostic {
   std::string Format() const;
 };
 
+// Static description of one lint rule (drives docs and --explain output).
+struct LintRuleInfo {
+  std::string_view id;
+  std::string_view name;
+  LintSeverity severity;
+  std::string_view summary;
+};
+
 // The canonical diagnostic ordering: file, line, column, message, rule id,
 // suggestion — rule id breaks ties only after column+message, so two rules
 // firing on the same line order the same way regardless of which producer

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "src/analysis/rules.h"
+#include "src/gatekeeper/restraint.h"
 
 namespace configerator {
 namespace analysis {
@@ -32,8 +33,7 @@ const Json& EmptyParams() {
   return *empty;
 }
 
-RestraintView DecodeRestraint(const Json& spec,
-                              const RestraintRegistry& registry) {
+RestraintView DecodeRestraint(const Json& spec) {
   RestraintView view;  // Get() finds nothing in a spec that is no object.
   const Json* type = spec.Get("type");
   if (type != nullptr && type->is_string()) {
@@ -43,7 +43,7 @@ RestraintView DecodeRestraint(const Json& spec,
   view.params = params != nullptr ? params : &EmptyParams();
   const Json* negate = spec.Get("negate");
   view.negate = negate != nullptr && negate->is_bool() && negate->as_bool();
-  auto restraint = registry.Create(spec);
+  auto restraint = RestraintRegistry::Builtin().Create(spec);
   if (restraint.ok()) {
     view.restraint = std::move(*restraint);
   }
@@ -53,7 +53,6 @@ RestraintView DecodeRestraint(const Json& spec,
 }  // namespace
 
 void RunGatingRules(const std::string& path, const Json& config,
-                    const RestraintRegistry& registry,
                     std::vector<LintDiagnostic>* diags) {
   auto report = [&](const char* rule_id, LintSeverity severity,
                     std::string message, std::string suggestion = "") {
@@ -108,11 +107,11 @@ void RunGatingRules(const std::string& path, const Json& config,
     std::vector<RestraintView> views;
     views.reserve(restraints->as_array().size());
     for (const Json& spec : restraints->as_array()) {
-      RestraintView view = DecodeRestraint(spec, registry);
-      if (!view.type.empty() && !registry.Has(view.type)) {
+      RestraintView view = DecodeRestraint(spec);
+      if (!view.type.empty() && !RestraintRegistry::Builtin().Has(view.type)) {
         report("G004", LintSeverity::kError,
                rule_label + " uses unknown restraint type '" + view.type + "'",
-               "register the restraint or fix the type name");
+               "use one of the builtin restraint types or fix the type name");
       }
       views.push_back(std::move(view));
     }
@@ -130,7 +129,8 @@ void RunGatingRules(const std::string& path, const Json& config,
       }
       // A type that declares context fields but ignores the context is a
       // bucket spanning every user.
-      if (!registry.ContextFields(view.type).empty() && !view.negate) {
+      if (!RestraintRegistry::Builtin().ContextFields(view.type).empty() &&
+          !view.negate) {
         report("G006", LintSeverity::kWarning,
                rule_label + ": " + view.type +
                    " bucket spans all users and filters nothing",

@@ -589,7 +589,7 @@ struct AbstractCases {
 // Resolves and caches abstract facts per config path.
 class AbstractResolver {
  public:
-  AbstractResolver(const FileReader& reader, AnalysisStore* store)
+  AbstractResolver(const FileReader& reader, AnalysisStore& store)
       : reader_(reader), store_(store) {}
 
   const AbstractCases& Resolve(const std::string& config) {
@@ -604,7 +604,7 @@ class AbstractResolver {
       auto content = reader_(entry);
       if (content.ok()) {
         std::shared_ptr<const AbsintResult> result =
-            AnalysisStore::Absint(store_, reader_, entry, *content);
+            store_.Absint(reader_, entry, *content);
         for (const ExportSlice& slice : result->exports) {
           if (slice.path == config) {
             out.cases.push_back(slice.fields);
@@ -630,7 +630,7 @@ class AbstractResolver {
 
  private:
   const FileReader& reader_;
-  AnalysisStore* store_;
+  AnalysisStore& store_;
   std::map<std::string, AbstractCases> cache_;
 };
 
@@ -886,16 +886,21 @@ std::string InvariantReport::Summary() const {
 
 // ---- Checker ----------------------------------------------------------------
 
-InvariantChecker::InvariantChecker(FileReader reader, AnalysisStore* store)
-    : reader_(std::move(reader)), store_(store) {}
+InvariantChecker::InvariantChecker(FileReader reader)
+    : reader_(std::move(reader)),
+      owned_store_(std::make_unique<AnalysisStore>()),
+      store_(owned_store_.get()) {}
+
+InvariantChecker::InvariantChecker(FileReader reader, AnalysisStore& store)
+    : reader_(std::move(reader)), store_(&store) {}
 
 InvariantReport InvariantChecker::Check(const InvariantRegistry& registry,
-                                        const std::set<std::string>& scope) const {
+                                        const std::set<std::string>& scope) {
   InvariantReport report;
   report.diagnostics = registry.diagnostics;  // I000 registry errors.
 
-  AbstractResolver resolver(reader_, store_);
-  ConcreteEvaluator concrete(reader_, AnalysisStore::Units(store_));
+  AbstractResolver resolver(reader_, *store_);
+  ConcreteEvaluator concrete(reader_, store_->units());
 
   // Activation: the blast radius touches a referenced config, or the spec
   // file itself. Empty scope = full audit.

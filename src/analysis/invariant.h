@@ -53,18 +53,18 @@
 #define SRC_ANALYSIS_INVARIANT_H_
 
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "src/analysis/diagnostic.h"
+#include "src/analysis/store.h"
 #include "src/analysis/witness.h"
 #include "src/json/json.h"
 #include "src/lang/compiler.h"
 
 namespace configerator {
-
-class AnalysisStore;
 
 enum class InvariantKind {
   kOrdering,    // lhs <relation> rhs over two numeric fields.
@@ -170,10 +170,12 @@ class InvariantChecker {
  public:
   // `reader` resolves both entry sources and raw JSON configs (in the
   // pipeline it is Sandcastle's overlay reader, so the checker sees the tree
-  // as it would look with the diff applied).
-  // `store` (optional, see src/analysis/store.h) serves the entries'
-  // abstract interpretations and compiles; it must outlive the checker.
-  explicit InvariantChecker(FileReader reader, AnalysisStore* store = nullptr);
+  // as it would look with the diff applied). The entries' abstract
+  // interpretations and compiles go through an analysis store (see
+  // src/analysis/store.h) the checker owns.
+  explicit InvariantChecker(FileReader reader);
+  // Goes through `store` instead, which must outlive the checker.
+  InvariantChecker(FileReader reader, AnalysisStore& store);
 
   // Checks every invariant in `registry` whose referenced configs (or
   // declaring spec file) intersect `scope` — the semdiff-pruned blast
@@ -184,10 +186,11 @@ class InvariantChecker {
   // analysis, including ones outside the scope: joint consistency is a
   // property of the whole relation, not of the touched side alone.
   InvariantReport Check(const InvariantRegistry& registry,
-                        const std::set<std::string>& scope = {}) const;
+                        const std::set<std::string>& scope = {});
 
  private:
   FileReader reader_;
+  std::unique_ptr<AnalysisStore> owned_store_;  // Null when given one.
   AnalysisStore* store_;
 };
 

@@ -90,7 +90,7 @@ class LangAnalyzer {
  public:
   LangAnalyzer(const Module& module, const ModuleSymbolSurface& surface,
                const FileReader& reader, std::vector<LintDiagnostic>* diags,
-               AnalysisStore* store)
+               AnalysisStore& store)
       : module_(module),
         module_names_(surface.binding_lines),
         reader_(reader),
@@ -160,8 +160,7 @@ class LangAnalyzer {
     record.line = call.line;
     record.path = path;
     record.filter = import.filter;
-    ImportBinding binding =
-        AnalysisStore::Import(store_, reader_, path, import.filter);
+    ImportBinding binding = store_.Import(reader_, path, import.filter);
     if (binding.has_schema_import) {
       // The imported module may hand us schema-constructed values whose
       // constructors we cannot enumerate here.
@@ -615,7 +614,7 @@ class LangAnalyzer {
   const std::map<std::string, int>& module_names_;
   const FileReader& reader_;
   std::vector<LintDiagnostic>* diags_;
-  AnalysisStore* store_;
+  AnalysisStore& store_;
 
   std::map<std::string, FuncSig> known_funcs_;
   std::set<std::string> schema_names_;
@@ -632,7 +631,7 @@ class LangAnalyzer {
 void RunLanguageRules(const Module& module, const ModuleSymbolSurface& surface,
                       const FileReader& reader,
                       std::vector<LintDiagnostic>* diags,
-                      AnalysisStore* store) {
+                      AnalysisStore& store) {
   LangAnalyzer(module, surface, reader, diags, store).Run();
 }
 

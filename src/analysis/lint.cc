@@ -10,12 +10,16 @@
 
 namespace configerator {
 
-ConfigLint::ConfigLint(FileReader reader, const RestraintRegistry* registry,
-                       AnalysisStore* store)
-    : reader_(std::move(reader)), registry_(registry), store_(store) {}
+ConfigLint::ConfigLint(FileReader reader)
+    : reader_(std::move(reader)),
+      owned_store_(std::make_unique<AnalysisStore>()),
+      store_(owned_store_.get()) {}
 
-std::vector<LintDiagnostic> ConfigLint::LintFile(
-    const std::string& path, const std::string& content) const {
+ConfigLint::ConfigLint(FileReader reader, AnalysisStore& store)
+    : reader_(std::move(reader)), store_(&store) {}
+
+std::vector<LintDiagnostic> ConfigLint::LintFile(const std::string& path,
+                                                 const std::string& content) {
   if (path.ends_with(".cconf") || path.ends_with(".cinc")) {
     return LintSource(path, content);
   }
@@ -25,12 +29,10 @@ std::vector<LintDiagnostic> ConfigLint::LintFile(
   return {};
 }
 
-std::vector<LintDiagnostic> ConfigLint::LintSource(
-    const std::string& path, const std::string& content) const {
+std::vector<LintDiagnostic> ConfigLint::LintSource(const std::string& path,
+                                                   const std::string& content) {
   std::vector<LintDiagnostic> diags;
-  CompiledUnitCache* units = AnalysisStore::Units(store_);
-  auto module = units != nullptr ? units->GetOrParse(path, content, &diags)
-                                 : ParseCsl(content, path, &diags);
+  auto module = store_->units().GetOrParse(path, content, &diags);
   if (!module.ok()) {
     // The compiler rejects the file with the full parse error; lint only
     // records that analysis could not run.
@@ -42,9 +44,8 @@ std::vector<LintDiagnostic> ConfigLint::LintSource(
     diags.push_back(std::move(diag));
     return diags;
   }
-  analysis::RunLanguageRules(
-      **module, *AnalysisStore::Surface(store_, path, content), reader_,
-      &diags, store_);
+  analysis::RunLanguageRules(**module, *store_->Surface(path, content), reader_,
+                             &diags, *store_);
   SortDiagnostics(&diags);
   return diags;
 }
@@ -57,7 +58,7 @@ std::vector<LintDiagnostic> ConfigLint::LintGatekeeper(
     // Malformed JSON is Sandcastle's raw validators' finding, not lint's.
     return diags;
   }
-  analysis::RunGatingRules(path, *config, *registry_, &diags);
+  analysis::RunGatingRules(path, *config, &diags);
   return diags;
 }
 
@@ -90,7 +91,7 @@ const std::vector<LintRuleInfo>& ConfigLint::Rules() {
       {"G003", "dead-rule", LintSeverity::kWarning,
        "rule can never pass (always-false restraint or 0% sampling)"},
       {"G004", "unknown-restraint-type", LintSeverity::kError,
-       "restraint type is not registered in the RestraintRegistry"},
+       "restraint type is not one of the builtin restraint types"},
       {"G005", "duplicate-restraint", LintSeverity::kWarning,
        "identical restraint repeated inside one conjunction"},
       {"G006", "vacuous-bucket", LintSeverity::kWarning,

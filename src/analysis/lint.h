@@ -15,7 +15,8 @@
 //
 //   Gating rules (Gxxx) — run over Gatekeeper project JSON, reasoning about
 //   each rule's restraint conjunction (contradictions, subsumption, dead
-//   clauses, vacuous buckets) against the RestraintRegistry.
+//   clauses, vacuous buckets) against the builtin restraint table
+//   (RestraintRegistry::Builtin()).
 //
 // | Rule | Severity | Finding |
 // |------|----------|---------|
@@ -31,7 +32,7 @@
 // | G001 contradictory-restraints | error | X and NOT X in one conjunction |
 // | G002 subsumed-rule       | warning | rule shadowed by earlier always-pass rule |
 // | G003 dead-rule           | warning | conjunction or sampling can never pass |
-// | G004 unknown-restraint-type | error | type absent from the RestraintRegistry |
+// | G004 unknown-restraint-type | error | type is not a builtin restraint |
 // | G005 duplicate-restraint | warning | identical restraint repeated in one rule |
 // | G006 vacuous-bucket      | warning | id_mod/hash_range spans every user |
 //
@@ -44,48 +45,38 @@
 #ifndef SRC_ANALYSIS_LINT_H_
 #define SRC_ANALYSIS_LINT_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "src/analysis/diagnostic.h"
-#include "src/gatekeeper/restraint.h"
+#include "src/analysis/store.h"
 #include "src/lang/compiler.h"
 
 namespace configerator {
-
-// Static description of one lint rule (drives docs and --explain output).
-struct LintRuleInfo {
-  std::string_view id;
-  std::string_view name;
-  LintSeverity severity;
-  std::string_view summary;
-};
-
-class AnalysisStore;
 
 class ConfigLint {
  public:
   // `reader` resolves imports for cross-module analysis; without one (or
   // when a target cannot be read) the affected checks degrade conservatively
-  // instead of guessing. `registry` is consulted for restraint types.
-  // `store` (optional) supplies parses and module surfaces, so lint shares
-  // them with the compiler and the other analysis passes; it must outlive
-  // the linter.
-  explicit ConfigLint(FileReader reader = nullptr,
-                      const RestraintRegistry* registry =
-                          &RestraintRegistry::Builtin(),
-                      AnalysisStore* store = nullptr);
+  // instead of guessing. Parses and module surfaces come from an analysis
+  // store the linter owns, so each file is parsed once and every file it
+  // lints shares the surfaces of the modules they import.
+  explicit ConfigLint(FileReader reader = nullptr);
+  // Reads through `store` instead, sharing its parses and surfaces with the
+  // compiler and the other analysis passes; it must outlive the linter.
+  ConfigLint(FileReader reader, AnalysisStore& store);
 
   // Dispatches on path convention: ".cconf"/".cinc" → language rules,
   // "gatekeeper/*.json" → gating rules, anything else → no findings.
   std::vector<LintDiagnostic> LintFile(const std::string& path,
-                                       const std::string& content) const;
+                                       const std::string& content);
 
   // Language rules over one CSL source file. A file that fails to parse
   // yields a single L000 parse-error diagnostic (the compiler will reject it
   // with full detail; lint just flags it).
   std::vector<LintDiagnostic> LintSource(const std::string& path,
-                                         const std::string& content) const;
+                                         const std::string& content);
 
   // Gating rules over one Gatekeeper project JSON.
   std::vector<LintDiagnostic> LintGatekeeper(const std::string& path,
@@ -96,7 +87,7 @@ class ConfigLint {
 
  private:
   FileReader reader_;
-  const RestraintRegistry* registry_;
+  std::unique_ptr<AnalysisStore> owned_store_;  // Null when given one.
   AnalysisStore* store_;
 };
 

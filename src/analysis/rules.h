@@ -9,7 +9,6 @@
 
 #include "src/analysis/diagnostic.h"
 #include "src/analysis/store.h"
-#include "src/gatekeeper/restraint.h"
 #include "src/lang/ast.h"
 #include "src/lang/compiler.h"
 
@@ -18,16 +17,15 @@ namespace analysis {
 
 // Language rules (L001..L009) over a parsed module and its symbol surface.
 // `reader` resolves import_python / import_thrift targets; may be null.
-// Imported modules are composed through `store` (AnalysisStore::Import);
-// may be null.
+// Imported modules are composed through `store` (AnalysisStore::Import).
 void RunLanguageRules(const Module& module, const ModuleSymbolSurface& surface,
                       const FileReader& reader,
                       std::vector<LintDiagnostic>* diags,
-                      AnalysisStore* store);
+                      AnalysisStore& store);
 
-// Gating rules (G001..G006) over a parsed Gatekeeper project JSON.
+// Gating rules (G001..G006) over a parsed Gatekeeper project JSON, against
+// the builtin restraint table.
 void RunGatingRules(const std::string& path, const Json& config,
-                    const RestraintRegistry& registry,
                     std::vector<LintDiagnostic>* diags);
 
 }  // namespace analysis

@@ -180,10 +180,9 @@ LintDiagnostic MakeFinding(const char* rule_id, LintSeverity severity,
   return d;
 }
 
-GateSurface SurfaceOf(const Json& spec, const RestraintRegistry& registry) {
+GateSurface SurfaceOf(const Json& spec) {
   GateSurface surface;
-  for (const RestraintFields& restraint :
-       ProjectContextFields(spec, registry)) {
+  for (const RestraintFields& restraint : ProjectContextFields(spec)) {
     surface.restraint_types.insert(restraint.type);
     surface.context_fields.insert(restraint.fields->begin(),
                                   restraint.fields->end());
@@ -193,28 +192,26 @@ GateSurface SurfaceOf(const Json& spec, const RestraintRegistry& registry) {
 
 }  // namespace
 
-SemanticDiffer::SemanticDiffer(FileReader old_reader, FileReader new_reader,
-                               const RestraintRegistry* registry,
-                               AnalysisStore* store)
+SemanticDiffer::SemanticDiffer(FileReader old_reader, FileReader new_reader)
     : old_reader_(std::move(old_reader)),
       new_reader_(std::move(new_reader)),
-      registry_(registry),
-      store_(store) {}
+      owned_store_(std::make_unique<AnalysisStore>()),
+      store_(owned_store_.get()) {}
+
+SemanticDiffer::SemanticDiffer(FileReader old_reader, FileReader new_reader,
+                               AnalysisStore& store)
+    : old_reader_(std::move(old_reader)),
+      new_reader_(std::move(new_reader)),
+      store_(&store) {}
 
 SemanticDiffReport SemanticDiffer::Classify(
     const std::vector<std::string>& touched_paths,
-    const std::vector<std::string>& dependent_entries) const {
+    const std::vector<std::string>& dependent_entries) {
   SemanticDiffReport report;
   if (!old_reader_ || !new_reader_) {
     report.sound = false;
     return report;
   }
-  // Without a store, the call analyzes through a private one, as a compiler
-  // without a unit cache keeps its own: fresh for every call, and each
-  // version (an untouched entry is often the same on both sides) once.
-  CompiledUnitCache private_units;
-  AnalysisStore private_store(&private_units);
-  AnalysisStore* store = store_ != nullptr ? store_ : &private_store;
 
   std::set<std::string> touched_set(touched_paths.begin(),
                                     touched_paths.end());
@@ -247,7 +244,7 @@ SemanticDiffReport SemanticDiffer::Classify(
   }
 
   // One version of `path`, analyzed through the store.
-  auto load = [store](const FileReader& reader, const std::string& path) {
+  auto load = [this](const FileReader& reader, const std::string& path) {
     SideFacts side;
     auto content = reader(path);
     if (!content.ok()) {
@@ -255,8 +252,8 @@ SemanticDiffReport SemanticDiffer::Classify(
     }
     side.present = true;
     side.content = std::move(*content);
-    side.surface = AnalysisStore::Surface(store, path, side.content);
-    side.absint = AnalysisStore::Absint(store, reader, path, side.content);
+    side.surface = store_->Surface(path, side.content);
+    side.absint = store_->Absint(reader, path, side.content);
     return side;
   };
 
@@ -335,7 +332,7 @@ SemanticDiffReport SemanticDiffer::Classify(
   // grew. `raw` is reported separately — it also voids precision-based
   // no-op certificates (schema defaults are invisible to the summaries).
   auto file_reach = [&](const AbsintResult& result, bool* any, bool* raw) {
-    for (const auto& [dep, symbols] : result.used_symbols) {
+    for (const auto& [dep, symbols] : *result.used_symbols) {
       if (raw_touched.count(dep) > 0) {
         *any = true;
         *raw = true;
@@ -605,8 +602,8 @@ SemanticDiffReport SemanticDiffer::Classify(
       impact.kind = ImpactKind::kNoOp;
       impact.detail = "spec unchanged";
     } else {
-      GateSurface old_surface = SurfaceOf(*old_json, *registry_);
-      GateSurface new_surface = SurfaceOf(*new_json, *registry_);
+      GateSurface old_surface = SurfaceOf(*old_json);
+      GateSurface new_surface = SurfaceOf(*new_json);
       if (!(old_surface == new_surface)) {
         impact.kind = ImpactKind::kControlShift;
         impact.old_value = old_surface.Describe();
@@ -646,7 +643,7 @@ SemanticDiffReport SemanticDiffer::Classify(
     if (!side->sound()) {
       report.sound = false;
     }
-    for (const auto& [dep, symbols] : side->absint->used_symbols) {
+    for (const auto& [dep, symbols] : *side->absint->used_symbols) {
       if (IsCslPath(dep) && closure.count(dep) == 0) {
         pending.push_back(dep);
       }
@@ -702,8 +699,8 @@ SemanticDiffReport SemanticDiffer::Classify(
         int arm = arms[open.size()];
         open.emplace_back(arm, held, arm % 2 == 1 ? held : Held());
       }
-      ImportBinding binding = AnalysisStore::Import(store, new_reader_,
-                                                    import.path, import.filter);
+      ImportBinding binding =
+          store_->Import(new_reader_, import.path, import.filter);
       for (const auto& [name, bound] : binding.names) {
         std::set<std::pair<std::string, std::string>>& pairs = held[name];
         for (const auto& [module, importer] : pairs) {
@@ -745,8 +742,8 @@ SemanticDiffReport SemanticDiffer::Classify(
           if (file == path) {
             continue;  // The module's own reads are its surface's.
           }
-          auto it = side->absint->used_symbols.find(path);
-          read = read || (it != side->absint->used_symbols.end() &&
+          auto it = side->absint->used_symbols->find(path);
+          read = read || (it != side->absint->used_symbols->end() &&
                           it->second.count(symbol) > 0);
         }
         if (read) {

@@ -33,18 +33,17 @@
 #define SRC_ANALYSIS_SEMDIFF_H_
 
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "src/analysis/absint.h"
 #include "src/analysis/diagnostic.h"
-#include "src/gatekeeper/restraint.h"
+#include "src/analysis/store.h"
 #include "src/lang/compiler.h"
 #include "src/vcs/diff.h"
 
 namespace configerator {
-
-class AnalysisStore;
 
 enum class ImpactKind {
   kNoOp = 0,
@@ -107,26 +106,25 @@ std::map<std::string, std::vector<int>> AttributeDiffLines(
 class SemanticDiffer {
  public:
   // `old_reader` resolves the pre-commit tree (repo head), `new_reader` the
-  // post-commit tree (Sandcastle's overlay). `store` (see
-  // src/analysis/store.h) serves both sides' analyses and must outlive the
-  // differ; without one, each Classify call uses a private store.
+  // post-commit tree (Sandcastle's overlay). Both sides are analyzed
+  // through an analysis store (src/analysis/store.h) the differ owns, so a
+  // version the two sides or two Classify calls share is analyzed once.
+  SemanticDiffer(FileReader old_reader, FileReader new_reader);
+  // Analyzes through `store` instead, which must outlive the differ.
   SemanticDiffer(FileReader old_reader, FileReader new_reader,
-                 const RestraintRegistry* registry =
-                     &RestraintRegistry::Builtin(),
-                 AnalysisStore* store = nullptr);
+                 AnalysisStore& store);
 
   // Classifies the commit that turned `old_reader`'s tree into
   // `new_reader`'s. `touched_paths` are the files the commit writes/deletes;
   // `dependent_entries` the untouched entries whose closure can reach a
   // touched file (Sandcastle's symbol-pruned reverse closure).
-  SemanticDiffReport Classify(
-      const std::vector<std::string>& touched_paths,
-      const std::vector<std::string>& dependent_entries) const;
+  SemanticDiffReport Classify(const std::vector<std::string>& touched_paths,
+                              const std::vector<std::string>& dependent_entries);
 
  private:
   FileReader old_reader_;
   FileReader new_reader_;
-  const RestraintRegistry* registry_;
+  std::unique_ptr<AnalysisStore> owned_store_;  // Null when given one.
   AnalysisStore* store_;
 };
 

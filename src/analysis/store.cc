@@ -2,6 +2,8 @@
 
 #include <set>
 
+#include "src/analysis/invariant.h"
+
 namespace configerator {
 
 namespace {
@@ -10,7 +12,7 @@ namespace {
 // in source order, each module composed once per lookup.
 class ImportComposer {
  public:
-  ImportComposer(AnalysisStore* store, const FileReader& reader)
+  ImportComposer(AnalysisStore& store, const FileReader& reader)
       : store_(store), reader_(reader) {}
 
   ImportBinding Compose(const std::string& path, int depth) {
@@ -28,7 +30,7 @@ class ImportComposer {
     std::shared_ptr<const ModuleSymbolSurface> surface;
     if (reader_) {
       if (auto content = reader_(path); content.ok()) {
-        surface = AnalysisStore::Surface(store_, path, *content);
+        surface = store_.Surface(path, *content);
       }
     }
     if (surface == nullptr || !surface->analyzable) {
@@ -88,7 +90,7 @@ class ImportComposer {
   }
 
  private:
-  AnalysisStore* store_;
+  AnalysisStore& store_;
   const FileReader& reader_;
   std::set<std::string> visiting_;
   std::map<std::string, ImportBinding> composed_;
@@ -97,61 +99,51 @@ class ImportComposer {
 }  // namespace
 
 std::shared_ptr<const AbsintResult> AnalysisStore::Absint(
-    AnalysisStore* store, const FileReader& reader, const std::string& path,
+    const FileReader& reader, const std::string& path,
     const std::string& content) {
   auto analyze = [&] {
     return std::make_shared<const AbsintResult>(
-        AbstractInterpreter(reader, Units(store)).Analyze(path, content));
+        AbstractInterpreter(reader, units_).Analyze(path, content));
   };
-  if (store == nullptr) {
-    return analyze();
-  }
   std::optional<Sha256Digest> digest;
   if (auto served = reader(path); served.ok() && *served == content) {
-    if (auto closure = ClosureDigest(path, reader, store->units_);
-        closure.ok()) {
+    if (auto closure = ClosureDigest(path, reader, &units_); closure.ok()) {
       digest = *closure;
     }
   }
   if (!digest.has_value()) {
-    ++store->absint_misses_;
+    ++absint_misses_;
     return analyze();
   }
-  RecentVersions<StoredAbsint>& versions = store->absints_[path];
+  RecentVersions<StoredAbsint>& versions = absints_[path];
   if (StoredAbsint* hit = versions.Find(
           [&](const StoredAbsint& s) { return s.digest == *digest; })) {
-    ++store->absint_hits_;
+    ++absint_hits_;
     return hit->result;
   }
-  ++store->absint_misses_;
+  ++absint_misses_;
   return versions.Add(StoredAbsint{*digest, analyze()}).result;
 }
 
 std::shared_ptr<const ModuleSymbolSurface> AnalysisStore::Surface(
-    AnalysisStore* store, const std::string& path,
-    const std::string& content) {
-  if (store == nullptr) {
-    return std::make_shared<const ModuleSymbolSurface>(
-        ComputeSymbolSurface(path, content));
-  }
+    const std::string& path, const std::string& content) {
   std::shared_ptr<const std::string> source =
-      store->units_->Intern(path, content).content;
-  RecentVersions<StoredSurface>& versions = store->surfaces_[path];
+      units_.Intern(path, content).content;
+  RecentVersions<StoredSurface>& versions = surfaces_[path];
   if (StoredSurface* hit = versions.Find(
           [&](const StoredSurface& s) { return s.source == source; })) {
     return hit->surface;
   }
   auto surface = std::make_shared<const ModuleSymbolSurface>(
-      ComputeSymbolSurface(path, content, store->units_));
+      ComputeSymbolSurface(units_.GetOrParse(path, content)));
   return versions.Add(StoredSurface{std::move(source), std::move(surface)})
       .surface;
 }
 
-ImportBinding AnalysisStore::Import(AnalysisStore* store,
-                                    const FileReader& reader,
+ImportBinding AnalysisStore::Import(const FileReader& reader,
                                     const std::string& path,
                                     const std::string& filter) {
-  ImportBinding all = ImportComposer(store, reader).Compose(path, 1);
+  ImportBinding all = ImportComposer(*this, reader).Compose(path, 1);
   if (filter == "*") {
     return all;
   }

@@ -4,8 +4,9 @@
 // two sides and its closure walk, the reverse-closure re-analysis, the
 // invariant checker and the post-land dependency refresh each read an
 // entry's abstract interpretation, and the old side of one proposal is the
-// new side of the last. The store keeps one long-lived copy of each product,
-// next to the CompiledUnitCache whose parses and digests key it:
+// new side of the last. The store keeps one long-lived copy of each product.
+// It owns the CompiledUnitCache whose parses and digests key it (units()),
+// so one store is all a pipeline holds: its compiles share that cache too.
 //
 //   abstract interpretation  an entry's AbsintResult, keyed by its
 //                            ClosureDigest (modules, schemas, `include`s and
@@ -28,9 +29,9 @@
 // What an import binds (Import) is composed on each call from the stored
 // surfaces of the modules it reaches; only the surfaces are kept.
 //
-// The analysis, surface and import lookups take the store as a pointer that
-// may be null: a null store analyzes afresh on the same code path (library
-// callers, test oracles). Not thread-safe.
+// Every analysis runs through a store. An analysis object built without one
+// (ConfigLint, SemanticDiffer, InvariantChecker) owns a store for its
+// lifetime. Not thread-safe.
 
 #ifndef SRC_ANALYSIS_STORE_H_
 #define SRC_ANALYSIS_STORE_H_
@@ -43,7 +44,6 @@
 #include <vector>
 
 #include "src/analysis/absint.h"
-#include "src/analysis/invariant.h"
 #include "src/lang/unit_cache.h"
 
 namespace configerator {
@@ -72,41 +72,37 @@ struct ImportBinding {
   bool has_schema_import = false;  // Some module on the way loads a schema.
 };
 
+struct InvariantRegistry;
+
 class AnalysisStore {
  public:
   // Imports nested deeper than this (the linted or diffed file's own
   // imports are depth 1) leave an ImportBinding unresolved.
   static constexpr int kMaxImportDepth = 8;
 
-  // `units` supplies the parses and closure digests that key the store; it
-  // must outlive the store.
-  explicit AnalysisStore(CompiledUnitCache* units) : units_(units) {}
+  // The parses and closure digests that key the store, shared with every
+  // compile made through it.
+  CompiledUnitCache& units() { return units_; }
 
   // `path`'s abstract interpretation, `content` being its source as read
   // through `reader`.
-  static std::shared_ptr<const AbsintResult> Absint(
-      AnalysisStore* store, const FileReader& reader, const std::string& path,
-      const std::string& content);
+  std::shared_ptr<const AbsintResult> Absint(const FileReader& reader,
+                                             const std::string& path,
+                                             const std::string& content);
 
-  // ComputeSymbolSurface(path, content).
-  static std::shared_ptr<const ModuleSymbolSurface> Surface(
-      AnalysisStore* store, const std::string& path,
-      const std::string& content);
+  // The symbol surface of `path` at `content` (ComputeSymbolSurface over
+  // the unit cache's parse).
+  std::shared_ptr<const ModuleSymbolSurface> Surface(
+      const std::string& path, const std::string& content);
 
   // What `import_python(path, filter)` binds, each module on the way read
   // through `reader` and pre-scanned by Surface().
-  static ImportBinding Import(AnalysisStore* store, const FileReader& reader,
-                              const std::string& path,
-                              const std::string& filter);
+  ImportBinding Import(const FileReader& reader, const std::string& path,
+                       const std::string& filter);
 
   // InvariantRegistry::Load(reader, spec_files).
   std::shared_ptr<const InvariantRegistry> Registry(
       const FileReader& reader, const std::vector<std::string>& spec_files);
-
-  // The unit cache behind `store`, or null.
-  static CompiledUnitCache* Units(AnalysisStore* store) {
-    return store != nullptr ? store->units_ : nullptr;
-  }
 
   // Abstract interpretations served from the store, and run afresh.
   size_t absint_hits() const { return absint_hits_; }
@@ -131,7 +127,7 @@ class AnalysisStore {
     std::shared_ptr<const InvariantRegistry> registry;
   };
 
-  CompiledUnitCache* units_;
+  CompiledUnitCache units_;
   std::map<std::string, RecentVersions<StoredAbsint>> absints_;
   std::map<std::string, RecentVersions<StoredSurface>> surfaces_;
   RecentVersions<StoredRegistry> registries_;

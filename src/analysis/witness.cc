@@ -34,7 +34,7 @@ std::string Witness::Describe() const {
 }
 
 ConcreteEvaluator::ConcreteEvaluator(FileReader reader,
-                                     CompiledUnitCache* units)
+                                     CompiledUnitCache& units)
     : reader_(std::move(reader)), units_(units) {}
 
 const std::optional<Json>& ConcreteEvaluator::ResolveConfig(
@@ -52,7 +52,7 @@ const std::optional<Json>& ConcreteEvaluator::ResolveConfig(
         config.substr(0, config.size() - strlen(".json")) + ".cconf";
     if (reader_(entry).ok()) {
       CompilerOptions options;
-      options.unit_cache = units_;
+      options.unit_cache = &units_;
       ConfigCompiler compiler(reader_, options);
       auto output = compiler.Compile(entry);
       if (output.ok()) {

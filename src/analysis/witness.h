@@ -48,10 +48,9 @@ struct Witness {
 // as JSON. Compilation failures and unreadable paths resolve to nullopt.
 class ConcreteEvaluator {
  public:
-  // `units` (optional) is the compile cache: an entry whose closure it
-  // already compiled replays without evaluating.
-  explicit ConcreteEvaluator(FileReader reader,
-                             CompiledUnitCache* units = nullptr);
+  // `units` is the compile cache: an entry whose closure it already
+  // compiled replays without evaluating. It must outlive the evaluator.
+  ConcreteEvaluator(FileReader reader, CompiledUnitCache& units);
 
   // The whole config value, or nullopt when unresolvable.
   const std::optional<Json>& ResolveConfig(const std::string& config);
@@ -68,7 +67,7 @@ class ConcreteEvaluator {
 
  private:
   FileReader reader_;
-  CompiledUnitCache* units_;
+  CompiledUnitCache& units_;
   std::map<std::string, std::optional<Json>> cache_;
   size_t evaluations_ = 0;
 };

@@ -163,8 +163,8 @@ Result<PendingChange> ConfigManagementStack::ProposeChange(
 
   // Symbol-level view of the edit: which top-level symbols each changed CSL
   // file actually modifies. Refines risk fan-in and the canary scope.
-  change.changed_symbols = DiffChangedSymbols(
-      repo_, source_diff, &sandcastle_->analysis_store());
+  change.changed_symbols =
+      DiffChangedSymbols(repo_, source_diff, sandcastle_->analysis_store());
 
   // Advisory risk assessment from history (flagging, not blocking). The
   // semantic classification — when CI ran — weights fan-in by severity.
@@ -219,8 +219,8 @@ Result<ObjectId> ConfigManagementStack::LandNow(const PendingChange& change) {
     auto content = repo_.ReadFile(entry);
     if (output.ok() && content.ok()) {
       deps_.UpdateEntry(entry, output->dependencies);
-      std::shared_ptr<const AbsintResult> analysis = AnalysisStore::Absint(
-          &sandcastle_->analysis_store(), head, entry, *content);
+      std::shared_ptr<const AbsintResult> analysis =
+          sandcastle_->analysis_store().Absint(head, entry, *content);
       if (analysis->analyzed) {
         deps_.UpdateEntrySymbols(entry, analysis->used_symbols,
                                  analysis->slice_sound);

@@ -9,8 +9,7 @@ constexpr std::string_view kPathSuffix = ".json";
 
 }  // namespace
 
-Result<CompiledProjectSpec> CompileProjectSpec(const Json& config,
-                                               const RestraintRegistry& registry) {
+Result<CompiledProjectSpec> CompileProjectSpec(const Json& config) {
   if (!config.is_object()) {
     return InvalidConfigError("gatekeeper project config must be an object");
   }
@@ -44,7 +43,8 @@ Result<CompiledProjectSpec> CompileProjectSpec(const Json& config,
       return InvalidConfigError("gatekeeper rule needs a 'restraints' list");
     }
     for (const Json& restraint_spec : restraints->as_array()) {
-      ASSIGN_OR_RETURN(RestraintPtr restraint, registry.Create(restraint_spec));
+      ASSIGN_OR_RETURN(RestraintPtr restraint,
+                       RestraintRegistry::Builtin().Create(restraint_spec));
       rule.restraints.push_back(
           std::shared_ptr<const Restraint>(std::move(restraint)));
     }
@@ -53,8 +53,7 @@ Result<CompiledProjectSpec> CompileProjectSpec(const Json& config,
   return spec;
 }
 
-std::vector<RestraintFields> ProjectContextFields(
-    const Json& config, const RestraintRegistry& registry) {
+std::vector<RestraintFields> ProjectContextFields(const Json& config) {
   std::vector<RestraintFields> out;
   const Json* rules = config.Get("rules");
   if (rules == nullptr || !rules->is_array()) {
@@ -68,8 +67,9 @@ std::vector<RestraintFields> ProjectContextFields(
     for (const Json& restraint : restraints->as_array()) {
       const Json* type = restraint.Get("type");
       if (type != nullptr && type->is_string()) {
-        out.push_back({type->as_string(),
-                       &registry.ContextFields(type->as_string())});
+        out.push_back(
+            {type->as_string(),
+             &RestraintRegistry::Builtin().ContextFields(type->as_string())});
       }
     }
   }
@@ -92,16 +92,15 @@ std::optional<std::string> GatekeeperProjectAt(std::string_view path) {
   return std::string(path);
 }
 
-Result<CompiledProjectSpec> CompileProjectFile(
-    std::string_view path, const std::string& content,
-    const RestraintRegistry& registry) {
+Result<CompiledProjectSpec> CompileProjectFile(std::string_view path,
+                                               const std::string& content) {
   std::optional<std::string> project = GatekeeperProjectAt(path);
   if (!project.has_value()) {
     return InvalidArgumentError("not a gatekeeper config path: " +
                                 std::string(path));
   }
   ASSIGN_OR_RETURN(Json config, Json::Parse(content));
-  ASSIGN_OR_RETURN(CompiledProjectSpec spec, CompileProjectSpec(config, registry));
+  ASSIGN_OR_RETURN(CompiledProjectSpec spec, CompileProjectSpec(config));
   if (spec.name != *project) {
     return InvalidConfigError("gatekeeper project '" + spec.name +
                               "' must live at " + GatekeeperPath(spec.name) +

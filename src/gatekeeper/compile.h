@@ -3,8 +3,10 @@
 // Both evaluators in the tree — the concurrent shared-snapshot runtime
 // (GatekeeperRuntime) and the declared-order reference oracle
 // (NaiveEvaluator) — compile the same JSON through CompileProjectSpec(), as
-// do Sandcastle's validator and the Mutator, so validation and semantics can
-// never diverge between them. Restraints come out as shared_ptr<const>:
+// do Sandcastle's validator, the Mutator and the invariant checker, so
+// validation and semantics can never diverge between them. Every restraint
+// comes from the one restraint table, RestraintRegistry::Builtin(), which
+// ProjectContextFields() also reads. Restraints come out as shared_ptr<const>:
 // after creation a restraint is immutable and pure, so one compiled instance
 // can be shared across snapshot generations and across threads without
 // copying or locking.
@@ -48,15 +50,13 @@ struct CompiledProjectSpec {
 };
 
 // Compiles and validates a project config. Rejects malformed specs.
-Result<CompiledProjectSpec> CompileProjectSpec(
-    const Json& config,
-    const RestraintRegistry& registry = RestraintRegistry::Builtin());
+Result<CompiledProjectSpec> CompileProjectSpec(const Json& config);
 
 // One restraint spec of a project config: its type, and the context fields
-// the registry declares for that type (none for an unknown type).
+// the restraint table declares for that type (none for an unknown type).
 struct RestraintFields {
   std::string type;
-  const std::vector<std::string>* fields;  // Owned by the registry.
+  const std::vector<std::string>* fields;  // Owned by the table.
 };
 
 // The restraints a project config names, in declared order. The one listing
@@ -64,9 +64,7 @@ struct RestraintFields {
 // invariant checker tests it against a gate_context invariant. It reads the
 // JSON leniently, skipping a rule or restraint of the wrong shape, so it
 // also describes a project that does not compile.
-std::vector<RestraintFields> ProjectContextFields(
-    const Json& config,
-    const RestraintRegistry& registry = RestraintRegistry::Builtin());
+std::vector<RestraintFields> ProjectContextFields(const Json& config);
 
 // The path convention, both directions. GatekeeperPath("P") is
 // "gatekeeper/P.json"; GatekeeperProjectAt() inverts it, returning nullopt
@@ -77,9 +75,8 @@ std::optional<std::string> GatekeeperProjectAt(std::string_view path);
 // Parses and compiles the project file at `path`, rejecting one whose
 // "project" name differs from the name its path carries: a file's deletion
 // tombstones the project its path names, so a mismatch would outlive it.
-Result<CompiledProjectSpec> CompileProjectFile(
-    std::string_view path, const std::string& content,
-    const RestraintRegistry& registry = RestraintRegistry::Builtin());
+Result<CompiledProjectSpec> CompileProjectFile(std::string_view path,
+                                               const std::string& content);
 
 // The die salt for a project name (hashed once at compile time).
 inline uint64_t ProjectSalt(const std::string& project) {

@@ -32,7 +32,7 @@ struct UserContext {
 };
 
 // The UserContext fields by name: the one vocabulary restraints declare
-// (RestraintRegistry::Register), the invariant checker enumerates, and
+// (RestraintRegistry::ContextFields), the invariant checker enumerates, and
 // witnesses print. A field's name is its member's name. One attribute of
 // string_attrs or numeric_attrs is written "<field>.<attr>", e.g.
 // "string_attrs.tier".

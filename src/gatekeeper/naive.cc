@@ -2,9 +2,8 @@
 
 namespace configerator {
 
-Result<NaiveEvaluator> NaiveEvaluator::FromJson(const Json& config,
-                                                const RestraintRegistry& registry) {
-  ASSIGN_OR_RETURN(CompiledProjectSpec spec, CompileProjectSpec(config, registry));
+Result<NaiveEvaluator> NaiveEvaluator::FromJson(const Json& config) {
+  ASSIGN_OR_RETURN(CompiledProjectSpec spec, CompileProjectSpec(config));
   return NaiveEvaluator(std::move(spec));
 }
 

@@ -21,9 +21,7 @@ namespace configerator {
 
 class NaiveEvaluator {
  public:
-  static Result<NaiveEvaluator> FromJson(
-      const Json& config,
-      const RestraintRegistry& registry = RestraintRegistry::Builtin());
+  static Result<NaiveEvaluator> FromJson(const Json& config);
 
   const std::string& name() const { return spec_.name; }
   size_t rule_count() const { return spec_.rules.size(); }

@@ -307,18 +307,18 @@ class LaserRestraint : public Restraint {
   double threshold_;
 };
 
+}  // namespace
+
 // ---- Registry ---------------------------------------------------------------
 
-RestraintRegistry MakeBuiltinRegistry() {
-  RestraintRegistry registry;
-
-  registry.Register("always", {}, [](const Json& params) -> Result<RestraintPtr> {
+RestraintRegistry::RestraintRegistry() {
+  Register("always", {}, [](const Json& params) -> Result<RestraintPtr> {
     const Json* v = params.Get("value");
     bool value = v != nullptr && v->is_bool() ? v->as_bool() : true;
     return RestraintPtr(std::make_unique<AlwaysRestraint>(value));
   });
 
-  registry.Register("employee", {"is_employee"}, [](const Json&) -> Result<RestraintPtr> {
+  Register("employee", {"is_employee"}, [](const Json&) -> Result<RestraintPtr> {
     return RestraintPtr(std::make_unique<EmployeeRestraint>());
   });
 
@@ -333,13 +333,13 @@ RestraintRegistry MakeBuiltinRegistry() {
   };
   for (const StringSetSpec& spec : kStringSets) {
     const ContextField* field = FindContextField(spec.type);
-    registry.Register(
-        spec.type, {spec.type}, [spec, field](const Json& params) -> Result<RestraintPtr> {
-          ASSIGN_OR_RETURN(std::vector<std::string> values,
-                           GetStringList(params, spec.param));
-          return RestraintPtr(
-              std::make_unique<StringSetRestraint>(*field, std::move(values)));
-        });
+    Register(spec.type, {spec.type},
+             [spec, field](const Json& params) -> Result<RestraintPtr> {
+               ASSIGN_OR_RETURN(std::vector<std::string> values,
+                                GetStringList(params, spec.param));
+               return RestraintPtr(std::make_unique<StringSetRestraint>(
+                   *field, std::move(values)));
+             });
   }
 
   struct ThresholdSpec {
@@ -357,15 +357,15 @@ RestraintRegistry MakeBuiltinRegistry() {
   };
   for (const ThresholdSpec& spec : kThresholds) {
     const ContextField* field = FindContextField(spec.field);
-    registry.Register(
-        spec.type, {spec.field}, [spec, field](const Json& params) -> Result<RestraintPtr> {
-          ASSIGN_OR_RETURN(int64_t threshold, GetInt(params, spec.param));
-          return RestraintPtr(std::make_unique<IntThresholdRestraint>(
-              spec.type, threshold, spec.at_least, *field));
-        });
+    Register(spec.type, {spec.field},
+             [spec, field](const Json& params) -> Result<RestraintPtr> {
+               ASSIGN_OR_RETURN(int64_t threshold, GetInt(params, spec.param));
+               return RestraintPtr(std::make_unique<IntThresholdRestraint>(
+                   spec.type, threshold, spec.at_least, *field));
+             });
   }
 
-  registry.Register("id_in", {"user_id"}, [](const Json& params) -> Result<RestraintPtr> {
+  Register("id_in", {"user_id"}, [](const Json& params) -> Result<RestraintPtr> {
     const Json* ids = params.Get("ids");
     if (ids == nullptr || !ids->is_array()) {
       return InvalidConfigError("id_in needs an 'ids' list");
@@ -387,8 +387,7 @@ RestraintRegistry MakeBuiltinRegistry() {
         std::move(set), std::move(first), max_id));
   });
 
-  registry.Register("id_mod", {"user_id"},
-                    [](const Json& params) -> Result<RestraintPtr> {
+  Register("id_mod", {"user_id"}, [](const Json& params) -> Result<RestraintPtr> {
     ASSIGN_OR_RETURN(int64_t mod, GetInt(params, "mod"));
     ASSIGN_OR_RETURN(int64_t lo, GetInt(params, "lo"));
     ASSIGN_OR_RETURN(int64_t hi, GetInt(params, "hi"));
@@ -398,8 +397,7 @@ RestraintRegistry MakeBuiltinRegistry() {
     return RestraintPtr(std::make_unique<IdModRestraint>(mod, lo, hi));
   });
 
-  registry.Register("hash_range", {"user_id"},
-                    [](const Json& params) -> Result<RestraintPtr> {
+  Register("hash_range", {"user_id"}, [](const Json& params) -> Result<RestraintPtr> {
     ASSIGN_OR_RETURN(std::string salt, GetString(params, "salt"));
     ASSIGN_OR_RETURN(double lo, GetDouble(params, "lo"));
     ASSIGN_OR_RETURN(double hi, GetDouble(params, "hi"));
@@ -410,8 +408,8 @@ RestraintRegistry MakeBuiltinRegistry() {
         std::make_unique<HashRangeRestraint>(std::move(salt), lo, hi));
   });
 
-  registry.Register("string_attr_equals", {"string_attrs"},
-                    [](const Json& params) -> Result<RestraintPtr> {
+  Register("string_attr_equals", {"string_attrs"},
+           [](const Json& params) -> Result<RestraintPtr> {
     ASSIGN_OR_RETURN(std::string attr, GetString(params, "attr"));
     ASSIGN_OR_RETURN(std::string value, GetString(params, "value"));
     return RestraintPtr(std::make_unique<StringAttrEqualsRestraint>(
@@ -420,8 +418,8 @@ RestraintRegistry MakeBuiltinRegistry() {
 
   for (bool greater : {true, false}) {
     const char* type = greater ? "numeric_attr_gt" : "numeric_attr_lt";
-    registry.Register(type, {"numeric_attrs"},
-                      [type, greater](const Json& params) -> Result<RestraintPtr> {
+    Register(type, {"numeric_attrs"},
+             [type, greater](const Json& params) -> Result<RestraintPtr> {
       ASSIGN_OR_RETURN(std::string attr, GetString(params, "attr"));
       ASSIGN_OR_RETURN(double threshold, GetDouble(params, "threshold"));
       return RestraintPtr(std::make_unique<NumericAttrRestraint>(
@@ -429,28 +427,23 @@ RestraintRegistry MakeBuiltinRegistry() {
     });
   }
 
-  registry.Register("has_attr", {"string_attrs", "numeric_attrs"},
-                    [](const Json& params) -> Result<RestraintPtr> {
+  Register("has_attr", {"string_attrs", "numeric_attrs"},
+           [](const Json& params) -> Result<RestraintPtr> {
     ASSIGN_OR_RETURN(std::string attr, GetString(params, "attr"));
     return RestraintPtr(std::make_unique<HasAttrRestraint>(std::move(attr)));
   });
 
   // The store key is built from the user id.
-  registry.Register("laser", {"user_id"}, [](const Json& params) -> Result<RestraintPtr> {
+  Register("laser", {"user_id"}, [](const Json& params) -> Result<RestraintPtr> {
     ASSIGN_OR_RETURN(std::string project, GetString(params, "project"));
     ASSIGN_OR_RETURN(double threshold, GetDouble(params, "threshold"));
     return RestraintPtr(
         std::make_unique<LaserRestraint>(std::move(project), threshold));
   });
-
-  return registry;
 }
 
-}  // namespace
-
 const RestraintRegistry& RestraintRegistry::Builtin() {
-  static const RestraintRegistry* registry =
-      new RestraintRegistry(MakeBuiltinRegistry());
+  static const RestraintRegistry* registry = new RestraintRegistry();
   return *registry;
 }
 

@@ -78,19 +78,12 @@ using RestraintPtr = std::unique_ptr<Restraint>;
 
 // Builds a restraint from its JSON spec:
 //   {"type": "country", "negate": false, "params": {"countries": ["US","CA"]}}
-// The factory validates params and rejects unknown types.
+// The factory validates params and rejects unknown types. There is one
+// table, Builtin(), and the builtin types are registered as it is built.
 class RestraintRegistry {
  public:
-  using Factory = std::function<Result<RestraintPtr>(const Json& params)>;
-
-  // Registry preloaded with all builtin restraint types.
+  // The table of every builtin restraint type.
   static const RestraintRegistry& Builtin();
-
-  // `context_fields` names the UserContext fields (kContextFields) that
-  // restraints of `type` read: the inputs semdiff and the invariant checker
-  // reason about. Every probe a restraint of `type` reports names one.
-  void Register(const std::string& type, std::vector<std::string> context_fields,
-                Factory factory);
 
   Result<RestraintPtr> Create(const Json& spec) const;
 
@@ -101,10 +94,20 @@ class RestraintRegistry {
   const std::vector<std::string>& ContextFields(const std::string& type) const;
 
  private:
+  using Factory = std::function<Result<RestraintPtr>(const Json& params)>;
   struct Entry {
     std::vector<std::string> context_fields;
     Factory factory;
   };
+
+  RestraintRegistry();  // Registers the builtin types.
+
+  // `context_fields` names the UserContext fields (kContextFields) that
+  // restraints of `type` read: the inputs semdiff and the invariant checker
+  // reason about. Every probe a restraint of `type` reports names one.
+  void Register(const std::string& type, std::vector<std::string> context_fields,
+                Factory factory);
+
   std::map<std::string, Entry> types_;
 };
 

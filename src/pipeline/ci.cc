@@ -46,8 +46,7 @@ Sandcastle::Sandcastle(const Repository* repo, const DependencyService* deps,
     : repo_(repo),
       deps_(deps),
       metrics_(metrics),
-      unit_cache_(std::make_unique<CompiledUnitCache>()),
-      store_(std::make_unique<AnalysisStore>(unit_cache_.get())) {}
+      store_(std::make_unique<AnalysisStore>()) {}
 
 Sandcastle::~Sandcastle() = default;
 
@@ -119,7 +118,7 @@ FileReader Sandcastle::OverlayReader(const ProposedDiff& diff) const {
 
 ConfigCompiler Sandcastle::Compiler(FileReader reader) {
   CompilerOptions options;
-  options.unit_cache = unit_cache_.get();
+  options.unit_cache = &store_->units();
   options.metrics = metrics_;
   return ConfigCompiler(std::move(reader), options);
 }
@@ -226,8 +225,7 @@ CiReport Sandcastle::RunTests(const ProposedDiff& diff) {
   FileReader head_reader = [repo](const std::string& path) {
     return repo->ReadFile(path);
   };
-  SemanticDiffer differ(head_reader, overlay, &RestraintRegistry::Builtin(),
-                        store_.get());
+  SemanticDiffer differ(head_reader, overlay, *store_);
   SemanticDiffReport semdiff = differ.Classify(
       changed, std::vector<std::string>(closure.begin(), closure.end()));
   report.semantic_impacts = semdiff.impacts;
@@ -267,7 +265,7 @@ CiReport Sandcastle::RunTests(const ProposedDiff& diff) {
 }
 
 std::map<std::string, std::optional<std::set<std::string>>> DiffChangedSymbols(
-    const Repository& repo, const ProposedDiff& diff, AnalysisStore* store) {
+    const Repository& repo, const ProposedDiff& diff, AnalysisStore& store) {
   std::map<std::string, std::optional<std::set<std::string>>> changed;
   for (const FileWrite& write : diff.writes) {
     const std::string& path = write.path;
@@ -279,11 +277,16 @@ std::map<std::string, std::optional<std::set<std::string>>> DiffChangedSymbols(
       changed[path] = std::nullopt;  // Added or deleted: file-level.
       continue;
     }
-    changed[path] =
-        ChangedSymbols(*AnalysisStore::Surface(store, path, *head),
-                       *AnalysisStore::Surface(store, path, *write.content));
+    changed[path] = ChangedSymbols(*store.Surface(path, *head),
+                                   *store.Surface(path, *write.content));
   }
   return changed;
+}
+
+std::map<std::string, std::optional<std::set<std::string>>> DiffChangedSymbols(
+    const Repository& repo, const ProposedDiff& diff) {
+  AnalysisStore store;
+  return DiffChangedSymbols(repo, diff, store);
 }
 
 std::set<std::string> Sandcastle::PrunedClosure(const ProposedDiff& diff,
@@ -291,7 +294,7 @@ std::set<std::string> Sandcastle::PrunedClosure(const ProposedDiff& diff,
   // The file-level reverse closure, then the symbol-pruned one. The
   // difference is the pruning win: dependents whose slice proves the edit
   // can't reach them.
-  auto changed_symbols = DiffChangedSymbols(*repo_, diff, store_.get());
+  auto changed_symbols = DiffChangedSymbols(*repo_, diff, *store_);
   std::set<std::string> file_level;
   std::set<std::string> closure;
   for (const FileWrite& write : diff.writes) {
@@ -328,7 +331,7 @@ void Sandcastle::ReanalyzeClosure(const ProposedDiff& diff,
   }
 
   FileReader overlay = OverlayReader(diff);
-  ConfigLint linter(overlay, &RestraintRegistry::Builtin(), store_.get());
+  ConfigLint linter(overlay, *store_);
 
   // Touched CSL files get the semantic pass unconditionally (RunLint already
   // ran the syntactic rules on them).
@@ -341,7 +344,7 @@ void Sandcastle::ReanalyzeClosure(const ProposedDiff& diff,
       continue;  // Deleted in the diff.
     }
     std::shared_ptr<const AbsintResult> result =
-        AnalysisStore::Absint(store_.get(), overlay, path, *content);
+        store_->Absint(overlay, path, *content);
     report->lint_findings.insert(report->lint_findings.end(),
                                  result->diagnostics.begin(),
                                  result->diagnostics.end());
@@ -377,7 +380,7 @@ void Sandcastle::ReanalyzeClosure(const ProposedDiff& diff,
         std::make_move_iterator(lint_findings.begin()),
         std::make_move_iterator(lint_findings.end()));
     std::shared_ptr<const AbsintResult> result =
-        AnalysisStore::Absint(store_.get(), overlay, entry, *content);
+        store_->Absint(overlay, entry, *content);
     report->lint_findings.insert(report->lint_findings.end(),
                                  result->diagnostics.begin(),
                                  result->diagnostics.end());
@@ -405,7 +408,7 @@ void Sandcastle::RunInvariants(const ProposedDiff& diff,
   FileReader overlay = OverlayReader(diff);
   std::shared_ptr<const InvariantRegistry> registry = store_->Registry(
       overlay, std::vector<std::string>(spec_files.begin(), spec_files.end()));
-  InvariantChecker checker(overlay, store_.get());
+  InvariantChecker checker(overlay, *store_);
   InvariantReport result = checker.Check(*registry, scope);
   report->invariants_proven = result.proven;
   report->invariants_in_jeopardy = result.in_jeopardy;
@@ -424,8 +427,7 @@ void Sandcastle::RunInvariants(const ProposedDiff& diff,
 std::vector<LintDiagnostic> Sandcastle::RunLint(const ProposedDiff& diff) {
   // Imports resolve through the overlay: a finding (or its absence) reflects
   // the tree as it would look with the diff applied.
-  ConfigLint linter(OverlayReader(diff), &RestraintRegistry::Builtin(),
-                    store_.get());
+  ConfigLint linter(OverlayReader(diff), *store_);
   std::vector<LintDiagnostic> findings;
   for (const FileWrite& write : diff.writes) {
     if (!write.content.has_value()) {

@@ -73,13 +73,15 @@ struct CiReport {
 };
 
 // Per changed path, which top-level symbols the diff modifies — computed by
-// diffing ComputeSymbolSurface() of the head content against the diff's.
+// diffing the symbol surface of the head content against the diff's.
 // nullopt = not statically comparable (parse failure, side-effecting
 // statements changed); consumers then fall back to file-level edges.
-// `store` (optional) serves the surfaces.
+// `store` serves the surfaces.
 std::map<std::string, std::optional<std::set<std::string>>> DiffChangedSymbols(
-    const Repository& repo, const ProposedDiff& diff,
-    AnalysisStore* store = nullptr);
+    const Repository& repo, const ProposedDiff& diff, AnalysisStore& store);
+// The same through a store of its own.
+std::map<std::string, std::optional<std::set<std::string>>> DiffChangedSymbols(
+    const Repository& repo, const ProposedDiff& diff);
 
 class Sandcastle {
  public:
@@ -124,7 +126,8 @@ class Sandcastle {
   // compiles of one entry version evaluate it once.
   ConfigCompiler Compiler(FileReader reader);
 
-  // The analysis store every stage reads (see src/analysis/store.h).
+  // The analysis store every stage reads (see src/analysis/store.h); its
+  // unit cache is the one Compiler() compiles through.
   AnalysisStore& analysis_store() { return *store_; }
 
   // The reverse-closure stage alone: re-lints and abstractly re-interprets
@@ -150,14 +153,13 @@ class Sandcastle {
   const Repository* repo_;
   const DependencyService* deps_;
   MetricsRegistry* metrics_;
-  // Live as long as Sandcastle, shared by every stage and by the stack's
-  // proposal and landing compiles: unchanged files byte-compare equal and
-  // skip parsing, an entry whose whole import closure is unchanged replays
-  // its memoized output without evaluating, and each entry version is
-  // abstractly interpreted once. Hermeticity is unaffected — every stage
-  // still re-reads sources through its reader and compares them against
-  // what was kept. Both keep at most two versions per path.
-  std::unique_ptr<CompiledUnitCache> unit_cache_;
+  // Live as long as Sandcastle, shared by every stage and, through its unit
+  // cache, by the stack's proposal and landing compiles: unchanged files
+  // byte-compare equal and skip parsing, an entry whose whole import closure
+  // is unchanged replays its memoized output without evaluating, and each
+  // entry version is abstractly interpreted once. Hermeticity is unaffected
+  // — every stage still re-reads sources through its reader and compares
+  // them against what was kept. It keeps at most two versions per path.
   std::unique_ptr<AnalysisStore> store_;
 };
 

@@ -48,9 +48,9 @@ std::vector<std::string> DependencyService::EntriesAffectedBy(
 }
 
 void DependencyService::UpdateEntrySymbols(
-    const std::string& entry,
-    std::map<std::string, std::set<std::string>> used_symbols, bool sound) {
-  slice_of_entry_[entry] = SymbolSlice{std::move(used_symbols), sound};
+    const std::string& entry, std::shared_ptr<const SymbolSlice> used_symbols,
+    bool sound) {
+  slice_of_entry_[entry] = EntrySlice{std::move(used_symbols), sound};
 }
 
 std::vector<std::string> DependencyService::EntriesAffectedBySymbols(
@@ -74,8 +74,8 @@ std::vector<std::string> DependencyService::EntriesAffectedBySymbols(
       affected.push_back(entry);  // No sound slice: file-level fallback.
       continue;
     }
-    auto uit = sit->second.used.find(path);
-    if (uit == sit->second.used.end()) {
+    auto uit = sit->second.used->find(path);
+    if (uit == sit->second.used->end()) {
       continue;  // Sound slice that never reads the file: pruned.
     }
     const std::set<std::string>& used = uit->second;
@@ -107,8 +107,8 @@ size_t DependencyService::SymbolFanIn(const std::string& path,
       ++fan_in;  // Unknown slice counts conservatively.
       continue;
     }
-    auto uit = sit->second.used.find(path);
-    if (uit != sit->second.used.end() &&
+    auto uit = sit->second.used->find(path);
+    if (uit != sit->second.used->end() &&
         (uit->second.count(symbol) > 0 || uit->second.count("*") > 0)) {
       ++fan_in;
     }

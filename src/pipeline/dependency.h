@@ -9,9 +9,12 @@
 #define SRC_PIPELINE_DEPENDENCY_H_
 
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
+
+#include "src/analysis/absint.h"
 
 namespace configerator {
 
@@ -30,12 +33,13 @@ class DependencyService {
 
   // Records (replaces) the symbol-level slice of one entry, produced by the
   // abstract interpreter (AbsintResult::used_symbols): which top-level
-  // symbols of which files the entry's compile actually consumes. `sound`
-  // mirrors AbsintResult::slice_sound — an unsound slice is stored for
-  // fan-in statistics but never used to prune.
-  void UpdateEntrySymbols(
-      const std::string& entry,
-      std::map<std::string, std::set<std::string>> used_symbols, bool sound);
+  // symbols of which files the entry's compile actually consumes. The
+  // service keeps the shared slice, not a copy. `sound` mirrors
+  // AbsintResult::slice_sound — an unsound slice is stored for fan-in
+  // statistics but never used to prune.
+  void UpdateEntrySymbols(const std::string& entry,
+                          std::shared_ptr<const SymbolSlice> used_symbols,
+                          bool sound);
 
   // File-level dependents of `path`, pruned by symbol slices. Pass the
   // symbols ChangedSymbols() reported for the edit (when it reports nullopt,
@@ -59,14 +63,14 @@ class DependencyService {
   size_t entry_count() const { return deps_of_entry_.size(); }
 
  private:
-  struct SymbolSlice {
-    std::map<std::string, std::set<std::string>> used;  // path -> symbols.
+  struct EntrySlice {
+    std::shared_ptr<const SymbolSlice> used;  // path -> symbols.
     bool sound = false;
   };
 
   std::map<std::string, std::set<std::string>> deps_of_entry_;
   std::map<std::string, std::set<std::string>> entries_of_dep_;  // Inverted.
-  std::map<std::string, SymbolSlice> slice_of_entry_;
+  std::map<std::string, EntrySlice> slice_of_entry_;
 };
 
 }  // namespace configerator

@@ -400,8 +400,8 @@ TEST_F(AbsintTest, SliceRecordsOnlyUsedSymbols) {
       "export_if_last({\"port\": APP_PORT})\n");
   ASSERT_TRUE(result.analyzed);
   EXPECT_TRUE(result.slice_sound);
-  ASSERT_EQ(result.used_symbols.count("ports.cinc"), 1u);
-  const auto& used = result.used_symbols.at("ports.cinc");
+  ASSERT_EQ(result.used_symbols->count("ports.cinc"), 1u);
+  const auto& used = result.used_symbols->at("ports.cinc");
   EXPECT_EQ(used.count("APP_PORT"), 1u);
   EXPECT_EQ(used.count("ADMIN_PORT"), 0u);
   ASSERT_EQ(result.exports.size(), 1u);
@@ -432,8 +432,8 @@ TEST_F(AbsintTest, StarImportRecordsStarMarker) {
   auto result = Analyze(
       "import_python(\"lib.cinc\", \"*\")\n"
       "export_if_last({\"a\": A})\n");
-  ASSERT_EQ(result.used_symbols.count("lib.cinc"), 1u);
-  EXPECT_EQ(result.used_symbols.at("lib.cinc").count("*"), 1u);
+  ASSERT_EQ(result.used_symbols->count("lib.cinc"), 1u);
+  EXPECT_EQ(result.used_symbols->at("lib.cinc").count("*"), 1u);
 }
 
 TEST_F(AbsintTest, DynamicImportMakesSliceUnsound) {
@@ -473,16 +473,18 @@ TEST_F(AbsintTest, DeepCallChainsStayWithinTheStackBudget) {
 
 TEST(SymbolDiffTest, UnchangedModuleHasNoChangedSymbols) {
   const std::string src = "A = 1\nB = A + 1\nC = 3\n";
-  auto old_surface = ComputeSymbolSurface("m.cinc", src);
-  auto new_surface = ComputeSymbolSurface("m.cinc", src);
+  auto old_surface = ComputeSymbolSurface(ParseCsl(src, "m.cinc"));
+  auto new_surface = ComputeSymbolSurface(ParseCsl(src, "m.cinc"));
   auto changed = ChangedSymbols(old_surface, new_surface);
   ASSERT_TRUE(changed.has_value());
   EXPECT_TRUE(changed->empty());
 }
 
 TEST(SymbolDiffTest, ChangeClosesOverIntraModuleDependents) {
-  auto old_surface = ComputeSymbolSurface("m.cinc", "A = 1\nB = A + 1\nC = 3\n");
-  auto new_surface = ComputeSymbolSurface("m.cinc", "A = 2\nB = A + 1\nC = 3\n");
+  auto old_surface =
+      ComputeSymbolSurface(ParseCsl("A = 1\nB = A + 1\nC = 3\n", "m.cinc"));
+  auto new_surface =
+      ComputeSymbolSurface(ParseCsl("A = 2\nB = A + 1\nC = 3\n", "m.cinc"));
   auto changed = ChangedSymbols(old_surface, new_surface);
   ASSERT_TRUE(changed.has_value());
   EXPECT_EQ(changed->count("A"), 1u);
@@ -491,24 +493,26 @@ TEST(SymbolDiffTest, ChangeClosesOverIntraModuleDependents) {
 }
 
 TEST(SymbolDiffTest, AddedSymbolSetsStarMarker) {
-  auto old_surface = ComputeSymbolSurface("m.cinc", "A = 1\n");
-  auto new_surface = ComputeSymbolSurface("m.cinc", "A = 1\nNEW = 2\n");
+  auto old_surface = ComputeSymbolSurface(ParseCsl("A = 1\n", "m.cinc"));
+  auto new_surface =
+      ComputeSymbolSurface(ParseCsl("A = 1\nNEW = 2\n", "m.cinc"));
   auto changed = ChangedSymbols(old_surface, new_surface);
   ASSERT_TRUE(changed.has_value());
   EXPECT_EQ(changed->count("*"), 1u);  // Could shadow a star-importer's name.
 }
 
 TEST(SymbolDiffTest, ParseFailureIsNotComparable) {
-  auto old_surface = ComputeSymbolSurface("m.cinc", "A = 1\n");
-  auto new_surface = ComputeSymbolSurface("m.cinc", "def broken(:\n");
+  auto old_surface = ComputeSymbolSurface(ParseCsl("A = 1\n", "m.cinc"));
+  auto new_surface =
+      ComputeSymbolSurface(ParseCsl("def broken(:\n", "m.cinc"));
   EXPECT_FALSE(ChangedSymbols(old_surface, new_surface).has_value());
 }
 
 TEST(SymbolDiffTest, FunctionBodyChangePropagates) {
   auto old_surface = ComputeSymbolSurface(
-      "m.cinc", "def f(x):\n    return x + 1\nY = f(1)\n");
+      ParseCsl("def f(x):\n    return x + 1\nY = f(1)\n", "m.cinc"));
   auto new_surface = ComputeSymbolSurface(
-      "m.cinc", "def f(x):\n    return x + 2\nY = f(1)\n");
+      ParseCsl("def f(x):\n    return x + 2\nY = f(1)\n", "m.cinc"));
   auto changed = ChangedSymbols(old_surface, new_surface);
   ASSERT_TRUE(changed.has_value());
   EXPECT_EQ(changed->count("f"), 1u);

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -113,10 +114,15 @@ struct Refresh {
   bool compiled = false;
   std::vector<std::string> dependencies;
   bool analyzed = false;
-  std::map<std::string, std::set<std::string>> used_symbols;
+  std::shared_ptr<const SymbolSlice> used_symbols = EmptySymbolSlice();
   bool sound = false;
 
-  bool operator==(const Refresh& other) const = default;
+  // Slices compare by content, not by pointer.
+  bool operator==(const Refresh& other) const {
+    return compiled == other.compiled && dependencies == other.dependencies &&
+           analyzed == other.analyzed &&
+           *used_symbols == *other.used_symbols && sound == other.sound;
+  }
 };
 
 void Apply(const std::string& entry, const Refresh& refresh,
@@ -146,8 +152,8 @@ class AnalysisStoreDifferentialTest : public ::testing::Test {
       if (output.ok()) {
         stored.compiled = true;
         stored.dependencies = output->dependencies;
-        auto result = AnalysisStore::Absint(&long_lived_.analysis_store(),
-                                            head, entry, *content);
+        auto result =
+            long_lived_.analysis_store().Absint(head, entry, *content);
         stored.analyzed = result->analyzed;
         stored.used_symbols = result->used_symbols;
         stored.sound = result->slice_sound;

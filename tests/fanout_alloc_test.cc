@@ -34,6 +34,13 @@
 // outputs re-encodes and re-hashes the 1,600-entry svc/ tree and must cost
 // fewer than 128 allocations; rewriting the same six files with their
 // current bytes must keep the head tree id, also under 128.
+//
+// The dependency refresh after a landing records each entry's symbol
+// slice by sharing the one the analysis store holds, not by copying its
+// maps and sets. Shape: an entry that reads 12 symbols from each of four
+// modules, analyzed through an AnalysisStore. Recording its slice in a
+// DependencyService, first as a new entry and then again for the same
+// entry, must cost fewer than 4 allocations each, whatever the slice holds.
 
 #include <gtest/gtest.h>
 
@@ -45,8 +52,10 @@
 #include <string>
 #include <vector>
 
+#include "src/analysis/store.h"
 #include "src/distribution/fleet.h"
 #include "src/distribution/proxy.h"
+#include "src/pipeline/dependency.h"
 #include "src/sim/network.h"
 #include "src/util/strings.h"
 #include "src/vcs/repository.h"
@@ -234,6 +243,62 @@ TEST(FanoutAllocTest, LandingCommitAllocatesPerChangedDirectory) {
   EXPECT_LT(changed_allocations, 128u);
   EXPECT_EQ(repo.GetCommit(*commit)->tree, tree);
   EXPECT_LT(unchanged_allocations, 128u);
+}
+
+TEST(FanoutAllocTest, DependencyRefreshSharesTheStoredSlice) {
+  constexpr int kModules = 4;
+  constexpr int kSymbols = 12;
+  InMemorySources sources;
+  std::vector<std::string> modules;
+  std::string entry_source;
+  std::vector<std::string> terms;
+  for (int m = 0; m < kModules; ++m) {
+    std::string module_source;
+    for (int s = 0; s < kSymbols; ++s) {
+      module_source += StrFormat("M%d_S%d = %d\n", m, s, m * kSymbols + s);
+      terms.push_back(StrFormat("M%d_S%d", m, s));
+    }
+    modules.push_back(StrFormat("lib/m%d.cinc", m));
+    sources.Put(modules.back(), module_source);
+    entry_source += StrFormat("import_python(\"%s\", \"*\")\n",
+                              modules.back().c_str());
+  }
+  entry_source += "export_if_last({\"sum\": " + StrJoin(terms, " + ") + "})\n";
+  const std::string entry = "svc/entry.cconf";
+  sources.Put(entry, entry_source);
+
+  AnalysisStore store;
+  std::shared_ptr<const AbsintResult> result =
+      store.Absint(sources.AsReader(), entry, entry_source);
+  ASSERT_TRUE(result->analyzed);
+  ASSERT_TRUE(result->slice_sound);
+  size_t symbols = 0;
+  for (const std::string& module : modules) {
+    auto used = result->used_symbols->find(module);
+    ASSERT_NE(used, result->used_symbols->end()) << module;
+    symbols += used->second.size();
+  }
+  EXPECT_GE(symbols, static_cast<size_t>(kModules * kSymbols));
+
+  DependencyService deps;
+  deps.UpdateEntry(entry, modules);
+  uint64_t allocations0 = g_allocations;
+  deps.UpdateEntrySymbols(entry, result->used_symbols, result->slice_sound);
+  const uint64_t first = g_allocations - allocations0;
+  allocations0 = g_allocations;
+  deps.UpdateEntrySymbols(entry, result->used_symbols, result->slice_sound);
+  const uint64_t again = g_allocations - allocations0;
+
+  std::printf("%llu allocations to record a %zu-symbol slice for a new "
+              "entry, %llu to record it again\n",
+              static_cast<unsigned long long>(first), symbols,
+              static_cast<unsigned long long>(again));
+  EXPECT_LT(first, 4u);
+  EXPECT_LT(again, 4u);
+  // The recorded slice prunes as the analysis read it.
+  EXPECT_EQ(deps.EntriesAffectedBySymbols("lib/m2.cinc", {"M2_S7"}),
+            std::vector<std::string>{entry});
+  EXPECT_TRUE(deps.EntriesAffectedBySymbols("lib/m2.cinc", {"UNREAD"}).empty());
 }
 
 }  // namespace

@@ -7,10 +7,10 @@
 // The test folds into one SHA-256 every CSL file's LintFile findings plus,
 // for each module, ChangedSymbols against one random mutation of it.
 //
-// Lint runs twice per tree: without an analysis store and through one
-// long-lived store shared by every tree (paths repeat across trees, so the
-// store must tell versions apart by content). Both must give the same
-// digest.
+// Lint runs twice per tree: through the store a linter owns when it is
+// given none (one per tree), and through one long-lived store shared by
+// every tree (paths repeat across trees, so the store must tell versions
+// apart by content). Both must give the same digest.
 //
 // First recorded (279616a5...) from ConfigLint as it was when it still
 // resolved imports with its own module scan, one memo shared by all of a
@@ -39,7 +39,6 @@
 #include "src/analysis/lint.h"
 #include "src/analysis/store.h"
 #include "src/lang/compiler.h"
-#include "src/lang/unit_cache.h"
 #include "src/util/rng.h"
 #include "src/util/sha256.h"
 #include "src/util/strings.h"
@@ -326,7 +325,8 @@ struct GoldenRun {
   int trees_with_findings = 0;  // Trees with an L001, L002, L004 or L008.
 };
 
-// Lints every tree, through `store` when it is set.
+// Lints every tree, through `store` when it is set and otherwise through
+// each tree's linter's own store.
 GoldenRun RunGolden(AnalysisStore* store) {
   Rng rng(kSeed);
   Sha256 digest;
@@ -335,10 +335,8 @@ GoldenRun RunGolden(AnalysisStore* store) {
     LintTree tree = GenerateTree(rng);
     InMemorySources sources = tree.Sources();
     FileReader reader = sources.AsReader();
-    ConfigLint lint = store == nullptr
-                          ? ConfigLint(reader)
-                          : ConfigLint(reader, &RestraintRegistry::Builtin(),
-                                       store);
+    ConfigLint lint =
+        store == nullptr ? ConfigLint(reader) : ConfigLint(reader, *store);
     std::string record = StrFormat("tree %d", t);
     bool counted = false;
     for (const std::string& path : tree.CslPaths()) {
@@ -357,8 +355,9 @@ GoldenRun RunGolden(AnalysisStore* store) {
       InMemorySources mutated = tree.Sources(m, &mutation);
       const std::string path = ModulePath(m);
       auto changed =
-          ChangedSymbols(ComputeSymbolSurface(path, *reader(path)),
-                         ComputeSymbolSurface(path, *mutated.AsReader()(path)));
+          ChangedSymbols(ComputeSymbolSurface(ParseCsl(*reader(path), path)),
+                         ComputeSymbolSurface(
+                             ParseCsl(*mutated.AsReader()(path), path)));
       record += "\nchanged " + path + ": " + DescribeChanged(changed);
     }
     // Length-prefixed, so record boundaries cannot shift between trees.
@@ -375,8 +374,7 @@ TEST(LintGoldenTest, FindingsAndChangedSymbolsMatchGoldenDigest) {
   EXPECT_GE(fresh.trees_with_findings, kTrees / 3);
   EXPECT_EQ(fresh.digest, kGoldenDigest);
 
-  CompiledUnitCache units;
-  AnalysisStore store(&units);
+  AnalysisStore store;
   GoldenRun stored = RunGolden(&store);
   EXPECT_EQ(stored.digest, fresh.digest)
       << "lint through the analysis store disagrees with lint without one";

@@ -583,13 +583,17 @@ TEST_F(SandcastleTest, CompiledOutputMustMatchItsEntry) {
 
 // ---- Symbol-level dependency edges ------------------------------------------
 
+std::shared_ptr<const SymbolSlice> Slice(SymbolSlice slice) {
+  return std::make_shared<const SymbolSlice>(std::move(slice));
+}
+
 TEST(DependencySymbolsTest, SoundSlicePrunesUnrelatedDependents) {
   DependencyService deps;
   deps.UpdateEntry("app.cconf", {"shared.cinc"});
   deps.UpdateEntry("web.cconf", {"shared.cinc"});
-  deps.UpdateEntrySymbols("app.cconf", {{"shared.cinc", {"APP_PORT"}}},
+  deps.UpdateEntrySymbols("app.cconf", Slice({{"shared.cinc", {"APP_PORT"}}}),
                           /*sound=*/true);
-  deps.UpdateEntrySymbols("web.cconf", {{"shared.cinc", {"WEB_PORT"}}},
+  deps.UpdateEntrySymbols("web.cconf", Slice({{"shared.cinc", {"WEB_PORT"}}}),
                           /*sound=*/true);
 
   auto affected = deps.EntriesAffectedBySymbols("shared.cinc", {"APP_PORT"});
@@ -602,7 +606,7 @@ TEST(DependencySymbolsTest, SoundSlicePrunesUnrelatedDependents) {
 TEST(DependencySymbolsTest, UnsoundSliceFallsBackToFileLevel) {
   DependencyService deps;
   deps.UpdateEntry("app.cconf", {"shared.cinc"});
-  deps.UpdateEntrySymbols("app.cconf", {{"shared.cinc", {"APP_PORT"}}},
+  deps.UpdateEntrySymbols("app.cconf", Slice({{"shared.cinc", {"APP_PORT"}}}),
                           /*sound=*/false);
   // Slice is unsound (a dynamic import somewhere): never prune.
   EXPECT_EQ(deps.EntriesAffectedBySymbols("shared.cinc", {"OTHER"}).size(), 1u);
@@ -618,9 +622,9 @@ TEST(DependencySymbolsTest, SurfaceGrowthAffectsStarImporters) {
   DependencyService deps;
   deps.UpdateEntry("star.cconf", {"shared.cinc"});
   deps.UpdateEntry("narrow.cconf", {"shared.cinc"});
-  deps.UpdateEntrySymbols("star.cconf", {{"shared.cinc", {"*", "A"}}},
+  deps.UpdateEntrySymbols("star.cconf", Slice({{"shared.cinc", {"*", "A"}}}),
                           /*sound=*/true);
-  deps.UpdateEntrySymbols("narrow.cconf", {{"shared.cinc", {"A"}}},
+  deps.UpdateEntrySymbols("narrow.cconf", Slice({{"shared.cinc", {"A"}}}),
                           /*sound=*/true);
   // A new symbol appeared ("*"): star importers can be shadowed, narrow
   // imports cannot.
@@ -636,7 +640,7 @@ TEST(DependencySymbolsTest, EmptyChangeSetPrunesEveryOtherDependent) {
   deps.UpdateEntry("app.cconf", {"shared.cinc"});
   deps.UpdateEntry("web.cconf", {"shared.cinc"});
   deps.UpdateEntry("shared.cinc", {});
-  deps.UpdateEntrySymbols("app.cconf", {{"shared.cinc", {"*", "PORT"}}},
+  deps.UpdateEntrySymbols("app.cconf", Slice({{"shared.cinc", {"*", "PORT"}}}),
                           /*sound=*/true);
   auto affected = deps.EntriesAffectedBySymbols("shared.cinc", {});
   ASSERT_EQ(affected.size(), 1u);
@@ -650,8 +654,8 @@ TEST(DependencySymbolsTest, SymbolFanIn) {
   deps.UpdateEntry("a.cconf", {"shared.cinc"});
   deps.UpdateEntry("b.cconf", {"shared.cinc"});
   deps.UpdateEntry("c.cconf", {"shared.cinc"});
-  deps.UpdateEntrySymbols("a.cconf", {{"shared.cinc", {"PORT"}}}, true);
-  deps.UpdateEntrySymbols("b.cconf", {{"shared.cinc", {"HOST"}}}, true);
+  deps.UpdateEntrySymbols("a.cconf", Slice({{"shared.cinc", {"PORT"}}}), true);
+  deps.UpdateEntrySymbols("b.cconf", Slice({{"shared.cinc", {"HOST"}}}), true);
   // c has no slice: counts conservatively for every symbol.
   EXPECT_EQ(deps.SymbolFanIn("shared.cinc", "PORT"), 2u);
   EXPECT_EQ(deps.SymbolFanIn("shared.cinc", "HOST"), 2u);
@@ -724,8 +728,8 @@ TEST_F(ClosureTest, SymbolSlicePrunesReanalysis) {
                     {"flags.cinc", "schemas/job.thrift", "misc.cinc"});
   deps_.UpdateEntrySymbols(
       "worker.cconf",
-      {{"flags.cinc", {"*", "ENABLE_BONUS", "BONUS"}},
-       {"schemas/job.thrift", {"*"}}},
+      Slice({{"flags.cinc", {"*", "ENABLE_BONUS", "BONUS"}},
+             {"schemas/job.thrift", {"*"}}}),
       /*sound=*/true);
   ASSERT_TRUE(repo_.Commit("add", "bob", {{"misc.cinc", "UNRELATED = 1\n"}}).ok());
   Sandcastle ci(&repo_, &deps_);

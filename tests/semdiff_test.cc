@@ -529,8 +529,8 @@ TEST(AttributeDiffLinesTest, AttributesHunksToDefinitionRanges) {
       "    \"y\": 9,\n"
       "}\n"
       "C = 4\n";
-  auto old_surface = ComputeSymbolSurface("m.cinc", old_text);
-  auto new_surface = ComputeSymbolSurface("m.cinc", new_text);
+  auto old_surface = ComputeSymbolSurface(ParseCsl(old_text, "m.cinc"));
+  auto new_surface = ComputeSymbolSurface(ParseCsl(new_text, "m.cinc"));
   auto attributed = AttributeDiffLines(old_surface, new_surface,
                                        DiffLines(old_text, new_text));
   ASSERT_EQ(attributed.count("B"), 1u);
@@ -559,8 +559,8 @@ TEST(AttributeDiffLinesTest, CommentAndBlankHunksAreNotAttributed) {
       "    # tuning notes, revised\n"
       "\n"
       "}\n";
-  auto old_surface = ComputeSymbolSurface("m.cinc", old_text);
-  auto new_surface = ComputeSymbolSurface("m.cinc", new_text);
+  auto old_surface = ComputeSymbolSurface(ParseCsl(old_text, "m.cinc"));
+  auto new_surface = ComputeSymbolSurface(ParseCsl(new_text, "m.cinc"));
   auto attributed = AttributeDiffLines(old_surface, new_surface,
                                        DiffLines(old_text, new_text));
   EXPECT_EQ(attributed.count("B"), 0u);
@@ -571,7 +571,8 @@ TEST(AttributeDiffLinesTest, CommentAndBlankHunksAreNotAttributed) {
       "    \"x\": 2,\n"
       "    # tuning notes, revised\n"
       "}\n";
-  auto value_surface = ComputeSymbolSurface("m.cinc", value_text);
+  auto value_surface =
+      ComputeSymbolSurface(ParseCsl(value_text, "m.cinc"));
   auto value_attr = AttributeDiffLines(old_surface, value_surface,
                                        DiffLines(old_text, value_text));
   EXPECT_EQ(value_attr.count("B"), 1u);

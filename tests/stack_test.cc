@@ -583,20 +583,20 @@ TEST_F(AnalysisStoreTest, LongRunKeepsTwoVersionsPerPath) {
   for (const char* path : {"lib.cinc", "e0.cconf", "e3.cconf"}) {
     EXPECT_LE(store().absints_for(path), 2u) << path;
   }
-  const CompiledUnitCache* units =
-      AnalysisStore::Units(&stack_.sandcastle().analysis_store());
+  const CompiledUnitCache& units =
+      stack_.sandcastle().analysis_store().units();
   for (int e = 0; e < kEntries; ++e) {
-    EXPECT_LE(units->outputs_for(StrFormat("e%d.cconf", e)), 2u);
+    EXPECT_LE(units.outputs_for(StrFormat("e%d.cconf", e)), 2u);
   }
   // A proposal that reverts to the version before head is still held.
   size_t misses = store().absint_misses();
-  size_t output_hits = units->output_hits();
+  size_t output_hits = units.output_hits();
   auto revert = stack_.ProposeChange("alice", "revert",
                                      {{"lib.cinc", Lib(2 + 998)}});
   ASSERT_TRUE(revert.ok());
   EXPECT_TRUE(revert->ci_report.passed);
   EXPECT_EQ(store().absint_misses(), misses);
-  EXPECT_GT(units->output_hits(), output_hits);
+  EXPECT_GT(units.output_hits(), output_hits);
 }
 
 }  // namespace
