@@ -1560,17 +1560,15 @@ void Analyzer::LoadSchema(const std::string& path) {
     slice_sound_ = false;
     return;
   }
-  auto source = reader_(path);
-  if (!source.ok()) {
-    slice_sound_ = false;
+  Status loaded = registry_.Load(path, [this](const std::string& file) {
+    reads_[file].insert("*");
+    return reader_(file);
+  });
+  if (!loaded.ok() && !reader_(path).ok()) {
+    slice_sound_ = false;  // The imported schema itself is unreadable.
     return;
   }
-  auto include_resolver = [this](const std::string& inc) {
-    reads_[inc].insert("*");
-    return reader_(inc);
-  };
-  if (!registry_.ParseAndRegister(*source, path, include_resolver).ok() ||
-      !registry_.ResolveAll().ok()) {
+  if (!loaded.ok() || !registry_.ResolveAll().ok()) {
     // Broken schema: the compiler reports it; degrade silently.
     return;
   }

@@ -193,16 +193,11 @@ class LangAnalyzer {
   }
 
   void HandleSchemaImport(const std::string& path) {
-    auto source = ReadSource(path);
-    if (!source.ok()) {
-      unresolved_schema_import_ = true;
-      return;
-    }
     SchemaRegistry registry;
-    auto resolver = [this](const std::string& include) {
-      return ReadSource(include);
-    };
-    if (!registry.ParseAndRegister(*source, path, resolver).ok()) {
+    if (!registry
+             .Load(path,
+                   [this](const std::string& file) { return ReadSource(file); })
+             .ok()) {
       unresolved_schema_import_ = true;
       return;
     }

@@ -257,7 +257,7 @@ void CanaryService::RunPhase(std::shared_ptr<const CanarySpec> spec,
                              std::function<void(Status)> done) {
   const CanaryPhase& phase = spec->phases[phase_idx];
   // Deploy to the phase's servers, hold, then measure and judge.
-  sim_->Schedule(options_.deploy_time + phase.hold_time,
+  sim_->Schedule(kDeployTime + phase.hold_time,
                  [this, spec, phase_idx, model, done = std::move(done)] {
                    const CanaryPhase& p = spec->phases[phase_idx];
                    GroupMetrics canary =

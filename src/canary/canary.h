@@ -150,8 +150,6 @@ class DefectServiceModel : public ServiceModel {
 class CanaryService {
  public:
   struct Options {
-    // Time to temporarily deploy a config to a phase's servers.
-    SimTime deploy_time = 10 * kSimSecond;
     size_t fleet_size = 200'000;
   };
 
@@ -176,6 +174,9 @@ class CanaryService {
   size_t active_tests() const { return active_tests_; }
 
  private:
+  // Time to temporarily deploy a config to a phase's servers.
+  static constexpr SimTime kDeployTime = 10 * kSimSecond;
+
   void RunPhase(std::shared_ptr<const CanarySpec> spec, size_t phase_idx,
                 ServiceModel* model, std::function<void(Status)> done);
   static Status EvaluatePhase(const CanaryPhase& phase,

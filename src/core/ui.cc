@@ -119,15 +119,12 @@ Result<PendingChange> ConfigUi::EditConfig(const std::string& user,
     return InvalidArgumentError("UI edits target .cconf sources");
   }
 
-  // Load the schema (from the diffed head or the repo).
+  // Load the schema from the repo's head.
   SchemaRegistry registry;
-  ASSIGN_OR_RETURN(std::string schema_text, stack_->repo().ReadFile(schema_path));
   const Repository* repo = &stack_->repo();
-  auto include_resolver = [repo](const std::string& path) -> Result<std::string> {
+  RETURN_IF_ERROR(registry.Load(schema_path, [repo](const std::string& path) {
     return repo->ReadFile(path);
-  };
-  RETURN_IF_ERROR(
-      registry.ParseAndRegister(schema_text, schema_path, include_resolver));
+  }));
   RETURN_IF_ERROR(registry.ResolveAll());
   if (registry.FindStruct(struct_name) == nullptr) {
     return NotFoundError("schema file defines no struct '" + struct_name + "'");

@@ -8,7 +8,6 @@ ConfigProxy::ConfigProxy(Network* net, ZeusEnsemble* zeus, ServerId host,
                          OnDiskCache* disk, uint64_t seed)
     : net_(net), zeus_(zeus), host_(host), disk_(disk), rng_(seed) {
   observer_ = zeus_->PickObserverFor(host_, rng_);
-  self_ = std::make_shared<ConfigProxy*>(this);
 }
 
 void ConfigProxy::Subscribe(const std::string& key, UpdateCallback on_update) {
@@ -22,14 +21,13 @@ void ConfigProxy::Subscribe(const std::string& key, UpdateCallback on_update) {
 }
 
 void ConfigProxy::DoSubscribe(const std::string& key) {
-  std::weak_ptr<ConfigProxy*> weak = self_;
   zeus_->Subscribe(host_, observer_, key,
-                   [weak](const ZeusEnsemble::TxnPtr& txn, TraceContext trace) {
-                     std::shared_ptr<ConfigProxy*> self = weak.lock();
-                     if (self == nullptr) {
-                       return;  // Proxy incarnation is gone (crash without restart).
+                   [proxy = this, incarnation = incarnation_](
+                       const ZeusEnsemble::TxnPtr& txn, TraceContext trace) {
+                     if (proxy->incarnation_ != incarnation) {
+                       return;  // Sent to an incarnation a crash ended.
                      }
-                     (*self)->OnZeusUpdate(txn, trace);
+                     proxy->OnZeusUpdate(txn, trace);
                    });
 }
 
@@ -123,20 +121,16 @@ void ConfigProxy::ProbeStaleness() {
     staleness_gauge_->Set(SimToSeconds(net_->sim().now() - last_confirmed_));
     // Ping the current observer; the reply (if the observer is up and no
     // partition eats either leg) refreshes last_confirmed_. The callback
-    // guards on the incarnation token like watch deliveries do.
-    std::weak_ptr<ConfigProxy*> weak = self_;
-    zeus_->Ping(host_, observer_, [weak](int64_t /*observer_zxid*/) {
-      std::shared_ptr<ConfigProxy*> self = weak.lock();
-      if (self == nullptr) {
-        return;
-      }
-      ConfigProxy* proxy = *self;
-      if (proxy->crashed_) {
-        return;
-      }
-      proxy->last_confirmed_ = proxy->net_->sim().now();
-      proxy->staleness_gauge_->Set(0);
-    });
+    // checks the incarnation like watch deliveries do.
+    zeus_->Ping(host_, observer_,
+                [proxy = this, incarnation = incarnation_](
+                    int64_t /*observer_zxid*/) {
+                  if (proxy->incarnation_ != incarnation || proxy->crashed_) {
+                    return;
+                  }
+                  proxy->last_confirmed_ = proxy->net_->sim().now();
+                  proxy->staleness_gauge_->Set(0);
+                });
   }
   net_->sim().Schedule(staleness_probe_interval_, [this] { ProbeStaleness(); });
 }
@@ -155,7 +149,7 @@ void ConfigProxy::Crash() {
     sub.cached = nullptr;
   }
   // Invalidate outstanding watch deliveries to this incarnation.
-  self_ = std::make_shared<ConfigProxy*>(this);
+  ++incarnation_;
 }
 
 void ConfigProxy::Restart() {

@@ -13,6 +13,11 @@
 // AppConfigClient::Get, OnDiskCache::Get) returns a pointer to an immutable
 // txn, valid until that server applies its next update of the key; the
 // bytes behind it never change under the reader.
+//
+// Watch callbacks capture `this` and the proxy's incarnation, 16 bytes that
+// std::function stores inline, so a delivery allocates nothing; a crash
+// starts a new incarnation and drops deliveries to the old one. So a proxy
+// must outlive the simulator's event flow, as a ProxyFleet must.
 
 #ifndef SRC_DISTRIBUTION_PROXY_H_
 #define SRC_DISTRIBUTION_PROXY_H_
@@ -142,10 +147,9 @@ class ConfigProxy {
   Gauge* staleness_gauge_ = nullptr;
   Gauge* slowest_zxid_gauge_ = nullptr;
 
-  // Liveness token: watch callbacks registered at observers capture a weak
-  // reference through this so deliveries to a restarted proxy incarnation
-  // are still routed correctly.
-  std::shared_ptr<ConfigProxy*> self_;
+  // Bumped by Crash: callbacks registered before it see a newer incarnation
+  // and drop their delivery.
+  uint64_t incarnation_ = 0;
 };
 
 // The application side of the client library: reads through the proxy, or

@@ -15,14 +15,6 @@ namespace configerator {
 
 namespace {
 
-#define RETURN_IF_ERROR_R(expr)              \
-  do {                                       \
-    ::configerator::Status _s = (expr);      \
-    if (!_s.ok()) {                          \
-      return _s;                             \
-    }                                        \
-  } while (false)
-
 // Adds the parse-cache traffic since a (hits, misses) snapshot to the
 // csl.unit_cache counters.
 void CountParses(MetricsRegistry* metrics, const CompiledUnitCache& cache,
@@ -48,7 +40,7 @@ class ConfigCompiler::Session {
   Result<CompileOutput> Run() {
     ASSIGN_OR_RETURN(std::string source, ReadDep(entry_path_));
     auto globals = NewGlobals();
-    RETURN_IF_ERROR_R(
+    RETURN_IF_ERROR(
         EvalSource(entry_path_, source, globals, /*exports_enabled=*/true));
 
     // Post-process exports: type check, defaults, validators.
@@ -60,13 +52,13 @@ class ConfigCompiler::Session {
       ASSIGN_OR_RETURN(Json json, value.ToJson());
       if (!config.type_name.empty() &&
           !config.type_name.starts_with("enum ")) {
-        RETURN_IF_ERROR_R(
+        RETURN_IF_ERROR(
             TypeCheckStruct(registry_, config.type_name, json, config.path));
         ASSIGN_OR_RETURN(json, ApplyDefaults(registry_, config.type_name, json));
         // Re-check with defaults applied so validators see complete configs.
-        RETURN_IF_ERROR_R(
+        RETURN_IF_ERROR(
             TypeCheckStruct(registry_, config.type_name, json, config.path));
-        RETURN_IF_ERROR_R(RunValidators(config.type_name, json));
+        RETURN_IF_ERROR(RunValidators(config.type_name, json));
       }
       config.content = std::move(json);
       output.configs.push_back(std::move(config));
@@ -147,26 +139,20 @@ class ConfigCompiler::Session {
     module_envs_[path] = nullptr;  // Cycle marker.
     ASSIGN_OR_RETURN(std::string source, ReadDep(path));
     auto globals = NewGlobals();
-    RETURN_IF_ERROR_R(
+    RETURN_IF_ERROR(
         EvalSource(path, source, globals, /*exports_enabled=*/false));
     module_envs_[path] = globals;
     return globals;
   }
 
+  // Loads an imported schema (a file another schema already included is
+  // not read again) and evaluates its validator companion.
   Status ImportSchema(const std::string& path) {
-    if (loaded_schemas_.count(path) > 0) {
+    if (!imported_schemas_.insert(path).second) {
       return OkStatus();
     }
-    loaded_schemas_.insert(path);
-    auto source = ReadDep(path);
-    if (!source.ok()) {
-      return source.status();
-    }
-    auto include_resolver = [this](const std::string& inc) -> Result<std::string> {
-      return ReadDep(inc);
-    };
-    RETURN_IF_ERROR(
-        registry_.ParseAndRegister(*source, path, include_resolver));
+    RETURN_IF_ERROR(registry_.Load(
+        path, [this](const std::string& file) { return ReadDep(file); }));
     RETURN_IF_ERROR(registry_.ResolveAll());
     // Load the companion validator module if one exists. Missing validators
     // are fine; anything else (e.g. a validator that fails to parse) is not.
@@ -227,7 +213,7 @@ class ConfigCompiler::Session {
   SchemaRegistry registry_;
   Interp interp_;
   std::map<std::string, std::shared_ptr<Environment>> module_envs_;
-  std::set<std::string> loaded_schemas_;
+  std::set<std::string> imported_schemas_;
   std::set<std::string> dependencies_;
   std::map<std::string, Value> exports_;
   std::map<std::string, std::vector<Value>> validators_;
@@ -296,7 +282,5 @@ std::string ConfigCompiler::OutputPathFor(const std::string& source_path) {
   }
   return source_path.substr(0, dot) + ".json";
 }
-
-#undef RETURN_IF_ERROR_R
 
 }  // namespace configerator

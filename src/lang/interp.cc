@@ -9,14 +9,6 @@ namespace configerator {
 
 namespace {
 
-#define RETURN_IF_ERROR_R(expr)              \
-  do {                                       \
-    ::configerator::Status _s = (expr);      \
-    if (!_s.ok()) {                          \
-      return _s;                             \
-    }                                        \
-  } while (false)
-
 constexpr int kMaxCallDepth = 200;
 
 // Stack the interpreter may use below its outermost entry point. The
@@ -137,7 +129,7 @@ Result<Interp::Flow> Interp::ExecBlock(const std::vector<StmtPtr>& body,
 
 Result<Interp::Flow> Interp::ExecStmt(const Stmt& stmt,
                                       const std::shared_ptr<Environment>& env) {
-  RETURN_IF_ERROR_R(Tick(stmt.line));
+  RETURN_IF_ERROR(Tick(stmt.line));
   switch (stmt.kind) {
     case Stmt::Kind::kExpr: {
       ASSIGN_OR_RETURN(Value ignored, Eval(*stmt.target, env));
@@ -146,7 +138,7 @@ Result<Interp::Flow> Interp::ExecStmt(const Stmt& stmt,
     }
     case Stmt::Kind::kAssign: {
       ASSIGN_OR_RETURN(Value value, Eval(*stmt.value, env));
-      RETURN_IF_ERROR_R(Assign(*stmt.target, std::move(value), env));
+      RETURN_IF_ERROR(Assign(*stmt.target, std::move(value), env));
       return Flow{};
     }
     case Stmt::Kind::kAugAssign: {
@@ -168,7 +160,7 @@ Result<Interp::Flow> Interp::ExecStmt(const Stmt& stmt,
       synth.lhs = std::move(lhs);
       synth.rhs = std::move(rhs);
       ASSIGN_OR_RETURN(Value combined, EvalBinary(synth, env));
-      RETURN_IF_ERROR_R(Assign(*stmt.target, std::move(combined), env));
+      RETURN_IF_ERROR(Assign(*stmt.target, std::move(combined), env));
       return Flow{};
     }
     case Stmt::Kind::kIf: {
@@ -183,7 +175,7 @@ Result<Interp::Flow> Interp::ExecStmt(const Stmt& stmt,
       ASSIGN_OR_RETURN(Value::List items,
                        AtLine(stmt.line, IterableItems(iterable, arena_)));
       for (Value& item : items) {
-        RETURN_IF_ERROR_R(Tick(stmt.line));
+        RETURN_IF_ERROR(Tick(stmt.line));
         if (stmt.loop_vars.size() == 1) {
           env->Define(stmt.loop_vars[0], std::move(item));
         } else {
@@ -206,7 +198,7 @@ Result<Interp::Flow> Interp::ExecStmt(const Stmt& stmt,
     }
     case Stmt::Kind::kWhile: {
       while (true) {
-        RETURN_IF_ERROR_R(Tick(stmt.line));
+        RETURN_IF_ERROR(Tick(stmt.line));
         ASSIGN_OR_RETURN(Value cond, Eval(*stmt.target, env));
         if (!cond.Truthy()) {
           break;
@@ -288,7 +280,7 @@ Status Interp::Assign(const Expr& target, Value value,
 }
 
 Result<Value> Interp::Eval(const Expr& expr, const std::shared_ptr<Environment>& env) {
-  RETURN_IF_ERROR_R(Tick(expr.line));
+  RETURN_IF_ERROR(Tick(expr.line));
   switch (expr.kind) {
     case Expr::Kind::kLiteral:
       return expr.literal;
@@ -396,7 +388,7 @@ Result<Value> Interp::EvalCall(const Expr& expr,
         if (!hooks_.import_schema) {
           return EvalError(expr.line, "schema imports not available here");
         }
-        RETURN_IF_ERROR_R(hooks_.import_schema(path));
+        RETURN_IF_ERROR(hooks_.import_schema(path));
         // Newly registered schemas need constructors in the base env.
         if (registry_ != nullptr && base_env_ != nullptr) {
           Status registered =
@@ -452,7 +444,7 @@ Result<Value> Interp::EvalCall(const Expr& expr,
       }
       ASSIGN_OR_RETURN(Value value, Eval(*value_expr, env));
       if (exports_enabled_ && hooks_.export_config) {
-        RETURN_IF_ERROR_R(hooks_.export_config(export_name, value));
+        RETURN_IF_ERROR(hooks_.export_config(export_name, value));
       }
       return Value::Null();
     }
@@ -538,7 +530,5 @@ Result<Value> Interp::CallValue(const Value& fn, std::vector<Value> args,
   }
   return Value::Null();
 }
-
-#undef RETURN_IF_ERROR_R
 
 }  // namespace configerator

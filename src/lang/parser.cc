@@ -10,14 +10,6 @@ namespace configerator {
 
 namespace {
 
-#define RETURN_IF_ERROR_R(expr)              \
-  do {                                       \
-    ::configerator::Status _s = (expr);      \
-    if (!_s.ok()) {                          \
-      return _s;                             \
-    }                                        \
-  } while (false)
-
 bool IsKeyword(std::string_view word) {
   static constexpr std::string_view kKeywords[] = {
       "def",   "return", "if",   "elif",     "else", "for",  "in",
@@ -151,8 +143,8 @@ class CslParser {
 
   // block: NEWLINE INDENT stmt+ DEDENT
   Result<std::vector<StmtPtr>> ParseBlock() {
-    RETURN_IF_ERROR_R(ExpectOp(":"));
-    RETURN_IF_ERROR_R(ExpectNewline());
+    RETURN_IF_ERROR(ExpectOp(":"));
+    RETURN_IF_ERROR(ExpectNewline());
     if (!At(CslToken::Kind::kIndent)) {
       return Error("expected indented block");
     }
@@ -173,7 +165,7 @@ class CslParser {
 
   Result<StmtPtr> ParseStatement() {
     Nested nested(this);
-    RETURN_IF_ERROR_R(CheckDepth(0));
+    RETURN_IF_ERROR(CheckDepth(0));
     if (At(CslToken::Kind::kName)) {
       const std::string& word = Cur().text;
       if (word == "def") {
@@ -194,7 +186,7 @@ class CslParser {
         if (!At(CslToken::Kind::kNewline)) {
           ASSIGN_OR_RETURN(stmt->target, ParseExpression());
         }
-        RETURN_IF_ERROR_R(ExpectNewline());
+        RETURN_IF_ERROR(ExpectNewline());
         return stmt;
       }
       if (word == "assert") {
@@ -205,7 +197,7 @@ class CslParser {
           Advance();
           ASSIGN_OR_RETURN(stmt->value, ParseExpression());
         }
-        RETURN_IF_ERROR_R(ExpectNewline());
+        RETURN_IF_ERROR(ExpectNewline());
         return stmt;
       }
       if (word == "pass" || word == "break" || word == "continue") {
@@ -213,7 +205,7 @@ class CslParser {
                             : word == "break" ? Stmt::Kind::kBreak
                                               : Stmt::Kind::kContinue);
         Advance();
-        RETURN_IF_ERROR_R(ExpectNewline());
+        RETURN_IF_ERROR(ExpectNewline());
         return stmt;
       }
     }
@@ -222,27 +214,27 @@ class CslParser {
     if (AtOp("=")) {
       Advance();
       auto stmt = NewStmt(Stmt::Kind::kAssign);
-      RETURN_IF_ERROR_R(ValidateAssignTarget(*first));
+      RETURN_IF_ERROR(ValidateAssignTarget(*first));
       stmt->target = std::move(first);
       ASSIGN_OR_RETURN(stmt->value, ParseExpression());
-      RETURN_IF_ERROR_R(ExpectNewline());
+      RETURN_IF_ERROR(ExpectNewline());
       return stmt;
     }
     for (std::string_view aug : {"+=", "-=", "*=", "/="}) {
       if (AtOp(aug)) {
         Advance();
         auto stmt = NewStmt(Stmt::Kind::kAugAssign);
-        RETURN_IF_ERROR_R(ValidateAssignTarget(*first));
+        RETURN_IF_ERROR(ValidateAssignTarget(*first));
         stmt->op = std::string(aug.substr(0, 1));
         stmt->target = std::move(first);
         ASSIGN_OR_RETURN(stmt->value, ParseExpression());
-        RETURN_IF_ERROR_R(ExpectNewline());
+        RETURN_IF_ERROR(ExpectNewline());
         return stmt;
       }
     }
     auto stmt = NewStmt(Stmt::Kind::kExpr);
     stmt->target = std::move(first);
-    RETURN_IF_ERROR_R(ExpectNewline());
+    RETURN_IF_ERROR(ExpectNewline());
     return stmt;
   }
 
@@ -265,7 +257,7 @@ class CslParser {
     def->line = Cur().line;
     def->origin = origin_;
     Advance();
-    RETURN_IF_ERROR_R(ExpectOp("("));
+    RETURN_IF_ERROR(ExpectOp("("));
     bool saw_default = false;
     while (!AtOp(")")) {
       if (!At(CslToken::Kind::kName) || IsKeyword(Cur().text)) {
@@ -298,7 +290,7 @@ class CslParser {
 
   Result<StmtPtr> ParseIf() {
     Nested nested(this);  // An elif nests one level deeper.
-    RETURN_IF_ERROR_R(CheckDepth(0));
+    RETURN_IF_ERROR(CheckDepth(0));
     auto stmt = NewStmt(Stmt::Kind::kIf);
     Advance();  // if / elif
     ASSIGN_OR_RETURN(stmt->target, ParseExpression());
@@ -348,7 +340,7 @@ class CslParser {
   // expression: or_expr ['if' or_expr 'else' expression]
   Result<ExprPtr> ParseExpression() {
     Nested nested(this);
-    RETURN_IF_ERROR_R(CheckDepth(0));
+    RETURN_IF_ERROR(CheckDepth(0));
     ASSIGN_OR_RETURN(ExprPtr value, ParseOr());
     if (AtName("if")) {
       auto ternary = NewExpr(Expr::Kind::kTernary);
@@ -360,7 +352,7 @@ class CslParser {
       Advance();
       ASSIGN_OR_RETURN(ternary->third, ParseExpression());
       ternary->lhs = std::move(value);
-      RETURN_IF_ERROR_R(Seal(*ternary));
+      RETURN_IF_ERROR(Seal(*ternary));
       return ternary;
     }
     return value;
@@ -374,7 +366,7 @@ class CslParser {
       Advance();
       ASSIGN_OR_RETURN(bin->rhs, ParseAnd());
       bin->lhs = std::move(lhs);
-      RETURN_IF_ERROR_R(Seal(*bin));
+      RETURN_IF_ERROR(Seal(*bin));
       lhs = std::move(bin);
     }
     return lhs;
@@ -388,7 +380,7 @@ class CslParser {
       Advance();
       ASSIGN_OR_RETURN(bin->rhs, ParseNot());
       bin->lhs = std::move(lhs);
-      RETURN_IF_ERROR_R(Seal(*bin));
+      RETURN_IF_ERROR(Seal(*bin));
       lhs = std::move(bin);
     }
     return lhs;
@@ -397,12 +389,12 @@ class CslParser {
   Result<ExprPtr> ParseNot() {
     if (AtName("not")) {
       Nested nested(this);
-      RETURN_IF_ERROR_R(CheckDepth(0));
+      RETURN_IF_ERROR(CheckDepth(0));
       auto unary = NewExpr(Expr::Kind::kUnary);
       unary->name = "not";
       Advance();
       ASSIGN_OR_RETURN(unary->lhs, ParseNot());
-      RETURN_IF_ERROR_R(Seal(*unary));
+      RETURN_IF_ERROR(Seal(*unary));
       return unary;
     }
     return ParseComparison();
@@ -434,7 +426,7 @@ class CslParser {
       bin->name = op;
       ASSIGN_OR_RETURN(bin->rhs, ParseAdditive());
       bin->lhs = std::move(lhs);
-      RETURN_IF_ERROR_R(Seal(*bin));
+      RETURN_IF_ERROR(Seal(*bin));
       lhs = std::move(bin);
     }
     return lhs;
@@ -448,7 +440,7 @@ class CslParser {
       Advance();
       ASSIGN_OR_RETURN(bin->rhs, ParseMultiplicative());
       bin->lhs = std::move(lhs);
-      RETURN_IF_ERROR_R(Seal(*bin));
+      RETURN_IF_ERROR(Seal(*bin));
       lhs = std::move(bin);
     }
     return lhs;
@@ -462,7 +454,7 @@ class CslParser {
       Advance();
       ASSIGN_OR_RETURN(bin->rhs, ParseUnary());
       bin->lhs = std::move(lhs);
-      RETURN_IF_ERROR_R(Seal(*bin));
+      RETURN_IF_ERROR(Seal(*bin));
       lhs = std::move(bin);
     }
     return lhs;
@@ -471,12 +463,12 @@ class CslParser {
   Result<ExprPtr> ParseUnary() {
     if (AtOp("-")) {
       Nested nested(this);
-      RETURN_IF_ERROR_R(CheckDepth(0));
+      RETURN_IF_ERROR(CheckDepth(0));
       auto unary = NewExpr(Expr::Kind::kUnary);
       unary->name = "-";
       Advance();
       ASSIGN_OR_RETURN(unary->lhs, ParseUnary());
-      RETURN_IF_ERROR_R(Seal(*unary));
+      RETURN_IF_ERROR(Seal(*unary));
       return unary;
     }
     return ParsePostfix();
@@ -496,15 +488,15 @@ class CslParser {
         attr->name = Cur().text;
         attr->lhs = std::move(base);
         Advance();
-        RETURN_IF_ERROR_R(Seal(*attr));
+        RETURN_IF_ERROR(Seal(*attr));
         base = std::move(attr);
       } else if (AtOp("[")) {
         Advance();
         auto index = NewExpr(Expr::Kind::kIndex);
         ASSIGN_OR_RETURN(index->rhs, ParseExpression());
-        RETURN_IF_ERROR_R(ExpectOp("]"));
+        RETURN_IF_ERROR(ExpectOp("]"));
         index->lhs = std::move(base);
-        RETURN_IF_ERROR_R(Seal(*index));
+        RETURN_IF_ERROR(Seal(*index));
         base = std::move(index);
       } else {
         break;
@@ -547,7 +539,7 @@ class CslParser {
       }
     }
     Advance();  // ')'
-    RETURN_IF_ERROR_R(Seal(*call));
+    RETURN_IF_ERROR(Seal(*call));
     return call;
   }
 
@@ -603,7 +595,7 @@ class CslParser {
         if (AtOp("(")) {
           Advance();
           ASSIGN_OR_RETURN(ExprPtr inner, ParseExpression());
-          RETURN_IF_ERROR_R(ExpectOp(")"));
+          RETURN_IF_ERROR(ExpectOp(")"));
           return inner;
         }
         if (AtOp("[")) {
@@ -619,7 +611,7 @@ class CslParser {
             }
           }
           Advance();
-          RETURN_IF_ERROR_R(Seal(*list));
+          RETURN_IF_ERROR(Seal(*list));
           return list;
         }
         if (AtOp("{")) {
@@ -628,7 +620,7 @@ class CslParser {
           while (!AtOp("}")) {
             ASSIGN_OR_RETURN(ExprPtr key, ParseExpression());
             NoteDictKey(*dict, *key);
-            RETURN_IF_ERROR_R(ExpectOp(":"));
+            RETURN_IF_ERROR(ExpectOp(":"));
             ASSIGN_OR_RETURN(ExprPtr value, ParseExpression());
             dict->pairs.emplace_back(std::move(key), std::move(value));
             if (AtOp(",")) {
@@ -638,7 +630,7 @@ class CslParser {
             }
           }
           Advance();
-          RETURN_IF_ERROR_R(Seal(*dict));
+          RETURN_IF_ERROR(Seal(*dict));
           return dict;
         }
         return Error("unexpected token");
@@ -681,8 +673,6 @@ class CslParser {
   size_t pos_ = 0;
   int depth_ = 0;  // Levels of recursive descent currently open.
 };
-
-#undef RETURN_IF_ERROR_R
 
 }  // namespace
 

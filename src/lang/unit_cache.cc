@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "src/lang/import_resolver.h"
+#include "src/schema/schema.h"
 
 namespace configerator {
 
@@ -80,48 +81,20 @@ size_t CompiledUnitCache::outputs_for(const std::string& entry) const {
 
 namespace {
 
-// Extracts `include "path"` targets from Thrift schema text. A deliberately
-// shallow scan — the IDL parser accepts exactly this shape (schema.cc), so
-// matching line-leading `include` with a quoted path sees every edge the
-// parser would follow.
-std::vector<std::string> ScanSchemaIncludes(const std::string& source) {
-  std::vector<std::string> includes;
-  size_t pos = 0;
-  while (pos < source.size()) {
-    size_t eol = source.find('\n', pos);
-    if (eol == std::string::npos) {
-      eol = source.size();
-    }
-    std::string_view line(source.data() + pos, eol - pos);
-    while (!line.empty() && (line.front() == ' ' || line.front() == '\t')) {
-      line.remove_prefix(1);
-    }
-    if (line.starts_with("include")) {
-      size_t open = line.find('"');
-      if (open != std::string_view::npos) {
-        size_t close = line.find('"', open + 1);
-        if (close != std::string_view::npos) {
-          includes.emplace_back(line.substr(open + 1, close - open - 1));
-        }
-      }
-    }
-    pos = eol + 1;
-  }
-  return includes;
-}
-
 class ClosureHasher {
  public:
   ClosureHasher(const SourceReader& reader, CompiledUnitCache* cache)
       : reader_(reader), cache_(cache) {}
 
-  Result<Sha256Digest> ModuleDigest(const std::string& path) {
+  Result<Sha256Digest> Digest(const std::string& path, bool is_schema) {
     if (!visiting_.insert(path).second) {
-      // Cycle: the compiler rejects it at evaluation time; here it just must
-      // not recurse forever. A marker keeps the digest well-defined.
+      // Cycle (a module import cycle, or a validator importing its own
+      // schema): the compiler rejects or loads it at evaluation time; here
+      // it just must not recurse forever. A marker keeps the digest
+      // well-defined.
       return Sha256::Hash("cycle\n" + path);
     }
-    auto result = ModuleDigestInner(path);
+    auto result = is_schema ? SchemaDigest(path) : ModuleDigest(path);
     visiting_.erase(path);
     return result;
   }
@@ -129,13 +102,6 @@ class ClosureHasher {
  private:
   using DigestNode = CompiledUnitCache::DigestNode;
   using Memos = RecentVersions<DigestNode>;
-
-  Result<Sha256Digest> ChildDigest(const DigestNode::Child& child) {
-    if (child.is_schema) {
-      return SchemaDigest(child.path);
-    }
-    return ModuleDigest(child.path);
-  }
 
   // A kept node for the same source bytes (and validator presence) has the
   // same import edges, so the walk only re-derives them from a parse when
@@ -153,7 +119,7 @@ class ClosureHasher {
   template <typename Hash>
   Result<Sha256Digest> Finish(Memos& memos, DigestNode node, Hash hash) {
     for (DigestNode::Child& child : node.children) {
-      ASSIGN_OR_RETURN(child.digest, ChildDigest(child));
+      ASSIGN_OR_RETURN(child.digest, Digest(child.path, child.is_schema));
     }
     const DigestNode* memo = memos.Find([&](const DigestNode& m) {
       if (m.source != node.source || m.has_validator != node.has_validator ||
@@ -174,7 +140,7 @@ class ClosureHasher {
     return memos.Add(std::move(node)).digest;
   }
 
-  Result<Sha256Digest> ModuleDigestInner(const std::string& path) {
+  Result<Sha256Digest> ModuleDigest(const std::string& path) {
     ASSIGN_OR_RETURN(std::string content, reader_(path));
     const CompiledUnitCache::Unit& unit = cache_->Intern(path, content);
     Memos& memos = cache_->digest_nodes()["m:" + path];
@@ -219,15 +185,6 @@ class ClosureHasher {
   }
 
   Result<Sha256Digest> SchemaDigest(const std::string& path) {
-    if (!visiting_.insert(path).second) {
-      return Sha256::Hash("cycle\n" + path);
-    }
-    auto result = SchemaDigestInner(path);
-    visiting_.erase(path);
-    return result;
-  }
-
-  Result<Sha256Digest> SchemaDigestInner(const std::string& path) {
     ASSIGN_OR_RETURN(std::string content, reader_(path));
     const CompiledUnitCache::Unit& unit = cache_->Intern(path, content);
     // The validator companion is part of the schema's behavior, and it can
@@ -246,7 +203,12 @@ class ClosureHasher {
     if (const DigestNode* shape = SameShape(memos, node)) {
       node.children = shape->children;
     } else {
-      for (const std::string& inc : ScanSchemaIncludes(content)) {
+      // New bytes: load the schema to learn the includes its parse follows.
+      // A schema that fails to load fails the digest, like a module that
+      // fails to parse.
+      SchemaRegistry schemas;
+      RETURN_IF_ERROR(schemas.Load(path, reader_));
+      for (const std::string& inc : schemas.IncludesOf(path)) {
         node.children.push_back({inc, /*is_schema=*/true, {}});
       }
       if (node.has_validator) {
@@ -290,7 +252,7 @@ Result<Sha256Digest> ClosureDigest(const std::string& path,
                                    const SourceReader& reader,
                                    CompiledUnitCache* cache) {
   ClosureHasher hasher(reader, cache);
-  return hasher.ModuleDigest(path);
+  return hasher.Digest(path, /*is_schema=*/false);
 }
 
 }  // namespace configerator

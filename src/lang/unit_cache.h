@@ -13,7 +13,9 @@
 // ClosureDigest() extends the per-file key to the whole import closure: a
 // digest over the module's source hash plus, recursively, every statically
 // known import edge (CSL modules, Thrift schemas with their `include`s and
-// "-cvalidator" companions), found by walking the parsed module. Two entry
+// "-cvalidator" companions), found by walking the parsed module and by
+// loading each schema through SchemaRegistry::Load, so a schema's edges are
+// the includes the IDL parser itself follows. Two entry
 // files with equal closure digests compile to byte-identical artifacts —
 // CSL is hermetic (no filesystem, clock, or randomness; every read goes
 // through the session's reader and appears in the closure) — which is what
@@ -187,9 +189,10 @@ using SourceReader = std::function<Result<std::string>(const std::string&)>;
 // Digest of `path`'s whole static import closure: its own source hash plus,
 // recursively, the digest of every module it imports, every schema it loads
 // (including the schema's `include "..."` files and its "-cvalidator"
-// companion module, when present). Cycles contribute a marker instead of
-// recursing. Fails if any module in the closure fails to parse or has a
-// computed import path or filter — such a closure is only knowable by
+// companion module, when present). Module cycles contribute a marker instead
+// of recursing. Fails if any module in the closure fails to parse or has a
+// computed import path or filter, or if any schema fails to load on its own
+// (an include cycle among them) — such a closure is only knowable by
 // evaluating.
 Result<Sha256Digest> ClosureDigest(const std::string& path,
                                    const SourceReader& reader,

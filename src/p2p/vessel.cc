@@ -159,7 +159,7 @@ void VesselSwarm::PumpClient(size_t client_idx) {
     }
     return;
   }
-  while (client.in_flight < options_.max_parallel_per_client) {
+  while (client.in_flight < kMaxParallelPerClient) {
     // Rarest-ish selection: random needed chunk (with a few retries biased
     // towards chunks with fewer holders).
     int64_t best_chunk = -1;
@@ -214,7 +214,7 @@ bool VesselSwarm::FetchChunk(size_t client_idx, int64_t chunk) {
     client.requested[static_cast<size_t>(chunk)] = false;
     if (!client.retry_pending) {
       client.retry_pending = true;
-      net_->sim().Schedule(options_.unreachable_backoff, [this, client_idx] {
+      net_->sim().Schedule(kUnreachableBackoff, [this, client_idx] {
         states_[client_idx].retry_pending = false;
         PumpClient(client_idx);
       });
@@ -234,7 +234,7 @@ bool VesselSwarm::FetchChunk(size_t client_idx, int64_t chunk) {
     source = storage_;
     // The storage service has a fixed number of upload slots; model its
     // aggregate uplink as slots × line rate by dividing the serialization.
-    SimTime effective = transmit / std::max(1, options_.max_storage_uploads);
+    SimTime effective = transmit / kMaxStorageUploads;
     start = std::max(now, storage_uplink_free_);
     storage_uplink_free_ = start + effective;
   }
@@ -298,11 +298,6 @@ void VesselSwarm::ResumeClient(const ServerId& client) {
 bool VesselSwarm::ClientDone(const ServerId& client) const {
   auto it = index_of_.find(client);
   return it != index_of_.end() && states_[it->second].done;
-}
-
-int64_t VesselSwarm::ClientChunks(const ServerId& client) const {
-  auto it = index_of_.find(client);
-  return it == index_of_.end() ? 0 : states_[it->second].have_count;
 }
 
 std::string VesselPublisher::SyntheticHash(const std::string& name,

@@ -40,13 +40,8 @@ class VesselSwarm {
  public:
   struct Options {
     int64_t chunk_size = 4 << 20;        // 4 MB.
-    int max_parallel_per_client = 4;     // Concurrent chunk fetches.
-    int max_storage_uploads = 8;         // Storage service upload slots.
     bool locality_aware = true;          // Prefer same-cluster sources.
     bool p2p_enabled = true;             // false = everyone hits storage.
-    // How long a client waits before re-probing when no source is reachable
-    // (every peer and the storage service crashed or partitioned away).
-    SimTime unreachable_backoff = 250 * kSimMillisecond;
   };
 
   struct Stats {
@@ -76,7 +71,6 @@ class VesselSwarm {
 
   // Per-client progress, for churn tests and harness invariants.
   bool ClientDone(const ServerId& client) const;
-  int64_t ClientChunks(const ServerId& client) const;
 
   // Opt-in metrics: byte counters by source (peer/storage/cross-region) and
   // the vessel_client_seconds completion histogram. No tracing here — the
@@ -85,6 +79,12 @@ class VesselSwarm {
   void AttachObservability(Observability* obs);
 
  private:
+  static constexpr int kMaxParallelPerClient = 4;  // Concurrent chunk fetches.
+  static constexpr int kMaxStorageUploads = 8;  // Storage service upload slots.
+  // How long a client waits before re-probing when no source is reachable
+  // (every peer and the storage service crashed or partitioned away).
+  static constexpr SimTime kUnreachableBackoff = 250 * kSimMillisecond;
+
   struct ClientState {
     ServerId id;
     std::vector<bool> have;

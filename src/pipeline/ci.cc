@@ -7,6 +7,7 @@
 #include "src/canary/canary.h"
 #include "src/gatekeeper/compile.h"
 #include "src/lang/unit_cache.h"
+#include "src/schema/schema.h"
 #include "src/util/logging.h"
 #include "src/util/strings.h"
 
@@ -15,8 +16,16 @@ namespace configerator {
 namespace {
 
 // The raw-config validator: every check whose path convention applies, in
-// order; the first failure decides.
-Status ValidateRawConfig(const std::string& path, const std::string& content) {
+// order; the first failure decides. `reader` reads the tree with the diff
+// applied.
+Status ValidateRawConfig(const std::string& path, const std::string& content,
+                         const FileReader& reader) {
+  if (path.ends_with(".thrift")) {
+    // A schema must load, includes and all, before anything imports it: an
+    // include cycle would otherwise land and fail every later compile.
+    SchemaRegistry registry;
+    RETURN_IF_ERROR(registry.Load(path, reader));
+  }
   if (GatekeeperProjectAt(path).has_value()) {
     RETURN_IF_ERROR(CompileProjectFile(path, content).status());
   }
@@ -204,7 +213,7 @@ CiReport Sandcastle::RunTests(const ProposedDiff& diff) {
     if (!write.content.has_value()) {
       continue;
     }
-    Status status = ValidateRawConfig(write.path, *write.content);
+    Status status = ValidateRawConfig(write.path, *write.content, overlay);
     if (!status.ok()) {
       report.passed = false;
       report.failures.push_back(write.path + ": " + status.ToString());

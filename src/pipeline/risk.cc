@@ -103,7 +103,7 @@ RiskAssessment RiskAdvisor::Assess(
     // Dormant config suddenly changed.
     if (!history->update_times_ms.empty() && diff.timestamp_ms > 0) {
       int64_t idle = diff.timestamp_ms - history->update_times_ms.back();
-      if (idle >= options_.dormant_ms) {
+      if (idle >= kDormantMs) {
         assessment.score += 1.0;
         assessment.reasons.push_back(StrFormat(
             "%s has been dormant for %lld days", write.path.c_str(),
@@ -112,7 +112,7 @@ RiskAssessment RiskAdvisor::Assess(
     }
 
     // Highly-shared config.
-    if (history->authors.size() >= options_.shared_author_threshold) {
+    if (history->authors.size() >= kSharedAuthorThreshold) {
       assessment.score += 1.0;
       assessment.reasons.push_back(StrFormat(
           "%s is highly shared (%zu distinct authors)", write.path.c_str(),
@@ -135,7 +135,7 @@ RiskAssessment RiskAdvisor::Assess(
       // being replaced wholesale, which is the risky case.
       double new_lines = static_cast<double>(SplitLines(*write.content).size());
       if (new_lines >
-          history->mean_change_lines * options_.unusual_size_multiplier &&
+          history->mean_change_lines * kUnusualSizeMultiplier &&
           new_lines > 20) {
         assessment.score += 1.0;
         assessment.reasons.push_back(StrFormat(
@@ -202,7 +202,7 @@ RiskAssessment RiskAdvisor::Assess(
     }
   }
 
-  assessment.high_risk = assessment.score >= options_.high_risk_score;
+  assessment.high_risk = assessment.score >= kHighRiskScore;
   return assessment;
 }
 

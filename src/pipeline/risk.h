@@ -39,11 +39,7 @@ struct RiskAssessment {
 class RiskAdvisor {
  public:
   struct Options {
-    int64_t dormant_ms = 180LL * 24 * 3600 * 1000;  // 180 days.
-    size_t shared_author_threshold = 10;
-    double unusual_size_multiplier = 5.0;  // vs historical mean change.
-    size_t fan_in_threshold = 10;          // Dependent entries.
-    double high_risk_score = 2.0;
+    size_t fan_in_threshold = 10;  // Dependent entries.
     size_t max_history_commits = 10'000;
   };
 
@@ -89,6 +85,11 @@ class RiskAdvisor {
   const PathHistory* HistoryFor(const std::string& path) const;
 
  private:
+  static constexpr int64_t kDormantMs = 180LL * 24 * 3600 * 1000;  // 180 days.
+  static constexpr size_t kSharedAuthorThreshold = 10;
+  static constexpr double kUnusualSizeMultiplier = 5.0;  // vs mean change.
+  static constexpr double kHighRiskScore = 2.0;
+
   Options options_;
   std::map<std::string, PathHistory> history_;
   std::optional<ObjectId> last_indexed_;

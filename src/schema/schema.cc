@@ -1,5 +1,6 @@
 #include "src/schema/schema.h"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 
@@ -53,15 +54,6 @@ std::optional<std::string> EnumDef::NameOf(int64_t v) const {
 }
 
 namespace {
-
-// Variant of RETURN_IF_ERROR usable inside Result<T>-returning members.
-#define RETURN_IF_ERROR_R(expr)              \
-  do {                                       \
-    ::configerator::Status _s = (expr);      \
-    if (!_s.ok()) {                          \
-      return _s;                             \
-    }                                        \
-  } while (false)
 
 // Minimal tokenizer for the IDL subset.
 class IdlLexer {
@@ -186,13 +178,15 @@ class IdlLexer {
   int line_ = 1;
 };
 
-// Parses IDL text into struct/enum definitions.
+// Parses IDL text into struct/enum definitions. Each `include` goes to
+// `on_include`, which loads the file before the parse goes on.
 class IdlParser {
  public:
+  using IncludeHandler = std::function<Status(const std::string&)>;
+
   IdlParser(std::string_view text, std::string origin,
-            const std::function<Result<std::string>(const std::string&)>& resolver,
-            SchemaRegistry* registry)
-      : lexer_(text, origin), origin_(std::move(origin)), resolver_(resolver),
+            const IncludeHandler& on_include, SchemaRegistry* registry)
+      : lexer_(text, std::move(origin)), on_include_(on_include),
         registry_(registry) {}
 
   Status Run() {
@@ -238,13 +232,8 @@ class IdlParser {
     if (tok_.kind != IdlLexer::Token::kString) {
       return lexer_.Error("include expects a quoted path");
     }
-    std::string path = tok_.text;
-    RETURN_IF_ERROR(Advance());
-    if (!resolver_) {
-      return lexer_.Error("include '" + path + "' but no include resolver given");
-    }
-    ASSIGN_OR_RETURN(std::string included, resolver_(path));
-    return registry_->ParseAndRegister(included, path, resolver_);
+    RETURN_IF_ERROR(on_include_(tok_.text));
+    return Advance();
   }
 
   Status ParseEnum() {
@@ -256,14 +245,14 @@ class IdlParser {
     def.name = tok_.text;
     RETURN_IF_ERROR(Advance());
     RETURN_IF_ERROR(Expect(IdlLexer::Token::kPunct, "{"));
-    int64_t next_value = 0;
+    std::optional<int64_t> next_value = 0;  // None past INT64_MAX.
     while (!(tok_.kind == IdlLexer::Token::kPunct && tok_.text == "}")) {
       if (tok_.kind != IdlLexer::Token::kIdent) {
         return lexer_.Error("expected enum value name");
       }
       std::string value_name = tok_.text;
       RETURN_IF_ERROR(Advance());
-      int64_t value = next_value;
+      std::optional<int64_t> value = next_value;
       if (tok_.kind == IdlLexer::Token::kPunct && tok_.text == "=") {
         RETURN_IF_ERROR(Advance());
         if (tok_.kind != IdlLexer::Token::kNumber) {
@@ -272,8 +261,12 @@ class IdlParser {
         value = std::strtoll(tok_.text.c_str(), nullptr, 10);
         RETURN_IF_ERROR(Advance());
       }
-      def.values.emplace_back(std::move(value_name), value);
-      next_value = value + 1;
+      if (!value.has_value()) {
+        return lexer_.Error("enum value '" + value_name + "' past INT64_MAX");
+      }
+      def.values.emplace_back(std::move(value_name), *value);
+      next_value = *value < INT64_MAX ? std::optional<int64_t>(*value + 1)
+                                      : std::nullopt;
       if (tok_.kind == IdlLexer::Token::kPunct &&
           (tok_.text == "," || tok_.text == ";")) {
         RETURN_IF_ERROR(Advance());
@@ -283,12 +276,17 @@ class IdlParser {
     return registry_->RegisterEnum(std::move(def));
   }
 
-  Result<Type> ParseType() {
+  // `depth` counts the list<>/map<> types enclosing this one.
+  Result<Type> ParseType(int depth = 0) {
     if (tok_.kind != IdlLexer::Token::kIdent) {
       return lexer_.Error("expected type name");
     }
     std::string name = tok_.text;
-    RETURN_IF_ERROR_R(Advance());
+    if ((name == "list" || name == "map") && depth == kMaxIdlNestingDepth) {
+      return lexer_.Error(
+          StrFormat("type nesting deeper than %d levels", kMaxIdlNestingDepth));
+    }
+    RETURN_IF_ERROR(Advance());
     if (name == "bool") {
       return Type::Bool();
     }
@@ -308,20 +306,20 @@ class IdlParser {
       return Type::String();
     }
     if (name == "list") {
-      RETURN_IF_ERROR_R(Expect(IdlLexer::Token::kPunct, "<"));
-      ASSIGN_OR_RETURN(Type elem, ParseType());
-      RETURN_IF_ERROR_R(Expect(IdlLexer::Token::kPunct, ">"));
+      RETURN_IF_ERROR(Expect(IdlLexer::Token::kPunct, "<"));
+      ASSIGN_OR_RETURN(Type elem, ParseType(depth + 1));
+      RETURN_IF_ERROR(Expect(IdlLexer::Token::kPunct, ">"));
       return Type::List(std::move(elem));
     }
     if (name == "map") {
-      RETURN_IF_ERROR_R(Expect(IdlLexer::Token::kPunct, "<"));
+      RETURN_IF_ERROR(Expect(IdlLexer::Token::kPunct, "<"));
       if (tok_.kind != IdlLexer::Token::kIdent || tok_.text != "string") {
         return lexer_.Error("map keys must be string (JSON object keys)");
       }
-      RETURN_IF_ERROR_R(Advance());
-      RETURN_IF_ERROR_R(Expect(IdlLexer::Token::kPunct, ","));
-      ASSIGN_OR_RETURN(Type value, ParseType());
-      RETURN_IF_ERROR_R(Expect(IdlLexer::Token::kPunct, ">"));
+      RETURN_IF_ERROR(Advance());
+      RETURN_IF_ERROR(Expect(IdlLexer::Token::kPunct, ","));
+      ASSIGN_OR_RETURN(Type value, ParseType(depth + 1));
+      RETURN_IF_ERROR(Expect(IdlLexer::Token::kPunct, ">"));
       return Type::Map(std::move(value));
     }
     // Named reference: decided later (struct vs enum) during resolution, but
@@ -333,10 +331,11 @@ class IdlParser {
   }
 
   // Parses a literal default value (number, string, bool, list of literals).
-  Result<Json> ParseLiteral() {
+  // `depth` counts the `[...]` lists enclosing this one.
+  Result<Json> ParseLiteral(int depth = 0) {
     if (tok_.kind == IdlLexer::Token::kNumber) {
       std::string text = tok_.text;
-      RETURN_IF_ERROR_R(Advance());
+      RETURN_IF_ERROR(Advance());
       if (text.find('.') != std::string::npos ||
           text.find('e') != std::string::npos ||
           text.find('E') != std::string::npos) {
@@ -346,13 +345,13 @@ class IdlParser {
     }
     if (tok_.kind == IdlLexer::Token::kString) {
       Json v(tok_.text);
-      RETURN_IF_ERROR_R(Advance());
+      RETURN_IF_ERROR(Advance());
       return v;
     }
     if (tok_.kind == IdlLexer::Token::kIdent) {
       std::string word = tok_.text;
       if (word == "true" || word == "false") {
-        RETURN_IF_ERROR_R(Advance());
+        RETURN_IF_ERROR(Advance());
         return Json(word == "true");
       }
       // Possibly EnumName.VALUE or bare enum value.
@@ -364,7 +363,7 @@ class IdlParser {
         if (e != nullptr) {
           auto v = e->ValueOf(value_name);
           if (v.has_value()) {
-            RETURN_IF_ERROR_R(Advance());
+            RETURN_IF_ERROR(Advance());
             return Json(*v);
           }
         }
@@ -372,16 +371,20 @@ class IdlParser {
       return lexer_.Error("unsupported default literal '" + word + "'");
     }
     if (tok_.kind == IdlLexer::Token::kPunct && tok_.text == "[") {
-      RETURN_IF_ERROR_R(Advance());
+      if (depth == kMaxIdlNestingDepth) {
+        return lexer_.Error(StrFormat("default nesting deeper than %d levels",
+                                      kMaxIdlNestingDepth));
+      }
+      RETURN_IF_ERROR(Advance());
       Json arr = Json::MakeArray();
       while (!(tok_.kind == IdlLexer::Token::kPunct && tok_.text == "]")) {
-        ASSIGN_OR_RETURN(Json elem, ParseLiteral());
+        ASSIGN_OR_RETURN(Json elem, ParseLiteral(depth + 1));
         arr.Append(std::move(elem));
         if (tok_.kind == IdlLexer::Token::kPunct && tok_.text == ",") {
-          RETURN_IF_ERROR_R(Advance());
+          RETURN_IF_ERROR(Advance());
         }
       }
-      RETURN_IF_ERROR_R(Advance());
+      RETURN_IF_ERROR(Advance());
       return arr;
     }
     return lexer_.Error("unsupported default literal");
@@ -450,30 +453,62 @@ class IdlParser {
   }
 
   IdlLexer lexer_;
-  std::string origin_;
-  const std::function<Result<std::string>(const std::string&)>& resolver_;
+  const IncludeHandler& on_include_;
   SchemaRegistry* registry_;
   IdlLexer::Token tok_;
 };
 
-#undef RETURN_IF_ERROR_R
-
 }  // namespace
 
-Status SchemaRegistry::ParseAndRegister(
-    std::string_view text, const std::string& origin,
-    const std::function<Result<std::string>(const std::string&)>& include_resolver) {
-  IdlParser parser(text, origin, include_resolver, this);
-  return parser.Run();
+Status SchemaRegistry::Load(const std::string& path,
+                            const SchemaReader& reader) {
+  std::vector<std::string> chain;
+  return LoadFile(path, reader, &chain);
+}
+
+Status SchemaRegistry::LoadFile(const std::string& path,
+                                const SchemaReader& reader,
+                                std::vector<std::string>* chain) {
+  auto on_chain = std::find(chain->begin(), chain->end(), path);
+  if (on_chain != chain->end()) {
+    std::vector<std::string> cycle(on_chain, chain->end());
+    cycle.push_back(path);
+    return InvalidConfigError("include cycle: " + StrJoin(cycle, " -> "));
+  }
+  if (auto loaded = files_.find(path); loaded != files_.end()) {
+    return loaded->second.status;
+  }
+  if (chain->size() == static_cast<size_t>(kMaxIncludeDepth)) {
+    return InvalidConfigError(
+        StrFormat("include chain deeper than %d files: %s -> ... -> %s",
+                  kMaxIncludeDepth, chain->front().c_str(), path.c_str()));
+  }
+  chain->push_back(path);
+  LoadedFile& file = files_[path];
+  IdlParser::IncludeHandler on_include = [&](const std::string& include) {
+    file.includes.push_back(include);
+    return LoadFile(include, reader, chain);
+  };
+  Result<std::string> text = reader(path);
+  file.status = text.ok() ? IdlParser(*text, path, on_include, this).Run()
+                          : text.status();
+  chain->pop_back();
+  return file.status;
+}
+
+const std::vector<std::string>& SchemaRegistry::IncludesOf(
+    std::string_view path) const {
+  static const std::vector<std::string> kNone;
+  auto loaded = files_.find(path);
+  return loaded == files_.end() ? kNone : loaded->second.includes;
 }
 
 Status SchemaRegistry::RegisterStruct(StructDef def) {
   if (enums_.count(def.name) > 0) {
     return AlreadyExistsError("'" + def.name + "' already defined as enum");
   }
-  auto [it, inserted] = structs_.insert_or_assign(def.name, std::move(def));
-  (void)it;
-  (void)inserted;  // Re-registering the same struct (re-parse) is allowed.
+  // A later definition of the same name replaces the earlier one.
+  structs_.insert_or_assign(def.name, std::move(def));
   return OkStatus();
 }
 

@@ -14,6 +14,10 @@
 //   }
 //
 // Comments: // and # to end of line, /* ... */.
+//
+// An include cycle, a chain deeper than kMaxIncludeDepth, and type or
+// default nesting deeper than kMaxIdlNestingDepth are errors, so hostile IDL
+// parses with bounded stack.
 
 #ifndef SRC_SCHEMA_SCHEMA_H_
 #define SRC_SCHEMA_SCHEMA_H_
@@ -31,6 +35,11 @@
 #include "src/util/status.h"
 
 namespace configerator {
+
+inline constexpr int kMaxIncludeDepth = 64;      // Files on one chain.
+inline constexpr int kMaxIdlNestingDepth = 256;  // As kMaxCslAstDepth.
+
+using SchemaReader = std::function<Result<std::string>(const std::string&)>;
 
 // One field of a struct.
 struct FieldDef {
@@ -62,13 +71,15 @@ struct EnumDef {
 // Holds all structs/enums known to the config compiler. Thread-compatible.
 class SchemaRegistry {
  public:
-  // Parses IDL `text` and registers its definitions. `origin` names the file
-  // for error messages. `include_resolver`, if given, is called for each
-  // `include "path"` statement and must return the included file's text.
-  Status ParseAndRegister(
-      std::string_view text, const std::string& origin,
-      const std::function<Result<std::string>(const std::string&)>&
-          include_resolver = nullptr);
+  // The one way to read IDL: reads schema `path` through `reader` and
+  // registers its definitions, loading each include where it appears (so
+  // its enums classify the rest of the file). A path loaded before is not
+  // read again; the call returns that load's outcome. A cycle or a chain
+  // deeper than kMaxIncludeDepth is kInvalidConfig, naming the chain.
+  Status Load(const std::string& path, const SchemaReader& reader);
+
+  // `path`'s include targets in order, once Load has parsed it.
+  const std::vector<std::string>& IncludesOf(std::string_view path) const;
 
   Status RegisterStruct(StructDef def);
   Status RegisterEnum(EnumDef def);
@@ -88,8 +99,18 @@ class SchemaRegistry {
   std::vector<std::string> EnumNames() const;
 
  private:
+  struct LoadedFile {
+    Status status = OkStatus();
+    std::vector<std::string> includes;
+  };
+
+  // Loads `path` as the next link of `chain`, the files being loaded.
+  Status LoadFile(const std::string& path, const SchemaReader& reader,
+                  std::vector<std::string>* chain);
+
   std::map<std::string, StructDef, std::less<>> structs_;
   std::map<std::string, EnumDef, std::less<>> enums_;
+  std::map<std::string, LoadedFile, std::less<>> files_;
 };
 
 // Backward compatibility: can a reader with `new_def` read data written under

@@ -1,5 +1,8 @@
 #include "src/schema/typecheck.h"
 
+#include <algorithm>
+#include <vector>
+
 #include "src/util/strings.h"
 
 namespace configerator {
@@ -135,21 +138,28 @@ Status TypeCheckStruct(const SchemaRegistry& registry, std::string_view struct_n
 
 namespace {
 
-Json ZeroValue(const SchemaRegistry& registry, const Type& type);
+// `path` holds the structs being built on the way down to this value.
+Json ZeroValue(const SchemaRegistry& registry, const Type& type,
+               std::vector<const StructDef*>* path);
 
-Json ZeroStruct(const SchemaRegistry& registry, const StructDef& def) {
+Json ZeroStruct(const SchemaRegistry& registry, const StructDef& def,
+                std::vector<const StructDef*>* path) {
+  path->push_back(&def);
   Json obj = Json::MakeObject();
   for (const FieldDef& field : def.fields) {
-    if (field.default_value.has_value()) {
-      obj.Set(field.name, *field.default_value);
-    } else {
-      obj.Set(field.name, ZeroValue(registry, field.type));
+    Json value = field.default_value.has_value()
+                     ? *field.default_value
+                     : ZeroValue(registry, field.type, path);
+    if (!value.is_null()) {
+      obj.Set(field.name, std::move(value));
     }
   }
+  path->pop_back();
   return obj;
 }
 
-Json ZeroValue(const SchemaRegistry& registry, const Type& type) {
+Json ZeroValue(const SchemaRegistry& registry, const Type& type,
+               std::vector<const StructDef*>* path) {
   switch (type.kind()) {
     case TypeKind::kBool:
       return Json(false);
@@ -174,13 +184,20 @@ Json ZeroValue(const SchemaRegistry& registry, const Type& type) {
     }
     case TypeKind::kStruct: {
       if (registry.FindEnum(type.name()) != nullptr) {
-        return ZeroValue(registry, Type::EnumRef(type.name()));
+        return ZeroValue(registry, Type::EnumRef(type.name()), path);
       }
       const StructDef* s = registry.FindStruct(type.name());
-      if (s != nullptr) {
-        return ZeroStruct(registry, *s);
+      if (s == nullptr) {
+        return Json::MakeObject();
       }
-      return Json::MakeObject();
+      // A struct already being built, or nested deeper than the IDL cap,
+      // stays unset (null): that is where a struct that contains itself
+      // stops.
+      if (path->size() == static_cast<size_t>(kMaxIdlNestingDepth) ||
+          std::find(path->begin(), path->end(), s) != path->end()) {
+        return Json(nullptr);
+      }
+      return ZeroStruct(registry, *s, path);
     }
   }
   return Json(nullptr);
@@ -223,7 +240,8 @@ Result<Json> DefaultInstance(const SchemaRegistry& registry,
   if (def == nullptr) {
     return NotFoundError("unknown struct '" + std::string(struct_name) + "'");
   }
-  return ZeroStruct(registry, *def);
+  std::vector<const StructDef*> path;
+  return ZeroStruct(registry, *def, &path);
 }
 
 }  // namespace configerator

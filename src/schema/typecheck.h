@@ -33,6 +33,9 @@ Result<Json> ApplyDefaults(const SchemaRegistry& registry,
 
 // Builds a zero/default instance of a struct: declared defaults where given,
 // natural zero values for remaining optionals. Useful for UI-created configs.
+// A struct that contains itself stops there: a field of a struct already
+// being built is left unset (TypeCheckStruct rejects the instance if that
+// field is required).
 Result<Json> DefaultInstance(const SchemaRegistry& registry,
                              std::string_view struct_name);
 

@@ -83,17 +83,4 @@ std::vector<std::string> MultiRepo::ListFiles() const {
   return all;
 }
 
-std::vector<std::string> MultiRepo::PartitionPrefixes() const {
-  std::vector<std::string> prefixes;
-  prefixes.reserve(partitions_.size());
-  for (const auto& [prefix, partition] : partitions_) {
-    prefixes.push_back(prefix);
-  }
-  return prefixes;
-}
-
-std::mutex& MultiRepo::PartitionMutex(const std::string& prefix) {
-  return *partitions_.at(prefix).mutex;
-}
-
 }  // namespace configerator

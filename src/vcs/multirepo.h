@@ -44,11 +44,6 @@ class MultiRepo {
   std::vector<std::string> ListFiles() const;
 
   size_t partition_count() const { return partitions_.size(); }
-  std::vector<std::string> PartitionPrefixes() const;
-
-  // The per-partition lock a landing strip would take; exposed so the
-  // commit-throughput bench can drive partitions from multiple threads.
-  std::mutex& PartitionMutex(const std::string& prefix);
 
  private:
   struct Partition {

@@ -26,7 +26,7 @@ ZeusEnsemble::ZeusEnsemble(Network* net, std::vector<ServerId> members,
     observer_states_.push_back(std::move(obs));
   }
   // Periodic anti-entropy keeps lagging observers converging.
-  net_->sim().Schedule(options_.anti_entropy_interval, [this] { AntiEntropyTick(); });
+  net_->sim().Schedule(kAntiEntropyInterval, [this] { AntiEntropyTick(); });
 }
 
 void ZeusEnsemble::AttachObservability(Observability* obs) {
@@ -148,7 +148,7 @@ void ZeusEnsemble::StartElection() {
   if (elections_counter_ != nullptr) {
     elections_counter_->Inc();
   }
-  net_->sim().Schedule(options_.election_delay, [this] {
+  net_->sim().Schedule(kElectionDelay, [this] {
     // Elect the live member with the longest committed log.
     size_t best = members_.size();
     for (size_t i = 0; i < members_.size(); ++i) {
@@ -283,7 +283,7 @@ void ZeusEnsemble::AntiEntropyTick() {
       }
     }
   }
-  net_->sim().Schedule(options_.anti_entropy_interval, [this] { AntiEntropyTick(); });
+  net_->sim().Schedule(kAntiEntropyInterval, [this] { AntiEntropyTick(); });
 }
 
 void ZeusEnsemble::Subscribe(const ServerId& proxy, const ServerId& observer,

@@ -63,9 +63,11 @@ struct ZeusValue {
 
 class ZeusEnsemble {
  public:
+  // Simulated time a leader election takes; writes that arrive meanwhile
+  // wait for it.
+  static constexpr SimTime kElectionDelay = 2 * kSimSecond;
+
   struct Options {
-    SimTime election_delay = 2 * kSimSecond;
-    SimTime anti_entropy_interval = 1 * kSimSecond;
     // Extra per-hop processing delay at each tree level (serialization,
     // fsync of the commit log, etc.).
     SimTime processing_delay = 2 * kSimMillisecond;
@@ -153,6 +155,8 @@ class ZeusEnsemble {
   ServerId PickObserverFor(const ServerId& proxy, Rng& rng) const;
 
  private:
+  static constexpr SimTime kAntiEntropyInterval = 1 * kSimSecond;
+
   struct Member {
     ServerId id;
     // Highest zxid committed while this member was up; the election picks

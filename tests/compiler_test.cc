@@ -7,6 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
 
 #if defined(__SANITIZE_ADDRESS__)
 #include <sanitizer/lsan_interface.h>
@@ -431,51 +435,165 @@ TEST(ClosureDigestTest, CoversSchemasAndValidators) {
 // Imports that only run when a function is called, or when a default is
 // evaluated, are edges of the closure all the same: changing what they
 // import must change the digest, or the memo would replay a stale output.
+// So are the includes the IDL parser follows, wherever they sit in the
+// schema: mid-line, in an included file, or on both arms of a diamond.
+// Each case's output is {"v": V}, where V is 1 in `edited` ("V = 1").
 TEST(ClosureDigestTest, FollowsImportsInsideFunctionBodiesAndDefaults) {
   struct Case {
     const char* name;
-    const char* entry;
+    std::vector<std::pair<const char*, const char*>> files;  // Entry first.
+    const char* edited;
   };
+  const char* kCslDep = "V = 1\n";
+  const char* kSchemaEntry =
+      "import_thrift(\"schemas/a.thrift\")\n"
+      "export_if_last({\"v\": K.V})\n";
   const Case cases[] = {
       {"function body",
-       "def load():\n"
-       "    import_python(\"dep.cinc\", \"*\")\n"
-       "    return V\n"
-       "export_if_last({\"v\": load()})\n"},
+       {{"entry.cconf",
+         "def load():\n"
+         "    import_python(\"dep.cinc\", \"*\")\n"
+         "    return V\n"
+         "export_if_last({\"v\": load()})\n"},
+        {"dep.cinc", kCslDep}},
+       "dep.cinc"},
       {"default argument",
-       "def pick(v=import_python(\"dep.cinc\", \"V\")):\n"
-       "    return V\n"
-       "export_if_last({\"v\": pick()})\n"},
+       {{"entry.cconf",
+         "def pick(v=import_python(\"dep.cinc\", \"V\")):\n"
+         "    return V\n"
+         "export_if_last({\"v\": pick()})\n"},
+        {"dep.cinc", kCslDep}},
+       "dep.cinc"},
       {"ternary inside a dict inside a call argument",
-       "def id(x):\n"
-       "    return x\n"
-       "id({\"k\": None if False else import_python(\"dep.cinc\")})\n"
-       "export_if_last({\"v\": V})\n"},
+       {{"entry.cconf",
+         "def id(x):\n"
+         "    return x\n"
+         "id({\"k\": None if False else import_python(\"dep.cinc\")})\n"
+         "export_if_last({\"v\": V})\n"},
+        {"dep.cinc", kCslDep}},
+       "dep.cinc"},
+      {"mid-line include",
+       {{"entry.cconf", kSchemaEntry},
+        {"schemas/a.thrift", "enum U { X = 0 } include \"schemas/b.thrift\"\n"},
+        {"schemas/b.thrift", "enum K { V = 1 }\n"}},
+       "schemas/b.thrift"},
+      {"include of an include",
+       {{"entry.cconf", kSchemaEntry},
+        {"schemas/a.thrift", "include \"schemas/b.thrift\"\n"},
+        {"schemas/b.thrift",
+         "/* the enum */ include \"schemas/c.thrift\"\n"
+         "struct B { 1: optional K k = K.V; }\n"},
+        {"schemas/c.thrift", "enum K { V = 1 }\n"}},
+       "schemas/c.thrift"},
+      {"diamond",
+       {{"entry.cconf", kSchemaEntry},
+        {"schemas/a.thrift",
+         "include \"schemas/l.thrift\" include \"schemas/r.thrift\"\n"},
+        {"schemas/l.thrift",
+         "include \"schemas/k.thrift\"\nstruct L { 1: optional i32 x; }\n"},
+        {"schemas/r.thrift",
+         "include \"schemas/k.thrift\"\nstruct R { 1: optional i32 x; }\n"},
+        {"schemas/k.thrift", "enum K { V = 1 }\n"}},
+       "schemas/k.thrift"},
+  };
+  auto edit = [](InMemorySources& sources, const char* path,
+                 const std::string& content, int v) {
+    std::string text = content;
+    size_t at = text.find("V = 1");
+    ASSERT_NE(at, std::string::npos) << path;
+    text.replace(at, 5, "V = " + std::to_string(v));
+    sources.Put(path, text);
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
     InMemorySources sources;
-    sources.Put("entry.cconf", c.entry);
-    sources.Put("dep.cinc", "V = 1\n");
+    std::map<std::string, std::string> written;
+    for (const auto& [path, content] : c.files) {
+      sources.Put(path, content);
+      written[path] = content;
+    }
+    const char* entry = c.files.front().first;
+    auto baseline = ConfigCompiler(sources.AsReader()).Compile(entry);
+    ASSERT_TRUE(baseline.ok()) << baseline.status();
+    EXPECT_EQ(baseline->dependencies.size(), c.files.size());
+
+    // Editing any file the compile read changes the digest.
     CompiledUnitCache cache;
-    auto before = ClosureDigest("entry.cconf", sources.AsReader(), &cache);
+    auto before = ClosureDigest(entry, sources.AsReader(), &cache);
     ASSERT_TRUE(before.ok()) << before.status();
-    sources.Put("dep.cinc", "V = 2\n");
-    auto after = ClosureDigest("entry.cconf", sources.AsReader(), &cache);
-    ASSERT_TRUE(after.ok()) << after.status();
-    EXPECT_NE(*before, *after);
+    for (const std::string& dep : baseline->dependencies) {
+      SCOPED_TRACE(dep);
+      sources.Put(dep, written.at(dep) + "# edited\n");
+      auto after = ClosureDigest(entry, sources.AsReader(), &cache);
+      ASSERT_TRUE(after.ok()) << after.status();
+      EXPECT_NE(*before, *after);
+      sources.Put(dep, written.at(dep));
+    }
 
     // And end to end: a compiler with a warm memo sees the edit.
     CompilerOptions options;
     options.unit_cache = &cache;
     ConfigCompiler compiler(sources.AsReader(), options);
-    auto v2 = compiler.Compile("entry.cconf");
+    auto v1 = compiler.Compile(entry);
+    ASSERT_TRUE(v1.ok()) << v1.status();
+    EXPECT_EQ(v1->configs[0].content.Get("v")->as_int(), 1);
+    edit(sources, c.edited, written.at(c.edited), 2);
+    auto v2 = compiler.Compile(entry);
     ASSERT_TRUE(v2.ok()) << v2.status();
     EXPECT_EQ(v2->configs[0].content.Get("v")->as_int(), 2);
-    sources.Put("dep.cinc", "V = 3\n");
-    auto v3 = compiler.Compile("entry.cconf");
+    edit(sources, c.edited, written.at(c.edited), 3);
+    auto v3 = compiler.Compile(entry);
     ASSERT_TRUE(v3.ok()) << v3.status();
     EXPECT_EQ(v3->configs[0].content.Get("v")->as_int(), 3);
+  }
+}
+
+// An include cycle, of one schema or of three, fails the compile (and its
+// digest) with an error naming the chain.
+TEST(ClosureDigestTest, IncludeCyclesFailTheCompile) {
+  struct Case {
+    const char* name;
+    std::vector<std::pair<const char*, const char*>> schemas;
+    const char* chain;
+  };
+  const Case cases[] = {
+      {"self-include",
+       {{"schemas/a.thrift",
+         "include \"schemas/a.thrift\"\nstruct A { 1: i32 x; }\n"}},
+       "schemas/a.thrift -> schemas/a.thrift"},
+      {"3-cycle",
+       {{"schemas/a.thrift",
+         "include \"schemas/b.thrift\"\nstruct A { 1: i32 x; }\n"},
+        {"schemas/b.thrift", "include \"schemas/c.thrift\"\n"},
+        {"schemas/c.thrift", "enum E { X = 0 } include \"schemas/a.thrift\"\n"}},
+       "schemas/a.thrift -> schemas/b.thrift -> schemas/c.thrift -> "
+       "schemas/a.thrift"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    InMemorySources sources;
+    sources.Put("entry.cconf",
+                "import_thrift(\"schemas/a.thrift\")\n"
+                "export_if_last(A(x=1))\n");
+    for (const auto& [path, content] : c.schemas) {
+      sources.Put(path, content);
+    }
+    CompiledUnitCache cache;
+    EXPECT_FALSE(ClosureDigest("entry.cconf", sources.AsReader(), &cache).ok());
+    CompilerOptions options;
+    options.unit_cache = &cache;
+    ConfigCompiler compiler(sources.AsReader(), options);
+    for (int attempt = 0; attempt < 2; ++attempt) {
+      auto output = compiler.Compile("entry.cconf");
+      ASSERT_FALSE(output.ok());
+      EXPECT_EQ(output.status().code(), StatusCode::kInvalidConfig);
+      EXPECT_NE(output.status().message().find(std::string("include cycle: ") +
+                                               c.chain),
+                std::string::npos)
+          << output.status();
+    }
+    // Not memoized: the digest failed, so each compile ran afresh.
+    EXPECT_EQ(cache.output_hits() + cache.output_misses(), 0u);
   }
 }
 

@@ -568,11 +568,14 @@ class LangSchemaTest : public LangTest {
   void SetUp() override {
     registry_ = std::make_unique<SchemaRegistry>();
     ASSERT_TRUE(registry_
-                    ->ParseAndRegister(
-                        "enum Level { LOW = 0, HIGH = 5 }\n"
-                        "struct Job { 1: required string name; "
-                        "2: optional i32 cpu = 1; 3: optional Level level; }",
-                        "job.thrift")
+                    ->Load("job.thrift",
+                           [](const std::string&) -> Result<std::string> {
+                             return std::string(
+                                 "enum Level { LOW = 0, HIGH = 5 }\n"
+                                 "struct Job { 1: required string name; "
+                                 "2: optional i32 cpu = 1; "
+                                 "3: optional Level level; }");
+                           })
                     .ok());
   }
 };

@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <iterator>
+#include <map>
+#include <string>
+#include <vector>
 
 #include "src/schema/schema.h"
-#include "src/util/rng.h"
 #include "src/schema/typecheck.h"
+#include "src/util/rng.h"
+#include "src/util/strings.h"
+#include "tests/mutate.h"
 
 namespace configerator {
 namespace {
@@ -30,10 +36,34 @@ struct Job {
 }
 )";
 
+// Schema files by path, counting the reads a load makes.
+struct SchemaFiles {
+  std::map<std::string, std::string> files;
+  std::map<std::string, int> reads = {};
+
+  SchemaReader Reader() {
+    return [this](const std::string& path) -> Result<std::string> {
+      ++reads[path];
+      auto it = files.find(path);
+      if (it == files.end()) {
+        return NotFoundError("no such schema: " + path);
+      }
+      return it->second;
+    };
+  }
+};
+
+// Loads `text` as the schema file `path`.
+Status LoadText(SchemaRegistry& registry, const std::string& text,
+                const std::string& path) {
+  SchemaFiles files{.files = {{path, text}}};
+  return registry.Load(path, files.Reader());
+}
+
 class SchemaTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    ASSERT_TRUE(registry_.ParseAndRegister(kJobThrift, "job.thrift").ok());
+    ASSERT_TRUE(LoadText(registry_, kJobThrift, "job.thrift").ok());
     ASSERT_TRUE(registry_.ResolveAll().ok());
   }
 
@@ -76,55 +106,193 @@ TEST_F(SchemaTest, TypeToString) {
 
 TEST_F(SchemaTest, RejectsDuplicateFieldId) {
   SchemaRegistry r;
-  Status s = r.ParseAndRegister("struct S { 1: i32 a; 1: i32 b; }", "dup.thrift");
+  Status s = LoadText(r, "struct S { 1: i32 a; 1: i32 b; }", "dup.thrift");
   EXPECT_FALSE(s.ok());
 }
 
 TEST_F(SchemaTest, RejectsDuplicateFieldName) {
   SchemaRegistry r;
-  Status s = r.ParseAndRegister("struct S { 1: i32 a; 2: i64 a; }", "dup.thrift");
+  Status s = LoadText(r, "struct S { 1: i32 a; 2: i64 a; }", "dup.thrift");
   EXPECT_FALSE(s.ok());
 }
 
 TEST_F(SchemaTest, RejectsNonStringMapKeys) {
   SchemaRegistry r;
-  Status s =
-      r.ParseAndRegister("struct S { 1: map<i32, string> m; }", "bad.thrift");
+  Status s = LoadText(r, "struct S { 1: map<i32, string> m; }", "bad.thrift");
   EXPECT_FALSE(s.ok());
 }
 
 TEST_F(SchemaTest, ResolveAllCatchesDanglingReference) {
   SchemaRegistry r;
-  ASSERT_TRUE(r.ParseAndRegister("struct S { 1: Missing m; }", "s.thrift").ok());
+  ASSERT_TRUE(LoadText(r, "struct S { 1: Missing m; }", "s.thrift").ok());
   EXPECT_FALSE(r.ResolveAll().ok());
 }
 
 TEST_F(SchemaTest, IncludeResolution) {
+  SchemaFiles files{.files = {
+      {"base.thrift", "struct Base { 1: i32 x; }"},
+      {"s.thrift", "include \"base.thrift\"\nstruct S { 1: Base b; }"},
+  }};
   SchemaRegistry r;
-  auto resolver = [](const std::string& path) -> Result<std::string> {
-    if (path == "base.thrift") {
-      return std::string("struct Base { 1: i32 x; }");
-    }
-    return NotFoundError(path);
-  };
-  Status s = r.ParseAndRegister(
-      "include \"base.thrift\"\nstruct S { 1: Base b; }", "s.thrift", resolver);
+  Status s = r.Load("s.thrift", files.Reader());
   ASSERT_TRUE(s.ok()) << s;
   EXPECT_TRUE(r.ResolveAll().ok());
   EXPECT_NE(r.FindStruct("Base"), nullptr);
+  EXPECT_EQ(r.IncludesOf("s.thrift"), std::vector<std::string>{"base.thrift"});
+  EXPECT_TRUE(r.IncludesOf("base.thrift").empty());
 }
 
-TEST_F(SchemaTest, IncludeWithoutResolverFails) {
+TEST_F(SchemaTest, IncludeOfAMissingFileFails) {
   SchemaRegistry r;
-  EXPECT_FALSE(r.ParseAndRegister("include \"x.thrift\"", "s.thrift").ok());
+  Status s = LoadText(r, "include \"x.thrift\"", "s.thrift");
+  EXPECT_EQ(s.code(), StatusCode::kNotFound) << s;
+}
+
+TEST_F(SchemaTest, IncludeRegistersWhereItAppears) {
+  // The include loads before the rest of the file parses, so its enum
+  // classifies the field type and resolves the default; an include after
+  // other declarations on the same line is followed all the same.
+  SchemaFiles files{.files = {
+      {"e.thrift", "enum Level { LOW = 0, HIGH = 5 }"},
+      {"s.thrift",
+       "enum U { X = 0 } include \"e.thrift\"\n"
+       "struct S { 1: optional Level level = Level.HIGH; }"},
+  }};
+  SchemaRegistry r;
+  ASSERT_TRUE(r.Load("s.thrift", files.Reader()).ok());
+  const FieldDef* level = r.FindStruct("S")->FindField("level");
+  EXPECT_EQ(level->type.kind(), TypeKind::kEnum);
+  EXPECT_EQ(level->default_value->as_int(), 5);
+  EXPECT_EQ(r.IncludesOf("s.thrift"), std::vector<std::string>{"e.thrift"});
+}
+
+TEST_F(SchemaTest, LoadReadsADiamondIncludeOnce) {
+  SchemaFiles files{.files = {
+      {"top.thrift", "include \"l.thrift\" include \"r.thrift\""},
+      {"l.thrift", "include \"base.thrift\"\nstruct L { 1: Base b; }"},
+      {"r.thrift", "include \"base.thrift\"\nstruct R { 1: Base b; }"},
+      {"base.thrift", "struct Base { 1: i32 x; }"},
+  }};
+  SchemaRegistry r;
+  ASSERT_TRUE(r.Load("top.thrift", files.Reader()).ok());
+  EXPECT_TRUE(r.ResolveAll().ok());
+  EXPECT_EQ(files.reads["base.thrift"], 1);
+  // A path already loaded, as an include or not, is not read again.
+  ASSERT_TRUE(r.Load("r.thrift", files.Reader()).ok());
+  ASSERT_TRUE(r.Load("top.thrift", files.Reader()).ok());
+  EXPECT_EQ(files.reads["r.thrift"], 1);
+  EXPECT_EQ(files.reads["top.thrift"], 1);
+  EXPECT_EQ(r.IncludesOf("top.thrift"),
+            (std::vector<std::string>{"l.thrift", "r.thrift"}));
+}
+
+TEST_F(SchemaTest, LoadRejectsASelfInclude) {
+  SchemaFiles files{.files = {
+      {"schemas/a.thrift",
+       "include \"schemas/a.thrift\"\nstruct A { 1: i32 x; }"},
+  }};
+  SchemaRegistry r;
+  Status s = r.Load("schemas/a.thrift", files.Reader());
+  EXPECT_EQ(s.code(), StatusCode::kInvalidConfig);
+  EXPECT_NE(s.message().find("include cycle: schemas/a.thrift -> "
+                             "schemas/a.thrift"),
+            std::string::npos)
+      << s;
+  // The failed load is remembered, not retried.
+  EXPECT_EQ(r.Load("schemas/a.thrift", files.Reader()), s);
+  EXPECT_EQ(files.reads["schemas/a.thrift"], 1);
+}
+
+TEST_F(SchemaTest, LoadRejectsAThreeCycleNamingIt) {
+  SchemaFiles files{.files = {
+      {"root.thrift", "include \"a.thrift\""},
+      {"a.thrift", "include \"b.thrift\""},
+      {"b.thrift", "struct B { 1: i32 x; } include \"c.thrift\""},
+      {"c.thrift", "include \"a.thrift\""},
+  }};
+  SchemaRegistry r;
+  Status s = r.Load("root.thrift", files.Reader());
+  EXPECT_EQ(s.code(), StatusCode::kInvalidConfig);
+  EXPECT_NE(s.message().find(
+                "include cycle: a.thrift -> b.thrift -> c.thrift -> a.thrift"),
+            std::string::npos)
+      << s;
+}
+
+TEST_F(SchemaTest, LoadCapsTheIncludeChain) {
+  // A chain of n files, each including the next.
+  auto chain = [](int n) {
+    std::map<std::string, std::string> files;
+    for (int i = 0; i < n; ++i) {
+      files[StrFormat("f%d.thrift", i)] =
+          i + 1 < n ? StrFormat("include \"f%d.thrift\"", i + 1)
+                    : std::string("struct Last { 1: i32 x; }");
+    }
+    return SchemaFiles{.files = std::move(files)};
+  };
+  SchemaFiles deepest = chain(kMaxIncludeDepth);
+  SchemaRegistry ok;
+  EXPECT_TRUE(ok.Load("f0.thrift", deepest.Reader()).ok());
+  EXPECT_NE(ok.FindStruct("Last"), nullptr);
+
+  SchemaFiles too_deep = chain(kMaxIncludeDepth + 1);
+  SchemaRegistry r;
+  Status s = r.Load("f0.thrift", too_deep.Reader());
+  EXPECT_EQ(s.code(), StatusCode::kInvalidConfig);
+  EXPECT_NE(s.message().find("include chain deeper than 64"),
+            std::string::npos)
+      << s;
+}
+
+// `depth` nested list<...> field types, or `depth` nested [...] defaults.
+std::string NestedListType(int depth) {
+  std::string text = "struct S { 1: optional ";
+  for (int i = 0; i < depth; ++i) {
+    text += "list<";
+  }
+  text += "i32";
+  text += std::string(depth, '>');
+  return text + " f; }";
+}
+std::string NestedListDefault(int depth) {
+  return "struct S { 1: optional list<i32> f = " + std::string(depth, '[') +
+         std::string(depth, ']') + "; }";
+}
+
+TEST_F(SchemaTest, NestingIsCappedNotAStackOverflow) {
+  for (auto nested : {NestedListType, NestedListDefault}) {
+    SchemaRegistry at_cap;
+    EXPECT_TRUE(
+        LoadText(at_cap, nested(kMaxIdlNestingDepth), "s.thrift").ok());
+    SchemaRegistry past_cap;
+    Status s =
+        LoadText(past_cap, nested(kMaxIdlNestingDepth + 1), "s.thrift");
+    EXPECT_NE(s.message().find("deeper than 256 levels"), std::string::npos)
+        << s;
+    // The 100,000-deep repros segfaulted the recursive descent.
+    SchemaRegistry hostile;
+    EXPECT_FALSE(LoadText(hostile, nested(100'000), "s.thrift").ok());
+  }
+}
+
+TEST_F(SchemaTest, ImplicitEnumValuePastInt64MaxIsAnError) {
+  // An IDL mutant found the signed overflow (UBSan): the implicit value
+  // after INT64_MAX.
+  SchemaRegistry last;
+  EXPECT_TRUE(
+      LoadText(last, "enum E { A = 9223372036854775807 }", "e.thrift").ok());
+  SchemaRegistry past;
+  Status s =
+      LoadText(past, "enum E { A = 9223372036854775807, B }", "e.thrift");
+  EXPECT_NE(s.message().find("past INT64_MAX"), std::string::npos) << s;
 }
 
 TEST_F(SchemaTest, CommentsIgnored) {
   SchemaRegistry r;
-  Status s = r.ParseAndRegister(
-      "# hash comment\n// line comment\n/* block\ncomment */\n"
-      "struct S { 1: i32 a; /* inline */ 2: i32 b; }",
-      "c.thrift");
+  Status s = LoadText(r,
+                      "# hash comment\n// line comment\n/* block\ncomment */\n"
+                      "struct S { 1: i32 a; /* inline */ 2: i32 b; }",
+                      "c.thrift");
   ASSERT_TRUE(s.ok()) << s;
   EXPECT_EQ(r.FindStruct("S")->fields.size(), 2u);
 }
@@ -141,7 +309,7 @@ TEST_F(SchemaTest, SchemaHashStableAndSensitive) {
   size_t pos = modified.find("priority = 1");
   ASSERT_NE(pos, std::string::npos);
   modified.replace(pos, strlen("priority = 1"), "priority = 2");
-  ASSERT_TRUE(other.ParseAndRegister(modified, "job.thrift").ok());
+  ASSERT_TRUE(LoadText(other, modified, "job.thrift").ok());
   auto h3 = other.SchemaHash("Job");
   ASSERT_TRUE(h3.ok());
   EXPECT_NE(*h1, *h3);
@@ -149,14 +317,14 @@ TEST_F(SchemaTest, SchemaHashStableAndSensitive) {
 
 TEST_F(SchemaTest, SchemaHashCoversNestedTypes) {
   SchemaRegistry a;
-  ASSERT_TRUE(a.ParseAndRegister(
-                   "struct Inner { 1: i32 x; } struct Outer { 1: Inner i; }",
-                   "a.thrift")
+  ASSERT_TRUE(LoadText(a,
+                       "struct Inner { 1: i32 x; } struct Outer { 1: Inner i; }",
+                       "a.thrift")
                   .ok());
   SchemaRegistry b;
-  ASSERT_TRUE(b.ParseAndRegister(
-                   "struct Inner { 1: i64 x; } struct Outer { 1: Inner i; }",
-                   "b.thrift")
+  ASSERT_TRUE(LoadText(b,
+                       "struct Inner { 1: i64 x; } struct Outer { 1: Inner i; }",
+                       "b.thrift")
                   .ok());
   EXPECT_NE(*a.SchemaHash("Outer"), *b.SchemaHash("Outer"));
 }
@@ -283,6 +451,31 @@ TEST_F(SchemaTest, DefaultInstance) {
   EXPECT_EQ(instance->Get("memory_mb")->as_int(), 256);
 }
 
+TEST_F(SchemaTest, DefaultInstanceOfASelfReferentialStructIsFinite) {
+  SchemaRegistry r;
+  ASSERT_TRUE(LoadText(r,
+                       "struct A { 1: optional A next; 2: optional i32 v; }\n"
+                       "struct P { 1: optional Q q; }\n"
+                       "struct Q { 1: optional P p; 2: optional A a; }\n"
+                       "struct R { 1: required R next; }\n",
+                       "self.thrift")
+                  .ok());
+  // The recursive optional is left unset; everything else is zeroed.
+  auto a = DefaultInstance(r, "A");
+  ASSERT_TRUE(a.ok()) << a.status();
+  EXPECT_EQ(a->Dump(), R"({"v": 0})");
+  EXPECT_TRUE(TypeCheckStruct(r, "A", *a).ok());
+  auto p = DefaultInstance(r, "P");
+  ASSERT_TRUE(p.ok()) << p.status();
+  EXPECT_EQ(p->Dump(), R"({"q": {"a": {"v": 0}}})");
+  // A required field of its own type stays unset too, so the instance is
+  // finite and the type check rejects it.
+  auto req = DefaultInstance(r, "R");
+  ASSERT_TRUE(req.ok()) << req.status();
+  EXPECT_EQ(req->Dump(), "{}");
+  EXPECT_FALSE(TypeCheckStruct(r, "R", *req).ok());
+}
+
 // ---- Robustness ---------------------------------------------------------------
 
 class SchemaFuzzTest : public ::testing::TestWithParam<uint64_t> {};
@@ -304,18 +497,131 @@ TEST_P(SchemaFuzzTest, RandomIdlSoupNeverCrashes) {
     }
     SchemaRegistry registry;
     // Must not crash; any Status is acceptable.
-    (void)registry.ParseAndRegister(source, "fuzz.thrift");
+    (void)LoadText(registry, source, "fuzz.thrift");
     (void)registry.ResolveAll();
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SchemaFuzzTest, ::testing::Values(1, 2, 3, 4));
 
+// ---- Seeded IDL mutants -------------------------------------------------------
+
+// One include graph: its files and the one a compile would import.
+struct IdlCorpus {
+  const char* name;
+  std::string root;
+  std::map<std::string, std::string> files;
+};
+
+// The docs/LANGUAGE.md example schema, include graphs (a chain, a diamond,
+// a 1-cycle and a 3-cycle), and the inputs that crashed the parser or
+// DefaultInstance before their caps, kept as fixed seeds.
+std::vector<IdlCorpus> IdlCorpora() {
+  return {
+      {"docs example",
+       "job.thrift",
+       {{"job.thrift",
+         "include \"common.thrift\"\n\n"
+         "enum JobPriority { LOW = 0, NORMAL = 1, HIGH = 2 }\n\n"
+         "struct Job {\n"
+         "  1: required string name;\n"
+         "  2: optional i32 priority = 1;            // Defaults materialize.\n"
+         "  3: optional list<string> tags;\n"
+         "  4: optional map<string, i64> limits;     // Map keys are strings.\n"
+         "  5: optional Resources resources;         // Nested structs.\n"
+         "  6: optional JobPriority level = JobPriority.NORMAL;\n"
+         "}\n"},
+        {"common.thrift",
+         "struct Resources {\n"
+         "  1: optional i32 cpu = 1;\n"
+         "  2: optional i64 memory_mb = 256;\n"
+         "  3: optional list<list<double>> weights = [[0.5, 1e3], []];\n"
+         "}\n"}}},
+      {"chain",
+       "c0.thrift",
+       {{"c0.thrift",
+         "include \"c1.thrift\"\nstruct C0 { 1: optional C1 c; "
+         "2: optional E1 e = E1.B; }\n"},
+        {"c1.thrift",
+         "include \"c2.thrift\"\nenum E1 { A = 1, B = 2 }\n"
+         "struct C1 { 1: optional C2 c; 2: required string s = \"x\"; }\n"},
+        {"c2.thrift", "struct C2 { 1: optional map<string, C2> m; }\n"}}},
+      {"diamond",
+       "top.thrift",
+       {{"top.thrift", "include \"l.thrift\" include \"r.thrift\"\n"},
+        {"l.thrift",
+         "include \"base.thrift\"\nstruct L { 1: Base b; 2: K k = K.V; }\n"},
+        {"r.thrift",
+         "include \"base.thrift\"\nstruct R { 1: list<Base> bs = []; }\n"},
+        {"base.thrift", "enum K { V = 7 }\nstruct Base { 1: i32 x = 3; }\n"}}},
+      {"1-cycle",
+       "schemas/a.thrift",
+       {{"schemas/a.thrift",
+         "include \"schemas/a.thrift\"\nstruct A { 1: i32 x; }\n"}}},
+      {"3-cycle",
+       "a.thrift",
+       {{"a.thrift", "include \"b.thrift\"\nstruct A { 1: B b; }\n"},
+        {"b.thrift", "include \"c.thrift\"\nstruct B { 1: C c; }\n"},
+        {"c.thrift", "include \"a.thrift\"\nstruct C { 1: A a; }\n"}}},
+      {"100,000-deep list type",
+       "deep.thrift",
+       {{"deep.thrift", NestedListType(100'000)}}},
+      {"100,000-deep default",
+       "deep.thrift",
+       {{"deep.thrift", NestedListDefault(100'000)}}},
+      {"self-referential struct",
+       "self.thrift",
+       {{"self.thrift",
+         "struct A { 1: optional A next; 2: optional list<A> all; }\n"}}},
+  };
+}
+
+// Loads `corpus.root` and builds a default instance of every struct the load
+// registered. Returns whether the load succeeded; what matters is that it
+// returns at all.
+bool LoadAndInstantiate(const IdlCorpus& corpus) {
+  SchemaFiles files{.files = corpus.files};
+  SchemaRegistry registry;
+  bool loaded = registry.Load(corpus.root, files.Reader()).ok();
+  (void)registry.ResolveAll();
+  for (const std::string& name : registry.StructNames()) {
+    (void)DefaultInstance(registry, name);
+    (void)registry.SchemaHash(name);
+  }
+  return loaded;
+}
+
+TEST(IdlMutationTest, EverySeedAndMutantReturns) {
+  constexpr uint64_t kMutants = 150;
+  for (const IdlCorpus& corpus : IdlCorpora()) {
+    SCOPED_TRACE(corpus.name);
+    bool base_loads = LoadAndInstantiate(corpus);
+    bool cyclic = std::string(corpus.name).find("cycle") != std::string::npos;
+    bool hostile = std::string(corpus.name).find("100,000") != std::string::npos;
+    EXPECT_EQ(base_loads, !cyclic && !hostile);
+
+    int loaded = 0;
+    for (uint64_t seed = 1; seed <= kMutants; ++seed) {
+      // Mutate one file of the graph; the rest stay as written.
+      IdlCorpus mutant = corpus;
+      auto file = mutant.files.begin();
+      std::advance(file, seed % mutant.files.size());
+      file->second = Mutant(file->second, seed);
+      loaded += LoadAndInstantiate(mutant) ? 1 : 0;
+    }
+    // Well-formed graphs keep loading under some mutations, so the mutants
+    // reach DefaultInstance, not only the parser's error paths.
+    if (base_loads) {
+      EXPECT_GT(loaded, 0);
+    }
+  }
+}
+
 // ---- Compatibility ----------------------------------------------------------
 
 StructDef ParseSingleStruct(const std::string& text, const std::string& name) {
   SchemaRegistry r;
-  EXPECT_TRUE(r.ParseAndRegister(text, "x.thrift").ok());
+  EXPECT_TRUE(LoadText(r, text, "x.thrift").ok());
   return *r.FindStruct(name);
 }
 

@@ -222,6 +222,88 @@ TEST_F(StackTest, BrokenDependentBlocksSharedChange) {
   EXPECT_FALSE(second.ok());
 }
 
+// The closure digest follows every include the IDL parser follows, so an
+// edit to a schema included mid-line recompiles its dependents instead of
+// replaying the memoized output.
+TEST_F(StackTest, IncludedSchemaEditLandsWhatAFreshCompileMakes) {
+  auto first = stack_.ProposeChange(
+      "alice", "initial",
+      {{"schemas/a.thrift",
+        "enum U { X = 0 } include \"schemas/b.thrift\"\n"
+        "struct E { 1: optional B b; }\n"},
+       {"schemas/b.thrift", "struct B { 1: optional i32 x = 1; }\n"},
+       {"svc/e.cconf",
+        "import_thrift(\"schemas/a.thrift\")\n"
+        "export_if_last(E(b=B()))\n"}});
+  ASSERT_TRUE(first.ok()) << first.status();
+  ASSERT_TRUE(first->ci_report.passed) << first->ci_report.Summary();
+  ASSERT_TRUE(stack_.Approve(&*first, "bob").ok());
+  ASSERT_TRUE(stack_.LandNow(*first).ok());
+
+  auto second = stack_.ProposeChange(
+      "alice", "new default",
+      {{"schemas/b.thrift", "struct B { 1: optional i32 x = 2; }\n"}});
+  ASSERT_TRUE(second.ok()) << second.status();
+  ASSERT_TRUE(stack_.Approve(&*second, "bob").ok());
+  ASSERT_TRUE(stack_.LandNow(*second).ok());
+
+  const Repository* repo = &stack_.repo();
+  ConfigCompiler fresh(
+      [repo](const std::string& path) { return repo->ReadFile(path); });
+  auto at_head = fresh.Compile("svc/e.cconf");
+  ASSERT_TRUE(at_head.ok()) << at_head.status();
+  ASSERT_EQ(at_head->configs.size(), 1u);
+  EXPECT_EQ(at_head->configs[0].content.Get("b")->Get("x")->as_int(), 2);
+  EXPECT_EQ(*stack_.repo().ReadFile("svc/e.json"),
+            at_head->configs[0].content.DumpPretty());
+}
+
+// An include cycle, of one schema or of three, is a CI failure when only a
+// module imports the schema (lint and absint load it too), and a compile
+// error when an entry does. Neither crashes.
+TEST_F(StackTest, SchemaIncludeCyclesFailWithoutCrashing) {
+  struct Case {
+    const char* name;
+    std::vector<FileWrite> schemas;
+  };
+  const Case cases[] = {
+      {"self-include",
+       {{"schemas/a.thrift",
+         "include \"schemas/a.thrift\"\nstruct A { 1: i32 x; }\n"}}},
+      {"3-cycle",
+       {{"schemas/a.thrift",
+         "include \"schemas/b.thrift\"\nstruct A { 1: i32 x; }\n"},
+        {"schemas/b.thrift", "include \"schemas/c.thrift\"\n"},
+        {"schemas/c.thrift", "include \"schemas/a.thrift\"\n"}}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    ConfigManagementStack stack;
+    std::vector<FileWrite> writes = c.schemas;
+    writes.push_back({"lib/a.cinc",
+                      "import_thrift(\"schemas/a.thrift\")\n"
+                      "def make(x):\n"
+                      "    return A(x=x)\n"});
+    auto change = stack.ProposeChange("alice", "cyclic schema", writes);
+    ASSERT_TRUE(change.ok()) << change.status();
+    EXPECT_FALSE(change->ci_report.passed);
+    EXPECT_NE(change->ci_report.Summary().find("include cycle"),
+              std::string::npos)
+        << change->ci_report.Summary();
+    ASSERT_TRUE(stack.Approve(&*change, "bob").ok());
+    EXPECT_FALSE(stack.LandNow(*change).ok());
+
+    writes.push_back({"svc/a.cconf",
+                      "import_python(\"lib/a.cinc\", \"*\")\n"
+                      "export_if_last(make(1))\n"});
+    auto compiled = stack.ProposeChange("alice", "cyclic entry", writes);
+    ASSERT_FALSE(compiled.ok());
+    EXPECT_NE(compiled.status().message().find("include cycle"),
+              std::string::npos)
+        << compiled.status();
+  }
+}
+
 TEST_F(StackTest, DeletedEntryRemovesGeneratedConfig) {
   auto first = stack_.ProposeChange(
       "alice", "add", {{"tmp/x.cconf", "export_if_last({\"v\": 1})\n"}});

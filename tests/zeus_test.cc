@@ -159,7 +159,7 @@ TEST_F(ZeusTest, WriteQueuedBehindAFailedElectionFailsUnavailable) {
     ++calls;
     result = std::move(r);
   });
-  sim_.RunUntil(sim_.now() + ZeusEnsemble::Options{}.election_delay);
+  sim_.RunUntil(sim_.now() + ZeusEnsemble::kElectionDelay);
   EXPECT_EQ(calls, 1);
   EXPECT_EQ(result.status().code(), StatusCode::kUnavailable);
   sim_.RunUntil(sim_.now() + 30 * kSimSecond);
