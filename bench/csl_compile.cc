@@ -7,9 +7,9 @@
 //          for.
 //   warm — one long-lived compiler over a shared CompiledUnitCache, after a
 //          populating sweep: steady-state Sandcastle, where each entry's
-//          closure digest is re-walked (every source re-read and
-//          byte-compared) and its memoized output replays without
-//          evaluating.
+//          read trace is checked (every file its last compile read is
+//          re-read and byte-compared) and its memoized output replays
+//          without evaluating.
 //
 // Each configuration sweeps all 800 entries kReps times; the JSON records
 // the median, min and max entries/sec. Writes BENCH_csl_compile.json to the

@@ -1,11 +1,14 @@
-// Language rule family (L001..L009): a scope-resolution pass over the CSL
+// Language rule family (L001..L010): a scope-resolution pass over the CSL
 // AST. The pass mirrors the interpreter's name semantics — star imports copy
 // a module's globals, assignment defines in the innermost scope, function
 // bodies read enclosing scopes. What an import_python() binds comes from the
 // analysis store's import composition (AnalysisStore::Import), the same one
 // semdiff's G010 reads; import_thrift() targets are read through the
-// FileReader. Where a target cannot be resolved (no reader, unreadable file,
-// non-literal path), the affected checks degrade to silence rather than
+// FileReader. A literal target that does not exist, or a schema include it
+// names that does not, is L010: a module that imports it lands otherwise,
+// since only entries compile. Where a target cannot be resolved for any
+// other reason (no reader, non-literal path, cycle, parse failure, the
+// depth bound), the affected checks degrade to silence rather than
 // guessing: a lint false positive that blocks landing is worse than a miss
 // the compiler will catch anyway.
 
@@ -127,6 +130,18 @@ class LangAnalyzer {
 
   // ---- Import resolution ---------------------------------------------------
 
+  // L010: importing `target` reads `missing` (the target or an include it
+  // names), which does not exist.
+  void ReportMissing(int line, const std::string& target,
+                     const std::string& missing) {
+    Report("L010", LintSeverity::kError, line,
+           missing == target
+               ? "import of '" + target + "', which does not exist"
+               : "import of '" + target + "', which includes '" + missing +
+                     "', which does not exist",
+           "add " + missing + " or fix the path");
+  }
+
   Result<std::string> ReadSource(const std::string& path) {
     if (!reader_) {
       return UnavailableError("no file reader configured for lint");
@@ -152,7 +167,7 @@ class LangAnalyzer {
       return;
     }
     if (import.kind == ImportTarget::Kind::kSchema) {
-      HandleSchemaImport(import.path);
+      HandleSchemaImport(import.path, call.line);
       return;
     }
     const std::string& path = import.path;
@@ -161,6 +176,9 @@ class LangAnalyzer {
     record.path = path;
     record.filter = import.filter;
     ImportBinding binding = store_.Import(reader_, path, import.filter);
+    if (binding.missing) {
+      ReportMissing(call.line, path, path);
+    }
     if (binding.has_schema_import) {
       // The imported module may hand us schema-constructed values whose
       // constructors we cannot enumerate here.
@@ -192,13 +210,22 @@ class LangAnalyzer {
     imports_.push_back(std::move(record));
   }
 
-  void HandleSchemaImport(const std::string& path) {
+  void HandleSchemaImport(const std::string& path, int line) {
     SchemaRegistry registry;
-    if (!registry
-             .Load(path,
-                   [this](const std::string& file) { return ReadSource(file); })
-             .ok()) {
+    std::string missing;  // The first file the load found absent.
+    Status loaded = registry.Load(path, [&](const std::string& file) {
+      Result<std::string> source = ReadSource(file);
+      if (!source.ok() && source.status().code() == StatusCode::kNotFound &&
+          missing.empty()) {
+        missing = file;
+      }
+      return source;
+    });
+    if (!loaded.ok()) {
       unresolved_schema_import_ = true;
+      if (!missing.empty()) {
+        ReportMissing(line, path, missing);
+      }
       return;
     }
     for (const std::string& name : registry.StructNames()) {

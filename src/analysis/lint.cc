@@ -84,6 +84,8 @@ const std::vector<LintRuleInfo>& ConfigLint::Rules() {
        "call does not match the known function definition's signature"},
       {"L009", "constant-condition", LintSeverity::kWarning,
        "if/ternary condition is a literal, so one branch is dead"},
+      {"L010", "missing-import", LintSeverity::kError,
+       "literal import target, or an include it names, does not exist"},
       {"G001", "contradictory-restraints", LintSeverity::kError,
        "a conjunction contains a restraint and its own negation"},
       {"G002", "subsumed-rule", LintSeverity::kWarning,

@@ -29,6 +29,7 @@
 // | L007 unreachable-code    | warning | statement after return/break/continue |
 // | L008 call-arity          | error   | call mismatches a known def's signature |
 // | L009 constant-condition  | warning | if/ternary condition is a literal |
+// | L010 missing-import      | error   | import target or its include is absent |
 // | G001 contradictory-restraints | error | X and NOT X in one conjunction |
 // | G002 subsumed-rule       | warning | rule shadowed by earlier always-pass rule |
 // | G003 dead-rule           | warning | conjunction or sampling can never pass |

@@ -15,7 +15,7 @@
 namespace configerator {
 namespace analysis {
 
-// Language rules (L001..L009) over a parsed module and its symbol surface.
+// Language rules (L001..L010) over a parsed module and its symbol surface.
 // `reader` resolves import_python / import_thrift targets; may be null.
 // Imported modules are composed through `store` (AnalysisStore::Import).
 void RunLanguageRules(const Module& module, const ModuleSymbolSurface& surface,

@@ -31,6 +31,8 @@ class ImportComposer {
     if (reader_) {
       if (auto content = reader_(path); content.ok()) {
         surface = store_.Surface(path, *content);
+      } else {
+        out.missing = content.status().code() == StatusCode::kNotFound;
       }
     }
     if (surface == nullptr || !surface->analyzable) {
@@ -101,28 +103,26 @@ class ImportComposer {
 std::shared_ptr<const AbsintResult> AnalysisStore::Absint(
     const FileReader& reader, const std::string& path,
     const std::string& content) {
-  auto analyze = [&] {
+  // The trace starts with the entry's own bytes, read as the analysis would
+  // read them if an import led back to the entry.
+  ReadTrace trace;
+  FileReader recorder = trace.Recorder(reader, &units_);
+  if (auto served = recorder(path); !served.ok() || *served != content) {
+    ++absint_misses_;
     return std::make_shared<const AbsintResult>(
         AbstractInterpreter(reader, units_).Analyze(path, content));
-  };
-  std::optional<Sha256Digest> digest;
-  if (auto served = reader(path); served.ok() && *served == content) {
-    if (auto closure = ClosureDigest(path, reader, &units_); closure.ok()) {
-      digest = *closure;
-    }
-  }
-  if (!digest.has_value()) {
-    ++absint_misses_;
-    return analyze();
   }
   RecentVersions<StoredAbsint>& versions = absints_[path];
   if (StoredAbsint* hit = versions.Find(
-          [&](const StoredAbsint& s) { return s.digest == *digest; })) {
+          [&](const StoredAbsint& s) { return s.trace.Holds(reader); })) {
     ++absint_hits_;
     return hit->result;
   }
   ++absint_misses_;
-  return versions.Add(StoredAbsint{*digest, analyze()}).result;
+  auto result = std::make_shared<const AbsintResult>(
+      AbstractInterpreter(recorder, units_).Analyze(path, content));
+  return versions.Add(StoredAbsint{std::move(trace), std::move(result)})
+      .result;
 }
 
 std::shared_ptr<const ModuleSymbolSurface> AnalysisStore::Surface(
@@ -150,6 +150,7 @@ ImportBinding AnalysisStore::Import(const FileReader& reader,
   ImportBinding one;
   one.unresolved = all.unresolved;
   one.has_schema_import = all.has_schema_import;
+  one.missing = all.missing;
   if (auto it = all.names.find(filter); it != all.names.end()) {
     one.names.insert(*it);
   }
@@ -158,20 +159,17 @@ ImportBinding AnalysisStore::Import(const FileReader& reader,
 
 std::shared_ptr<const InvariantRegistry> AnalysisStore::Registry(
     const FileReader& reader, const std::vector<std::string>& spec_files) {
-  StoredRegistry key;
-  for (const std::string& file : spec_files) {
-    auto content = reader(file);
-    key.specs.emplace_back(file, content.ok() ? std::optional(*content)
-                                              : std::nullopt);
-  }
-  if (StoredRegistry* hit = registries_.Find(
-          [&](const StoredRegistry& s) { return s.specs == key.specs; })) {
+  if (StoredRegistry* hit = registries_.Find([&](const StoredRegistry& s) {
+        return s.spec_files == spec_files && s.trace.Holds(reader);
+      })) {
     return hit->registry;
   }
   ++registry_parses_;
-  key.registry = std::make_shared<const InvariantRegistry>(
-      InvariantRegistry::Load(reader, spec_files));
-  return registries_.Add(std::move(key)).registry;
+  StoredRegistry stored{spec_files, ReadTrace(), nullptr};
+  stored.registry = std::make_shared<const InvariantRegistry>(
+      InvariantRegistry::Load(stored.trace.Recorder(reader, &units_),
+                              spec_files));
+  return registries_.Add(std::move(stored)).registry;
 }
 
 size_t AnalysisStore::absints_for(const std::string& path) const {

@@ -5,26 +5,28 @@
 // invariant checker and the post-land dependency refresh each read an
 // entry's abstract interpretation, and the old side of one proposal is the
 // new side of the last. The store keeps one long-lived copy of each product.
-// It owns the CompiledUnitCache whose parses and digests key it (units()),
-// so one store is all a pipeline holds: its compiles share that cache too.
+// It owns the CompiledUnitCache whose parses and interned sources it reads
+// (units()), so one store is all a pipeline holds: its compiles share that
+// cache too.
 //
-//   abstract interpretation  an entry's AbsintResult, keyed by its
-//                            ClosureDigest (modules, schemas, `include`s and
-//                            "-cvalidator" companions). CSL is hermetic, so
-//                            equal closures analyze identically.
+//   abstract interpretation  an entry's AbsintResult, with the ReadTrace of
+//                            its run: the entry's bytes, then every module,
+//                            schema, `include` and "-cvalidator" probe the
+//                            analysis read. CSL is hermetic, so equal reads
+//                            analyze identically.
 //   symbol surface           a file's ModuleSymbolSurface, keyed by its bytes:
 //                            the one pre-scan of a module that lint,
 //                            symbol diffing and import composition read.
-//   invariant registry       the parsed "invariants/" specs, keyed by the
-//                            bytes of every spec file.
+//   invariant registry       the parsed "invariants/" specs, with the trace
+//                            of reading every spec file.
 //
-// A result is stored only under a digest of everything the analysis read.
-// When the closure digest fails (a computed import, an unreadable or
-// unparseable file) or the content handed in is not what the reader serves
-// for the path, the analysis runs afresh and nothing is kept. Results are
-// shared and immutable. Each memo keeps at most two versions per path (or,
-// for the registry, two spec sets), the most recently used ones: normally
-// head and the latest proposal.
+// A stored result replays while its trace holds: while every read it
+// recorded returns the same bytes, or the same error, through the reader at
+// hand. When the content handed in is not what the reader serves for the
+// path, the analysis runs afresh and nothing is kept. Results are shared and
+// immutable. Each memo keeps at most two versions per path (or, for the
+// registry, two spec sets), the most recently used ones: normally head and
+// the latest proposal.
 //
 // What an import binds (Import) is composed on each call from the stored
 // surfaces of the modules it reaches; only the surfaces are kept.
@@ -40,7 +42,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "src/analysis/absint.h"
@@ -70,6 +71,7 @@ struct ImportBinding {
   // `names` is then what could be composed.
   bool unresolved = false;
   bool has_schema_import = false;  // Some module on the way loads a schema.
+  bool missing = false;  // The imported module itself reads kNotFound.
 };
 
 struct InvariantRegistry;
@@ -80,7 +82,7 @@ class AnalysisStore {
   // imports are depth 1) leave an ImportBinding unresolved.
   static constexpr int kMaxImportDepth = 8;
 
-  // The parses and closure digests that key the store, shared with every
+  // The parses and interned sources the store reads, shared with every
   // compile made through it.
   CompiledUnitCache& units() { return units_; }
 
@@ -114,7 +116,7 @@ class AnalysisStore {
 
  private:
   struct StoredAbsint {
-    Sha256Digest digest;
+    ReadTrace trace;
     std::shared_ptr<const AbsintResult> result;
   };
   struct StoredSurface {
@@ -122,8 +124,8 @@ class AnalysisStore {
     std::shared_ptr<const ModuleSymbolSurface> surface;
   };
   struct StoredRegistry {
-    // Each spec file with its bytes; nullopt when it was unreadable.
-    std::vector<std::pair<std::string, std::optional<std::string>>> specs;
+    std::vector<std::string> spec_files;
+    ReadTrace trace;
     std::shared_ptr<const InvariantRegistry> registry;
   };
 

@@ -22,7 +22,7 @@ using StmtPtr = std::unique_ptr<Stmt>;
 // Deepest AST the parser accepts, counted from the module root (statements
 // nest through blocks, expressions through operands — a left-associative
 // chain `1+1+...` is as deep as it is long). Every later tree walk — the
-// interpreter, lint, absint, semdiff, the closure digest and the node
+// interpreter, lint, absint, semdiff, the symbol surfaces and the node
 // destructors — recurses over this tree, so bounding it at parse time
 // bounds their stack use. Sized so that the parser and every walker stay
 // within an 8 MB stack even in an ASan build, whose frames are several

@@ -13,22 +13,8 @@
 
 namespace configerator {
 
-namespace {
-
-// Adds the parse-cache traffic since a (hits, misses) snapshot to the
-// csl.unit_cache counters.
-void CountParses(MetricsRegistry* metrics, const CompiledUnitCache& cache,
-                 size_t hits_before, size_t misses_before) {
-  if (metrics != nullptr) {
-    metrics->GetCounter("csl.unit_cache.hits")->Inc(cache.hits() - hits_before);
-    metrics->GetCounter("csl.unit_cache.misses")
-        ->Inc(cache.misses() - misses_before);
-  }
-}
-
-}  // namespace
-
-// One hermetic compilation of one entry file.
+// One hermetic compilation of one entry file. Every file it reads, it
+// reads through `reader`.
 class ConfigCompiler::Session {
  public:
   Session(FileReader reader, std::string entry_path, CompilerOptions options)
@@ -38,7 +24,7 @@ class ConfigCompiler::Session {
         interp_(&registry_, MakeHooks()) {}
 
   Result<CompileOutput> Run() {
-    ASSIGN_OR_RETURN(std::string source, ReadDep(entry_path_));
+    ASSIGN_OR_RETURN(std::string source, reader_(entry_path_));
     auto globals = NewGlobals();
     RETURN_IF_ERROR(
         EvalSource(entry_path_, source, globals, /*exports_enabled=*/true));
@@ -66,16 +52,10 @@ class ConfigCompiler::Session {
     if (output.configs.empty()) {
       return InvalidConfigError(entry_path_ + ": compiled without exporting any config");
     }
-    output.dependencies.assign(dependencies_.begin(), dependencies_.end());
     return output;
   }
 
  private:
-  Result<std::string> ReadDep(const std::string& path) {
-    dependencies_.insert(path);
-    return reader_(path);
-  }
-
   Interp::Hooks MakeHooks() {
     Interp::Hooks hooks;
     hooks.import_module = [this](const std::string& path) {
@@ -106,8 +86,11 @@ class ConfigCompiler::Session {
     auto parse_start = std::chrono::steady_clock::now();
     auto module = cache->GetOrParse(path, source);
     auto parse_end = std::chrono::steady_clock::now();
-    CountParses(metrics, *cache, hits_before, misses_before);
     if (metrics != nullptr) {
+      metrics->GetCounter("csl.unit_cache.hits")
+          ->Inc(cache->hits() - hits_before);
+      metrics->GetCounter("csl.unit_cache.misses")
+          ->Inc(cache->misses() - misses_before);
       metrics->GetHistogram("csl.compile_micros")
           ->Record(std::chrono::duration<double, std::micro>(parse_end -
                                                              parse_start)
@@ -137,7 +120,7 @@ class ConfigCompiler::Session {
       return cached->second;
     }
     module_envs_[path] = nullptr;  // Cycle marker.
-    ASSIGN_OR_RETURN(std::string source, ReadDep(path));
+    ASSIGN_OR_RETURN(std::string source, reader_(path));
     auto globals = NewGlobals();
     RETURN_IF_ERROR(
         EvalSource(path, source, globals, /*exports_enabled=*/false));
@@ -151,15 +134,15 @@ class ConfigCompiler::Session {
     if (!imported_schemas_.insert(path).second) {
       return OkStatus();
     }
-    RETURN_IF_ERROR(registry_.Load(
-        path, [this](const std::string& file) { return ReadDep(file); }));
+    RETURN_IF_ERROR(registry_.Load(path, reader_));
     RETURN_IF_ERROR(registry_.ResolveAll());
     // Load the companion validator module if one exists. Missing validators
     // are fine; anything else (e.g. a validator that fails to parse) is not.
+    // The probe is a read like any other: a validator added later changes
+    // what it returns.
     std::string validator_path = path + "-cvalidator";
     auto validator_source = reader_(validator_path);
     if (validator_source.ok()) {
-      dependencies_.insert(validator_path);
       auto globals = NewGlobals();
       RETURN_IF_ERROR(EvalSource(validator_path, *validator_source, globals,
                                  /*exports_enabled=*/false));
@@ -214,7 +197,6 @@ class ConfigCompiler::Session {
   Interp interp_;
   std::map<std::string, std::shared_ptr<Environment>> module_envs_;
   std::set<std::string> imported_schemas_;
-  std::set<std::string> dependencies_;
   std::map<std::string, Value> exports_;
   std::map<std::string, std::vector<Value>> validators_;
   std::vector<std::shared_ptr<const Module>> modules_alive_;
@@ -234,23 +216,12 @@ ConfigCompiler::ConfigCompiler(FileReader reader, CompilerOptions options)
 ConfigCompiler::~ConfigCompiler() = default;
 
 Result<CompileOutput> ConfigCompiler::Compile(const std::string& entry_path) {
-  // Digest-first: walk the entry's static import closure (re-reading every
-  // source, so edits always take effect) and replay the memoized output if
-  // this exact closure has compiled before.
+  // Replay the stored result whose every read still returns the same bytes
+  // (or the same error); otherwise evaluate, recording what the run reads.
   CompiledUnitCache* cache = options_.unit_cache;
   MetricsRegistry* metrics = options_.metrics;
-  size_t hits_before = cache->hits();
-  size_t misses_before = cache->misses();
-  auto digest = ClosureDigest(entry_path, reader_, cache);
-  CountParses(metrics, *cache, hits_before, misses_before);
-  if (!digest.ok()) {
-    // The closure is not statically digestible (a computed import path), or
-    // a file in it is unreadable or unparsable: a full evaluation produces
-    // the right output or error. Such entries are never memoized.
-    return Session(reader_, entry_path, options_).Run();
-  }
   if (const CompiledUnitCache::MemoizedOutput* memo =
-          cache->FindOutput(entry_path, *digest)) {
+          cache->FindOutput(entry_path, reader_)) {
     if (metrics != nullptr) {
       metrics->GetCounter("csl.output_cache.hits")->Inc();
     }
@@ -262,14 +233,17 @@ Result<CompileOutput> ConfigCompiler::Compile(const std::string& entry_path) {
   if (metrics != nullptr) {
     metrics->GetCounter("csl.output_cache.misses")->Inc();
   }
-  auto output = Session(reader_, entry_path, options_).Run();
+  ReadTrace trace;
+  auto output =
+      Session(trace.Recorder(reader_, cache), entry_path, options_).Run();
   CompiledUnitCache::MemoizedOutput memo;
   if (output.ok()) {
+    output->dependencies = trace.Paths();
     memo.output = *output;
   } else {
     memo.status = output.status();
   }
-  cache->StoreOutput(entry_path, *digest, std::move(memo));
+  cache->StoreOutput(entry_path, std::move(trace), std::move(memo));
   return output;
 }
 

@@ -58,8 +58,10 @@ struct CompiledConfig {
 // Result of compiling one entry file.
 struct CompileOutput {
   std::vector<CompiledConfig> configs;
-  // Every source file the entry transitively depends on (imported modules,
-  // schema files, validator files) — the edges of the dependency graph.
+  // Every path the compile read, in first-read order: the entry, the
+  // modules it imports, schema files and their includes, and each schema's
+  // "-cvalidator" companion, whether or not it exists — the edges of the
+  // dependency graph.
   std::vector<std::string> dependencies;
 };
 
@@ -70,11 +72,11 @@ class ConfigCompiler {
   ~ConfigCompiler();
 
   // Compiles one ".cconf" entry file. Each call is hermetic: schemas and
-  // modules are re-read so source changes always take effect. When the
-  // entry's import closure is statically known, its output (or its
-  // deterministic error) is memoized under the closure digest, and an
-  // unchanged closure replays it without evaluating (CSL is hermetic, so
-  // equal closures compile to byte-identical artifacts).
+  // modules are re-read so source changes always take effect. The output
+  // (or the deterministic error) is memoized with the reads the evaluation
+  // made, and replays without evaluating while every one of those reads
+  // returns the same (CSL is hermetic, so equal reads compile to
+  // byte-identical artifacts).
   Result<CompileOutput> Compile(const std::string& entry_path);
 
   // Derives the default output path for a source path:

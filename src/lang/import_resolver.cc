@@ -38,55 +38,4 @@ ImportTarget ClassifyImport(const Expr& call) {
   return target;
 }
 
-namespace {
-
-void CollectFromBlock(const std::vector<StmtPtr>& body,
-                      std::vector<ImportTarget>* out);
-
-void CollectFromExpr(const Expr* expr, std::vector<ImportTarget>* out) {
-  if (expr == nullptr) {
-    return;
-  }
-  if (IsImportCall(*expr)) {
-    out->push_back(ClassifyImport(*expr));
-  }
-  for (const ExprPtr& item : expr->items) {
-    CollectFromExpr(item.get(), out);
-  }
-  for (const auto& [key, value] : expr->pairs) {
-    CollectFromExpr(key.get(), out);
-    CollectFromExpr(value.get(), out);
-  }
-  for (const auto& [name, value] : expr->kwargs) {
-    CollectFromExpr(value.get(), out);
-  }
-  CollectFromExpr(expr->lhs.get(), out);
-  CollectFromExpr(expr->rhs.get(), out);
-  CollectFromExpr(expr->third.get(), out);
-}
-
-void CollectFromBlock(const std::vector<StmtPtr>& body,
-                      std::vector<ImportTarget>* out) {
-  for (const StmtPtr& stmt : body) {
-    CollectFromExpr(stmt->target.get(), out);
-    CollectFromExpr(stmt->value.get(), out);
-    if (stmt->def != nullptr) {
-      for (const ExprPtr& dflt : stmt->def->defaults) {
-        CollectFromExpr(dflt.get(), out);
-      }
-      CollectFromBlock(stmt->def->body, out);
-    }
-    CollectFromBlock(stmt->body, out);
-    CollectFromBlock(stmt->orelse, out);
-  }
-}
-
-}  // namespace
-
-std::vector<ImportTarget> CollectImports(const Module& module) {
-  std::vector<ImportTarget> imports;
-  CollectFromBlock(module.body, &imports);
-  return imports;
-}
-
 }  // namespace configerator

@@ -13,7 +13,6 @@
 #define SRC_LANG_IMPORT_RESOLVER_H_
 
 #include <string>
-#include <vector>
 
 #include "src/lang/ast.h"
 
@@ -42,13 +41,6 @@ bool IsSchemaImportPath(const std::string& callee_name, const std::string& path)
 
 // Statically classifies an import call. Precondition: IsImportCall(call).
 ImportTarget ClassifyImport(const Expr& call);
-
-// Classifies every import call anywhere in `module`, in source order:
-// top-level statements, function bodies and default arguments, and every
-// nested expression (ternaries, dict entries, call arguments, ...). The
-// compiler's closure digest follows these edges, so a missed call would
-// replay a stale memoized output.
-std::vector<ImportTarget> CollectImports(const Module& module);
 
 }  // namespace configerator
 

@@ -3,41 +3,31 @@
 //
 // Parsing is purely syntactic, so a parsed Module is a function of its
 // source bytes alone: modules are keyed by path and by byte comparison
-// against the kept versions of that path (the SHA-256 — the same digest the
-// VCS substrate uses as the blob object id — is computed once per new
-// version). Compile sessions, ConfigLint, the abstract interpreter and the
-// symbol surfaces all parse through one cache, so a Sandcastle parses each
-// source version once; shared .cinc modules parse once per content version
-// instead of once per session. Failed parses are cached too.
+// against the kept versions of that path. Compile sessions, ConfigLint, the
+// abstract interpreter and the symbol surfaces all parse through one cache,
+// so a Sandcastle parses each source version once; shared .cinc modules
+// parse once per content version instead of once per session. Failed
+// parses are cached too.
 //
-// ClosureDigest() extends the per-file key to the whole import closure: a
-// digest over the module's source hash plus, recursively, every statically
-// known import edge (CSL modules, Thrift schemas with their `include`s and
-// "-cvalidator" companions), found by walking the parsed module and by
-// loading each schema through SchemaRegistry::Load, so a schema's edges are
-// the includes the IDL parser itself follows. Two entry
-// files with equal closure digests compile to byte-identical artifacts —
-// CSL is hermetic (no filesystem, clock, or randomness; every read goes
-// through the session's reader and appears in the closure) — which is what
-// lets incremental pipelines skip recompiles when nothing in the closure
-// changed.
+// A whole compile is memoized by what it read. The session reads every
+// file through a ReadTrace's recording reader: each path once, with the
+// bytes it returned or the status it failed with, absent "-cvalidator"
+// companions included. CSL is hermetic (no filesystem, clock or randomness
+// outside the session's reader), so a run whose every read would return the
+// same thing produces the same output, or the same error. FindOutput
+// replays a stored result while its trace holds under the current reader;
+// a trace check re-reads and byte-compares each file the run read, and
+// evaluates nothing. The trace is the compile's own record of its inputs,
+// so an import computed at run time, or one inside a function nothing
+// calls, is read (or not) exactly as the evaluation reads it. The same
+// trace gives CompileOutput::dependencies, and AnalysisStore memoizes
+// abstract interpretations by the reads of theirs.
 //
-// FindOutput/StoreOutput realize that skip: the compiler memoizes each
-// entry's full validated CompileOutput (or its deterministic failure) under
-// its closure digest, so steady-state recompiles of an unchanged entry cost
-// one digest walk instead of an evaluation. Entries whose closure is not
-// statically digestible (computed import paths) are never memoized. The
-// walk itself memoizes per-node subtree digests (DigestNode): when every
-// source in a subtree byte-matches the previous walk, the stored digest is
-// returned without recomputing any SHA-256 — steady state reads and
-// compares bytes, nothing more.
-//
-// Every memo here keeps at most two versions per path, the two most recently
-// used (RecentVersions): normally head and the latest proposal, so a pass
-// that alternates between the two trees hits on both, and a long-lived
-// cache never grows one entry per commit. A path's parse and digest nodes
-// share the version's interned copy of its source and recognize it by
-// pointer.
+// Every memo here keeps at most two versions per path, the two most
+// recently used (RecentVersions): normally head and the latest proposal, so
+// a pass that alternates between the two trees hits on both, and a
+// long-lived cache never grows one entry per commit. A path's parse and
+// the traces that read it share the version's interned copy of its source.
 //
 // Not thread-safe. One cache can live as long as the pipeline that owns it
 // (Sandcastle keeps one for its lifetime).
@@ -45,7 +35,6 @@
 #ifndef SRC_LANG_UNIT_CACHE_H_
 #define SRC_LANG_UNIT_CACHE_H_
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -53,10 +42,11 @@
 
 #include "src/lang/ast.h"
 #include "src/lang/compiler.h"
-#include "src/util/sha256.h"
 #include "src/util/status.h"
 
 namespace configerator {
+
+class CompiledUnitCache;
 
 // The two most recently used versions of one path's artifact. Adding a
 // third evicts the least recently used. Versions never move in memory, so a
@@ -93,6 +83,34 @@ class RecentVersions {
   std::vector<std::unique_ptr<T>> versions_;
 };
 
+// Every read one run made: each path once, in first-read order, with the
+// bytes the read returned or the status it failed with.
+class ReadTrace {
+ public:
+  // A reader that reads through `reader` and records the first read of each
+  // path, interning its bytes in `cache`. A path read again gets the
+  // recorded result, so the run is a function of its trace. The trace must
+  // stay in place, and `cache` live, while the returned reader is in use.
+  FileReader Recorder(FileReader reader, CompiledUnitCache* cache);
+
+  // True when every recorded read returns equal bytes, or an equal status
+  // (code and message), through `reader`. Reads in order and stops at the
+  // first mismatch.
+  bool Holds(const FileReader& reader) const;
+
+  // The recorded paths, in first-read order.
+  std::vector<std::string> Paths() const;
+
+ private:
+  struct Read {
+    std::string path;
+    std::shared_ptr<const std::string> content;  // The cache's interned copy;
+                                                 // null when the read failed.
+    Status status = OkStatus();
+  };
+  std::vector<Read> reads_;
+};
+
 class CompiledUnitCache {
  public:
   // A memoized whole-entry result: either a successful output or the
@@ -102,19 +120,18 @@ class CompiledUnitCache {
     CompileOutput output;  // Meaningful only when status.ok().
   };
 
-  // One version of one path's source: its bytes, their SHA-256, and, once
-  // something asked for it, the parse.
+  // One version of one path's source: its bytes and, once something asked
+  // for it, the parse.
   struct Unit {
     std::shared_ptr<const std::string> content;
-    Sha256Digest hash;
     bool parsed = false;
     std::shared_ptr<Module> module;  // Null when the parse failed.
     Status parse_error = OkStatus();
     std::vector<LintDiagnostic> parse_diags;
   };
 
-  // The cache's version of `path` whose bytes equal `content`, added (and
-  // hashed once) when neither kept version matches.
+  // The cache's version of `path` whose bytes equal `content`, added when
+  // neither kept version matches.
   const Unit& Intern(const std::string& path, const std::string& content);
 
   // Parses (path, content), reusing the version's Module when one was
@@ -127,38 +144,17 @@ class CompiledUnitCache {
       const std::string& path, const std::string& content,
       std::vector<LintDiagnostic>* lint_diags = nullptr);
 
-  // The whole-entry memo, keyed by the entry's ClosureDigest() and bounded
-  // to two digests per entry. FindOutput counts an output hit or miss; the
-  // returned pointer is owned by the cache and stays valid until that
-  // version is evicted. StoreOutput follows a FindOutput that missed.
+  // The whole-entry memo, at most two results per entry. FindOutput returns
+  // the most recently used result whose trace holds under `reader`, and
+  // counts an output hit or miss; the pointer is owned by the cache and
+  // stays valid until that version is evicted. StoreOutput follows a
+  // FindOutput that missed.
   const MemoizedOutput* FindOutput(const std::string& entry,
-                                   const Sha256Digest& closure_digest);
-  void StoreOutput(const std::string& entry,
-                   const Sha256Digest& closure_digest, MemoizedOutput result);
+                                   const FileReader& reader);
+  void StoreOutput(const std::string& entry, ReadTrace trace,
+                   MemoizedOutput result);
   // Memoized outputs kept for `entry` (at most two).
   size_t outputs_for(const std::string& entry) const;
-
-  // One memoized node of the closure-digest tree, internal to
-  // ClosureDigest(). Holds the exact source and child digests that produced
-  // `digest`, so a steady-state walk re-reads and byte-compares every file
-  // in the closure but hashes nothing.
-  struct DigestNode {
-    struct Child {
-      std::string path;
-      bool is_schema = false;
-      Sha256Digest digest;
-    };
-    std::shared_ptr<const std::string> source;  // The interned copy.
-    bool has_validator = false;  // Schema nodes: companion file existed.
-    std::vector<Child> children;
-    Sha256Digest digest;
-  };
-
-  // Per-node digest memo, keyed by kind-prefixed path ("m:" module,
-  // "s:" schema). Internal to ClosureDigest().
-  std::map<std::string, RecentVersions<DigestNode>>& digest_nodes() {
-    return digest_nodes_;
-  }
 
   // Parse-cache hits and misses.
   size_t hits() const { return hits_; }
@@ -170,33 +166,17 @@ class CompiledUnitCache {
   Unit& Version(const std::string& path, const std::string& content);
 
   struct StoredOutput {
-    Sha256Digest digest;
+    ReadTrace trace;
     MemoizedOutput result;
   };
 
   std::map<std::string, RecentVersions<Unit>> units_;
   std::map<std::string, RecentVersions<StoredOutput>> outputs_;
-  std::map<std::string, RecentVersions<DigestNode>> digest_nodes_;
   size_t hits_ = 0;
   size_t misses_ = 0;
   size_t output_hits_ = 0;
   size_t output_misses_ = 0;
 };
-
-// Reads source files by path (same contract as the compiler's FileReader).
-using SourceReader = std::function<Result<std::string>(const std::string&)>;
-
-// Digest of `path`'s whole static import closure: its own source hash plus,
-// recursively, the digest of every module it imports, every schema it loads
-// (including the schema's `include "..."` files and its "-cvalidator"
-// companion module, when present). Module cycles contribute a marker instead
-// of recursing. Fails if any module in the closure fails to parse or has a
-// computed import path or filter, or if any schema fails to load on its own
-// (an include cycle among them) — such a closure is only knowable by
-// evaluating.
-Result<Sha256Digest> ClosureDigest(const std::string& path,
-                                   const SourceReader& reader,
-                                   CompiledUnitCache* cache);
 
 }  // namespace configerator
 

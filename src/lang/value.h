@@ -32,7 +32,7 @@ struct FunctionDefStmt;  // AST node, defined in ast.h.
 
 // Limits on what one interpreter session can build and walk. Each is a
 // function of the program alone (no clocks, no memory readings): the
-// compiler memoizes a failed compile under its closure digest, so the same
+// compiler memoizes a failed compile with the reads it made, so the same
 // program must fail the same way every time.
 //
 // Deepest value a walk (export, `==`, `in`, merge, str()) descends into.

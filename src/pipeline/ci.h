@@ -155,11 +155,12 @@ class Sandcastle {
   MetricsRegistry* metrics_;
   // Live as long as Sandcastle, shared by every stage and, through its unit
   // cache, by the stack's proposal and landing compiles: unchanged files
-  // byte-compare equal and skip parsing, an entry whose whole import closure
-  // is unchanged replays its memoized output without evaluating, and each
-  // entry version is abstractly interpreted once. Hermeticity is unaffected
-  // — every stage still re-reads sources through its reader and compares
-  // them against what was kept. It keeps at most two versions per path.
+  // byte-compare equal and skip parsing, an entry whose every read returns
+  // what its last compile read replays its memoized output without
+  // evaluating, and each entry version is abstractly interpreted once.
+  // Hermeticity is unaffected — every stage still re-reads sources through
+  // its reader and compares them against what was kept. It keeps at most
+  // two versions per path.
   std::unique_ptr<AnalysisStore> store_;
 };
 

@@ -17,15 +17,6 @@ const FieldDef* StructDef::FindField(std::string_view field_name) const {
   return nullptr;
 }
 
-const FieldDef* StructDef::FindFieldById(int32_t id) const {
-  for (const FieldDef& f : fields) {
-    if (f.id == id) {
-      return &f;
-    }
-  }
-  return nullptr;
-}
-
 bool EnumDef::HasValue(int64_t v) const {
   for (const auto& [name, value] : values) {
     if (value == v) {
@@ -476,7 +467,7 @@ Status SchemaRegistry::LoadFile(const std::string& path,
     return InvalidConfigError("include cycle: " + StrJoin(cycle, " -> "));
   }
   if (auto loaded = files_.find(path); loaded != files_.end()) {
-    return loaded->second.status;
+    return loaded->second;
   }
   if (chain->size() == static_cast<size_t>(kMaxIncludeDepth)) {
     return InvalidConfigError(
@@ -484,23 +475,15 @@ Status SchemaRegistry::LoadFile(const std::string& path,
                   kMaxIncludeDepth, chain->front().c_str(), path.c_str()));
   }
   chain->push_back(path);
-  LoadedFile& file = files_[path];
+  Status& status = files_[path];
   IdlParser::IncludeHandler on_include = [&](const std::string& include) {
-    file.includes.push_back(include);
     return LoadFile(include, reader, chain);
   };
   Result<std::string> text = reader(path);
-  file.status = text.ok() ? IdlParser(*text, path, on_include, this).Run()
-                          : text.status();
+  status = text.ok() ? IdlParser(*text, path, on_include, this).Run()
+                     : text.status();
   chain->pop_back();
-  return file.status;
-}
-
-const std::vector<std::string>& SchemaRegistry::IncludesOf(
-    std::string_view path) const {
-  static const std::vector<std::string> kNone;
-  auto loaded = files_.find(path);
-  return loaded == files_.end() ? kNone : loaded->second.includes;
+  return status;
 }
 
 Status SchemaRegistry::RegisterStruct(StructDef def) {
@@ -568,61 +551,6 @@ Status SchemaRegistry::ResolveAll() const {
   return OkStatus();
 }
 
-namespace {
-
-void AppendCanonical(const SchemaRegistry& registry, const std::string& name,
-                     std::map<std::string, bool>* visited, std::string* out) {
-  auto [it, inserted] = visited->emplace(name, true);
-  if (!inserted) {
-    return;
-  }
-  const StructDef* s = registry.FindStruct(name);
-  if (s != nullptr) {
-    *out += "struct " + s->name + "{";
-    for (const FieldDef& f : s->fields) {
-      *out += StrFormat("%d:%s %s %s", f.id, f.required ? "req" : "opt",
-                        f.type.ToString().c_str(), f.name.c_str());
-      if (f.default_value.has_value()) {
-        *out += "=" + f.default_value->Dump();
-      }
-      *out += ";";
-    }
-    *out += "}";
-    // Recurse into referenced types.
-    for (const FieldDef& f : s->fields) {
-      const Type* t = &f.type;
-      while (t->kind() == TypeKind::kList || t->kind() == TypeKind::kMap) {
-        t = &t->element();
-      }
-      if (t->kind() == TypeKind::kStruct || t->kind() == TypeKind::kEnum) {
-        AppendCanonical(registry, t->name(), visited, out);
-      }
-    }
-    return;
-  }
-  const EnumDef* e = registry.FindEnum(name);
-  if (e != nullptr) {
-    *out += "enum " + e->name + "{";
-    for (const auto& [value_name, value] : e->values) {
-      *out += StrFormat("%s=%lld;", value_name.c_str(),
-                        static_cast<long long>(value));
-    }
-    *out += "}";
-  }
-}
-
-}  // namespace
-
-Result<Sha256Digest> SchemaRegistry::SchemaHash(std::string_view struct_name) const {
-  if (FindStruct(struct_name) == nullptr && FindEnum(struct_name) == nullptr) {
-    return NotFoundError("no schema named '" + std::string(struct_name) + "'");
-  }
-  std::string canonical;
-  std::map<std::string, bool> visited;
-  AppendCanonical(*this, std::string(struct_name), &visited, &canonical);
-  return Sha256::Hash(canonical);
-}
-
 std::vector<std::string> SchemaRegistry::StructNames() const {
   std::vector<std::string> names;
   names.reserve(structs_.size());
@@ -639,34 +567,6 @@ std::vector<std::string> SchemaRegistry::EnumNames() const {
     names.push_back(name);
   }
   return names;
-}
-
-Status CheckBackwardCompatible(const StructDef& old_def, const StructDef& new_def) {
-  for (const FieldDef& nf : new_def.fields) {
-    const FieldDef* of = old_def.FindFieldById(nf.id);
-    if (of == nullptr) {
-      // New field: must not be required without a default, or old data
-      // (lacking it) becomes unreadable.
-      if (nf.required && !nf.default_value.has_value()) {
-        return InvalidConfigError(StrFormat(
-            "field %d (%s) added as required without default; readers of old "
-            "data will fail",
-            nf.id, nf.name.c_str()));
-      }
-      continue;
-    }
-    if (!(of->type == nf.type)) {
-      return InvalidConfigError(StrFormat(
-          "field %d changed type from %s to %s", nf.id,
-          of->type.ToString().c_str(), nf.type.ToString().c_str()));
-    }
-    if (nf.required && !of->required) {
-      return InvalidConfigError(StrFormat(
-          "field %d (%s) changed from optional to required", nf.id,
-          nf.name.c_str()));
-    }
-  }
-  return OkStatus();
 }
 
 }  // namespace configerator

@@ -31,7 +31,6 @@
 
 #include "src/json/json.h"
 #include "src/schema/types.h"
-#include "src/util/sha256.h"
 #include "src/util/status.h"
 
 namespace configerator {
@@ -43,7 +42,7 @@ using SchemaReader = std::function<Result<std::string>(const std::string&)>;
 
 // One field of a struct.
 struct FieldDef {
-  int32_t id = 0;          // Thrift field id; drives compatibility rules.
+  int32_t id = 0;          // Thrift field id.
   std::string name;
   Type type = Type::String();
   bool required = false;
@@ -55,7 +54,6 @@ struct StructDef {
   std::vector<FieldDef> fields;
 
   const FieldDef* FindField(std::string_view field_name) const;
-  const FieldDef* FindFieldById(int32_t id) const;
 };
 
 struct EnumDef {
@@ -78,9 +76,6 @@ class SchemaRegistry {
   // deeper than kMaxIncludeDepth is kInvalidConfig, naming the chain.
   Status Load(const std::string& path, const SchemaReader& reader);
 
-  // `path`'s include targets in order, once Load has parsed it.
-  const std::vector<std::string>& IncludesOf(std::string_view path) const;
-
   Status RegisterStruct(StructDef def);
   Status RegisterEnum(EnumDef def);
 
@@ -91,33 +86,18 @@ class SchemaRegistry {
   // resolves. Call after all files are loaded.
   Status ResolveAll() const;
 
-  // Canonical fingerprint of one struct including transitively referenced
-  // types. MobileConfig sends this hash to detect schema version changes.
-  Result<Sha256Digest> SchemaHash(std::string_view struct_name) const;
-
   std::vector<std::string> StructNames() const;
   std::vector<std::string> EnumNames() const;
 
  private:
-  struct LoadedFile {
-    Status status = OkStatus();
-    std::vector<std::string> includes;
-  };
-
   // Loads `path` as the next link of `chain`, the files being loaded.
   Status LoadFile(const std::string& path, const SchemaReader& reader,
                   std::vector<std::string>* chain);
 
   std::map<std::string, StructDef, std::less<>> structs_;
   std::map<std::string, EnumDef, std::less<>> enums_;
-  std::map<std::string, LoadedFile, std::less<>> files_;
+  std::map<std::string, Status, std::less<>> files_;  // Each load's outcome.
 };
-
-// Backward compatibility: can a reader with `new_def` read data written under
-// `old_def`? Rules (mirroring Thrift semantics the incident in §6.4 hinged
-// on): a field id may not change type; a required field may not be added; a
-// field may not become required.
-Status CheckBackwardCompatible(const StructDef& old_def, const StructDef& new_def);
 
 }  // namespace configerator
 

@@ -7,6 +7,7 @@
 #include <algorithm>
 
 #include "src/analysis/absint.h"
+#include "src/analysis/store.h"
 #include "src/lang/compiler.h"
 #include "src/util/strings.h"
 
@@ -467,6 +468,82 @@ TEST_F(AbsintTest, DeepCallChainsStayWithinTheStackBudget) {
   EXPECT_TRUE(result.analyzed);
   EXPECT_TRUE(result.diagnostics.empty());
   ASSERT_EQ(result.exports.size(), 1u);
+}
+
+// ---- The analysis store's memo ----------------------------------------------
+
+// AnalysisStore::Absint replays a stored analysis while every read of its
+// run returns the same: it misses when a module, an included schema or a
+// validator companion the analysis read changes, appears or vanishes.
+TEST(AbsintStoreTest, HitsUntilSomethingItReadChanges) {
+  std::map<std::string, std::string> files = {
+      {"entry.cconf",
+       "import_python(\"lib.cinc\", \"*\")\n"
+       "import_thrift(\"schemas/a.thrift\")\n"
+       "export_if_last(Job(name=\"x\", mem=MEM, tier=Tier.HOT))\n"},
+      {"lib.cinc", "MEM = 64\n"},
+      {"schemas/a.thrift",
+       "include \"schemas/b.thrift\"\n"
+       "struct Job { 1: required string name; 2: optional i32 mem; "
+       "3: optional Tier tier; }\n"},
+      {"schemas/b.thrift", "enum Tier { HOT = 0 }\n"},
+  };
+  FileReader reader = [&files](const std::string& path) -> Result<std::string> {
+    auto it = files.find(path);
+    if (it == files.end()) {
+      return NotFoundError("no such source file: " + path);
+    }
+    return it->second;
+  };
+  AnalysisStore store;
+  auto analyze = [&] {
+    return store.Absint(reader, "entry.cconf", files.at("entry.cconf"));
+  };
+  auto expect = [&](const char* what, size_t hits, size_t misses) {
+    SCOPED_TRACE(what);
+    EXPECT_EQ(store.absint_hits(), hits);
+    EXPECT_EQ(store.absint_misses(), misses);
+  };
+
+  auto first = analyze();
+  ASSERT_TRUE(first->analyzed);
+  EXPECT_EQ(CountRule(first->diagnostics, "T013"), 0u);
+  expect("first analysis", 0, 1);
+  EXPECT_EQ(analyze(), first);
+  files["other.cinc"] = "Z = 1\n";
+  EXPECT_EQ(analyze(), first);
+  expect("nothing it read changed", 2, 1);
+
+  files["lib.cinc"] = "MEM = 65\n";
+  analyze();
+  expect("module edit", 2, 2);
+  files["lib.cinc"] = "MEM = 64\n";
+  EXPECT_EQ(analyze(), first);
+  expect("module reverted to a kept version", 3, 2);
+
+  files["schemas/b.thrift"] = "enum Tier { HOT = 0, COLD = 1 }\n";
+  analyze();
+  expect("included schema edit", 3, 3);
+
+  files["schemas/a.thrift-cvalidator"] =
+      "def validate_Job(cfg):\n    assert cfg.mem <= 32\n";
+  auto bounded = analyze();
+  expect("validator appears", 3, 4);
+  EXPECT_EQ(CountRule(bounded->diagnostics, "T013"), 1u);
+  files["schemas/a.thrift-cvalidator"] =
+      "def validate_Job(cfg):\n    assert cfg.mem <= 128\n";
+  EXPECT_EQ(CountRule(analyze()->diagnostics, "T013"), 0u);
+  expect("validator edit", 3, 5);
+  files.erase("schemas/a.thrift-cvalidator");
+  EXPECT_EQ(CountRule(analyze()->diagnostics, "T013"), 0u);
+  expect("validator vanishes", 3, 6);
+
+  // Content that is not what the reader serves is analyzed afresh and not
+  // kept.
+  size_t kept = store.absints_for("entry.cconf");
+  store.Absint(reader, "entry.cconf", "export_if_last({})\n");
+  expect("content the reader does not serve", 3, 7);
+  EXPECT_EQ(store.absints_for("entry.cconf"), kept);
 }
 
 // ---- Symbol diffing (ComputeSymbolSurface / ChangedSymbols) -----------------

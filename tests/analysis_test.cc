@@ -90,12 +90,14 @@ TEST_F(LanguageRulesTest, UndefinedNameResolvesTransitively) {
 }
 
 TEST_F(LanguageRulesTest, UndefinedNameSuppressedWhenImportUnresolvable) {
-  // The import target does not exist: lint cannot know what it would have
-  // defined, so it stays silent and leaves the failure to the compiler.
+  // The import target does not exist. L010 reports that once, at the
+  // import; lint cannot know what the module would have defined, so L001
+  // stays silent about the names it might have bound.
   auto diags = Lint(
       "import_python(\"missing.cinc\", \"*\")\n"
       "export_if_last({\"port\": PORT})\n");
   EXPECT_EQ(CountRule(diags, "L001"), 0u);
+  EXPECT_EQ(CountRule(diags, "L010"), 1u);
 }
 
 TEST_F(LanguageRulesTest, SingleSymbolImportOfMissingSymbolFires) {
@@ -412,6 +414,49 @@ TEST_F(LanguageRulesTest, ConstantConditionDoesNotFireOnDynamicCondition) {
       "x = 1 if flag else 2\n"
       "export_if_last({\"x\": x})\n");
   EXPECT_EQ(CountRule(diags, "L009"), 0u);
+}
+
+// ---- L010 missing-import ----------------------------------------------------
+
+TEST_F(LanguageRulesTest, MissingImportFiresOnAbsentModuleOrSchema) {
+  sources_.Put("schemas/a.thrift",
+               "include \"schemas/gone.thrift\"\nstruct A { 1: i32 x; }\n");
+  auto diags = Lint(
+      "import_python(\"lib/missing.cinc\", \"X\")\n"
+      "import_thrift(\"schemas/missing.thrift\")\n"
+      "import_thrift(\"schemas/a.thrift\")\n"
+      "export_if_last({\"x\": X})\n",
+      "lib/m.cinc");
+  ASSERT_EQ(CountRule(diags, "L010"), 3u);
+  std::vector<std::string> found;
+  for (const LintDiagnostic& d : diags) {
+    if (d.rule_id == "L010") {
+      EXPECT_EQ(d.severity, LintSeverity::kError);
+      found.push_back(StrFormat("%d: ", d.line) + d.message);
+    }
+  }
+  EXPECT_EQ(found,
+            (std::vector<std::string>{
+                "1: import of 'lib/missing.cinc', which does not exist",
+                "2: import of 'schemas/missing.thrift', which does not exist",
+                "3: import of 'schemas/a.thrift', which includes "
+                "'schemas/gone.thrift', which does not exist"}));
+}
+
+TEST_F(LanguageRulesTest, MissingImportDoesNotFireOnOtherUnresolvableImports) {
+  sources_.Put("lib/cycle.cinc", "import_python(\"lib/cycle.cinc\", \"*\")\n");
+  sources_.Put("lib/broken.cinc", "def :\n");
+  sources_.Put("schemas/self.thrift", "include \"schemas/self.thrift\"\n");
+  sources_.Put("lib/ok.cinc", "X = 1\n");
+  auto diags = Lint(
+      "p = \"lib/\" + \"gone.cinc\"\n"
+      "import_python(p, \"*\")\n"
+      "import_python(\"lib/cycle.cinc\", \"*\")\n"
+      "import_python(\"lib/broken.cinc\", \"*\")\n"
+      "import_thrift(\"schemas/self.thrift\")\n"
+      "import_python(\"lib/ok.cinc\", \"X\")\n"
+      "export_if_last({\"x\": X})\n");
+  EXPECT_EQ(CountRule(diags, "L010"), 0u);
 }
 
 // ---- Gating rules -----------------------------------------------------------

@@ -1,12 +1,12 @@
 // End-to-end tests of the Configerator compiler: the paper's Figure 2
 // workflow (schema + reusable module + entry config + validator), the §3.1
 // dependency example (app.cconf / firewall.cconf sharing app_port.cinc),
-// and the compiler's caches — the parse cache, the closure digest and the
-// whole-entry output memo.
+// and the compiler's caches — the parse cache and the whole-entry output
+// memo, which replays a result while every read its run made returns the
+// same.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <map>
 #include <string>
 #include <utility>
@@ -72,13 +72,21 @@ TEST_F(CompilerTest, CompilesFigure2Example) {
 TEST_F(CompilerTest, TracksTransitiveDependencies) {
   auto output = Compile("cache_job.cconf");
   ASSERT_TRUE(output.ok());
-  const auto& deps = output->dependencies;
-  for (const char* expected :
-       {"cache_job.cconf", "create_job.cinc", "job.thrift",
-        "job.thrift-cvalidator"}) {
-    EXPECT_NE(std::find(deps.begin(), deps.end(), expected), deps.end())
-        << expected;
-  }
+  EXPECT_EQ(output->dependencies,
+            (std::vector<std::string>{"cache_job.cconf", "create_job.cinc",
+                                      "job.thrift", "job.thrift-cvalidator"}));
+
+  // A schema's validator probe is a dependency even when the companion does
+  // not exist: adding one later must recompile the entry.
+  sources_.Put("tier.thrift", "enum Tier { HOT = 0 }\n");
+  sources_.Put("tier.cconf",
+               "import_thrift(\"tier.thrift\")\n"
+               "export_if_last({\"t\": Tier.HOT})\n");
+  auto tier = Compile("tier.cconf");
+  ASSERT_TRUE(tier.ok()) << tier.status();
+  EXPECT_EQ(tier->dependencies,
+            (std::vector<std::string>{"tier.cconf", "tier.thrift",
+                                      "tier.thrift-cvalidator"}));
 }
 
 TEST_F(CompilerTest, ValidatorRejectsBadConfig) {
@@ -372,73 +380,106 @@ TEST(UnitCacheTest, KeepsOneSourceCopyPerPath) {
   EXPECT_NE(cache.Intern("m.cinc", "A = 2\n").content, interned);
 }
 
-// --- Closure digest ---------------------------------------------------------
+// --- Whole-entry output memo ------------------------------------------------
 
-TEST(ClosureDigestTest, SeesTransitiveImportChanges) {
-  InMemorySources sources;
-  sources.Put("entry.cconf",
-              "import_python(\"lib.cinc\", \"*\")\n"
-              "export_if_last({\"a\": A})\n");
-  sources.Put("lib.cinc",
-              "import_python(\"util.cinc\", \"*\")\n"
-              "A = BASE + 1\n");
-  sources.Put("util.cinc", "BASE = 41\n");
+// Sources in a map the test edits in place (files can vanish), with a
+// reader over it that fails a missing path the way InMemorySources does.
+struct EditableSources {
+  std::map<std::string, std::string> files;
 
+  FileReader Reader() {
+    return [this](const std::string& path) -> Result<std::string> {
+      auto it = files.find(path);
+      if (it == files.end()) {
+        return NotFoundError("no such source file: " + path);
+      }
+      return it->second;
+    };
+  }
+};
+
+TEST(OutputMemoTest, SeesTransitiveImportChanges) {
+  EditableSources sources;
+  sources.files = {
+      {"entry.cconf",
+       "import_python(\"lib.cinc\", \"*\")\n"
+       "export_if_last({\"a\": A})\n"},
+      {"lib.cinc",
+       "import_python(\"util.cinc\", \"*\")\n"
+       "A = BASE + 1\n"},
+      {"util.cinc", "BASE = 41\n"},
+  };
   CompiledUnitCache cache;
-  auto d1 = ClosureDigest("entry.cconf", sources.AsReader(), &cache);
-  ASSERT_TRUE(d1.ok());
-  auto d1_again = ClosureDigest("entry.cconf", sources.AsReader(), &cache);
-  ASSERT_TRUE(d1_again.ok());
-  EXPECT_EQ(*d1, *d1_again);
+  ConfigCompiler compiler(sources.Reader(), CompilerOptions{&cache, nullptr});
+  ASSERT_TRUE(compiler.Compile("entry.cconf").ok());
+  ASSERT_TRUE(compiler.Compile("entry.cconf").ok());
+  EXPECT_EQ(cache.output_hits(), 1u);
 
-  // A change two imports deep must change the entry's closure digest even
-  // though entry.cconf and lib.cinc are byte-identical.
-  sources.Put("util.cinc", "BASE = 42\n");
-  auto d2 = ClosureDigest("entry.cconf", sources.AsReader(), &cache);
-  ASSERT_TRUE(d2.ok());
-  EXPECT_NE(*d1, *d2);
+  // A change two imports deep misses although entry.cconf and lib.cinc are
+  // byte-identical.
+  sources.files["util.cinc"] = "BASE = 42\n";
+  auto edited = compiler.Compile("entry.cconf");
+  ASSERT_TRUE(edited.ok()) << edited.status();
+  EXPECT_EQ(cache.output_misses(), 2u);
+  EXPECT_EQ(edited->configs[0].content.Get("a")->as_int(), 43);
 
-  // Unrelated files don't affect it.
-  sources.Put("other.cinc", "Z = 1\n");
-  auto d3 = ClosureDigest("entry.cconf", sources.AsReader(), &cache);
-  ASSERT_TRUE(d3.ok());
-  EXPECT_EQ(*d2, *d3);
+  // Files the compile never read do not affect it.
+  sources.files["other.cinc"] = "Z = 1\n";
+  ASSERT_TRUE(compiler.Compile("entry.cconf").ok());
+  EXPECT_EQ(cache.output_hits(), 2u);
+  EXPECT_EQ(cache.output_misses(), 2u);
 }
 
-TEST(ClosureDigestTest, CoversSchemasAndValidators) {
-  InMemorySources sources;
-  sources.Put("entry.cconf",
-              "import_thrift(\"job.thrift\")\n"
-              "export_if_last(Job(name=\"x\"))\n");
-  sources.Put("job.thrift",
-              "struct Job {\n  1: string name;\n}\n");
-
+// A validator companion that appears or vanishes invalidates the entries
+// that import its schema, as an edit to the schema itself does.
+TEST(OutputMemoTest, CoversSchemasAndValidators) {
+  EditableSources sources;
+  sources.files = {
+      {"entry.cconf",
+       "import_thrift(\"job.thrift\")\n"
+       "export_if_last(Job(name=\"x\"))\n"},
+      {"job.thrift", "struct Job {\n  1: string name;\n}\n"},
+  };
+  const std::string validator =
+      "def validate_Job(job):\n    return job.name != \"x\"\n";
   CompiledUnitCache cache;
-  auto d1 = ClosureDigest("entry.cconf", sources.AsReader(), &cache);
-  ASSERT_TRUE(d1.ok());
+  ConfigCompiler compiler(sources.Reader(), CompilerOptions{&cache, nullptr});
+  ASSERT_TRUE(compiler.Compile("entry.cconf").ok());
+  ASSERT_TRUE(compiler.Compile("entry.cconf").ok());
+  EXPECT_EQ(cache.output_hits(), 1u);
 
-  // Adding a validator companion changes the closure.
-  sources.Put("job.thrift-cvalidator",
-              "def validate_Job(job):\n    return True\n");
-  auto d2 = ClosureDigest("entry.cconf", sources.AsReader(), &cache);
-  ASSERT_TRUE(d2.ok());
-  EXPECT_NE(*d1, *d2);
+  // The validator appears: the memo misses and the validator runs.
+  sources.files["job.thrift-cvalidator"] = validator;
+  auto rejected = compiler.Compile("entry.cconf");
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_NE(
+      rejected.status().message().find("validator for Job returned False"),
+      std::string::npos)
+      << rejected.status();
+  EXPECT_EQ(cache.output_misses(), 2u);
 
-  // Editing the schema itself changes it too.
-  sources.Put("job.thrift",
-              "struct Job {\n  1: string name;\n  2: i32 mem;\n}\n");
-  auto d3 = ClosureDigest("entry.cconf", sources.AsReader(), &cache);
-  ASSERT_TRUE(d3.ok());
-  EXPECT_NE(*d2, *d3);
+  // An edit to the schema misses too.
+  sources.files["job.thrift"] =
+      "struct Job {\n  1: string name;\n  2: i32 mem;\n}\n";
+  EXPECT_FALSE(compiler.Compile("entry.cconf").ok());
+  EXPECT_EQ(cache.output_misses(), 3u);
+
+  // The validator vanishes: neither kept result read that, so both miss.
+  sources.files.erase("job.thrift-cvalidator");
+  auto accepted = compiler.Compile("entry.cconf");
+  EXPECT_TRUE(accepted.ok()) << accepted.status();
+  EXPECT_EQ(cache.output_misses(), 4u);
+  EXPECT_EQ(cache.output_hits(), 1u);
 }
 
-// Imports that only run when a function is called, or when a default is
-// evaluated, are edges of the closure all the same: changing what they
-// import must change the digest, or the memo would replay a stale output.
-// So are the includes the IDL parser follows, wherever they sit in the
-// schema: mid-line, in an included file, or on both arms of a diamond.
-// Each case's output is {"v": V}, where V is 1 in `edited` ("V = 1").
-TEST(ClosureDigestTest, FollowsImportsInsideFunctionBodiesAndDefaults) {
+// Imports that run only when a function is called, or when a default is
+// evaluated, are read like any other, and so are the includes the IDL
+// parser follows, wherever they sit in the schema: mid-line, in an included
+// file, or on both arms of a diamond. An edit to any file the compile read
+// (absent validator probes included) misses, and the next compile of the
+// same files hits. Each case's output is {"v": V}, where V is 1 in `edited`
+// ("V = 1").
+TEST(OutputMemoTest, FollowsImportsInsideFunctionBodiesAndDefaults) {
   struct Case {
     const char* name;
     std::vector<std::pair<const char*, const char*>> files;  // Entry first.
@@ -496,61 +537,69 @@ TEST(ClosureDigestTest, FollowsImportsInsideFunctionBodiesAndDefaults) {
         {"schemas/k.thrift", "enum K { V = 1 }\n"}},
        "schemas/k.thrift"},
   };
-  auto edit = [](InMemorySources& sources, const char* path,
-                 const std::string& content, int v) {
-    std::string text = content;
-    size_t at = text.find("V = 1");
-    ASSERT_NE(at, std::string::npos) << path;
-    text.replace(at, 5, "V = " + std::to_string(v));
-    sources.Put(path, text);
-  };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
-    InMemorySources sources;
-    std::map<std::string, std::string> written;
+    EditableSources sources;
     for (const auto& [path, content] : c.files) {
-      sources.Put(path, content);
-      written[path] = content;
+      sources.files[path] = content;
     }
+    const std::map<std::string, std::string> written = sources.files;
     const char* entry = c.files.front().first;
-    auto baseline = ConfigCompiler(sources.AsReader()).Compile(entry);
+    auto baseline = ConfigCompiler(sources.Reader()).Compile(entry);
     ASSERT_TRUE(baseline.ok()) << baseline.status();
-    EXPECT_EQ(baseline->dependencies.size(), c.files.size());
+    // Every file, plus the absent validator probe of the imported schema.
+    bool imports_schema = std::string(c.files.front().second) == kSchemaEntry;
+    EXPECT_EQ(baseline->dependencies.size(),
+              c.files.size() + (imports_schema ? 1 : 0));
 
-    // Editing any file the compile read changes the digest.
     CompiledUnitCache cache;
-    auto before = ClosureDigest(entry, sources.AsReader(), &cache);
-    ASSERT_TRUE(before.ok()) << before.status();
+    ConfigCompiler compiler(sources.Reader(), CompilerOptions{&cache, nullptr});
+    ASSERT_TRUE(compiler.Compile(entry).ok());
     for (const std::string& dep : baseline->dependencies) {
       SCOPED_TRACE(dep);
-      sources.Put(dep, written.at(dep) + "# edited\n");
-      auto after = ClosureDigest(entry, sources.AsReader(), &cache);
-      ASSERT_TRUE(after.ok()) << after.status();
-      EXPECT_NE(*before, *after);
-      sources.Put(dep, written.at(dep));
+      auto was = written.find(dep);
+      sources.files[dep] =
+          (was == written.end() ? "" : was->second) + "# edited\n";
+      size_t misses = cache.output_misses();
+      size_t hits = cache.output_hits();
+      auto edited = compiler.Compile(entry);
+      ASSERT_TRUE(edited.ok()) << edited.status();
+      EXPECT_EQ(cache.output_misses(), misses + 1) << "the edit must miss";
+      EXPECT_EQ(edited->configs[0].content.Get("v")->as_int(), 1);
+      ASSERT_TRUE(compiler.Compile(entry).ok());
+      EXPECT_EQ(cache.output_hits(), hits + 1) << "no edit, so a hit";
+      if (was == written.end()) {
+        sources.files.erase(dep);
+      } else {
+        sources.files[dep] = was->second;
+      }
     }
 
-    // And end to end: a compiler with a warm memo sees the edit.
-    CompilerOptions options;
-    options.unit_cache = &cache;
-    ConfigCompiler compiler(sources.AsReader(), options);
+    // The value edits track.
+    auto edit = [&](int v) {
+      std::string text = written.at(c.edited);
+      size_t at = text.find("V = 1");
+      ASSERT_NE(at, std::string::npos);
+      text.replace(at, 5, "V = " + std::to_string(v));
+      sources.files[c.edited] = text;
+    };
     auto v1 = compiler.Compile(entry);
     ASSERT_TRUE(v1.ok()) << v1.status();
     EXPECT_EQ(v1->configs[0].content.Get("v")->as_int(), 1);
-    edit(sources, c.edited, written.at(c.edited), 2);
+    edit(2);
     auto v2 = compiler.Compile(entry);
     ASSERT_TRUE(v2.ok()) << v2.status();
     EXPECT_EQ(v2->configs[0].content.Get("v")->as_int(), 2);
-    edit(sources, c.edited, written.at(c.edited), 3);
+    edit(3);
     auto v3 = compiler.Compile(entry);
     ASSERT_TRUE(v3.ok()) << v3.status();
     EXPECT_EQ(v3->configs[0].content.Get("v")->as_int(), 3);
   }
 }
 
-// An include cycle, of one schema or of three, fails the compile (and its
-// digest) with an error naming the chain.
-TEST(ClosureDigestTest, IncludeCyclesFailTheCompile) {
+// An include cycle, of one schema or of three, fails the compile with an
+// error naming the chain; the failure replays from the memo unchanged.
+TEST(OutputMemoTest, IncludeCyclesFailTheCompile) {
   struct Case {
     const char* name;
     std::vector<std::pair<const char*, const char*>> schemas;
@@ -579,35 +628,21 @@ TEST(ClosureDigestTest, IncludeCyclesFailTheCompile) {
       sources.Put(path, content);
     }
     CompiledUnitCache cache;
-    EXPECT_FALSE(ClosureDigest("entry.cconf", sources.AsReader(), &cache).ok());
-    CompilerOptions options;
-    options.unit_cache = &cache;
-    ConfigCompiler compiler(sources.AsReader(), options);
-    for (int attempt = 0; attempt < 2; ++attempt) {
-      auto output = compiler.Compile("entry.cconf");
-      ASSERT_FALSE(output.ok());
-      EXPECT_EQ(output.status().code(), StatusCode::kInvalidConfig);
-      EXPECT_NE(output.status().message().find(std::string("include cycle: ") +
-                                               c.chain),
-                std::string::npos)
-          << output.status();
-    }
-    // Not memoized: the digest failed, so each compile ran afresh.
-    EXPECT_EQ(cache.output_hits() + cache.output_misses(), 0u);
+    ConfigCompiler compiler(sources.AsReader(),
+                            CompilerOptions{&cache, nullptr});
+    auto first = compiler.Compile("entry.cconf");
+    ASSERT_FALSE(first.ok());
+    EXPECT_EQ(first.status().code(), StatusCode::kInvalidConfig);
+    EXPECT_NE(first.status().message().find(std::string("include cycle: ") +
+                                            c.chain),
+              std::string::npos)
+        << first.status();
+    auto replay = compiler.Compile("entry.cconf");
+    ASSERT_FALSE(replay.ok());
+    EXPECT_EQ(replay.status(), first.status());
+    EXPECT_EQ(cache.output_misses(), 1u);
+    EXPECT_EQ(cache.output_hits(), 1u);
   }
-}
-
-TEST(ClosureDigestTest, RejectsDynamicImports) {
-  InMemorySources sources;
-  sources.Put("entry.cconf",
-              "p = \"lib\" + \".cinc\"\n"
-              "import_python(p)\n"
-              "export_if_last({})\n");
-  CompiledUnitCache cache;
-  auto digest = ClosureDigest("entry.cconf", sources.AsReader(), &cache);
-  EXPECT_FALSE(digest.ok());
-  EXPECT_TRUE(std::string(digest.status().message())
-                  .find("computed import path") != std::string::npos);
 }
 
 TEST(UnitCacheTest, SharedCacheHitsAcrossCompilesAndInvalidatesOnEdit) {
@@ -629,32 +664,29 @@ TEST(UnitCacheTest, SharedCacheHitsAcrossCompilesAndInvalidatesOnEdit) {
     return metrics.GetCounter(name)->value();
   };
 
-  // The digest walk misses both modules, then the session hits them.
+  // The first session parses both modules.
   ASSERT_TRUE(
       ConfigCompiler(sources.AsReader(), options).Compile("e1.cconf").ok());
   uint64_t misses_after_first = counter("csl.unit_cache.misses");
   EXPECT_EQ(misses_after_first, 2u);
-  EXPECT_EQ(counter("csl.unit_cache.hits"), 2u);
+  EXPECT_EQ(counter("csl.unit_cache.hits"), 0u);
 
-  // Second entry shares lib.cinc: only its own body misses (in the digest
-  // walk); lib.cinc's subtree digest replays from the node memo without
-  // touching the parse cache, then both modules hit during evaluation.
+  // The second entry shares lib.cinc: only its own body misses.
   ASSERT_TRUE(
       ConfigCompiler(sources.AsReader(), options).Compile("e2.cconf").ok());
   EXPECT_EQ(counter("csl.unit_cache.misses"), 3u);
-  EXPECT_EQ(counter("csl.unit_cache.hits"), 4u);
+  EXPECT_EQ(counter("csl.unit_cache.hits"), 1u);
 
   // Editing the shared module invalidates: re-parse, results track the edit.
   sources.Put("lib.cinc", "A = 100\n");
   auto r3 = ConfigCompiler(sources.AsReader(), options).Compile("e1.cconf");
   ASSERT_TRUE(r3.ok()) << r3.status();
-  EXPECT_GT(counter("csl.unit_cache.misses"), misses_after_first);
+  EXPECT_EQ(counter("csl.unit_cache.misses"), misses_after_first + 2);
+  EXPECT_EQ(counter("csl.unit_cache.hits"), 2u);
   EXPECT_EQ(r3->configs[0].content.Get("a")->as_int(), 100);
 }
 
-// --- Whole-entry output memo ------------------------------------------------
-
-TEST(OutputMemoTest, ReplaysWholeEntryOnUnchangedClosure) {
+TEST(OutputMemoTest, ReplaysWholeEntryOnUnchangedReads) {
   InMemorySources sources;
   sources.Put("job.thrift",
               "struct Job {\n  1: string name;\n  2: i32 mem = 64;\n}\n");
@@ -676,7 +708,8 @@ TEST(OutputMemoTest, ReplaysWholeEntryOnUnchangedClosure) {
   EXPECT_EQ(cache.output_hits(), 0u);
   EXPECT_EQ(cache.output_misses(), 1u);
 
-  // Unchanged closure: the memoized output replays, bit-identically.
+  // Nothing the compile read changed: the memoized output replays,
+  // bit-identically.
   auto o2 = compiler.Compile("entry.cconf");
   ASSERT_TRUE(o2.ok()) << o2.status();
   EXPECT_EQ(cache.output_hits(), 1u);
@@ -686,8 +719,8 @@ TEST(OutputMemoTest, ReplaysWholeEntryOnUnchangedClosure) {
             o2->configs[0].content.DumpPretty());
   EXPECT_EQ(o1->dependencies, o2->dependencies);
 
-  // An edit two hops from the entry (the schema's default) changes the
-  // closure digest: the memo misses and the fresh output tracks the edit.
+  // An edit two hops from the entry (the schema's default) changes what a
+  // read returns: the memo misses and the fresh output tracks the edit.
   sources.Put("job.thrift",
               "struct Job {\n  1: string name;\n  2: i32 mem = 256;\n}\n");
   auto o3 = compiler.Compile("entry.cconf");
@@ -718,7 +751,7 @@ TEST(OutputMemoTest, CachesDeterministicFailures) {
   EXPECT_EQ(e1.status(), e2.status());
   EXPECT_EQ(cache.output_hits(), 1u) << "failures replay from the memo too";
 
-  // Fixing the validator's input un-caches: new digest, new (passing) run.
+  // Fixing the validator's input un-caches: new bytes, new (passing) run.
   sources.Put("entry.cconf",
               "import_thrift(\"job.thrift\")\n"
               "export_if_last(Job(name=\"good\"))\n");
@@ -726,7 +759,9 @@ TEST(OutputMemoTest, CachesDeterministicFailures) {
   EXPECT_TRUE(ok.ok()) << ok.status();
 }
 
-TEST(OutputMemoTest, DynamicImportClosureIsNeverMemoized) {
+// A computed import path is read like a literal one, so the entry is
+// memoized, and an edit to the computed target invalidates it.
+TEST(OutputMemoTest, ComputedImportIsMemoizedAndTracksItsTarget) {
   InMemorySources sources;
   sources.Put("lib.cinc", "A = 7\n");
   sources.Put("entry.cconf",
@@ -735,20 +770,93 @@ TEST(OutputMemoTest, DynamicImportClosureIsNeverMemoized) {
               "export_if_last({\"a\": A})\n");
 
   CompiledUnitCache cache;
-  CompilerOptions options;
-  options.unit_cache = &cache;
-  ConfigCompiler compiler(sources.AsReader(), options);
-
-  // The closure is only knowable by evaluating, so both compiles take the
-  // full path and the output memo is never consulted.
+  ConfigCompiler compiler(sources.AsReader(), CompilerOptions{&cache, nullptr});
   auto o1 = compiler.Compile("entry.cconf");
   ASSERT_TRUE(o1.ok()) << o1.status();
+  EXPECT_EQ(o1->dependencies,
+            (std::vector<std::string>{"entry.cconf", "lib.cinc"}));
   auto o2 = compiler.Compile("entry.cconf");
   ASSERT_TRUE(o2.ok()) << o2.status();
-  EXPECT_EQ(cache.output_hits(), 0u);
-  EXPECT_EQ(cache.output_misses(), 0u);
+  EXPECT_EQ(cache.output_hits(), 1u);
+  EXPECT_EQ(cache.output_misses(), 1u);
   EXPECT_EQ(o1->configs[0].content.DumpPretty(),
             o2->configs[0].content.DumpPretty());
+
+  sources.Put("lib.cinc", "A = 8\n");
+  auto o3 = compiler.Compile("entry.cconf");
+  ASSERT_TRUE(o3.ok()) << o3.status();
+  EXPECT_EQ(cache.output_misses(), 2u);
+  EXPECT_EQ(o3->configs[0].content.Get("a")->as_int(), 8);
+}
+
+// An import inside a function nothing calls is never read, so an edit to
+// its target keeps the hit, and the replay equals a fresh compile.
+TEST(OutputMemoTest, ImportInUncalledFunctionKeepsTheHit) {
+  InMemorySources sources;
+  sources.Put("dep.cinc", "V = 1\n");
+  sources.Put("entry.cconf",
+              "def unused():\n"
+              "    import_python(\"dep.cinc\", \"*\")\n"
+              "    return V\n"
+              "export_if_last({\"v\": 1})\n");
+
+  CompiledUnitCache cache;
+  ConfigCompiler compiler(sources.AsReader(), CompilerOptions{&cache, nullptr});
+  auto o1 = compiler.Compile("entry.cconf");
+  ASSERT_TRUE(o1.ok()) << o1.status();
+  EXPECT_EQ(o1->dependencies, std::vector<std::string>{"entry.cconf"});
+
+  sources.Put("dep.cinc", "V = 2\n");
+  auto o2 = compiler.Compile("entry.cconf");
+  ASSERT_TRUE(o2.ok()) << o2.status();
+  EXPECT_EQ(cache.output_hits(), 1u);
+  auto fresh = ConfigCompiler(sources.AsReader()).Compile("entry.cconf");
+  ASSERT_TRUE(fresh.ok()) << fresh.status();
+  EXPECT_EQ(o2->configs[0].content.DumpPretty(),
+            fresh->configs[0].content.DumpPretty());
+  EXPECT_EQ(o2->dependencies, fresh->dependencies);
+}
+
+// A read that fails is recorded with its status, message included: a
+// failure memoized under one reader's NotFound does not replay under a
+// reader that fails the same path with another message (a path missing
+// from the repository, then deleted by a proposal's overlay).
+TEST(OutputMemoTest, FailureReplaysOnlyUnderTheSameReadError) {
+  InMemorySources sources;
+  sources.Put("entry.cconf",
+              "import_python(\"lib.cinc\", \"*\")\n"
+              "export_if_last({\"a\": A})\n");
+  FileReader repo = sources.AsReader();
+  FileReader overlay = [repo](const std::string& path) -> Result<std::string> {
+    if (path == "lib.cinc") {
+      return NotFoundError("deleted in diff: " + path);
+    }
+    return repo(path);
+  };
+
+  CompiledUnitCache cache;
+  auto at_repo = ConfigCompiler(repo, CompilerOptions{&cache, nullptr})
+                     .Compile("entry.cconf");
+  ASSERT_FALSE(at_repo.ok());
+  EXPECT_NE(at_repo.status().message().find("no such source file: lib.cinc"),
+            std::string::npos)
+      << at_repo.status();
+
+  auto in_overlay = ConfigCompiler(overlay, CompilerOptions{&cache, nullptr})
+                        .Compile("entry.cconf");
+  ASSERT_FALSE(in_overlay.ok());
+  EXPECT_EQ(cache.output_hits(), 0u);
+  EXPECT_EQ(in_overlay.status(),
+            ConfigCompiler(overlay).Compile("entry.cconf").status());
+  EXPECT_NE(in_overlay.status().message().find("deleted in diff: lib.cinc"),
+            std::string::npos)
+      << in_overlay.status();
+
+  // Under the first reader again, its own failure replays.
+  auto again = ConfigCompiler(repo, CompilerOptions{&cache, nullptr})
+                   .Compile("entry.cconf");
+  EXPECT_EQ(again.status(), at_repo.status());
+  EXPECT_EQ(cache.output_hits(), 1u);
 }
 
 }  // namespace

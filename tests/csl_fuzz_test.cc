@@ -1,5 +1,5 @@
-// Generative fuzz battery for the CSL compiler's caches: the parse cache,
-// the closure digest and the whole-entry output memo.
+// Generative fuzz battery for the CSL compiler's caches: the parse cache
+// and the whole-entry output memo with its read traces.
 //
 // A seeded generator produces random CSL programs exercising every AST node
 // — literals, names, list/dict construction, unary/binary/ternary

@@ -20,7 +20,10 @@
 // lint moved onto the analysis store's per-import composition; the only
 // difference is six L004 findings on such later imports, which now resolve
 // as they do alone (LanguageRulesTest.ImportResolutionDoesNotDependOn-
-// EarlierImports). A refactor of lint, the symbol surface or the store must
+// EarlierImports). Re-recorded again when L010 (missing-import) was added:
+// the only difference is its 50 findings on imports of lib/missing.cinc;
+// with L010 findings dropped the battery still folds to 7af34be2.... A
+// refactor of lint, the symbol surface or the store must
 // pass it unchanged; a mismatch means a finding moved, which is a finding
 // to explain, not a constant to update. If a change is meant to alter
 // lint's findings, run
@@ -49,7 +52,7 @@ namespace {
 constexpr int kTrees = 320;
 constexpr uint64_t kSeed = 20261019;
 constexpr char kGoldenDigest[] =
-    "7af34be2efb4f4d0bc9cd4c94385d7730fad889b2dfb9bd0655f8483ee3de7a9";
+    "97885faf5661f3f6d8335abc70a6165719e1f5404fbd68ee8a83f7e6aec9de71";
 
 std::string ModulePath(int i) { return StrFormat("lib/m%d.cinc", i); }
 std::string DeepPath(int k) { return StrFormat("lib/deep%d.cinc", k); }

@@ -336,23 +336,23 @@ TEST_F(SandcastleTest, UnitCacheIsSharedAcrossRunTestsCalls) {
   MetricsRegistry metrics;
   Sandcastle ci(&repo_, &deps_, &metrics);
 
-  // First run: the digest walk misses both units (entry + imported module),
-  // then the evaluating session hash-hits the units the walk just compiled.
-  // The entry's whole-entry output is memoized under its closure digest.
+  // First run: the evaluating session parses both units (entry + imported
+  // module). The entry's whole-entry output is memoized with the reads the
+  // session made.
   ProposedDiff first =
       MakeProposedDiff(repo_, "alice", "bump", {{"port.cinc", "PORT = 81\n"}});
   EXPECT_TRUE(ci.RunTests(first).passed);
   uint64_t hits_after_first = metrics.GetCounter("csl.unit_cache.hits")->value();
   uint64_t misses_after_first =
       metrics.GetCounter("csl.unit_cache.misses")->value();
-  EXPECT_EQ(hits_after_first, 2u);
+  EXPECT_EQ(hits_after_first, 0u);
   EXPECT_EQ(misses_after_first, 2u);
   EXPECT_EQ(metrics.GetCounter("csl.output_cache.hits")->value(), 0u);
   EXPECT_EQ(metrics.GetCounter("csl.output_cache.misses")->value(), 1u);
 
-  // Same diff re-validated: the digest walk byte-compares every source
-  // against its node memo and the memoized output replays — no unit-cache
-  // traffic, no evaluation at all.
+  // Same diff re-validated: every recorded read returns the same bytes, so
+  // the memoized output replays — no unit-cache traffic, no evaluation at
+  // all.
   EXPECT_TRUE(ci.RunTests(first).passed);
   EXPECT_EQ(metrics.GetCounter("csl.unit_cache.hits")->value(),
             hits_after_first);
@@ -360,16 +360,15 @@ TEST_F(SandcastleTest, UnitCacheIsSharedAcrossRunTestsCalls) {
             misses_after_first);
   EXPECT_EQ(metrics.GetCounter("csl.output_cache.hits")->value(), 1u);
 
-  // Editing the module invalidates exactly that unit: the walk recompiles
-  // it (one miss) and re-keys the untouched entry from its kept digest node,
-  // which already lists the entry's imports (no parse), the closure digest
-  // changes so the output memo misses, and the session re-evaluates over
-  // hash-hitting units (two hits).
+  // Editing the module invalidates exactly that unit: the read of it
+  // returns new bytes, so the output memo misses, and the session
+  // re-evaluates over the kept parse of the untouched entry (one hit) and a
+  // fresh parse of the module (one miss).
   ProposedDiff second =
       MakeProposedDiff(repo_, "alice", "bump", {{"port.cinc", "PORT = 82\n"}});
   EXPECT_TRUE(ci.RunTests(second).passed);
   EXPECT_EQ(metrics.GetCounter("csl.unit_cache.hits")->value(),
-            hits_after_first + 2);
+            hits_after_first + 1);
   EXPECT_EQ(metrics.GetCounter("csl.unit_cache.misses")->value(),
             misses_after_first + 1);
   EXPECT_EQ(metrics.GetCounter("csl.output_cache.misses")->value(), 2u);

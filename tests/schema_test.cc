@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <iterator>
 #include <map>
 #include <string>
@@ -77,7 +76,7 @@ TEST_F(SchemaTest, ParsesStructs) {
   EXPECT_TRUE(job->FindField("name")->required);
   EXPECT_FALSE(job->FindField("priority")->required);
   EXPECT_EQ(job->FindField("priority")->default_value->as_int(), 1);
-  EXPECT_EQ(job->FindFieldById(5)->name, "resources");
+  EXPECT_EQ(job->FindField("resources")->id, 5);
   EXPECT_EQ(job->FindField("nope"), nullptr);
 }
 
@@ -138,8 +137,7 @@ TEST_F(SchemaTest, IncludeResolution) {
   ASSERT_TRUE(s.ok()) << s;
   EXPECT_TRUE(r.ResolveAll().ok());
   EXPECT_NE(r.FindStruct("Base"), nullptr);
-  EXPECT_EQ(r.IncludesOf("s.thrift"), std::vector<std::string>{"base.thrift"});
-  EXPECT_TRUE(r.IncludesOf("base.thrift").empty());
+  EXPECT_EQ(files.reads["base.thrift"], 1);
 }
 
 TEST_F(SchemaTest, IncludeOfAMissingFileFails) {
@@ -163,7 +161,6 @@ TEST_F(SchemaTest, IncludeRegistersWhereItAppears) {
   const FieldDef* level = r.FindStruct("S")->FindField("level");
   EXPECT_EQ(level->type.kind(), TypeKind::kEnum);
   EXPECT_EQ(level->default_value->as_int(), 5);
-  EXPECT_EQ(r.IncludesOf("s.thrift"), std::vector<std::string>{"e.thrift"});
 }
 
 TEST_F(SchemaTest, LoadReadsADiamondIncludeOnce) {
@@ -182,8 +179,7 @@ TEST_F(SchemaTest, LoadReadsADiamondIncludeOnce) {
   ASSERT_TRUE(r.Load("top.thrift", files.Reader()).ok());
   EXPECT_EQ(files.reads["r.thrift"], 1);
   EXPECT_EQ(files.reads["top.thrift"], 1);
-  EXPECT_EQ(r.IncludesOf("top.thrift"),
-            (std::vector<std::string>{"l.thrift", "r.thrift"}));
+  EXPECT_EQ(files.reads["l.thrift"], 1);
 }
 
 TEST_F(SchemaTest, LoadRejectsASelfInclude) {
@@ -295,38 +291,6 @@ TEST_F(SchemaTest, CommentsIgnored) {
                       "c.thrift");
   ASSERT_TRUE(s.ok()) << s;
   EXPECT_EQ(r.FindStruct("S")->fields.size(), 2u);
-}
-
-TEST_F(SchemaTest, SchemaHashStableAndSensitive) {
-  auto h1 = registry_.SchemaHash("Job");
-  ASSERT_TRUE(h1.ok());
-  auto h2 = registry_.SchemaHash("Job");
-  EXPECT_EQ(*h1, *h2);
-
-  // A changed default changes the hash.
-  SchemaRegistry other;
-  std::string modified(kJobThrift);
-  size_t pos = modified.find("priority = 1");
-  ASSERT_NE(pos, std::string::npos);
-  modified.replace(pos, strlen("priority = 1"), "priority = 2");
-  ASSERT_TRUE(LoadText(other, modified, "job.thrift").ok());
-  auto h3 = other.SchemaHash("Job");
-  ASSERT_TRUE(h3.ok());
-  EXPECT_NE(*h1, *h3);
-}
-
-TEST_F(SchemaTest, SchemaHashCoversNestedTypes) {
-  SchemaRegistry a;
-  ASSERT_TRUE(LoadText(a,
-                       "struct Inner { 1: i32 x; } struct Outer { 1: Inner i; }",
-                       "a.thrift")
-                  .ok());
-  SchemaRegistry b;
-  ASSERT_TRUE(LoadText(b,
-                       "struct Inner { 1: i64 x; } struct Outer { 1: Inner i; }",
-                       "b.thrift")
-                  .ok());
-  EXPECT_NE(*a.SchemaHash("Outer"), *b.SchemaHash("Outer"));
 }
 
 // ---- Type checking ----------------------------------------------------------
@@ -586,7 +550,6 @@ bool LoadAndInstantiate(const IdlCorpus& corpus) {
   (void)registry.ResolveAll();
   for (const std::string& name : registry.StructNames()) {
     (void)DefaultInstance(registry, name);
-    (void)registry.SchemaHash(name);
   }
   return loaded;
 }
@@ -615,53 +578,6 @@ TEST(IdlMutationTest, EverySeedAndMutantReturns) {
       EXPECT_GT(loaded, 0);
     }
   }
-}
-
-// ---- Compatibility ----------------------------------------------------------
-
-StructDef ParseSingleStruct(const std::string& text, const std::string& name) {
-  SchemaRegistry r;
-  EXPECT_TRUE(LoadText(r, text, "x.thrift").ok());
-  return *r.FindStruct(name);
-}
-
-TEST(CompatibilityTest, SameSchemaIsCompatible) {
-  StructDef s = ParseSingleStruct("struct S { 1: i32 a; }", "S");
-  EXPECT_TRUE(CheckBackwardCompatible(s, s).ok());
-}
-
-TEST(CompatibilityTest, AddingOptionalFieldIsCompatible) {
-  StructDef old_def = ParseSingleStruct("struct S { 1: i32 a; }", "S");
-  StructDef new_def =
-      ParseSingleStruct("struct S { 1: i32 a; 2: optional string b; }", "S");
-  EXPECT_TRUE(CheckBackwardCompatible(old_def, new_def).ok());
-}
-
-TEST(CompatibilityTest, AddingRequiredFieldBreaks) {
-  // The §6.4 incident: old data can't satisfy a new required field.
-  StructDef old_def = ParseSingleStruct("struct S { 1: i32 a; }", "S");
-  StructDef new_def =
-      ParseSingleStruct("struct S { 1: i32 a; 2: required string b; }", "S");
-  EXPECT_FALSE(CheckBackwardCompatible(old_def, new_def).ok());
-}
-
-TEST(CompatibilityTest, ChangingFieldTypeBreaks) {
-  StructDef old_def = ParseSingleStruct("struct S { 1: i32 a; }", "S");
-  StructDef new_def = ParseSingleStruct("struct S { 1: string a; }", "S");
-  EXPECT_FALSE(CheckBackwardCompatible(old_def, new_def).ok());
-}
-
-TEST(CompatibilityTest, OptionalToRequiredBreaks) {
-  StructDef old_def = ParseSingleStruct("struct S { 1: optional i32 a; }", "S");
-  StructDef new_def = ParseSingleStruct("struct S { 1: required i32 a; }", "S");
-  EXPECT_FALSE(CheckBackwardCompatible(old_def, new_def).ok());
-}
-
-TEST(CompatibilityTest, RemovingFieldIsCompatibleForReaders) {
-  StructDef old_def =
-      ParseSingleStruct("struct S { 1: i32 a; 2: optional i32 b; }", "S");
-  StructDef new_def = ParseSingleStruct("struct S { 1: i32 a; }", "S");
-  EXPECT_TRUE(CheckBackwardCompatible(old_def, new_def).ok());
 }
 
 }  // namespace

@@ -222,9 +222,9 @@ TEST_F(StackTest, BrokenDependentBlocksSharedChange) {
   EXPECT_FALSE(second.ok());
 }
 
-// The closure digest follows every include the IDL parser follows, so an
-// edit to a schema included mid-line recompiles its dependents instead of
-// replaying the memoized output.
+// A compile reads every include the IDL parser follows, so an edit to a
+// schema included mid-line recompiles its dependents instead of replaying
+// the memoized output.
 TEST_F(StackTest, IncludedSchemaEditLandsWhatAFreshCompileMakes) {
   auto first = stack_.ProposeChange(
       "alice", "initial",
@@ -302,6 +302,70 @@ TEST_F(StackTest, SchemaIncludeCyclesFailWithoutCrashing) {
               std::string::npos)
         << compiled.status();
   }
+}
+
+// A "-cvalidator" companion proposed after its schema landed re-validates
+// the entries that import the schema: the absent companion was a read of
+// their compile, so it is one of their dependencies.
+TEST_F(StackTest, ValidatorAddedLaterRevalidatesImporters) {
+  auto first = stack_.ProposeChange(
+      "alice", "initial",
+      {{"schemas/job.thrift",
+        "struct Job { 1: required string name; 2: optional i32 mem; }\n"},
+       {"svc/a.cconf",
+        "import_thrift(\"schemas/job.thrift\")\n"
+        "export_if_last(Job(name=\"a\", mem=4096))\n"}});
+  ASSERT_TRUE(first.ok()) << first.status();
+  ASSERT_TRUE(stack_.Approve(&*first, "bob").ok());
+  ASSERT_TRUE(stack_.LandNow(*first).ok());
+  const std::string landed = *stack_.repo().ReadFile("svc/a.json");
+
+  auto validator = stack_.ProposeChange(
+      "carol", "cap memory",
+      {{"schemas/job.thrift-cvalidator",
+        "def validate_Job(job):\n    return job.mem <= 1024\n"}});
+  ASSERT_FALSE(validator.ok());
+  EXPECT_NE(validator.status().message().find(
+                "validator for Job returned False"),
+            std::string::npos)
+      << validator.status();
+  EXPECT_FALSE(stack_.repo().FileExists("schemas/job.thrift-cvalidator"));
+  EXPECT_EQ(*stack_.repo().ReadFile("svc/a.json"), landed);
+}
+
+// A literal import of a file that does not exist is L010 (missing-import),
+// an error, whether the target is a schema or a module: a module is not
+// compiled on its own, so only lint sees it. `module` is the only write.
+void ExpectMissingImportFailsCi(const FileWrite& module,
+                                const std::string& missing) {
+  ConfigManagementStack stack;
+  auto change = stack.ProposeChange("alice", "missing import", {module});
+  ASSERT_TRUE(change.ok()) << change.status();
+  EXPECT_FALSE(change->ci_report.passed);
+  std::string summary = change->ci_report.Summary();
+  EXPECT_NE(summary.find("[L010]"), std::string::npos) << summary;
+  EXPECT_NE(summary.find(missing), std::string::npos) << summary;
+  ASSERT_TRUE(stack.Approve(&*change, "bob").ok());
+  auto landed = stack.LandNow(*change);
+  ASSERT_FALSE(landed.ok());
+  EXPECT_EQ(landed.status().code(), StatusCode::kRejected);
+  EXPECT_FALSE(stack.repo().FileExists(module.path));
+}
+
+TEST_F(StackTest, ModuleImportingAMissingSchemaFailsCi) {
+  ExpectMissingImportFailsCi({"lib/m.cinc",
+                              "import_thrift(\"schemas/missing.thrift\")\n"
+                              "def make(x):\n"
+                              "    return A(x=x)\n"},
+                             "schemas/missing.thrift");
+}
+
+TEST_F(StackTest, ModuleStarImportingAMissingModuleFailsCi) {
+  ExpectMissingImportFailsCi({"lib/n.cinc",
+                              "import_python(\"lib/missing.cinc\", \"*\")\n"
+                              "def make(x):\n"
+                              "    return x\n"},
+                             "lib/missing.cinc");
 }
 
 TEST_F(StackTest, DeletedEntryRemovesGeneratedConfig) {
